@@ -53,6 +53,7 @@ type SetAssoc struct {
 	sets  []Line // sets*ways entries, way-major within a set
 	ways  int
 	stamp uint64
+	epoch uint64
 }
 
 // NewSetAssoc returns a sets x ways array with all ways invalid.
@@ -60,8 +61,15 @@ func NewSetAssoc(sets, ways int) *SetAssoc {
 	if sets <= 0 || ways <= 0 {
 		panic("cache: non-positive geometry")
 	}
-	return &SetAssoc{sets: make([]Line, sets*ways), ways: ways}
+	return &SetAssoc{sets: make([]Line, sets*ways), ways: ways, epoch: 1}
 }
+
+// Epoch identifies the current set of present lines: it advances whenever
+// a line is installed or invalidated (and on LoadState), so a Lookup's
+// hit-or-miss answer may be reused for as long as Epoch is unchanged. It
+// is never zero. Callers that write Line.State directly must only move
+// between valid states, which no Lookup can tell apart.
+func (c *SetAssoc) Epoch() uint64 { return c.epoch }
 
 // Ways returns the associativity.
 func (c *SetAssoc) Ways() int { return c.ways }
@@ -139,10 +147,14 @@ func (c *SetAssoc) Install(e *Line, addr uint64, st State) {
 	e.Addr = addr
 	e.State = st
 	c.Touch(e)
+	c.epoch++
 }
 
 // Invalidate marks the entry invalid.
-func (c *SetAssoc) Invalidate(e *Line) { e.State = Invalid }
+func (c *SetAssoc) Invalidate(e *Line) {
+	e.State = Invalid
+	c.epoch++
+}
 
 // InvalidWay returns an invalid way in the set, or nil if every way holds
 // a valid line. Reversible speculation (the RCP scheme) installs lines
@@ -168,6 +180,7 @@ func (c *SetAssoc) InstallQuiet(e *Line, addr uint64, st State) {
 	e.Addr = addr
 	e.State = st
 	e.lru = 0
+	c.epoch++
 }
 
 // ForEach calls fn for every valid line in the array.

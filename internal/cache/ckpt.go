@@ -20,6 +20,7 @@ func (c *SetAssoc) SaveState(e *ckptio.Encoder) {
 
 // LoadState restores a tag array saved from an identically configured one.
 func (c *SetAssoc) LoadState(d *ckptio.Decoder) {
+	c.epoch++
 	c.stamp = d.U64()
 	n := d.U64()
 	if d.Err() != nil {

@@ -233,6 +233,10 @@ func (l *L1) Probe(line uint64) bool {
 	return e != nil && e.State.CanRead()
 }
 
+// TagEpoch advances whenever a line enters or leaves the tag array: while it
+// is unchanged, Probe returns the same answer for every line.
+func (l *L1) TagEpoch() uint64 { return l.tags.Epoch() }
+
 // HasWritable reports whether the line is present in M or E state.
 func (l *L1) HasWritable(line uint64) bool {
 	e := l.tags.Lookup(l.cfg.L1Set(line), line)

@@ -9,23 +9,30 @@ import (
 
 // TestSteadyStateCycleAllocs pins the cycle loop's allocation budget with
 // tracing disabled: after warmup, stepping the machine must not allocate
-// at all, for every defense scheme. This is the property the pointer-handle
-// counters, the SoA state array, the per-set pin counts, and the ring
-// queues exist to provide; any regression here shows up as a nonzero
-// average long before it moves ns/cycle.
+// at all, for every row of both benchmark families. This is the property
+// the pointer-handle counters, the per-set pin counts, the ring queues and
+// the fixed-window seq lists exist to provide; any regression here shows
+// up as a nonzero average long before it moves ns/cycle.
 func TestSteadyStateCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
-	for _, c := range benchPolicies {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			sys := newBenchSystem(t, c.pol, nil)
-			avg := testing.AllocsPerRun(2000, func() { sys.stepCycle() })
-			if avg != 0 {
-				t.Fatalf("steady-state cycle loop allocates %v/cycle with tracing off, want 0", avg)
-			}
-		})
+	for _, fam := range []struct {
+		prefix, proxy string
+		rows          []benchPolicy
+	}{
+		{"", "gcc_r", benchPolicies},
+		{"Stall/", "mcf_r", benchStallPolicies},
+	} {
+		for _, c := range fam.rows {
+			t.Run(fam.prefix+c.name, func(t *testing.T) {
+				sys := newBenchSystem(t, fam.proxy, c.pol, nil)
+				avg := testing.AllocsPerRun(2000, func() { sys.stepCycle() })
+				if avg != 0 {
+					t.Fatalf("steady-state cycle loop allocates %v/cycle with tracing off, want 0", avg)
+				}
+			})
+		}
 	}
 }
 
@@ -36,7 +43,7 @@ func TestSteadyStateCycleAllocsCheckpointOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
-	sys := newBenchSystem(t, defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, nil)
+	sys := newBenchSystem(t, "gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, nil)
 	sys.SetCheckpointHook(0, nil)
 	avg := testing.AllocsPerRun(2000, func() { sys.stepCycle() })
 	if avg != 0 {
@@ -54,7 +61,7 @@ func TestSteadyStateCycleAllocsTracerOn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
-	sys := newBenchSystem(t, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, obs.NewRing(1<<16))
+	sys := newBenchSystem(t, "gcc_r", defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, obs.NewRing(1<<16))
 	defer sys.flushEvents()
 	avg := testing.AllocsPerRun(2000, func() { sys.stepCycle() })
 	if avg > 0.05 {

@@ -12,7 +12,7 @@ import (
 // per-set pin counts). ns/op is the write latency EXPERIMENTS.md records;
 // bytes/op tracks the encoder's buffer churn.
 func BenchmarkCheckpointSnapshot(b *testing.B) {
-	sys := newBenchSystem(b, defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, nil)
+	sys := newBenchSystem(b, "gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var blob []byte
@@ -32,12 +32,12 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 // once at startup.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	pol := defense.Policy{Scheme: defense.DOM, Variant: defense.LP}
-	sys := newBenchSystem(b, pol, nil)
+	sys := newBenchSystem(b, "gcc_r", pol, nil)
 	blob, err := sys.Snapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := newBenchSystem(b, pol, nil)
+	dst := newBenchSystem(b, "gcc_r", pol, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,13 +15,13 @@ import (
 // every scheme (the slowest, Fence-Comp, reaches steady state within ~5k).
 const benchWarmupCycles = 20_000
 
-// newBenchSystem builds a 1-core gcc_r system under the policy, attaches
-// the recorder (nil leaves the obs.Nop default), and runs the warmup
-// outside the timed region. All CoreCycle benchmarks share it so their
-// ns/cycle figures are comparable across policies and across PRs.
-func newBenchSystem(tb testing.TB, pol defense.Policy, rec obs.Recorder) *System {
+// newBenchSystem builds a 1-core system running the named proxy under the
+// policy, attaches the recorder (nil leaves the obs.Nop default), and runs
+// the warmup outside the timed region. All CoreCycle benchmarks share it so
+// their ns/cycle figures are comparable across policies and across PRs.
+func newBenchSystem(tb testing.TB, proxy string, pol defense.Policy, rec obs.Recorder) *System {
 	tb.Helper()
-	sys, err := New(arch.PaperConfig(1), pol, trace.ByName("gcc_r"), 1)
+	sys, err := New(arch.PaperConfig(1), pol, trace.ByName(proxy), 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,8 +39,8 @@ func newBenchSystem(tb testing.TB, pol defense.Policy, rec obs.Recorder) *System
 // b.ReportAllocs is always on, so ns/op is exactly ns/cycle and allocs/op
 // is exactly allocs/cycle: the two numbers BENCH_baseline.json pins and
 // scripts/bench_ci.sh diffs across PRs.
-func benchCycleLoop(b *testing.B, pol defense.Policy, rec obs.Recorder) {
-	sys := newBenchSystem(b, pol, rec)
+func benchCycleLoop(b *testing.B, proxy string, pol defense.Policy, rec obs.Recorder) {
+	sys := newBenchSystem(b, proxy, pol, rec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,30 +50,56 @@ func benchCycleLoop(b *testing.B, pol defense.Policy, rec obs.Recorder) {
 	sys.flushEvents()
 }
 
-// benchPolicies is the measurement spine's policy family: the unsafe
-// baseline, the two conventional-defense extremes (full fence, STT), the
-// invisible-speculation scheme, and Pinned Loads in both Late and Early
-// Pinning variants over Delay-On-Miss.
-var benchPolicies = []struct {
+// benchPolicy is one named row of a benchmark family.
+type benchPolicy struct {
 	name string
 	pol  defense.Policy
-}{
+}
+
+// benchPolicies is the measurement spine's policy family on the busy
+// gcc_r proxy: the unsafe baseline under both consistency models, the two
+// conventional-defense extremes (full fence, STT), the invisible-
+// speculation and reversible-rollback schemes, and Pinned Loads in both
+// Late and Early Pinning variants over Delay-On-Miss.
+var benchPolicies = []benchPolicy{
 	{"Unsafe", defense.Policy{Scheme: defense.Unsafe}},
+	{"Unsafe@RC", defense.Policy{Scheme: defense.Unsafe, Consistency: defense.RC}},
 	{"Fence", defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}},
 	{"DOM-LP", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}},
 	{"DOM-EP", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}},
 	{"STT", defense.Policy{Scheme: defense.STT, Variant: defense.Comp}},
 	{"IS", defense.Policy{Scheme: defense.IS, Variant: defense.Comp}},
+	{"RCP", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}},
+}
+
+// benchStallPolicies is the family for the stalled loop: mcf_r retires
+// nothing on ~95% of its cycles, so these rows price a cycle whose only
+// work is the load queue waiting — one row per way a scheme makes it wait.
+var benchStallPolicies = []benchPolicy{
+	{"Unsafe", defense.Policy{Scheme: defense.Unsafe}},
+	{"Fence", defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}},
+	{"DOM", defense.Policy{Scheme: defense.DOM, Variant: defense.Comp}},
+	{"IS", defense.Policy{Scheme: defense.IS, Variant: defense.Comp}},
+	{"RCP", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}},
 }
 
 // BenchmarkCoreCycle measures steady-state ns/cycle and allocs/cycle for
-// each defense policy with tracing disabled. This family is the perf
-// trajectory: scripts/bench_ci.sh compares it against BENCH_baseline.json
-// and fails on >10% ns/cycle or any allocs/cycle regression.
+// each defense policy with tracing disabled. This family and
+// BenchmarkCoreCycleStall are the perf trajectory: scripts/bench_ci.sh
+// compares them against BENCH_baseline.json and fails on >10% ns/cycle or
+// any allocs/cycle regression.
 func BenchmarkCoreCycle(b *testing.B) {
 	for _, c := range benchPolicies {
 		b.Run(c.name, func(b *testing.B) {
-			benchCycleLoop(b, c.pol, nil)
+			benchCycleLoop(b, "gcc_r", c.pol, nil)
+		})
+	}
+}
+
+func BenchmarkCoreCycleStall(b *testing.B) {
+	for _, c := range benchStallPolicies {
+		b.Run(c.name, func(b *testing.B) {
+			benchCycleLoop(b, "mcf_r", c.pol, nil)
 		})
 	}
 }
@@ -82,9 +108,9 @@ func BenchmarkCoreCycle(b *testing.B) {
 // the Fence-EP design point; the disabled path must stay under 5%
 // (EXPERIMENTS.md records baselines).
 func BenchmarkCoreCycleTracerOff(b *testing.B) {
-	benchCycleLoop(b, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil)
+	benchCycleLoop(b, "gcc_r", defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil)
 }
 
 func BenchmarkCoreCycleTracerOn(b *testing.B) {
-	benchCycleLoop(b, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, obs.NewRing(1<<16))
+	benchCycleLoop(b, "gcc_r", defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, obs.NewRing(1<<16))
 }

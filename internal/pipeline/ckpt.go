@@ -50,6 +50,28 @@ func loadSeqs(d *ckptio.Decoder, seqs []int64) []int64 {
 	return seqs
 }
 
+// load restores a list of live seqs, rejecting one that is not strictly
+// ascending (every seqList operation relies on the order) or that names a
+// seq outside the ROB window [head, tail), whose slot belongs to another
+// instruction.
+func (l *seqList) load(d *ckptio.Decoder, head, tail int64) {
+	n := d.Count(maxSeqList)
+	l.reset()
+	prev := head - 1
+	for i := 0; i < n; i++ {
+		seq := d.I64()
+		if d.Err() != nil {
+			return
+		}
+		if seq <= prev || seq >= tail {
+			d.Failf("seq %d after %d in a list of the ROB window [%d, %d)", seq, prev, head, tail)
+			return
+		}
+		l.push(seq)
+		prev = seq
+	}
+}
+
 func (en *entry) save(e *ckptio.Encoder) {
 	e.Inst(&en.inst)
 	e.I64(en.seq)
@@ -109,6 +131,27 @@ func (en *entry) load(d *ckptio.Decoder) {
 	en.yroot = d.I64()
 	en.lqTag = d.U32()
 	en.lockIssued = d.Bool()
+	en.probeEpoch = 0
+}
+
+// rebuildCandidates recomputes the load-queue candidate lists from the
+// unretired loads.
+func (c *Core) rebuildCandidates() {
+	c.issueCand.reset()
+	c.exposeCand.reset()
+	c.specCand.reset()
+	for _, seq := range c.loadSeqs.seqs() {
+		e := c.at(seq)
+		if e.state == stAddrDone {
+			c.issueCand.push(seq)
+		}
+		if e.invisible && e.performed && !e.exposeDone && e.token == 0 {
+			c.exposeCand.push(seq)
+		}
+		if e.specToken != 0 && e.performed && e.inst.TransientAddr != 0 {
+			c.specCand.push(seq)
+		}
+	}
 }
 
 // Barrier returns the cross-core barrier synchronizer (shared by all cores
@@ -159,9 +202,9 @@ func (c *Core) SaveState(e *ckptio.Encoder) error {
 	e.I64(c.tail)
 	e.Int(c.loadsInROB)
 	e.Int(c.storesInROB)
-	saveSeqs(e, c.fences)
-	saveSeqs(e, c.loadSeqs)
-	saveSeqs(e, c.storeSeqs)
+	saveSeqs(e, c.fences.seqs())
+	saveSeqs(e, c.loadSeqs.seqs())
+	saveSeqs(e, c.storeSeqs.seqs())
 
 	e.Bool(c.predictor != nil)
 	if c.predictor != nil {
@@ -269,7 +312,8 @@ func (c *Core) SaveState(e *ckptio.Encoder) error {
 }
 
 // LoadState restores a core built from the same configuration, policy and
-// workload. The dense state mirror is rebuilt from the restored entries.
+// workload. Derived state (the head slot, the load-queue candidate lists)
+// is rebuilt from the restored entries.
 func (c *Core) LoadState(d *ckptio.Decoder) {
 	gen, ok := c.gen.(ckptio.Loader)
 	if !ok {
@@ -291,15 +335,26 @@ func (c *Core) LoadState(d *ckptio.Decoder) {
 		if d.Err() != nil {
 			return
 		}
-		c.states[i] = c.entries[i].state
 	}
 	c.head = d.I64()
 	c.tail = d.I64()
+	if d.Err() != nil {
+		return
+	}
+	if c.head < 0 || c.tail < c.head || c.tail-c.head > int64(len(c.entries)) {
+		d.Failf("ROB window [%d, %d) does not fit %d entries", c.head, c.tail, len(c.entries))
+		return
+	}
+	c.headSlot = int(c.head % int64(len(c.entries)))
 	c.loadsInROB = d.Int()
 	c.storesInROB = d.Int()
-	c.fences = loadSeqs(d, c.fences)
-	c.loadSeqs = loadSeqs(d, c.loadSeqs)
-	c.storeSeqs = loadSeqs(d, c.storeSeqs)
+	c.fences.load(d, c.head, c.tail)
+	c.loadSeqs.load(d, c.head, c.tail)
+	c.storeSeqs.load(d, c.head, c.tail)
+	if d.Err() != nil {
+		return
+	}
+	c.rebuildCandidates()
 
 	hasPred := d.Bool()
 	if d.Err() != nil {

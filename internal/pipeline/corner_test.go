@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"pinnedloads/internal/arch"
@@ -219,5 +220,76 @@ func TestTakenBranchEndsFetchGroup(t *testing.T) {
 	}
 	if c.Retired() < 500 {
 		t.Fatalf("taken-branch stream too slow: %d", c.Retired())
+	}
+}
+
+func TestSquashedCandidatesLeaveNoStaleSeq(t *testing.T) {
+	// A squash hands its seqs to the refetched path, so a candidate the
+	// squash left behind would name a different instruction: here the
+	// wrong path parks loads in stAddrDone (Fence denies them) on seqs
+	// that the correct path refills with ALU ops and, at loadSeq, a load
+	// still waiting for its address operand. Treating that load as
+	// stAddrDone would send it to the L1 before its address exists.
+	const (
+		wrongAddr = 0x7000_0000
+		rightAddr = 0x4000
+		loadSeq   = 15
+	)
+	insts := []isa.Inst{
+		{Op: isa.FALU, Lat: 40},
+		{Op: isa.Branch, Mispredict: true, Deps: [2]int32{1}},
+	}
+	for len(insts) < loadSeq-1 {
+		insts = append(insts, isa.Inst{Op: isa.ALU, Lat: 1})
+	}
+	insts = append(insts,
+		isa.Inst{Op: isa.FALU, Lat: 40},
+		isa.Inst{Op: isa.Load, Addr: rightAddr, Deps: [2]int32{1}})
+
+	cfg := arch.PaperConfig(1)
+	count := &stats.Counters{}
+	mem := coherence.NewSystem(&cfg, count)
+	w := &trace.Script{ScriptName: "stale-seq", Insts: [][]isa.Inst{insts},
+		Wrong: isa.Inst{Op: isa.Load, Addr: wrongAddr}}
+	c := NewCore(0, &cfg, defense.Policy{Scheme: defense.Fence, Variant: defense.Comp},
+		mem.L1(0), w.Generator(0, 1), NewBarrierSync(1), count)
+
+	var parked []int64 // wrong-path candidates on the cycle before the squash
+	var staleGen uint64
+	squashed := false
+	for i := int64(1); i <= 2000 && !c.Halted(); i++ {
+		if !squashed {
+			parked = append(parked[:0], c.issueCand.seqs()...)
+			if c.valid(loadSeq) {
+				staleGen = c.at(loadSeq).gen
+			}
+		}
+		mem.Tick(i)
+		c.Tick(i)
+		checkCandidates(t, c, "after Tick")
+		if !squashed && count.Get("squash.branch") == 1 {
+			squashed = true
+			if !slices.Contains(parked, loadSeq) {
+				t.Fatalf("wrong path never parked a load at seq %d: %v", loadSeq, parked)
+			}
+			if c.tail != 2 || len(c.issueCand.seqs()) != 0 {
+				t.Fatalf("after the squash: tail %d, issue candidates %v", c.tail, c.issueCand.seqs())
+			}
+		}
+		if squashed && slices.Contains(c.issueCand.seqs(), loadSeq) {
+			if e := c.at(loadSeq); e.gen == staleGen || !e.addrReady || e.inst.Addr != rightAddr {
+				t.Fatalf("cycle %d: seq %d is an issue candidate as gen %d (squashed gen %d), addrReady=%v addr=%#x",
+					i, loadSeq, e.gen, staleGen, e.addrReady, e.inst.Addr)
+			}
+		}
+	}
+	if !squashed || !c.Halted() {
+		t.Fatalf("squashed=%v halted=%v", squashed, c.Halted())
+	}
+	if got := count.Get("loads.issued"); got != 1 {
+		t.Fatalf("%d loads reached the L1, want only the refetched one", got)
+	}
+	if mem.L1(0).Probe(arch.LineAddr(wrongAddr)) || !mem.L1(0).Probe(arch.LineAddr(rightAddr)) {
+		t.Fatal("the L1 holds the wrong path's line, or not the refetched load's")
 	}
 }

@@ -61,7 +61,7 @@ func (c *Core) execute() {
 			intUsed++
 		}
 		issued++
-		c.setState(e, stExec)
+		e.state = stExec
 		lat := int64(e.inst.Lat)
 		if lat < 1 {
 			lat = 1
@@ -104,7 +104,7 @@ func (c *Core) complete() {
 			// Address generation complete; the load now waits for the
 			// policy to let it access memory (issueLoads).
 			e.addrReady = true
-			c.setState(e, stAddrDone)
+			c.awaitIssue(e)
 			c.effectiveAddr(e)
 		case isa.Store:
 			e.addrReady = true
@@ -160,7 +160,7 @@ func (c *Core) effectiveAddr(e *entry) {
 
 // finish marks an entry done and wakes its consumers.
 func (c *Core) finish(e *entry) {
-	c.setState(e, stDone)
+	e.state = stDone
 	for _, w := range e.wake {
 		we := c.deref(w)
 		if we == nil {
@@ -168,7 +168,7 @@ func (c *Core) finish(e *entry) {
 		}
 		we.depsLeft--
 		if we.depsLeft == 0 && we.state == stWaiting {
-			c.setState(we, stReady)
+			we.state = stReady
 			c.readyQ = append(c.readyQ, w)
 		}
 	}
@@ -216,8 +216,9 @@ func (c *Core) aliasCheck(st *entry) {
 // same stores, youngest first, as a full ROB scan from e.seq-1 down to
 // head — without touching the non-store entries in between.
 func (c *Core) tryForward(e *entry) bool {
-	for i := len(c.storeSeqs) - 1; i >= 0; i-- {
-		s := c.storeSeqs[i]
+	stores := c.storeSeqs.seqs()
+	for i := len(stores) - 1; i >= 0; i-- {
+		s := stores[i]
 		if s >= e.seq {
 			continue
 		}

@@ -98,7 +98,6 @@ func (c *Core) insert(in isa.Inst, winIdx int64) {
 		yroot:  -1,
 		wake:   e.wake[:0], // reuse the slice backing across generations
 	}
-	c.setState(e, stWaiting)
 	*c.cnt.dispatched++
 
 	switch in.Op {
@@ -111,19 +110,19 @@ func (c *Core) insert(in isa.Inst, winIdx int64) {
 		}
 	case isa.Load:
 		c.loadsInROB++
-		c.loadSeqs = append(c.loadSeqs, seq)
+		c.loadSeqs.push(seq)
 		e.line = arch.LineAddr(in.Addr)
 		e.archAddr = in.Addr
 	case isa.Lock:
 		c.loadsInROB++
-		c.fences = append(c.fences, seq)
+		c.fences.push(seq)
 		e.line = arch.LineAddr(in.Addr)
 	case isa.Store:
 		c.storesInROB++
-		c.storeSeqs = append(c.storeSeqs, seq)
+		c.storeSeqs.push(seq)
 		e.line = arch.LineAddr(in.Addr)
 	case isa.Fence, isa.Barrier:
-		c.fences = append(c.fences, seq)
+		c.fences.push(seq)
 	}
 
 	// Resolve data dependences and compute the STT taint root (the
@@ -152,14 +151,14 @@ func (c *Core) insert(in isa.Inst, winIdx int64) {
 	switch in.Op {
 	case isa.Nop, isa.Fence, isa.Barrier:
 		// No execution needed; retirement logic provides semantics.
-		c.setState(e, stDone)
+		e.state = stDone
 	case isa.Lock:
 		// The RMW is performed at the head of the ROB (see retire).
-		c.setState(e, stDone)
+		e.state = stDone
 		e.addrReady = true
 	default:
 		if e.depsLeft == 0 {
-			c.setState(e, stReady)
+			e.state = stReady
 			c.readyQ = append(c.readyQ, ref{seq: seq, gen: e.gen})
 		}
 	}
@@ -207,13 +206,14 @@ func (c *Core) squashFrom(from int64, cause string) {
 		if !e.wrong && refetch < 0 {
 			refetch = e.winIdx
 		}
-		c.setState(e, stWaiting) // neutralize stale calendar/ready references
+		e.state = stWaiting // neutralize stale calendar/ready references
 		e.token = 0
 	}
-	// Trim bookkeeping lists of squashed seqs.
-	c.fences = filterSeqs(c.fences, from)
-	c.loadSeqs = filterSeqs(c.loadSeqs, from)
-	c.storeSeqs = filterSeqs(c.storeSeqs, from)
+	// Trim bookkeeping lists of squashed seqs: the refetch reuses them.
+	for _, l := range [...]*seqList{&c.fences, &c.loadSeqs, &c.storeSeqs,
+		&c.issueCand, &c.exposeCand, &c.specCand} {
+		l.truncate(from)
+	}
 	c.tail = from
 	if c.vpFrontier > from {
 		c.vpFrontier = from
@@ -231,17 +231,6 @@ func (c *Core) squashFrom(from int64, cause string) {
 		c.fetchPtr = refetch
 	}
 	c.stallUntil = c.now + int64(c.cfg.FetchRedirectCycles)
-}
-
-// filterSeqs removes seqs >= from (squashed) from a bookkeeping list.
-func filterSeqs(s []int64, from int64) []int64 {
-	out := s[:0]
-	for _, v := range s {
-		if v < from {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // removePerformed deletes seq from the performed-load list.

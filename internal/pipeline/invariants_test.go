@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"pinnedloads/internal/arch"
+	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/coherence"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
@@ -11,17 +13,70 @@ import (
 	"pinnedloads/internal/trace"
 )
 
-// checkStateMirror verifies the struct-of-arrays invariant: the dense
-// states byte array must agree with the authoritative entry.state field
-// for every in-flight ROB entry. The hot scans read only the byte array,
-// so any setState bypass would silently change scheduling.
-func checkStateMirror(t *testing.T, c *Core, cycle int) {
-	t.Helper()
+// bruteForceCandidates recomputes the bookkeeping lists the way the cycle
+// loop found its work before they existed: the unretired loads, stores and
+// serializing ops by walking the whole ROB, and each load-queue candidate
+// list by the filter its stage applied to every unretired load.
+func (c *Core) bruteForceCandidates() (loads, stores, fences, issue, expose, spec []int64) {
 	for seq := c.head; seq < c.tail; seq++ {
 		e := c.at(seq)
-		if got := c.stateOf(seq); got != e.state {
-			t.Fatalf("cycle %d: states[] says %d for seq %d, entry.state says %d",
-				cycle, got, seq, e.state)
+		switch e.inst.Op {
+		case isa.Load:
+			loads = append(loads, seq)
+		case isa.Store:
+			stores = append(stores, seq)
+		case isa.Fence, isa.Lock, isa.Barrier:
+			fences = append(fences, seq)
+		}
+		if !e.isLoad() {
+			continue
+		}
+		if e.state == stAddrDone {
+			issue = append(issue, seq)
+		}
+		if e.invisible && !e.exposeDone && e.performed && e.token == 0 {
+			expose = append(expose, seq)
+		}
+		if e.specToken != 0 && e.performed && e.inst.TransientAddr != 0 {
+			spec = append(spec, seq)
+		}
+	}
+	return
+}
+
+// checkCandidates verifies every seq list against the brute-force walk,
+// and every live Delay-On-Miss probe memo against a fresh Probe.
+func checkCandidates(t *testing.T, c *Core, when string) {
+	t.Helper()
+	loads, stores, fences, issue, expose, spec := c.bruteForceCandidates()
+	for _, l := range []struct {
+		name string
+		got  []int64
+		want []int64
+	}{
+		{"loadSeqs", c.loadSeqs.seqs(), loads},
+		{"storeSeqs", c.storeSeqs.seqs(), stores},
+		{"fences", c.fences.seqs(), fences},
+		{"issueCand", c.issueCand.seqs(), issue},
+		{"exposeCand", c.exposeCand.seqs(), expose},
+		{"specCand", c.specCand.seqs(), spec},
+	} {
+		if !slices.Equal(l.got, l.want) {
+			t.Fatalf("core %d @%d %s: %s = %v, full walk says %v (ROB [%d, %d))",
+				c.id, c.now, when, l.name, l.got, l.want, c.head, c.tail)
+		}
+	}
+	if got := int(c.head % int64(len(c.entries))); c.headSlot != got {
+		t.Fatalf("core %d @%d %s: headSlot %d, head %% len is %d", c.id, c.now, when, c.headSlot, got)
+	}
+	for seq := c.head; seq < c.tail; seq++ {
+		e := c.at(seq)
+		if e.seq != seq {
+			t.Fatalf("core %d @%d %s: slot of seq %d holds seq %d", c.id, c.now, when, seq, e.seq)
+		}
+		if e.probeEpoch == c.l1.TagEpoch() && e.probeHit != c.l1.Probe(e.probeLine) {
+			t.Fatalf("core %d @%d %s: seq %d remembers Probe(%#x) = %v at epoch %d, a fresh Probe disagrees",
+				c.id, c.now, when, seq, e.probeLine, e.probeHit, e.probeEpoch)
 		}
 	}
 }
@@ -94,7 +149,7 @@ func TestScanStateInvariants(t *testing.T) {
 			for i := 1; i <= 12000; i++ {
 				mem.Tick(int64(i))
 				c.Tick(int64(i))
-				checkStateMirror(t, c, i)
+				checkCandidates(t, c, "after Tick")
 				checkSetPins(t, c, i)
 			}
 			if c.Retired() == 0 {
@@ -104,6 +159,187 @@ func TestScanStateInvariants(t *testing.T) {
 				if count.Get("pin.pinned") == 0 {
 					t.Fatal("pin-heavy workload never pinned; invariant check is vacuous")
 				}
+			}
+		})
+	}
+}
+
+// machine is a whole system assembled from this side of the import graph
+// (core imports pipeline, so these tests cannot use core.System): the
+// workload's cores over one memory hierarchy, stepped like stepCycle.
+type machine struct {
+	cfg   arch.Config
+	count stats.Counters
+	mem   *coherence.System
+	cores []*Core
+	cycle int64
+}
+
+func newMachine(w trace.Source, pol defense.Policy) *machine {
+	m := &machine{cfg: arch.PaperConfig(w.Cores())}
+	m.mem = coherence.NewSystem(&m.cfg, &m.count)
+	bar := NewBarrierSync(m.cfg.Cores)
+	for i := 0; i < m.cfg.Cores; i++ {
+		m.cores = append(m.cores, NewCore(i, &m.cfg, pol, m.mem.L1(i), w.Generator(i, 1), bar, &m.count))
+	}
+	if warmer, ok := w.(interface{ WarmLines(core int) []uint64 }); ok {
+		for i := range m.cores {
+			m.mem.Prewarm(warmer.WarmLines(i))
+		}
+	}
+	return m
+}
+
+// step advances one cycle, checking the derived state of every core both
+// after the memory system moved (fills, invalidations and the squashes
+// they cause happen there) and after the core's own stages.
+func (m *machine) step(t *testing.T) {
+	t.Helper()
+	m.cycle++
+	m.mem.Tick(m.cycle)
+	for _, c := range m.cores {
+		checkCandidates(t, c, "after mem.Tick")
+	}
+	for _, c := range m.cores {
+		c.Tick(m.cycle)
+		checkCandidates(t, c, "after Tick")
+	}
+}
+
+func (m *machine) halted() bool {
+	for _, c := range m.cores {
+		if !c.Halted() {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *machine) snapshot(t *testing.T) []byte {
+	t.Helper()
+	e := ckptio.NewEncoder()
+	m.count.SaveState(e)
+	m.mem.SaveState(e)
+	m.cores[0].Barrier().SaveState(e)
+	for _, c := range m.cores {
+		if err := c.SaveState(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e.Bytes()
+}
+
+func (m *machine) restore(t *testing.T, blob []byte, cycle int64) {
+	t.Helper()
+	d := ckptio.NewDecoder(blob)
+	m.count.LoadState(d)
+	m.mem.LoadState(d)
+	m.cores[0].Barrier().LoadState(d)
+	for _, c := range m.cores {
+		c.LoadState(d)
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	m.cycle = cycle
+}
+
+// TestCandidateListsMatchFullWalk is the differential oracle for the
+// event-driven load queue: under every kind of policy that reaches a
+// distinct maintenance path, on stalled, busy, sharing and adversarial
+// workloads, the incrementally maintained lists must equal the full walk
+// twice every cycle — so also on the cycle after every squash — and the
+// lists a restore rebuilds must equal the ones the original run carried.
+func TestCandidateListsMatchFullWalk(t *testing.T) {
+	workloads := []struct {
+		src    trace.Source
+		cycles int64 // attack kernels run to their halt instead
+	}{
+		{trace.ByName("mcf_r"), 12_000},
+		{trace.ByName("gcc_r"), 6_000},
+		{trace.ByName("ocean_cp"), 3_000},
+		{&trace.Attack{AttackKind: "spectre_v1", Secret: 1}, 0},
+		{&trace.Attack{AttackKind: "alias", Secret: 1}, 0},
+		{&trace.Attack{AttackKind: "mcv", Secret: 1}, 0},
+		{&trace.Attack{AttackKind: "interference", Secret: 1}, 0},
+	}
+	policies := []defense.Policy{
+		{Scheme: defense.Unsafe},
+		{Scheme: defense.Fence, Variant: defense.EP},
+		{Scheme: defense.DOM, Variant: defense.Comp},
+		{Scheme: defense.STT, Variant: defense.LP},
+		{Scheme: defense.IS, Variant: defense.Comp},
+		{Scheme: defense.RCP, Variant: defense.Comp},
+		{Scheme: defense.Unsafe, Consistency: defense.RC},
+	}
+	const attackLimit = 60_000
+	for _, pol := range policies {
+		pol := pol
+		t.Run(pol.String(), func(t *testing.T) {
+			t.Parallel()
+			// Peak occupancy per list across the policy's workloads, so a
+			// list this policy must exercise cannot pass by staying empty.
+			var peakIssue, peakExpose, peakSpec, memos int
+			var squashed uint64
+			for _, w := range workloads {
+				m := newMachine(w.src, pol)
+				limit := w.cycles
+				if limit == 0 {
+					limit = attackLimit
+				}
+				var fork *machine
+				for m.cycle < limit && !m.halted() {
+					m.step(t)
+					if fork != nil {
+						fork.step(t)
+					}
+					for _, c := range m.cores {
+						peakIssue = max(peakIssue, len(c.issueCand.seqs()))
+						peakExpose = max(peakExpose, len(c.exposeCand.seqs()))
+						peakSpec = max(peakSpec, len(c.specCand.seqs()))
+						for seq := c.head; pol.Scheme == defense.DOM && seq < c.tail; seq++ {
+							if c.at(seq).probeEpoch == c.l1.TagEpoch() {
+								memos++
+							}
+						}
+					}
+					if m.cycle == 2_500 {
+						// Mid-run restore into a fresh machine: the rebuilt
+						// lists are checked before its first cycle and on
+						// every cycle it then runs beside the original.
+						fork = newMachine(w.src, pol)
+						fork.restore(t, m.snapshot(t), m.cycle)
+						for _, c := range fork.cores {
+							checkCandidates(t, c, "after restore")
+						}
+					}
+				}
+				if w.cycles == 0 && !m.halted() {
+					t.Fatalf("%s did not halt in %d cycles", w.src.Name(), attackLimit)
+				}
+				if fork != nil && fork.count.String() != m.count.String() {
+					t.Fatalf("%s: restored run diverged from the original:\n%s\nvs\n%s",
+						w.src.Name(), fork.count.String(), m.count.String())
+				}
+				squashed += m.count.Get("squashed_insts")
+			}
+			if squashed == 0 {
+				t.Fatal("no squash in any workload")
+			}
+			switch pol.Scheme {
+			case defense.Fence, defense.DOM, defense.STT:
+				if peakIssue == 0 {
+					t.Fatal("a delaying scheme never held a load back across a cycle boundary")
+				}
+			}
+			if pol.Scheme == defense.IS && peakExpose == 0 {
+				t.Fatal("IS never had a load waiting for exposure")
+			}
+			if pol.Scheme == defense.RCP && peakSpec == 0 {
+				t.Fatal("RCP never had a transient-operand load to revalidate")
+			}
+			if pol.Scheme == defense.DOM && memos == 0 {
+				t.Fatal("DOM never carried a live probe memo across a cycle boundary")
 			}
 		})
 	}

@@ -7,70 +7,77 @@ import (
 )
 
 // issueLoads sends eligible loads to the memory system, applying the active
-// defense scheme's gating rule. The stateOf pre-check reads the dense
-// states array so loads that cannot issue this cycle (the common case)
-// are rejected without pulling their ROB entry into cache.
+// defense scheme's gating rule. It visits only the loads in stAddrDone, in
+// program order, and keeps the ones still waiting when it is done.
 func (c *Core) issueLoads() {
-	for _, seq := range c.loadSeqs {
-		if c.stateOf(seq) != stAddrDone || !c.valid(seq) {
-			continue
+	cand := c.issueCand.seqs()
+	kept, i := 0, 0
+	for ; i < len(cand); i++ {
+		e := c.at(cand[i])
+		if !c.issueLoad(e) {
+			break // out of L1 ports: every younger candidate waits too
 		}
-		e := c.at(seq)
-		c.effectiveAddr(e)
-		mode := c.mayIssueLoad(e)
-		if mode == issueDenied {
-			continue
-		}
-		if c.tryForward(e) {
-			continue
-		}
-		if !c.l1.AcquirePort() {
-			*c.cnt.stallL1Ports++
-			return
-		}
-		token := c.newToken(seq)
-		if mode == issueSpec {
-			// RCP-style reversible access: the load issues eagerly pre-VP;
-			// every state change is journaled at the L1/directory and is
-			// reversed on squash (SpecAbandon) or finalized at retirement
-			// (SpecCommit).
-			switch c.l1.LoadSpec(token, e.line) {
-			case coherence.LoadBlocked:
-				delete(c.tokenSeq, token)
-				e.token = 0
-				*c.cnt.stallMSHRFull++
-			default:
-				e.specToken = token
-				c.setState(e, stIssued)
-				*c.cnt.loadsIssuedSpec++
-			}
-			continue
-		}
-		if mode == issueInvisible {
-			// InvisiSpec-style stateless access: data arrives without
-			// any cache or directory footprint; an exposure access
-			// follows once the load reaches its VP.
-			e.invisible = true
-			c.setState(e, stIssued)
-			*c.cnt.loadsIssuedInvisible++
-			c.l1.LoadInvisible(token, e.line)
-			continue
-		}
-		switch c.l1.Load(token, e.line) {
-		case coherence.LoadBlocked:
-			delete(c.tokenSeq, token)
-			e.token = 0
-			*c.cnt.stallMSHRFull++
-		default:
-			c.setState(e, stIssued)
-			*c.cnt.loadsIssued++
-			if e.pinned && !e.performed {
-				// Early Pinning pinned the load before issue; carry the
-				// Pinned bit into the MSHR (paper Section 6.1.2).
-				c.l1.PinInFlight(e.line)
-			}
+		if e.state == stAddrDone {
+			cand[kept] = cand[i]
+			kept++
 		}
 	}
+	c.issueCand.compact(kept, i)
+}
+
+// issueLoad tries to start e's memory access (or satisfy it by store
+// forwarding); e leaves stAddrDone when it succeeds. It reports false when
+// the L1 ports are exhausted for this cycle.
+func (c *Core) issueLoad(e *entry) bool {
+	c.effectiveAddr(e)
+	mode := c.mayIssueLoad(e)
+	if mode == issueDenied || c.tryForward(e) {
+		return true
+	}
+	if !c.l1.AcquirePort() {
+		*c.cnt.stallL1Ports++
+		return false
+	}
+	token := c.newToken(e.seq)
+	var res coherence.LoadResult
+	switch mode {
+	case issueSpec:
+		// RCP-style reversible access: the load issues eagerly pre-VP;
+		// every state change is journaled at the L1/directory and is
+		// reversed on squash (SpecAbandon) or finalized at retirement
+		// (SpecCommit).
+		res = c.l1.LoadSpec(token, e.line)
+	case issueInvisible:
+		// InvisiSpec-style stateless access: data arrives without any
+		// cache or directory footprint; an exposure access follows once
+		// the load reaches its VP.
+		c.l1.LoadInvisible(token, e.line)
+	default:
+		res = c.l1.Load(token, e.line)
+	}
+	if res == coherence.LoadBlocked {
+		delete(c.tokenSeq, token)
+		e.token = 0
+		*c.cnt.stallMSHRFull++
+		return true
+	}
+	e.state = stIssued
+	switch mode {
+	case issueSpec:
+		e.specToken = token
+		*c.cnt.loadsIssuedSpec++
+	case issueInvisible:
+		e.invisible = true
+		*c.cnt.loadsIssuedInvisible++
+	default:
+		*c.cnt.loadsIssued++
+		if e.pinned && !e.performed {
+			// Early Pinning pinned the load before issue; carry the
+			// Pinned bit into the MSHR (paper Section 6.1.2).
+			c.l1.PinInFlight(e.line)
+		}
+	}
+	return true
 }
 
 // newToken allocates a unique memory-access token for seq.
@@ -120,7 +127,7 @@ func (c *Core) mayIssueLoad(e *entry) issueMode {
 		*c.cnt.stallFence++
 		return issueDenied
 	case defense.DOM:
-		if c.l1.Probe(e.line) {
+		if c.domProbe(e) {
 			*c.cnt.loadsDOMHit++
 			return issueNormal
 		}
@@ -146,37 +153,47 @@ func (c *Core) mayIssueLoad(e *entry) issueMode {
 	return issueDenied
 }
 
+// domProbe is l1.Probe(e.line), remembered per load: a load Delay-On-Miss
+// denies asks again every cycle, and the answer cannot change until a line
+// enters or leaves the L1 (the tag epoch moves) or the load's effective
+// address does.
+func (c *Core) domProbe(e *entry) bool {
+	if ep := c.l1.TagEpoch(); e.probeEpoch != ep || e.probeLine != e.line {
+		e.probeEpoch, e.probeLine = ep, e.line
+		e.probeHit = c.l1.Probe(e.line)
+	}
+	return e.probeHit
+}
+
 // exposeLoads issues the post-VP exposure access of invisibly performed
 // loads: the second access that makes the line architecturally visible and
 // installs it in the cache. A load cannot retire before it is exposed.
 func (c *Core) exposeLoads() {
-	if c.policy.Scheme != defense.IS {
-		return
-	}
-	for _, seq := range c.loadSeqs {
-		if !c.valid(seq) {
-			continue
-		}
-		e := c.at(seq)
-		if !e.invisible || e.exposeDone || !e.performed || e.token != 0 {
-			continue
-		}
-		if !c.reachedVP(e) {
-			continue
-		}
-		// The exposure is the load's first visible access; it re-reads the
-		// address operands, which post-VP hold architectural values.
-		c.effectiveAddr(e)
-		if !c.l1.AcquirePort() {
-			return
-		}
-		token := c.newToken(seq)
-		*c.cnt.loadsExposed++
-		if c.l1.Load(token, e.line) == coherence.LoadBlocked {
+	cand := c.exposeCand.seqs()
+	kept, i := 0, 0
+	// No load beyond the frontier has reached its VP, and the list is in
+	// program order: the walk stops at the first one.
+	for ; i < len(cand) && cand[i] <= c.vpFrontier; i++ {
+		e := c.at(cand[i])
+		if c.reachedVP(e) {
+			// The exposure is the load's first visible access; it re-reads
+			// the address operands, which post-VP hold architectural values.
+			c.effectiveAddr(e)
+			if !c.l1.AcquirePort() {
+				break
+			}
+			token := c.newToken(e.seq)
+			*c.cnt.loadsExposed++
+			if c.l1.Load(token, e.line) != coherence.LoadBlocked {
+				continue // in flight: LoadDone marks the load exposed
+			}
 			delete(c.tokenSeq, token)
 			e.token = 0
 		}
+		cand[kept] = cand[i]
+		kept++
 	}
+	c.exposeCand.compact(kept, i)
 }
 
 // validateSpecLoads re-resolves the effective address of performed
@@ -192,30 +209,36 @@ func (c *Core) exposeLoads() {
 // its architectural line, the reversible-coherence analog of InvisiSpec's
 // post-VP exposure re-reading its operands.
 func (c *Core) validateSpecLoads() {
-	if c.policy.Scheme != defense.RCP {
-		return
-	}
-	for _, seq := range c.loadSeqs {
-		if !c.valid(seq) {
-			continue
-		}
+	cand := c.specCand.seqs()
+	kept := 0
+	for _, seq := range cand {
 		e := c.at(seq)
-		if e.specToken == 0 || !e.performed || e.token != 0 ||
-			e.inst.TransientAddr == 0 {
+		if e.token == 0 && c.misspeculatedAddr(e) {
 			continue
 		}
-		old := e.line
-		c.effectiveAddr(e)
-		if e.line == old {
-			continue
-		}
-		c.l1.SpecAbandon(e.specToken)
-		e.specToken = 0
-		e.performed = false
-		c.removePerformed(seq)
-		c.setState(e, stAddrDone)
-		*c.cnt.loadsSpecRevalidated++
+		cand[kept] = seq
+		kept++
 	}
+	c.specCand.compact(kept, len(cand))
+}
+
+// misspeculatedAddr re-resolves a reversibly performed load's address. If
+// the access went to a line the operands no longer name, it reverses the
+// journaled state, returns the load to stAddrDone to re-issue, and reports
+// true.
+func (c *Core) misspeculatedAddr(e *entry) bool {
+	old := e.line
+	c.effectiveAddr(e)
+	if e.line == old {
+		return false
+	}
+	c.l1.SpecAbandon(e.specToken)
+	e.specToken = 0
+	e.performed = false
+	c.removePerformed(e.seq)
+	c.awaitIssue(e)
+	*c.cnt.loadsSpecRevalidated++
+	return true
 }
 
 // rfoLookahead bounds how many write-buffer entries beyond the head may
@@ -348,7 +371,8 @@ func (c *Core) LoadDone(token int64) {
 	e.token = 0
 	if e.state == stIssued {
 		c.loadPerformed(e)
-		if e.invisible && c.reachedVP(e) {
+		switch {
+		case e.invisible && c.reachedVP(e):
 			// The load reached its VP (e.g. it was pinned) while the
 			// invisible access was in flight: the returning data is
 			// current and the load is unsquashable, so the access
@@ -357,6 +381,10 @@ func (c *Core) LoadDone(token int64) {
 			// access from invisible-execution schemes.
 			e.exposeDone = true
 			*c.cnt.loadsExposeSkipped++
+		case e.invisible:
+			c.exposeCand.insert(seq)
+		case e.specToken != 0 && e.inst.TransientAddr != 0:
+			c.specCand.insert(seq)
 		}
 		return
 	}

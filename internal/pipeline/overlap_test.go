@@ -14,10 +14,7 @@ import (
 // outstandingDemandLoads counts issued, not-yet-performed loads.
 func (c *Core) outstandingDemandLoads() int {
 	n := 0
-	for _, seq := range c.loadSeqs {
-		if !c.valid(seq) {
-			continue
-		}
+	for _, seq := range c.loadSeqs.seqs() {
 		if e := c.at(seq); e.state == stIssued && !e.performed {
 			n++
 		}

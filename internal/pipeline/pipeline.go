@@ -90,6 +90,13 @@ type entry struct {
 
 	// lockIssued marks a Lock whose read-modify-write is in flight.
 	lockIssued bool
+
+	// Delay-On-Miss probe memo (derived, never serialized): the L1 Probe
+	// verdict for probeLine as of tag epoch probeEpoch (0 = none); see
+	// domProbe.
+	probeEpoch uint64
+	probeLine  uint64
+	probeHit   bool
 }
 
 func (e *entry) isLoad() bool  { return e.inst.Op == isa.Load }
@@ -140,22 +147,28 @@ type Core struct {
 
 	now int64
 
-	// ROB ring. entries[seq % len] is valid for head <= seq < tail.
-	entries []entry
-	head    int64
-	tail    int64
-	// states mirrors entries[i].state in a dense parallel array so the
-	// per-cycle LQ scans (issueLoads, exposeLoads) read one byte per
-	// entry instead of pulling each ~200-byte entry's cache line in just
-	// to reject it. All state transitions go through setState.
-	states []uint8
+	// ROB ring. entries[seq % len] is valid for head <= seq < tail;
+	// headSlot caches head % len so at() indexes without a divide.
+	entries  []entry
+	head     int64
+	tail     int64
+	headSlot int
 
 	// Occupancy.
 	loadsInROB  int
 	storesInROB int
-	fences      []int64 // seqs of unretired Fence/Lock/Barrier ops
-	loadSeqs    []int64 // seqs of unretired Loads (program order)
-	storeSeqs   []int64 // seqs of unretired Stores (program order)
+	fences      seqList // unretired Fence/Lock/Barrier ops
+	loadSeqs    seqList // unretired Loads
+	storeSeqs   seqList // unretired Stores
+
+	// Load-queue candidate lists: the subsets of loadSeqs the three
+	// per-cycle LQ stages act on, in program order, so each stage visits
+	// only loads that can act and says "nothing to do" in O(1). They are
+	// derived state, maintained at the transitions that change membership
+	// and rebuilt (never serialized) on restore.
+	issueCand  seqList // state == stAddrDone: waiting to access memory (issueLoads)
+	exposeCand seqList // invisible, performed, no exposure issued yet (exposeLoads, IS)
+	specCand   seqList // performed reversibly on transient operands (validateSpecLoads, RCP)
 
 	// Frontend.
 	predictor  branch.Predictor // nil unless Config.RealPredictor
@@ -238,7 +251,12 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		cnt:            bindCoreCounters(count),
 		rec:            obs.Nop,
 		entries:        make([]entry, cfg.ROBEntries),
-		states:         make([]uint8, cfg.ROBEntries),
+		fences:         newSeqList(cfg.ROBEntries),
+		loadSeqs:       newSeqList(cfg.LQEntries),
+		storeSeqs:      newSeqList(cfg.SQEntries),
+		issueCand:      newSeqList(cfg.LQEntries),
+		exposeCand:     newSeqList(cfg.LQEntries),
+		specCand:       newSeqList(cfg.LQEntries),
 		tokenSeq:       make(map[int64]int64),
 		pinnedRef:      make(map[uint64]int),
 		tagToSeq:       make(map[uint32]int64),
@@ -267,22 +285,22 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 	return c
 }
 
-// at returns the ROB entry for seq (which must satisfy head <= seq < tail).
+// at returns the ROB entry for seq, which must satisfy head <= seq < tail:
+// the slot is found relative to the head's, without dividing, so a stale seq
+// would name another instruction's entry. Callers holding a seq that may
+// have been squashed or retired check valid (or deref) first.
 func (c *Core) at(seq int64) *entry {
-	return &c.entries[seq%int64(len(c.entries))]
+	s := c.headSlot + int(seq-c.head)
+	if s >= len(c.entries) {
+		s -= len(c.entries)
+	}
+	return &c.entries[s]
 }
 
-// setState transitions e's state machine, keeping the dense states array
-// (see the Core field) in sync.
-func (c *Core) setState(e *entry, st uint8) {
-	e.state = st
-	c.states[e.seq%int64(len(c.entries))] = st
-}
-
-// stateOf reads seq's state from the dense array (for scan loops that
-// reject most entries without touching the ROB ring).
-func (c *Core) stateOf(seq int64) uint8 {
-	return c.states[seq%int64(len(c.entries))]
+// awaitIssue puts a load in stAddrDone, where issueLoads picks it up.
+func (c *Core) awaitIssue(e *entry) {
+	e.state = stAddrDone
+	c.issueCand.insert(e.seq)
 }
 
 // valid reports whether seq names a live ROB entry.

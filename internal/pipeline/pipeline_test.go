@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"pinnedloads/internal/arch"
@@ -32,22 +33,99 @@ func TestBarrierSync(t *testing.T) {
 	}
 }
 
+func seqListOf(n int, seqs ...int64) seqList {
+	l := newSeqList(n)
+	for _, s := range seqs {
+		l.push(s)
+	}
+	return l
+}
+
 func TestFilterSeqs(t *testing.T) {
-	s := []int64{1, 5, 3, 9, 2}
-	got := filterSeqs(s, 4)
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 2 {
-		t.Fatalf("filterSeqs = %v", got)
+	l := seqListOf(4, 1, 2, 3, 5, 9)
+	l.truncate(4)
+	if got := l.seqs(); !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Fatalf("truncate(4) = %v", got)
+	}
+	l.truncate(0)
+	if len(l.seqs()) != 0 {
+		t.Fatalf("truncate(0) left %v", l.seqs())
 	}
 }
 
 func TestRemoveSeq(t *testing.T) {
-	s := []int64{4, 7, 9}
-	got := removeSeq(s, 7)
-	if len(got) != 2 || got[0] != 4 || got[1] != 9 {
-		t.Fatalf("removeSeq = %v", got)
+	l := seqListOf(4, 4, 7, 9)
+	l.dropFront(7) // not the oldest: stays
+	l.dropFront(100)
+	if got := l.seqs(); !slices.Equal(got, []int64{4, 7, 9}) {
+		t.Fatalf("dropping seqs that are not the front changed the list: %v", got)
 	}
-	if got := removeSeq(got, 100); len(got) != 2 {
-		t.Fatal("removing absent seq changed the list")
+	l.dropFront(4)
+	if got := l.seqs(); !slices.Equal(got, []int64{7, 9}) {
+		t.Fatalf("dropFront(4) = %v", got)
+	}
+	l.dropFront(7)
+	l.dropFront(9)
+	l.dropFront(9)
+	if len(l.seqs()) != 0 {
+		t.Fatalf("drained list holds %v", l.seqs())
+	}
+}
+
+// TestSeqListWindow drives a list the way a long run does — the window
+// sliding through its backing array many times, out-of-order inserts,
+// in-place compaction — against a plain sorted slice, and pins that a list
+// within the bound it was built for never allocates, while one pushed
+// past it grows instead of failing.
+func TestSeqListWindow(t *testing.T) {
+	l := newSeqList(4)
+	var want []int64
+	next := int64(0)
+	round := func() {
+		for len(l.seqs()) < 4 {
+			// Insert the younger of a pair first: completion order, not
+			// program order.
+			l.insert(next + 1)
+			l.insert(next)
+			want = append(want, next, next+1)
+			next += 2
+		}
+		// Filter all but the youngest element, the way a stage that ran
+		// out of ports leaves the rest of its list unvisited.
+		cand := l.seqs()
+		kept, stop := 0, len(cand)-1
+		for _, s := range cand[:stop] {
+			if s%3 != 0 {
+				cand[kept] = s
+				kept++
+			}
+		}
+		l.compact(kept, stop)
+		youngest := want[len(want)-1]
+		want = slices.DeleteFunc(want, func(s int64) bool { return s%3 == 0 && s != youngest })
+		l.dropFront(want[0])
+		want = want[1:]
+	}
+	for i := 0; i < 100; i++ {
+		round()
+		if !slices.Equal(l.seqs(), want) {
+			t.Fatalf("round %d: list %v, want %v", i, l.seqs(), want)
+		}
+	}
+	want = nil
+	if avg := testing.AllocsPerRun(100, func() {
+		l.push(next)
+		next++
+		l.dropFront(l.seqs()[0])
+	}); avg != 0 {
+		t.Fatalf("bounded list allocates %v per operation", avg)
+	}
+	g := newSeqList(2)
+	for i := int64(0); i < 50; i++ {
+		g.push(i)
+	}
+	if len(g.seqs()) != 50 || g.seqs()[0] != 0 || g.seqs()[49] != 49 {
+		t.Fatalf("grown list holds %v", g.seqs())
 	}
 }
 

@@ -46,15 +46,8 @@ func (c *Core) retire() {
 				// is handled by squashFrom; this catches windows that
 				// close benignly within one retire sweep, before
 				// validateSpecLoads can observe them.
-				old := e.line
-				c.effectiveAddr(e)
-				if e.line != old {
-					c.l1.SpecAbandon(e.specToken)
-					e.specToken = 0
-					e.performed = false
-					c.removePerformed(e.seq)
-					c.setState(e, stAddrDone)
-					*c.cnt.loadsSpecRevalidated++
+				if c.misspeculatedAddr(e) {
+					c.specCand.dropFront(e.seq)
 					*c.cnt.stallRetireLoad++
 					return
 				}
@@ -113,7 +106,11 @@ func (c *Core) retire() {
 		switch e.inst.Op {
 		case isa.Load:
 			c.loadsInROB--
-			c.loadSeqs = removeSeq(c.loadSeqs, e.seq)
+			c.retireFrom(&c.loadSeqs, e)
+			// A faulting load retires from stAddrDone, an RCP load with
+			// its validated access still journaled.
+			c.issueCand.dropFront(e.seq)
+			c.specCand.dropFront(e.seq)
 			if e.performed {
 				c.removePerformed(e.seq)
 			}
@@ -132,12 +129,12 @@ func (c *Core) retire() {
 			}
 		case isa.Store:
 			c.storesInROB--
-			c.storeSeqs = removeSeq(c.storeSeqs, e.seq)
+			c.retireFrom(&c.storeSeqs, e)
 		case isa.Lock:
 			c.loadsInROB--
-			c.fences = removeSeq(c.fences, e.seq)
+			c.retireFrom(&c.fences, e)
 		case isa.Fence, isa.Barrier:
-			c.fences = removeSeq(c.fences, e.seq)
+			c.retireFrom(&c.fences, e)
 		}
 		if e.wrong {
 			c.fail("retiring wrong-path entry seq=%d", e.seq)
@@ -150,6 +147,9 @@ func (c *Core) retire() {
 			retiredIdx = e.winIdx + 1
 		}
 		c.head++
+		if c.headSlot++; c.headSlot == len(c.entries) {
+			c.headSlot = 0
+		}
 		c.retired++
 		*c.cnt.retired++
 	}
@@ -162,12 +162,10 @@ func (c *Core) retire() {
 	}
 }
 
-// removeSeq deletes the first occurrence of seq from a bookkeeping list.
-func removeSeq(s []int64, seq int64) []int64 {
-	for i, v := range s {
-		if v == seq {
-			return append(s[:i], s[i+1:]...)
-		}
+// retireFrom takes the retiring instruction off the bookkeeping list of its
+// kind, where it must be the oldest.
+func (c *Core) retireFrom(l *seqList, e *entry) {
+	if !l.dropFront(e.seq) {
+		c.fail("retiring %v seq=%d is not the oldest of its kind in flight", e.inst.Op, e.seq)
 	}
-	return s
 }

@@ -9,8 +9,8 @@ import (
 
 // findOldestLoad refreshes the cached seq of the oldest unretired Load.
 func (c *Core) findOldestLoad() {
-	if len(c.loadSeqs) > 0 {
-		c.oldestLoadSeq = c.loadSeqs[0]
+	if loads := c.loadSeqs.seqs(); len(loads) > 0 {
+		c.oldestLoadSeq = loads[0]
 	} else {
 		c.oldestLoadSeq = -1
 	}
@@ -258,7 +258,7 @@ func (c *Core) pinGovernor() {
 // younger store.
 func (c *Core) olderUndrainedStores(seq int64) int {
 	n := c.wb.Len()
-	for _, s := range c.storeSeqs {
+	for _, s := range c.storeSeqs.seqs() {
 		if s >= seq {
 			break
 		}
