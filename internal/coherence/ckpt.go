@@ -80,6 +80,7 @@ func (f *fabric) LoadState(d *ckptio.Decoder) {
 	for i := range f.ring {
 		f.ring[i] = f.ring[i][:0]
 	}
+	f.occupied = [len(f.occupied)]uint64{}
 	occupied := d.Count(maxDelay)
 	for s := 0; s < occupied; s++ {
 		slot := d.Int()
@@ -96,6 +97,9 @@ func (f *fabric) LoadState(d *ckptio.Decoder) {
 			if d.Err() != nil {
 				return
 			}
+		}
+		if n > 0 {
+			f.occupied[slot/64] |= 1 << uint(slot%64)
 		}
 	}
 }
@@ -171,6 +175,7 @@ func (l *L1) SaveState(e *ckptio.Encoder) {
 // LoadState restores an L1 controller built from the same configuration.
 // The storeTxn free list starts empty (it is a recycling pool, not state).
 func (l *L1) LoadState(d *ckptio.Decoder) {
+	l.touched = true
 	l.now = d.I64()
 	l.tags.LoadState(d)
 	l.mshr.LoadState(d)
@@ -259,7 +264,7 @@ func (d *Dir) SaveState(e *ckptio.Encoder) {
 		e.I64(int64(ln.busyReq))
 		e.Bool(ln.busyStar)
 		e.U32(ln.prevSharers)
-		e.Int(ln.pendAcks)
+		e.I32(ln.pendAcks)
 		e.Bool(ln.deferred)
 		e.U8(uint8(ln.fetchKind))
 		e.Bool(ln.specBorn)
@@ -299,7 +304,7 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 		ln.busyReq = int8(dec.I64())
 		ln.busyStar = dec.Bool()
 		ln.prevSharers = dec.U32()
-		ln.pendAcks = dec.Int()
+		ln.pendAcks = dec.I32()
 		ln.deferred = dec.Bool()
 		fk := dec.U8()
 		if Kind(fk) >= numKinds {

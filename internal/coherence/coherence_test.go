@@ -1,10 +1,14 @@
 package coherence
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"pinnedloads/internal/arch"
+	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/stats"
+	"pinnedloads/internal/xrand"
 )
 
 // fakeCore is a scriptable CoreHooks implementation for protocol tests.
@@ -402,5 +406,50 @@ func TestTrafficCounted(t *testing.T) {
 	}
 	if h.count.Get("coh.msg.GetS") == 0 {
 		t.Fatal("GetS not counted")
+	}
+}
+
+// TestDirLineSize pins the packed layout of an LLC way: the directory arrays
+// are most of a machine's memory and Dir.lookup scans a whole set per probe,
+// so a field added in the wrong place (or widened) costs both.
+func TestDirLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(dirLine{}); got != 40 {
+		t.Fatalf("dirLine is %d bytes, want 40", got)
+	}
+}
+
+// TestFabricNextDue holds the occupancy bitmap's answer against a walk of the
+// ring, at every clock position of a wrap and across a checkpoint restore
+// (which rebuilds the bitmap from the slots).
+func TestFabricNextDue(t *testing.T) {
+	var count stats.Counters
+	cfg := arch.PaperConfig(1)
+	f := NewSystem(&cfg, &count).fab
+	walk := func() int64 {
+		for d := int64(1); d < maxDelay; d++ {
+			if len(f.ring[(f.cycle+d)%maxDelay]) > 0 {
+				return f.cycle + d
+			}
+		}
+		return math.MaxInt64
+	}
+	rng := xrand.New(7)
+	for cycle := int64(1); cycle < 3*maxDelay; cycle++ {
+		f.due(cycle)
+		if rng.Bool(0.02) {
+			f.schedule(Msg{Kind: GetS}, 1+rng.Intn(maxDelay-1))
+		}
+		if got, want := f.nextDue(), walk(); got != want {
+			t.Fatalf("cycle %d: nextDue %d, the ring says %d", cycle, got, want)
+		}
+		if cycle%500 == 0 {
+			e := ckptio.NewEncoder()
+			f.SaveState(e)
+			f.occupied = [len(f.occupied)]uint64{}
+			f.LoadState(ckptio.NewDecoder(e.Bytes()))
+			if got, want := f.nextDue(), walk(); got != want {
+				t.Fatalf("cycle %d after restore: nextDue %d, the ring says %d", cycle, got, want)
+			}
+		}
 	}
 }

@@ -24,22 +24,24 @@ const (
 )
 
 // dirLine is one LLC way with its embedded directory state. The LLC is
-// inclusive: any line cached in an L1 is present here.
+// inclusive: any line cached in an L1 is present here. The fields are ordered
+// widest first so a way is 40 bytes (lookup scans a whole set per probe, and
+// the LLC arrays are most of a machine's memory); TestDirLineSize pins it.
 type dirLine struct {
-	valid       bool
 	addr        uint64
+	lru         uint64
 	sharers     uint32 // bitmask of L1s with (possibly stale) shared copies
-	owner       int8   // owning L1 for E/M lines, -1 if none
-	busy        busyKind
-	busyReq     int8   // requestor of the in-flight write transaction
-	busyStar    bool   // transaction uses GetX*/Inv*
 	prevSharers uint32 // sharer snapshot for Clear after a GetX* success
-	pendAcks    int    // outstanding recall responses
-	deferred    bool   // a recall response was RecallDefer
-	fetchKind   Kind   // original request kind for a busyFetch line
-	specBorn    bool   // line allocated by a speculative fill (RCP); removed
+	pendAcks    int32  // outstanding recall responses (at most one per sharer bit)
+	valid       bool
+	owner       int8 // owning L1 for E/M lines, -1 if none
+	busy        busyKind
+	busyReq     int8 // requestor of the in-flight write transaction
+	busyStar    bool // transaction uses GetX*/Inv*
+	deferred    bool // a recall response was RecallDefer
+	fetchKind   Kind // original request kind for a busyFetch line
+	specBorn    bool // line allocated by a speculative fill (RCP); removed
 	// again by SpecUndo if every speculative reference is squashed
-	lru uint64
 }
 
 // dirCounters holds pre-bound handles for the directory's cycle-path

@@ -1,6 +1,9 @@
 package coherence
 
 import (
+	"math"
+	"math/bits"
+
 	"pinnedloads/internal/mesh"
 	"pinnedloads/internal/stats"
 )
@@ -23,6 +26,14 @@ type fabric struct {
 	// previous "coh.msg." + Kind.String() concatenation allocated on
 	// every message — the cycle loop's only steady-state allocation.
 	msgCount [numKinds]*uint64
+
+	// Derived, never serialized (DESIGN.md §9). occupied has bit s set
+	// while ring[s] holds a message, so the next delivery cycle is a bitmap
+	// scan (nextDue); LoadState rebuilds it. scheduled counts every message
+	// and self event ever queued: a core compares it around its tick to
+	// learn whether its L1 sent anything.
+	occupied  [maxDelay / 64]uint64
+	scheduled uint64
 }
 
 func newFabric(m *mesh.Mesh, count *stats.Counters) *fabric {
@@ -66,6 +77,31 @@ func (f *fabric) schedule(m Msg, delay int) {
 	}
 	at := (f.cycle + int64(delay)) % maxDelay
 	f.ring[at] = append(f.ring[at], m)
+	f.occupied[at/64] |= 1 << uint(at%64)
+	f.scheduled++
+}
+
+// nextDue returns the first cycle after the last delivered one at which a
+// message arrives, or math.MaxInt64 when nothing is in flight.
+func (f *fabric) nextDue() int64 {
+	start := int((f.cycle + 1) % maxDelay)
+	words, bit := len(f.occupied), uint(start%64)
+	// Scan a full turn of the ring from start's word: that word comes up
+	// twice, first for the slots from start on, last for the ones before
+	// it, which are the furthest away.
+	for i := 0; i <= words; i++ {
+		m := f.occupied[(start/64+i)%words]
+		switch i {
+		case 0:
+			m &^= 1<<bit - 1
+		case words:
+			m &= 1<<bit - 1
+		}
+		if m != 0 {
+			return f.cycle + 1 + int64(64*i+bits.TrailingZeros64(m)) - int64(bit)
+		}
+	}
+	return math.MaxInt64
 }
 
 // due returns the messages arriving at the given cycle. The returned slice
@@ -75,5 +111,6 @@ func (f *fabric) due(cycle int64) []Msg {
 	slot := cycle % maxDelay
 	msgs := f.ring[slot]
 	f.ring[slot] = f.ring[slot][:0]
+	f.occupied[slot/64] &^= 1 << uint(slot%64)
 	return msgs
 }

@@ -161,6 +161,12 @@ type L1 struct {
 	// flight, so the arriving fill is reversed immediately.
 	spec      map[int64]specTxn
 	specAband map[int64]bool
+
+	// touched records that the controller handled a message since the core
+	// last asked (TakeTouched): every way the memory system reaches into a
+	// core — a fill, an invalidation, a retry — starts in handle. Derived,
+	// never serialized; a restored L1 starts touched.
+	touched bool
 }
 
 func newL1(id int, cfg *arch.Config, fab *fabric, count *stats.Counters) *L1 {
@@ -215,6 +221,24 @@ func (l *L1) AcquirePort() bool {
 	l.portsUsed++
 	return true
 }
+
+// PortsUsed returns the number of ports consumed so far this cycle.
+func (l *L1) PortsUsed() int { return l.portsUsed }
+
+// TakeTouched reports whether the controller handled any message since the
+// previous call, and clears the mark. While it stays false nothing the core
+// reads through this L1 (data arrivals, Probe and HasWritable answers, the
+// hooks) has changed except by the core's own requests.
+func (l *L1) TakeTouched() bool {
+	t := l.touched
+	l.touched = false
+	return t
+}
+
+// Scheduled returns the fabric's running count of queued messages and self
+// events. Only the ticking core's L1 sends during that core's tick, so a
+// core that sees the same value before and after sent nothing.
+func (l *L1) Scheduled() uint64 { return l.fab.scheduled }
 
 // TagSnapshot returns the observable state of the L1 tag array (valid
 // lines with coherence state and per-set recency ranks) for the security
@@ -516,6 +540,7 @@ func (l *L1) prefetchAfterFill(line uint64) {
 }
 
 func (l *L1) handle(m Msg) {
+	l.touched = true
 	switch m.Kind {
 	case SelfDone:
 		if m.Token == -2 {

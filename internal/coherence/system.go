@@ -70,3 +70,18 @@ func (s *System) Tick(cycle int64) {
 		}
 	}
 }
+
+// NextDue returns the first cycle after the last Tick in which the memory
+// system has anything to do: the next message arrival, the very next cycle
+// while a directory still has demand requests queued, or math.MaxInt64 when
+// nothing is in flight. A Tick for any cycle before it only advances the
+// clocks, so one Tick at the last such cycle leaves the same state as
+// ticking each of them.
+func (s *System) NextDue() int64 {
+	for _, d := range s.dirs {
+		if d.backlog.Len() > 0 {
+			return s.fab.cycle + 1
+		}
+	}
+	return s.fab.nextDue()
+}

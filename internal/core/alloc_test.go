@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"pinnedloads/internal/arch"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/obs"
 )
@@ -34,6 +36,63 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSteadyStateCycleAllocsRunLoop extends the budget to the run loop on the stalled
+// proxy, where most cycles are slept through or jumped over. Falling asleep
+// (the counter snapshot and the replay list live in slices NewCore sized),
+// replaying, jumping and waking allocate nothing: what is left is the
+// amortized growth of queues and maps that stepping every cycle has too
+// (under 0.01 per cycle on these rows, which the benchmark gate's integer
+// allocs/op and AllocsPerRun above both report as 0), so the bound is per
+// simulated cycle. A machine with nothing to do at all, which only jumps,
+// must not allocate once.
+func TestSteadyStateCycleAllocsRunLoop(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	ctx := context.Background()
+	for _, c := range benchStallPolicies {
+		t.Run(c.name, func(t *testing.T) {
+			sys := newBenchSystem(t, "mcf_r", c.pol, nil)
+			target, start := sys.totalRetired(), sys.cycle
+			const chunks = 5
+			perChunk := testing.AllocsPerRun(chunks, func() {
+				target += runStallChunk
+				if _, err := sys.runUntil(ctx, target); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// AllocsPerRun runs the function once more, to warm up.
+			perCycle := perChunk * (chunks + 1) / float64(sys.cycle-start)
+			if perCycle > 0.02 {
+				t.Fatalf("runUntil allocates %.4f per simulated cycle, want <= 0.02", perCycle)
+			}
+			jumps, _ := sys.FastForwarded()
+			if jumps == 0 || sys.cores[0].SleptCycles() == 0 {
+				t.Fatalf("%d jumps, %d slept cycles: the run exercised neither", jumps, sys.cores[0].SleptCycles())
+			}
+		})
+	}
+	t.Run("Idle", func(t *testing.T) {
+		sys, err := New(arch.PaperConfig(2), defense.Policy{Scheme: defense.Unsafe}, deadlockScript(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			sys.stepCycle()
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			sys.fastForward()
+			sys.stepCycle()
+		})
+		if avg != 0 {
+			t.Fatalf("a jump allocates %v, want 0", avg)
+		}
+		if jumps, _ := sys.FastForwarded(); jumps < 200 {
+			t.Fatalf("the idle machine jumped %d times in 201 attempts", jumps)
+		}
+	})
 }
 
 // TestSteadyStateCycleAllocsCheckpointOff pins that a disabled checkpoint

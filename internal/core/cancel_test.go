@@ -68,3 +68,35 @@ func TestRunContextBackground(t *testing.T) {
 		t.Fatalf("CPI = %v", res.CPI)
 	}
 }
+
+// TestCancelLandsAtNextPoll checks that the clock jump never carries a run
+// past a poll: a context canceled at one poll boundary (from the checkpoint
+// hook, which runs there) stops the run at the very next one, 4096 cycles
+// later, on a stalled workload and on a machine asleep from its first cycle.
+func TestCancelLandsAtNextPoll(t *testing.T) {
+	for _, w := range []trace.Source{trace.ByName("mcf_r"), deadlockScript()} {
+		sys, err := New(arch.PaperConfig(w.Cores()), defense.Policy{Scheme: defense.Unsafe}, w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		const cancelAt = 10 * (ctxCheckMask + 1)
+		sys.SetCheckpointHook(ctxCheckMask+1, func() error {
+			if sys.Cycle() == cancelAt {
+				cancel()
+			}
+			return nil
+		})
+		_, err = sys.RunContext(ctx, 0, 1<<40)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", w.Name(), err)
+		}
+		if got := sys.Cycle(); got != cancelAt+ctxCheckMask+1 {
+			t.Fatalf("%s: canceled at cycle %d, run stopped at %d, want %d", w.Name(), cancelAt, got, cancelAt+ctxCheckMask+1)
+		}
+		if _, jumped := sys.FastForwarded(); jumped == 0 {
+			t.Fatalf("%s: the run never jumped", w.Name())
+		}
+		cancel()
+	}
+}

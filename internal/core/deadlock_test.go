@@ -38,4 +38,13 @@ func TestRunUntilDeadlockBackstop(t *testing.T) {
 	if !strings.Contains(err.Error(), "no retirement progress") {
 		t.Fatalf("error = %v, want progress-window backstop", err)
 	}
+	// Both cores are asleep from the start, so the run jumps from poll to
+	// poll; the backstop must still fire at the first poll past the window,
+	// the cycle it fired at when every cycle was stepped.
+	if !strings.Contains(err.Error(), "at cycle 200704 ") {
+		t.Fatalf("error = %v, want the backstop at cycle 200704", err)
+	}
+	if _, jumped := sys.FastForwarded(); jumped < 190_000 {
+		t.Fatalf("a machine with nothing to do jumped only %d of its cycles", jumped)
+	}
 }

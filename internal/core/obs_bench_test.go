@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/defense"
@@ -96,10 +98,44 @@ func BenchmarkCoreCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreCycleStall steps every cycle, so on mcf_r it prices the
+// per-core sleep (most of these cycles are replayed, not evaluated) without
+// the clock jump; BenchmarkRunStall adds the jump.
 func BenchmarkCoreCycleStall(b *testing.B) {
 	for _, c := range benchStallPolicies {
 		b.Run(c.name, func(b *testing.B) {
 			benchCycleLoop(b, "mcf_r", c.pol, nil)
+		})
+	}
+}
+
+// runStallChunk is the retirement target step of one runUntil call in
+// BenchmarkRunStall and the allocation test: long enough (tens of thousands
+// of cycles on mcf_r) that re-arming the target, which wakes the core, is
+// noise.
+const runStallChunk = 4_000
+
+// BenchmarkRunStall measures the stalled loop through runUntil, the way a
+// real run executes it: ns/op is host nanoseconds per *simulated* cycle,
+// jumped cycles included, so the whole-machine clock jump is on the gate.
+func BenchmarkRunStall(b *testing.B) {
+	for _, c := range benchStallPolicies {
+		b.Run(c.name, func(b *testing.B) {
+			sys := newBenchSystem(b, "mcf_r", c.pol, nil)
+			ctx := context.Background()
+			target := sys.totalRetired()
+			b.ReportAllocs()
+			b.ResetTimer()
+			start, t0 := sys.cycle, time.Now()
+			for sys.cycle-start < int64(b.N) {
+				target += runStallChunk
+				if _, err := sys.runUntil(ctx, target); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// A chunk ends on an instruction count, not on cycle b.N: report
+			// the time per cycle actually simulated.
+			b.ReportMetric(float64(time.Since(t0).Nanoseconds())/float64(sys.cycle-start), "ns/op")
 		})
 	}
 }

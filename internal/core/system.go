@@ -48,6 +48,10 @@ type System struct {
 	lastCkpt     int64
 	ckptFn       func() error
 	warmupHook   func()
+
+	// jumps and jumped count the clock jumps runUntil took and the cycles
+	// they covered (FastForwarded); host-side figures, never serialized.
+	jumps, jumped int64
 }
 
 // progressWindow bounds how long the simulator tolerates zero retirement
@@ -233,6 +237,7 @@ func (s *System) runUntil(ctx context.Context, target int64) (int64, error) {
 				}
 			}
 		}
+		s.fastForward()
 		s.stepCycle()
 	}
 	// The interval ends when the slowest core reached the target.
@@ -258,6 +263,49 @@ func (s *System) stepCycle() {
 		s.sampler.MaybeSample(s.cycle, &s.count)
 	}
 }
+
+// fastForward jumps the clock over the cycles in which the whole machine is
+// a fixed point: every core asleep (pipeline/sleep.go) and no message due.
+// It stops one cycle short of the first cycle that something must see — a
+// core's next completion or the end of its frontend stall, the next message
+// arrival, a queued directory request, the cycle loop's next poll (so
+// cancellation, the deadlock backstop and checkpoint safe points happen at
+// the cycles they always did) and the sampler's next snapshot — and leaves
+// every clock and counter exactly where stepping would have: stepCycle then
+// evaluates that cycle as usual.
+func (s *System) fastForward() {
+	wake := (s.cycle | ctxCheckMask) + 1
+	for _, c := range s.cores {
+		w := c.WakeCycle()
+		if w <= s.cycle+1 {
+			return
+		}
+		wake = min(wake, w)
+	}
+	if s.sampler != nil {
+		wake = min(wake, s.sampler.Next())
+	}
+	wake = min(wake, s.mem.NextDue())
+	k := wake - 1 - s.cycle
+	if k <= 0 {
+		return
+	}
+	s.cycle += k
+	// No message is due in the skipped cycles, so the memory system's tick
+	// for the last of them stands for all.
+	s.mem.Tick(s.cycle)
+	for _, c := range s.cores {
+		c.FastForward(k)
+	}
+	s.jumps++
+	s.jumped += k
+}
+
+// FastForwarded returns how many clock jumps the run loop took and how many
+// cycles they covered. Like pipeline.Core.SleptCycles these are host-side
+// figures for tests and EXPERIMENTS.md, deliberately absent from the
+// counters and from simrun.Output so no digest or golden can depend on them.
+func (s *System) FastForwarded() (jumps, cycles int64) { return s.jumps, s.jumped }
 
 func (s *System) totalRetired() int64 {
 	var n int64

@@ -39,6 +39,9 @@ func (s *Sampler) MaybeSample(cycle int64, c *stats.Counters) {
 	s.sample(cycle, c)
 }
 
+// Next returns the first cycle at which MaybeSample will record a snapshot.
+func (s *Sampler) Next() int64 { return s.lastCycle + s.every }
+
 // Finish records a final snapshot at the end of a run (if the last interval
 // boundary did not fall exactly on the final cycle).
 func (s *Sampler) Finish(cycle int64, c *stats.Counters) {

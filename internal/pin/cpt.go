@@ -104,6 +104,10 @@ func (t *CPT) CanPin() bool { return !t.stalled }
 // Sample records the current occupancy for the Section 9.2.2 statistics.
 func (t *CPT) Sample() { t.occupancy.Sample(len(t.lines)) }
 
+// SampleN records the current occupancy for n cycles in which the table did
+// not change.
+func (t *CPT) SampleN(n int64) { t.occupancy.SampleN(len(t.lines), n) }
+
 // Occupancy returns the occupancy tracker.
 func (t *CPT) Occupancy() *stats.Occupancy { return &t.occupancy }
 

@@ -312,9 +312,11 @@ func (c *Core) SaveState(e *ckptio.Encoder) error {
 }
 
 // LoadState restores a core built from the same configuration, policy and
-// workload. Derived state (the head slot, the load-queue candidate lists)
-// is rebuilt from the restored entries.
+// workload. Derived state (the head slot, the load-queue candidate lists,
+// the calendar occupancy mask) is rebuilt from the restored entries, and the
+// core starts awake.
 func (c *Core) LoadState(d *ckptio.Decoder) {
+	c.wake()
 	gen, ok := c.gen.(ckptio.Loader)
 	if !ok {
 		d.Failf("workload generator %T is not checkpointable", c.gen)
@@ -388,8 +390,12 @@ func (c *Core) LoadState(d *ckptio.Decoder) {
 	c.haltCycle = d.I64()
 
 	c.readyQ = loadRefs(d, c.readyQ)
+	c.calMask = 0
 	for i := range c.calendar {
 		c.calendar[i] = loadRefs(d, c.calendar[i])
+		if len(c.calendar[i]) > 0 {
+			c.calMask |= 1 << uint(i)
+		}
 	}
 	c.genNext = d.U64()
 	c.retired = d.I64()

@@ -61,58 +61,68 @@ type coreCounters struct {
 	storesDeferred *uint64
 }
 
-func bindCoreCounters(ct *stats.Counters) coreCounters {
-	return coreCounters{
-		dispatched:     ct.Handle("dispatched"),
-		retired:        ct.Handle("retired"),
-		squashedInsts:  ct.Handle("squashed_insts"),
-		squashBranch:   ct.Handle("squash.branch"),
-		squashAlias:    ct.Handle("squash.alias"),
-		squashMCV:      ct.Handle("squash.mcv"),
-		squashFault:    ct.Handle("squash.fault"),
-		squashFaultTkn: ct.Handle("squash.fault_taken"),
-
-		stallRetireLoad:   ct.Handle("stall.retire_load"),
-		stallRetireExpose: ct.Handle("stall.retire_expose"),
-		stallWBFull:       ct.Handle("stall.wb_full"),
-		stallBarrier:      ct.Handle("stall.barrier"),
-		stallLock:         ct.Handle("stall.lock"),
-		stallROBFull:      ct.Handle("stall.rob_full"),
-		stallLQFull:       ct.Handle("stall.lq_full"),
-		stallSQFull:       ct.Handle("stall.sq_full"),
-		stallL1Ports:      ct.Handle("stall.l1_ports"),
-		stallMSHRFull:     ct.Handle("stall.mshr_full"),
-		stallFence:        ct.Handle("stall.fence"),
-		stallDOMMiss:      ct.Handle("stall.dom_miss"),
-		stallSTTTainted:   ct.Handle("stall.stt_tainted"),
-
-		loadsPerformed:       ct.Handle("loads.performed"),
-		loadsForwarded:       ct.Handle("loads.forwarded"),
-		loadsForwardedWB:     ct.Handle("loads.forwarded_wb"),
-		loadsIssued:          ct.Handle("loads.issued"),
-		loadsIssuedInvisible: ct.Handle("loads.issued_invisible"),
-		loadsIssuedSpec:      ct.Handle("loads.issued_spec"),
-		loadsSpecRevalidated: ct.Handle("loads.spec_revalidated"),
-		loadsDOMHit:          ct.Handle("loads.dom_hit"),
-		loadsSTTUntainted:    ct.Handle("loads.stt_untainted"),
-		loadsExposed:         ct.Handle("loads.exposed"),
-		loadsExposeSkipped:   ct.Handle("loads.expose_skipped"),
-
-		pinPinned:       ct.Handle("pin.pinned"),
-		pinStallCPT:     ct.Handle("pin.stall_cpt"),
-		pinStallCPTFull: ct.Handle("pin.stall_cpt_full"),
-		pinStallWB:      ct.Handle("pin.stall_wb"),
-		pinStallL1Set:   ct.Handle("pin.stall_l1set"),
-		pinStallRecord:  ct.Handle("pin.stall_record"),
-		pinStallCST:     ct.Handle("pin.stall_cst"),
-		pinWraparound:   ct.Handle("pin.wraparound"),
-		pinL1TagUnpins:  ct.Handle("pin.l1tag_unpins"),
-		cptOverflow:     ct.Handle("cpt.overflow"),
-
-		storesMerged:   ct.Handle("stores.merged"),
-		storesOwned:    ct.Handle("stores.owned"),
-		storesDeferred: ct.Handle("stores.deferred"),
+// bindCoreCounters binds the handles and also returns them as a list, which
+// is how the quiescent-core sleep measures a tick's increments without
+// knowing the counters by name (sleep.go).
+func bindCoreCounters(ct *stats.Counters) (coreCounters, []*uint64) {
+	var all []*uint64
+	h := func(name string) *uint64 {
+		p := ct.Handle(name)
+		all = append(all, p)
+		return p
 	}
+	cnt := coreCounters{
+		dispatched:     h("dispatched"),
+		retired:        h("retired"),
+		squashedInsts:  h("squashed_insts"),
+		squashBranch:   h("squash.branch"),
+		squashAlias:    h("squash.alias"),
+		squashMCV:      h("squash.mcv"),
+		squashFault:    h("squash.fault"),
+		squashFaultTkn: h("squash.fault_taken"),
+
+		stallRetireLoad:   h("stall.retire_load"),
+		stallRetireExpose: h("stall.retire_expose"),
+		stallWBFull:       h("stall.wb_full"),
+		stallBarrier:      h("stall.barrier"),
+		stallLock:         h("stall.lock"),
+		stallROBFull:      h("stall.rob_full"),
+		stallLQFull:       h("stall.lq_full"),
+		stallSQFull:       h("stall.sq_full"),
+		stallL1Ports:      h("stall.l1_ports"),
+		stallMSHRFull:     h("stall.mshr_full"),
+		stallFence:        h("stall.fence"),
+		stallDOMMiss:      h("stall.dom_miss"),
+		stallSTTTainted:   h("stall.stt_tainted"),
+
+		loadsPerformed:       h("loads.performed"),
+		loadsForwarded:       h("loads.forwarded"),
+		loadsForwardedWB:     h("loads.forwarded_wb"),
+		loadsIssued:          h("loads.issued"),
+		loadsIssuedInvisible: h("loads.issued_invisible"),
+		loadsIssuedSpec:      h("loads.issued_spec"),
+		loadsSpecRevalidated: h("loads.spec_revalidated"),
+		loadsDOMHit:          h("loads.dom_hit"),
+		loadsSTTUntainted:    h("loads.stt_untainted"),
+		loadsExposed:         h("loads.exposed"),
+		loadsExposeSkipped:   h("loads.expose_skipped"),
+
+		pinPinned:       h("pin.pinned"),
+		pinStallCPT:     h("pin.stall_cpt"),
+		pinStallCPTFull: h("pin.stall_cpt_full"),
+		pinStallWB:      h("pin.stall_wb"),
+		pinStallL1Set:   h("pin.stall_l1set"),
+		pinStallRecord:  h("pin.stall_record"),
+		pinStallCST:     h("pin.stall_cst"),
+		pinWraparound:   h("pin.wraparound"),
+		pinL1TagUnpins:  h("pin.l1tag_unpins"),
+		cptOverflow:     h("cpt.overflow"),
+
+		storesMerged:   h("stores.merged"),
+		storesOwned:    h("stores.owned"),
+		storesDeferred: h("stores.deferred"),
+	}
+	return cnt, all
 }
 
 // squashCounter maps a squash cause to its pre-bound counter; unknown

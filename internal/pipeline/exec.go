@@ -30,6 +30,9 @@ const (
 func (c *Core) execute() {
 	issued, intUsed, fpUsed, agUsed := 0, 0, 0, 0
 	q := c.readyQ
+	if len(q) > 0 {
+		c.active = true // entries start executing or stale refs drop out
+	}
 	c.readyQ = c.readyQ[:0]
 	for i, r := range q {
 		if issued >= c.cfg.IssueWidth {
@@ -84,16 +87,18 @@ func (c *Core) schedule(r ref, lat int64) {
 	if lat < 1 || lat >= int64(len(c.calendar)) {
 		c.fail("bad completion latency %d", lat)
 	}
-	slot := (c.now + lat) % int64(len(c.calendar))
+	slot := (c.now + lat) & calSlotMask
 	c.calendar[slot] = append(c.calendar[slot], r)
+	c.calMask |= 1 << uint(slot)
 }
 
 // complete processes this cycle's completion events: execution results,
 // branch resolution, and load address generation.
 func (c *Core) complete() {
-	slot := c.now % int64(len(c.calendar))
+	slot := c.now & calSlotMask
 	events := c.calendar[slot]
 	c.calendar[slot] = c.calendar[slot][:0]
+	c.calMask &^= 1 << uint(slot)
 	for _, r := range events {
 		e := c.deref(r)
 		if e == nil || e.state != stExec {
@@ -155,6 +160,7 @@ func (c *Core) effectiveAddr(e *entry) {
 	if e.inst.Addr != addr {
 		e.inst.Addr = addr
 		e.line = arch.LineAddr(addr)
+		c.active = true
 	}
 }
 

@@ -45,11 +45,15 @@ func (c *Core) dispatch() {
 		var in isa.Inst
 		winIdx := int64(-1)
 		if c.wrongMode {
+			// Consumes the generator's wrong-path stream even if the
+			// instruction then finds no LQ/SQ entry and is dropped.
+			c.active = true
 			in = c.gen.WrongPath()
 		} else {
 			in = c.windowAt(c.fetchPtr)
 			if in.Op == isa.Halt {
 				c.halted = true
+				c.active = true
 				return
 			}
 			winIdx = c.fetchPtr

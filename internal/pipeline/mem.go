@@ -31,7 +31,13 @@ func (c *Core) issueLoads() {
 func (c *Core) issueLoad(e *entry) bool {
 	c.effectiveAddr(e)
 	mode := c.mayIssueLoad(e)
-	if mode == issueDenied || c.tryForward(e) {
+	if mode == issueDenied {
+		return true
+	}
+	// Past the gate the load forwards, takes a port, or burns a token on a
+	// full MSHR file: the cycle is not a fixed point.
+	c.active = true
+	if c.tryForward(e) {
 		return true
 	}
 	if !c.l1.AcquirePort() {

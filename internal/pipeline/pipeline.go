@@ -33,6 +33,13 @@ const (
 	stDone                  // result produced (loads: data received)
 )
 
+// The completion calendar has one slot per cycle of the longest execution
+// latency; 64 slots make its occupancy one machine word (Core.calMask).
+const (
+	calSlots    = 64
+	calSlotMask = calSlots - 1
+)
+
 // ref names a ROB entry robustly across squashes: seq alone can be reused
 // after a squash refetches into the same slot, so gen (a global dispatch
 // counter value) disambiguates generations.
@@ -108,6 +115,9 @@ func (e *entry) isMem() bool   { return e.inst.Op.IsMem() }
 type BarrierSync struct {
 	cores   int
 	reached []int64
+	// epoch counts arrivals that moved reached: a core stalled at a barrier
+	// re-evaluates only when it changes (derived, never serialized).
+	epoch uint64
 }
 
 // NewBarrierSync returns a synchronizer for n cores.
@@ -120,6 +130,7 @@ func NewBarrierSync(n int) *BarrierSync {
 func (b *BarrierSync) arrive(core int, k int64) bool {
 	if b.reached[core] < k {
 		b.reached[core] = k
+		b.epoch++
 	}
 	for _, r := range b.reached {
 		if r < k {
@@ -182,8 +193,8 @@ type Core struct {
 
 	// Execution.
 	readyQ   []ref
-	calendar [64][]ref // completion calendar, indexed by cycle%64
-	genNext  uint64    // dispatch generation counter
+	calendar [calSlots][]ref // completion calendar, indexed by cycle%calSlots
+	genNext  uint64          // dispatch generation counter
 
 	// Retirement counters.
 	retired     int64
@@ -235,11 +246,29 @@ type Core struct {
 	// lastRetiredWin checks retirement continuity: every correct-path
 	// instruction must retire exactly once, in stream order.
 	lastRetiredWin int64
+
+	// Quiescent-core sleep (sleep.go), all derived and never serialized.
+	// active is raised during a tick by every site that changes simulated
+	// state the scalars in wire do not show; asleep says the last tick was
+	// quiet and replay holds its counter increments, taken from cntBefore
+	// over the handles in cntAll; calMask has bit
+	// s set while calendar[s] holds an event; barrierSeen is the barrier
+	// epoch as of the last evaluated tick; slept counts replayed cycles.
+	active      bool
+	asleep      bool
+	wire        tripwire
+	cntAll      []*uint64
+	cntBefore   []uint64
+	replay      []counterDelta
+	calMask     uint64
+	barrierSeen uint64
+	slept       int64
 }
 
 // NewCore builds a core attached to an L1 and a workload generator.
 func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 	gen trace.Generator, bar *BarrierSync, count *stats.Counters) *Core {
+	cnt, cntAll := bindCoreCounters(count)
 	c := &Core{
 		id:             id,
 		cfg:            cfg,
@@ -248,7 +277,10 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		gen:            gen,
 		bar:            bar,
 		count:          count,
-		cnt:            bindCoreCounters(count),
+		cnt:            cnt,
+		cntAll:         cntAll,
+		cntBefore:      make([]uint64, len(cntAll)),
+		replay:         make([]counterDelta, 0, len(cntAll)),
 		rec:            obs.Nop,
 		entries:        make([]entry, cfg.ROBEntries),
 		fences:         newSeqList(cfg.ROBEntries),
@@ -315,6 +347,7 @@ func (c *Core) SetRecorder(r obs.Recorder) {
 	c.rec = r
 	c.tracing = r.Enabled()
 	c.l1.SetRecorder(r)
+	c.wake()
 }
 
 // VPFrontier returns the core's Visibility Point frontier: every ROB entry
@@ -335,6 +368,7 @@ func (c *Core) SetTarget(n int64) {
 	}
 	c.target = n
 	c.doneCycle = -1
+	c.wake()
 }
 
 // DoneCycle returns the cycle the retirement target was reached, or -1.
@@ -389,9 +423,23 @@ func (c *Core) MaxPinnedPerL1Set() int {
 }
 
 // Tick advances the core by one cycle. The memory system must have been
-// ticked for the same cycle first.
+// ticked for the same cycle first. A sleeping core with no input due only
+// adds its measured per-cycle counter increments (sleep.go).
 func (c *Core) Tick(now int64) {
 	c.now = now
+	input := c.inputDue(now)
+	if c.asleep && !input {
+		c.sleepThrough(1)
+		return
+	}
+	// Only a tick that starts with no input and an empty ready queue can be
+	// quiet; it alone pays for the counter snapshot and the tripwire.
+	watched := !input && len(c.readyQ) == 0
+	if watched {
+		c.snapshotCounters()
+		c.arm()
+	}
+	c.active = false
 	c.complete()
 	c.drainUnpins()
 	c.advanceVP()
@@ -408,10 +456,13 @@ func (c *Core) Tick(now int64) {
 	}
 	if c.target > 0 && c.doneCycle < 0 && c.retired >= c.target {
 		c.doneCycle = now
+		c.active = true
 	}
 	if c.haltCycle < 0 && c.halted && c.head == c.tail {
 		c.haltCycle = now
+		c.active = true
 	}
+	c.settle(watched)
 }
 
 // fail panics with core context; used for invariant violations.

@@ -88,6 +88,9 @@ func (c *Core) retire() {
 				if c.wb.Len() > 0 {
 					return
 				}
+				// The RMW attempt touches the line's replacement state or
+				// (re)starts an ownership transaction.
+				c.active = true
 				e.lockIssued = true
 				if !c.l1.MergeStore(e.line) {
 					c.l1.Acquire(e.line)

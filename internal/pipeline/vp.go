@@ -72,7 +72,10 @@ func (c *Core) advanceVP() {
 	if c.cfg.AggressiveTSO && c.oldestLoadSeq >= 0 {
 		// The oldest load can never be squashed by an invalidation or
 		// eviction; the property is sticky because loads retire in order.
-		c.at(c.oldestLoadSeq).pinSafe = true
+		if e := c.at(c.oldestLoadSeq); !e.pinSafe {
+			e.pinSafe = true
+			c.active = true
+		}
 	}
 	// Frontiers can fall behind the head when the entry blocking them
 	// retires; instructions that left the ROB trivially pass.
@@ -117,6 +120,7 @@ func (c *Core) reachedVP(e *entry) bool {
 		return false
 	}
 	e.vpReached = true
+	c.active = true
 	return true
 }
 
@@ -174,6 +178,7 @@ func (c *Core) pinGovernor() {
 			c.dirCST.Clear()
 		}
 		c.wrapStall = false
+		c.active = true
 	}
 	if !c.cpt.CanPin() {
 		*c.cnt.pinStallCPTFull++
@@ -271,6 +276,11 @@ func (c *Core) olderUndrainedStores(seq int64) int {
 // set) for room to pin e's line.
 func (c *Core) cstAdmit(e *entry) bool {
 	line := e.line
+	if c.l1CST != nil {
+		// Every TryPin counts an attempt and may expunge or insert a record,
+		// even when it denies the pin.
+		c.active = true
+	}
 	if c.pinnedRef[line] > 0 {
 		// The line is already pinned by an older load: space is already
 		// guaranteed; the CST merely updates the youngest LQ ID.
@@ -420,6 +430,7 @@ func (c *Core) drainUnpins() {
 
 // commitPin marks the load pinned and advances the pin frontier.
 func (c *Core) commitPin(e *entry) {
+	c.active = true
 	e.pinned = true
 	e.lqTag = c.peekTag()
 	c.lqTagNext++

@@ -109,9 +109,12 @@ type Occupancy struct {
 }
 
 // Sample records the occupancy value for one cycle.
-func (o *Occupancy) Sample(v int) {
-	o.sum += uint64(v)
-	o.samples++
+func (o *Occupancy) Sample(v int) { o.SampleN(v, 1) }
+
+// SampleN records the same occupancy value for n consecutive cycles.
+func (o *Occupancy) SampleN(v int, n int64) {
+	o.sum += uint64(v) * uint64(n)
+	o.samples += uint64(n)
 	if v > o.max {
 		o.max = v
 	}

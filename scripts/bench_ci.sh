@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark gate: run the CoreCycle (busy gcc_r), CoreCycleStall (stalled
-# mcf_r) and Checkpoint benchmark families and compare them against the
-# committed BENCH_baseline.json with cmd/bench_diff. The gate
+# mcf_r, every cycle stepped), RunStall (stalled mcf_r through the run loop,
+# clock jump included) and Checkpoint benchmark families and compare them
+# against the committed BENCH_baseline.json with cmd/bench_diff. The gate
 # fails on a >BENCH_TOLERANCE ns/cycle regression or ANY allocs/cycle
 # regression. Every run also self-tests the gate by injecting a synthetic
 # regression into the same measurements and asserting it is rejected, so a
@@ -28,9 +29,9 @@ out="$tmp/bench.txt"
 echo "--- building bench_diff"
 go build -o "$tmp/bench_diff" ./cmd/bench_diff
 
-echo "--- running CoreCycle + CoreCycleStall + Checkpoint benchmarks (benchtime=$benchtime count=$count)"
+echo "--- running CoreCycle + CoreCycleStall + RunStall + Checkpoint benchmarks (benchtime=$benchtime count=$count)"
 go test ./internal/core -run '^$' \
-    -bench '^BenchmarkCoreCycle(Stall|TracerOff|TracerOn)?$|^BenchmarkCheckpoint' \
+    -bench '^BenchmarkCoreCycle(Stall|TracerOff|TracerOn)?$|^BenchmarkRunStall$|^BenchmarkCheckpoint' \
     -benchtime "$benchtime" -count "$count" | tee "$out"
 
 if [ "${1:-}" = "rebaseline" ]; then
