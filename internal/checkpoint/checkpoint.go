@@ -29,8 +29,11 @@ import (
 // Version is the current checkpoint format version. Version 2 added the
 // reversible-speculation state (RCP scheme): ROB-entry spec tokens, the
 // L1's spec-transaction journal and MSHR spec flags, and the directory's
-// spec-born line marks.
-const Version = 2
+// spec-born line marks. Version 3 writes a directory/LLC slice as its valid
+// ways only (coherence.Dir.SaveState). Exactly one version is readable:
+// anything else, older blobs included, is a *VersionError and the caller
+// runs cold — there is no migration code.
+const Version = 3
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"
@@ -75,24 +78,38 @@ func (e *MismatchError) Error() string {
 // ErrCorrupt reports a checkpoint that failed structural validation.
 var ErrCorrupt = errors.New("checkpoint: corrupt or truncated data")
 
+// begin writes the fixed header (with the CRC still zero) and the metadata.
+func begin(e *ckptio.Encoder, m Meta) {
+	e.Raw([]byte(magic))
+	e.U8(Version)
+	e.Raw([]byte{0, 0, 0, 0})
+	e.String(m.Identity)
+	e.I64(m.Cycle)
+	e.U64(m.Fingerprint)
+}
+
+// seal checksums everything begin and the payload writer put after the
+// header and returns the finished blob, which is the encoder's own buffer.
+func seal(e *ckptio.Encoder) []byte {
+	buf := e.Bytes()
+	crc := crc32.ChecksumIEEE(buf[headerLen:])
+	binary.LittleEndian.PutUint32(buf[len(magic)+1:headerLen], crc)
+	return buf
+}
+
+// metaRoom bounds the encoded header and metadata for an identity.
+func metaRoom(identity string) int {
+	return headerLen + len(identity) + 3*binary.MaxVarintLen64
+}
+
 // Encode wraps a core.System payload and its metadata into a checkpoint
 // blob.
 func Encode(m Meta, payload []byte) []byte {
 	e := ckptio.NewEncoder()
-	e.String(m.Identity)
-	e.I64(m.Cycle)
-	e.U64(m.Fingerprint)
-	meta := e.Bytes()
-
-	buf := make([]byte, 0, headerLen+len(meta)+len(payload))
-	buf = append(buf, magic...)
-	buf = append(buf, Version)
-	buf = append(buf, 0, 0, 0, 0) // CRC placeholder
-	buf = append(buf, meta...)
-	buf = append(buf, payload...)
-	crc := crc32.ChecksumIEEE(buf[headerLen:])
-	binary.LittleEndian.PutUint32(buf[len(magic)+1:headerLen], crc)
-	return buf
+	e.Grow(metaRoom(m.Identity) + len(payload))
+	begin(e, m)
+	e.Raw(payload)
+	return seal(e)
 }
 
 // Decode validates a checkpoint blob and returns its metadata and raw
@@ -124,17 +141,20 @@ func Decode(data []byte) (Meta, []byte, error) {
 
 // Capture snapshots a system into a checkpoint blob under the given
 // identity. The system must be at a cycle boundary (between Ticks); Run's
-// checkpoint hook guarantees this.
+// checkpoint hook guarantees this. Header, metadata and payload are written
+// straight into one buffer sized from the system's own estimate.
 func Capture(sys *core.System, identity string) ([]byte, error) {
-	payload, err := sys.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return Encode(Meta{
+	e := ckptio.NewEncoder()
+	e.Grow(metaRoom(identity) + sys.SnapshotSizeHint())
+	begin(e, Meta{
 		Identity:    identity,
 		Cycle:       sys.Cycle(),
 		Fingerprint: sys.Fingerprint(),
-	}, payload), nil
+	})
+	if err := sys.SaveState(e); err != nil {
+		return nil, err
+	}
+	return seal(e), nil
 }
 
 // Restore validates a checkpoint blob against the target system's

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -53,6 +54,17 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	}
 	if ve.Version != 99 {
 		t.Fatalf("VersionError.Version = %d, want 99", ve.Version)
+	}
+
+	// A blob the previous format wrote: "PLCK", version 2, then its CRC and
+	// body, which a version 3 reader must not so much as checksum. There is
+	// no migration: the caller gets the typed error and runs cold.
+	v2 := append([]byte("PLCK\x02\xde\xad\xbe\xef"), "any version 2 body"...)
+	if _, _, err = Decode(v2); !errors.As(err, &ve) || ve.Version != 2 {
+		t.Fatalf("version 2 header: want *VersionError{2}, got %v", err)
+	}
+	if _, err = Restore(v2, testSystem(t)); !errors.As(err, &ve) || ve.Version != 2 {
+		t.Fatalf("Restore of a version 2 blob: want *VersionError{2}, got %v", err)
 	}
 }
 
@@ -138,6 +150,45 @@ func TestCaptureRestoreFingerprint(t *testing.T) {
 	}
 	if !fresh.Resumed() {
 		t.Fatal("restored system not marked resumed")
+	}
+}
+
+// TestRestoreTargetsAgree restores one checkpoint into the three kinds of
+// machine a caller may hand Restore — freshly built and pre-warmed, built
+// blank for the purpose, and one that has already run something else — and
+// captures each again: all three must give back the checkpoint's bytes, so
+// nothing of the target survives a restore.
+func TestRestoreTargetsAgree(t *testing.T) {
+	sys := testSystem(t)
+	if _, err := sys.Run(500, 2000); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := Capture(sys, "targets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blank, err := core.NewBlank(arch.PaperConfig(1), defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, trace.ByName("mcf_r"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := testSystem(t)
+	if _, err := used.Run(0, 5000); err != nil {
+		t.Fatal(err)
+	}
+	for name, target := range map[string]*core.System{"fresh": testSystem(t), "blank": blank, "previously run": used} {
+		if _, err := Restore(blob, target); err != nil {
+			t.Fatalf("%s target: %v", name, err)
+		}
+		again, err := Capture(target, "targets")
+		if err != nil {
+			t.Fatalf("%s target: %v", name, err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("%s target captures different bytes after the restore", name)
+		}
+		if err := target.Mem().CheckResidency(); err != nil {
+			t.Fatalf("%s target: %v", name, err)
+		}
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 )
 
 // specStateBlob captures a real mid-run checkpoint under the given policy
-// so the fuzz corpus includes version-2 payloads carrying reversible-
+// so the fuzz corpus includes current-version payloads carrying reversible-
 // speculation state (spec tokens, the L1 spec journal, directory spec-born
-// marks) and RC-consistency configurations, not just hand-made payloads.
+// marks in the sparse directory section) and RC-consistency configurations,
+// not just hand-made payloads. The seeds are captured on every run, so they
+// are always blobs of the version under test.
 func specStateBlob(f *testing.F, pol defense.Policy) []byte {
 	f.Helper()
 	atk := &trace.Attack{AttackKind: "spectre_v1", Secret: 1, Iters: 64}

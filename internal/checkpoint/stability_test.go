@@ -17,9 +17,13 @@ import (
 // changes. Refactors of derived, non-serialized state (the ROB slot
 // arithmetic, the load-queue candidate lists, the probe memo) must leave
 // them alone; a deliberate format change bumps Version and re-records them.
+// The version 3 pins were recorded with nothing but the sparse directory
+// codec applied to the version 2 tree, so they also hold the rest of that
+// change (zeroed invalid ways, bulk Prewarm, the blank resume machine) to
+// leaving the serialized state alone.
 const (
-	pinGccDOMLP  uint64 = 0x81f63ceacf2a03cf
-	pinMcfRCPCmp uint64 = 0x80be47a70d5b5d97
+	pinGccDOMLP  uint64 = 0xbb441b9153a6b365
+	pinMcfRCPCmp uint64 = 0x2652030e38e15ff2
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -50,6 +54,28 @@ func captureAtWarmup(t *testing.T, bench string, pol defense.Policy) []byte {
 	return blob
 }
 
+// TestCheckpointSizeRatchet pins "bytes encoded per checkpoint" as an exact
+// count at the same boundary: a blob follows what the LLC holds (gcc_r and
+// mcf_r keep a few tens of thousands of lines resident, exchange2_r 128),
+// and an encoding change that costs a byte per line shows here on any host.
+func TestCheckpointSizeRatchet(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		pol   defense.Policy
+		want  int
+	}{
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 297778},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 553593},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 16515},
+	} {
+		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
+			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {
+				t.Fatalf("checkpoint is %d bytes, pinned %d", got, c.want)
+			}
+		})
+	}
+}
+
 func TestCheckpointBytesStable(t *testing.T) {
 	for _, c := range []struct {
 		bench string
@@ -61,7 +87,7 @@ func TestCheckpointBytesStable(t *testing.T) {
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			blob := captureAtWarmup(t, c.bench, c.pol)
-			if blob[len(magic)] != 2 {
+			if blob[len(magic)] != Version {
 				t.Fatalf("format version %d: re-record the pins with the bump", blob[len(magic)])
 			}
 			h := fnv.New64a()

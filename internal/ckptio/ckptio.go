@@ -14,9 +14,12 @@
 package ckptio
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"pinnedloads/internal/isa"
 )
@@ -47,6 +50,32 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Grow makes room for n more bytes, so a caller that can bound what it is
+// about to encode pays for one buffer instead of a series of doublings.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
+// Raw appends bytes as they are, with no length prefix.
+func (e *Encoder) Raw(p []byte) { e.buf = append(e.buf, p...) }
+
+// KeyRoom sizes the stack arrays Savers hand AppendSortedKeys: the maps of a
+// core and its L1 hold an entry per load-queue entry or outstanding
+// transaction at most.
+const KeyRoom = 128
+
+// AppendSortedKeys appends m's keys to dst in ascending order: the order a
+// Saver must write a map in. Handed an array on the caller's stack
+// (buf[:0]) it allocates only for a map that outgrows it.
+func AppendSortedKeys[K cmp.Ordered, V any](dst []K, m map[K]V) []K {
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// UvarintLen returns how many bytes U64 writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // U8 writes one raw byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }

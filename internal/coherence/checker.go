@@ -100,3 +100,47 @@ func (s *System) CheckInvariants() error {
 	}
 	return nil
 }
+
+// CheckResidency validates what holds of every directory slice at every
+// cycle boundary, transient states included: an invalid way is all zero (a
+// way carries nothing out of one life into the next, which is what lets a
+// checkpoint leave invalid ways out), the derived occupancy counts match
+// the valid bits, and a valid way sits in its line's home slice and set.
+// It returns the first violation found, or nil.
+func (s *System) CheckResidency() error {
+	for i, d := range s.dirs {
+		if err := d.checkWays(); err != nil {
+			return fmt.Errorf("slice %d: %w", i, err)
+		}
+		for j, ln := range d.lines {
+			if ln.valid && (s.cfg.LLCSlice(ln.addr) != i || s.cfg.LLCSet(ln.addr) != j/s.cfg.LLCWays) {
+				return fmt.Errorf("slice %d way %d: line %#x is not at home", i, j, ln.addr)
+			}
+		}
+	}
+	return nil
+}
+
+// checkWays is the part of CheckResidency that LoadState guarantees of any
+// input it accepts.
+func (d *Dir) checkWays() error {
+	resident := 0
+	for set, occ := range d.occ {
+		n := 0
+		for w, ln := range d.lines[set*d.cfg.LLCWays : (set+1)*d.cfg.LLCWays] {
+			if ln.valid {
+				n++
+			} else if ln != (dirLine{}) {
+				return fmt.Errorf("set %d way %d: invalid way holds %+v", set, w, ln)
+			}
+		}
+		if int(occ) != n {
+			return fmt.Errorf("set %d: occupancy count %d, %d valid ways", set, occ, n)
+		}
+		resident += n
+	}
+	if d.resident != resident {
+		return fmt.Errorf("resident count %d, %d valid ways", d.resident, resident)
+	}
+	return nil
+}

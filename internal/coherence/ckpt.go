@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"sort"
-
 	"pinnedloads/internal/cache"
 	"pinnedloads/internal/ckptio"
 )
@@ -112,11 +110,8 @@ func (l *L1) SaveState(e *ckptio.Encoder) {
 	l.tags.SaveState(e)
 	l.mshr.SaveState(e)
 
-	lines := make([]uint64, 0, len(l.acq))
-	for line := range l.acq {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	var lineBuf [ckptio.KeyRoom]uint64
+	lines := ckptio.AppendSortedKeys(lineBuf[:0], l.acq)
 	e.U64(uint64(len(lines)))
 	for _, line := range lines {
 		st := l.acq[line]
@@ -128,11 +123,7 @@ func (l *L1) SaveState(e *ckptio.Encoder) {
 		e.Bool(st.inFlight)
 	}
 
-	lines = lines[:0]
-	for line := range l.evictBuf {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	lines = ckptio.AppendSortedKeys(lines[:0], l.evictBuf)
 	e.U64(uint64(len(lines)))
 	for _, line := range lines {
 		e.U64(line)
@@ -147,11 +138,8 @@ func (l *L1) SaveState(e *ckptio.Encoder) {
 	e.Int(l.portsUsed)
 	e.U64(l.lastFill)
 
-	toks := make([]int64, 0, len(l.spec))
-	for t := range l.spec {
-		toks = append(toks, t)
-	}
-	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
+	var tokBuf [ckptio.KeyRoom]int64
+	toks := ckptio.AppendSortedKeys(tokBuf[:0], l.spec)
 	e.U64(uint64(len(toks)))
 	for _, t := range toks {
 		txn := l.spec[t]
@@ -161,11 +149,7 @@ func (l *L1) SaveState(e *ckptio.Encoder) {
 		e.Bool(txn.installed)
 		e.Bool(txn.undoDir)
 	}
-	toks = toks[:0]
-	for t := range l.specAband {
-		toks = append(toks, t)
-	}
-	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
+	toks = ckptio.AppendSortedKeys(toks[:0], l.specAband)
 	e.U64(uint64(len(toks)))
 	for _, t := range toks {
 		e.I64(t)
@@ -249,26 +233,72 @@ func (l *L1) LoadState(d *ckptio.Decoder) {
 	}
 }
 
-// SaveState serializes a directory/LLC slice: every way's directory state,
-// the LRU stamp clock, and the demand backlog.
+// Line forms of the directory section. A valid way is written as its index
+// step, one form byte, then addr and lru; lineFull adds every other field.
+// The encoding is canonical — one byte string per slice state — so a line
+// in the default state (no sharers, no owner, no transient or residual
+// field set: what Prewarm installs and most of a warmed LLC still is) must
+// use lineDefault, and LoadState rejects it in the long form.
+const (
+	lineDefault = 0
+	lineFull    = 1
+)
+
+// defaultLine returns the default-state line with the given address and
+// LRU stamp: the only two fields lineDefault carries.
+func defaultLine(addr, lru uint64) dirLine {
+	return dirLine{valid: true, addr: addr, lru: lru, owner: -1}
+}
+
+// isDefault reports whether the valid line equals defaultLine(addr, lru),
+// field by field: SaveState asks it of every line it writes, and the
+// compiler's struct comparison is a call that costs as much as encoding the
+// line. TestIsDefaultCoversEveryField holds the two to each other.
+func (ln *dirLine) isDefault() bool {
+	return ln.sharers == 0 && ln.prevSharers == 0 && ln.pendAcks == 0 && ln.owner == -1 &&
+		ln.busy == busyNone && ln.busyReq == 0 && !ln.busyStar && !ln.deferred &&
+		ln.fetchKind == kindNone && !ln.specBorn
+}
+
+// SaveState serializes a directory/LLC slice: the LRU stamp clock, the
+// valid ways in ascending way index (each as its distance from the previous
+// one; invalid ways hold no state and are not written), and the demand
+// backlog.
 func (d *Dir) SaveState(e *ckptio.Encoder) {
 	e.U64(d.stamp)
 	e.Int(len(d.lines))
-	for i := range d.lines {
-		ln := &d.lines[i]
-		e.Bool(ln.valid)
-		e.U64(ln.addr)
-		e.U32(ln.sharers)
-		e.I64(int64(ln.owner))
-		e.U8(uint8(ln.busy))
-		e.I64(int64(ln.busyReq))
-		e.Bool(ln.busyStar)
-		e.U32(ln.prevSharers)
-		e.I32(ln.pendAcks)
-		e.Bool(ln.deferred)
-		e.U8(uint8(ln.fetchKind))
-		e.Bool(ln.specBorn)
-		e.U64(ln.lru)
+	e.U64(uint64(d.resident))
+	ways, prev := d.cfg.LLCWays, -1
+	for s, n := range d.occ {
+		for i := s * ways; n > 0; i++ {
+			ln := &d.lines[i]
+			if !ln.valid {
+				continue
+			}
+			n--
+			e.U64(uint64(i - prev))
+			prev = i
+			form := uint8(lineFull)
+			if ln.isDefault() {
+				form = lineDefault
+			}
+			e.U8(form)
+			e.U64(ln.addr)
+			e.U64(ln.lru)
+			if form == lineDefault {
+				continue
+			}
+			e.U32(ln.sharers)
+			e.I64(int64(ln.owner))
+			e.U8(uint8(ln.busy))
+			e.I64(int64(ln.busyReq))
+			e.Bool(ln.busyStar)
+			e.U32(ln.prevSharers)
+			e.I32(ln.pendAcks)
+			e.Bool(ln.deferred)
+			e.U8(uint8(ln.fetchKind))
+			e.Bool(ln.specBorn)
+		}
 	}
 	e.Int(d.demandUsed)
 	e.U64(uint64(d.backlog.Len()))
@@ -278,7 +308,27 @@ func (d *Dir) SaveState(e *ckptio.Encoder) {
 	}
 }
 
-// LoadState restores a directory slice of the same geometry.
+// stateSizeHint estimates SaveState's output from above for a slice whose
+// lines are mostly in the default state: a one-byte step and form, an
+// address below 2^35 and an LRU stamp no larger than the clock per line.
+func (d *Dir) stateSizeHint() int {
+	return 64 + d.resident*(2+5+ckptio.UvarintLen(d.stamp)) + 24*d.backlog.Len()
+}
+
+// coreField reads a directory line's owner or requestor: a core index, or
+// -1 for none.
+func (d *Dir) coreField(dec *ckptio.Decoder, what string) int8 {
+	v := dec.I64()
+	if v < -1 || v >= int64(d.cfg.Cores) {
+		dec.Failf("directory %s %d is not a core", what, v)
+		return 0
+	}
+	return int8(v)
+}
+
+// LoadState restores a directory slice of the same geometry. Ways the
+// checkpoint does not name end up invalid and zero, at the cost of the lines
+// the target holds: none for a blank machine.
 func (d *Dir) LoadState(dec *ckptio.Decoder) {
 	d.stamp = dec.U64()
 	n := dec.Int()
@@ -289,31 +339,75 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 		dec.Failf("directory has %d ways, checkpoint has %d", len(d.lines), n)
 		return
 	}
-	for i := range d.lines {
-		ln := &d.lines[i]
-		ln.valid = dec.Bool()
-		ln.addr = dec.U64()
-		ln.sharers = dec.U32()
-		ln.owner = int8(dec.I64())
-		b := dec.U8()
-		if busyKind(b) > busyRecall {
-			dec.Failf("invalid directory busy state %d", b)
+	// Invalid ways are zero already, so only the target's valid ones need
+	// clearing, and the occupancy counts say where those are.
+	ways := d.cfg.LLCWays
+	for s, n := range d.occ {
+		for i := s * ways; n > 0; i++ {
+			if d.lines[i].valid {
+				d.lines[i] = dirLine{}
+				n--
+			}
+		}
+		d.occ[s] = 0
+	}
+	d.resident = 0
+	count := dec.Count(len(d.lines))
+	idx, set, setEnd := -1, 0, ways
+	for ; count > 0; count-- {
+		step := dec.U64()
+		if dec.Err() != nil {
 			return
 		}
-		ln.busy = busyKind(b)
-		ln.busyReq = int8(dec.I64())
-		ln.busyStar = dec.Bool()
-		ln.prevSharers = dec.U32()
-		ln.pendAcks = dec.I32()
-		ln.deferred = dec.Bool()
-		fk := dec.U8()
-		if Kind(fk) >= numKinds {
-			dec.Failf("invalid fetch kind %d", fk)
+		if step == 0 || step > uint64(len(d.lines)-1-idx) {
+			dec.Failf("directory way step %d from way %d leaves %d ways", step, idx, len(d.lines))
 			return
 		}
-		ln.fetchKind = Kind(fk)
-		ln.specBorn = dec.Bool()
-		ln.lru = dec.U64()
+		idx += int(step)
+		form := dec.U8()
+		addr := dec.U64()
+		ln := defaultLine(addr, dec.U64())
+		switch form {
+		case lineDefault:
+		case lineFull:
+			ln.sharers = dec.U32()
+			ln.owner = d.coreField(dec, "owner")
+			b := dec.U8()
+			if busyKind(b) > busyRecall {
+				dec.Failf("invalid directory busy state %d", b)
+				return
+			}
+			ln.busy = busyKind(b)
+			ln.busyReq = d.coreField(dec, "requestor")
+			ln.busyStar = dec.Bool()
+			ln.prevSharers = dec.U32()
+			ln.pendAcks = dec.I32()
+			ln.deferred = dec.Bool()
+			fk := dec.U8()
+			if Kind(fk) >= numKinds {
+				dec.Failf("invalid fetch kind %d", fk)
+				return
+			}
+			ln.fetchKind = Kind(fk)
+			ln.specBorn = dec.Bool()
+			if ln == defaultLine(ln.addr, ln.lru) {
+				dec.Failf("directory way %d: default-state line in the long form", idx)
+				return
+			}
+		default:
+			dec.Failf("unknown directory line form %d", form)
+			return
+		}
+		if dec.Err() != nil {
+			return
+		}
+		for idx >= setEnd {
+			set++
+			setEnd += ways
+		}
+		d.lines[idx] = ln
+		d.occ[set]++
+		d.resident++
 	}
 	d.demandUsed = dec.Int()
 	for d.backlog.Len() > 0 {
@@ -343,6 +437,16 @@ func (s *System) SaveState(e *ckptio.Encoder) {
 	for _, d := range s.dirs {
 		d.SaveState(e)
 	}
+}
+
+// StateSizeHint estimates the size of SaveState's output for the directory
+// slices, which hold nearly all of it.
+func (s *System) StateSizeHint() int {
+	n := 0
+	for _, d := range s.dirs {
+		n += d.stateSizeHint()
+	}
+	return n
 }
 
 // LoadState restores a memory hierarchy built from the same configuration.

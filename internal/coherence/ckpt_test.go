@@ -1,0 +1,376 @@
+package coherence
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"pinnedloads/internal/arch"
+	"pinnedloads/internal/ckptio"
+	"pinnedloads/internal/stats"
+	"pinnedloads/internal/trace"
+	"pinnedloads/internal/tracefile"
+)
+
+// dirBytes is one slice's SaveState.
+func dirBytes(d *Dir) []byte {
+	e := ckptio.NewEncoder()
+	d.SaveState(e)
+	return e.Bytes()
+}
+
+// smallDir is a lone slice of 4 sets × 16 ways (slice 0 of 8), small enough
+// to write its checkpoint section by hand.
+func smallDir(t testing.TB) *Dir {
+	t.Helper()
+	cfg := arch.PaperConfig(1)
+	cfg.LLCSets = 4
+	var count stats.Counters
+	return NewSystem(&cfg, &count).Dir(0)
+}
+
+// TestPrewarmBulkMatchesInstallWarm holds System.Prewarm, which installs a
+// line it can tell is new without looking for it, against Dir.InstallWarm
+// line by line: every slice must serialize to the same bytes, for every
+// proxy's warm set and for lists that are out of order, repeat lines, or
+// hold more lines of one set than it has ways.
+func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
+	type warmSet struct {
+		name  string
+		cores int
+		lines func(core int) []uint64
+	}
+	var sets []warmSet
+	for suite, profiles := range trace.Suites() {
+		for _, p := range profiles {
+			sets = append(sets, warmSet{suite + "/" + p.BenchName, p.Cores(), p.WarmLines})
+		}
+	}
+	sort.Slice(sets, func(i, j int) bool { return sets[i].name < sets[j].name })
+
+	cfg := arch.PaperConfig(1)
+	stride := uint64(cfg.LLCSlices * cfg.LLCSets) // lines this far apart share a set
+	var overfull []uint64
+	for i := uint64(0); i < uint64(cfg.LLCWays)+4; i++ {
+		overfull = append(overfull, 0x4000+i*stride)
+	}
+	overfull = append(overfull, 0x4000+stride, 0x4001) // a repeat in the full set, then a new set
+	recorded := &tracefile.Trace{Warm: [][]uint64{{0x100, 0x101, 0x100, 0x108, 0x101, 0x90, 0x108, 0x109}}}
+	sets = append(sets,
+		warmSet{"trace/duplicates", 1, recorded.WarmLines},
+		warmSet{"trace/overfull-set", 1, func(int) []uint64 { return overfull }})
+
+	for _, ws := range sets {
+		t.Run(ws.name, func(t *testing.T) {
+			cfg := arch.PaperConfig(ws.cores)
+			var c1, c2 stats.Counters
+			bulk, each := NewSystem(&cfg, &c1), NewSystem(&cfg, &c2)
+			installed := 0
+			for core := 0; core < ws.cores; core++ {
+				lines := ws.lines(core)
+				bulk.Prewarm(lines)
+				for _, l := range lines {
+					each.Dir(cfg.LLCSlice(l)).InstallWarm(l)
+				}
+				installed += len(lines)
+			}
+			for i := 0; i < bulk.Dirs(); i++ {
+				if !bytes.Equal(dirBytes(bulk.Dir(i)), dirBytes(each.Dir(i))) {
+					t.Fatalf("slice %d: bulk Prewarm and per-line InstallWarm serialize differently", i)
+				}
+			}
+			if err := bulk.CheckResidency(); err != nil {
+				t.Fatal(err)
+			}
+			if installed > 0 && bulk.StateSizeHint() <= each.Dirs()*64 {
+				t.Fatal("warm set installed nothing")
+			}
+		})
+	}
+}
+
+// TestWarmLinesAllocatesOnce pins the warm list to one allocation of
+// exactly its size.
+func TestWarmLinesAllocatesOnce(t *testing.T) {
+	for _, name := range []string{"cactuBSSN_r", "gcc_r", "ocean_cp"} {
+		p := trace.ByName(name)
+		lines := p.WarmLines(0)
+		if len(lines) == 0 || cap(lines) != len(lines) {
+			t.Fatalf("%s: %d warm lines in a slice of capacity %d", name, len(lines), cap(lines))
+		}
+		if got := testing.AllocsPerRun(3, func() { p.WarmLines(0) }); got != 1 {
+			t.Fatalf("%s: WarmLines allocates %v times, want 1", name, got)
+		}
+	}
+}
+
+// dirSection hand-writes a version 3 directory section for smallDir: the
+// header fields, then whatever lines appends, then an empty backlog.
+func dirSection(ways int, count uint64, lines func(e *ckptio.Encoder)) []byte {
+	e := ckptio.NewEncoder()
+	e.U64(9) // stamp
+	e.Int(ways)
+	e.U64(count)
+	lines(e)
+	e.Int(0) // demandUsed
+	e.U64(0) // backlog
+	return e.Bytes()
+}
+
+func shortLine(step, addr, lru uint64) func(*ckptio.Encoder) {
+	return func(e *ckptio.Encoder) {
+		e.U64(step)
+		e.U8(lineDefault)
+		e.U64(addr)
+		e.U64(lru)
+	}
+}
+
+// fullLine writes a long-form line owned by core 0 unless owner says
+// otherwise.
+func fullLine(step, addr uint64, owner int64) func(*ckptio.Encoder) {
+	return func(e *ckptio.Encoder) {
+		e.U64(step)
+		e.U8(lineFull)
+		e.U64(addr)
+		e.U64(3) // lru
+		e.U32(0) // sharers
+		e.I64(owner)
+		e.U8(uint8(busyNone))
+		e.I64(0) // busyReq
+		e.Bool(false)
+		e.U32(0)
+		e.I32(0)
+		e.Bool(false)
+		e.U8(uint8(kindNone))
+		e.Bool(false)
+	}
+}
+
+func seq(fs ...func(*ckptio.Encoder)) func(*ckptio.Encoder) {
+	return func(e *ckptio.Encoder) {
+		for _, f := range fs {
+			f(e)
+		}
+	}
+}
+
+// TestDirLoadStateRejectsMalformed feeds Dir.LoadState directory sections
+// that are wrong in one way each. Every one must end in the decoder's sticky
+// error: no panic, and no allocation that a corrupt count could size.
+func TestDirLoadStateRejectsMalformed(t *testing.T) {
+	const ways = 4 * 16
+	good := dirSection(ways, 2, seq(shortLine(1, 0x40, 1), fullLine(5, 0x48, 0)))
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"way step 0", dirSection(ways, 1, shortLine(0, 0x40, 1)), "way step"},
+		{"first step past the last way", dirSection(ways, 1, shortLine(ways+1, 0x40, 1)), "way step"},
+		{"later step past the last way", dirSection(ways, 2, seq(shortLine(ways, 0x40, 1), shortLine(1, 0x48, 2))), "way step"},
+		{"step overflows int", dirSection(ways, 1, shortLine(1<<63, 0x40, 1)), "way step"},
+		{"count above the ways", dirSection(ways, ways+1, seq(shortLine(1, 0x40, 1), func(e *ckptio.Encoder) { e.Raw(make([]byte, 4*ways)) })), "sequence length"},
+		{"count above the remaining bytes", dirSection(ways, 40, shortLine(1, 0x40, 1)), "sequence length"},
+		{"unknown line form", dirSection(ways, 1, func(e *ckptio.Encoder) { e.U64(1); e.U8(2); e.U64(0x40); e.U64(1) }), "line form"},
+		{"truncated mid-line", good[:len(good)-8], ""},
+		{"truncated before the backlog", good[:len(good)-1], ""},
+		{"trailing bytes", append(append([]byte(nil), good...), 0), "trailing"},
+		{"default line in the long form", dirSection(ways, 1, fullLine(1, 0x40, -1)), "long form"},
+		{"owner is not a core", dirSection(ways, 1, fullLine(1, 0x40, 1)), "not a core"},
+		{"owner below -1", dirSection(ways, 1, fullLine(1, 0x40, -2)), "not a core"},
+		{"other geometry", dirSection(ways+16, 0, seq()), "ways"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := smallDir(t)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			dec := ckptio.NewDecoder(tc.data)
+			d.LoadState(dec)
+			err := dec.Done()
+			runtime.ReadMemStats(&m1)
+			if err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState error %v, want a ckptio error mentioning %q", err, tc.want)
+			}
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > 4096 {
+				t.Fatalf("rejecting the input allocated %d bytes", got)
+			}
+			// Whatever was loaded before the error, the slice is still
+			// consistent and takes a good section afterwards.
+			if err := d.checkWays(); err != nil {
+				t.Fatal(err)
+			}
+			dec = ckptio.NewDecoder(good)
+			d.LoadState(dec)
+			if err := dec.Done(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dirBytes(d), good) {
+				t.Fatal("slice does not re-save the good section after a rejected one")
+			}
+		})
+	}
+}
+
+// sharingEpisode leaves a two-core system with lines in every directory
+// state a checkpoint can meet: prewarmed and untouched, owned, shared,
+// spec-born, and mid-transaction.
+func sharingEpisode(t testing.TB) *harness {
+	t.Helper()
+	h := newHarness(t, 2)
+	h.sys.Prewarm([]uint64{0x40 >> 6, 0x80 >> 6, 0x1000 >> 6, 0x1040 >> 6, 0x2000 >> 6})
+	h.sys.L1(0).Load(1, 0x40)
+	h.sys.L1(1).Acquire(0x80)
+	h.step(400)
+	h.sys.L1(1).Load(2, 0x40)       // second sharer
+	h.sys.L1(0).LoadSpec(3, 0x10c0) // spec-born line
+	h.sys.L1(0).Load(4, 0x3000)     // miss, left in flight
+	h.sys.L1(0).Acquire(0x80)       // write against core 1's copy, in flight
+	h.step(12)
+	return h
+}
+
+// TestIsDefaultCoversEveryField changes each field of a default-state line
+// in turn, whatever fields dirLine has, and requires the encoder's
+// field-by-field test to agree with the struct comparison the decoder uses:
+// a field added to dirLine and not to isDefault fails here.
+func TestIsDefaultCoversEveryField(t *testing.T) {
+	base := defaultLine(0x1234, 77)
+	if !base.isDefault() {
+		t.Fatal("defaultLine is not isDefault")
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		ln := base
+		f := reflect.ValueOf(&ln).Elem().Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int8, reflect.Int32:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("field %s has kind %s: teach this test to change it", typ.Field(i).Name, f.Kind())
+		}
+		if !ln.valid {
+			continue // SaveState asks only of valid lines
+		}
+		if got, want := ln.isDefault(), ln == defaultLine(ln.addr, ln.lru); got != want {
+			t.Errorf("after changing %s: isDefault %v, struct comparison %v", typ.Field(i).Name, got, want)
+		}
+	}
+}
+
+// dirFieldMutations changes one field of a directory line each.
+var dirFieldMutations = map[string]func(*dirLine){
+	"addr":        func(ln *dirLine) { ln.addr += 1 << 20 },
+	"lru":         func(ln *dirLine) { ln.lru++ },
+	"sharers":     func(ln *dirLine) { ln.sharers ^= 2 },
+	"prevSharers": func(ln *dirLine) { ln.prevSharers ^= 1 },
+	"pendAcks":    func(ln *dirLine) { ln.pendAcks++ },
+	"owner":       func(ln *dirLine) { ln.owner++ },
+	"busy":        func(ln *dirLine) { ln.busy = (ln.busy + 1) % (busyRecall + 1) },
+	"busyReq":     func(ln *dirLine) { ln.busyReq ^= 1 },
+	"busyStar":    func(ln *dirLine) { ln.busyStar = !ln.busyStar },
+	"deferred":    func(ln *dirLine) { ln.deferred = !ln.deferred },
+	"fetchKind":   func(ln *dirLine) { ln.fetchKind = (ln.fetchKind + 1) % numKinds },
+	"specBorn":    func(ln *dirLine) { ln.specBorn = !ln.specBorn },
+}
+
+// TestDirSaveStateSensitivity keeps the byte-comparing oracles sharp
+// (TestQuietTicksAreFixedPoints, the capture → restore → capture checks):
+// they see a state change only if SaveState is injective on live state. So
+// changing any one field of any valid way, invalidating a valid way, or
+// validating an invalid one must each change the slice's bytes, to bytes no
+// other such change produces; and a state must save to the same bytes from
+// whatever target it was restored into.
+func TestDirSaveStateSensitivity(t *testing.T) {
+	h := sharingEpisode(t)
+	forms := map[byte]int{}
+	for i := 0; i < h.sys.Dirs(); i++ {
+		d := h.sys.Dir(i)
+		base := dirBytes(d)
+		seen := map[string]string{string(base): "the unchanged slice"}
+		record := func(what string) {
+			t.Helper()
+			b := string(dirBytes(d))
+			if prev, dup := seen[b]; dup {
+				t.Fatalf("slice %d: %s serializes like %s", i, what, prev)
+			}
+			seen[b] = what
+		}
+		invalid := -1
+		for j := range d.lines {
+			ln := &d.lines[j]
+			if !ln.valid {
+				if invalid < 0 {
+					invalid = j
+				}
+				continue
+			}
+			saved := *ln
+			if saved == defaultLine(saved.addr, saved.lru) {
+				forms[lineDefault]++
+			} else {
+				forms[lineFull]++
+			}
+			for field, mutate := range dirFieldMutations {
+				mutate(ln)
+				if *ln == saved {
+					t.Fatalf("mutation of %s changed nothing", field)
+				}
+				record(fmt.Sprintf("way %d with %s changed", j, field))
+				*ln = saved
+			}
+			d.drop(ln)
+			record(fmt.Sprintf("way %d invalidated", j))
+			d.fill(ln, saved)
+		}
+		if invalid >= 0 {
+			e := &d.lines[invalid]
+			set := invalid / d.cfg.LLCWays
+			d.fill(e, defaultLine(uint64((7*d.cfg.LLCSets+set)*d.cfg.LLCSlices+i), 1))
+			record(fmt.Sprintf("way %d validated", invalid))
+			d.drop(e)
+		}
+		if !bytes.Equal(dirBytes(d), base) {
+			t.Fatalf("slice %d: undoing every change did not restore the bytes", i)
+		}
+	}
+	if forms[lineDefault] == 0 || forms[lineFull] < 4 {
+		t.Fatalf("episode left %d short-form and %d long-form lines; the test needs both", forms[lineDefault], forms[lineFull])
+	}
+
+	// The same state saves to the same bytes out of a fresh target and out
+	// of one that has run something else.
+	e := ckptio.NewEncoder()
+	h.sys.SaveState(e)
+	want := e.Bytes()
+	used := newHarness(t, 2)
+	used.sys.Prewarm([]uint64{0x5000 >> 6, 0x5040 >> 6, 0x40 >> 6})
+	used.sys.L1(1).Load(1, 0x5000)
+	used.sys.L1(0).Acquire(0x7000)
+	used.step(300)
+	for name, target := range map[string]*harness{"fresh": newHarness(t, 2), "previously run": used} {
+		dec := ckptio.NewDecoder(want)
+		target.sys.LoadState(dec)
+		if err := dec.Done(); err != nil {
+			t.Fatalf("%s target: %v", name, err)
+		}
+		e := ckptio.NewEncoder()
+		target.sys.SaveState(e)
+		if !bytes.Equal(e.Bytes(), want) {
+			t.Fatalf("%s target re-saves different bytes", name)
+		}
+		if err := target.sys.CheckResidency(); err != nil {
+			t.Fatalf("%s target: %v", name, err)
+		}
+	}
+}

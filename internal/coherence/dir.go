@@ -82,6 +82,14 @@ type Dir struct {
 	lines []dirLine // sets*ways, way-major within a set
 	stamp uint64
 
+	// occ[s] counts the valid ways of set s and resident is their sum.
+	// Both are derived state (DESIGN.md §9): they move only where a way's
+	// valid bit flips (fill, drop), LoadState rebuilds them and nothing
+	// serializes them. They let SaveState, LoadState and Prewarm visit the
+	// ways that exist instead of the ways there could be.
+	occ      []int32
+	resident int
+
 	// demandUsed counts the demand requests accepted this cycle; when
 	// cfg.DirPortsPerCycle is non-zero, excess demand requests wait in the
 	// backlog, a FIFO served ahead of fresh arrivals (directory-port
@@ -98,6 +106,7 @@ func newDir(idx int, cfg *arch.Config, fab *fabric, count *stats.Counters) *Dir 
 		count: count,
 		cnt:   bindDirCounters(count),
 		lines: make([]dirLine, cfg.LLCSets*cfg.LLCWays),
+		occ:   make([]int32, cfg.LLCSets),
 	}
 }
 
@@ -121,6 +130,22 @@ func (d *Dir) lookup(line uint64) *dirLine {
 func (d *Dir) touch(e *dirLine) {
 	d.stamp++
 	e.lru = d.stamp
+}
+
+// fill validates the invalid way e with the whole of ln, and drop
+// invalidates it again by zeroing it: a way carries no state from one life
+// into the next, and an invalid way carries none at all, which is what lets
+// the checkpoint leave invalid ways out.
+func (d *Dir) fill(e *dirLine, ln dirLine) {
+	*e = ln
+	d.occ[d.cfg.LLCSet(ln.addr)]++
+	d.resident++
+}
+
+func (d *Dir) drop(e *dirLine) {
+	d.occ[d.cfg.LLCSet(e.addr)]--
+	d.resident--
+	*e = dirLine{}
 }
 
 // PinnedInSet reports how many lines in the home set of the given line are
@@ -189,11 +214,27 @@ func (d *Dir) InstallWarm(line uint64) {
 	ws := d.set(line)
 	for i := range ws {
 		if !ws[i].valid {
-			ws[i] = dirLine{valid: true, addr: line, owner: -1}
+			d.fill(&ws[i], dirLine{valid: true, addr: line, owner: -1})
 			d.touch(&ws[i])
 			return
 		}
 	}
+}
+
+// installWarmNew is InstallWarm for a line the caller knows is absent, in a
+// slice that only warm installs have filled so far: the valid ways of a set
+// are then its first occ[s], and the next free one needs no scan.
+func (d *Dir) installWarmNew(line uint64) {
+	s := d.cfg.LLCSet(line)
+	n := int(d.occ[s])
+	if n == d.cfg.LLCWays {
+		return
+	}
+	e := &d.lines[s*d.cfg.LLCWays+n]
+	d.stamp++
+	*e = dirLine{valid: true, addr: line, owner: -1, lru: d.stamp}
+	d.occ[s]++
+	d.resident++
 }
 
 // newCycle resets the per-cycle demand-request budget and serves queued
@@ -428,17 +469,9 @@ func (d *Dir) handleGetSSpec(m Msg) {
 			return
 		}
 		*d.cnt.specFills++
-		free.valid = true
-		free.addr = m.Line
-		free.sharers = 0
-		free.owner = -1
-		free.busy = busyFetch
-		free.busyReq = int8(r)
-		free.busyStar = false
-		free.prevSharers = 0
-		free.fetchKind = GetSSpec
-		free.specBorn = true
-		free.lru = 0 // ranks below every architecturally-touched line
+		// lru stays 0: the line ranks below every architecturally-touched one.
+		d.fill(free, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
+			busyReq: int8(r), fetchKind: GetSSpec, specBorn: true})
 		d.fab.self(Msg{Kind: MemResp, Line: m.Line, Src: d.addr(), Dst: d.addr(),
 			Requestor: r}, d.cfg.DRAMCycles)
 		return
@@ -476,8 +509,7 @@ func (d *Dir) handleSpecUndo(m Msg) {
 	}
 	e.sharers &^= 1 << uint(m.Src.Idx)
 	if e.specBorn && e.sharers == 0 && e.owner < 0 {
-		e.valid = false
-		e.specBorn = false
+		d.drop(e)
 	}
 }
 
@@ -504,14 +536,8 @@ func (d *Dir) miss(m Msg) {
 		return
 	}
 	*d.cnt.dramFetches++
-	e.valid = true
-	e.addr = m.Line
-	e.sharers = 0
-	e.owner = -1
-	e.busy = busyFetch
-	e.busyReq = int8(m.Src.Idx)
-	e.fetchKind = m.Kind
-	e.specBorn = false // ways are reused without clearing the spec mark
+	d.fill(e, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
+		busyReq: int8(m.Src.Idx), fetchKind: m.Kind})
 	d.touch(e)
 	d.fab.self(Msg{Kind: MemResp, Line: m.Line, Src: d.addr(), Dst: d.addr(),
 		Requestor: m.Src.Idx}, d.cfg.DRAMCycles)
@@ -569,7 +595,7 @@ func (d *Dir) allocWay(line uint64) *dirLine {
 	if idle != nil {
 		// LLC-only line: evict silently (writeback to memory implied).
 		*d.cnt.llcEvictions++
-		idle.valid = false
+		d.drop(idle)
 		return idle
 	}
 	if held != nil {
@@ -627,9 +653,7 @@ func (d *Dir) handleRecallResp(m Msg) {
 		return
 	}
 	*d.cnt.llcEvictions++
-	e.valid = false
-	e.sharers = 0
-	e.owner = -1
+	d.drop(e)
 }
 
 func (d *Dir) handlePutM(m Msg) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pinnedloads/internal/ckptio"
+	"pinnedloads/internal/stats"
 )
 
 // specEpisodeBytes captures a System.SaveState blob taken mid-flight
@@ -68,6 +69,56 @@ func FuzzSpecStateDecode(f *testing.F) {
 		e2 := ckptio.NewEncoder()
 		h2.sys.SaveState(e2)
 		if !bytes.Equal(e2.Bytes(), b1) {
+			t.Fatal("save/load not a fixed point on canonical bytes")
+		}
+	})
+}
+
+// FuzzDirStateDecode hardens the version 3 directory section on one slice:
+// arbitrary bytes fed to Dir.LoadState must never panic, and an input it
+// accepts must leave a consistent slice (occupancy counts matching the valid
+// bits) whose re-save is accepted in turn — LoadState takes only way indexes
+// that ascend strictly and stay in range — and is a fixed point of load and
+// save, into a target that is not empty.
+func FuzzDirStateDecode(f *testing.F) {
+	h := sharingEpisode(f)
+	for i := 0; i < h.sys.Dirs(); i++ {
+		f.Add(dirBytes(h.sys.Dir(i)))
+	}
+	valid := dirBytes(h.sys.Dir(0))
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:3])
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0}, 64))
+	f.Add(bytes.Repeat([]byte{1}, 64))
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+
+	cfg := h.sys.cfg
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := newDir(0, cfg, nil, &stats.Counters{})
+		dec := ckptio.NewDecoder(data)
+		d.LoadState(dec)
+		if dec.Err() != nil {
+			return
+		}
+		if err := d.checkWays(); err != nil {
+			t.Fatal(err)
+		}
+		b1 := dirBytes(d)
+
+		d2 := newDir(0, cfg, nil, &stats.Counters{})
+		d2.InstallWarm(0x40) // not pristine: LoadState must clear it
+		dec = ckptio.NewDecoder(b1)
+		d2.LoadState(dec)
+		if err := dec.Done(); err != nil {
+			t.Fatalf("canonical re-save failed to decode: %v", err)
+		}
+		if err := d2.checkWays(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dirBytes(d2), b1) {
 			t.Fatal("save/load not a fixed point on canonical bytes")
 		}
 	})

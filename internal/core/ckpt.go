@@ -21,14 +21,13 @@ func (s *System) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Snapshot serializes the complete simulation state at the current cycle
+// SaveState serializes the complete simulation state at the current cycle
 // boundary: counters, the whole memory hierarchy (caches, directories,
 // in-flight messages), the barrier synchronizer, and every core's pipeline
 // and workload-generator position. It must be called between cycles — Run
-// takes snapshots only at safe points; callers using Snapshot directly must
-// not call it from inside a Tick.
-func (s *System) Snapshot() ([]byte, error) {
-	e := ckptio.NewEncoder()
+// takes snapshots only at safe points; callers using it directly must not
+// call it from inside a Tick.
+func (s *System) SaveState(e *ckptio.Encoder) error {
 	e.I64(s.cycle)
 	e.I64(s.warmupDone)
 	e.I64(s.warmupTarget)
@@ -37,8 +36,30 @@ func (s *System) Snapshot() ([]byte, error) {
 	s.cores[0].Barrier().SaveState(e)
 	for _, c := range s.cores {
 		if err := c.SaveState(e); err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// coreStateRoom is a generous allowance for what SaveState writes per core
+// outside the LLC: the pipeline, its L1 and the workload generator.
+const coreStateRoom = 48 << 10
+
+// SnapshotSizeHint estimates the size of SaveState's output, so that the
+// caller can encode into one buffer. It follows what the LLC holds, which
+// is nearly all of a snapshot; an estimate that turns out low only costs
+// the encoder a reallocation.
+func (s *System) SnapshotSizeHint() int {
+	return len(s.cores)*coreStateRoom + s.mem.StateSizeHint()
+}
+
+// Snapshot returns SaveState's output as a fresh payload.
+func (s *System) Snapshot() ([]byte, error) {
+	e := ckptio.NewEncoder()
+	e.Grow(s.SnapshotSizeHint())
+	if err := s.SaveState(e); err != nil {
+		return nil, err
 	}
 	return e.Bytes(), nil
 }

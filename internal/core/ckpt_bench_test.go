@@ -6,13 +6,23 @@ import (
 	"pinnedloads/internal/defense"
 )
 
+// snapshotAllocBudget is the most allocations one Snapshot may make.
+const snapshotAllocBudget = 4
+
 // BenchmarkCheckpointSnapshot measures capturing the complete simulator
 // state of a warmed 1-core gcc_r system under DOM-LP — the Pinned Loads
 // design point with the most checkpointable structures (CSTs, CPT,
 // per-set pin counts). ns/op is the write latency EXPERIMENTS.md records;
-// bytes/op tracks the encoder's buffer churn.
+// bytes/op tracks the encoder's buffer churn, and the benchmark fails
+// outright above snapshotAllocBudget allocations: a snapshot is one buffer
+// sized in advance, the encoder and the sorted counter names.
 func BenchmarkCheckpointSnapshot(b *testing.B) {
 	sys := newBenchSystem(b, "gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, nil)
+	if !raceEnabled {
+		if got := testing.AllocsPerRun(3, func() { sys.Snapshot() }); got > snapshotAllocBudget {
+			b.Fatalf("Snapshot allocates %v times, budget %d", got, snapshotAllocBudget)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var blob []byte

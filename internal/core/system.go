@@ -61,6 +61,24 @@ const progressWindow = 200_000
 // New builds a system running the workload under the policy. The workload's
 // natural core count is used unless cfg.Cores overrides it upward.
 func New(cfg arch.Config, policy defense.Policy, w trace.Source, seed uint64) (*System, error) {
+	s, err := NewBlank(cfg, policy, w, seed)
+	if err != nil {
+		return nil, err
+	}
+	// Pre-warm the LLC with the workload's resident working set, modeling
+	// the warm cache state of a checkpointed simulation interval.
+	if warmer, ok := w.(interface{ WarmLines(core int) []uint64 }); ok {
+		for i := 0; i < s.cfg.Cores; i++ {
+			s.mem.Prewarm(warmer.WarmLines(i))
+		}
+	}
+	return s, nil
+}
+
+// NewBlank is New without the pre-warmed LLC: the machine a caller builds
+// only to Restore a snapshot into, which overwrites every line a pre-warm
+// would have installed.
+func NewBlank(cfg arch.Config, policy defense.Policy, w trace.Source, seed uint64) (*System, error) {
 	if cfg.Cores < w.Cores() {
 		cfg.Cores = w.Cores()
 	}
@@ -73,13 +91,6 @@ func New(cfg arch.Config, policy defense.Policy, w trace.Source, seed uint64) (*
 	for i := 0; i < cfg.Cores; i++ {
 		gen := w.Generator(i, seed)
 		s.cores = append(s.cores, pipeline.NewCore(i, &s.cfg, policy, s.mem.L1(i), gen, bar, &s.count))
-	}
-	// Pre-warm the LLC with the workload's resident working set, modeling
-	// the warm cache state of a checkpointed simulation interval.
-	if warmer, ok := w.(interface{ WarmLines(core int) []uint64 }); ok {
-		for i := 0; i < cfg.Cores; i++ {
-			s.mem.Prewarm(warmer.WarmLines(i))
-		}
 	}
 	return s, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"pinnedloads/internal/defense"
 )
 
 // TestWarmForkCSVIdentical is the shared-warmup acceptance bar: a Figure 7
@@ -108,5 +110,31 @@ func TestWarmForkMeasureIndependence(t *testing.T) {
 	}
 	if out != ref {
 		t.Fatalf("forked CPI %v != cold CPI %v", out, ref)
+	}
+}
+
+// TestWarmForkIgnoresOldFormatBlob: a store that holds a blob of the
+// previous checkpoint format under a run's key (no store outlives its
+// process today, so this is a store someone persisted) does not fork it and
+// does not fail: the run simulates cold and gives the cold result.
+func TestWarmForkIgnoresOldFormatBlob(t *testing.T) {
+	p := Params{Warmup: 1_000, Measure: 1_000, Seed: 1}
+	bench := suiteBenches("SPEC17")[0]
+	cold := NewRunner(p)
+	want, err := cold.unsafeCPI(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRunner(p)
+	r.Warm = NewWarmStore()
+	r.Warm.store(r.warmKey(bench, defense.Policy{Scheme: defense.Unsafe}, nil),
+		append([]byte("PLCK\x02\x00\x00\x00\x00"), "version 2 body"...))
+	got, err := r.unsafeCPI(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Forks() != 0 || r.Simulations() != 1 || got != want {
+		t.Fatalf("forks=%d simulations=%d CPI %v, want 0, 1 and the cold CPI %v", r.Forks(), r.Simulations(), got, want)
 	}
 }

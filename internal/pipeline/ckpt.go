@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 
 	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/isa"
@@ -238,11 +237,8 @@ func (c *Core) SaveState(e *ckptio.Encoder) error {
 		e.U64(c.wb.At(i))
 	}
 
-	tokens := make([]int64, 0, len(c.tokenSeq))
-	for t := range c.tokenSeq {
-		tokens = append(tokens, t)
-	}
-	sort.Slice(tokens, func(i, j int) bool { return tokens[i] < tokens[j] })
+	var tokenBuf [ckptio.KeyRoom]int64
+	tokens := ckptio.AppendSortedKeys(tokenBuf[:0], c.tokenSeq)
 	e.U64(uint64(len(tokens)))
 	for _, t := range tokens {
 		e.I64(t)
@@ -251,11 +247,8 @@ func (c *Core) SaveState(e *ckptio.Encoder) error {
 	e.I64(c.nextToken)
 	saveSeqs(e, c.lqPerformed)
 
-	lines := make([]uint64, 0, len(c.pinnedRef))
-	for l := range c.pinnedRef {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	var lineBuf [ckptio.KeyRoom]uint64
+	lines := ckptio.AppendSortedKeys(lineBuf[:0], c.pinnedRef)
 	e.U64(uint64(len(lines)))
 	for _, l := range lines {
 		e.U64(l)
@@ -278,11 +271,8 @@ func (c *Core) SaveState(e *ckptio.Encoder) error {
 	for i := 0; i < c.pendingUnpins.Len(); i++ {
 		e.U64(c.pendingUnpins.At(i))
 	}
-	tags := make([]uint32, 0, len(c.tagToSeq))
-	for t := range c.tagToSeq {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
+	var tagBuf [ckptio.KeyRoom]uint32
+	tags := ckptio.AppendSortedKeys(tagBuf[:0], c.tagToSeq)
 	e.U64(uint64(len(tags)))
 	for _, t := range tags {
 		e.U32(t)

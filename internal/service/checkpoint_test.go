@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -147,6 +150,58 @@ func TestInvalidCheckpointRunsCold(t *testing.T) {
 	}
 	if m["svc.resumed_jobs"] != 0 {
 		t.Errorf("svc.resumed_jobs = %d, want 0", m["svc.resumed_jobs"])
+	}
+}
+
+// TestOldFormatCheckpointRunsCold: a <id>.ckpt that a binary of the previous
+// checkpoint format left behind (a well-formed version 2 envelope: magic,
+// version byte, a CRC that matches its body) is not migrated. The job counts
+// one resume fallback, removes the file and computes what a cold run does.
+func TestOldFormatCheckpointRunsCold(t *testing.T) {
+	spec := ckptSpec()
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("version 2 metadata and payload")
+	v2 := append([]byte("PLCK\x02"), binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(body))...)
+	v2 = append(v2, body...)
+	dir := t.TempDir()
+	path := filepath.Join(dir, spec.Key()+".ckpt")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(opt Options) (JobStatus, *Server) {
+		t.Helper()
+		s := New(opt)
+		s.Start()
+		t.Cleanup(s.Close)
+		js := spec
+		st, err := s.Submit(&js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Wait(context.Background(), st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != StateDone {
+			t.Fatalf("job state %s: %s", got.State, got.Error)
+		}
+		return got, s
+	}
+	want, _ := run(Options{Workers: 1})
+	got, s := run(Options{Workers: 1, CheckpointDir: dir, CheckpointEvery: 1 << 40})
+	if !bytes.Equal(got.Result.MarshalCSV(), want.Result.MarshalCSV()) || !reflect.DeepEqual(got.Result, want.Result) {
+		t.Fatalf("result after the fallback differs from a cold run:\ngot  %+v\nwant %+v", got.Result, want.Result)
+	}
+	m := metricsMap(t, s)
+	if m["svc.resume_fallbacks"] != 1 || m["svc.checkpoint_invalid"] != 0 || m["svc.resumed_jobs"] != 0 {
+		t.Errorf("svc.resume_fallbacks = %d, svc.checkpoint_invalid = %d, svc.resumed_jobs = %d; want 1, 0, 0",
+			m["svc.resume_fallbacks"], m["svc.checkpoint_invalid"], m["svc.resumed_jobs"])
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("old-format checkpoint %s not removed", path)
 	}
 }
 

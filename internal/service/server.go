@@ -362,19 +362,26 @@ func (s *Server) runJob(j *job) {
 
 // loadCheckpoint reads and pre-validates a persisted checkpoint: it must
 // decode cleanly and carry the job's own ID as identity. Anything else is
-// deleted so the job runs cold.
+// deleted so the job runs cold — counted as a resume fallback when the file
+// is a checkpoint in a format this binary does not read (an older binary
+// left it: there is no migration), as invalid otherwise.
 func (s *Server) loadCheckpoint(path, id string) []byte {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil
 	}
 	m, _, err := checkpoint.Decode(blob)
-	if err != nil || m.Identity != id {
-		s.count("svc.checkpoint_invalid")
-		os.Remove(path)
-		return nil
+	if err == nil && m.Identity == id {
+		return blob
 	}
-	return blob
+	var old *checkpoint.VersionError
+	if errors.As(err, &old) {
+		s.count("svc.resume_fallbacks")
+	} else {
+		s.count("svc.checkpoint_invalid")
+	}
+	os.Remove(path)
+	return nil
 }
 
 // writeFileAtomic writes via temp file + rename so a crash mid-write never

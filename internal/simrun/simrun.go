@@ -109,7 +109,12 @@ func Execute(ctx context.Context, w trace.Source, pol defense.Policy, cfg *arch.
 	if cfg != nil {
 		c = *cfg
 	}
-	sys, err := core.New(c, pol, w, p.Seed)
+	// A resumed run restores over everything a pre-warm would install.
+	build := core.New
+	if len(p.Resume) > 0 {
+		build = core.NewBlank
+	}
+	sys, err := build(c, pol, w, p.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("simrun: %s %s: %w", w.Name(), pol, err)
 	}

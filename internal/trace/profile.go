@@ -74,25 +74,39 @@ func (p *Profile) Cores() int {
 // which is those benchmarks' real character.
 const warmCapKB = 4096
 
+// warmLines is how many lines of the kernel's footprint are pre-installed:
+// huge footprints stay cold, and hot sets warm through the L1.
+func (k Kernel) warmLines() uint64 {
+	if k.FootprintKB > warmCapKB || k.Kind == Hot {
+		return 0
+	}
+	return uint64(k.FootprintKB) * 1024 / arch.LineBytes
+}
+
 // WarmLines returns the LLC lines to pre-install for the given core: every
-// line of each LLC-resident kernel footprint plus the shared region.
+// line of each LLC-resident kernel footprint plus the shared region, in
+// ascending order and in one allocation.
 func (p *Profile) WarmLines(core int) []uint64 {
-	var out []uint64
+	var shared uint64
+	if core == 0 && p.Cores() > 1 && p.SharedKB > 0 && p.SharedKB <= warmCapKB {
+		shared = uint64(p.SharedKB) * 1024 / arch.LineBytes
+	}
+	total := shared
+	for _, k := range p.Kernels {
+		total += k.warmLines()
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]uint64, 0, total)
 	for i, k := range p.Kernels {
-		if k.FootprintKB > warmCapKB || k.Kind == Hot {
-			continue // huge footprints stay cold; hot sets warm via L1
-		}
 		base := privateBase*uint64(core+1) + uint64(i)<<28
-		lines := uint64(k.FootprintKB) * 1024 / arch.LineBytes
-		for l := uint64(0); l < lines; l++ {
+		for l, n := uint64(0), k.warmLines(); l < n; l++ {
 			out = append(out, (base/arch.LineBytes)+l)
 		}
 	}
-	if core == 0 && p.Cores() > 1 && p.SharedKB > 0 && p.SharedKB <= warmCapKB {
-		lines := uint64(p.SharedKB) * 1024 / arch.LineBytes
-		for l := uint64(0); l < lines; l++ {
-			out = append(out, (sharedBase/arch.LineBytes)+l)
-		}
+	for l := uint64(0); l < shared; l++ {
+		out = append(out, (sharedBase/arch.LineBytes)+l)
 	}
 	return out
 }

@@ -282,7 +282,11 @@ func RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 	}
 	policy := defense.Policy{Scheme: spec.Scheme, Variant: spec.Variant, Conds: spec.Conds,
 		Consistency: spec.Consistency}
-	sys, err := core.New(cfg, policy, w, seed)
+	build := core.New
+	if len(spec.ResumeFrom) > 0 {
+		build = core.NewBlank // Restore overwrites what a pre-warm installs
+	}
+	sys, err := build(cfg, policy, w, seed)
 	if err != nil {
 		return Result{}, err
 	}
