@@ -2,90 +2,43 @@ package branch
 
 import "pinnedloads/internal/ckptio"
 
-// SaveState serializes the gshare tables and global history.
-func (g *GShare) SaveState(e *ckptio.Encoder) {
-	e.U64(uint64(len(g.table)))
-	for _, c := range g.table {
-		e.U8(uint8(c))
+// walkCounters carries a table of 2-bit counters of a fixed size.
+func walkCounters(s ckptio.State, table []counter, what string) {
+	if !s.Geometry(len(table), what) {
+		return
 	}
-	e.U64(g.history)
+	for i := range table {
+		s.U8((*uint8)(&table[i]))
+	}
 }
 
-// LoadState restores a gshare predictor of the same geometry.
-func (g *GShare) LoadState(d *ckptio.Decoder) {
-	n := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if n != uint64(len(g.table)) {
-		d.Failf("gshare has %d counters, checkpoint has %d", len(g.table), n)
-		return
-	}
-	for i := range g.table {
-		g.table[i] = counter(d.U8())
-	}
-	g.history = d.U64()
+// State walks the gshare table and global history.
+func (g *GShare) State(s ckptio.State) {
+	walkCounters(s, g.table, "gshare counters")
+	s.U64(&g.history)
 }
 
-// SaveState serializes the TAGE base table, tagged tables and history.
-func (t *TAGE) SaveState(e *ckptio.Encoder) {
-	e.U64(uint64(len(t.base)))
-	for _, c := range t.base {
-		e.U8(uint8(c))
-	}
-	e.U64(uint64(len(t.tables)))
-	for i := range t.tables {
-		tt := &t.tables[i]
-		e.U64(uint64(len(tt.entries)))
-		for j := range tt.entries {
-			en := &tt.entries[j]
-			e.U16(en.tag)
-			e.I64(int64(en.ctr))
-			e.U8(en.useful)
-			e.Bool(en.valid)
-		}
-	}
-	e.U64(t.history)
+func (en *tageEntry) walk(s ckptio.State) {
+	s.U16(&en.tag)
+	s.I8(&en.ctr)
+	s.U8(&en.useful)
+	s.Bool(&en.valid)
 }
 
-// LoadState restores a TAGE predictor of the same geometry.
-func (t *TAGE) LoadState(d *ckptio.Decoder) {
-	n := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if n != uint64(len(t.base)) {
-		d.Failf("TAGE base has %d counters, checkpoint has %d", len(t.base), n)
-		return
-	}
-	for i := range t.base {
-		t.base[i] = counter(d.U8())
-	}
-	nt := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if nt != uint64(len(t.tables)) {
-		d.Failf("TAGE has %d tables, checkpoint has %d", len(t.tables), nt)
+// State walks the TAGE base table, tagged tables and history.
+func (t *TAGE) State(s ckptio.State) {
+	walkCounters(s, t.base, "TAGE base counters")
+	if !s.Geometry(len(t.tables), "TAGE tables") {
 		return
 	}
 	for i := range t.tables {
-		tt := &t.tables[i]
-		ne := d.U64()
-		if d.Err() != nil {
+		entries := t.tables[i].entries
+		if !s.Geometry(len(entries), "TAGE table entries") {
 			return
 		}
-		if ne != uint64(len(tt.entries)) {
-			d.Failf("TAGE table %d has %d entries, checkpoint has %d", i, len(tt.entries), ne)
-			return
-		}
-		for j := range tt.entries {
-			en := &tt.entries[j]
-			en.tag = d.U16()
-			en.ctr = int8(d.I64())
-			en.useful = d.U8()
-			en.valid = d.Bool()
+		for j := range entries {
+			entries[j].walk(s)
 		}
 	}
-	t.history = d.U64()
+	s.U64(&t.history)
 }

@@ -65,7 +65,7 @@ func NewSetAssoc(sets, ways int) *SetAssoc {
 }
 
 // Epoch identifies the current set of present lines: it advances whenever
-// a line is installed or invalidated (and on LoadState), so a Lookup's
+// a line is installed or invalidated (and when State loads), so a Lookup's
 // hit-or-miss answer may be reused for as long as Epoch is unchanged. It
 // is never zero. Callers that write Line.State directly must only move
 // between valid states, which no Lookup can tell apart.

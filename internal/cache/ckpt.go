@@ -6,85 +6,53 @@ import "pinnedloads/internal/ckptio"
 // tokens; the ROB bounds how many can be outstanding).
 const maxWaiters = 1 << 12
 
-// SaveState serializes the tag array: geometry-independent per-way fields
-// plus the LRU stamp clock, in array order (deterministic).
-func (c *SetAssoc) SaveState(e *ckptio.Encoder) {
-	e.U64(c.stamp)
-	e.U64(uint64(len(c.sets)))
-	for i := range c.sets {
-		e.U64(c.sets[i].Addr)
-		e.U8(uint8(c.sets[i].State))
-		e.U64(c.sets[i].lru)
-	}
+func (ln *Line) walk(s ckptio.State) {
+	s.U64(&ln.Addr)
+	ckptio.Enum(s, &ln.State, Modified, "MESI state")
+	s.U64(&ln.lru)
 }
 
-// LoadState restores a tag array saved from an identically configured one.
-func (c *SetAssoc) LoadState(d *ckptio.Decoder) {
-	c.epoch++
-	c.stamp = d.U64()
-	n := d.U64()
-	if d.Err() != nil {
-		return
+// State walks the tag array of one geometry: the LRU stamp clock, then every
+// way in array order (deterministic).
+func (c *SetAssoc) State(s ckptio.State) {
+	if s.Loading() {
+		c.epoch++
 	}
-	if n != uint64(len(c.sets)) {
-		d.Failf("tag array has %d ways, checkpoint has %d", len(c.sets), n)
+	s.U64(&c.stamp)
+	if !s.Geometry(len(c.sets), "tag array ways") {
 		return
 	}
 	for i := range c.sets {
-		c.sets[i].Addr = d.U64()
-		st := State(d.U8())
-		if st > Modified {
-			d.Failf("invalid MESI state %d", st)
-			return
-		}
-		c.sets[i].State = st
-		c.sets[i].lru = d.U64()
+		c.sets[i].walk(s)
 	}
 }
 
-// SaveState serializes the MSHR file: every entry with its waiter list.
-func (m *MSHR) SaveState(e *ckptio.Encoder) {
-	e.U64(uint64(len(m.entries)))
-	for i := range m.entries {
-		en := &m.entries[i]
-		e.Bool(en.used)
-		e.U64(en.addr)
-		e.Bool(en.forWrit)
-		e.Bool(en.pinned)
-		e.Bool(en.spec)
-		e.U64(uint64(len(en.waiters)))
-		for _, w := range en.waiters {
-			e.I64(w)
-		}
+func (en *mshrEntry) walk(s ckptio.State) {
+	s.Bool(&en.used)
+	s.U64(&en.addr)
+	s.Bool(&en.forWrit)
+	s.Bool(&en.pinned)
+	s.Bool(&en.spec)
+	ckptio.Slice(s, &en.waiters, maxWaiters)
+	for i := range en.waiters {
+		s.I64(&en.waiters[i])
 	}
 }
 
-// LoadState restores an MSHR file of the same geometry; the free count is
-// recomputed from the entries.
-func (m *MSHR) LoadState(d *ckptio.Decoder) {
-	n := d.U64()
-	if d.Err() != nil {
+// State walks an MSHR file of one geometry: every entry with its waiter list.
+func (m *MSHR) State(s ckptio.State) {
+	if !s.Geometry(len(m.entries), "MSHR entries") {
 		return
 	}
-	if n != uint64(len(m.entries)) {
-		d.Failf("MSHR has %d entries, checkpoint has %d", len(m.entries), n)
-		return
-	}
-	m.free = len(m.entries)
 	for i := range m.entries {
-		en := &m.entries[i]
-		en.used = d.Bool()
-		en.addr = d.U64()
-		en.forWrit = d.Bool()
-		en.pinned = d.Bool()
-		en.spec = d.Bool()
-		nw := d.Count(maxWaiters)
-		en.waiters = en.waiters[:0]
-		for j := 0; j < nw; j++ {
-			en.waiters = append(en.waiters, d.I64())
-		}
-		if en.used {
-			m.free--
+		m.entries[i].walk(s)
+	}
+	if s.Loading() {
+		m.free = 0
+		for i := range m.entries {
+			if !m.entries[i].used {
+				m.free++
+			}
 		}
 	}
 }

@@ -5,8 +5,12 @@
 // sequences, and a hardened decoder that turns every malformed input into a
 // sticky error instead of a panic or an unbounded allocation.
 //
-// Encoding is infallible and appends to a growing buffer; decoding carries
-// a sticky error so state-restore code can read a whole structure straight
+// Components do not call the two directions themselves: each describes its
+// state once as a State walk (state.go), which runs over an Encoder to save
+// and over a Decoder to load.
+//
+// Encoding a value is infallible and appends to a growing buffer; decoding
+// carries a sticky error so a walk can read a whole structure straight
 // through and check Err once at the end. Sequence lengths are read through
 // Count, which bounds them by both a caller-supplied maximum and the bytes
 // remaining in the input, so a corrupt length can never drive a large
@@ -20,26 +24,13 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-
-	"pinnedloads/internal/isa"
 )
 
-// Saver is implemented by components that can serialize their mutable
-// state. Save must be deterministic: the same state must always produce
-// the same bytes (maps are written in sorted key order).
-type Saver interface {
-	SaveState(e *Encoder)
-}
-
-// Loader is the inverse of Saver. Implementations report malformed input
-// through the decoder's sticky error (Decoder.Failf) rather than panicking.
-type Loader interface {
-	LoadState(d *Decoder)
-}
-
-// Encoder appends primitive values to a byte buffer.
+// Encoder appends primitive values to a byte buffer. err is set only by a
+// State walk that meets a component it cannot checkpoint.
 type Encoder struct {
 	buf []byte
+	err error
 }
 
 // NewEncoder returns an empty encoder.
@@ -47,6 +38,15 @@ func NewEncoder() *Encoder { return &Encoder{} }
 
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Err returns the error of a walk that could not save its component.
+func (e *Encoder) Err() error { return e.err }
+
+func (e *Encoder) failf(format string, args ...any) {
+	if e.err == nil {
+		e.err = fmt.Errorf("ckptio: "+format, args...)
+	}
+}
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
@@ -58,13 +58,13 @@ func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 // Raw appends bytes as they are, with no length prefix.
 func (e *Encoder) Raw(p []byte) { e.buf = append(e.buf, p...) }
 
-// KeyRoom sizes the stack arrays Savers hand AppendSortedKeys: the maps of a
-// core and its L1 hold an entry per load-queue entry or outstanding
-// transaction at most.
+// KeyRoom sizes the stack arrays walks hand WalkMap and AppendSortedKeys: the
+// maps of a core and its L1 hold an entry per load-queue entry or
+// outstanding transaction at most.
 const KeyRoom = 128
 
 // AppendSortedKeys appends m's keys to dst in ascending order: the order a
-// Saver must write a map in. Handed an array on the caller's stack
+// map is written in. Handed an array on the caller's stack
 // (buf[:0]) it allocates only for a map that outgrows it.
 func AppendSortedKeys[K cmp.Ordered, V any](dst []K, m map[K]V) []K {
 	for k := range m {
@@ -104,6 +104,9 @@ func (e *Encoder) I64(v int64) { e.U64(uint64((v << 1) ^ (v >> 63))) }
 // I32 writes a 32-bit signed value zigzag-encoded.
 func (e *Encoder) I32(v int32) { e.I64(int64(v)) }
 
+// I8 writes an 8-bit signed value zigzag-encoded.
+func (e *Encoder) I8(v int8) { e.I64(int64(v)) }
+
 // Int writes an int zigzag-encoded.
 func (e *Encoder) Int(v int) { e.I64(int64(v)) }
 
@@ -117,23 +120,6 @@ func (e *Encoder) F64(v float64) {
 func (e *Encoder) String(s string) {
 	e.U64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-// Inst writes one micro-operation, including every field (unlike the
-// tracefile stream encoding, TransientAddr is preserved: checkpointed
-// pending queues may hold adversarial-kernel instructions).
-func (e *Encoder) Inst(in *isa.Inst) {
-	e.U8(uint8(in.Op))
-	e.U8(in.Lat)
-	for _, d := range in.Deps {
-		e.I32(d)
-	}
-	e.U64(in.Addr)
-	e.Bool(in.Taken)
-	e.Bool(in.Mispredict)
-	e.Bool(in.Fault)
-	e.U64(in.TransientAddr)
-	e.U64(in.PC)
 }
 
 // Decoder reads values encoded by Encoder. The first malformed read sets a
@@ -263,6 +249,16 @@ func (d *Decoder) I32() int32 {
 	return int32(v)
 }
 
+// I8 reads a zigzag-encoded value that must fit 8 bits.
+func (d *Decoder) I8() int8 {
+	v := d.I64()
+	if v < math.MinInt8 || v > math.MaxInt8 {
+		d.Failf("value %d overflows int8", v)
+		return 0
+	}
+	return int8(v)
+}
+
 // Int reads a zigzag-encoded int.
 func (d *Decoder) Int() int {
 	v := d.I64()
@@ -319,19 +315,4 @@ func (d *Decoder) Count(max int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// Inst reads one micro-operation.
-func (d *Decoder) Inst(in *isa.Inst) {
-	in.Op = isa.Op(d.U8())
-	in.Lat = d.U8()
-	for i := range in.Deps {
-		in.Deps[i] = d.I32()
-	}
-	in.Addr = d.U64()
-	in.Taken = d.Bool()
-	in.Mispredict = d.Bool()
-	in.Fault = d.Bool()
-	in.TransientAddr = d.U64()
-	in.PC = d.U64()
 }

@@ -28,7 +28,7 @@ func TestRoundTrip(t *testing.T) {
 	e.String("")
 	in := isa.Inst{Op: isa.Load, Lat: 3, Deps: [2]int32{1, -7}, Addr: 0xdeadbeef,
 		Taken: true, Mispredict: true, Fault: true, TransientAddr: 0xfeed, PC: 0x1234}
-	e.Inst(&in)
+	SaveTo(e).Inst(&in)
 	if e.Len() != len(e.Bytes()) {
 		t.Fatalf("Len %d != len(Bytes) %d", e.Len(), len(e.Bytes()))
 	}
@@ -80,7 +80,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("empty String = %q", s)
 	}
 	var out isa.Inst
-	d.Inst(&out)
+	LoadFrom(d).Inst(&out)
 	if out != in {
 		t.Fatalf("Inst round-trip: got %+v, want %+v", out, in)
 	}

@@ -1,0 +1,264 @@
+package ckptio
+
+import (
+	"cmp"
+
+	"pinnedloads/internal/isa"
+)
+
+// State is one direction of a component's field walk. A component describes
+// its serialized state once, as a method that hands each field to a State by
+// pointer in wire order; a State made by SaveTo writes the fields out and one
+// made by LoadFrom reads them back, so the two directions cannot disagree on
+// what the fields are or in which order they come. What only one direction
+// needs — validating what was read, rebuilding derived state — sits in the
+// same walk behind Loading. State is two words: pass it by value.
+type State struct {
+	e *Encoder
+	d *Decoder
+}
+
+// Walker is implemented by components that carry mutable state through a
+// checkpoint. Saving must be deterministic: the same state always produces
+// the same bytes (maps are walked in sorted key order).
+type Walker interface {
+	State(s State)
+}
+
+// SaveTo returns the State that appends every field it is handed to e.
+func SaveTo(e *Encoder) State { return State{e: e} }
+
+// LoadFrom returns the State that overwrites every field it is handed from d.
+func LoadFrom(d *Decoder) State { return State{d: d} }
+
+// Encoder returns what a saving walk writes to, for a component that encodes
+// a section by hand; nil when loading.
+func (s State) Encoder() *Encoder { return s.e }
+
+// Decoder returns what a loading walk reads from; nil when saving.
+func (s State) Decoder() *Decoder { return s.d }
+
+// Loading reports whether the walk reads fields rather than writes them.
+func (s State) Loading() bool { return s.d != nil }
+
+// Err returns the walk's sticky error: the decoder's first malformed read or
+// either direction's first Failf. A walk that goes on after an error reads
+// zero values; it must check Err before it rebuilds state from what it read.
+func (s State) Err() error {
+	if s.d != nil {
+		return s.d.err
+	}
+	return s.e.err
+}
+
+// Failf sets the sticky error (first failure wins): input that does not fit
+// the receiving system, or a component that cannot be checkpointed at all.
+func (s State) Failf(format string, args ...any) {
+	if s.d != nil {
+		s.d.Failf(format, args...)
+	} else {
+		s.e.failf(format, args...)
+	}
+}
+
+// field walks one value through the codec's pair of methods for its type.
+func field[T any](s State, p *T, put func(*Encoder, T), get func(*Decoder) T) {
+	if s.d != nil {
+		*p = get(s.d)
+	} else {
+		put(s.e, *p)
+	}
+}
+
+// U8 walks one raw byte.
+func (s State) U8(p *uint8) { field(s, p, (*Encoder).U8, (*Decoder).U8) }
+
+// Bool walks a bool (one byte; loading rejects anything but 0 and 1).
+func (s State) Bool(p *bool) { field(s, p, (*Encoder).Bool, (*Decoder).Bool) }
+
+// U64 walks an unsigned value (uvarint).
+func (s State) U64(p *uint64) { field(s, p, (*Encoder).U64, (*Decoder).U64) }
+
+// U32 walks a uvarint that must fit 32 bits.
+func (s State) U32(p *uint32) { field(s, p, (*Encoder).U32, (*Decoder).U32) }
+
+// U16 walks a uvarint that must fit 16 bits.
+func (s State) U16(p *uint16) { field(s, p, (*Encoder).U16, (*Decoder).U16) }
+
+// I64 walks a signed value (zigzag uvarint).
+func (s State) I64(p *int64) { field(s, p, (*Encoder).I64, (*Decoder).I64) }
+
+// I32 walks a zigzag value that must fit 32 bits.
+func (s State) I32(p *int32) { field(s, p, (*Encoder).I32, (*Decoder).I32) }
+
+// I8 walks a zigzag value that must fit 8 bits.
+func (s State) I8(p *int8) { field(s, p, (*Encoder).I8, (*Decoder).I8) }
+
+// Int walks a zigzag value that must fit an int.
+func (s State) Int(p *int) { field(s, p, (*Encoder).Int, (*Decoder).Int) }
+
+// F64 walks a float64 as its raw IEEE-754 bits.
+func (s State) F64(p *float64) { field(s, p, (*Encoder).F64, (*Decoder).F64) }
+
+// String walks a length-prefixed string.
+func (s State) String(p *string) { field(s, p, (*Encoder).String, (*Decoder).String) }
+
+// Inst walks one micro-operation, including every field (unlike the
+// tracefile stream encoding, TransientAddr is preserved: checkpointed
+// pending queues may hold adversarial-kernel instructions).
+func (s State) Inst(in *isa.Inst) {
+	s.U8((*uint8)(&in.Op))
+	s.U8(&in.Lat)
+	for i := range in.Deps {
+		s.I32(&in.Deps[i])
+	}
+	s.U64(&in.Addr)
+	s.Bool(&in.Taken)
+	s.Bool(&in.Mispredict)
+	s.Bool(&in.Fault)
+	s.U64(&in.TransientAddr)
+	s.U64(&in.PC)
+}
+
+// Enum walks a one-byte enumeration; loading rejects a value above max.
+func Enum[T ~uint8](s State, p *T, max T, what string) {
+	if s.d == nil {
+		s.e.U8(uint8(*p))
+		return
+	}
+	v := T(s.d.U8())
+	if v > max {
+		s.d.Failf("invalid %s %d", what, v)
+		v = 0
+	}
+	*p = v
+}
+
+// Count walks a sequence length: saving writes n; loading reads it bounded
+// by max and by the bytes left (Decoder.Count). It returns the length to
+// walk, zero once the walk has failed.
+func (s State) Count(n, max int) int {
+	if s.d != nil {
+		return s.d.Count(max)
+	}
+	s.e.U64(uint64(n))
+	return n
+}
+
+// Geometry walks a length that configuration fixes — n is the receiving
+// structure's — so that loading rejects a checkpoint of another shape. It
+// reports whether the walk may go on into the structure.
+func (s State) Geometry(n int, what string) bool {
+	got := uint64(n)
+	s.U64(&got)
+	return s.sameShape(int64(n), int64(got), what)
+}
+
+// GeometryInt is Geometry for the sections that write the length zigzag.
+func (s State) GeometryInt(n int, what string) bool {
+	got := n
+	s.Int(&got)
+	return s.sameShape(int64(n), int64(got), what)
+}
+
+func (s State) sameShape(have, got int64, what string) bool {
+	if s.Err() == nil && got != have {
+		s.Failf("%s: configuration has %d, checkpoint has %d", what, have, got)
+	}
+	return s.Err() == nil
+}
+
+// Present walks the presence flag of a part that configuration decides on
+// (have says whether the receiving structure has it), rejecting a checkpoint
+// that disagrees. It reports whether to walk the part.
+func (s State) Present(have bool, what string) bool {
+	got := have
+	s.Bool(&got)
+	if s.Err() == nil && got != have {
+		s.Failf("%s: configuration has it %v, checkpoint has it %v", what, have, got)
+	}
+	return have && s.Err() == nil
+}
+
+// Slice walks the length of a variable-length list and, loading, makes the
+// list that many zero elements (in the storage it has, when that is enough);
+// the caller then walks the elements in place, in both directions alike.
+func Slice[T any](s State, p *[]T, max int) {
+	n := s.Count(len(*p), max)
+	if s.d == nil {
+		return
+	}
+	if n <= cap(*p) {
+		*p = (*p)[:n]
+		clear(*p)
+	} else {
+		*p = make([]T, n)
+	}
+}
+
+// MapWalk steps a walk through a map in ascending key order, the order that
+// makes the bytes deterministic:
+//
+//	tokens := ckptio.WalkMap(s, c.tokenSeq, maxMapEnts)
+//	for tokens.Next() {
+//		s.I64(&tokens.Key)
+//		s.I64(&tokens.Val)
+//	}
+//
+// Saving, Next presents each entry in turn; loading, the map is emptied, Next
+// presents zero values for the body to fill and stores the previous pair. The
+// sorted keys live in the cursor itself, so that walking a map within KeyRoom
+// allocates nothing: keep the cursor a local and let no pointer to it escape.
+type MapWalk[K cmp.Ordered, V any] struct {
+	Key K
+	Val V
+
+	s    State
+	m    map[K]V
+	n, i int
+	keys [KeyRoom]K
+	more []K // the sorted keys of a map that outgrows keys
+}
+
+// WalkMap walks m's length and returns the cursor over its entries.
+func WalkMap[K cmp.Ordered, V any](s State, m map[K]V, max int) MapWalk[K, V] {
+	w := MapWalk[K, V]{s: s, m: m}
+	if s.d != nil {
+		clear(m)
+		w.n = s.d.Count(max)
+		return w
+	}
+	w.n = len(m)
+	keys := w.keys[:0]
+	if w.n > len(w.keys) {
+		w.more = make([]K, w.n)
+		keys = w.more[:0]
+	}
+	AppendSortedKeys(keys, m) // in place: keys has room for all of them
+	s.e.U64(uint64(w.n))
+	return w
+}
+
+// Next moves to the next entry and reports whether there is one.
+func (w *MapWalk[K, V]) Next() bool {
+	if w.s.d != nil {
+		if w.s.d.err != nil {
+			return false
+		}
+		if w.i > 0 {
+			w.m[w.Key] = w.Val
+		}
+		var k K
+		var v V
+		w.Key, w.Val = k, v
+	} else if w.i < w.n {
+		keys := w.keys[:]
+		if w.more != nil {
+			keys = w.more
+		}
+		w.Key = keys[w.i]
+		w.Val = w.m[w.Key]
+	}
+	w.i++
+	return w.i <= w.n
+}

@@ -1,0 +1,225 @@
+package ckptio
+
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"pinnedloads/internal/isa"
+)
+
+type color uint8
+
+// record has one field of every kind a walk can carry.
+type record struct {
+	u8    uint8
+	b     bool
+	u64   uint64
+	u32   uint32
+	u16   uint16
+	i64   int64
+	i32   int32
+	i8    int8
+	n     int
+	f     float64
+	str   string
+	inst  isa.Inst
+	c     color
+	fixed []uint16
+	hasP  bool
+	part  uint64
+	list  []int32
+	m     map[int64]uint32
+	set   map[uint64]bool
+}
+
+func (r *record) walk(s State) {
+	s.U8(&r.u8)
+	s.Bool(&r.b)
+	s.U64(&r.u64)
+	s.U32(&r.u32)
+	s.U16(&r.u16)
+	s.I64(&r.i64)
+	s.I32(&r.i32)
+	s.I8(&r.i8)
+	s.Int(&r.n)
+	s.F64(&r.f)
+	s.String(&r.str)
+	s.Inst(&r.inst)
+	Enum(s, &r.c, 2, "color")
+	if s.Geometry(len(r.fixed), "fixed") && s.GeometryInt(len(r.fixed), "fixed again") {
+		for i := range r.fixed {
+			s.U16(&r.fixed[i])
+		}
+	}
+	if s.Present(r.hasP, "part") {
+		s.U64(&r.part)
+	}
+	Slice(s, &r.list, 1<<10)
+	for i := range r.list {
+		s.I32(&r.list[i])
+	}
+	m := WalkMap(s, r.m, 1<<10)
+	for m.Next() {
+		s.I64(&m.Key)
+		s.U32(&m.Val)
+	}
+	set := WalkMap(s, r.set, 1<<10)
+	for set.Next() {
+		s.U64(&set.Key)
+		set.Val = true
+	}
+}
+
+func sample() record {
+	r := record{u8: 0xab, b: true, u64: math.MaxUint64, u32: math.MaxUint32, u16: math.MaxUint16,
+		i64: math.MinInt64, i32: math.MinInt32, i8: math.MinInt8, n: -42, f: -0.5, str: "walk",
+		inst:  isa.Inst{Op: isa.Load, Lat: 3, Deps: [2]int32{1, -7}, Addr: 0xdeadbeef, Fault: true, PC: 0x1234},
+		c:     2,
+		fixed: []uint16{7, 8, 9}, hasP: true, part: 99, list: []int32{-1, 0, 1},
+		m: map[int64]uint32{}, set: map[uint64]bool{}}
+	// More keys than KeyRoom, inserted in descending order.
+	for k := int64(KeyRoom + 40); k > 0; k-- {
+		r.m[k-20] = uint32(k)
+	}
+	for _, k := range []uint64{9, 3, 1 << 40} {
+		r.set[k] = true
+	}
+	return r
+}
+
+func saved(r *record) []byte {
+	e := NewEncoder()
+	r.walk(SaveTo(e))
+	return e.Bytes()
+}
+
+func TestStateRoundTrip(t *testing.T) {
+	want := sample()
+	data := saved(&want)
+	// The target starts with other contents in everything of variable size.
+	got := record{fixed: make([]uint16, 3), hasP: true, list: make([]int32, 9, 16),
+		m: map[int64]uint32{5: 5, -1000: 1}, set: map[uint64]bool{77: true}}
+	d := NewDecoder(data)
+	s := LoadFrom(d)
+	if !s.Loading() || s.Decoder() != d || s.Encoder() != nil {
+		t.Fatal("LoadFrom's State does not say it is loading from d")
+	}
+	got.walk(s)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v\nwant   %+v", got, want)
+	}
+	if again := saved(&got); string(again) != string(data) {
+		t.Fatal("save, load, save is not a fixed point")
+	}
+	// Saving leaves the record as it was and writes maps in key order.
+	if !reflect.DeepEqual(want, sample()) {
+		t.Fatal("saving changed the record")
+	}
+	small := record{m: map[int64]uint32{3: 1, -2: 2, 1: 3}}
+	e := NewEncoder()
+	w := WalkMap(SaveTo(e), small.m, 8)
+	var keys []int64
+	for w.Next() {
+		keys = append(keys, w.Key)
+	}
+	if !reflect.DeepEqual(keys, []int64{-2, 1, 3}) {
+		t.Fatalf("map walked in order %v", keys)
+	}
+}
+
+func TestStateRejects(t *testing.T) {
+	base := sample()
+	mutate := func(f func(r *record)) []byte {
+		r := sample()
+		f(&r)
+		return saved(&r)
+	}
+	i8At := func(v int64) []byte { // the bytes of a record whose i8 field holds v
+		e := NewEncoder()
+		e.U8(0)
+		e.Bool(false)
+		e.U64(0)
+		e.U32(0)
+		e.U16(0)
+		e.I64(0)
+		e.I32(0)
+		e.I64(v)
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"i8 above range", i8At(128), "overflows int8"},
+		{"i8 below range", i8At(-129), "overflows int8"},
+		{"enum above max", mutate(func(r *record) { r.c = 3 }), "invalid color 3"},
+		{"other geometry", mutate(func(r *record) { r.fixed = r.fixed[:2] }), "fixed: configuration has 3, checkpoint has 2"},
+		{"part missing", mutate(func(r *record) { r.hasP = false }), "part: configuration has it true, checkpoint has it false"},
+		{"list above its bound", mutate(func(r *record) { r.list = make([]int32, 1<<10+1) }), "sequence length"},
+		{"map above its bound", mutate(func(r *record) {
+			for k := int64(0); k <= 1<<10; k++ {
+				r.m[k] = 1
+			}
+		}), "sequence length"},
+		{"truncated in the map", saved(&base)[:len(saved(&base))-30], "uvarint"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := record{fixed: make([]uint16, 3), hasP: true, m: map[int64]uint32{}, set: map[uint64]bool{}}
+			d := NewDecoder(tc.data)
+			s := LoadFrom(d)
+			got.walk(s)
+			err := s.Err()
+			if err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want a ckptio error mentioning %q", err, tc.want)
+			}
+			if s.Count(0, 8) != 0 || s.Present(true, "x") || s.Geometry(3, "x") {
+				t.Fatal("a failed walk goes on into a structure")
+			}
+		})
+	}
+}
+
+func TestStateSaveFailure(t *testing.T) {
+	e := NewEncoder()
+	s := SaveTo(e)
+	if s.Loading() || s.Err() != nil || s.Encoder() != e || s.Decoder() != nil {
+		t.Fatal("SaveTo's State does not say it is saving to e")
+	}
+	s.Failf("part %d is not checkpointable", 7)
+	s.Failf("second")
+	if err := e.Err(); err == nil || err != s.Err() || err.Error() != "ckptio: part 7 is not checkpointable" {
+		t.Fatalf("Err = %v", err)
+	}
+	// Out-of-range values are a loading matter: saving writes what it is given.
+	c := color(9)
+	Enum(SaveTo(NewEncoder()), &c, 2, "color")
+	if c != 9 {
+		t.Fatal("saving changed an enum")
+	}
+}
+
+func TestWalkMapAllocatesNothingWithinKeyRoom(t *testing.T) {
+	m := make(map[uint64]*int)
+	for k := uint64(0); k < KeyRoom; k++ {
+		m[k*7919%1000] = new(int)
+	}
+	e := NewEncoder()
+	e.Grow(4 * KeyRoom)
+	if got := testing.AllocsPerRun(10, func() {
+		e.buf = e.buf[:0]
+		s := SaveTo(e)
+		w := WalkMap(s, m, 1<<10)
+		for w.Next() {
+			s.U64(&w.Key)
+			s.Int(w.Val)
+		}
+	}); got != 0 {
+		t.Fatalf("walking a map of %d entries allocates %v times", len(m), got)
+	}
+}

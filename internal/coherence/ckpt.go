@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"pinnedloads/internal/arch"
 	"pinnedloads/internal/cache"
 	"pinnedloads/internal/ckptio"
 )
@@ -14,222 +15,141 @@ const (
 	maxBacklog  = 1 << 16
 )
 
-// saveMsg / loadMsg serialize one coherence message.
-func saveMsg(e *ckptio.Encoder, m *Msg) {
-	e.U8(uint8(m.Kind))
-	e.U64(m.Line)
-	e.Bool(m.Src.Dir)
-	e.Int(m.Src.Idx)
-	e.Bool(m.Dst.Dir)
-	e.Int(m.Dst.Idx)
-	e.Int(m.Acks)
-	e.Int(m.Requestor)
-	e.Bool(m.Star)
-	e.I64(m.Token)
-}
-
-func loadMsg(d *ckptio.Decoder) Msg {
-	var m Msg
-	k := d.U8()
-	if Kind(k) >= numKinds {
-		d.Failf("invalid message kind %d", k)
-		return m
+// walk carries a participant address; loading rejects one that names no
+// controller of the system, which delivery would index with.
+func (a *Addr) walk(s ckptio.State, cfg *arch.Config, what string) {
+	s.Bool(&a.Dir)
+	s.Int(&a.Idx)
+	n := cfg.Cores
+	if a.Dir {
+		n = cfg.LLCSlices
 	}
-	m.Kind = Kind(k)
-	m.Line = d.U64()
-	m.Src.Dir = d.Bool()
-	m.Src.Idx = d.Int()
-	m.Dst.Dir = d.Bool()
-	m.Dst.Idx = d.Int()
-	m.Acks = d.Int()
-	m.Requestor = d.Int()
-	m.Star = d.Bool()
-	m.Token = d.I64()
-	return m
-}
-
-// SaveState serializes the fabric: the current cycle and every non-empty
-// calendar slot with its in-flight messages, in slot order (deterministic).
-func (f *fabric) SaveState(e *ckptio.Encoder) {
-	e.I64(f.cycle)
-	occupied := 0
-	for i := range f.ring {
-		if len(f.ring[i]) > 0 {
-			occupied++
-		}
-	}
-	e.U64(uint64(occupied))
-	for i := range f.ring {
-		if len(f.ring[i]) == 0 {
-			continue
-		}
-		e.Int(i)
-		e.U64(uint64(len(f.ring[i])))
-		for j := range f.ring[i] {
-			saveMsg(e, &f.ring[i][j])
-		}
+	if s.Loading() && s.Err() == nil && (a.Idx < 0 || a.Idx >= n) {
+		s.Failf("message %s %v is not one of the system's %d", what, *a, n)
 	}
 }
 
-// LoadState restores the fabric calendar; slots not named in the checkpoint
-// are emptied.
-func (f *fabric) LoadState(d *ckptio.Decoder) {
-	f.cycle = d.I64()
-	for i := range f.ring {
-		f.ring[i] = f.ring[i][:0]
+// walk carries one coherence message. Requestor is not an endpoint to check:
+// fetch completions carry the request's Kind in it.
+func (m *Msg) walk(s ckptio.State, cfg *arch.Config) {
+	ckptio.Enum(s, &m.Kind, numKinds-1, "message kind")
+	s.U64(&m.Line)
+	m.Src.walk(s, cfg, "source")
+	m.Dst.walk(s, cfg, "destination")
+	s.Int(&m.Acks)
+	s.Int(&m.Requestor)
+	s.Bool(&m.Star)
+	s.I64(&m.Token)
+}
+
+// State walks the fabric: the current cycle and every non-empty calendar
+// slot with its in-flight messages, in slot order (deterministic). Loading
+// empties the slots the checkpoint does not name.
+func (f *fabric) State(s ckptio.State, cfg *arch.Config) {
+	s.I64(&f.cycle)
+	slots := 0
+	if s.Loading() {
+		for i := range f.ring {
+			f.ring[i] = f.ring[i][:0]
+		}
+		f.occupied = [len(f.occupied)]uint64{}
+	} else {
+		for i := range f.ring {
+			if len(f.ring[i]) > 0 {
+				slots++
+			}
+		}
 	}
-	f.occupied = [len(f.occupied)]uint64{}
-	occupied := d.Count(maxDelay)
-	for s := 0; s < occupied; s++ {
-		slot := d.Int()
-		if d.Err() != nil {
+	slot := -1
+	for slots = s.Count(slots, maxDelay); slots > 0; slots-- {
+		if !s.Loading() {
+			for slot++; len(f.ring[slot]) == 0; slot++ {
+			}
+		}
+		s.Int(&slot)
+		if s.Err() != nil {
 			return
 		}
 		if slot < 0 || slot >= maxDelay {
-			d.Failf("fabric slot %d out of range", slot)
+			s.Failf("fabric slot %d out of range", slot)
 			return
 		}
-		n := d.Count(maxSlotMsgs)
-		for j := 0; j < n; j++ {
-			f.ring[slot] = append(f.ring[slot], loadMsg(d))
-			if d.Err() != nil {
-				return
-			}
+		msgs := &f.ring[slot]
+		ckptio.Slice(s, msgs, maxSlotMsgs)
+		for i := range *msgs {
+			(*msgs)[i].walk(s, cfg)
 		}
-		if n > 0 {
+		if len(*msgs) > 0 {
 			f.occupied[slot/64] |= 1 << uint(slot%64)
 		}
 	}
 }
 
-// SaveState serializes an L1 controller's mutable state. The tag array and
-// MSHR file carry their own geometry checks; maps are written in sorted line
-// order for deterministic bytes.
-func (l *L1) SaveState(e *ckptio.Encoder) {
-	e.I64(l.now)
-	l.tags.SaveState(e)
-	l.mshr.SaveState(e)
-
-	var lineBuf [ckptio.KeyRoom]uint64
-	lines := ckptio.AppendSortedKeys(lineBuf[:0], l.acq)
-	e.U64(uint64(len(lines)))
-	for _, line := range lines {
-		st := l.acq[line]
-		e.U64(st.line)
-		e.Bool(st.star)
-		e.Int(st.need)
-		e.Int(st.got)
-		e.Bool(st.deferred)
-		e.Bool(st.inFlight)
-	}
-
-	lines = ckptio.AppendSortedKeys(lines[:0], l.evictBuf)
-	e.U64(uint64(len(lines)))
-	for _, line := range lines {
-		e.U64(line)
-	}
-
-	e.U64(uint64(len(l.pending)))
-	for i := range l.pending {
-		e.U64(l.pending[i].line)
-		e.U8(uint8(l.pending[i].state))
-		e.Int(l.pending[i].mshr)
-	}
-	e.Int(l.portsUsed)
-	e.U64(l.lastFill)
-
-	var tokBuf [ckptio.KeyRoom]int64
-	toks := ckptio.AppendSortedKeys(tokBuf[:0], l.spec)
-	e.U64(uint64(len(toks)))
-	for _, t := range toks {
-		txn := l.spec[t]
-		e.I64(t)
-		e.U64(txn.line)
-		e.Bool(txn.hit)
-		e.Bool(txn.installed)
-		e.Bool(txn.undoDir)
-	}
-	toks = ckptio.AppendSortedKeys(toks[:0], l.specAband)
-	e.U64(uint64(len(toks)))
-	for _, t := range toks {
-		e.I64(t)
-	}
+func (st *storeTxn) walk(s ckptio.State) {
+	s.U64(&st.line)
+	s.Bool(&st.star)
+	s.Int(&st.need)
+	s.Int(&st.got)
+	s.Bool(&st.deferred)
+	s.Bool(&st.inFlight)
 }
 
-// LoadState restores an L1 controller built from the same configuration.
-// The storeTxn free list starts empty (it is a recycling pool, not state).
-func (l *L1) LoadState(d *ckptio.Decoder) {
-	l.touched = true
-	l.now = d.I64()
-	l.tags.LoadState(d)
-	l.mshr.LoadState(d)
+func (p *pendingFill) walk(s ckptio.State) {
+	s.U64(&p.line)
+	ckptio.Enum(s, &p.state, cache.Modified, "pending-fill state")
+	s.Int(&p.mshr)
+}
 
-	clear(l.acq)
-	l.txnFree = l.txnFree[:0]
-	n := d.Count(maxTxns)
-	for i := 0; i < n; i++ {
-		st := &storeTxn{}
-		st.line = d.U64()
-		st.star = d.Bool()
-		st.need = d.Int()
-		st.got = d.Int()
-		st.deferred = d.Bool()
-		st.inFlight = d.Bool()
-		if d.Err() != nil {
-			return
+// walk carries a journal record; its token is the key it is stored under.
+func (t *specTxn) walk(s ckptio.State) {
+	s.U64(&t.line)
+	s.Bool(&t.hit)
+	s.Bool(&t.installed)
+	s.Bool(&t.undoDir)
+}
+
+// State walks an L1 controller's mutable state. The tag array and MSHR file
+// carry their own geometry checks; maps go in sorted key order for
+// deterministic bytes.
+func (l *L1) State(s ckptio.State) {
+	if s.Loading() {
+		l.touched = true
+		l.txnFree = l.txnFree[:0]
+	}
+	s.I64(&l.now)
+	l.tags.State(s)
+	l.mshr.State(s)
+
+	acq := ckptio.WalkMap(s, l.acq, maxTxns)
+	for acq.Next() {
+		if s.Loading() {
+			acq.Val = &storeTxn{}
 		}
-		l.acq[st.line] = st
+		acq.Val.walk(s)
+		acq.Key = acq.Val.line
+	}
+	evict := ckptio.WalkMap(s, l.evictBuf, maxTxns)
+	for evict.Next() {
+		s.U64(&evict.Key)
+		evict.Val = true
 	}
 
-	clear(l.evictBuf)
-	n = d.Count(maxTxns)
-	for i := 0; i < n; i++ {
-		line := d.U64()
-		if d.Err() != nil {
-			return
-		}
-		l.evictBuf[line] = true
+	ckptio.Slice(s, &l.pending, maxTxns)
+	for i := range l.pending {
+		l.pending[i].walk(s)
 	}
+	s.Int(&l.portsUsed)
+	s.U64(&l.lastFill)
 
-	n = d.Count(maxTxns)
-	l.pending = l.pending[:0]
-	for i := 0; i < n; i++ {
-		var p pendingFill
-		p.line = d.U64()
-		st := cache.State(d.U8())
-		if st > cache.Modified {
-			d.Failf("invalid pending-fill state %d", st)
-			return
-		}
-		p.state = st
-		p.mshr = d.Int()
-		l.pending = append(l.pending, p)
+	spec := ckptio.WalkMap(s, l.spec, maxTxns)
+	for spec.Next() {
+		s.I64(&spec.Key)
+		spec.Val.walk(s)
 	}
-	l.portsUsed = d.Int()
-	l.lastFill = d.U64()
-
-	clear(l.spec)
-	n = d.Count(maxTxns)
-	for i := 0; i < n; i++ {
-		t := d.I64()
-		var txn specTxn
-		txn.line = d.U64()
-		txn.hit = d.Bool()
-		txn.installed = d.Bool()
-		txn.undoDir = d.Bool()
-		if d.Err() != nil {
-			return
-		}
-		l.spec[t] = txn
-	}
-	clear(l.specAband)
-	n = d.Count(maxTxns)
-	for i := 0; i < n; i++ {
-		t := d.I64()
-		if d.Err() != nil {
-			return
-		}
-		l.specAband[t] = true
+	aband := ckptio.WalkMap(s, l.specAband, maxTxns)
+	for aband.Next() {
+		s.I64(&aband.Key)
+		aband.Val = true
 	}
 }
 
@@ -304,7 +224,7 @@ func (d *Dir) SaveState(e *ckptio.Encoder) {
 	e.U64(uint64(d.backlog.Len()))
 	for i := 0; i < d.backlog.Len(); i++ {
 		m := d.backlog.At(i)
-		saveMsg(e, &m)
+		m.walk(ckptio.SaveTo(e), d.cfg)
 	}
 }
 
@@ -415,7 +335,8 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 	}
 	nb := dec.Count(maxBacklog)
 	for i := 0; i < nb; i++ {
-		m := loadMsg(dec)
+		var m Msg
+		m.walk(ckptio.LoadFrom(dec), d.cfg)
 		if dec.Err() != nil {
 			return
 		}
@@ -423,23 +344,38 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 	}
 }
 
-// SaveState serializes the whole memory hierarchy: mesh traffic counters,
-// the fabric calendar, then every L1 and directory slice.
-func (s *System) SaveState(e *ckptio.Encoder) {
-	e.U64(s.mesh.Messages())
-	e.U64(s.mesh.Flits())
-	s.fab.SaveState(e)
-	e.Int(len(s.l1s))
-	for _, l := range s.l1s {
-		l.SaveState(e)
-	}
-	e.Int(len(s.dirs))
-	for _, d := range s.dirs {
-		d.SaveState(e)
+// State joins the slice to a walk. The sparse section is the one place the
+// two directions share a format and no logic (an occupancy walk out,
+// way-stepping in), so they stay a pair.
+func (d *Dir) State(s ckptio.State) {
+	if s.Loading() {
+		d.LoadState(s.Decoder())
+	} else {
+		d.SaveState(s.Encoder())
 	}
 }
 
-// StateSizeHint estimates the size of SaveState's output for the directory
+// State walks the whole memory hierarchy: mesh traffic counters, the fabric
+// calendar, then every L1 and directory slice of a system built from the same
+// configuration.
+func (s *System) State(st ckptio.State) {
+	s.mesh.State(st)
+	s.fab.State(st, s.cfg)
+	if !st.GeometryInt(len(s.l1s), "L1s") {
+		return
+	}
+	for _, l := range s.l1s {
+		l.State(st)
+	}
+	if !st.GeometryInt(len(s.dirs), "directory slices") {
+		return
+	}
+	for _, d := range s.dirs {
+		d.State(st)
+	}
+}
+
+// StateSizeHint estimates the size of what State saves for the directory
 // slices, which hold nearly all of it.
 func (s *System) StateSizeHint() int {
 	n := 0
@@ -447,40 +383,4 @@ func (s *System) StateSizeHint() int {
 		n += d.stateSizeHint()
 	}
 	return n
-}
-
-// LoadState restores a memory hierarchy built from the same configuration.
-func (s *System) LoadState(d *ckptio.Decoder) {
-	msgs := d.U64()
-	flits := d.U64()
-	s.mesh.SetTraffic(msgs, flits)
-	s.fab.LoadState(d)
-	n := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if n != len(s.l1s) {
-		d.Failf("system has %d L1s, checkpoint has %d", len(s.l1s), n)
-		return
-	}
-	for _, l := range s.l1s {
-		l.LoadState(d)
-		if d.Err() != nil {
-			return
-		}
-	}
-	n = d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if n != len(s.dirs) {
-		d.Failf("system has %d directory slices, checkpoint has %d", len(s.dirs), n)
-		return
-	}
-	for _, dir := range s.dirs {
-		dir.LoadState(d)
-		if d.Err() != nil {
-			return
-		}
-	}
 }

@@ -3,15 +3,14 @@ package coherence
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/ckptio"
+	"pinnedloads/internal/ckptio/ckpttest"
 	"pinnedloads/internal/stats"
 	"pinnedloads/internal/trace"
 	"pinnedloads/internal/tracefile"
@@ -244,27 +243,101 @@ func TestIsDefaultCoversEveryField(t *testing.T) {
 	if !base.isDefault() {
 		t.Fatal("defaultLine is not isDefault")
 	}
-	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		ln := base
-		f := reflect.ValueOf(&ln).Elem().Field(i)
-		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
-		switch f.Kind() {
-		case reflect.Bool:
-			f.SetBool(!f.Bool())
-		case reflect.Int8, reflect.Int32:
-			f.SetInt(f.Int() + 1)
-		case reflect.Uint8, reflect.Uint32, reflect.Uint64:
-			f.SetUint(f.Uint() + 1)
-		default:
-			t.Fatalf("field %s has kind %s: teach this test to change it", typ.Field(i).Name, f.Kind())
-		}
+	ckpttest.Variants(t, base, func(field string, ln *dirLine) {
 		if !ln.valid {
-			continue // SaveState asks only of valid lines
+			return // SaveState asks only of valid lines
 		}
-		if got, want := ln.isDefault(), ln == defaultLine(ln.addr, ln.lru); got != want {
-			t.Errorf("after changing %s: isDefault %v, struct comparison %v", typ.Field(i).Name, got, want)
+		if got, want := ln.isDefault(), *ln == defaultLine(ln.addr, ln.lru); got != want {
+			t.Errorf("after changing %s: isDefault %v, struct comparison %v", field, got, want)
 		}
+	})
+}
+
+// Fields of fabric that State leaves out: occupied is rebuilt when loading,
+// scheduled is only ever compared with itself across one tick.
+var (
+	fabricDerived = []string{"occupied", "scheduled"}
+	fabricConfig  = []string{"mesh", "count", "msgCount"}
+)
+
+// Fields of L1 that State leaves out. A restored L1 starts touched, with an
+// empty storeTxn free list (it is a recycling pool, not state).
+var (
+	l1Derived = []string{"touched", "txnFree"}
+	l1Config  = []string{"id", "cfg", "fab", "count", "cnt", "hooks", "rec", "tracing"}
+)
+
+// systemConfig names the field of System that State leaves out (cfg it only
+// reads, for the messages' endpoint check).
+var systemConfig = []string{"count"}
+
+// TestWalksCoverEveryField: a field added to a record the walks carry must
+// move the saved bytes, and a field added to a controller must be walked or
+// classified as derived or configuration.
+func TestWalksCoverEveryField(t *testing.T) {
+	cfg := arch.PaperConfig(2)
+	ckpttest.Fields(t, Msg{}, func(s ckptio.State, m *Msg) { m.walk(s, &cfg) }, nil)
+	ckpttest.Fields(t, storeTxn{}, func(s ckptio.State, st *storeTxn) { st.walk(s) }, nil)
+	ckpttest.Fields(t, specTxn{}, func(s ckptio.State, txn *specTxn) { txn.walk(s) }, nil)
+	ckpttest.Fields(t, pendingFill{}, func(s ckptio.State, p *pendingFill) { p.walk(s) }, nil)
+	ckpttest.Container(t, "ckpt.go", fabric{}, fabricDerived, fabricConfig)
+	ckpttest.Container(t, "ckpt.go", L1{}, l1Derived, l1Config)
+	ckpttest.Container(t, "ckpt.go", System{}, nil, systemConfig)
+}
+
+// TestMsgWalkRejectsForeignEndpoints: a message in the fabric or a directory
+// backlog is delivered by indexing the system's controllers with its
+// destination, so one that names a controller the system does not have must
+// fail the load, wherever the message sits.
+func TestMsgWalkRejectsForeignEndpoints(t *testing.T) {
+	const cores = 2
+	slices := arch.PaperConfig(cores).LLCSlices
+	for _, tc := range []struct {
+		name string
+		msg  Msg
+		ok   bool
+	}{
+		{"last core, last slice", Msg{Kind: GetS, Src: Addr{Idx: cores - 1}, Dst: Addr{Dir: true, Idx: slices - 1}}, true},
+		{"requestor holds a Kind", Msg{Kind: GetS, Requestor: int(numKinds) + 40}, true},
+		{"destination core past the last", Msg{Kind: DataS, Dst: Addr{Idx: cores}}, false},
+		{"destination slice past the last", Msg{Kind: GetS, Dst: Addr{Dir: true, Idx: slices}}, false},
+		{"negative destination", Msg{Kind: DataS, Dst: Addr{Idx: -1}}, false},
+		{"source core past the last", Msg{Kind: GetS, Src: Addr{Idx: cores}, Dst: Addr{Dir: true}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// In the fabric: saving checks nothing, loading must.
+			from, h := newHarness(t, cores), newHarness(t, cores)
+			from.sys.fab.schedule(tc.msg, 3)
+			e := ckptio.NewEncoder()
+			from.sys.fab.State(ckptio.SaveTo(e), from.sys.cfg)
+			dec := ckptio.NewDecoder(e.Bytes())
+			h.sys.fab.State(ckptio.LoadFrom(dec), h.sys.cfg)
+			checkEndpointVerdict(t, "fabric", dec.Done(), tc.ok)
+
+			// In a backlog: a directory section with no lines and the one
+			// queued message.
+			e = ckptio.NewEncoder()
+			e.U64(9) // stamp
+			e.Int(len(h.sys.Dir(0).lines))
+			e.U64(0) // lines
+			e.Int(0) // demandUsed
+			e.U64(1) // backlog
+			m := tc.msg
+			m.walk(ckptio.SaveTo(e), h.sys.cfg)
+			dec = ckptio.NewDecoder(e.Bytes())
+			h.sys.Dir(0).LoadState(dec)
+			checkEndpointVerdict(t, "backlog", dec.Done(), tc.ok)
+		})
+	}
+}
+
+func checkEndpointVerdict(t *testing.T, where string, err error, ok bool) {
+	t.Helper()
+	switch {
+	case ok && err != nil:
+		t.Fatalf("%s: %v", where, err)
+	case !ok && (err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), "is not one of")):
+		t.Fatalf("%s: error %v, want a ckptio error naming the endpoint", where, err)
 	}
 }
 
@@ -351,7 +424,7 @@ func TestDirSaveStateSensitivity(t *testing.T) {
 	// The same state saves to the same bytes out of a fresh target and out
 	// of one that has run something else.
 	e := ckptio.NewEncoder()
-	h.sys.SaveState(e)
+	h.sys.State(ckptio.SaveTo(e))
 	want := e.Bytes()
 	used := newHarness(t, 2)
 	used.sys.Prewarm([]uint64{0x5000 >> 6, 0x5040 >> 6, 0x40 >> 6})
@@ -360,12 +433,12 @@ func TestDirSaveStateSensitivity(t *testing.T) {
 	used.step(300)
 	for name, target := range map[string]*harness{"fresh": newHarness(t, 2), "previously run": used} {
 		dec := ckptio.NewDecoder(want)
-		target.sys.LoadState(dec)
+		target.sys.State(ckptio.LoadFrom(dec))
 		if err := dec.Done(); err != nil {
 			t.Fatalf("%s target: %v", name, err)
 		}
 		e := ckptio.NewEncoder()
-		target.sys.SaveState(e)
+		target.sys.State(ckptio.SaveTo(e))
 		if !bytes.Equal(e.Bytes(), want) {
 			t.Fatalf("%s target re-saves different bytes", name)
 		}

@@ -444,9 +444,10 @@ func TestFabricNextDue(t *testing.T) {
 		}
 		if cycle%500 == 0 {
 			e := ckptio.NewEncoder()
-			f.SaveState(e)
+			cfg := arch.PaperConfig(1)
+			f.State(ckptio.SaveTo(e), &cfg)
 			f.occupied = [len(f.occupied)]uint64{}
-			f.LoadState(ckptio.NewDecoder(e.Bytes()))
+			f.State(ckptio.LoadFrom(ckptio.NewDecoder(e.Bytes())), &cfg)
 			if got, want := f.nextDue(), walk(); got != want {
 				t.Fatalf("cycle %d after restore: nextDue %d, the ring says %d", cycle, got, want)
 			}

@@ -29,7 +29,7 @@ type fabric struct {
 
 	// Derived, never serialized (DESIGN.md §9). occupied has bit s set
 	// while ring[s] holds a message, so the next delivery cycle is a bitmap
-	// scan (nextDue); LoadState rebuilds it. scheduled counts every message
+	// scan (nextDue); a loading State rebuilds it. scheduled counts every message
 	// and self event ever queued: a core compares it around its tick to
 	// learn whether its L1 sent anything.
 	occupied  [maxDelay / 64]uint64

@@ -8,7 +8,7 @@ import (
 	"pinnedloads/internal/stats"
 )
 
-// specEpisodeBytes captures a System.SaveState blob taken mid-flight
+// specEpisodeBytes captures a System.State blob taken mid-flight
 // through a reversible-speculation episode: committed lines, an abandoned
 // spec install, and a LoadSpec whose fill is still outstanding, so the
 // L1 spec journal, the abandoned-token set and the directory's spec-born
@@ -27,12 +27,12 @@ func specEpisodeBytes(f *testing.F) []byte {
 	h.sys.L1(0).LoadSpec(4, 0x2100)
 	h.step(3) // leave token 4's fill in flight
 	e := ckptio.NewEncoder()
-	h.sys.SaveState(e)
+	h.sys.State(ckptio.SaveTo(e))
 	return e.Bytes()
 }
 
 // FuzzSpecStateDecode hardens the coherence rollback decoder: arbitrary
-// bytes fed to System.LoadState must never panic or hang — they either
+// bytes fed to a loading System.State must never panic or hang — they either
 // fail with a decoder error, or produce a state whose canonical re-save
 // is a fixed point (save(load(b)) == save(load(save(load(b))))). The
 // seed corpus includes a real mid-episode snapshot with live spec
@@ -52,22 +52,22 @@ func FuzzSpecStateDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := newHarness(t, 2)
 		d := ckptio.NewDecoder(data)
-		h.sys.LoadState(d)
+		h.sys.State(ckptio.LoadFrom(d))
 		if d.Err() != nil {
 			return
 		}
 		e1 := ckptio.NewEncoder()
-		h.sys.SaveState(e1)
+		h.sys.State(ckptio.SaveTo(e1))
 		b1 := e1.Bytes()
 
 		h2 := newHarness(t, 2)
 		d2 := ckptio.NewDecoder(b1)
-		h2.sys.LoadState(d2)
+		h2.sys.State(ckptio.LoadFrom(d2))
 		if err := d2.Err(); err != nil {
 			t.Fatalf("canonical re-save failed to decode: %v", err)
 		}
 		e2 := ckptio.NewEncoder()
-		h2.sys.SaveState(e2)
+		h2.sys.State(ckptio.SaveTo(e2))
 		if !bytes.Equal(e2.Bytes(), b1) {
 			t.Fatal("save/load not a fixed point on canonical bytes")
 		}

@@ -1,41 +1,10 @@
 package coherence
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"pinnedloads/internal/xrand"
 )
-
-// memFingerprint renders the harness's attacker-observable memory-system
-// state — the same projection internal/sectest's leakage oracle compares:
-// every L1's tag array (lines, states, LRU order) and outstanding MSHRs,
-// and every directory slice's line state. Spec-transaction bookkeeping is
-// deliberately excluded: the rollback property is about what an attacker
-// can observe, and the journal itself is invisible microarchitectural
-// metadata.
-func (h *harness) memFingerprint() string {
-	var b strings.Builder
-	for i := range h.cores {
-		fmt.Fprintf(&b, "L1[%d]\n", i)
-		for _, ln := range h.sys.L1(i).TagSnapshot() {
-			fmt.Fprintf(&b, " set=%d addr=%#x state=%d rank=%d\n",
-				ln.Set, ln.Addr, ln.State, ln.Rank)
-		}
-		for _, a := range h.sys.L1(i).MSHRLines() {
-			fmt.Fprintf(&b, " mshr=%#x\n", a)
-		}
-	}
-	for s := 0; s < h.sys.Dirs(); s++ {
-		fmt.Fprintf(&b, "Dir[%d]\n", s)
-		for _, ln := range h.sys.Dir(s).Snapshot() {
-			fmt.Fprintf(&b, " set=%d addr=%#x sharers=%#x owner=%d busy=%d rank=%d\n",
-				ln.Set, ln.Addr, ln.Sharers, ln.Owner, ln.Busy, ln.Rank)
-		}
-	}
-	return b.String()
-}
 
 // trialLines is the address pool the rollback trials draw from: a mix of
 // lines that collide in L1 sets and lines homed on different directory
@@ -87,7 +56,7 @@ func TestRCPRollbackProperty(t *testing.T) {
 			}
 		}
 		h.settle(t, 5000)
-		pre := h.memFingerprint()
+		pre := h.sys.ObservableState()
 
 		// Speculative episode: a burst of reversible loads...
 		type specRef struct {
@@ -114,7 +83,7 @@ func TestRCPRollbackProperty(t *testing.T) {
 		}
 		h.checkAll(t)
 
-		if post := h.memFingerprint(); post != pre {
+		if post := h.sys.ObservableState(); post != pre {
 			t.Fatalf("trial %d: rollback did not restore state\n--- pre ---\n%s\n--- post ---\n%s",
 				trial, pre, post)
 		}
@@ -208,7 +177,7 @@ func TestRCPSpecCommitMatchesDemandLoad(t *testing.T) {
 	}
 	demand.settle(t, 5000)
 
-	if s, d := spec.memFingerprint(), demand.memFingerprint(); s != d {
+	if s, d := spec.sys.ObservableState(), demand.sys.ObservableState(); s != d {
 		t.Fatalf("committed spec load differs from demand load\n--- spec ---\n%s\n--- demand ---\n%s", s, d)
 	}
 }

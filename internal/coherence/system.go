@@ -1,6 +1,9 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
+
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/mesh"
 	"pinnedloads/internal/stats"
@@ -62,6 +65,34 @@ func (s *System) Prewarm(lines []uint64) {
 		}
 		top = max(top, l)
 	}
+}
+
+// ObservableState renders the attacker-observable memory-system state, the
+// projection the leakage oracle (internal/sectest) and the RCP rollback tests
+// compare: every L1's tag array (lines, states, LRU order) and outstanding
+// MSHRs, and every directory slice's line state. It excludes anything
+// timing-derived, which the oracle compares separately, and the RCP journal,
+// which is invisible microarchitectural metadata.
+func (s *System) ObservableState() string {
+	var b strings.Builder
+	for i, l := range s.l1s {
+		fmt.Fprintf(&b, "L1[%d]\n", i)
+		for _, ln := range l.TagSnapshot() {
+			fmt.Fprintf(&b, " set=%d addr=%#x state=%d rank=%d\n",
+				ln.Set, ln.Addr, ln.State, ln.Rank)
+		}
+		for _, a := range l.MSHRLines() {
+			fmt.Fprintf(&b, " mshr=%#x\n", a)
+		}
+	}
+	for i, d := range s.dirs {
+		fmt.Fprintf(&b, "Dir[%d]\n", i)
+		for _, ln := range d.Snapshot() {
+			fmt.Fprintf(&b, " set=%d addr=%#x sharers=%#x owner=%d busy=%d rank=%d\n",
+				ln.Set, ln.Addr, ln.Sharers, ln.Owner, ln.Busy, ln.Rank)
+		}
+	}
+	return b.String()
 }
 
 // Mesh returns the interconnect model (for traffic statistics).

@@ -21,25 +21,28 @@ func (s *System) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// SaveState serializes the complete simulation state at the current cycle
-// boundary: counters, the whole memory hierarchy (caches, directories,
-// in-flight messages), the barrier synchronizer, and every core's pipeline
-// and workload-generator position. It must be called between cycles — Run
-// takes snapshots only at safe points; callers using it directly must not
-// call it from inside a Tick.
-func (s *System) SaveState(e *ckptio.Encoder) error {
-	e.I64(s.cycle)
-	e.I64(s.warmupDone)
-	e.I64(s.warmupTarget)
-	s.count.SaveState(e)
-	s.mem.SaveState(e)
-	s.cores[0].Barrier().SaveState(e)
+// State walks the complete simulation state at a cycle boundary: counters,
+// the whole memory hierarchy (caches, directories, in-flight messages), the
+// barrier synchronizer, and every core's pipeline and workload-generator
+// position. It must run between cycles — Run takes snapshots only at safe
+// points; callers using it directly must not call it from inside a Tick.
+func (s *System) State(st ckptio.State) {
+	st.I64(&s.cycle)
+	st.I64(&s.warmupDone)
+	st.I64(&s.warmupTarget)
+	s.count.State(st)
+	s.mem.State(st)
+	s.cores[0].Barrier().State(st)
 	for _, c := range s.cores {
-		if err := c.SaveState(e); err != nil {
-			return err
-		}
+		c.State(st)
 	}
-	return nil
+}
+
+// SaveState appends the system's state to e; it fails if a workload
+// generator or predictor cannot be checkpointed.
+func (s *System) SaveState(e *ckptio.Encoder) error {
+	s.State(ckptio.SaveTo(e))
+	return e.Err()
 }
 
 // coreStateRoom is a generous allowance for what SaveState writes per core
@@ -71,18 +74,7 @@ func (s *System) Snapshot() ([]byte, error) {
 // and produces results byte-identical to an uninterrupted run.
 func (s *System) Restore(payload []byte) error {
 	d := ckptio.NewDecoder(payload)
-	s.cycle = d.I64()
-	s.warmupDone = d.I64()
-	s.warmupTarget = d.I64()
-	s.count.LoadState(d)
-	s.mem.LoadState(d)
-	s.cores[0].Barrier().LoadState(d)
-	for _, c := range s.cores {
-		c.LoadState(d)
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("core: restore: %w", err)
-		}
-	}
+	s.State(ckptio.LoadFrom(d))
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}

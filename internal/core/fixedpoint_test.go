@@ -19,7 +19,7 @@ import (
 func counterHandles(t *testing.T, sys *System) []*uint64 {
 	t.Helper()
 	e := ckptio.NewEncoder()
-	sys.count.SaveState(e)
+	sys.count.State(ckptio.SaveTo(e))
 	d := ckptio.NewDecoder(e.Bytes())
 	var hs []*uint64
 	for n := d.Count(1 << 16); n > 0; n-- {
@@ -42,7 +42,7 @@ func counterValues(hs []*uint64, into []uint64) []uint64 {
 }
 
 // fixedPointState serializes core i and its L1 without the three things a
-// quiet tick does move: the two cycle clocks (each SaveState leads with its
+// quiet tick does move: the two cycle clocks (each walk leads with its
 // own) and the CPT's occupancy samples. Counters are not part of either.
 func fixedPointState(t *testing.T, sys *System, i int) []byte {
 	t.Helper()
@@ -53,10 +53,11 @@ func fixedPointState(t *testing.T, sys *System, i int) []byte {
 		defer func() { *cpt.Occupancy() = occ }()
 	}
 	ce, le := ckptio.NewEncoder(), ckptio.NewEncoder()
-	if err := c.SaveState(ce); err != nil {
+	c.State(ckptio.SaveTo(ce))
+	if err := ce.Err(); err != nil {
 		t.Fatal(err)
 	}
-	sys.mem.L1(i).SaveState(le)
+	sys.mem.L1(i).State(ckptio.SaveTo(le))
 	skipClock := func(b []byte) []byte {
 		_, n := binary.Uvarint(b)
 		return b[n:]

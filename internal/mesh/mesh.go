@@ -8,7 +8,11 @@
 // impact, so latency dominates).
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+
+	"pinnedloads/internal/ckptio"
+)
 
 // Mesh is a cols x rows mesh. Node i sits at column i%cols, row i/cols.
 type Mesh struct {
@@ -72,8 +76,8 @@ func (m *Mesh) Messages() uint64 { return m.messages }
 // Flits returns the total flits sent.
 func (m *Mesh) Flits() uint64 { return m.flits }
 
-// SetTraffic restores the traffic counters from a checkpoint.
-func (m *Mesh) SetTraffic(messages, flits uint64) {
-	m.messages = messages
-	m.flits = flits
+// State walks the traffic counters, the mesh's only mutable state.
+func (m *Mesh) State(s ckptio.State) {
+	s.U64(&m.messages)
+	s.U64(&m.flits)
 }

@@ -6,75 +6,39 @@ import "pinnedloads/internal/ckptio"
 // capacity but hold at most a handful of contested lines in practice).
 const maxCPTLines = 1 << 16
 
-// SaveState serializes the CST's records and statistics. Geometry comes
-// from configuration and is validated by entry count.
-func (c *CST) SaveState(e *ckptio.Encoder) {
-	e.U64(uint64(len(c.entries)))
-	for i := range c.entries {
-		r := &c.entries[i]
-		e.Bool(r.valid)
-		e.U16(r.addrHash)
-		e.U32(r.lqID)
-		e.U64(r.line)
-	}
-	e.U64(c.attempts)
-	e.U64(c.denies)
-	e.U64(c.falsePositives)
+func (r *cstRecord) walk(s ckptio.State) {
+	s.Bool(&r.valid)
+	s.U16(&r.addrHash)
+	s.U32(&r.lqID)
+	s.U64(&r.line)
 }
 
-// LoadState restores a CST of the same geometry.
-func (c *CST) LoadState(d *ckptio.Decoder) {
-	n := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if n != uint64(len(c.entries)) {
-		d.Failf("CST has %d records, checkpoint has %d", len(c.entries), n)
+// State walks the records and statistics of a CST of one geometry.
+func (c *CST) State(s ckptio.State) {
+	if !s.Geometry(len(c.entries), "CST records") {
 		return
 	}
 	for i := range c.entries {
-		r := &c.entries[i]
-		r.valid = d.Bool()
-		r.addrHash = d.U16()
-		r.lqID = d.U32()
-		r.line = d.U64()
+		c.entries[i].walk(s)
 	}
-	c.attempts = d.U64()
-	c.denies = d.U64()
-	c.falsePositives = d.U64()
+	s.U64(&c.attempts)
+	s.U64(&c.denies)
+	s.U64(&c.falsePositives)
 }
 
-// SaveState serializes the CPT's mutable state (capacity and the reserve
-// flag come from configuration).
-func (t *CPT) SaveState(e *ckptio.Encoder) {
-	e.U64(uint64(len(t.lines)))
-	for _, l := range t.lines {
-		e.U64(l)
+func walkLines(s ckptio.State, lines *[]uint64) {
+	ckptio.Slice(s, lines, maxCPTLines)
+	for i := range *lines {
+		s.U64(&(*lines)[i])
 	}
-	e.Bool(t.stalled)
-	e.U64(uint64(len(t.waitq)))
-	for _, l := range t.waitq {
-		e.U64(l)
-	}
-	t.occupancy.SaveState(e)
-	e.U64(t.inserts)
-	e.U64(t.overflows)
 }
 
-// LoadState restores the CPT's mutable state.
-func (t *CPT) LoadState(d *ckptio.Decoder) {
-	n := d.Count(maxCPTLines)
-	t.lines = t.lines[:0]
-	for i := 0; i < n; i++ {
-		t.lines = append(t.lines, d.U64())
-	}
-	t.stalled = d.Bool()
-	n = d.Count(maxCPTLines)
-	t.waitq = t.waitq[:0]
-	for i := 0; i < n; i++ {
-		t.waitq = append(t.waitq, d.U64())
-	}
-	t.occupancy.LoadState(d)
-	t.inserts = d.U64()
-	t.overflows = d.U64()
+// State walks the CPT's mutable state.
+func (t *CPT) State(s ckptio.State) {
+	walkLines(s, &t.lines)
+	s.Bool(&t.stalled)
+	walkLines(s, &t.waitq)
+	t.occupancy.State(s)
+	s.U64(&t.inserts)
+	s.U64(&t.overflows)
 }

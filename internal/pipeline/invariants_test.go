@@ -218,26 +218,26 @@ func (m *machine) halted() bool {
 func (m *machine) snapshot(t *testing.T) []byte {
 	t.Helper()
 	e := ckptio.NewEncoder()
-	m.count.SaveState(e)
-	m.mem.SaveState(e)
-	m.cores[0].Barrier().SaveState(e)
-	for _, c := range m.cores {
-		if err := c.SaveState(e); err != nil {
-			t.Fatal(err)
-		}
+	m.state(ckptio.SaveTo(e))
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return e.Bytes()
+}
+
+func (m *machine) state(s ckptio.State) {
+	m.count.State(s)
+	m.mem.State(s)
+	m.cores[0].Barrier().State(s)
+	for _, c := range m.cores {
+		c.State(s)
+	}
 }
 
 func (m *machine) restore(t *testing.T, blob []byte, cycle int64) {
 	t.Helper()
 	d := ckptio.NewDecoder(blob)
-	m.count.LoadState(d)
-	m.mem.LoadState(d)
-	m.cores[0].Barrier().LoadState(d)
-	for _, c := range m.cores {
-		c.LoadState(d)
-	}
+	m.state(ckptio.LoadFrom(d))
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}

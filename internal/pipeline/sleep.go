@@ -18,7 +18,7 @@ import (
 // of a cycle and later ticks add them instead of walking the stages
 // (replay), until an input wakes the core.
 //
-// All of it is derived state: never serialized, reset by LoadState.
+// All of it is derived state: never serialized, reset when State loads.
 
 // counterDelta is one counter's increment per quiet cycle.
 type counterDelta struct {

@@ -145,7 +145,7 @@ func Observe(pol defense.Policy, kernel string, secret, seed uint64) (Observatio
 	}
 
 	o := Observation{
-		State:  stateFingerprint(sys, cfg),
+		State:  sys.Mem().ObservableState(),
 		Events: eventSummary(ring),
 		Key: speckey.Spec{
 			Benchmark:   atk.Name(),
@@ -166,32 +166,6 @@ func Observe(pol defense.Policy, kernel string, secret, seed uint64) (Observatio
 		o.CPI = float64(o.Timing[0]) / float64(o.Retired[0])
 	}
 	return o, nil
-}
-
-// stateFingerprint renders the machine's attacker-observable memory-system
-// state. It deliberately excludes anything timing-derived; timing is
-// compared separately so the oracle can tell the two channels apart.
-func stateFingerprint(sys *core.System, cfg arch.Config) string {
-	var b strings.Builder
-	mem := sys.Mem()
-	for i := 0; i < cfg.Cores; i++ {
-		fmt.Fprintf(&b, "L1[%d]\n", i)
-		for _, ln := range mem.L1(i).TagSnapshot() {
-			fmt.Fprintf(&b, " set=%d addr=%#x state=%d rank=%d\n",
-				ln.Set, ln.Addr, ln.State, ln.Rank)
-		}
-		for _, a := range mem.L1(i).MSHRLines() {
-			fmt.Fprintf(&b, " mshr=%#x\n", a)
-		}
-	}
-	for s := 0; s < mem.Dirs(); s++ {
-		fmt.Fprintf(&b, "Dir[%d]\n", s)
-		for _, ln := range mem.Dir(s).Snapshot() {
-			fmt.Fprintf(&b, " set=%d addr=%#x sharers=%#x owner=%d busy=%d rank=%d\n",
-				ln.Set, ln.Addr, ln.Sharers, ln.Owner, ln.Busy, ln.Rank)
-		}
-	}
-	return b.String()
 }
 
 // eventSummary folds the ring's event stream into per-kind counts

@@ -1,56 +1,37 @@
 package stats
 
-import (
-	"sort"
-
-	"pinnedloads/internal/ckptio"
-)
+import "pinnedloads/internal/ckptio"
 
 // maxCounters bounds a decoded counter set (far above any real run; the
 // simulator defines a few dozen counter names).
 const maxCounters = 1 << 16
 
-// SaveState serializes every counter — including zero-valued ones, so the
-// restored set holds exactly the same handles — in sorted name order for
-// deterministic bytes.
-func (c *Counters) SaveState(e *ckptio.Encoder) {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
+// State walks every counter — including zero-valued ones, so the restored
+// set holds exactly the same handles — in sorted name order for deterministic
+// bytes. Loading goes through Handle and leaves the map's other entries be,
+// so pre-bound handle pointers held by the pipeline and coherence controllers
+// keep pointing at the live values.
+func (c *Counters) State(s ckptio.State) {
+	var names []string
+	if !s.Loading() {
+		names = ckptio.AppendSortedKeys(make([]string, 0, len(c.m)), c.m)
 	}
-	sort.Strings(names)
-	e.U64(uint64(len(names)))
-	for _, name := range names {
-		e.String(name)
-		e.U64(*c.m[name])
-	}
-}
-
-// LoadState restores counter values through Handle, so pre-bound handle
-// pointers held by the pipeline and coherence controllers keep pointing at
-// the live values.
-func (c *Counters) LoadState(d *ckptio.Decoder) {
-	n := d.Count(maxCounters)
-	for i := 0; i < n; i++ {
-		name := d.String()
-		v := d.U64()
-		if d.Err() != nil {
+	for i, n := 0, s.Count(len(names), maxCounters); i < n; i++ {
+		var name string
+		if !s.Loading() {
+			name = names[i]
+		}
+		s.String(&name)
+		if s.Err() != nil {
 			return
 		}
-		*c.Handle(name) = v
+		s.U64(c.Handle(name))
 	}
 }
 
-// SaveState serializes the occupancy tracker.
-func (o *Occupancy) SaveState(e *ckptio.Encoder) {
-	e.U64(o.sum)
-	e.U64(o.samples)
-	e.Int(o.max)
-}
-
-// LoadState restores the occupancy tracker.
-func (o *Occupancy) LoadState(d *ckptio.Decoder) {
-	o.sum = d.U64()
-	o.samples = d.U64()
-	o.max = d.Int()
+// State walks the occupancy tracker.
+func (o *Occupancy) State(s ckptio.State) {
+	s.U64(&o.sum)
+	s.U64(&o.samples)
+	s.Int(&o.max)
 }

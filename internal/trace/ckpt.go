@@ -3,136 +3,84 @@ package trace
 import (
 	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/isa"
+	"pinnedloads/internal/xrand"
 )
 
 // Decode bounds: pending scripts are a few dozen instructions, branch sites
-// a fixed 64, kernels a handful per profile.
+// a fixed 64.
 const (
 	maxPending = 1 << 12
 	maxSites   = 1 << 10
-	maxKernels = 1 << 8
 )
 
-// saveInsts / loadInsts serialize an instruction list with bounds checking.
-func saveInsts(e *ckptio.Encoder, insts []isa.Inst) {
-	e.U64(uint64(len(insts)))
-	for i := range insts {
-		e.Inst(&insts[i])
+func walkInsts(s ckptio.State, insts *[]isa.Inst) {
+	ckptio.Slice(s, insts, maxPending)
+	for i := range *insts {
+		s.Inst(&(*insts)[i])
 	}
 }
 
-func loadInsts(d *ckptio.Decoder, insts []isa.Inst) []isa.Inst {
-	n := d.Count(maxPending)
-	insts = insts[:0]
-	for i := 0; i < n; i++ {
-		var in isa.Inst
-		d.Inst(&in)
-		insts = append(insts, in)
-	}
-	return insts
+func walkRNG(s ckptio.State, r *xrand.RNG) {
+	v := r.State()
+	s.U64(&v)
+	r.SetState(v)
 }
 
-// SaveState serializes a profile generator's mutable state. The profile
-// itself and the derived layout (kernel bases, footprints, shared region)
-// are reconstructed from configuration; only the stream position, RNG
-// streams, kernel cursors and lazily built branch sites are saved.
-func (g *profileGen) SaveState(e *ckptio.Encoder) {
-	e.U64(g.rng.State())
-	e.U64(g.wrongRNG.State())
-	e.U64(uint64(len(g.kernels)))
+func (b *branchSite) walk(s ckptio.State) {
+	s.U64(&b.pc)
+	s.F64(&b.taken)
+	s.Bool(&b.hard)
+}
+
+// State walks a profile generator created from one Profile, core and seed:
+// the stream position, RNG streams, kernel cursors and lazily built branch
+// sites.
+func (g *profileGen) State(s ckptio.State) {
+	walkRNG(s, g.rng)
+	walkRNG(s, g.wrongRNG)
+	if !s.Geometry(len(g.kernels), "generator kernels") {
+		return
+	}
 	for i := range g.kernels {
-		e.U64(g.kernels[i].pos)
-		e.I64(g.kernels[i].lastChase)
+		s.U64(&g.kernels[i].pos)
+		s.I64(&g.kernels[i].lastChase)
 	}
-	e.I64(g.idx)
-	e.I64(g.lastLoad)
+	s.I64(&g.idx)
+	s.I64(&g.lastLoad)
 	// sites is built lazily and its construction consumes RNG draws, so
 	// nil-ness must round-trip exactly.
-	e.Bool(g.sites != nil)
-	if g.sites != nil {
-		e.U64(uint64(len(g.sites)))
+	built := g.sites != nil
+	s.Bool(&built)
+	if built {
+		ckptio.Slice(s, &g.sites, maxSites)
 		for i := range g.sites {
-			e.U64(g.sites[i].pc)
-			e.F64(g.sites[i].taken)
-			e.Bool(g.sites[i].hard)
-		}
-	}
-	saveInsts(e, g.pending)
-	e.Int(g.pendPos)
-	e.Int(g.sinceBarrier)
-	e.U64(g.pc)
-}
-
-// LoadState restores a profile generator created from the same Profile,
-// core and seed.
-func (g *profileGen) LoadState(d *ckptio.Decoder) {
-	g.rng.SetState(d.U64())
-	g.wrongRNG.SetState(d.U64())
-	n := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if n != uint64(len(g.kernels)) {
-		d.Failf("generator has %d kernels, checkpoint has %d", len(g.kernels), n)
-		return
-	}
-	for i := range g.kernels {
-		g.kernels[i].pos = d.U64()
-		g.kernels[i].lastChase = d.I64()
-	}
-	g.idx = d.I64()
-	g.lastLoad = d.I64()
-	if d.Bool() {
-		ns := d.Count(maxSites)
-		g.sites = g.sites[:0]
-		for i := 0; i < ns; i++ {
-			var s branchSite
-			s.pc = d.U64()
-			s.taken = d.F64()
-			s.hard = d.Bool()
-			g.sites = append(g.sites, s)
+			g.sites[i].walk(s)
 		}
 	} else {
 		g.sites = nil
 	}
-	g.pending = loadInsts(d, g.pending)
-	g.pendPos = d.Int()
-	g.sinceBarrier = d.Int()
-	g.pc = d.U64()
+	walkInsts(s, &g.pending)
+	s.Int(&g.pendPos)
+	s.Int(&g.sinceBarrier)
+	s.U64(&g.pc)
 }
 
-// SaveState serializes a script generator (position only; the sequence is
+// State walks a script generator (position only; the sequence is
 // configuration).
-func (g *scriptGen) SaveState(e *ckptio.Encoder) {
-	e.Int(g.pos)
+func (g *scriptGen) State(s ckptio.State) {
+	s.Int(&g.pos)
 }
 
-// LoadState restores a script generator's position.
-func (g *scriptGen) LoadState(d *ckptio.Decoder) {
-	g.pos = d.Int()
-}
-
-// SaveState serializes the shared attack-generator machinery; the method is
-// promoted into every attack kernel's generator, which keeps no state of
-// its own beyond the embedded atkGen.
-func (g *atkGen) SaveState(e *ckptio.Encoder) {
-	e.U64(g.rng.State())
-	saveInsts(e, g.pending)
-	e.Int(g.pendPos)
-	e.Int(g.iter)
-	e.U64(g.pc)
-	e.Int(g.wrongPos)
-	saveInsts(e, g.wrong)
-}
-
-// LoadState restores an attack generator created from the same Attack, core
-// and seed.
-func (g *atkGen) LoadState(d *ckptio.Decoder) {
-	g.rng.SetState(d.U64())
-	g.pending = loadInsts(d, g.pending)
-	g.pendPos = d.Int()
-	g.iter = d.Int()
-	g.pc = d.U64()
-	g.wrongPos = d.Int()
-	g.wrong = loadInsts(d, g.wrong)
+// State walks the shared attack-generator machinery of a generator created
+// from one Attack, core and seed; the method is promoted into every attack
+// kernel's generator, which keeps no state of its own beyond the embedded
+// atkGen.
+func (g *atkGen) State(s ckptio.State) {
+	walkRNG(s, g.rng)
+	walkInsts(s, &g.pending)
+	s.Int(&g.pendPos)
+	s.Int(&g.iter)
+	s.U64(&g.pc)
+	s.Int(&g.wrongPos)
+	walkInsts(s, &g.wrong)
 }

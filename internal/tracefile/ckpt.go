@@ -2,15 +2,9 @@ package tracefile
 
 import "pinnedloads/internal/ckptio"
 
-// SaveState serializes a replay generator's cursors (the streams themselves
-// are the trace file, reconstructed on restore).
-func (g *replayGen) SaveState(e *ckptio.Encoder) {
-	e.Int(g.pos)
-	e.Int(g.wrongPos)
-}
-
-// LoadState restores a replay generator built from the same trace.
-func (g *replayGen) LoadState(d *ckptio.Decoder) {
-	g.pos = d.Int()
-	g.wrongPos = d.Int()
+// State walks a replay generator's cursors (the streams themselves are the
+// trace file, reconstructed on restore).
+func (g *replayGen) State(s ckptio.State) {
+	s.Int(&g.pos)
+	s.Int(&g.wrongPos)
 }
