@@ -227,6 +227,9 @@ func (c *Config) Validate() error {
 // LineAddr returns the cache line address (address >> 6) for a byte address.
 func LineAddr(addr uint64) uint64 { return addr >> LineShift }
 
+// LineRange is a run of N consecutive line addresses starting at First.
+type LineRange struct{ First, N uint64 }
+
 // L1Set returns the L1 set index for a line address.
 func (c *Config) L1Set(line uint64) int { return int(line) & (c.L1Sets - 1) }
 

@@ -91,10 +91,10 @@ func (s *System) CheckInvariants() error {
 	// No directory entry may be transient at quiescence, even uncached
 	// ones.
 	for i, d := range s.dirs {
-		for j := range d.lines {
-			if d.lines[j].valid && d.lines[j].busy != busyNone {
+		for _, ln := range d.valid() {
+			if ln.busy != busyNone {
 				return fmt.Errorf("slice %d: line %#x stuck in transient state %d",
-					i, d.lines[j].addr, d.lines[j].busy)
+					i, ln.addr, ln.busy)
 			}
 		}
 	}
@@ -102,18 +102,18 @@ func (s *System) CheckInvariants() error {
 }
 
 // CheckResidency validates what holds of every directory slice at every
-// cycle boundary, transient states included: an invalid way is all zero (a
-// way carries nothing out of one life into the next, which is what lets a
-// checkpoint leave invalid ways out), the derived occupancy counts match
-// the valid bits, and a valid way sits in its line's home slice and set.
-// It returns the first violation found, or nil.
+// cycle boundary, transient states included: an invalid way is all zero or
+// has no plane (a way carries nothing out of one life into the next, which is
+// what lets a checkpoint leave invalid ways out), the derived filter tags and
+// occupancy counts match the valid bits, and a valid way sits in its line's
+// home slice and set. It returns the first violation found, or nil.
 func (s *System) CheckResidency() error {
 	for i, d := range s.dirs {
 		if err := d.checkWays(); err != nil {
 			return fmt.Errorf("slice %d: %w", i, err)
 		}
-		for j, ln := range d.lines {
-			if ln.valid && (s.cfg.LLCSlice(ln.addr) != i || s.cfg.LLCSet(ln.addr) != j/s.cfg.LLCWays) {
+		for j, ln := range d.valid() {
+			if s.cfg.LLCSlice(ln.addr) != i || s.cfg.LLCSet(ln.addr) != j/s.cfg.LLCWays {
 				return fmt.Errorf("slice %d way %d: line %#x is not at home", i, j, ln.addr)
 			}
 		}
@@ -127,15 +127,27 @@ func (d *Dir) checkWays() error {
 	resident := 0
 	for set, occ := range d.occ {
 		n := 0
-		for w, ln := range d.lines[set*d.cfg.LLCWays : (set+1)*d.cfg.LLCWays] {
+		for w, tag := range d.row(set) {
+			var ln dirLine
+			if d.planes[w] != nil {
+				ln = d.planes[w][set]
+			}
+			var want uint16
 			if ln.valid {
 				n++
+				_, want = d.home(ln.addr)
 			} else if ln != (dirLine{}) {
 				return fmt.Errorf("set %d way %d: invalid way holds %+v", set, w, ln)
+			}
+			if tag != want {
+				return fmt.Errorf("set %d way %d: filter tag %#x, the way's is %#x", set, w, tag, want)
 			}
 		}
 		if int(occ) != n {
 			return fmt.Errorf("set %d: occupancy count %d, %d valid ways", set, occ, n)
+		}
+		if d.warmOnly && n < d.cfg.LLCWays && d.freeWay(set) != n {
+			return fmt.Errorf("set %d: warm-only slice whose %d valid ways are not its first", set, n)
 		}
 		resident += n
 	}

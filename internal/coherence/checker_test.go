@@ -26,6 +26,9 @@ func (h *harness) checkAll(t *testing.T) {
 	if err := h.sys.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if err := h.sys.CheckResidency(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestInvariantsAfterSharing(t *testing.T) {

@@ -183,19 +183,21 @@ func (ln *dirLine) isDefault() bool {
 // SaveState serializes a directory/LLC slice: the LRU stamp clock, the
 // valid ways in ascending way index (each as its distance from the previous
 // one; invalid ways hold no state and are not written), and the demand
-// backlog.
+// backlog. A way's index is set*ways+way, whatever planes hold the ways.
 func (d *Dir) SaveState(e *ckptio.Encoder) {
 	e.U64(d.stamp)
-	e.Int(len(d.lines))
+	e.Int(len(d.ptag))
 	e.U64(uint64(d.resident))
 	ways, prev := d.cfg.LLCWays, -1
 	for s, n := range d.occ {
-		for i := s * ways; n > 0; i++ {
-			ln := &d.lines[i]
-			if !ln.valid {
+		if n == 0 {
+			continue
+		}
+		for w, t := range d.row(s) {
+			if t == 0 {
 				continue
 			}
-			n--
+			ln, i := &d.planes[w][s], s*ways+w
 			e.U64(uint64(i - prev))
 			prev = i
 			form := uint8(lineFull)
@@ -248,39 +250,38 @@ func (d *Dir) coreField(dec *ckptio.Decoder, what string) int8 {
 
 // LoadState restores a directory slice of the same geometry. Ways the
 // checkpoint does not name end up invalid and zero, at the cost of the lines
-// the target holds: none for a blank machine.
+// the target holds: none for a blank machine. The target keeps its planes and
+// gains the ones the checkpoint's lines need.
 func (d *Dir) LoadState(dec *ckptio.Decoder) {
 	d.stamp = dec.U64()
 	n := dec.Int()
 	if dec.Err() != nil {
 		return
 	}
-	if n != len(d.lines) {
-		dec.Failf("directory has %d ways, checkpoint has %d", len(d.lines), n)
+	total := len(d.ptag)
+	if n != total {
+		dec.Failf("directory has %d ways, checkpoint has %d", total, n)
 		return
 	}
 	// Invalid ways are zero already, so only the target's valid ones need
-	// clearing, and the occupancy counts say where those are.
-	ways := d.cfg.LLCWays
-	for s, n := range d.occ {
-		for i := s * ways; n > 0; i++ {
-			if d.lines[i].valid {
-				d.lines[i] = dirLine{}
-				n--
-			}
-		}
-		d.occ[s] = 0
+	// clearing.
+	for i, ln := range d.valid() {
+		*ln = dirLine{}
+		d.ptag[i] = 0
 	}
+	clear(d.occ)
 	d.resident = 0
-	count := dec.Count(len(d.lines))
-	idx, set, setEnd := -1, 0, ways
+	d.warmOnly = false
+	ways := d.cfg.LLCWays
+	count := dec.Count(total)
+	idx, set := -1, 0
 	for ; count > 0; count-- {
 		step := dec.U64()
 		if dec.Err() != nil {
 			return
 		}
-		if step == 0 || step > uint64(len(d.lines)-1-idx) {
-			dec.Failf("directory way step %d from way %d leaves %d ways", step, idx, len(d.lines))
+		if step == 0 || step > uint64(total-1-idx) {
+			dec.Failf("directory way step %d from way %d leaves %d ways", step, idx, total)
 			return
 		}
 		idx += int(step)
@@ -321,13 +322,10 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 		if dec.Err() != nil {
 			return
 		}
-		for idx >= setEnd {
+		for idx >= (set+1)*ways {
 			set++
-			setEnd += ways
 		}
-		d.lines[idx] = ln
-		d.occ[set]++
-		d.resident++
+		d.install(set, idx-set*ways, ln)
 	}
 	d.demandUsed = dec.Int()
 	for d.backlog.Len() > 0 {

@@ -33,21 +33,32 @@ func smallDir(t testing.TB) *Dir {
 	return NewSystem(&cfg, &count).Dir(0)
 }
 
-// TestPrewarmBulkMatchesInstallWarm holds System.Prewarm, which installs a
-// line it can tell is new without looking for it, against Dir.InstallWarm
-// line by line: every slice must serialize to the same bytes, for every
-// proxy's warm set and for lists that are out of order, repeat lines, or
-// hold more lines of one set than it has ways.
+// single lists the lines as runs of one: what a source that knows nothing of
+// runs hands Prewarm.
+func single(lines ...uint64) []arch.LineRange {
+	var runs []arch.LineRange
+	for _, l := range lines {
+		runs = append(runs, arch.LineRange{First: l, N: 1})
+	}
+	return runs
+}
+
+// TestPrewarmBulkMatchesInstallWarm holds the warm-only shortcut of
+// Dir.InstallWarm (probe the set's first occ ways, take the next) against
+// the general path (probe every way, take the first free one), which slices
+// marked as filled by something else take: every slice must serialize to the
+// same bytes, for every proxy's warm set and for lists that are out of
+// order, repeat lines, or hold more lines of one set than it has ways.
 func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
 	type warmSet struct {
 		name  string
 		cores int
-		lines func(core int) []uint64
+		runs  func(core int) []arch.LineRange
 	}
 	var sets []warmSet
 	for suite, profiles := range trace.Suites() {
 		for _, p := range profiles {
-			sets = append(sets, warmSet{suite + "/" + p.BenchName, p.Cores(), p.WarmLines})
+			sets = append(sets, warmSet{suite + "/" + p.BenchName, p.Cores(), p.WarmRanges})
 		}
 	}
 	sort.Slice(sets, func(i, j int) bool { return sets[i].name < sets[j].name })
@@ -59,28 +70,35 @@ func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
 		overfull = append(overfull, 0x4000+i*stride)
 	}
 	overfull = append(overfull, 0x4000+stride, 0x4001) // a repeat in the full set, then a new set
-	recorded := &tracefile.Trace{Warm: [][]uint64{{0x100, 0x101, 0x100, 0x108, 0x101, 0x90, 0x108, 0x109}}}
+	recorded := &tracefile.Trace{Warm: [][]arch.LineRange{{{First: 0x100, N: 2}, {First: 0x100, N: 1},
+		{First: 0x108, N: 1}, {First: 0x101, N: 1}, {First: 0x90, N: 1}, {First: 0x108, N: 2}}}}
 	sets = append(sets,
-		warmSet{"trace/duplicates", 1, recorded.WarmLines},
-		warmSet{"trace/overfull-set", 1, func(int) []uint64 { return overfull }})
+		warmSet{"trace/duplicates", 1, recorded.WarmRanges},
+		warmSet{"trace/overfull-set", 1, func(int) []arch.LineRange { return single(overfull...) }})
 
 	for _, ws := range sets {
 		t.Run(ws.name, func(t *testing.T) {
 			cfg := arch.PaperConfig(ws.cores)
 			var c1, c2 stats.Counters
 			bulk, each := NewSystem(&cfg, &c1), NewSystem(&cfg, &c2)
-			installed := 0
+			for i := 0; i < each.Dirs(); i++ {
+				each.Dir(i).warmOnly = false
+			}
+			installed := uint64(0)
 			for core := 0; core < ws.cores; core++ {
-				lines := ws.lines(core)
-				bulk.Prewarm(lines)
-				for _, l := range lines {
-					each.Dir(cfg.LLCSlice(l)).InstallWarm(l)
+				runs := ws.runs(core)
+				bulk.Prewarm(runs)
+				each.Prewarm(runs)
+				for _, r := range runs {
+					installed += r.N
 				}
-				installed += len(lines)
 			}
 			for i := 0; i < bulk.Dirs(); i++ {
 				if !bytes.Equal(dirBytes(bulk.Dir(i)), dirBytes(each.Dir(i))) {
-					t.Fatalf("slice %d: bulk Prewarm and per-line InstallWarm serialize differently", i)
+					t.Fatalf("slice %d: the warm-only shortcut and the general path serialize differently", i)
+				}
+				if installed > 0 && !bulk.Dir(i).warmOnly {
+					t.Fatalf("slice %d left the warm-only state", i)
 				}
 			}
 			if err := bulk.CheckResidency(); err != nil {
@@ -93,17 +111,18 @@ func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
 	}
 }
 
-// TestWarmLinesAllocatesOnce pins the warm list to one allocation of
-// exactly its size.
+// TestWarmLinesAllocatesOnce pins a proxy's warm list to one allocation of
+// at most a run per kernel and one for the shared region, however many
+// lines it names.
 func TestWarmLinesAllocatesOnce(t *testing.T) {
 	for _, name := range []string{"cactuBSSN_r", "gcc_r", "ocean_cp"} {
 		p := trace.ByName(name)
-		lines := p.WarmLines(0)
-		if len(lines) == 0 || cap(lines) != len(lines) {
-			t.Fatalf("%s: %d warm lines in a slice of capacity %d", name, len(lines), cap(lines))
+		runs := p.WarmRanges(0)
+		if len(runs) == 0 || len(runs) > len(p.Kernels)+1 {
+			t.Fatalf("%s: %d warm runs for %d kernels", name, len(runs), len(p.Kernels))
 		}
-		if got := testing.AllocsPerRun(3, func() { p.WarmLines(0) }); got != 1 {
-			t.Fatalf("%s: WarmLines allocates %v times, want 1", name, got)
+		if got := testing.AllocsPerRun(3, func() { p.WarmRanges(0) }); got != 1 {
+			t.Fatalf("%s: WarmRanges allocates %v times, want 1", name, got)
 		}
 	}
 }
@@ -222,7 +241,7 @@ func TestDirLoadStateRejectsMalformed(t *testing.T) {
 func sharingEpisode(t testing.TB) *harness {
 	t.Helper()
 	h := newHarness(t, 2)
-	h.sys.Prewarm([]uint64{0x40 >> 6, 0x80 >> 6, 0x1000 >> 6, 0x1040 >> 6, 0x2000 >> 6})
+	h.sys.Prewarm(single(0x40>>6, 0x80>>6, 0x1000>>6, 0x1040>>6, 0x2000>>6))
 	h.sys.L1(0).Load(1, 0x40)
 	h.sys.L1(1).Acquire(0x80)
 	h.step(400)
@@ -267,6 +286,13 @@ var (
 	l1Config  = []string{"id", "cfg", "fab", "count", "cnt", "hooks", "rec", "tracing"}
 )
 
+// Fields of Dir that its section leaves out: the filter tags, occupancy
+// counts and warm-only mark are rebuilt by LoadState from the ways it loads.
+var (
+	dirDerived = []string{"ptag", "occ", "resident", "warmOnly"}
+	dirConfig  = []string{"idx", "cfg", "fab", "count", "cnt", "setBits"}
+)
+
 // systemConfig names the field of System that State leaves out (cfg it only
 // reads, for the messages' endpoint check).
 var systemConfig = []string{"count"}
@@ -282,6 +308,7 @@ func TestWalksCoverEveryField(t *testing.T) {
 	ckpttest.Fields(t, pendingFill{}, func(s ckptio.State, p *pendingFill) { p.walk(s) }, nil)
 	ckpttest.Container(t, "ckpt.go", fabric{}, fabricDerived, fabricConfig)
 	ckpttest.Container(t, "ckpt.go", L1{}, l1Derived, l1Config)
+	ckpttest.Container(t, "ckpt.go", Dir{}, dirDerived, dirConfig, "SaveState", "LoadState")
 	ckpttest.Container(t, "ckpt.go", System{}, nil, systemConfig)
 }
 
@@ -318,7 +345,7 @@ func TestMsgWalkRejectsForeignEndpoints(t *testing.T) {
 			// queued message.
 			e = ckptio.NewEncoder()
 			e.U64(9) // stamp
-			e.Int(len(h.sys.Dir(0).lines))
+			e.Int(len(h.sys.Dir(0).ptag))
 			e.U64(0) // lines
 			e.Int(0) // demandUsed
 			e.U64(1) // backlog
@@ -379,15 +406,16 @@ func TestDirSaveStateSensitivity(t *testing.T) {
 			}
 			seen[b] = what
 		}
-		invalid := -1
-		for j := range d.lines {
-			ln := &d.lines[j]
-			if !ln.valid {
+		ways, invalid := d.cfg.LLCWays, -1
+		for j := range d.ptag {
+			set, w := j/ways, j%ways
+			if d.ptag[j] == 0 {
 				if invalid < 0 {
 					invalid = j
 				}
 				continue
 			}
+			ln := &d.planes[w][set]
 			saved := *ln
 			if saved == defaultLine(saved.addr, saved.lru) {
 				forms[lineDefault]++
@@ -402,16 +430,15 @@ func TestDirSaveStateSensitivity(t *testing.T) {
 				record(fmt.Sprintf("way %d with %s changed", j, field))
 				*ln = saved
 			}
-			d.drop(ln)
+			d.drop(set, w)
 			record(fmt.Sprintf("way %d invalidated", j))
-			d.fill(ln, saved)
+			d.fill(set, w, saved)
 		}
 		if invalid >= 0 {
-			e := &d.lines[invalid]
-			set := invalid / d.cfg.LLCWays
-			d.fill(e, defaultLine(uint64((7*d.cfg.LLCSets+set)*d.cfg.LLCSlices+i), 1))
+			set, w := invalid/ways, invalid%ways
+			d.fill(set, w, defaultLine(uint64((7*d.cfg.LLCSets+set)*d.cfg.LLCSlices+i), 1))
 			record(fmt.Sprintf("way %d validated", invalid))
-			d.drop(e)
+			d.drop(set, w)
 		}
 		if !bytes.Equal(dirBytes(d), base) {
 			t.Fatalf("slice %d: undoing every change did not restore the bytes", i)
@@ -427,7 +454,7 @@ func TestDirSaveStateSensitivity(t *testing.T) {
 	h.sys.State(ckptio.SaveTo(e))
 	want := e.Bytes()
 	used := newHarness(t, 2)
-	used.sys.Prewarm([]uint64{0x5000 >> 6, 0x5040 >> 6, 0x40 >> 6})
+	used.sys.Prewarm(single(0x5000>>6, 0x5040>>6, 0x40>>6))
 	used.sys.L1(1).Load(1, 0x5000)
 	used.sys.L1(0).Acquire(0x7000)
 	used.step(300)

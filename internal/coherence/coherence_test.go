@@ -409,9 +409,9 @@ func TestTrafficCounted(t *testing.T) {
 	}
 }
 
-// TestDirLineSize pins the packed layout of an LLC way: the directory arrays
-// are most of a machine's memory and Dir.lookup scans a whole set per probe,
-// so a field added in the wrong place (or widened) costs both.
+// TestDirLineSize pins the packed layout of an LLC way: the directory planes
+// are most of a machine's memory, so a field added in the wrong place (or
+// widened) grows every machine.
 func TestDirLineSize(t *testing.T) {
 	if got := unsafe.Sizeof(dirLine{}); got != 40 {
 		t.Fatalf("dirLine is %d bytes, want 40", got)

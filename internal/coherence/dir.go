@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"iter"
 	"math/bits"
 
 	"pinnedloads/internal/arch"
@@ -25,8 +26,8 @@ const (
 
 // dirLine is one LLC way with its embedded directory state. The LLC is
 // inclusive: any line cached in an L1 is present here. The fields are ordered
-// widest first so a way is 40 bytes (lookup scans a whole set per probe, and
-// the LLC arrays are most of a machine's memory); TestDirLineSize pins it.
+// widest first so a way is 40 bytes (the LLC planes are most of a machine's
+// memory); TestDirLineSize pins it.
 type dirLine struct {
 	addr        uint64
 	lru         uint64
@@ -73,22 +74,40 @@ func bindDirCounters(ct *stats.Counters) dirCounters {
 // Dir is one directory/LLC slice. It owns the homes of all lines mapping to
 // it and runs the (Pinned Loads-extended) MESI protocol for them.
 type Dir struct {
-	idx   int
-	cfg   *arch.Config
-	fab   *fabric
-	count *stats.Counters
-	cnt   dirCounters
+	idx     int
+	cfg     *arch.Config
+	setBits uint // log2(cfg.LLCSets)
+	fab     *fabric
+	count   *stats.Counters
+	cnt     dirCounters
 
-	lines []dirLine // sets*ways, way-major within a set
-	stamp uint64
+	// planes[w][s] is way w of set s. A plane (way w of every set of the
+	// slice) is allocated the first time any set needs way w and never moved,
+	// so a *dirLine stays good for the machine's life and a slice holds
+	// memory for the ways of its fullest set, not for the ways there could
+	// be. A way whose plane does not exist is an invalid way.
+	planes [][]dirLine
+	stamp  uint64
 
+	// ptag[s*ways+w] is the filter tag of way w of set s: zero for an
+	// invalid way, else the tag of its addr (home). lookup and the free-way
+	// searches scan a set's row of it (32 bytes) and touch a plane only on a
+	// match; the planes are page-aligned, so the ways of one set share a
+	// page offset and walking them would take as many lines of one host
+	// cache set.
+	//
 	// occ[s] counts the valid ways of set s and resident is their sum.
-	// Both are derived state (DESIGN.md §9): they move only where a way's
-	// valid bit flips (fill, drop), LoadState rebuilds them and nothing
-	// serializes them. They let SaveState, LoadState and Prewarm visit the
-	// ways that exist instead of the ways there could be.
+	// warmOnly says only InstallWarm has filled the slice so far, which
+	// makes the valid ways of every set its first occ[s].
+	//
+	// All four are derived state (DESIGN.md §9): they move only where a
+	// way's valid bit flips (install, drop), LoadState rebuilds them and
+	// nothing serializes them. They let every walk visit the ways that exist
+	// instead of the ways there could be.
+	ptag     []uint16
 	occ      []int32
 	resident int
+	warmOnly bool
 
 	// demandUsed counts the demand requests accepted this cycle; when
 	// cfg.DirPortsPerCycle is non-zero, excess demand requests wait in the
@@ -100,31 +119,97 @@ type Dir struct {
 
 func newDir(idx int, cfg *arch.Config, fab *fabric, count *stats.Counters) *Dir {
 	return &Dir{
-		idx:   idx,
-		cfg:   cfg,
-		fab:   fab,
-		count: count,
-		cnt:   bindDirCounters(count),
-		lines: make([]dirLine, cfg.LLCSets*cfg.LLCWays),
-		occ:   make([]int32, cfg.LLCSets),
+		idx:      idx,
+		cfg:      cfg,
+		fab:      fab,
+		count:    count,
+		cnt:      bindDirCounters(count),
+		planes:   make([][]dirLine, cfg.LLCWays),
+		ptag:     make([]uint16, cfg.LLCSets*cfg.LLCWays),
+		occ:      make([]int32, cfg.LLCSets),
+		warmOnly: true,
+		setBits:  uint(bits.TrailingZeros(uint(cfg.LLCSets))),
 	}
 }
 
 func (d *Dir) addr() Addr { return Addr{Dir: true, Idx: d.idx} }
 
-func (d *Dir) set(line uint64) []dirLine {
-	s := d.cfg.LLCSet(line)
-	return d.lines[s*d.cfg.LLCWays : (s+1)*d.cfg.LLCWays]
+// tagValid marks a filter tag as naming a valid way; the other 15 bits are
+// the low bits of the line's address above its slice and set index. The
+// proxies' address layout keeps the kernel index and the core number in bits
+// 8-14 of that, so a narrower tag would alias on every probe.
+const tagValid = 1 << 15
+
+// home returns the set of the line and the filter tag a way holding it has.
+func (d *Dir) home(line uint64) (set int, tag uint16) {
+	q := line / uint64(d.cfg.LLCSlices)
+	return int(q) & (d.cfg.LLCSets - 1), tagValid | uint16(q>>d.setBits)
+}
+
+// row returns the filter tags of the set, one per way.
+func (d *Dir) row(set int) []uint16 {
+	return d.ptag[set*d.cfg.LLCWays : (set+1)*d.cfg.LLCWays]
+}
+
+// find returns the set of the line and the way holding it, or -1.
+func (d *Dir) find(line uint64) (set, way int) {
+	set, tag := d.home(line)
+	for w, t := range d.row(set) {
+		if t == tag && d.planes[w][set].addr == line {
+			return set, w
+		}
+	}
+	return set, -1
 }
 
 func (d *Dir) lookup(line uint64) *dirLine {
-	ws := d.set(line)
-	for i := range ws {
-		if ws[i].valid && ws[i].addr == line {
-			return &ws[i]
-		}
+	if s, w := d.find(line); w >= 0 {
+		return &d.planes[w][s]
 	}
 	return nil
+}
+
+// valid yields every valid way of the slice in ascending set and way order:
+// its index set*ways+way and the way itself. It visits occupied sets only.
+func (d *Dir) valid() iter.Seq2[int, *dirLine] {
+	return func(yield func(int, *dirLine) bool) {
+		ways := d.cfg.LLCWays
+		for s, n := range d.occ {
+			if n == 0 {
+				continue
+			}
+			for w, t := range d.row(s) {
+				if t != 0 && !yield(s*ways+w, &d.planes[w][s]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Planes reports how many way planes the slice has allocated and how many
+// its resident lines need: the highest valid way of any set, plus one. It is
+// host-memory accounting for tests and tools, not simulated state.
+func (d *Dir) Planes() (held, needed int) {
+	for _, p := range d.planes {
+		if p != nil {
+			held++
+		}
+	}
+	for i := range d.valid() {
+		needed = max(needed, i%d.cfg.LLCWays+1)
+	}
+	return held, needed
+}
+
+// freeWay returns the first invalid way of the set, or -1.
+func (d *Dir) freeWay(set int) int {
+	for w, t := range d.row(set) {
+		if t == 0 {
+			return w
+		}
+	}
+	return -1
 }
 
 func (d *Dir) touch(e *dirLine) {
@@ -132,34 +217,35 @@ func (d *Dir) touch(e *dirLine) {
 	e.lru = d.stamp
 }
 
-// fill validates the invalid way e with the whole of ln, and drop
-// invalidates it again by zeroing it: a way carries no state from one life
-// into the next, and an invalid way carries none at all, which is what lets
-// the checkpoint leave invalid ways out.
-func (d *Dir) fill(e *dirLine, ln dirLine) {
-	*e = ln
-	d.occ[d.cfg.LLCSet(ln.addr)]++
-	d.resident++
-}
-
-func (d *Dir) drop(e *dirLine) {
-	d.occ[d.cfg.LLCSet(e.addr)]--
-	d.resident--
-	*e = dirLine{}
-}
-
-// PinnedInSet reports how many lines in the home set of the given line are
-// currently pinned according to the directory's conservative knowledge.
-// It is used only by tests and debugging tools; the cores' CSTs are the
-// authoritative per-core accounting.
-func (d *Dir) PinnedInSet(line uint64) int {
-	n := 0
-	for i := range d.set(line) {
-		if d.set(line)[i].valid {
-			n++
-		}
+// install validates the invalid way w of the set with the whole of ln, and
+// drop invalidates a way again by zeroing it: a way carries no state from one
+// life into the next, and an invalid way carries none at all, which is what
+// lets the checkpoint leave invalid ways out. fill is install by anything but
+// a warm install.
+func (d *Dir) install(set, w int, ln dirLine) *dirLine {
+	p := d.planes[w]
+	if p == nil {
+		p = make([]dirLine, d.cfg.LLCSets)
+		d.planes[w] = p
 	}
-	return n
+	p[set] = ln
+	_, d.ptag[set*d.cfg.LLCWays+w] = d.home(ln.addr)
+	d.occ[set]++
+	d.resident++
+	return &p[set]
+}
+
+func (d *Dir) fill(set, w int, ln dirLine) *dirLine {
+	d.warmOnly = false
+	return d.install(set, w, ln)
+}
+
+func (d *Dir) drop(set, w int) {
+	d.warmOnly = false
+	d.planes[w][set] = dirLine{}
+	d.ptag[set*d.cfg.LLCWays+w] = 0
+	d.occ[set]--
+	d.resident--
 }
 
 // DirSnap is one valid directory/LLC line in a Snapshot: its home set, the
@@ -180,25 +266,29 @@ type DirSnap struct {
 // it between runs: a line installed, evicted, re-ordered, or left in a
 // different sharer state by a transient access is a directory-state leak.
 func (d *Dir) Snapshot() []DirSnap {
-	var out []DirSnap
-	for s := 0; s < d.cfg.LLCSets; s++ {
-		ws := d.lines[s*d.cfg.LLCWays : (s+1)*d.cfg.LLCWays]
-		idx := make([]int, 0, d.cfg.LLCWays)
-		for i := range ws {
-			if ws[i].valid {
-				idx = append(idx, i)
+	out := make([]DirSnap, 0, d.resident)
+	ways := make([]int, 0, d.cfg.LLCWays)
+	for s, n := range d.occ {
+		if n == 0 {
+			continue
+		}
+		ways = ways[:0]
+		for w, t := range d.row(s) {
+			if t != 0 {
+				ways = append(ways, w)
 			}
 		}
-		for a := 0; a < len(idx); a++ {
-			for b := a + 1; b < len(idx); b++ {
-				if ws[idx[b]].lru > ws[idx[a]].lru {
-					idx[a], idx[b] = idx[b], idx[a]
+		for a := range ways {
+			for b := a + 1; b < len(ways); b++ {
+				if d.planes[ways[b]][s].lru > d.planes[ways[a]][s].lru {
+					ways[a], ways[b] = ways[b], ways[a]
 				}
 			}
 		}
-		for r, i := range idx {
-			out = append(out, DirSnap{Set: s, Addr: ws[i].addr, Sharers: ws[i].sharers,
-				Owner: ws[i].owner, Busy: uint8(ws[i].busy), Rank: r})
+		for r, w := range ways {
+			ln := &d.planes[w][s]
+			out = append(out, DirSnap{Set: s, Addr: ln.addr, Sharers: ln.sharers,
+				Owner: ln.owner, Busy: uint8(ln.busy), Rank: r})
 		}
 	}
 	return out
@@ -206,35 +296,29 @@ func (d *Dir) Snapshot() []DirSnap {
 
 // InstallWarm pre-populates the LLC with a line (present, no L1 copies),
 // modeling the warm cache state a checkpointed simulation starts from. It
-// does nothing if the line is present or its set has no free way.
+// does nothing if the line is present or its set has no free way. In a slice
+// that only warm installs have filled, the valid ways of a set are its first
+// occ[s]: the probe stops there and the next way is the free one.
 func (d *Dir) InstallWarm(line uint64) {
-	if d.lookup(line) != nil {
-		return
+	set, tag := d.home(line)
+	row := d.row(set)
+	if int(d.occ[set]) == len(row) {
+		return // present or not, a full set takes nothing
 	}
-	ws := d.set(line)
-	for i := range ws {
-		if !ws[i].valid {
-			d.fill(&ws[i], dirLine{valid: true, addr: line, owner: -1})
-			d.touch(&ws[i])
+	if d.warmOnly {
+		row = row[:d.occ[set]]
+	}
+	free := len(row)
+	for w, t := range row {
+		if t == tag && d.planes[w][set].addr == line {
 			return
 		}
+		if t == 0 && free == len(row) {
+			free = w
+		}
 	}
-}
-
-// installWarmNew is InstallWarm for a line the caller knows is absent, in a
-// slice that only warm installs have filled so far: the valid ways of a set
-// are then its first occ[s], and the next free one needs no scan.
-func (d *Dir) installWarmNew(line uint64) {
-	s := d.cfg.LLCSet(line)
-	n := int(d.occ[s])
-	if n == d.cfg.LLCWays {
-		return
-	}
-	e := &d.lines[s*d.cfg.LLCWays+n]
 	d.stamp++
-	*e = dirLine{valid: true, addr: line, owner: -1, lru: d.stamp}
-	d.occ[s]++
-	d.resident++
+	d.install(set, free, dirLine{valid: true, addr: line, owner: -1, lru: d.stamp})
 }
 
 // newCycle resets the per-cycle demand-request budget and serves queued
@@ -452,17 +536,10 @@ func (d *Dir) handleGetSInv(m Msg) {
 // invisible access. Replacement-state updates are deferred to SpecCommit.
 func (d *Dir) handleGetSSpec(m Msg) {
 	r := m.Src.Idx
-	e := d.lookup(m.Line)
-	if e == nil {
-		ws := d.set(m.Line)
-		var free *dirLine
-		for i := range ws {
-			if !ws[i].valid {
-				free = &ws[i]
-				break
-			}
-		}
-		if free == nil {
+	set, w := d.find(m.Line)
+	if w < 0 {
+		free := d.freeWay(set)
+		if free < 0 {
 			*d.cnt.specStateless++
 			d.fab.self(Msg{Kind: MemRespSpec, Line: m.Line, Src: d.addr(),
 				Dst: d.addr(), Requestor: r}, d.cfg.DRAMCycles)
@@ -470,12 +547,13 @@ func (d *Dir) handleGetSSpec(m Msg) {
 		}
 		*d.cnt.specFills++
 		// lru stays 0: the line ranks below every architecturally-touched one.
-		d.fill(free, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
+		d.fill(set, free, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
 			busyReq: int8(r), fetchKind: GetSSpec, specBorn: true})
 		d.fab.self(Msg{Kind: MemResp, Line: m.Line, Src: d.addr(), Dst: d.addr(),
 			Requestor: r}, d.cfg.DRAMCycles)
 		return
 	}
+	e := &d.planes[w][set]
 	if e.busy != busyNone {
 		d.nack(m)
 		return
@@ -503,13 +581,17 @@ func (d *Dir) handleGetSSpec(m Msg) {
 // the protocol), and a spec-born line is removed only once no reference —
 // speculative or demand — remains.
 func (d *Dir) handleSpecUndo(m Msg) {
-	e := d.lookup(m.Line)
-	if e == nil || e.busy != busyNone {
+	set, w := d.find(m.Line)
+	if w < 0 {
+		return
+	}
+	e := &d.planes[w][set]
+	if e.busy != busyNone {
 		return
 	}
 	e.sharers &^= 1 << uint(m.Src.Idx)
 	if e.specBorn && e.sharers == 0 && e.owner < 0 {
-		d.drop(e)
+		d.drop(set, w)
 	}
 }
 
@@ -528,17 +610,16 @@ func (d *Dir) handleSpecCommit(m Msg) {
 // miss handles a request for a line absent from the LLC: allocate a way
 // (possibly recalling a victim's L1 copies first) and fetch from DRAM.
 func (d *Dir) miss(m Msg) {
-	e := d.allocWay(m.Line)
-	if e == nil {
+	set, w := d.allocWay(m.Line)
+	if w < 0 {
 		// Allocation blocked (a recall is in progress or every way is
 		// busy); the requestor retries.
 		d.nack(m)
 		return
 	}
 	*d.cnt.dramFetches++
-	d.fill(e, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
-		busyReq: int8(m.Src.Idx), fetchKind: m.Kind})
-	d.touch(e)
+	d.touch(d.fill(set, w, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
+		busyReq: int8(m.Src.Idx), fetchKind: m.Kind}))
 	d.fab.self(Msg{Kind: MemResp, Line: m.Line, Src: d.addr(), Dst: d.addr(),
 		Requestor: m.Src.Idx}, d.cfg.DRAMCycles)
 }
@@ -570,38 +651,39 @@ func (d *Dir) handleMemResp(m Msg) {
 	}
 }
 
-// allocWay returns a free way in the home set of line, evicting an
-// unshared victim or starting a recall of a shared/owned one. It returns
-// nil when no way can be freed this cycle.
-func (d *Dir) allocWay(line uint64) *dirLine {
-	ws := d.set(line)
-	var idle, held *dirLine
-	for i := range ws {
-		e := &ws[i]
-		if !e.valid {
-			return e
+// allocWay returns the home set of line and a free way in it, evicting an
+// unshared victim or starting a recall of a shared/owned one. The way is -1
+// when none can be freed this cycle.
+func (d *Dir) allocWay(line uint64) (set, way int) {
+	set, _ = d.home(line)
+	idle, held := -1, -1
+	var idleLRU, heldLRU uint64
+	for w, t := range d.row(set) {
+		if t == 0 {
+			return set, w
 		}
+		e := &d.planes[w][set]
 		if e.busy != busyNone {
 			continue
 		}
 		if e.sharers == 0 && e.owner < 0 {
-			if idle == nil || e.lru < idle.lru {
-				idle = e
+			if idle < 0 || e.lru < idleLRU {
+				idle, idleLRU = w, e.lru
 			}
-		} else if held == nil || e.lru < held.lru {
-			held = e
+		} else if held < 0 || e.lru < heldLRU {
+			held, heldLRU = w, e.lru
 		}
 	}
-	if idle != nil {
+	if idle >= 0 {
 		// LLC-only line: evict silently (writeback to memory implied).
 		*d.cnt.llcEvictions++
-		d.drop(idle)
-		return idle
+		d.drop(set, idle)
+		return set, idle
 	}
-	if held != nil {
-		d.startRecall(held)
+	if held >= 0 {
+		d.startRecall(&d.planes[held][set])
 	}
-	return nil
+	return set, -1
 }
 
 // startRecall asks every L1 holding the victim to drop its copy. Any L1
@@ -631,12 +713,13 @@ func (d *Dir) startRecall(e *dirLine) {
 }
 
 func (d *Dir) handleRecallResp(m Msg) {
-	e := d.lookup(m.Line)
-	if e == nil || e.busy != busyRecall {
+	set, w := d.find(m.Line)
+	if w < 0 || d.planes[w][set].busy != busyRecall {
 		// The recall was already resolved (e.g. a racing PutM completed
 		// it); ignore the straggler.
 		return
 	}
+	e := &d.planes[w][set]
 	e.pendAcks--
 	if m.Kind == RecallDefer {
 		e.deferred = true
@@ -653,7 +736,7 @@ func (d *Dir) handleRecallResp(m Msg) {
 		return
 	}
 	*d.cnt.llcEvictions++
-	d.drop(e)
+	d.drop(set, w)
 }
 
 func (d *Dir) handlePutM(m Msg) {

@@ -44,26 +44,14 @@ func (s *System) Dir(i int) *Dir { return s.dirs[i] }
 // Dirs returns the number of directory/LLC slices.
 func (s *System) Dirs() int { return len(s.dirs) }
 
-// Prewarm installs lines into the LLC as present-but-uncached, modeling the
-// warm cache state a checkpointed simulation interval starts from. It leaves
-// what Dir.InstallWarm line by line would. Into an empty LLC, a line above
-// every line installed before it cannot be present already and goes
-// straight into its set's next way; workloads list their footprints in
-// ascending order, so that is nearly every line of a fresh machine.
-func (s *System) Prewarm(lines []uint64) {
-	empty := true
-	for _, d := range s.dirs {
-		empty = empty && d.resident == 0
-	}
-	var top uint64
-	for i, l := range lines {
-		d := s.dirs[s.cfg.LLCSlice(l)]
-		if empty && (i == 0 || l > top) {
-			d.installWarmNew(l)
-		} else {
-			d.InstallWarm(l)
+// Prewarm installs runs of lines into the LLC as present-but-uncached,
+// modeling the warm cache state a checkpointed simulation interval starts
+// from: Dir.InstallWarm line by line, in order.
+func (s *System) Prewarm(runs []arch.LineRange) {
+	for _, r := range runs {
+		for l := r.First; l != r.First+r.N; l++ {
+			s.dirs[s.cfg.LLCSlice(l)].InstallWarm(l)
 		}
-		top = max(top, l)
 	}
 }
 

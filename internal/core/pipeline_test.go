@@ -412,7 +412,7 @@ func TestPrewarmReducesCPI(t *testing.T) {
 	}
 }
 
-// coldSource hides the WarmLines method of a profile.
+// coldSource hides the Warmer side of a profile.
 type coldSource struct{ p *trace.Profile }
 
 func (c *coldSource) Name() string { return c.p.Name() }

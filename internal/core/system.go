@@ -67,9 +67,9 @@ func New(cfg arch.Config, policy defense.Policy, w trace.Source, seed uint64) (*
 	}
 	// Pre-warm the LLC with the workload's resident working set, modeling
 	// the warm cache state of a checkpointed simulation interval.
-	if warmer, ok := w.(interface{ WarmLines(core int) []uint64 }); ok {
+	if warmer, ok := w.(trace.Warmer); ok {
 		for i := 0; i < s.cfg.Cores; i++ {
-			s.mem.Prewarm(warmer.WarmLines(i))
+			s.mem.Prewarm(warmer.WarmRanges(i))
 		}
 	}
 	return s, nil

@@ -182,9 +182,9 @@ func newMachine(w trace.Source, pol defense.Policy) *machine {
 	for i := 0; i < m.cfg.Cores; i++ {
 		m.cores = append(m.cores, NewCore(i, &m.cfg, pol, m.mem.L1(i), w.Generator(i, 1), bar, &m.count))
 	}
-	if warmer, ok := w.(interface{ WarmLines(core int) []uint64 }); ok {
+	if warmer, ok := w.(trace.Warmer); ok {
 		for i := range m.cores {
-			m.mem.Prewarm(warmer.WarmLines(i))
+			m.mem.Prewarm(warmer.WarmRanges(i))
 		}
 	}
 	return m

@@ -83,30 +83,20 @@ func (k Kernel) warmLines() uint64 {
 	return uint64(k.FootprintKB) * 1024 / arch.LineBytes
 }
 
-// WarmLines returns the LLC lines to pre-install for the given core: every
-// line of each LLC-resident kernel footprint plus the shared region, in
-// ascending order and in one allocation.
-func (p *Profile) WarmLines(core int) []uint64 {
-	var shared uint64
-	if core == 0 && p.Cores() > 1 && p.SharedKB > 0 && p.SharedKB <= warmCapKB {
-		shared = uint64(p.SharedKB) * 1024 / arch.LineBytes
-	}
-	total := shared
-	for _, k := range p.Kernels {
-		total += k.warmLines()
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, total)
+// WarmRanges implements Warmer: every line of each LLC-resident kernel
+// footprint, then (for core 0 of a parallel workload) the shared region, as
+// one run each in ascending order.
+func (p *Profile) WarmRanges(core int) []arch.LineRange {
+	out := make([]arch.LineRange, 0, len(p.Kernels)+1)
 	for i, k := range p.Kernels {
-		base := privateBase*uint64(core+1) + uint64(i)<<28
-		for l, n := uint64(0), k.warmLines(); l < n; l++ {
-			out = append(out, (base/arch.LineBytes)+l)
+		if n := k.warmLines(); n > 0 {
+			base := privateBase*uint64(core+1) + uint64(i)<<28
+			out = append(out, arch.LineRange{First: base / arch.LineBytes, N: n})
 		}
 	}
-	for l := uint64(0); l < shared; l++ {
-		out = append(out, (sharedBase/arch.LineBytes)+l)
+	if core == 0 && p.Cores() > 1 && p.SharedKB > 0 && p.SharedKB <= warmCapKB {
+		out = append(out, arch.LineRange{First: sharedBase / arch.LineBytes,
+			N: uint64(p.SharedKB) * 1024 / arch.LineBytes})
 	}
 	return out
 }

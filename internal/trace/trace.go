@@ -14,7 +14,10 @@
 // for the substitution rationale.
 package trace
 
-import "pinnedloads/internal/isa"
+import (
+	"pinnedloads/internal/arch"
+	"pinnedloads/internal/isa"
+)
 
 // Generator produces one core's instruction stream. Implementations must
 // be deterministic functions of their construction parameters.
@@ -36,6 +39,15 @@ type Source interface {
 	Cores() int
 	// Generator returns the deterministic stream for the given core.
 	Generator(core int, seed uint64) Generator
+}
+
+// Warmer is the optional warm-start side of a Source: the LLC-resident
+// working set a run of the workload starts with, as the simulator installs
+// it before the first cycle (modeling a checkpointed simulation interval).
+type Warmer interface {
+	// WarmRanges returns the lines to pre-install on behalf of the given
+	// core, as runs of consecutive lines in installation order.
+	WarmRanges(core int) []arch.LineRange
 }
 
 // Script is a fixed instruction sequence used by tests and examples. When

@@ -301,42 +301,51 @@ func TestWrongPathProducesWork(t *testing.T) {
 	}
 }
 
+// warmCount is how many lines the core's warm runs hold.
+func warmCount(p *Profile, core int) int {
+	n := 0
+	for _, r := range p.WarmRanges(core) {
+		n += int(r.N)
+	}
+	return n
+}
+
 func TestWarmLines(t *testing.T) {
 	p := ByName("bwaves_r")
-	lines := p.WarmLines(0)
-	if len(lines) == 0 {
-		t.Fatal("bwaves has LLC-resident kernels but no warm lines")
-	}
 	// 4 MB kernel => 65536 lines for the stride kernel plus the random one.
 	want := (4096 * 1024 / arch.LineBytes) * 2
-	if len(lines) != want {
-		t.Fatalf("warm lines = %d, want %d", len(lines), want)
+	if got := warmCount(p, 0); got != want {
+		t.Fatalf("warm lines = %d, want %d", got, want)
+	}
+	// Runs come in ascending order and do not overlap.
+	var top uint64
+	for _, r := range p.WarmRanges(0) {
+		if r.N == 0 || r.First < top {
+			t.Fatalf("run %+v is empty or not above the runs before it", r)
+		}
+		top = r.First + r.N
 	}
 	// mcf's 64 MB chase kernel must stay cold.
-	mcf := ByName("mcf_r")
-	for _, l := range mcf.WarmLines(0) {
-		_ = l
-	}
-	if len(mcf.WarmLines(0)) >= 64*1024*1024/arch.LineBytes {
+	if warmCount(ByName("mcf_r"), 0) >= 64*1024*1024/arch.LineBytes {
 		t.Fatal("mcf's DRAM-bound kernel was warmed")
 	}
 }
 
 func TestWarmLinesSharedOnce(t *testing.T) {
 	p := ByName("fft")
-	with := 0
-	for _, l := range p.WarmLines(0) {
-		if l >= sharedBase/arch.LineBytes {
-			with++
+	shared := func(core int) bool {
+		for _, r := range p.WarmRanges(core) {
+			if r.First+r.N > sharedBase/arch.LineBytes {
+				return true
+			}
 		}
+		return false
 	}
-	if with == 0 {
+	if !shared(0) {
 		t.Fatal("core 0 did not warm the shared region")
 	}
-	for _, l := range p.WarmLines(1) {
-		if l >= sharedBase/arch.LineBytes && l < lockBase/arch.LineBytes {
-			t.Fatal("core 1 also warmed the shared region")
-		}
+	if shared(1) {
+		t.Fatal("core 1 also warmed the shared region")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pinnedloads/internal/arch"
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/trace"
 )
@@ -33,7 +34,7 @@ func fuzzSeedTrace() *Trace {
 			{{Op: isa.Nop, PC: 0x300}},
 			{{Op: isa.Load, Addr: 0xdead40, PC: 0x304}},
 		},
-		Warm: [][]uint64{{0x100, 0x101, 0x200}, nil},
+		Warm: [][]arch.LineRange{{{First: 0x100, N: 2}, {First: 0x200, N: 1}}, nil},
 	}
 }
 

@@ -16,7 +16,8 @@
 //
 // Warm lines capture the workload's LLC-resident working set so a replayed
 // trace starts from the same warm-cache state as the original generator
-// (see trace.Profile.WarmLines).
+// (see trace.Warmer). In memory they are held as runs of consecutive lines;
+// the file lists every line.
 package tracefile
 
 import (
@@ -26,6 +27,7 @@ import (
 	"io"
 	"os"
 
+	"pinnedloads/internal/arch"
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/trace"
 )
@@ -69,9 +71,9 @@ const (
 // Trace is an in-memory recorded workload.
 type Trace struct {
 	TraceName string
-	Streams   [][]isa.Inst // per-core correct-path instructions
-	Wrong     [][]isa.Inst // per-core wrong-path samples
-	Warm      [][]uint64   // per-core LLC warm lines
+	Streams   [][]isa.Inst       // per-core correct-path instructions
+	Wrong     [][]isa.Inst       // per-core wrong-path samples
+	Warm      [][]arch.LineRange // per-core LLC warm lines, as runs in installation order
 }
 
 // Record captures n correct-path instructions (plus a wrong-path sample)
@@ -94,8 +96,8 @@ func Record(src trace.Source, seed uint64, n int) *Trace {
 		}
 		t.Streams = append(t.Streams, stream)
 		t.Wrong = append(t.Wrong, wrong)
-		if warmer, ok := src.(interface{ WarmLines(core int) []uint64 }); ok {
-			t.Warm = append(t.Warm, warmer.WarmLines(core))
+		if warmer, ok := src.(trace.Warmer); ok {
+			t.Warm = append(t.Warm, warmer.WarmRanges(core))
 		} else {
 			t.Warm = append(t.Warm, nil)
 		}
@@ -103,9 +105,8 @@ func Record(src trace.Source, seed uint64, n int) *Trace {
 	return t
 }
 
-// WarmLines implements the optional warm-start interface the simulator
-// consults before a run.
-func (t *Trace) WarmLines(core int) []uint64 {
+// WarmRanges implements trace.Warmer.
+func (t *Trace) WarmRanges(core int) []arch.LineRange {
 	if core < len(t.Warm) {
 		return t.Warm[core]
 	}
@@ -209,12 +210,16 @@ func (t *Trace) encode(w *bufio.Writer) error {
 		if err := encodeStream(w, t.Wrong[core]); err != nil {
 			return err
 		}
-		warm := t.Warm[core]
-		writeUvarint(w, uint64(len(warm)))
-		var last uint64
-		for _, l := range warm {
-			writeUvarint(w, zigzag(int64(l)-int64(last)))
-			last = l
+		var n, last uint64
+		for _, r := range t.Warm[core] {
+			n += r.N
+		}
+		writeUvarint(w, n)
+		for _, r := range t.Warm[core] {
+			for l := r.First; l != r.First+r.N; l++ {
+				writeUvarint(w, zigzag(int64(l)-int64(last)))
+				last = l
+			}
 		}
 	}
 	return nil
@@ -303,7 +308,8 @@ func decode(r *bufio.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		warm := make([]uint64, 0, preallocSize(n))
+		// Coalesce the listed lines into runs, keeping their order.
+		var warm []arch.LineRange
 		var last uint64
 		for i := uint64(0); i < n; i++ {
 			d, err := binary.ReadUvarint(r)
@@ -311,7 +317,11 @@ func decode(r *bufio.Reader) (*Trace, error) {
 				return nil, err
 			}
 			last = uint64(int64(last) + unzigzag(d))
-			warm = append(warm, last)
+			if k := len(warm) - 1; k >= 0 && last == warm[k].First+warm[k].N {
+				warm[k].N++
+			} else {
+				warm = append(warm, arch.LineRange{First: last, N: 1})
+			}
 		}
 		t.Warm = append(t.Warm, warm)
 	}

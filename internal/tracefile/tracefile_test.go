@@ -1,10 +1,13 @@
 package tracefile
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"pinnedloads/internal/arch"
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/trace"
 )
@@ -146,7 +149,7 @@ func TestCompactness(t *testing.T) {
 func TestWarmLinesRoundTrip(t *testing.T) {
 	src := trace.ByName("bwaves_r") // has LLC-resident warm lines
 	rec := Record(src, 1, 100)
-	if len(rec.WarmLines(0)) == 0 {
+	if len(rec.WarmRanges(0)) == 0 {
 		t.Fatal("no warm lines recorded")
 	}
 	path := filepath.Join(t.TempDir(), "w.pltr")
@@ -157,17 +160,40 @@ func TestWarmLinesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := rec.WarmLines(0), got.WarmLines(0)
-	if len(a) != len(b) {
-		t.Fatalf("warm lines %d vs %d", len(b), len(a))
+	if a, b := rec.WarmRanges(0), got.WarmRanges(0); !reflect.DeepEqual(a, b) {
+		t.Fatalf("warm runs %v loaded as %v", a, b)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("warm line %d: %d vs %d", i, b[i], a[i])
-		}
-	}
-	if got.WarmLines(99) != nil {
+	if got.WarmRanges(99) != nil {
 		t.Fatal("out-of-range core returned warm lines")
+	}
+}
+
+// TestWarmLinesCoalesce: the file lists lines, memory holds runs. A list
+// that repeats, descends or touches must load as the runs that expand to it
+// in the same order, and a trace whose runs could be merged must write the
+// same bytes as the merged one.
+func TestWarmLinesCoalesce(t *testing.T) {
+	split := &Trace{Streams: [][]isa.Inst{nil}, Wrong: [][]isa.Inst{nil},
+		Warm: [][]arch.LineRange{{{First: 0x100, N: 1}, {First: 0x101, N: 1}, {First: 0x100, N: 1},
+			{First: 0x108, N: 0}, {First: 0x90, N: 2}, {First: 0x92, N: 3}}}}
+	var a bytes.Buffer
+	if err := split.Encode(&a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []arch.LineRange{{First: 0x100, N: 2}, {First: 0x100, N: 1}, {First: 0x90, N: 5}}
+	if !reflect.DeepEqual(got.Warm[0], want) {
+		t.Fatalf("loaded runs %v, want %v", got.Warm[0], want)
+	}
+	var b bytes.Buffer
+	if err := got.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("coalesced runs write different bytes")
 	}
 }
 
