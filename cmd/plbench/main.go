@@ -13,15 +13,14 @@
 //	plbench -measure 100000 -warmup 20000 -seed 2 ...
 //	plbench -server http://host:8321 -fig 7   # offload runs to plserved
 //	plbench -server http://h1:8321,http://h2:8321 -fig 7   # ...to a fleet
-//	plbench -fleet fleet.json -fig 7          # fleet from a config file
 //
 // Simulations within each experiment run on a worker pool (-workers,
 // default: every available CPU); results are bit-identical to a
 // sequential -workers 1 run. With several backends (a comma-separated
-// -server list or a -fleet config) jobs shard by content key with
-// automatic failover. Results print as text tables; EXPERIMENTS.md
-// records a reference run. A failed simulation aborts with a non-zero
-// exit after the remaining experiments have been attempted.
+// -server list) jobs shard by content key with automatic failover.
+// Results print as text tables; EXPERIMENTS.md records a reference run. A
+// failed simulation aborts with a non-zero exit after the remaining
+// experiments have been attempted.
 package main
 
 import (
@@ -35,7 +34,6 @@ import (
 
 	"pinnedloads/internal/experiments"
 	"pinnedloads/internal/fleet"
-	"pinnedloads/internal/service/client"
 )
 
 func main() {
@@ -53,7 +51,6 @@ func main() {
 		verbose  = flag.Bool("v", false, "print each simulation as it completes")
 		csvDir   = flag.String("csv", "", "also write experiment data as CSV files into this directory")
 		server   = flag.String("server", "", "offload benchmark simulations to plserved; comma-separate several URLs for a fleet")
-		fleetCf  = flag.String("fleet", "", "offload to a fleet described by this JSON config file (overrides -server)")
 		chart    = flag.Bool("chart", false, "render figures as terminal bar charts too")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -103,7 +100,7 @@ func main() {
 	}
 	runner := experiments.NewRunner(params)
 	runner.Workers = *workers
-	remote, err := buildRemote(*server, *fleetCf)
+	remote, err := buildRemote(*server)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "plbench: %v\n", err)
 		os.Exit(1)
@@ -281,22 +278,11 @@ func main() {
 	}
 }
 
-// buildRemote resolves the -server/-fleet flags into a RemoteRunner: nil
-// (local execution), a single-backend client, or a fleet.
-func buildRemote(server, fleetCf string) (experiments.RemoteRunner, error) {
-	if fleetCf != "" {
-		opt, err := fleet.LoadOptions(fleetCf)
-		if err != nil {
-			return nil, err
-		}
-		return fleet.New(opt)
-	}
+// buildRemote resolves the -server flag into a RemoteRunner: nil (local
+// execution) or a fleet over the listed backends, be it one or several.
+func buildRemote(server string) (experiments.RemoteRunner, error) {
 	if server == "" {
 		return nil, nil
 	}
-	addrs := fleet.ParseBackends(server)
-	if len(addrs) == 1 {
-		return client.New(addrs[0]), nil
-	}
-	return fleet.New(fleet.Options{Backends: addrs})
+	return fleet.New(fleet.Options{Backends: fleet.ParseBackends(server)})
 }

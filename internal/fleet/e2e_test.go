@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
-	"time"
 
 	"pinnedloads/internal/experiments"
 	"pinnedloads/internal/fleet"
@@ -63,13 +62,7 @@ func TestFleetFigure7SurvivesBackendKill(t *testing.T) {
 		Seed:      7,
 		KillAfter: map[string]int{hosts[2]: 40},
 	})
-	f, err := fleet.New(fleet.Options{
-		Backends:      addrs,
-		Transport:     chaos,
-		ClientRetries: -1, // fail over instead of retrying in place
-		PollInterval:  time.Millisecond,
-		PollMax:       10 * time.Millisecond,
-	})
+	f, err := fleet.New(fleet.Options{Backends: addrs, Transport: chaos})
 	if err != nil {
 		t.Fatal(err)
 	}

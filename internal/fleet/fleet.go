@@ -1,44 +1,20 @@
 // Package fleet federates simulation jobs over several plserved
-// backends. It is a client-side layer: no coordinator process, no shared
-// state beyond the backends themselves. Three properties of the service
-// make that enough:
-//
-//   - Jobs are content-addressed (the SpecKey digest), so the key is a
-//     perfect shard key: routing by consistent hashing over it sends
-//     repeat submissions of a spec to the backend whose result cache
-//     already holds it.
-//   - Submission is idempotent, so failover is simply resubmitting the
-//     same spec to another backend — at-least-once dispatch composes
-//     into exactly-once results.
-//   - Results are deterministic, so any backend's answer for a key is
-//     every backend's answer.
-//
-// Routing uses the bounded-load variant of consistent hashing: a job
-// goes to its key's owner unless that backend carries more than
-// LoadFactor times its fair share of in-flight jobs, in which case the
-// job spills to the next backend on the ring. Backend health is tracked
-// from live traffic — a transport-level failure takes the backend out of
-// rotation with exponential backoff, and once the backoff elapses a
-// single half-open trial job re-admits or re-condemns it. Status reads
-// can be hedged: when a poll exceeds the observed p95 latency, a second
-// read races against another backend.
-//
-// Fleet implements experiments.RemoteRunner, so `plbench -server
-// host1,host2,host3` sweeps against the whole fleet; plctl's `fleet`
-// subcommands expose status, aggregated metrics, and drain. The
-// ChaosTransport in this package injects deterministic drop/delay/error/
-// kill faults for the failover tests and scripts/fleet_ci.sh.
+// backends from the client side: no coordinator, no shared state. Jobs
+// are content-addressed, submission is idempotent and results are
+// deterministic, so a job's SpecKey is its shard key and any backend's
+// answer is every backend's answer. Run walks the key's consistent-hash
+// ring order and hands the job to the first backend that is healthy (or
+// owed its half-open trial) through that backend's client.Run; a backend
+// that does not answer leaves the rotation with exponential backoff and
+// the job moves on to the next one — at-least-once dispatch, exactly-once
+// results. Overload is the server's to signal (429): the walk is the spill.
 package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -54,47 +30,31 @@ import (
 type Options struct {
 	// Backends are the plserved base URLs, e.g.
 	// ["http://10.0.0.1:8321", "http://10.0.0.2:8321"].
-	Backends []string `json:"backends"`
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (default 64).
-	Replicas int `json:"replicas,omitempty"`
-	// LoadFactor is the bounded-load limit c: a backend may carry at most
-	// ceil(c * totalInFlight / healthyBackends) jobs before its keys
-	// spill to the next ring backend (default 1.25).
-	LoadFactor float64 `json:"load_factor,omitempty"`
-	// MinLoad floors the spill bound (default 4): a backend is never
-	// spilled away from while it carries fewer in-flight jobs than this.
-	// Transient bursts then stay on the key's owner — whose result cache
-	// makes repeats free — and spilling is reserved for sustained
-	// overload.
-	MinLoad int `json:"min_load,omitempty"`
-	// MaxAttempts bounds submissions per job across failovers (default
-	// 3 * len(Backends)).
-	MaxAttempts int `json:"max_attempts,omitempty"`
-	// ClientRetries and ClientBackoff tune each backend client's own
-	// retry loop (defaults 1 and 100ms); the fleet prefers failing over
-	// to a sibling quickly over retrying a sick backend for long.
-	ClientRetries int           `json:"client_retries,omitempty"`
-	ClientBackoff time.Duration `json:"client_backoff,omitempty"`
-	// PollInterval and PollMax pace result polling (defaults 25ms, 2s).
-	PollInterval time.Duration `json:"poll_interval,omitempty"`
-	PollMax      time.Duration `json:"poll_max,omitempty"`
-	// ProbeBackoff is how long a freshly failed backend stays out of
-	// rotation; it doubles per consecutive failure up to ProbeBackoffMax
-	// (defaults 500ms, 30s).
-	ProbeBackoff    time.Duration `json:"probe_backoff,omitempty"`
-	ProbeBackoffMax time.Duration `json:"probe_backoff_max,omitempty"`
-	// Hedge enables hedged status reads: a poll slower than the observed
-	// p95 (floored at HedgeMin, default 50ms) races a duplicate read
-	// against another backend.
-	Hedge    bool          `json:"hedge,omitempty"`
-	HedgeMin time.Duration `json:"hedge_min,omitempty"`
+	Backends []string
 	// Clock injects time for every wait (default: wall clock).
-	Clock vclock.Clock `json:"-"`
+	Clock vclock.Clock
 	// Transport overrides the backends' HTTP transport — the seam the
 	// chaos tests inject faults through.
-	Transport http.RoundTripper `json:"-"`
+	Transport http.RoundTripper
 }
+
+const (
+	// clientRetries and clientBackoff tune each backend client's own retry
+	// loop: the fleet prefers moving on to a sibling over retrying a sick
+	// backend for long.
+	clientRetries = 1
+	clientBackoff = 100 * time.Millisecond
+	// probeBackoff is how long a freshly failed backend stays out of
+	// rotation; it doubles per consecutive failure up to probeBackoffMax.
+	probeBackoff    = 500 * time.Millisecond
+	probeBackoffMax = 30 * time.Second
+	// attemptsPerBackend bounds the dispatches of one job, summed over
+	// failovers, at this many per configured backend.
+	attemptsPerBackend = 3
+	// idleWait is how long Run sleeps when no backend is usable and none
+	// names a later probe time (their trials are other jobs' to finish).
+	idleWait = 25 * time.Millisecond
+)
 
 // ErrNoBackends is returned when every backend is down and backed off.
 var ErrNoBackends = errors.New("fleet: no usable backend")
@@ -102,26 +62,14 @@ var ErrNoBackends = errors.New("fleet: no usable backend")
 // Fleet routes jobs across backends. Safe for concurrent use; the
 // experiment runner calls Run from its whole worker pool.
 type Fleet struct {
-	opt      Options
+	addrs    []string
 	backends []*backend
 	ring     *ring
 	clock    vclock.Clock
 
 	cmu      sync.Mutex
 	counters stats.Counters
-
-	lmu       sync.Mutex
-	latencies []time.Duration // sliding window of status-read latencies
-	latIdx    int
-	latFull   bool
 }
-
-// hedgeWindow is the latency sample window; hedging waits for at least
-// hedgeMinSamples observations before trusting its percentile.
-const (
-	hedgeWindow     = 128
-	hedgeMinSamples = 8
-)
 
 // New validates the options and builds the fleet.
 func New(opt Options) (*Fleet, error) {
@@ -141,53 +89,15 @@ func New(opt Options) (*Fleet, error) {
 		seen[a] = true
 		addrs = append(addrs, a)
 	}
-	opt.Backends = addrs
-	if opt.Replicas <= 0 {
-		opt.Replicas = 64
-	}
-	if opt.LoadFactor <= 1 {
-		opt.LoadFactor = 1.25
-	}
-	if opt.MinLoad <= 0 {
-		opt.MinLoad = 4
-	}
-	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = 3 * len(addrs)
-	}
-	if opt.ClientRetries < 0 {
-		opt.ClientRetries = 0
-	} else if opt.ClientRetries == 0 {
-		opt.ClientRetries = 1
-	}
-	if opt.ClientBackoff <= 0 {
-		opt.ClientBackoff = 100 * time.Millisecond
-	}
-	if opt.PollInterval <= 0 {
-		opt.PollInterval = 25 * time.Millisecond
-	}
-	if opt.PollMax <= 0 {
-		opt.PollMax = 2 * time.Second
-	}
-	if opt.ProbeBackoff <= 0 {
-		opt.ProbeBackoff = 500 * time.Millisecond
-	}
-	if opt.ProbeBackoffMax <= 0 {
-		opt.ProbeBackoffMax = 30 * time.Second
-	}
-	if opt.HedgeMin <= 0 {
-		opt.HedgeMin = 50 * time.Millisecond
-	}
 	clk := opt.Clock
 	if clk == nil {
 		clk = vclock.Real{}
 	}
-	f := &Fleet{opt: opt, clock: clk, ring: newRing(addrs, opt.Replicas)}
+	f := &Fleet{addrs: addrs, clock: clk, ring: newRing(addrs, 0)}
 	for _, a := range addrs {
 		c := client.New(a)
-		c.Retries = opt.ClientRetries
-		c.Backoff = opt.ClientBackoff
-		c.PollInterval = opt.PollInterval
-		c.PollMax = opt.PollMax
+		c.Retries = clientRetries
+		c.Backoff = clientBackoff
 		c.Clock = clk
 		if opt.Transport != nil {
 			c.HTTP = &http.Client{Transport: opt.Transport}
@@ -195,22 +105,6 @@ func New(opt Options) (*Fleet, error) {
 		f.backends = append(f.backends, &backend{addr: a, c: c, healthy: true})
 	}
 	return f, nil
-}
-
-// LoadOptions reads a fleet config file (JSON-encoded Options; durations
-// are nanoseconds, per encoding/json's time.Duration handling).
-func LoadOptions(path string) (Options, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Options{}, fmt.Errorf("fleet: %w", err)
-	}
-	var opt Options
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&opt); err != nil {
-		return Options{}, fmt.Errorf("fleet: bad config %s: %w", path, err)
-	}
-	return opt, nil
 }
 
 // ParseBackends splits a comma-separated backend list — the form
@@ -226,7 +120,7 @@ func ParseBackends(s string) []string {
 }
 
 // Addrs returns the backend addresses in configuration order.
-func (f *Fleet) Addrs() []string { return f.opt.Backends }
+func (f *Fleet) Addrs() []string { return f.addrs }
 
 // count bumps a local fleet counter.
 func (f *Fleet) count(name string) {
@@ -235,12 +129,14 @@ func (f *Fleet) count(name string) {
 	f.cmu.Unlock()
 }
 
-// Run executes one job against the fleet: route by key, submit, poll,
-// and fail over on backend loss. It satisfies experiments.RemoteRunner.
-// Transport-level failures are retried on other backends (resubmission
-// is idempotent); deterministic failures — a bad spec, a simulation
+// Run executes one job against the fleet and satisfies
+// experiments.RemoteRunner: it walks the key's ring order, runs the job on
+// the first usable backend and moves on past one that fails. A backend
+// that restarted and lost the job mid-wait is resubmitted to, not walked
+// past (it answered). Deterministic failures — a bad spec, a simulation
 // error — are returned immediately, because they would fail identically
-// everywhere.
+// everywhere; so is the caller's own cancellation, which says nothing
+// about the backend.
 func (f *Fleet) Run(ctx context.Context, spec service.JobSpec) (*simrun.Output, error) {
 	ns := spec
 	if err := ns.Normalize(); err != nil {
@@ -249,40 +145,54 @@ func (f *Fleet) Run(ctx context.Context, spec service.JobSpec) (*simrun.Output, 
 	key := ns.Key()
 	f.count("fleet.jobs")
 
-	lastErr := error(nil)
-	for attempt := 0; attempt < f.opt.MaxAttempts; attempt++ {
+	order := f.ring.candidates(key)
+	attempts := attemptsPerBackend * len(f.backends)
+	lastErr := ErrNoBackends
+	for attempt, from := 0, 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
-		b := f.route(key)
+		at, b := f.pick(order, from)
 		if b == nil {
-			if lastErr == nil {
-				lastErr = ErrNoBackends
-			}
 			// Everything is down and backed off; sleep until the earliest
 			// backend may be probed again.
 			select {
-			case <-f.clock.After(f.routeDelay()):
+			case <-f.clock.After(f.probeDelay()):
 			case <-ctx.Done():
-				return nil, fmt.Errorf("fleet: %w", ctx.Err())
 			}
 			continue
 		}
-		out, err := f.runOn(ctx, b, ns, key)
-		if err == nil {
+		f.count("fleet.submits")
+		out, err := b.c.Run(ctx, ns)
+		if err != nil && ctx.Err() != nil {
+			b.endTrial()
+			return nil, fmt.Errorf("fleet: %w", ctx.Err())
+		}
+		var lost *client.JobLostError
+		switch {
+		case err == nil:
+			b.markUp()
 			f.count("fleet.done")
 			return out, nil
-		}
-		if permanent(err) {
+		case permanent(err):
+			b.markUp()
 			f.count("fleet.failed")
 			return nil, fmt.Errorf("fleet: %w", err)
+		case errors.As(err, &lost):
+			// The backend answered, so it is up: resubmit to it.
+			b.markUp()
+			f.count("fleet.resubmits")
+			from = at
+		default:
+			f.noteFailure(b, err)
+			f.count("fleet.failovers")
+			from = at + 1
 		}
 		lastErr = err
-		f.count("fleet.failovers")
 	}
 	f.count("fleet.failed")
 	return nil, fmt.Errorf("fleet: job %s: gave up after %d attempts: %w",
-		shortKey(key), f.opt.MaxAttempts, lastErr)
+		shortKey(key), attempts, lastErr)
 }
 
 // permanent reports whether an error would recur on any backend: failed
@@ -301,75 +211,30 @@ func permanent(err error) bool {
 	return false
 }
 
-// route picks the backend for a key: the first ring candidate that is
-// healthy and under the load bound, with a half-open trial slot counting
-// as available (that is how dead backends get re-probed without a
-// background prober). Falls back to the least-loaded healthy backend
-// when everyone is over the bound, and to nil when nothing is usable.
-func (f *Fleet) route(key string) *backend {
+// pick returns the first usable backend at or after position from of the
+// key's ring order, wrapping around, and its position. A half-open trial
+// slot counts as usable — that is how a dead backend gets re-probed
+// without a background prober. Nil when nothing is usable.
+func (f *Fleet) pick(order []int, from int) (int, *backend) {
 	now := f.clock.Now()
-	bound := f.loadBound()
-	cands := f.ring.candidates(key)
-	for i, idx := range cands {
-		b := f.backends[idx]
-		ok, trial := b.usable(now)
-		if !ok {
-			continue
-		}
-		if trial {
-			f.count("fleet.trials")
-			return b
-		}
-		if b.load() < bound {
-			if i > 0 {
-				f.count("fleet.spills")
+	for i := range order {
+		at := (from + i) % len(order)
+		b := f.backends[order[at]]
+		if ok, trial := b.usable(now); ok {
+			if trial {
+				f.count("fleet.trials")
 			}
-			return b
+			return at, b
 		}
 	}
-	// Every healthy backend is at the bound: overload the least loaded
-	// one rather than queueing client-side.
-	var best *backend
-	for _, idx := range cands {
-		b := f.backends[idx]
-		if ok, trial := b.usable(now); ok && !trial {
-			if best == nil || b.load() < best.load() {
-				best = b
-			}
-		}
-	}
-	if best != nil {
-		f.count("fleet.overloads")
-	}
-	return best
+	return 0, nil
 }
 
-// loadBound is the bounded-load cap: ceil(LoadFactor * (inflight+1) /
-// healthy backends), floored at MinLoad.
-func (f *Fleet) loadBound() int {
-	total, healthy := 0, 0
-	for _, b := range f.backends {
-		h, in, _ := b.snapshot()
-		total += in
-		if h {
-			healthy++
-		}
-	}
-	if healthy == 0 {
-		healthy = len(f.backends)
-	}
-	bound := int(math.Ceil(f.opt.LoadFactor * float64(total+1) / float64(healthy)))
-	if bound < f.opt.MinLoad {
-		bound = f.opt.MinLoad
-	}
-	return bound
-}
-
-// routeDelay is how long Run sleeps when no backend is usable: the time
+// probeDelay is how long Run sleeps when no backend is usable: the time
 // until the earliest down backend's probe window opens.
-func (f *Fleet) routeDelay() time.Duration {
+func (f *Fleet) probeDelay() time.Duration {
 	now := f.clock.Now()
-	best := f.opt.PollInterval
+	best := idleWait
 	found := false
 	for _, b := range f.backends {
 		b.mu.Lock()
@@ -383,168 +248,8 @@ func (f *Fleet) routeDelay() time.Duration {
 	return best
 }
 
-// runOn submits the job to one backend and follows it to completion.
-// The returned error is permanent (JobError, 4xx) or a signal to fail
-// over; health bookkeeping happens here.
-func (f *Fleet) runOn(ctx context.Context, b *backend, spec service.JobSpec, key string) (*simrun.Output, error) {
-	b.addLoad(1)
-	defer b.addLoad(-1)
-	f.count("fleet.submits")
-	st, err := b.c.Submit(ctx, spec)
-	if err != nil {
-		f.noteFailure(b, err)
-		return nil, err
-	}
-	b.markUp()
-	if st.State.Terminal() {
-		return f.finish(b, st)
-	}
-	return f.waitOn(ctx, b, st.ID)
-}
-
-// waitOn polls one backend for a job's result, growing the interval like
-// the client SDK does. A transport failure mid-wait surfaces to Run,
-// which resubmits elsewhere.
-func (f *Fleet) waitOn(ctx context.Context, b *backend, id string) (*simrun.Output, error) {
-	interval := f.opt.PollInterval
-	for {
-		select {
-		case <-f.clock.After(interval):
-		case <-ctx.Done():
-			return nil, fmt.Errorf("fleet: %w", ctx.Err())
-		}
-		st, err := f.getStatus(ctx, b, id)
-		if err != nil {
-			f.noteFailure(b, err)
-			return nil, err
-		}
-		if st.State.Terminal() {
-			return f.finish(b, st)
-		}
-		if interval = interval * 3 / 2; interval > f.opt.PollMax {
-			interval = f.opt.PollMax
-		}
-	}
-}
-
-// getStatus reads a job's status, hedging against a sibling backend when
-// the primary read runs past the observed p95 latency. The sibling only
-// wins with a terminal answer (it may legitimately not know the job).
-func (f *Fleet) getStatus(ctx context.Context, b *backend, id string) (service.JobStatus, error) {
-	if !f.opt.Hedge {
-		return b.c.Get(ctx, id)
-	}
-	threshold, ok := f.hedgeThreshold()
-	if !ok {
-		start := f.clock.Now()
-		st, err := b.c.Get(ctx, id)
-		f.observeLatency(f.clock.Now().Sub(start))
-		return st, err
-	}
-
-	type res struct {
-		st  service.JobStatus
-		err error
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	primary := make(chan res, 1)
-	start := f.clock.Now()
-	go func() {
-		st, err := b.c.Get(cctx, id)
-		primary <- res{st, err}
-	}()
-	select {
-	case r := <-primary:
-		f.observeLatency(f.clock.Now().Sub(start))
-		return r.st, r.err
-	case <-f.clock.After(threshold):
-	}
-
-	sib := f.sibling(b)
-	if sib == nil {
-		r := <-primary
-		return r.st, r.err
-	}
-	f.count("fleet.hedged_reads")
-	secondary := make(chan res, 1)
-	go func() {
-		st, err := sib.c.Get(cctx, id)
-		secondary <- res{st, err}
-	}()
-	var firstErr error
-	for primary != nil || secondary != nil {
-		select {
-		case r := <-primary:
-			if r.err == nil {
-				return r.st, nil
-			}
-			firstErr = r.err
-			primary = nil
-		case r := <-secondary:
-			if r.err == nil && r.st.State.Terminal() {
-				f.count("fleet.hedge_wins")
-				return r.st, nil
-			}
-			secondary = nil
-		}
-	}
-	return service.JobStatus{}, firstErr
-}
-
-// sibling returns a healthy backend other than b (for hedged reads), or
-// nil.
-func (f *Fleet) sibling(b *backend) *backend {
-	for _, o := range f.backends {
-		if o == b {
-			continue
-		}
-		if h, _, _ := o.snapshot(); h {
-			return o
-		}
-	}
-	return nil
-}
-
-// observeLatency records a status-read latency sample.
-func (f *Fleet) observeLatency(d time.Duration) {
-	f.lmu.Lock()
-	defer f.lmu.Unlock()
-	if f.latencies == nil {
-		f.latencies = make([]time.Duration, hedgeWindow)
-	}
-	f.latencies[f.latIdx] = d
-	f.latIdx++
-	if f.latIdx == hedgeWindow {
-		f.latIdx, f.latFull = 0, true
-	}
-}
-
-// hedgeThreshold returns the p95 of the latency window (floored at
-// HedgeMin); ok is false until enough samples accumulated.
-func (f *Fleet) hedgeThreshold() (time.Duration, bool) {
-	f.lmu.Lock()
-	n := f.latIdx
-	if f.latFull {
-		n = hedgeWindow
-	}
-	if n < hedgeMinSamples {
-		f.lmu.Unlock()
-		return 0, false
-	}
-	window := make([]time.Duration, n)
-	copy(window, f.latencies[:n])
-	f.lmu.Unlock()
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	p95 := window[(n*95)/100]
-	if p95 < f.opt.HedgeMin {
-		p95 = f.opt.HedgeMin
-	}
-	return p95, true
-}
-
-// noteFailure feeds an error into the backend's health state. Transport
-// faults and 5xx mark it down; backpressure and client errors do not (a
+// noteFailure feeds a non-permanent error into the backend's health
+// state. Transport faults and 5xx mark it down; backpressure does not (a
 // full queue is busy, not dead).
 func (f *Fleet) noteFailure(b *backend, err error) {
 	var serr *client.StatusError
@@ -552,21 +257,8 @@ func (f *Fleet) noteFailure(b *backend, err error) {
 		b.endTrial()
 		return
 	}
-	var jerr *client.JobError
-	if errors.As(err, &jerr) {
-		b.endTrial()
-		return
-	}
 	f.count("fleet.down_marks")
-	b.markDown(f.clock.Now(), err, f.opt.ProbeBackoff, f.opt.ProbeBackoffMax)
-}
-
-// finish converts a terminal status into the Run result.
-func (f *Fleet) finish(b *backend, st service.JobStatus) (*simrun.Output, error) {
-	if st.State != service.StateDone {
-		return nil, &client.JobError{Backend: b.addr, ID: st.ID, Message: st.Error}
-	}
-	return st.Result, nil
+	b.markDown(f.clock.Now(), err)
 }
 
 // shortKey abbreviates a job ID for error messages.
@@ -584,7 +276,6 @@ type BackendStatus struct {
 	Reach   bool          `json:"reachable"` // this probe's verdict
 	Err     string        `json:"error,omitempty"`
 	Health  client.Health `json:"health,omitempty"`
-	Load    int           `json:"inflight"`
 }
 
 // Status probes every backend's /healthz and reports both the live
@@ -597,9 +288,8 @@ func (f *Fleet) Status(ctx context.Context) []BackendStatus {
 		go func(i int, b *backend) {
 			defer wg.Done()
 			h, err := f.probe(ctx, b)
-			healthy, load, lastErr := b.snapshot()
-			st := BackendStatus{Addr: b.addr, Healthy: healthy, Reach: err == nil,
-				Health: h, Load: load}
+			healthy, lastErr := b.snapshot()
+			st := BackendStatus{Addr: b.addr, Healthy: healthy, Reach: err == nil, Health: h}
 			if err != nil {
 				st.Err = err.Error()
 			} else if lastErr != "" {
@@ -619,7 +309,7 @@ type Metrics struct {
 	Aggregate map[string]uint64 `json:"aggregate"`
 	// PerBackend[addr][name] is that backend's /metrics counter.
 	PerBackend map[string]map[string]uint64 `json:"per_backend"`
-	// Fleet holds the local routing counters (fleet.jobs, fleet.spills,
+	// Fleet holds the local routing counters (fleet.jobs, fleet.submits,
 	// fleet.failovers, ...).
 	Fleet map[string]uint64 `json:"fleet"`
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -70,17 +69,16 @@ func newTestFleet(t *testing.T, chaos *ChaosTransport, fbs ...*fakeBackend) (*Fl
 	for i, fb := range fbs {
 		addrs[i] = fb.ts.URL
 	}
-	opt := Options{
-		Backends:      addrs,
-		ClientRetries: -1, // fail over, don't retry in place
-		Clock:         clk,
-	}
+	opt := Options{Backends: addrs, Clock: clk}
 	if chaos != nil {
 		opt.Transport = chaos
 	}
 	f, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, b := range f.backends {
+		b.c.Retries = 0 // fail over, don't retry in place
 	}
 	return f, clk
 }
@@ -185,7 +183,7 @@ func TestFailoverOnKilledBackend(t *testing.T) {
 	if out == nil || out.CPI != 1 {
 		t.Fatalf("bad result %+v", out)
 	}
-	if healthy, _, _ := f.backends[owner].snapshot(); healthy {
+	if healthy, _ := f.backends[owner].snapshot(); healthy {
 		t.Fatal("killed owner still marked healthy")
 	}
 	if fbs[owner].submits.Load() != 0 {
@@ -215,7 +213,7 @@ func TestHalfOpenRecovery(t *testing.T) {
 	if _, err := f.Run(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	if healthy, _, _ := f.backends[owner].snapshot(); healthy {
+	if healthy, _ := f.backends[owner].snapshot(); healthy {
 		t.Fatal("owner not marked down")
 	}
 
@@ -231,11 +229,11 @@ func TestHalfOpenRecovery(t *testing.T) {
 	// Revive the process and let the backoff elapse: the next job for its
 	// keys is the half-open trial and re-admits it.
 	chaos.Revive(fbs[owner].host(t))
-	clk.Advance(f.opt.ProbeBackoff)
+	clk.Advance(probeBackoff)
 	if _, err := f.Run(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	if healthy, _, _ := f.backends[owner].snapshot(); !healthy {
+	if healthy, _ := f.backends[owner].snapshot(); !healthy {
 		t.Fatal("recovered backend not re-admitted after trial success")
 	}
 	if fbs[owner].submits.Load() == 0 {
@@ -260,7 +258,7 @@ func TestTrialFailureDoublesBackoff(t *testing.T) {
 	if _, err := f.Run(ctx, spec); err != nil { // marks owner down, backoff=500ms
 		t.Fatal(err)
 	}
-	clk.Advance(f.opt.ProbeBackoff)
+	clk.Advance(probeBackoff)
 	if _, err := f.Run(ctx, spec); err != nil { // trial fails, backoff doubles
 		t.Fatal(err)
 	}
@@ -268,7 +266,7 @@ func TestTrialFailureDoublesBackoff(t *testing.T) {
 	b.mu.Lock()
 	backoff := b.backoff
 	b.mu.Unlock()
-	if want := 2 * f.opt.ProbeBackoff; backoff != want {
+	if want := 2 * probeBackoff; backoff != want {
 		t.Fatalf("backoff after failed trial = %v, want %v", backoff, want)
 	}
 }
@@ -314,8 +312,7 @@ func TestPermanentErrorsDoNotFailOver(t *testing.T) {
 	})
 	failing := httptest.NewServer(mux)
 	defer failing.Close()
-	f2, err := New(Options{Backends: []string{failing.URL}, ClientRetries: -1,
-		Clock: vclock.NewFake(time.Time{})})
+	f2, err := New(Options{Backends: []string{failing.URL}, Clock: vclock.NewFake(time.Time{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,43 +323,127 @@ func TestPermanentErrorsDoNotFailOver(t *testing.T) {
 	}
 }
 
-// TestBoundedLoadSpillsHotShard checks the bounded-load variant: when
-// the key's owner is far over its fair share of in-flight jobs, new jobs
-// for its keys spill to the next ring candidate instead of queueing.
-func TestBoundedLoadSpillsHotShard(t *testing.T) {
-	fbs := []*fakeBackend{newFakeBackend(t, 1), newFakeBackend(t, 1), newFakeBackend(t, 1)}
-	f, _ := newTestFleet(t, nil, fbs...)
-	spec := testSpec("gcc_r")
-	ns := spec
-	if err := ns.Normalize(); err != nil {
+// fleetCounter reads one of the fleet's local counters.
+func fleetCounter(f *Fleet, name string) uint64 {
+	f.cmu.Lock()
+	defer f.cmu.Unlock()
+	return f.counters.Snapshot()[name]
+}
+
+// TestRestartMidWaitResubmits restarts a backend under a waiting job: it
+// accepts the submit, answers the status read 404 (its registry is gone),
+// then serves the resubmit. The backend answered, so the job is resubmitted
+// to it and it is never marked down.
+func TestRestartMidWaitResubmits(t *testing.T) {
+	var submits atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		if submits.Add(1) == 1 {
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(service.JobStatus{ID: "job", State: service.StateQueued})
+			return
+		}
+		json.NewEncoder(w).Encode(service.JobStatus{ID: "job", State: service.StateDone,
+			Result: &simrun.Output{CPI: 3, Insts: 1000}})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		json.NewEncoder(w).Encode(map[string]string{"error": "unknown job"})
+	})
+	fb := &fakeBackend{ts: httptest.NewServer(mux)}
+	defer fb.ts.Close()
+	f, clk := newTestFleet(t, nil, fb)
+	defer autoAdvance(clk)()
+
+	out, err := f.Run(context.Background(), testSpec("gcc_r"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	key := ns.Key()
-	cands := f.ring.candidates(key)
-	owner := cands[0]
+	if out == nil || out.CPI != 3 {
+		t.Fatalf("bad result %+v", out)
+	}
+	if got := submits.Load(); got != 2 {
+		t.Fatalf("backend saw %d submits, want 2 (submit, resubmit)", got)
+	}
+	if healthy, _ := f.backends[0].snapshot(); !healthy {
+		t.Fatal("a backend that answered every request was marked down")
+	}
+	if marks, re := fleetCounter(f, "fleet.down_marks"), fleetCounter(f, "fleet.resubmits"); marks != 0 || re != 1 {
+		t.Fatalf("down_marks = %d, resubmits = %d, want 0 and 1", marks, re)
+	}
+}
 
-	// Pile synthetic in-flight load onto the owner: 10 jobs while the
-	// other two idle. Fair share is (10+1)/3*1.25 ≈ 4.
-	f.backends[owner].addLoad(10)
-	picked := f.route(key)
-	if picked == f.backends[owner] {
-		t.Fatal("hot shard did not spill")
-	}
-	if picked != f.backends[cands[1]] {
-		t.Fatalf("spill went to %s, want next ring candidate %s",
-			picked.addr, f.backends[cands[1]].addr)
-	}
-	f.cmu.Lock()
-	spills := f.counters.Snapshot()["fleet.spills"]
-	f.cmu.Unlock()
-	if spills != 1 {
-		t.Fatalf("fleet.spills = %d, want 1", spills)
-	}
+// TestCancelDoesNotMarkDown cancels the caller's context while the job
+// waits on a healthy backend: that is the caller's doing, so the backend
+// stays in rotation and no failover is counted.
+func TestCancelDoesNotMarkDown(t *testing.T) {
+	waiting := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.JobStatus{ID: "job", State: service.StateQueued})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		close(waiting)
+		<-r.Context().Done() // the job never finishes
+	})
+	fb := &fakeBackend{ts: httptest.NewServer(mux)}
+	defer fb.ts.Close()
+	f, clk := newTestFleet(t, nil, fb)
+	defer autoAdvance(clk)()
 
-	// With the load gone the owner takes its keys back.
-	f.backends[owner].addLoad(-10)
-	if picked := f.route(key); picked != f.backends[owner] {
-		t.Fatal("owner did not reclaim its key after the load drained")
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-waiting
+		cancel()
+	}()
+	if _, err := f.Run(ctx, testSpec("gcc_r")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if healthy, lastErr := f.backends[0].snapshot(); !healthy {
+		t.Fatalf("cancelled caller marked a healthy backend down: %s", lastErr)
+	}
+	if marks, fo := fleetCounter(f, "fleet.down_marks"), fleetCounter(f, "fleet.failovers"); marks != 0 || fo != 0 {
+		t.Fatalf("down_marks = %d, failovers = %d, want 0 and 0", marks, fo)
+	}
+}
+
+// TestBackpressureWalksOn fills the owner's queue (it answers every submit
+// 429): the job moves on to the next backend in ring order, and the owner,
+// busy rather than dead, is not marked down.
+func TestBackpressureWalksOn(t *testing.T) {
+	var fullHost atomic.Value // the host:port whose queue is full
+	fullHost.Store("")
+	var served atomic.Int64
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Host == fullHost.Load() {
+			w.WriteHeader(http.StatusTooManyRequests)
+			json.NewEncoder(w).Encode(map[string]string{"error": "queue full"})
+			return
+		}
+		served.Add(1)
+		json.NewEncoder(w).Encode(service.JobStatus{ID: "job", State: service.StateDone,
+			Result: &simrun.Output{CPI: 1, Insts: 1000}})
+	})
+	fbs := []*fakeBackend{{ts: httptest.NewServer(handler)}, {ts: httptest.NewServer(handler)}}
+	defer fbs[0].ts.Close()
+	defer fbs[1].ts.Close()
+	f, _ := newTestFleet(t, nil, fbs...)
+	spec := testSpec("gcc_r")
+	owner := primaryFor(t, f, spec)
+	fullHost.Store(fbs[owner].host(t))
+
+	if _, err := f.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := served.Load(); got != 1 {
+		t.Fatalf("the free backend served %d submits, want 1", got)
+	}
+	if healthy, _ := f.backends[owner].snapshot(); !healthy {
+		t.Fatal("a backend with a full queue was marked down")
+	}
+	if marks, fo := fleetCounter(f, "fleet.down_marks"), fleetCounter(f, "fleet.failovers"); marks != 0 || fo != 1 {
+		t.Fatalf("down_marks = %d, failovers = %d, want 0 and 1", marks, fo)
 	}
 }
 
@@ -396,91 +477,11 @@ func TestChaosSameSeedSameFaults(t *testing.T) {
 	}
 }
 
-// TestHedgedReadWinsOnSlowPrimary parks the primary's status read and
-// checks the hedge fires after the p95 threshold and a sibling's
-// terminal answer completes the wait.
-func TestHedgedReadWinsOnSlowPrimary(t *testing.T) {
-	release := make(chan struct{})
-	slowMux := http.NewServeMux()
-	slowMux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		json.NewEncoder(w).Encode(service.JobStatus{ID: "j", State: service.StateRunning})
-	})
-	slow := httptest.NewServer(slowMux)
-	defer slow.Close()
-	defer close(release)
-	fast := newFakeBackend(t, 2)
-
-	clk := vclock.NewFake(time.Time{})
-	f, err := New(Options{
-		Backends: []string{slow.URL, fast.ts.URL},
-		Hedge:    true,
-		Clock:    clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed the latency window so the hedge threshold is armed.
-	for i := 0; i < hedgeMinSamples; i++ {
-		f.observeLatency(time.Millisecond)
-	}
-
-	type res struct {
-		st  service.JobStatus
-		err error
-	}
-	done := make(chan res, 1)
-	go func() {
-		st, err := f.getStatus(context.Background(), f.backends[0], "j")
-		done <- res{st, err}
-	}()
-	clk.BlockUntil(1) // the hedge trigger timer
-	if want, _ := f.hedgeThreshold(); clk.Deadlines()[0] != want {
-		t.Fatalf("hedge armed at %v, want threshold %v", clk.Deadlines()[0], want)
-	}
-	clk.Advance(f.opt.HedgeMin)
-	r := <-done
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if !r.st.State.Terminal() || r.st.Result == nil || r.st.Result.CPI != 2 {
-		t.Fatalf("hedged read returned %+v, want the sibling's done status", r.st)
-	}
-	f.cmu.Lock()
-	snap := f.counters.Snapshot()
-	f.cmu.Unlock()
-	if snap["fleet.hedged_reads"] != 1 || snap["fleet.hedge_wins"] != 1 {
-		t.Fatalf("hedge counters = %v, want one hedged read and one win", snap)
-	}
-}
-
-// TestParseBackendsAndConfig covers the two fleet-definition front
-// doors: the comma list and the JSON config file.
+// TestParseBackendsAndConfig covers the fleet-definition front door, the
+// comma list (the JSON config file it once also covered is gone).
 func TestParseBackendsAndConfig(t *testing.T) {
 	got := ParseBackends(" http://a:1, http://b:2 ,,http://c:3 ")
 	if len(got) != 3 || got[0] != "http://a:1" || got[2] != "http://c:3" {
 		t.Fatalf("ParseBackends = %v", got)
-	}
-	dir := t.TempDir()
-	path := dir + "/fleet.json"
-	cfg := `{"backends": ["http://a:1", "http://b:2"], "hedge": true, "load_factor": 2}`
-	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	opt, err := LoadOptions(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opt.Backends) != 2 || !opt.Hedge || opt.LoadFactor != 2 {
-		t.Fatalf("LoadOptions = %+v", opt)
-	}
-	if _, err := LoadOptions(dir + "/missing.json"); err == nil {
-		t.Fatal("missing config accepted")
-	}
-	if err := os.WriteFile(path, []byte(`{"backends": [], "bogus": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadOptions(path); err == nil {
-		t.Fatal("unknown config field accepted")
 	}
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // backend is one plserved instance plus the fleet's local view of it:
-// routing health with exponential probe backoff, and the in-flight job
-// count the bounded-load router consults.
+// routing health with exponential probe backoff.
 //
 // Health transitions are driven by traffic, not a background goroutine:
 // a transport-level failure marks the backend down and schedules the
@@ -28,7 +27,6 @@ type backend struct {
 	backoff   time.Duration // next down-interval; doubles per failed probe
 	nextProbe time.Time     // when a down backend may be tried again
 	trialing  bool          // a half-open trial is in flight
-	inflight  int           // jobs currently routed here
 	lastErr   string        // most recent failure, for status output
 }
 
@@ -50,17 +48,15 @@ func (b *backend) usable(now time.Time) (ok, trial bool) {
 }
 
 // markDown records a transport-level failure: the backend leaves the
-// rotation and its probe backoff doubles (bounded by max).
-func (b *backend) markDown(now time.Time, err error, first, max time.Duration) {
+// rotation for probeBackoff, doubling per consecutive failure up to
+// probeBackoffMax.
+func (b *backend) markDown(now time.Time, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.healthy || b.backoff == 0 {
-		b.backoff = first
+		b.backoff = probeBackoff
 	} else {
-		b.backoff *= 2
-		if b.backoff > max {
-			b.backoff = max
-		}
+		b.backoff = min(2*b.backoff, probeBackoffMax)
 	}
 	b.healthy = false
 	b.trialing = false
@@ -90,24 +86,10 @@ func (b *backend) endTrial() {
 }
 
 // snapshot returns the backend's health fields for status reporting.
-func (b *backend) snapshot() (healthy bool, inflight int, lastErr string) {
+func (b *backend) snapshot() (healthy bool, lastErr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.healthy, b.inflight, b.lastErr
-}
-
-// addLoad adjusts the in-flight count.
-func (b *backend) addLoad(d int) {
-	b.mu.Lock()
-	b.inflight += d
-	b.mu.Unlock()
-}
-
-// load returns the in-flight count.
-func (b *backend) load() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.inflight
+	return b.healthy, b.lastErr
 }
 
 // probe contacts /healthz and feeds the verdict into the health state.
@@ -116,7 +98,7 @@ func (b *backend) load() int {
 func (f *Fleet) probe(ctx context.Context, b *backend) (client.Health, error) {
 	h, err := b.c.Healthz(ctx)
 	if err != nil {
-		b.markDown(f.clock.Now(), err, f.opt.ProbeBackoff, f.opt.ProbeBackoffMax)
+		b.markDown(f.clock.Now(), err)
 		return h, err
 	}
 	b.markUp()

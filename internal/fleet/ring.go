@@ -100,7 +100,7 @@ func (r *Ring) Order(key string) []string {
 
 // candidates returns every backend index in ring walk order for the key:
 // the owner first, then each distinct successor. The caller applies
-// health and load constraints; the full order is the failover sequence.
+// health; the full order is the failover sequence.
 func (r *ring) candidates(key string) []int {
 	if len(r.points) == 0 {
 		return nil

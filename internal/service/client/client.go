@@ -25,8 +25,8 @@ import (
 	"pinnedloads/internal/vclock"
 )
 
-// Clock is the injectable time source retry/backoff and polling run on;
-// tests drive a vclock.Fake instead of sleeping real time.
+// Clock is the injectable time source retry/backoff waits run on; tests
+// drive a vclock.Fake instead of sleeping real time.
 type Clock = vclock.Clock
 
 // Client talks to one plserved instance. The zero retry/backoff fields
@@ -41,24 +41,18 @@ type Client struct {
 	// Backoff is the first retry delay; it doubles per attempt (default
 	// 250ms). A 429's Retry-After header overrides it.
 	Backoff time.Duration
-	// PollInterval is Wait's first poll delay; it grows 1.5x per poll up
-	// to PollMax (defaults 25ms and 2s).
-	PollInterval time.Duration
-	PollMax      time.Duration
-	// Clock supplies Now/After for every backoff and poll wait (default:
-	// the wall clock).
+	// Clock supplies Now/After for every backoff wait (default: the wall
+	// clock).
 	Clock Clock
 }
 
 // New returns a client for the server at base.
 func New(base string) *Client {
 	return &Client{
-		Base:         strings.TrimRight(base, "/"),
-		HTTP:         http.DefaultClient,
-		Retries:      4,
-		Backoff:      250 * time.Millisecond,
-		PollInterval: 25 * time.Millisecond,
-		PollMax:      2 * time.Second,
+		Base:    strings.TrimRight(base, "/"),
+		HTTP:    http.DefaultClient,
+		Retries: 4,
+		Backoff: 250 * time.Millisecond,
 	}
 }
 
@@ -91,8 +85,9 @@ func (e *JobError) Error() string {
 }
 
 // JobLostError reports a job that vanished mid-wait: the backend answered
-// the poll but no longer knows the ID, which happens when it restarted and
-// lost its in-memory registry (and no result cache holds the ID). Waiting
+// the status read but no longer knows the ID, which happens when it
+// restarted and lost its in-memory registry (and no result cache holds the
+// ID). Waiting
 // longer cannot help — the caller must resubmit the job (submission is
 // content-addressed, so a resubmit is always safe and, on a backend with a
 // checkpoint directory, resumes from the job's last persisted checkpoint).
@@ -226,23 +221,21 @@ func (c *Client) Get(ctx context.Context, id string) (service.JobStatus, error) 
 	return st, nil
 }
 
-// Wait polls until the job is terminal (or ctx ends). The poll interval
-// starts small and grows geometrically, so short jobs return quickly and
-// long ones do not hammer the server.
+// waitFloor separates two non-terminal status reads. A server holds each
+// read for up to service.MaxWait, so the floor only paces a server that
+// ignores the wait parameter.
+const waitFloor = 25 * time.Millisecond
+
+// Wait follows the job until it is terminal (or ctx ends) with blocking
+// status reads: the server answers each the moment the job finishes, or
+// with the current status once service.MaxWait has passed.
 func (c *Client) Wait(ctx context.Context, id string) (service.JobStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	max := c.PollMax
-	if max <= 0 {
-		max = 2 * time.Second
-	}
+	path := "/v1/jobs/" + id + "?wait=" + service.MaxWait.String()
 	for {
-		st, err := c.Get(ctx, id)
-		if err != nil {
+		var st service.JobStatus
+		if err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil {
 			// A 404 mid-wait means the backend restarted and lost the job:
-			// it will never reach a terminal state, so polling on would
+			// it will never reach a terminal state, so reading on would
 			// spin forever. Surface the dedicated error instead.
 			var serr *StatusError
 			if errors.As(err, &serr) && serr.Code == http.StatusNotFound {
@@ -254,12 +247,9 @@ func (c *Client) Wait(ctx context.Context, id string) (service.JobStatus, error)
 			return st, nil
 		}
 		select {
-		case <-c.clock().After(interval):
+		case <-c.clock().After(waitFloor):
 		case <-ctx.Done():
 			return service.JobStatus{}, c.wrap(ctx.Err())
-		}
-		if interval = interval * 3 / 2; interval > max {
-			interval = max
 		}
 	}
 }

@@ -15,17 +15,16 @@ import (
 	"pinnedloads/internal/vclock"
 )
 
-// fastClient tunes the real-service tests' polling low; retry/backoff
+// fastClient tunes the real-service tests' retry backoff low; retry/backoff
 // tests use fakeClient instead so they never sleep wall-clock time.
 func fastClient(base string) *Client {
 	c := New(base)
 	c.Backoff = time.Millisecond
-	c.PollInterval = time.Millisecond
 	return c
 }
 
 // fakeClient pairs a client with a manually advanced clock; every
-// backoff and poll wait blocks until the test advances it.
+// backoff and floor wait blocks until the test advances it.
 func fakeClient(base string) (*Client, *vclock.Fake) {
 	clk := vclock.NewFake(time.Time{})
 	c := New(base)
@@ -218,43 +217,46 @@ func TestNoRetryOn4xx(t *testing.T) {
 	}
 }
 
-// TestWaitPollIntervalGrows proves Wait's poll delay grows 1.5x per poll
-// and clamps at PollMax, using the fake clock's armed deadlines.
-func TestWaitPollIntervalGrows(t *testing.T) {
+// TestWaitFloorPacesServerIgnoringWait points Wait at a server that
+// answers every status read at once, as one that predates ?wait= would:
+// every read carries the parameter, and two non-terminal replies are never
+// closer than the floor.
+func TestWaitFloorPacesServerIgnoringWait(t *testing.T) {
 	var gets atomic.Int64
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if got := r.URL.Query().Get("wait"); got != service.MaxWait.String() {
+			t.Errorf("status read carried wait=%q, want %s", got, service.MaxWait)
+		}
 		st := service.JobStatus{ID: "abc", State: service.StateRunning}
-		if gets.Add(1) >= 5 {
+		if gets.Add(1) >= 4 {
 			st.State = service.StateDone
 		}
 		json.NewEncoder(w).Encode(st)
 	}))
 	defer fake.Close()
 	c, clk := fakeClient(fake.URL)
-	c.PollInterval = 10 * time.Millisecond
-	c.PollMax = 30 * time.Millisecond
 
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Wait(context.Background(), "abc")
 		done <- err
 	}()
-	want := []time.Duration{
-		10 * time.Millisecond,    // initial interval
-		15 * time.Millisecond,    // *1.5
-		22500 * time.Microsecond, // *1.5
-		30 * time.Millisecond,    // clamped at PollMax (33.75 -> 30)
-	}
-	for i, w := range want {
-		if got := advanceNext(t, clk); got != w {
-			t.Fatalf("poll wait %d = %v, want %v", i, got, w)
+	for i := 1; i <= 3; i++ {
+		clk.BlockUntil(1)
+		if got := gets.Load(); got != int64(i) {
+			t.Fatalf("%d reads before floor wait %d, want %d", got, i, i)
 		}
+		clk.Advance(waitFloor - time.Nanosecond)
+		if got := gets.Load(); got != int64(i) {
+			t.Fatalf("read %d went out before the floor elapsed", got)
+		}
+		clk.Advance(time.Nanosecond)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if gets.Load() != 5 {
-		t.Fatalf("gets = %d, want 5", gets.Load())
+	if gets.Load() != 4 {
+		t.Fatalf("gets = %d, want 4", gets.Load())
 	}
 }
 

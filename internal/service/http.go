@@ -1,11 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"pinnedloads/internal/obs"
 	"pinnedloads/internal/simcache"
@@ -21,7 +23,10 @@ type apiError struct {
 //	POST /v1/jobs            submit a JobSpec; 202 queued, 200 cached/known,
 //	                         400 bad spec, 429+Retry-After queue full,
 //	                         503 draining
-//	GET  /v1/jobs/{id}       job status (404 unknown)
+//	GET  /v1/jobs/{id}       job status (404 unknown); ?wait=<duration> holds
+//	                         the answer until the job is terminal or the
+//	                         duration (capped at MaxWait) has passed, 400 if
+//	                         malformed or negative
 //	GET  /v1/jobs/{id}/trace Chrome trace of a done job's event stream
 //	GET  /v1/cache/{key}     local cached result as a checksummed envelope
 //	                         (404 not cached here); HEAD probes existence
@@ -116,11 +121,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, st)
 }
 
+// MaxWait caps the ?wait= of a status read, so a parked request is
+// bounded whatever the client asked for. Clients wanting to wait longer
+// read again.
+const MaxWait = 30 * time.Second
+
+// parseWait reads the wait query parameter: absent is zero (answer at
+// once), anything above MaxWait is MaxWait.
+func parseWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("service: bad wait %q: want a non-negative duration such as 30s", v)
+	}
+	return min(d, MaxWait), nil
+}
+
+// handleJob answers with the job's status once it is terminal, the wait
+// has passed or the client has gone away, whichever is first.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, ok := s.Job(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown job %q", id))
+	wait, err := parseWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	st, err := s.Wait(ctx, r.PathValue("id"))
+	if errors.Is(err, ErrUnknownJob) {
+		writeError(w, http.StatusNotFound, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -130,7 +161,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown job %q", id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownJob, id))
 		return
 	}
 	if st.State != StateDone {

@@ -80,6 +80,9 @@ var (
 	ErrQueueFull = errors.New("service: job queue is full")
 	// ErrDraining rejects submits after Drain began.
 	ErrDraining = errors.New("service: server is draining")
+	// ErrUnknownJob answers a read of an ID neither the registry nor the
+	// result cache holds.
+	ErrUnknownJob = errors.New("service: unknown job")
 )
 
 // Server owns the job registry, the bounded queue and the worker pool.
@@ -256,7 +259,10 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 	return JobStatus{ID: id, State: StateDone, CacheHit: true, Result: out}, true
 }
 
-// Wait blocks until the job reaches a terminal state or ctx is done.
+// Wait blocks until the job reaches a terminal state or ctx is done and
+// returns the job's status at that moment: a non-terminal status comes
+// with ctx's error. An ID neither the registry nor the cache holds is
+// ErrUnknownJob.
 func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -265,16 +271,19 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 		if st, found := s.Job(id); found {
 			return st, nil
 		}
-		return JobStatus{}, fmt.Errorf("service: unknown job %q", id)
+		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked(j), nil
+	st := s.snapshotLocked(j)
+	s.mu.Unlock()
+	if !st.State.Terminal() {
+		return st, ctx.Err()
+	}
+	return st, nil
 }
 
 // runJob executes one queued job on a worker.

@@ -12,7 +12,8 @@
 # final phase boots a second fleet with cache peering (-peers) enabled
 # and asserts fleet-wide exactly-once execution: a cold sweep executes
 # each SpecKey exactly once summed across all backends, a warm re-run
-# executes nothing (spilled keys serve over the peer tier), both CSVs
+# through one backend alone executes nothing (the keys it does not hold
+# serve over the peer tier, exactly one peer hit each), both CSVs
 # byte-match the in-process reference, and plctl cache probe reports
 # hit/miss with the documented exit codes. Run from the repository
 # root; CI runs it after the unit tiers.
@@ -223,15 +224,21 @@ cold=$(metric_sum svc.executed)
 cmp "$workdir/peercold/figure7.csv" "$workdir/local/figure7.csv" \
     || { echo "cold peered CSV differs from the in-process run"; exit 1; }
 
-echo "--- warm peered re-run: zero executions, spill served by peers"
-"$workdir/plbench" -quick -fig 7 -server "$plist" -workers 8 \
+echo "--- warm re-run through one backend: zero executions, the rest served by peers"
+# Placement is a pure function of the key, so a warm re-run through the
+# same list would be all local hits. Through backend 0 alone, every key
+# it did not execute cold must cross the peer tier exactly once.
+own=$("$workdir/plctl" -server "${purls[0]}" metrics \
+    | awk -F= '$1 == "svc.executed" { print $2 }')
+"$workdir/plbench" -quick -fig 7 -server "${purls[0]}" -workers 8 \
     -csv "$workdir/peerwarm" >/dev/null 2>"$workdir/peerwarm.err" \
     || { echo "warm peered sweep failed"; tail -20 "$workdir/peerwarm.err"; exit 1; }
 warm=$(metric_sum svc.executed)
 [ "$warm" -eq "$cold" ] || { echo "warm re-run executed $((warm - cold)) jobs; peering should serve them all"; exit 1; }
 hits=$(metric_sum svc.peer_hits)
-[ "$hits" -ge 1 ] || { echo "warm re-run produced no peer hits; spill never crossed the peer tier"; exit 1; }
-echo "    0 executions, $hits peer hits"
+[ "$hits" -eq $((cold - ${own:-0})) ] \
+    || { echo "warm re-run produced $hits peer hits, want $((cold - ${own:-0})) (= $cold - the $own backend 0 executed)"; exit 1; }
+echo "    0 executions, $hits peer hits (= $cold - $own)"
 cmp "$workdir/peerwarm/figure7.csv" "$workdir/local/figure7.csv" \
     || { echo "warm peered CSV differs from the in-process run"; exit 1; }
 
