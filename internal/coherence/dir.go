@@ -140,9 +140,14 @@ func (d *Dir) addr() Addr { return Addr{Dir: true, Idx: d.idx} }
 // 8-14 of that, so a narrower tag would alias on every probe.
 const tagValid = 1 << 15
 
-// home returns the set of the line and the filter tag a way holding it has.
+// home returns the set of the line and the filter tag a way holding it has;
+// homeOf takes the line's quotient by the slice count instead, for a caller
+// that carries it along a run of lines.
 func (d *Dir) home(line uint64) (set int, tag uint16) {
-	q := line / uint64(d.cfg.LLCSlices)
+	return d.homeOf(line / uint64(d.cfg.LLCSlices))
+}
+
+func (d *Dir) homeOf(q uint64) (set int, tag uint16) {
 	return int(q) & (d.cfg.LLCSets - 1), tagValid | uint16(q>>d.setBits)
 }
 
@@ -223,13 +228,19 @@ func (d *Dir) touch(e *dirLine) {
 // lets the checkpoint leave invalid ways out. fill is install by anything but
 // a warm install.
 func (d *Dir) install(set, w int, ln dirLine) *dirLine {
+	_, tag := d.home(ln.addr)
+	return d.installTagged(set, w, tag, ln)
+}
+
+// installTagged is install for a caller that has the line's filter tag.
+func (d *Dir) installTagged(set, w int, tag uint16, ln dirLine) *dirLine {
 	p := d.planes[w]
 	if p == nil {
 		p = make([]dirLine, d.cfg.LLCSets)
 		d.planes[w] = p
 	}
 	p[set] = ln
-	_, d.ptag[set*d.cfg.LLCWays+w] = d.home(ln.addr)
+	d.ptag[set*d.cfg.LLCWays+w] = tag
 	d.occ[set]++
 	d.resident++
 	return &p[set]
@@ -301,6 +312,11 @@ func (d *Dir) Snapshot() []DirSnap {
 // occ[s]: the probe stops there and the next way is the free one.
 func (d *Dir) InstallWarm(line uint64) {
 	set, tag := d.home(line)
+	d.installWarm(line, set, tag)
+}
+
+// installWarm is InstallWarm for a caller that knows the line's home.
+func (d *Dir) installWarm(line uint64, set int, tag uint16) {
 	row := d.row(set)
 	if int(d.occ[set]) == len(row) {
 		return // present or not, a full set takes nothing
@@ -318,7 +334,7 @@ func (d *Dir) InstallWarm(line uint64) {
 		}
 	}
 	d.stamp++
-	d.install(set, free, dirLine{valid: true, addr: line, owner: -1, lru: d.stamp})
+	d.installTagged(set, free, tag, dirLine{valid: true, addr: line, owner: -1, lru: d.stamp})
 }
 
 // newCycle resets the per-cycle demand-request budget and serves queued

@@ -46,11 +46,20 @@ func (s *System) Dirs() int { return len(s.dirs) }
 
 // Prewarm installs runs of lines into the LLC as present-but-uncached,
 // modeling the warm cache state a checkpointed simulation interval starts
-// from: Dir.InstallWarm line by line, in order.
+// from: Dir.InstallWarm line by line, in order. Consecutive lines go round
+// the slices, so a run divides by the slice count once and carries the slice
+// and the quotient from line to line.
 func (s *System) Prewarm(runs []arch.LineRange) {
+	n := uint64(len(s.dirs))
 	for _, r := range runs {
+		q, slice := r.First/n, r.First%n
 		for l := r.First; l != r.First+r.N; l++ {
-			s.dirs[s.cfg.LLCSlice(l)].InstallWarm(l)
+			d := s.dirs[slice]
+			set, tag := d.homeOf(q)
+			d.installWarm(l, set, tag)
+			if slice++; slice == n {
+				slice, q = 0, q+1
+			}
 		}
 	}
 }

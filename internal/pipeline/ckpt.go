@@ -98,14 +98,19 @@ func (en *entry) walk(s ckptio.State) {
 	}
 }
 
-// rebuildCandidates recomputes the load-queue candidate lists from the
-// unretired loads.
+// rebuildCandidates recomputes the load-queue candidate lists and lastOdd
+// from the unretired loads; resetting issueCand moves its version on, which
+// voids the gate summary.
 func (c *Core) rebuildCandidates() {
 	c.issueCand.reset()
 	c.exposeCand.reset()
 	c.specCand.reset()
+	c.lastOdd = -1
 	for _, seq := range c.loadSeqs.seqs() {
 		e := c.at(seq)
+		if e.inst.Fault || e.inst.TransientAddr != 0 {
+			c.lastOdd = seq
+		}
 		if e.state == stAddrDone {
 			c.issueCand.push(seq)
 		}
@@ -115,6 +120,20 @@ func (c *Core) rebuildCandidates() {
 		if e.specToken != 0 && e.performed && e.inst.TransientAddr != 0 {
 			c.specCand.push(seq)
 		}
+	}
+}
+
+// rebuildStoreFilter recounts stFilter from the resolved stores of the store
+// queue and the write buffer, so it runs once both are loaded.
+func (c *Core) rebuildStoreFilter() {
+	c.stFilter = [len(c.stFilter)]uint16{}
+	for _, seq := range c.storeSeqs.seqs() {
+		if e := c.at(seq); e.addrReady {
+			c.stFilter[stHash(e.inst.Addr)]++
+		}
+	}
+	for i := 0; i < c.wb.Len(); i++ {
+		c.stFilter[stHash(c.wb.At(i))]++
 	}
 }
 
@@ -216,6 +235,9 @@ func (c *Core) State(s ckptio.State) {
 	s.I64(&c.barriersHit)
 
 	walkQueue(s, &c.wb)
+	if s.Loading() {
+		c.rebuildStoreFilter()
+	}
 
 	tokens := ckptio.WalkMap(s, c.tokenSeq, maxMapEnts)
 	for tokens.Next() {

@@ -19,7 +19,8 @@ var entryDerived = []string{"probeEpoch", "probeLine", "probeHit"}
 // what they hold, not whether they exist.
 var (
 	coreDerived = []string{"headSlot", "issueCand", "exposeCand", "specCand", "active", "asleep",
-		"wire", "cntBefore", "replay", "calMask", "barrierSeen", "slept"}
+		"wire", "cntBefore", "replay", "calMask", "barrierSeen", "slept",
+		"lastOdd", "denied", "stFilter", "gateVisits", "forwardScans"}
 	coreConfig = []string{"id", "cfg", "policy", "l1", "gen", "bar", "count", "cnt", "rec", "tracing",
 		"predictor", "l1CST", "dirCST", "cpt", "lqTagMask", "cntAll"}
 )

@@ -113,6 +113,7 @@ func (c *Core) complete() {
 			c.effectiveAddr(e)
 		case isa.Store:
 			e.addrReady = true
+			c.stFilter[stHash(e.inst.Addr)]++
 			c.finish(e)
 			c.aliasCheck(e)
 		case isa.Branch:
@@ -215,6 +216,9 @@ func (c *Core) aliasCheck(st *entry) {
 	}
 }
 
+// stHash is the stFilter bucket of a store or load address.
+func stHash(addr uint64) uint8 { return uint8(addr * 0x9E3779B97F4A7C15 >> 56) }
+
 // tryForward satisfies a load from an older in-flight store (store queue or
 // write buffer) with the same address, bypassing the memory system. It
 // reports whether forwarding succeeded. storeSeqs holds exactly the
@@ -222,6 +226,10 @@ func (c *Core) aliasCheck(st *entry) {
 // same stores, youngest first, as a full ROB scan from e.seq-1 down to
 // head — without touching the non-store entries in between.
 func (c *Core) tryForward(e *entry) bool {
+	if c.stFilter[stHash(e.inst.Addr)] == 0 {
+		return false // no resolved store in flight has this address
+	}
+	c.forwardScans++
 	stores := c.storeSeqs.seqs()
 	for i := len(stores) - 1; i >= 0; i-- {
 		s := stores[i]

@@ -117,6 +117,9 @@ func (c *Core) insert(in isa.Inst, winIdx int64) {
 		c.loadSeqs.push(seq)
 		e.line = arch.LineAddr(in.Addr)
 		e.archAddr = in.Addr
+		if in.Fault || in.TransientAddr != 0 {
+			c.lastOdd = seq
+		}
 	case isa.Lock:
 		c.loadsInROB++
 		c.fences.push(seq)
@@ -195,6 +198,9 @@ func (c *Core) squashFrom(from int64, cause string) {
 			c.loadsInROB--
 		case isa.Store:
 			c.storesInROB--
+			if e.addrReady {
+				c.stFilter[stHash(e.inst.Addr)]--
+			}
 		}
 		if e.performed {
 			c.removePerformed(s)

@@ -1,18 +1,47 @@
 package pipeline
 
 import (
+	"math"
+
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/coherence"
 	"pinnedloads/internal/defense"
 )
 
 // issueLoads sends eligible loads to the memory system, applying the active
-// defense scheme's gating rule. It visits only the loads in stAddrDone, in
-// program order, and keeps the ones still waiting when it is done.
+// defense scheme's gating rule. It visits the loads in stAddrDone, in program
+// order, and keeps the ones still waiting. Past the gate bound a load meets
+// only the scheme's own predicate, so if the L1 ports held out that far,
+// Fence denies the rest by count, and DOM and STT replay the count of their
+// last walk of the rest for as long as nothing that walk read has moved.
 func (c *Core) issueLoads() {
 	cand := c.issueCand.seqs()
-	kept, i := 0, 0
-	for ; i < len(cand); i++ {
+	stall, bound := c.gate()
+	kept, i := c.issueUpTo(cand, 0, 0, bound)
+	if i < len(cand) && cand[i] > bound {
+		sum := gateSummary{ver: c.issueCand.ver, n: uint64(len(cand) - i)}
+		switch c.policy.Scheme {
+		case defense.DOM:
+			sum.epoch = c.l1.TagEpoch()
+		case defense.STT:
+			sum.vp, sum.head, sum.pin, sum.oldest = c.vpFrontier, c.head, c.pinFrontier, c.oldestLoadSeq
+		}
+		if c.policy.Scheme == defense.Fence || c.denied == sum {
+			*stall += sum.n // i stays: compact keeps every one of them
+		} else {
+			before := *stall
+			kept, i = c.issueUpTo(cand, kept, i, math.MaxInt64)
+			sum.n = *stall - before // short of the rest if any of them passed
+			c.denied = sum
+		}
+	}
+	c.issueCand.compact(kept, i)
+}
+
+// issueUpTo is the walk of issueLoads over cand[i:] up to seq bound: it moves
+// the loads that stay to cand[:kept] and stops early when issueLoad does.
+func (c *Core) issueUpTo(cand []int64, kept, i int, bound int64) (int, int) {
+	for ; i < len(cand) && cand[i] <= bound; i++ {
 		e := c.at(cand[i])
 		if !c.issueLoad(e) {
 			break // out of L1 ports: every younger candidate waits too
@@ -22,7 +51,36 @@ func (c *Core) issueLoads() {
 			kept++
 		}
 	}
-	c.issueCand.compact(kept, i)
+	return kept, i
+}
+
+// gateSummary is one walk of the candidates past the gate bound: n of them
+// bumped the scheme's stall counter. ver says which list they are the last n
+// of; the rest is what the scheme's predicate read besides the load itself,
+// the L1 tag epoch (DOM) or the frontiers tainted's reachedVP goes by (STT).
+type gateSummary struct {
+	ver, n, epoch         uint64
+	vp, head, pin, oldest int64
+}
+
+// gate returns the seq past which mayIssueLoad is the scheme's predicate
+// alone, and the counter that predicate's denial bumps. Above vpFrontier no
+// load has vpReached, at or above pinFrontier none is pinned, and lastOdd
+// keeps on the walked side every load that faults (denied, but not counted)
+// or whose address effectiveAddr may move. A scheme that denies nothing past
+// its VP has no bound.
+func (c *Core) gate() (stall *uint64, bound int64) {
+	switch c.policy.Scheme {
+	case defense.Fence:
+		stall = c.cnt.stallFence
+	case defense.DOM:
+		stall = c.cnt.stallDOMMiss
+	case defense.STT:
+		stall = c.cnt.stallSTTTainted
+	default:
+		return nil, math.MaxInt64
+	}
+	return stall, max(c.vpFrontier, c.pinFrontier-1, c.pinPendingSeq, c.lastOdd)
 }
 
 // issueLoad tries to start e's memory access (or satisfy it by store
@@ -107,6 +165,7 @@ const (
 
 // mayIssueLoad applies the defense scheme's issue gate (paper Table 2).
 func (c *Core) mayIssueLoad(e *entry) issueMode {
+	c.gateVisits++
 	if e.inst.Fault {
 		// Address translation faulted; the access never issues and the
 		// exception is taken at the head of the ROB.
@@ -273,7 +332,7 @@ func (c *Core) drainWriteBuffer() {
 			return
 		}
 		c.l1.MergeStore(line)
-		c.wb.Pop()
+		c.stFilter[stHash(c.wb.Pop())]--
 		merged++
 		*c.cnt.storesMerged++
 	}
@@ -288,7 +347,8 @@ func (c *Core) drainWriteBuffer() {
 func (c *Core) drainWriteBufferRC() {
 	merged := 0
 	for i := 0; i < c.wb.Len() && merged < 2; {
-		line := arch.LineAddr(c.wb.At(i))
+		addr := c.wb.At(i)
+		line := arch.LineAddr(addr)
 		if !c.l1.HasWritable(line) {
 			i++
 			continue
@@ -298,6 +358,7 @@ func (c *Core) drainWriteBufferRC() {
 		}
 		c.l1.MergeStore(line)
 		c.wb.RemoveAt(i)
+		c.stFilter[stHash(addr)]--
 		merged++
 		*c.cnt.storesMerged++
 	}

@@ -263,6 +263,18 @@ type Core struct {
 	calMask     uint64
 	barrierSeen uint64
 	slept       int64
+
+	// Load issue (mem.go), all derived and never serialized. lastOdd is at or
+	// above the seq of every in-flight load with inst.Fault or a
+	// TransientAddr (-1: none), which issueLoads always walks; denied is what
+	// the last walk of the candidates past the gate bound found; stFilter
+	// counts the resolved in-flight store addresses by hash, SQ and write
+	// buffer together; gateVisits and forwardScans count host work.
+	lastOdd      int64
+	denied       gateSummary
+	stFilter     [256]uint16
+	gateVisits   int64
+	forwardScans int64
 }
 
 // NewCore builds a core attached to an L1 and a workload generator.
@@ -298,6 +310,7 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		pinPendingSeq:  -1,
 		oldestLoadSeq:  -1,
 		lastRetiredWin: -1,
+		lastOdd:        -1,
 	}
 	if policy.Variant == defense.EP && !cfg.InfiniteCST {
 		c.l1CST = pin.NewCST(cfg.L1CSTEntries, cfg.L1CSTRecords)

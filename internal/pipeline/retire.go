@@ -60,6 +60,7 @@ func (c *Core) retire() {
 				*c.cnt.squashFaultTkn++
 				c.squashFrom(c.head+1, "fault")
 				c.stallUntil = c.now + faultFlushPenalty
+				c.stFilter[stHash(e.inst.Addr)]-- // leaves the SQ for nowhere
 				break
 			}
 			if c.wb.Len() >= c.cfg.WriteBufferEntries {

@@ -159,3 +159,9 @@ func (c *Core) SleptCycles() int64 { return c.slept }
 // Quiet reports whether the last Tick was a fixed point: it changed no
 // simulated state other than stall counters (for the fixed-point oracle).
 func (c *Core) Quiet() bool { return c.asleep }
+
+// GateVisits returns how many times the issue gate (mayIssueLoad) was
+// evaluated, and ForwardScans how many store-forwarding scans got past the
+// store-address filter: host work counts for tests, like SleptCycles.
+func (c *Core) GateVisits() int64   { return c.gateVisits }
+func (c *Core) ForwardScans() int64 { return c.forwardScans }

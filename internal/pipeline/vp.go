@@ -354,7 +354,8 @@ func (c *Core) setPins(key uint32, arr *[]int32) int32 {
 }
 
 // bumpSetPins adjusts both per-set counts for a line gaining its first
-// pin (d=+1) or losing its last (d=-1).
+// pin (d=+1) or losing its last (d=-1). An array ends at its highest key so
+// far — its length is serialized — and append grows what is behind it.
 func (c *Core) bumpSetPins(line uint64, d int32) {
 	for _, ka := range [2]struct {
 		key uint32
@@ -363,10 +364,8 @@ func (c *Core) bumpSetPins(line uint64, d int32) {
 		{c.l1Key(line), &c.pinsPerL1Set},
 		{c.dirKey(line), &c.pinsPerDirSet},
 	} {
-		if int(ka.key) >= len(*ka.arr) {
-			grown := make([]int32, ka.key+1)
-			copy(grown, *ka.arr)
-			*ka.arr = grown
+		if n := int(ka.key) + 1 - len(*ka.arr); n > 0 {
+			*ka.arr = append(*ka.arr, make([]int32, n)...)
 		}
 		(*ka.arr)[ka.key] += d
 		if (*ka.arr)[ka.key] < 0 {
