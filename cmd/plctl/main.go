@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strings"
 
+	"pinnedloads/internal/defense"
 	"pinnedloads/internal/fleet"
 	"pinnedloads/internal/service"
 	"pinnedloads/internal/service/client"
@@ -182,10 +183,10 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	var (
 		bench    = fs.String("bench", "", "benchmark proxy name (required)")
-		scheme   = fs.String("scheme", "unsafe", "defense scheme (unsafe, fence, dom, stt, is, rcp)")
-		variant  = fs.String("variant", "comp", "variant (comp, lp, ep, spectre)")
-		consist  = fs.String("consistency", "", "memory consistency model (tso, rc; default tso)")
-		conds    = fs.String("conds", "", "comma-separated VP conditions (ctrl,alias,exception,mcv)")
+		scheme   = fs.String("scheme", "unsafe", "defense scheme ("+defense.SchemeNames()+")")
+		variant  = fs.String("variant", "comp", "variant ("+defense.VariantNames()+")")
+		consist  = fs.String("consistency", "", "memory consistency model ("+defense.ConsistencyNames()+"; default tso)")
+		conds    = fs.String("conds", "", "comma-separated VP conditions ("+defense.CondNames()+")")
 		seed     = fs.Uint64("seed", 0, "workload seed (0 = default)")
 		warmup   = fs.Int64("warmup", 0, "warmup instructions per core (0 = default)")
 		measure  = fs.Int64("measure", 0, "measured instructions per core (0 = default)")

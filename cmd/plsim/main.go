@@ -23,14 +23,15 @@ import (
 	"strings"
 
 	"pinnedloads"
+	"pinnedloads/internal/defense"
 )
 
 func main() {
 	var (
 		bench    = flag.String("bench", "gcc_r", "benchmark proxy name")
-		scheme   = flag.String("scheme", "fence", "defense scheme: unsafe, fence, dom, stt, is, rcp")
-		variant  = flag.String("variant", "comp", "configuration: comp, lp, ep, spectre")
-		consist  = flag.String("consistency", "tso", "memory consistency model: tso, rc")
+		scheme   = flag.String("scheme", "fence", "defense scheme: "+defense.SchemeNames())
+		variant  = flag.String("variant", "comp", "configuration: "+defense.VariantNames())
+		consist  = flag.String("consistency", "tso", "memory consistency model: "+defense.ConsistencyNames())
 		warmup   = flag.Int64("warmup", 0, "warmup instructions per core")
 		measure  = flag.Int64("measure", 0, "measured instructions per core")
 		seed     = flag.Uint64("seed", 1, "workload seed")
@@ -87,36 +88,19 @@ func main() {
 		return
 	}
 
-	schemes := map[string]pinnedloads.Scheme{
-		"unsafe": pinnedloads.Unsafe, "fence": pinnedloads.Fence,
-		"dom": pinnedloads.DOM, "stt": pinnedloads.STT, "is": pinnedloads.IS,
-		"rcp": pinnedloads.RCP,
+	pol, err := defense.ParsePolicy(*scheme, *variant, *consist, nil)
+	if err != nil {
+		fatal("%v", err)
 	}
-	variants := map[string]pinnedloads.Variant{
-		"comp": pinnedloads.Comp, "lp": pinnedloads.LP,
-		"ep": pinnedloads.EP, "spectre": pinnedloads.Spectre,
-	}
-	consistencies := map[string]pinnedloads.Consistency{
-		"tso": pinnedloads.TSO, "rc": pinnedloads.RC,
-	}
-	sch, ok := schemes[strings.ToLower(*scheme)]
-	if !ok {
-		fatal("unknown scheme %q", *scheme)
-	}
-	v, ok := variants[strings.ToLower(*variant)]
-	if !ok {
-		fatal("unknown variant %q", *variant)
-	}
-	con, ok := consistencies[strings.ToLower(*consist)]
-	if !ok {
-		fatal("unknown consistency model %q", *consist)
-	}
-
 	spec := pinnedloads.RunSpec{
-		Benchmark: *bench, Scheme: sch, Variant: v, Consistency: con,
+		Benchmark: *bench, Scheme: pol.Scheme, Variant: pol.Variant, Consistency: pol.Consistency,
 		Warmup: *warmup, Measure: *measure, Seed: *seed,
 		MetricsInterval: *metricsInt,
 	}
+	// The Unsafe baseline is the same run under another scheme, and only
+	// that: it writes no checkpoint, resumes none and records no trace.
+	base := spec
+	base.Scheme, base.Variant = pinnedloads.Unsafe, pinnedloads.Comp
 	if *traceOut != "" {
 		spec.TraceBuffer = *traceBuf
 	}
@@ -162,12 +146,13 @@ func main() {
 	}
 	if *asJSON {
 		out := map[string]any{
-			"benchmark": *bench,
-			"scheme":    sch.String(),
-			"variant":   v.String(),
-			"cpi":       res.CPI,
-			"cycles":    res.Cycles,
-			"insts":     res.Insts,
+			"benchmark":   *bench,
+			"scheme":      pol.Scheme.String(),
+			"variant":     pol.Variant.String(),
+			"consistency": pol.Consistency.String(),
+			"cpi":         res.CPI,
+			"cycles":      res.Cycles,
+			"insts":       res.Insts,
 		}
 		if *counters {
 			cm := map[string]uint64{}
@@ -186,18 +171,16 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("%s %s-%s: CPI=%.4f (%d cycles / %d insts per core)\n",
-		*bench, sch, v, res.CPI, res.Cycles, res.Insts)
+	fmt.Printf("%s %s: CPI=%.4f (%d cycles / %d insts per core)\n",
+		*bench, pol, res.CPI, res.Cycles, res.Insts)
 
 	if *baseline {
-		spec.Scheme = pinnedloads.Unsafe
-		spec.Variant = pinnedloads.Comp
-		base, err := pinnedloads.Run(spec)
+		b, err := pinnedloads.Run(base)
 		if err != nil {
 			fatal("%v", err)
 		}
 		fmt.Printf("%s Unsafe: CPI=%.4f; normalized CPI %.3f, execution overhead %.1f%%\n",
-			*bench, base.CPI, res.CPI/base.CPI, pinnedloads.Overhead(res.CPI, base.CPI))
+			*bench, b.CPI, res.CPI/b.CPI, pinnedloads.Overhead(res.CPI, b.CPI))
 	}
 	if *counters {
 		fmt.Print(res.Counters.String())

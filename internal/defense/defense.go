@@ -8,6 +8,7 @@
 package defense
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -125,17 +126,6 @@ func (c Consistency) String() string {
 // Consistencies lists the supported consistency models.
 func Consistencies() []Consistency { return []Consistency{TSO, RC} }
 
-// ParseConsistency resolves a consistency-model name (any case: "tso",
-// "RC") to its value; it accepts exactly the names String returns.
-func ParseConsistency(name string) (Consistency, error) {
-	for c, n := range consistencyNames {
-		if strings.EqualFold(name, n) {
-			return Consistency(c), nil
-		}
-	}
-	return 0, fmt.Errorf("defense: unknown consistency model %q (want tso or rc)", name)
-}
-
 // Cond is a bitmask of squash sources a load must be safe from before it
 // reaches its Visibility Point (the four conditions of paper Section 1).
 type Cond uint8
@@ -163,25 +153,27 @@ const CondsSpectre = CondCtrl
 // Has reports whether the mask includes c.
 func (m Cond) Has(c Cond) bool { return m&c != 0 }
 
-// String lists the conditions in the mask.
-func (m Cond) String() string {
-	s := ""
-	add := func(c Cond, name string) {
-		if m.Has(c) {
-			if s != "" {
-				s += "+"
-			}
-			s += name
+// condNames[i] names the condition bit 1<<i.
+var condNames = [...]string{"ctrl", "alias", "exception", "mcv"}
+
+// Names lists the names of the conditions set in the mask, in the
+// canonical ctrl, alias, exception, mcv order.
+func (m Cond) Names() []string {
+	var out []string
+	for i, n := range condNames {
+		if m&(1<<i) != 0 {
+			out = append(out, n)
 		}
 	}
-	add(CondCtrl, "ctrl")
-	add(CondAlias, "alias")
-	add(CondException, "exception")
-	add(CondMCV, "mcv")
-	if s == "" {
+	return out
+}
+
+// String lists the conditions in the mask.
+func (m Cond) String() string {
+	if m&CondsComprehensive == 0 {
 		return "none"
 	}
-	return s
+	return strings.Join(m.Names(), "+")
 }
 
 // Policy is the complete protection configuration of one simulation run.
@@ -234,51 +226,55 @@ func (p Policy) String() string {
 	return s
 }
 
-// ParseScheme resolves a scheme name (any case: "fence", "DOM", ...) to
-// its Scheme value; it accepts exactly the names String returns.
-func ParseScheme(name string) (Scheme, error) {
-	for s, n := range schemeNames {
+// ParsePolicy resolves the four axes' names (any case: "fence", "EP", "rc",
+// "mcv") into a Policy; it accepts exactly the names the String methods
+// return, and "" as each axis's zero value (Unsafe, COMP, TSO, the
+// variant's natural condition set). It is the only reader of the name
+// tables: the wire spec and every command-line flag go through it.
+func ParsePolicy(scheme, variant, consistency string, conds []string) (Policy, error) {
+	sch, err := lookup("scheme", schemeNames[:], cmp.Or(scheme, schemeNames[0]))
+	if err != nil {
+		return Policy{}, err
+	}
+	v, err := lookup("variant", variantNames[:], cmp.Or(variant, variantNames[0]))
+	if err != nil {
+		return Policy{}, err
+	}
+	con, err := lookup("consistency model", consistencyNames[:], cmp.Or(consistency, consistencyNames[0]))
+	if err != nil {
+		return Policy{}, err
+	}
+	var mask Cond
+	for _, name := range conds {
+		bit, err := lookup("VP condition", condNames[:], name)
+		if err != nil {
+			return Policy{}, err
+		}
+		mask |= 1 << bit
+	}
+	return Policy{Scheme: Scheme(sch), Variant: Variant(v), Conds: mask, Consistency: Consistency(con)}, nil
+}
+
+// lookup finds name in one axis's table, ignoring case.
+func lookup(axis string, table []string, name string) (uint8, error) {
+	for i, n := range table {
 		if strings.EqualFold(name, n) {
-			return Scheme(s), nil
+			return uint8(i), nil
 		}
 	}
-	return 0, fmt.Errorf("defense: unknown scheme %q (want unsafe, fence, dom, stt, is or rcp)", name)
+	return 0, fmt.Errorf("defense: unknown %s %q (want %s)", axis, name, list(table, " or "))
 }
 
-// ParseVariant resolves a variant name (any case: "comp", "EP", ...) to
-// its Variant value; it accepts exactly the names String returns.
-func ParseVariant(name string) (Variant, error) {
-	for v, n := range variantNames {
-		if strings.EqualFold(name, n) {
-			return Variant(v), nil
-		}
-	}
-	return 0, fmt.Errorf("defense: unknown variant %q (want comp, lp, ep or spectre)", name)
+// list renders a table's names in lower case, comma-separated, with last
+// between the final two.
+func list(table []string, last string) string {
+	s := strings.ToLower(strings.Join(table[:len(table)-1], ", "))
+	return s + last + strings.ToLower(table[len(table)-1])
 }
 
-// condNames maps each condition bit to its canonical name.
-var condNames = map[Cond]string{
-	CondCtrl: "ctrl", CondAlias: "alias", CondException: "exception", CondMCV: "mcv",
-}
-
-// ParseCond resolves one condition name to its bit.
-func ParseCond(name string) (Cond, error) {
-	for c, n := range condNames {
-		if strings.EqualFold(name, n) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("defense: unknown VP condition %q (want ctrl, alias, exception or mcv)", name)
-}
-
-// Names lists the names of the conditions set in the mask, in the
-// canonical ctrl, alias, exception, mcv order.
-func (m Cond) Names() []string {
-	var out []string
-	for _, c := range []Cond{CondCtrl, CondAlias, CondException, CondMCV} {
-		if m.Has(c) {
-			out = append(out, condNames[c])
-		}
-	}
-	return out
-}
+// SchemeNames, VariantNames, ConsistencyNames and CondNames list the names
+// ParsePolicy accepts on each axis, for flag help texts.
+func SchemeNames() string      { return list(schemeNames[:], ", ") }
+func VariantNames() string     { return list(variantNames[:], ", ") }
+func ConsistencyNames() string { return list(consistencyNames[:], ", ") }
+func CondNames() string        { return list(condNames[:], ", ") }

@@ -1,6 +1,9 @@
 package defense
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSchemeStrings(t *testing.T) {
 	cases := map[Scheme]string{
@@ -157,43 +160,45 @@ func TestConsistencyStrings(t *testing.T) {
 
 func TestParseRoundTrips(t *testing.T) {
 	for _, s := range append([]Scheme{Unsafe, RCP}, AllSchemes()...) {
-		got, err := ParseScheme(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseScheme(%q) = %v, %v", s, got, err)
+		for _, v := range Variants() {
+			for _, c := range Consistencies() {
+				for _, m := range []Cond{0, CondCtrl, CondAlias | CondMCV, CondsComprehensive} {
+					want := Policy{Scheme: s, Variant: v, Conds: m, Consistency: c}
+					got, err := ParsePolicy(s.String(), v.String(), c.String(), m.Names())
+					if err != nil || got != want {
+						t.Errorf("ParsePolicy(%v) = %v, %v", want, got, err)
+					}
+				}
+			}
 		}
 	}
-	if _, err := ParseScheme("bogus"); err == nil {
-		t.Error("ParseScheme accepted an unknown name")
+	// Any case; "" is each axis's zero value.
+	if got, err := ParsePolicy("fence", "ep", "rc", []string{"MCV"}); err != nil ||
+		got != (Policy{Scheme: Fence, Variant: EP, Conds: CondMCV, Consistency: RC}) {
+		t.Errorf("lower-case names = %v, %v", got, err)
 	}
-	for _, v := range Variants() {
-		got, err := ParseVariant(v.String())
-		if err != nil || got != v {
-			t.Errorf("ParseVariant(%q) = %v, %v", v, got, err)
+	if got, err := ParsePolicy("", "", "", nil); err != nil || got != (Policy{}) {
+		t.Errorf("empty names = %v, %v", got, err)
+	}
+	// The error of each axis lists that axis's table.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"bogus", "", "", ""}, `unknown scheme "bogus" (want unsafe, fence, dom, stt, is or rcp)`},
+		{[]string{"", "bogus", "", ""}, `unknown variant "bogus" (want comp, lp, ep or spectre)`},
+		{[]string{"", "", "bogus", ""}, `unknown consistency model "bogus" (want tso or rc)`},
+		{[]string{"", "", "", "bogus"}, `unknown VP condition "bogus" (want ctrl, alias, exception or mcv)`},
+		{[]string{"", "", "", ""}, `unknown VP condition ""`},
+	} {
+		_, err := ParsePolicy(c.args[0], c.args[1], c.args[2], c.args[3:])
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParsePolicy(%q) error = %v, want %s", c.args, err, c.want)
 		}
 	}
-	if _, err := ParseVariant("bogus"); err == nil {
-		t.Error("ParseVariant accepted an unknown name")
-	}
-	for _, c := range []Cond{CondCtrl, CondAlias, CondException, CondMCV} {
-		got, err := ParseCond(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseCond(%q) = %v, %v", c, got, err)
-		}
-	}
-	if _, err := ParseCond("bogus"); err == nil {
-		t.Error("ParseCond accepted an unknown name")
-	}
-	for _, c := range Consistencies() {
-		got, err := ParseConsistency(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseConsistency(%q) = %v, %v", c, got, err)
-		}
-	}
-	if got, err := ParseConsistency("tso"); err != nil || got != TSO {
-		t.Errorf("ParseConsistency(\"tso\") = %v, %v", got, err)
-	}
-	if _, err := ParseConsistency("bogus"); err == nil {
-		t.Error("ParseConsistency accepted an unknown name")
+	if SchemeNames() != "unsafe, fence, dom, stt, is, rcp" || VariantNames() != "comp, lp, ep, spectre" ||
+		ConsistencyNames() != "tso, rc" || CondNames() != "ctrl, alias, exception, mcv" {
+		t.Errorf("help lists: %q / %q / %q / %q", SchemeNames(), VariantNames(), ConsistencyNames(), CondNames())
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -34,7 +33,6 @@ import (
 	"pinnedloads/internal/service"
 	"pinnedloads/internal/simcache"
 	"pinnedloads/internal/simrun"
-	"pinnedloads/internal/speckey"
 	"pinnedloads/internal/trace"
 )
 
@@ -53,25 +51,13 @@ func DefaultParams() Params { return Params{Warmup: 15_000, Measure: 60_000, See
 func QuickParams() Params { return Params{Warmup: 2_000, Measure: 8_000, Seed: 1} }
 
 // runReq names one simulation an experiment needs: the workload, the
-// defense policy, and an optional config override. cfgTag is a display
-// label only — memoization is content-addressed over the effective
-// configuration itself, so two requests dedupe exactly when they describe
-// the same simulation, whatever they are tagged.
+// defense policy, and an optional config override. Memoization is
+// content-addressed over the resolved run, so two requests dedupe exactly
+// when they describe the same simulation.
 type runReq struct {
-	bench  trace.Source
-	pol    defense.Policy
-	cfg    *arch.Config
-	cfgTag string
-}
-
-// normalizePolicy folds a full-Comprehensive condition override into the
-// plain Comp variant; normalizing lets the Figure 1/9 mask sweeps reuse
-// the Figure 7/8 runs.
-func normalizePolicy(pol defense.Policy) defense.Policy {
-	if pol.Conds == defense.CondsComprehensive && pol.Variant == defense.Comp {
-		pol.Conds = 0
-	}
-	return pol
+	bench trace.Source
+	pol   defense.Policy
+	cfg   *arch.Config
 }
 
 // RemoteRunner dispatches a simulation to a plserved instance instead of
@@ -170,78 +156,60 @@ func (r *Runner) RemoteRuns() int64 { return r.remote.Load() }
 // warm checkpoint from the Warm store.
 func (r *Runner) Forks() int64 { return r.forks.Load() }
 
-// key returns a request's content-addressed memoization key: the shared
-// speckey digest over the benchmark, the resolved policy, the effective
-// configuration and the runner's sizing — the same identity the
+// resolve converts a request into the canonical run description at the
+// runner's sizing; its Key is the memoization key — the same identity the
 // simulation service uses as job ID, so a result computed by either side
-// names the other's.
-func (r *Runner) key(bench trace.Source, pol defense.Policy, cfg *arch.Config) string {
-	pol = normalizePolicy(pol)
-	return speckey.Spec{
-		Benchmark: bench.Name(),
-		Scheme:    pol.Scheme.String(),
-		Variant:   pol.Variant.String(),
-		Conds:     uint8(pol.VPConds()),
-		Seed:      r.P.Seed,
-		Warmup:    r.P.Warmup,
-		Measure:   r.P.Measure,
-		Config:    effectiveConfig(bench, cfg),
-	}.Key()
-}
-
-// effectiveConfig resolves what the simulator will actually run: the
-// paper machine at the workload's core count unless overridden.
-func effectiveConfig(bench trace.Source, cfg *arch.Config) *arch.Config {
-	if cfg == nil {
-		c := arch.PaperConfig(bench.Cores())
-		return &c
-	}
-	return cfg
+// names the other's. The description is filled in even when the request is
+// invalid, so the error has a key to be memoized under.
+func (r *Runner) resolve(bench trace.Source, pol defense.Policy, cfg *arch.Config) (simrun.Run, error) {
+	run := simrun.Run{Workload: bench, Policy: pol, Config: cfg,
+		Params: simrun.Params{Seed: r.P.Seed, Warmup: r.P.Warmup, Measure: r.P.Measure}}
+	err := run.Resolve()
+	return run, err
 }
 
 // run executes (or recalls) one simulation of bench under the policy. It
 // is safe for concurrent use: the first caller for a key simulates, every
 // other caller blocks until that simulation finishes and shares its
 // result. Failures are returned as errors, never panics, and are
-// memoized like results. cfgTag only labels the request (see runReq).
-func (r *Runner) run(bench trace.Source, pol defense.Policy, cfg *arch.Config, cfgTag string) (*simrun.Output, error) {
-	pol = normalizePolicy(pol)
-	return r.memo.Do(r.key(bench, pol, cfg), func() (*simrun.Output, error) {
-		return r.simulate(bench, pol, cfg)
+// memoized like results.
+func (r *Runner) run(bench trace.Source, pol defense.Policy, cfg *arch.Config) (*simrun.Output, error) {
+	run, err := r.resolve(bench, pol, cfg)
+	return r.memo.Do(run.Key(), func() (*simrun.Output, error) {
+		if err != nil {
+			return nil, err
+		}
+		return r.simulate(run, cfg)
 	})
 }
 
 // get resolves a request through the memo cache.
 func (r *Runner) get(q runReq) (*simrun.Output, error) {
-	return r.run(q.bench, q.pol, q.cfg, q.cfgTag)
+	return r.run(q.bench, q.pol, q.cfg)
 }
 
-// simulate executes one simulation in the calling goroutine, remotely
-// when a Remote hook is installed and the workload is service-addressable,
-// locally otherwise (via the shared simrun path, which snapshots counters
-// and hardware summaries and recovers panics into errors).
-func (r *Runner) simulate(bench trace.Source, pol defense.Policy, cfg *arch.Config) (*simrun.Output, error) {
-	if r.Remote != nil {
-		if spec, ok := r.remoteSpec(bench, pol, cfg); ok {
-			out, err := r.Remote.Run(context.Background(), spec)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: remote %s %s: %w", bench.Name(), pol, err)
-			}
-			r.remote.Add(1)
-			return out, nil
+// simulate executes one resolved run in the calling goroutine, remotely
+// when a Remote hook is installed and the workload is one the service's
+// registry also holds, locally otherwise. cfg is the request's override,
+// which is what a remote job carries: the backend resolves the same
+// default machine, so the wire need not.
+func (r *Runner) simulate(run simrun.Run, cfg *arch.Config) (*simrun.Output, error) {
+	if r.Remote != nil && run.Registered() {
+		spec := service.SpecOf(&run)
+		spec.Config = cfg
+		out, err := r.Remote.Run(context.Background(), spec)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: remote %s %s: %w", run.Benchmark, run.Policy, err)
 		}
+		r.remote.Add(1)
+		return out, nil
 	}
-	p := simrun.Params{
-		Seed:    r.P.Seed,
-		Warmup:  r.P.Warmup,
-		Measure: r.P.Measure,
-	}
-	if r.Warm != nil && r.P.Warmup > 0 {
-		wkey := r.warmKey(bench, pol, cfg)
+	if r.Warm != nil {
+		wkey := run.WarmKey()
 		if blob := r.Warm.lookup(wkey); blob != nil {
-			warmed := p
+			warmed := run
 			warmed.Resume = blob
-			if out, err := simrun.Execute(context.Background(), bench, pol, cfg, warmed); err == nil {
+			if out, err := warmed.Execute(context.Background()); err == nil {
 				r.forks.Add(1)
 				r.sims.Add(1)
 				return out, nil
@@ -249,56 +217,15 @@ func (r *Runner) simulate(bench trace.Source, pol defense.Policy, cfg *arch.Conf
 			// A checkpoint that fails to restore (version skew, fingerprint
 			// mismatch) is ignored: fall through and run cold.
 		}
-		p.CheckpointIdentity = "warm:" + wkey
-		p.WarmupSink = func(b []byte) { r.Warm.store(wkey, b) }
+		run.CheckpointIdentity = "warm:" + wkey
+		run.WarmupSink = func(b []byte) { r.Warm.store(wkey, b) }
 	}
-	out, err := simrun.Execute(context.Background(), bench, pol, cfg, p)
+	out, err := run.Execute(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	r.sims.Add(1)
 	return out, nil
-}
-
-// warmKey is the warm-checkpoint identity of a run: its memoization key
-// with the measure length zeroed, so runs differing only in measure share
-// a warmed prefix.
-func (r *Runner) warmKey(bench trace.Source, pol defense.Policy, cfg *arch.Config) string {
-	pol = normalizePolicy(pol)
-	return speckey.Spec{
-		Benchmark: bench.Name(),
-		Scheme:    pol.Scheme.String(),
-		Variant:   pol.Variant.String(),
-		Conds:     uint8(pol.VPConds()),
-		Seed:      r.P.Seed,
-		Warmup:    r.P.Warmup,
-		Measure:   0,
-		Config:    effectiveConfig(bench, cfg),
-	}.Key()
-}
-
-// remoteSpec converts a run into a service job when the workload is a
-// benchmark proxy the service's registry also holds (same name, same
-// parameters — registries return fresh instances, so compare by value).
-func (r *Runner) remoteSpec(bench trace.Source, pol defense.Policy, cfg *arch.Config) (service.JobSpec, bool) {
-	p, ok := bench.(*trace.Profile)
-	if !ok {
-		return service.JobSpec{}, false
-	}
-	reg := trace.ByName(p.BenchName)
-	if reg == nil || !reflect.DeepEqual(reg, p) {
-		return service.JobSpec{}, false
-	}
-	return service.JobSpec{
-		Benchmark: p.BenchName,
-		Scheme:    pol.Scheme.String(),
-		Variant:   pol.Variant.String(),
-		Conds:     pol.VPConds().Names(),
-		Seed:      r.P.Seed,
-		Warmup:    r.P.Warmup,
-		Measure:   r.P.Measure,
-		Config:    cfg,
-	}, true
 }
 
 // runAll executes a request set on the worker pool: it deduplicates the
@@ -310,8 +237,10 @@ func (r *Runner) runAll(reqs []runReq) error {
 	seen := make(map[string]bool, len(reqs))
 	var unique []runReq
 	for _, q := range reqs {
-		if k := r.key(q.bench, q.pol, q.cfg); !seen[k] {
+		run, _ := r.resolve(q.bench, q.pol, q.cfg)
+		if k := run.Key(); !seen[k] {
 			seen[k] = true
+			q.pol = run.Policy // the canonical spelling labels the progress line
 			unique = append(unique, q)
 		}
 	}
@@ -364,7 +293,7 @@ func (r *Runner) runAll(reqs []runReq) error {
 				var line string
 				if err == nil {
 					line = fmt.Sprintf("%-16s %-14s CPI=%.3f",
-						q.bench.Name(), normalizePolicy(q.pol), out.CPI)
+						q.bench.Name(), q.pol, out.CPI)
 				}
 				finish(i, line, err)
 			}
@@ -387,7 +316,7 @@ func (r *Runner) runAll(reqs []runReq) error {
 
 // unsafeCPI returns the Unsafe-baseline CPI for the benchmark.
 func (r *Runner) unsafeCPI(bench trace.Source) (float64, error) {
-	out, err := r.run(bench, defense.Policy{Scheme: defense.Unsafe}, nil, "")
+	out, err := r.run(bench, defense.Policy{Scheme: defense.Unsafe}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -397,7 +326,7 @@ func (r *Runner) unsafeCPI(bench trace.Source) (float64, error) {
 // normalized returns the benchmark's CPI under the policy, normalized to
 // the Unsafe baseline.
 func (r *Runner) normalized(bench trace.Source, pol defense.Policy) (float64, error) {
-	out, err := r.run(bench, pol, nil, "")
+	out, err := r.run(bench, pol, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -14,11 +14,11 @@ func tinyParams() Params { return Params{Warmup: 500, Measure: 2500, Seed: 1} }
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(tinyParams())
 	b := trace.ByName("leela_r")
-	a1, err := r.run(b, defense.Policy{Scheme: defense.Unsafe}, nil, "")
+	a1, err := r.run(b, defense.Policy{Scheme: defense.Unsafe}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := r.run(b, defense.Policy{Scheme: defense.Unsafe}, nil, "")
+	a2, err := r.run(b, defense.Policy{Scheme: defense.Unsafe}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRunnerMemoizes(t *testing.T) {
 	if n := r.Simulations(); n != 1 {
 		t.Fatalf("simulations = %d, want 1", n)
 	}
-	b2, err := r.run(b, defense.Policy{Scheme: defense.Fence}, nil, "")
+	b2, err := r.run(b, defense.Policy{Scheme: defense.Fence}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -324,7 +324,7 @@ func RunFigure2(r *Runner) (*Figure2, error) {
 	for _, w := range workloads {
 		m := map[string]float64{}
 		for _, pc := range figure2Policies {
-			out, err := r.run(w.bench, pc.pol, nil, "")
+			out, err := r.run(w.bench, pc.pol, nil)
 			if err != nil {
 				return nil, err
 			}

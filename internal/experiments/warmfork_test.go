@@ -128,7 +128,11 @@ func TestWarmForkIgnoresOldFormatBlob(t *testing.T) {
 
 	r := NewRunner(p)
 	r.Warm = NewWarmStore()
-	r.Warm.store(r.warmKey(bench, defense.Policy{Scheme: defense.Unsafe}, nil),
+	run, err := r.resolve(bench, defense.Policy{Scheme: defense.Unsafe}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Warm.store(run.WarmKey(),
 		append([]byte("PLCK\x02\x00\x00\x00\x00"), "version 2 body"...))
 	got, err := r.unsafeCPI(bench)
 	if err != nil {

@@ -33,7 +33,7 @@ import (
 	"pinnedloads/internal/core"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/obs"
-	"pinnedloads/internal/speckey"
+	"pinnedloads/internal/simrun"
 	"pinnedloads/internal/trace"
 )
 
@@ -147,16 +147,10 @@ func Observe(pol defense.Policy, kernel string, secret, seed uint64) (Observatio
 	o := Observation{
 		State:  sys.Mem().ObservableState(),
 		Events: eventSummary(ring),
-		Key: speckey.Spec{
-			Benchmark:   atk.Name(),
-			Scheme:      pol.Scheme.String(),
-			Variant:     pol.Variant.String(),
-			Conds:       uint8(pol.VPConds()),
-			Seed:        seed,
-			Config:      &cfg,
-			Attack:      speckey.AttackCanonical(atk),
-			Consistency: pol.Consistency.String(),
-		}.Key(),
+		// A run-to-halt has no warmup or measure length: the description
+		// is keyed as it stands, not resolved to the sizing defaults.
+		Key: (&simrun.Run{Benchmark: atk.Name(), Workload: atk, Policy: pol, Config: &cfg,
+			Params: simrun.Params{Seed: seed}}).Key(),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		o.Timing = append(o.Timing, sys.Core(i).HaltCycle())

@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"pinnedloads/internal/simrun"
 )
 
 // ckptSpec is a job long enough to cross several checkpoint intervals.
@@ -30,27 +28,20 @@ func seedCheckpoint(t *testing.T, dir string, spec JobSpec, every int64) string 
 		t.Fatal(err)
 	}
 	id := spec.Key()
-	w, err := spec.workload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := spec.policy()
+	run, err := spec.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var blob []byte
-	_, err = simrun.Execute(context.Background(), w, pol, spec.Config, simrun.Params{
-		Seed: spec.Seed, Warmup: spec.Warmup, Measure: spec.Measure,
-		CheckpointIdentity: id,
-		CheckpointEvery:    every,
-		CheckpointSink: func(b []byte) error {
-			if blob == nil {
-				blob = append([]byte(nil), b...)
-			}
-			return nil
-		},
-	})
-	if err != nil {
+	run.CheckpointIdentity = id
+	run.CheckpointEvery = every
+	run.CheckpointSink = func(b []byte) error {
+		if blob == nil {
+			blob = append([]byte(nil), b...)
+		}
+		return nil
+	}
+	if _, err = run.Execute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if blob == nil {

@@ -306,28 +306,17 @@ func (s *Server) runJob(j *job) {
 		ctx, cancel = context.WithTimeout(ctx, s.opt.JobTimeout)
 		defer cancel()
 	}
-	w, err := j.spec.workload()
+	run, err := j.spec.resolve()
 	if err != nil {
 		s.finish(j, nil, false, err)
 		return
-	}
-	pol, err := j.spec.policy()
-	if err != nil {
-		s.finish(j, nil, false, err)
-		return
-	}
-	p := simrun.Params{
-		Seed:        j.spec.Seed,
-		Warmup:      j.spec.Warmup,
-		Measure:     j.spec.Measure,
-		TraceBuffer: j.spec.TraceBuffer,
 	}
 	ckptPath := ""
 	if s.opt.CheckpointDir != "" {
 		ckptPath = filepath.Join(s.opt.CheckpointDir, j.id+".ckpt")
-		p.CheckpointIdentity = j.id
-		p.CheckpointEvery = s.opt.CheckpointEvery
-		p.CheckpointSink = func(b []byte) error {
+		run.CheckpointIdentity = j.id
+		run.CheckpointEvery = s.opt.CheckpointEvery
+		run.CheckpointSink = func(b []byte) error {
 			if err := writeFileAtomic(ckptPath, b); err != nil {
 				s.count("svc.checkpoint_write_errors")
 				// A checkpoint that fails to persist must not kill the
@@ -337,23 +326,23 @@ func (s *Server) runJob(j *job) {
 			s.count("svc.checkpoints")
 			return nil
 		}
-		p.OnResume = func(m checkpoint.Meta) {
+		run.OnResume = func(m checkpoint.Meta) {
 			s.count("svc.resumed_jobs")
 			s.countN("svc.resumed_cycles", uint64(m.Cycle))
 		}
 		if blob := s.loadCheckpoint(ckptPath, j.id); blob != nil {
-			p.Resume = blob
+			run.Resume = blob
 		}
 	}
-	out, err := simrun.Execute(ctx, w, pol, j.spec.Config, p)
-	if err != nil && len(p.Resume) > 0 && !errors.Is(err, context.Canceled) &&
+	out, err := run.Execute(ctx)
+	if err != nil && len(run.Resume) > 0 && !errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded) {
 		// A checkpoint from an older binary or a corrupted write can fail
 		// restore; retry the job cold rather than failing it.
 		s.count("svc.resume_fallbacks")
 		os.Remove(ckptPath)
-		p.Resume = nil
-		out, err = simrun.Execute(ctx, w, pol, j.spec.Config, p)
+		run.Resume = nil
+		out, err = run.Execute(ctx)
 	}
 	if err == nil {
 		s.count("svc.executed")

@@ -11,8 +11,6 @@ import (
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/simrun"
-	"pinnedloads/internal/speckey"
-	"pinnedloads/internal/trace"
 )
 
 // JobSpec is the wire description of one simulation job. The zero values
@@ -51,134 +49,60 @@ type JobSpec struct {
 // mask fully resolved. Two specs describing the same simulation normalize
 // to identical values, which is what makes Key content-addressed.
 func (s *JobSpec) Normalize() error {
-	if s.Benchmark == "" {
-		return fmt.Errorf("service: job spec needs a benchmark")
-	}
-	w := trace.ByName(s.Benchmark)
-	if w == nil {
-		return fmt.Errorf("service: unknown benchmark %q", s.Benchmark)
-	}
-	if s.Scheme == "" {
-		s.Scheme = defense.Unsafe.String()
-	}
-	sch, err := defense.ParseScheme(s.Scheme)
+	run, err := s.resolve()
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	s.Scheme = sch.String()
-	if s.Variant == "" {
-		s.Variant = defense.Comp.String()
-	}
-	v, err := defense.ParseVariant(s.Variant)
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	s.Variant = v.String()
-	if s.Consistency == "" {
-		s.Consistency = defense.TSO.String()
-	}
-	con, err := defense.ParseConsistency(s.Consistency)
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	s.Consistency = con.String()
-	var mask defense.Cond
-	for _, name := range s.Conds {
-		c, err := defense.ParseCond(name)
-		if err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-		mask |= c
-	}
-	pol := defense.Policy{Scheme: sch, Variant: v, Conds: mask, Consistency: con}
-	s.Conds = pol.VPConds().Names()
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.Warmup == 0 {
-		s.Warmup = simrun.DefaultWarmup
-	}
-	if s.Measure == 0 {
-		s.Measure = simrun.DefaultMeasure
-	}
-	switch {
-	case s.Warmup < 0:
-		return fmt.Errorf("service: warmup must be >= 0, got %d", s.Warmup)
-	case s.Measure < 0:
-		return fmt.Errorf("service: measure must be > 0, got %d", s.Measure)
-	case s.TraceBuffer < 0:
-		return fmt.Errorf("service: trace_buffer must be >= 0, got %d", s.TraceBuffer)
-	}
-	if s.Config == nil {
-		cfg := arch.PaperConfig(w.Cores())
-		s.Config = &cfg
-	} else if s.Config.Cores < w.Cores() {
-		// The simulator raises the core count to the workload's; make the
-		// effective configuration explicit so the key reflects it.
-		cfg := *s.Config
-		cfg.Cores = w.Cores()
-		s.Config = &cfg
-	}
-	if err := s.Config.Validate(); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
+	*s = SpecOf(&run)
 	return nil
+}
+
+// resolve converts the spec into the simulator's canonical run
+// description (looking the benchmark up): what Normalize writes back and
+// the worker executes.
+func (s JobSpec) resolve() (simrun.Run, error) {
+	run, err := s.run()
+	if err == nil {
+		err = run.Resolve()
+	}
+	return run, err
+}
+
+// run converts the wire names and sizing into the simulator's run
+// description, unresolved; Key reads a normalized spec as it stands.
+func (s JobSpec) run() (simrun.Run, error) {
+	pol, err := defense.ParsePolicy(s.Scheme, s.Variant, s.Consistency, s.Conds)
+	return simrun.Run{
+		Benchmark: s.Benchmark,
+		Policy:    pol,
+		Config:    s.Config,
+		Params:    simrun.Params{Seed: s.Seed, Warmup: s.Warmup, Measure: s.Measure, TraceBuffer: s.TraceBuffer},
+	}, err
+}
+
+// SpecOf is the wire form of a resolved run: every field explicit.
+func SpecOf(run *simrun.Run) JobSpec {
+	return JobSpec{
+		Benchmark:   run.Benchmark,
+		Scheme:      run.Policy.Scheme.String(),
+		Variant:     run.Policy.Variant.String(),
+		Consistency: run.Policy.Consistency.String(),
+		Conds:       run.Policy.VPConds().Names(),
+		Seed:        run.Seed,
+		Warmup:      run.Warmup,
+		Measure:     run.Measure,
+		TraceBuffer: run.TraceBuffer,
+		Config:      run.Config,
+	}
 }
 
 // Key returns the job's content-addressed ID. The spec must have been
 // normalized.
 func (s JobSpec) Key() string {
-	pol, err := s.policy()
+	run, err := s.run()
 	if err != nil {
 		// Normalize validated the names; reaching this is a caller bug.
 		panic(fmt.Sprintf("service: Key on unnormalized spec: %v", err))
 	}
-	return speckey.Spec{
-		Benchmark:   s.Benchmark,
-		Scheme:      pol.Scheme.String(),
-		Variant:     pol.Variant.String(),
-		Conds:       uint8(pol.VPConds()),
-		Consistency: pol.Consistency.String(),
-		Seed:        s.Seed,
-		Warmup:      s.Warmup,
-		Measure:     s.Measure,
-		TraceBuffer: s.TraceBuffer,
-		Config:      s.Config,
-	}.Key()
-}
-
-// policy parses the spec's defense policy.
-func (s JobSpec) policy() (defense.Policy, error) {
-	sch, err := defense.ParseScheme(s.Scheme)
-	if err != nil {
-		return defense.Policy{}, err
-	}
-	v, err := defense.ParseVariant(s.Variant)
-	if err != nil {
-		return defense.Policy{}, err
-	}
-	con := defense.TSO
-	if s.Consistency != "" {
-		if con, err = defense.ParseConsistency(s.Consistency); err != nil {
-			return defense.Policy{}, err
-		}
-	}
-	var mask defense.Cond
-	for _, name := range s.Conds {
-		c, err := defense.ParseCond(name)
-		if err != nil {
-			return defense.Policy{}, err
-		}
-		mask |= c
-	}
-	return defense.Policy{Scheme: sch, Variant: v, Conds: mask, Consistency: con}, nil
-}
-
-// workload resolves the spec's benchmark proxy.
-func (s JobSpec) workload() (trace.Source, error) {
-	w := trace.ByName(s.Benchmark)
-	if w == nil {
-		return nil, fmt.Errorf("service: unknown benchmark %q", s.Benchmark)
-	}
-	return w, nil
+	return run.Key()
 }

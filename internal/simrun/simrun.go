@@ -1,16 +1,20 @@
-// Package simrun executes one simulation and snapshots everything its
-// consumers need — CPI, event counters, per-core Pinned Loads hardware
-// statistics and (optionally) the traced event stream — into a plain,
-// JSON-serializable Output. It is the single execution path shared by the
-// experiment runner's memoized worker pool and the simulation service's
-// job workers, so a result computed by either is interchangeable with the
-// other and nothing simulator-internal (no *core.System, no pointer into
-// one) escapes to the caller.
+// Package simrun describes, names and executes one simulation. Run is the
+// single resolved description every entry point converts to — the public
+// RunSpec, the service's JobSpec, the experiment runner's requests, the
+// security tier — so the defaults, the content-addressed key and the
+// machine assembly each exist once. Execute snapshots everything the
+// runner's worker pool and the service's job workers need — CPI, event
+// counters, per-core Pinned Loads hardware statistics and (optionally) the
+// traced event stream — into a plain, JSON-serializable Output, so a result
+// computed by either is interchangeable with the other and nothing
+// simulator-internal escapes; only the public API's Simulate keeps the
+// finished system, for its live counters and sampled time series.
 package simrun
 
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,6 +24,7 @@ import (
 	"pinnedloads/internal/core"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/obs"
+	"pinnedloads/internal/speckey"
 	"pinnedloads/internal/trace"
 )
 
@@ -94,82 +99,228 @@ type Output struct {
 	EventsLost uint64      `json:"events_lost,omitempty"`
 }
 
-// Execute runs one simulation of w under the policy and snapshots the
-// result. A nil cfg means the paper configuration at the workload's core
-// count. The context is threaded into the cycle loop: cancellation stops
-// the simulation mid-run. A panic anywhere inside the simulator is
-// recovered into an error so one broken run cannot take down a worker.
-func Execute(ctx context.Context, w trace.Source, pol defense.Policy, cfg *arch.Config, p Params) (out *Output, err error) {
+// Run is the one description of a simulation: what runs (the workload),
+// under which defense policy, on which machine, for how long. Every entry
+// point — the public RunSpec, the service's JobSpec, the experiment
+// Runner's requests, the security tier — is a conversion to it; Resolve
+// makes it canonical, Key names it and Execute runs it. The Params hooks
+// and MetricsInterval ride along for the run but are not part of its
+// identity.
+type Run struct {
+	// Benchmark names a registered proxy for Resolve to look up;
+	// alternatively set Workload. Resolved, it is the workload's name.
+	Benchmark string
+	Workload  trace.Source
+	Policy    defense.Policy
+	// Config is the machine; nil means the paper's at the workload's core
+	// count. Resolve never writes through the caller's pointer.
+	Config *arch.Config
+	Params
+	// MetricsInterval, when positive, samples the counters every that many
+	// cycles into Finished.Sys.Snapshots().
+	MetricsInterval int64
+}
+
+// Resolve makes the description canonical, and is the only place a run's
+// defaults live: the benchmark looked up (once), a zero seed 1, zero
+// warmup and measure the Default counts, a nil Config the paper machine,
+// the core count raised to the workload's, and a Conds mask that overrides
+// nothing folded away (so the Figure 1/9 full-mask rows are the Figure 7/8
+// COMP runs, down to the checkpoint fingerprint). Two descriptions of the
+// same simulation resolve to equal values. The defaults are filled in even
+// when validation then fails, so a bad request still has a key to memoize
+// its error under.
+func (r *Run) Resolve() error {
+	if r.Workload == nil {
+		if r.Benchmark == "" {
+			return fmt.Errorf("simrun: a run needs a Benchmark or a Workload")
+		}
+		p := trace.ByName(r.Benchmark)
+		if p == nil {
+			return fmt.Errorf("simrun: unknown benchmark %q", r.Benchmark)
+		}
+		r.Workload = p
+	}
+	r.Benchmark = r.Workload.Name()
+	if cores := max(r.Workload.Cores(), 1); r.Config == nil {
+		c := arch.PaperConfig(cores)
+		r.Config = &c
+	} else if r.Config.Cores < cores {
+		c := *r.Config
+		c.Cores = cores
+		r.Config = &c
+	}
+	if r.Seed == 0 {
+		r.Seed = 1
+	}
+	if r.Warmup == 0 {
+		r.Warmup = DefaultWarmup
+	}
+	if r.Measure == 0 {
+		r.Measure = DefaultMeasure
+	}
+	if natural := (defense.Policy{Scheme: r.Policy.Scheme, Variant: r.Policy.Variant,
+		Consistency: r.Policy.Consistency}); natural.VPConds() == r.Policy.VPConds() {
+		r.Policy = natural
+	}
+	err := r.Config.Validate()
+	switch {
+	case r.Warmup < 0:
+		err = fmt.Errorf("warmup must be >= 0, got %d", r.Warmup)
+	case r.Measure < 0:
+		err = fmt.Errorf("measure must be >= 0, got %d", r.Measure)
+	case r.TraceBuffer < 0:
+		err = fmt.Errorf("trace_buffer must be >= 0, got %d", r.TraceBuffer)
+	}
+	if err != nil {
+		return fmt.Errorf("simrun: %s %s: %w", r.Benchmark, r.Policy, err)
+	}
+	return nil
+}
+
+// Registered reports whether the workload is the registered benchmark
+// proxy of its name (same parameters — registries return fresh instances,
+// so compare by value). Only such a run means the same thing to another
+// process: a key stands for a name, and a service can only run what its
+// registry holds.
+func (r *Run) Registered() bool {
+	p := trace.ByName(r.Benchmark)
+	return p != nil && reflect.DeepEqual(trace.Source(p), r.Workload)
+}
+
+// spec spells the run as the canonical key input — the one place a
+// speckey.Spec is written out. Config must be set (Resolve, or a caller
+// holding an already-resolved description).
+func (r *Run) spec() speckey.Spec {
+	s := speckey.Spec{
+		Benchmark:   r.Benchmark,
+		Scheme:      r.Policy.Scheme.String(),
+		Variant:     r.Policy.Variant.String(),
+		Conds:       uint8(r.Policy.VPConds()),
+		Consistency: r.Policy.Consistency.String(),
+		Seed:        r.Seed,
+		Warmup:      r.Warmup,
+		Measure:     r.Measure,
+		TraceBuffer: r.TraceBuffer,
+		Config:      r.Config,
+	}
+	if atk, ok := r.Workload.(*trace.Attack); ok {
+		s.Attack = speckey.AttackCanonical(atk)
+	}
+	return s
+}
+
+// Key returns the run's content-addressed identity: memoization key, job
+// ID, cache address and checkpoint label.
+func (r *Run) Key() string { return r.spec().Key() }
+
+// WarmKey identifies the run's warmed prefix: its key with the measure
+// length zeroed, so runs differing only in how long they measure share one
+// warmup checkpoint.
+func (r *Run) WarmKey() string {
+	s := r.spec()
+	s.Measure = 0
+	return s.Key()
+}
+
+// Finished is a simulation that has run, still inside its simulator:
+// Output snapshots it into plain data, the public API hands out the live
+// counters and the sampled time series.
+type Finished struct {
+	core.Result
+	Sys        *core.System
+	Events     []obs.Event
+	EventsLost uint64
+}
+
+// Simulate is the one run assembly: build the machine (blank when a
+// checkpoint will overwrite it), attach the recorder and sampler, restore,
+// install the checkpoint and warmup hooks, run. The context is threaded
+// into the cycle loop: cancellation stops the simulation mid-run. A panic
+// anywhere inside the simulator is recovered into an error so one broken
+// run cannot take down a worker. The run must be resolved.
+func (r *Run) Simulate(ctx context.Context) (f *Finished, err error) {
+	fail := func(what string, err error) error {
+		return fmt.Errorf("simrun: %s %s: %s%w", r.Benchmark, r.Policy, what, err)
+	}
 	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("simrun: %s %s: panic: %v", w.Name(), pol, r)
+		if p := recover(); p != nil {
+			f, err = nil, fail("", fmt.Errorf("panic: %v", p))
 		}
 	}()
-	c := arch.PaperConfig(w.Cores())
-	if cfg != nil {
-		c = *cfg
-	}
 	// A resumed run restores over everything a pre-warm would install.
 	build := core.New
-	if len(p.Resume) > 0 {
+	if len(r.Resume) > 0 {
 		build = core.NewBlank
 	}
-	sys, err := build(c, pol, w, p.Seed)
+	sys, err := build(*r.Config, r.Policy, r.Workload, r.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("simrun: %s %s: %w", w.Name(), pol, err)
+		return nil, fail("", err)
 	}
 	var ring *obs.Ring
-	if p.TraceBuffer > 0 {
-		ring = obs.NewRing(p.TraceBuffer)
+	if r.TraceBuffer > 0 {
+		ring = obs.NewRing(r.TraceBuffer)
 		sys.SetRecorder(ring)
 	}
-	if len(p.Resume) > 0 {
-		meta, err := checkpoint.Restore(p.Resume, sys)
+	sys.SampleEvery(r.MetricsInterval)
+	if len(r.Resume) > 0 {
+		meta, err := checkpoint.Restore(r.Resume, sys)
 		if err != nil {
-			return nil, fmt.Errorf("simrun: %s %s: resume: %w", w.Name(), pol, err)
+			return nil, fail("resume: ", err)
 		}
-		if p.OnResume != nil {
-			p.OnResume(meta)
+		if r.OnResume != nil {
+			r.OnResume(meta)
 		}
 	}
-	if p.CheckpointEvery > 0 && p.CheckpointSink != nil {
-		sys.SetCheckpointHook(p.CheckpointEvery, func() error {
-			b, err := checkpoint.Capture(sys, p.CheckpointIdentity)
+	if r.CheckpointEvery > 0 && r.CheckpointSink != nil {
+		sys.SetCheckpointHook(r.CheckpointEvery, func() error {
+			b, err := checkpoint.Capture(sys, r.CheckpointIdentity)
 			if err != nil {
 				return err
 			}
-			return p.CheckpointSink(b)
+			return r.CheckpointSink(b)
 		})
 	}
-	if p.WarmupSink != nil {
+	if r.WarmupSink != nil {
 		sys.SetWarmupHook(func() {
-			if b, err := checkpoint.Capture(sys, p.CheckpointIdentity); err == nil {
-				p.WarmupSink(b)
+			if b, err := checkpoint.Capture(sys, r.CheckpointIdentity); err == nil {
+				r.WarmupSink(b)
 			}
 		})
 	}
-	res, err := sys.RunContext(ctx, p.Warmup, p.Measure)
+	res, err := sys.RunContext(ctx, r.Warmup, r.Measure)
 	if err != nil {
-		return nil, fmt.Errorf("simrun: %s %s: %w", w.Name(), pol, err)
+		return nil, fail("", err)
 	}
-	out = &Output{
-		CPI:      res.CPI,
-		Cycles:   res.Cycles,
-		Insts:    res.Insts,
-		Counters: res.Counters.Snapshot(),
-	}
+	f = &Finished{Result: res, Sys: sys}
 	if ring != nil {
-		out.Events = ring.Events()
-		out.EventsLost = ring.Dropped()
+		f.Events, f.EventsLost = ring.Events(), ring.Dropped()
 	}
-	for i := 0; i < c.Cores; i++ {
+	return f, nil
+}
+
+// Execute simulates the run and snapshots the result.
+func (r *Run) Execute(ctx context.Context) (*Output, error) {
+	f, err := r.Simulate(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := &Output{
+		CPI:        f.CPI,
+		Cycles:     f.Cycles,
+		Insts:      f.Insts,
+		Counters:   f.Counters.Snapshot(),
+		Events:     f.Events,
+		EventsLost: f.EventsLost,
+	}
+	for i := 0; i < r.Config.Cores; i++ {
 		var hs HW
-		if l1, dir := sys.Core(i).CSTs(); l1 != nil {
+		if l1, dir := f.Sys.Core(i).CSTs(); l1 != nil {
 			hs.CST = true
 			hs.L1FP = l1.FalsePositiveRate()
 			hs.DirFP = dir.FalsePositiveRate()
 		}
-		if cpt := sys.Core(i).CPT(); cpt != nil {
+		if cpt := f.Sys.Core(i).CPT(); cpt != nil {
 			hs.CPT = true
 			hs.CPTMean = cpt.Occupancy().Mean()
 			hs.CPTMax = cpt.Occupancy().Max()
@@ -180,6 +331,16 @@ func Execute(ctx context.Context, w trace.Source, pol defense.Policy, cfg *arch.
 		out.HW = append(out.HW, hs)
 	}
 	return out, nil
+}
+
+// Execute resolves and runs one simulation of w in a single call, for
+// callers that hold the pieces rather than a Run.
+func Execute(ctx context.Context, w trace.Source, pol defense.Policy, cfg *arch.Config, p Params) (*Output, error) {
+	r := Run{Workload: w, Policy: pol, Config: cfg, Params: p}
+	if err := r.Resolve(); err != nil {
+		return nil, err
+	}
+	return r.Execute(ctx)
 }
 
 // MarshalCSV renders the result as the canonical two-column CSV artifact:

@@ -27,17 +27,13 @@ package pinnedloads
 import (
 	"context"
 	"fmt"
-	"reflect"
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/checkpoint"
-	"pinnedloads/internal/core"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
-	"pinnedloads/internal/obs"
 	"pinnedloads/internal/pin"
 	"pinnedloads/internal/simrun"
-	"pinnedloads/internal/speckey"
 	"pinnedloads/internal/stats"
 	"pinnedloads/internal/trace"
 	"pinnedloads/internal/tracefile"
@@ -254,92 +250,37 @@ func Run(spec RunSpec) (Result, error) {
 // uses this to enforce per-job timeouts; interactive callers can bound
 // runaway configurations the same way.
 func RunContext(ctx context.Context, spec RunSpec) (Result, error) {
-	w, err := resolveWorkload(spec)
+	run, err := spec.resolve()
 	if err != nil {
 		return Result{}, err
 	}
-	var cfg Config
-	if spec.Config != nil {
-		cfg = *spec.Config
-	} else {
-		cores := w.Cores()
-		if cores < 1 {
-			cores = 1
-		}
-		cfg = arch.PaperConfig(cores)
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	warmup := spec.Warmup
-	if warmup == 0 {
-		warmup = DefaultWarmup
-	}
-	measure := spec.Measure
-	if measure == 0 {
-		measure = DefaultMeasure
-	}
-	policy := defense.Policy{Scheme: spec.Scheme, Variant: spec.Variant, Conds: spec.Conds,
-		Consistency: spec.Consistency}
-	build := core.New
-	if len(spec.ResumeFrom) > 0 {
-		build = core.NewBlank // Restore overwrites what a pre-warm installs
-	}
-	sys, err := build(cfg, policy, w, seed)
+	f, err := run.Simulate(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	var ring *obs.Ring
-	if spec.TraceBuffer > 0 {
-		ring = obs.NewRing(spec.TraceBuffer)
-		sys.SetRecorder(ring)
-	}
-	sys.SampleEvery(spec.MetricsInterval)
-	if len(spec.ResumeFrom) > 0 {
-		if _, err := checkpoint.Restore(spec.ResumeFrom, sys); err != nil {
-			return Result{}, err
-		}
-	}
-	if spec.CheckpointEvery > 0 && spec.CheckpointSink != nil {
-		identity := spec.Benchmark
-		if identity == "" && spec.Workload != nil {
-			identity = spec.Workload.Name()
-		}
-		sys.SetCheckpointHook(spec.CheckpointEvery, func() error {
-			b, err := checkpoint.Capture(sys, identity)
-			if err != nil {
-				return err
-			}
-			return spec.CheckpointSink(b)
-		})
-	}
-	res, err := sys.RunContext(ctx, warmup, measure)
-	if err != nil {
-		return Result{}, err
-	}
-	out := Result{CPI: res.CPI, Cycles: res.Cycles, Insts: res.Insts, Counters: res.Counters,
-		Snapshots: sys.Snapshots()}
-	if ring != nil {
-		out.Events = ring.Events()
-		out.EventsLost = ring.Dropped()
-	}
-	return out, nil
+	return Result{CPI: f.CPI, Cycles: f.Cycles, Insts: f.Insts, Counters: f.Counters,
+		Events: f.Events, EventsLost: f.EventsLost, Snapshots: f.Sys.Snapshots()}, nil
 }
 
-// resolveWorkload returns the workload a spec runs.
-func resolveWorkload(spec RunSpec) (Workload, error) {
-	if spec.Workload != nil {
-		return spec.Workload, nil
+// resolve converts the spec into the simulator's canonical run
+// description; simrun.Run.Resolve owns the defaults documented on RunSpec.
+func (spec RunSpec) resolve() (simrun.Run, error) {
+	run := simrun.Run{
+		Benchmark: spec.Benchmark,
+		Workload:  spec.Workload,
+		Policy: defense.Policy{Scheme: spec.Scheme, Variant: spec.Variant, Conds: spec.Conds,
+			Consistency: spec.Consistency},
+		Config: spec.Config,
+		Params: simrun.Params{
+			Seed: spec.Seed, Warmup: spec.Warmup, Measure: spec.Measure, TraceBuffer: spec.TraceBuffer,
+			CheckpointEvery: spec.CheckpointEvery, CheckpointSink: spec.CheckpointSink,
+			Resume: spec.ResumeFrom,
+		},
+		MetricsInterval: spec.MetricsInterval,
 	}
-	if spec.Benchmark == "" {
-		return nil, fmt.Errorf("pinnedloads: RunSpec needs a Benchmark or Workload")
-	}
-	p := trace.ByName(spec.Benchmark)
-	if p == nil {
-		return nil, fmt.Errorf("pinnedloads: unknown benchmark %q", spec.Benchmark)
-	}
-	return p, nil
+	err := run.Resolve()
+	run.CheckpointIdentity = run.Benchmark
+	return run, err
 }
 
 // SpecKey returns the content-addressed identity of a run: a stable hex
@@ -354,59 +295,14 @@ func resolveWorkload(spec RunSpec) (Workload, error) {
 // an error is returned). RunSpec.MetricsInterval is excluded: it changes
 // which snapshots are captured, never the simulation's outcome.
 func SpecKey(spec RunSpec) (string, error) {
-	name := spec.Benchmark
-	if spec.Workload != nil {
-		name = spec.Workload.Name()
-		p := trace.ByName(name)
-		if p == nil || !reflect.DeepEqual(Workload(p), spec.Workload) {
-			return "", fmt.Errorf("pinnedloads: workload %q is not a registered benchmark; custom workloads have no content-addressed key", name)
-		}
-	} else if trace.ByName(name) == nil {
-		return "", fmt.Errorf("pinnedloads: unknown benchmark %q", name)
+	run, err := spec.resolve()
+	if err != nil {
+		return "", err
 	}
-	w := trace.ByName(name)
-	cfg := spec.Config
-	if cfg == nil {
-		cores := w.Cores()
-		if cores < 1 {
-			cores = 1
-		}
-		c := arch.PaperConfig(cores)
-		cfg = &c
-	} else if cfg.Cores < w.Cores() {
-		// core.New raises the core count to the workload's; key the
-		// effective configuration, not the declared one.
-		c := *cfg
-		c.Cores = w.Cores()
-		cfg = &c
+	if spec.Workload != nil && !run.Registered() {
+		return "", fmt.Errorf("pinnedloads: workload %q is not a registered benchmark; custom workloads have no content-addressed key", run.Benchmark)
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	warmup := spec.Warmup
-	if warmup == 0 {
-		warmup = DefaultWarmup
-	}
-	measure := spec.Measure
-	if measure == 0 {
-		measure = DefaultMeasure
-	}
-	pol := defense.Policy{Scheme: spec.Scheme, Variant: spec.Variant, Conds: spec.Conds,
-		Consistency: spec.Consistency}
-	k := speckey.Spec{
-		Benchmark:   name,
-		Scheme:      spec.Scheme.String(),
-		Variant:     spec.Variant.String(),
-		Conds:       uint8(pol.VPConds()),
-		Consistency: spec.Consistency.String(),
-		Seed:        seed,
-		Warmup:      warmup,
-		Measure:     measure,
-		TraceBuffer: spec.TraceBuffer,
-		Config:      cfg,
-	}
-	return k.Key(), nil
+	return run.Key(), nil
 }
 
 // Overhead converts a protected CPI and an unsafe-baseline CPI into the
