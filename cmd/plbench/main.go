@@ -14,6 +14,8 @@
 //	plbench -server http://host:8321 -fig 7   # offload runs to plserved
 //	plbench -server http://h1:8321,http://h2:8321 -fig 7   # ...to a fleet
 //
+// The selectors name entries of experiments.Catalog, which this command
+// loops over; an id no entry carries is an error (exit 2, nothing run).
 // Simulations within each experiment run on a worker pool (-workers,
 // default: every available CPU); results are bit-identical to a
 // sequential -workers 1 run. With several backends (a comma-separated
@@ -29,6 +31,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,9 +41,9 @@ import (
 
 func main() {
 	var (
-		figs     = flag.String("fig", "", "comma-separated figures to regenerate (1,2,7,8,9)")
-		secs     = flag.String("sec", "", "comma-separated sections (9.1.3, 9.2.1, 9.2.2, 9.2.3, 9.2.4)")
-		tables   = flag.String("table", "", "tables to print (1)")
+		figs     = flag.String("fig", "", "comma-separated figures to regenerate ("+strings.Join(ids("fig"), ",")+")")
+		secs     = flag.String("sec", "", "comma-separated sections ("+strings.Join(ids("sec"), ",")+")")
+		tables   = flag.String("table", "", "tables to print ("+strings.Join(ids("table"), ",")+")")
 		security = flag.Bool("security", false, "run the security matrix (adversarial kernels x defense policies)")
 		all      = flag.Bool("all", false, "regenerate everything")
 		quick    = flag.Bool("quick", false, "use fast, low-precision simulation sizing")
@@ -56,6 +59,16 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
+
+	picked, err := pick(*all, *security, map[string]string{"fig": *figs, "sec": *secs, "table": *tables})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "plbench: %v\n", err)
+		os.Exit(2)
+	}
+	if len(picked) == 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -110,172 +123,70 @@ func main() {
 		runner.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 
-	want := func(list, item string) bool {
-		if *all {
-			return true
-		}
-		for _, f := range strings.Split(list, ",") {
-			if strings.TrimSpace(f) == item {
-				return true
-			}
-		}
-		return false
-	}
-
-	ran := false
 	failed := false
-	section := func(fn func() error) {
-		ran = true
+	for _, e := range picked {
 		start := time.Now()
-		if err := fn(); err != nil {
+		result, err := e.Run(runner)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "plbench: %v\n", err)
 			failed = true
-			return
+			continue
+		}
+		fmt.Println(result)
+		if c, ok := result.(experiments.Charter); ok && *chart {
+			fmt.Println(c.Chart())
+		}
+		if e.CSV != "" && *csvDir != "" {
+			if path, err := experiments.WriteCSV(*csvDir, e.CSV, result); err != nil {
+				fmt.Fprintf(os.Stderr, "plbench: csv: %v\n", err)
+				failed = true
+			} else {
+				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			}
 		}
 		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
 	}
-
-	// show prints a finished experiment, its optional chart rendering, and
-	// its optional CSV file.
-	show := func(result fmt.Stringer, csvName string) {
-		fmt.Println(result)
-		if *chart {
-			if c, ok := result.(experiments.Charter); ok {
-				fmt.Println(c.Chart())
-			}
-		}
-		if csvName == "" || *csvDir == "" {
-			return
-		}
-		if path, err := experiments.WriteCSV(*csvDir, csvName, result); err != nil {
-			fmt.Fprintf(os.Stderr, "plbench: csv: %v\n", err)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-
-	if want(*tables, "1") {
-		section(func() error {
-			fmt.Println(experiments.ArchTable())
-			fmt.Println(experiments.HardwareTable())
-			return nil
-		})
-	}
-	if want(*figs, "1") {
-		section(func() error {
-			f, err := experiments.RunFigure1(runner)
-			if err != nil {
-				return err
-			}
-			show(f, "figure1")
-			return nil
-		})
-	}
-	if want(*figs, "2") {
-		section(func() error {
-			f, err := experiments.RunFigure2(runner)
-			if err != nil {
-				return err
-			}
-			show(f, "")
-			return nil
-		})
-	}
-	if want(*figs, "7") {
-		section(func() error {
-			f, err := experiments.RunCPIFigure(runner, "Figure 7 (SPEC17)", "SPEC17")
-			if err != nil {
-				return err
-			}
-			show(f, "figure7")
-			return nil
-		})
-	}
-	if want(*figs, "8") {
-		section(func() error {
-			f, err := experiments.RunCPIFigure(runner, "Figure 8 (SPLASH2+PARSEC)", "SPLASH2", "PARSEC")
-			if err != nil {
-				return err
-			}
-			show(f, "figure8")
-			return nil
-		})
-	}
-	if want(*figs, "9") {
-		section(func() error {
-			f, err := experiments.RunFigure9(runner)
-			if err != nil {
-				return err
-			}
-			show(f, "figure9")
-			return nil
-		})
-	}
-	if want(*secs, "9.1.3") {
-		section(func() error {
-			f, err := experiments.RunTraffic(runner)
-			if err != nil {
-				return err
-			}
-			show(f, "traffic")
-			return nil
-		})
-	}
-	if want(*secs, "9.2.1") {
-		section(func() error {
-			f, err := experiments.RunCSTStudy(runner)
-			if err != nil {
-				return err
-			}
-			show(f, "")
-			return nil
-		})
-	}
-	if want(*secs, "9.2.2") {
-		section(func() error {
-			f, err := experiments.RunCPTStudy(runner)
-			if err != nil {
-				return err
-			}
-			show(f, "")
-			return nil
-		})
-	}
-	if want(*secs, "9.2.3") {
-		section(func() error {
-			f, err := experiments.RunWdStudy(runner)
-			if err != nil {
-				return err
-			}
-			show(f, "wd_study")
-			return nil
-		})
-	}
-	if want(*secs, "9.2.4") {
-		section(func() error {
-			fmt.Println(experiments.HardwareTable())
-			return nil
-		})
-	}
-	if *security || *all {
-		section(func() error {
-			m, err := experiments.RunSecurityMatrix(params.Seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(m)
-			return nil
-		})
-	}
-
 	if failed {
 		os.Exit(1)
 	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
+}
+
+// ids lists the catalog's IDs of one selector kind, in catalog order.
+func ids(kind string) []string {
+	var out []string
+	for _, e := range experiments.Catalog {
+		if e.Kind == kind {
+			out = append(out, e.ID)
+		}
 	}
+	return out
+}
+
+// pick resolves the selector flags against the catalog, keeping catalog
+// order. lists maps a selector kind to its flag's comma-separated IDs; an ID
+// that names no entry of its kind is an error, so a typo cannot silently
+// drop a figure.
+func pick(all, security bool, lists map[string]string) ([]experiments.Experiment, error) {
+	asked := map[string][]string{}
+	for _, kind := range []string{"fig", "sec", "table"} {
+		valid := ids(kind)
+		for _, id := range strings.Split(lists[kind], ",") {
+			if id = strings.TrimSpace(id); id == "" {
+				continue
+			}
+			if !slices.Contains(valid, id) {
+				return nil, fmt.Errorf("-%s: unknown id %q (want one of %s)", kind, id, strings.Join(valid, ", "))
+			}
+			asked[kind] = append(asked[kind], id)
+		}
+	}
+	var picked []experiments.Experiment
+	for _, e := range experiments.Catalog {
+		if all || e.Kind == "security" && security || slices.Contains(asked[e.Kind], e.ID) {
+			picked = append(picked, e)
+		}
+	}
+	return picked, nil
 }
 
 // buildRemote resolves the -server flag into a RemoteRunner: nil (local

@@ -6,16 +6,19 @@
 // studies (Sections 9.2.1-9.2.4). Each experiment returns a renderable
 // result; cmd/plbench and the bench_test.go harness drive them.
 //
-// Experiments execute in two phases. First they enumerate their complete
-// run set — every (benchmark, policy, config) simulation they will need —
-// and hand it to Runner.runAll, which deduplicates the set by memoization
-// key and executes it on a pool of Workers goroutines. Then they render:
-// the same run calls are replayed sequentially and resolve as memo hits.
-// A singleflight entry per key guarantees each simulation executes exactly
+// An experiment is spelled once, as the body that renders it, and sweep
+// runs that body twice. The first pass plans: every simulation the body
+// asks its query for is noted and answered with a placeholder. The plan
+// then executes on a pool of Workers goroutines (runAll: deduplicated by
+// memoization key, Progress in plan order). The second pass renders: the
+// same body, asking the same questions, now reads the memo. The run set
+// cannot disagree with the rendering because it is the rendering. A
+// singleflight entry per key guarantees each simulation executes exactly
 // once even when concurrent experiments request overlapping keys (every
 // figure normalizes against the same Unsafe baselines), and parallel
 // execution is bit-identical to sequential execution because each
 // simulation is a deterministic function of its key and parameters.
+// Catalog lists the experiments, in the paper's order, for cmd/plbench.
 package experiments
 
 import (
@@ -50,8 +53,8 @@ func DefaultParams() Params { return Params{Warmup: 15_000, Measure: 60_000, See
 // QuickParams returns a fast sizing for tests and smoke runs.
 func QuickParams() Params { return Params{Warmup: 2_000, Measure: 8_000, Seed: 1} }
 
-// runReq names one simulation an experiment needs: the workload, the
-// defense policy, and an optional config override. Memoization is
+// runReq is one planned simulation as the pool carries it: the workload,
+// the defense policy, and an optional config override. Memoization is
 // content-addressed over the resolved run, so two requests dedupe exactly
 // when they describe the same simulation.
 type runReq struct {
@@ -78,49 +81,35 @@ type RemoteRunner interface {
 // deterministic, a forked run is bit-identical to a cold one; the
 // equivalence tests in internal/checkpoint enforce that, and
 // TestWarmForkCSVIdentical enforces it end-to-end at the CSV layer.
-type WarmStore struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
+type WarmStore struct{ m sync.Map }
 
 // NewWarmStore returns an empty warm-checkpoint store.
-func NewWarmStore() *WarmStore { return &WarmStore{m: make(map[string][]byte)} }
+func NewWarmStore() *WarmStore { return &WarmStore{} }
 
 // Len reports how many warmed prefixes the store holds.
-func (s *WarmStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-func (s *WarmStore) lookup(key string) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[key]
+func (s *WarmStore) Len() (n int) {
+	s.m.Range(func(_, _ any) bool { n++; return true })
+	return n
 }
 
 // store publishes a warm checkpoint; the first writer for a key wins
 // (concurrent writers hold byte-identical blobs — the simulation is a
 // deterministic function of the key).
-func (s *WarmStore) store(key string, blob []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; !ok {
-		s.m[key] = blob
-	}
-}
+func (s *WarmStore) store(key string, blob []byte) { s.m.LoadOrStore(key, blob) }
 
 // Runner executes simulations with memoization so experiments can share
-// baselines. run is safe for concurrent use; runAll spreads a request set
-// over a worker pool. The zero Workers value uses every available CPU.
+// baselines. run is safe for concurrent use, and so is sweep: a sweep's
+// plan lives in its own query, not on the Runner. The zero Workers value
+// uses every available CPU.
 type Runner struct {
 	P Params
 	// Workers bounds how many simulations execute concurrently in
 	// runAll; 0 (or negative) means runtime.GOMAXPROCS(0).
 	Workers int
 	// Progress, when non-nil, receives a line per completed simulation.
-	// Lines are delivered in deterministic enumeration order regardless
-	// of worker interleaving, and never concurrently.
+	// Lines are delivered in plan order (the order the experiment's body
+	// first asks for each run) regardless of worker interleaving, and
+	// never concurrently.
 	Progress func(string)
 	// Remote, when non-nil, offloads eligible runs (registered benchmark
 	// proxies) to a simulation service; custom workloads — scripts, trace
@@ -183,11 +172,6 @@ func (r *Runner) run(bench trace.Source, pol defense.Policy, cfg *arch.Config) (
 	})
 }
 
-// get resolves a request through the memo cache.
-func (r *Runner) get(q runReq) (*simrun.Output, error) {
-	return r.run(q.bench, q.pol, q.cfg)
-}
-
 // simulate executes one resolved run in the calling goroutine, remotely
 // when a Remote hook is installed and the workload is one the service's
 // registry also holds, locally otherwise. cfg is the request's override,
@@ -204,25 +188,23 @@ func (r *Runner) simulate(run simrun.Run, cfg *arch.Config) (*simrun.Output, err
 		r.remote.Add(1)
 		return out, nil
 	}
+	forked := false
 	if r.Warm != nil {
 		wkey := run.WarmKey()
-		if blob := r.Warm.lookup(wkey); blob != nil {
-			warmed := run
-			warmed.Resume = blob
-			if out, err := warmed.Execute(context.Background()); err == nil {
-				r.forks.Add(1)
-				r.sims.Add(1)
-				return out, nil
-			}
-			// A checkpoint that fails to restore (version skew, fingerprint
-			// mismatch) is ignored: fall through and run cold.
+		if blob, ok := r.Warm.m.Load(wkey); ok {
+			run.Resume, forked = blob.([]byte), true
 		}
 		run.CheckpointIdentity = "warm:" + wkey
 		run.WarmupSink = func(b []byte) { r.Warm.store(wkey, b) }
 	}
-	out, err := run.Execute(context.Background())
+	// A checkpoint that fails to restore (version skew, fingerprint
+	// mismatch) is ignored: the run simulates cold.
+	out, err := run.ExecuteOrCold(context.Background(), func(error) { forked = false })
 	if err != nil {
 		return nil, err
+	}
+	if forked {
+		r.forks.Add(1)
 	}
 	r.sims.Add(1)
 	return out, nil
@@ -231,7 +213,7 @@ func (r *Runner) simulate(run simrun.Run, cfg *arch.Config) (*simrun.Output, err
 // runAll executes a request set on the worker pool: it deduplicates the
 // set by memoization key (preserving first-occurrence order), spreads the
 // unique requests over Workers goroutines, and delivers Progress lines in
-// enumeration order. The pool always drains — a failed simulation never
+// request order. The pool always drains — a failed simulation never
 // wedges it — and every failure is reported, joined into one error.
 func (r *Runner) runAll(reqs []runReq) error {
 	seen := make(map[string]bool, len(reqs))
@@ -289,7 +271,7 @@ func (r *Runner) runAll(reqs []runReq) error {
 			defer wg.Done()
 			for i := range jobs {
 				q := unique[i]
-				out, err := r.get(q)
+				out, err := r.run(q.bench, q.pol, q.cfg)
 				var line string
 				if err == nil {
 					line = fmt.Sprintf("%-16s %-14s CPI=%.3f",
@@ -314,32 +296,66 @@ func (r *Runner) runAll(reqs []runReq) error {
 	return errors.Join(errs...)
 }
 
+// query is what an experiment's body asks for its simulations. A live
+// query answers from its Runner (after sweep's pool phase, from the memo); a
+// planning query has none: it notes each request and answers planned.
+type query struct {
+	r    *Runner
+	reqs []runReq
+	// planned is every answer of a planning query: CPI 1 keeps ratios and
+	// geomeans defined, the nil counters and hardware rows read as zero.
+	planned simrun.Output
+}
+
+// run returns one simulation of bench under the policy, on the default
+// machine unless cfg overrides it.
+func (q *query) run(bench trace.Source, pol defense.Policy, cfg *arch.Config) (*simrun.Output, error) {
+	if q.r == nil {
+		q.reqs = append(q.reqs, runReq{bench: bench, pol: pol, cfg: cfg})
+		return &q.planned, nil
+	}
+	return q.r.run(bench, pol, cfg)
+}
+
 // unsafeCPI returns the Unsafe-baseline CPI for the benchmark.
-func (r *Runner) unsafeCPI(bench trace.Source) (float64, error) {
-	out, err := r.run(bench, defense.Policy{Scheme: defense.Unsafe}, nil)
+func (q *query) unsafeCPI(bench trace.Source) (float64, error) {
+	out, err := q.run(bench, defense.Policy{Scheme: defense.Unsafe}, nil)
 	if err != nil {
 		return 0, err
 	}
 	return out.CPI, nil
 }
 
-// normalized returns the benchmark's CPI under the policy, normalized to
-// the Unsafe baseline.
-func (r *Runner) normalized(bench trace.Source, pol defense.Policy) (float64, error) {
-	out, err := r.run(bench, pol, nil)
+// normalized returns the benchmark's CPI under the policy (and config
+// override, if any), normalized to the Unsafe baseline on the default
+// machine. The baseline is asked for first, so a benchmark's runs follow its
+// baseline in the plan.
+func (q *query) normalized(bench trace.Source, pol defense.Policy, cfg *arch.Config) (float64, error) {
+	base, err := q.unsafeCPI(bench)
 	if err != nil {
 		return 0, err
 	}
-	base, err := r.unsafeCPI(bench)
+	out, err := q.run(bench, pol, cfg)
 	if err != nil {
 		return 0, err
 	}
 	return out.CPI / base, nil
 }
 
-// unsafeReq is the baseline request every normalization depends on.
-func unsafeReq(bench trace.Source) runReq {
-	return runReq{bench: bench, pol: defense.Policy{Scheme: defense.Unsafe}}
+// sweep runs an experiment. body is the experiment's one spelling: it asks
+// q for every simulation it needs and builds the result from the answers.
+// sweep calls it against a planning query, executes the plan on the pool,
+// then calls it again live; the second call's result is the experiment's.
+// body must therefore ask the same questions whatever the answers are.
+func sweep[T any](r *Runner, body func(q *query) (T, error)) (T, error) {
+	plan := &query{planned: simrun.Output{CPI: 1}}
+	if res, err := body(plan); err != nil {
+		return res, err
+	}
+	if err := r.runAll(plan.reqs); err != nil {
+		return *new(T), err
+	}
+	return body(&query{r: r})
 }
 
 // table is a simple fixed-width text table builder.
@@ -379,9 +395,14 @@ func (t *table) String() string {
 	return b.String()
 }
 
-// suiteBenches returns the benchmarks of a suite sorted by name.
-func suiteBenches(suite string) []*trace.Profile {
-	benches := trace.Suites()[suite]
-	sort.Slice(benches, func(i, j int) bool { return benches[i].BenchName < benches[j].BenchName })
-	return benches
+// suiteBenches returns the benchmarks of the suites, suite by suite, each
+// sorted by name.
+func suiteBenches(suites ...string) []*trace.Profile {
+	var all []*trace.Profile
+	for _, suite := range suites {
+		benches := trace.Suites()[suite]
+		sort.Slice(benches, func(i, j int) bool { return benches[i].BenchName < benches[j].BenchName })
+		all = append(all, benches...)
+	}
+	return all
 }

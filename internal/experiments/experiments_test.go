@@ -11,6 +11,16 @@ import (
 // tinyParams keeps experiment tests fast.
 func tinyParams() Params { return Params{Warmup: 500, Measure: 2500, Seed: 1} }
 
+// unsafeCPI asks a Runner directly, outside any sweep.
+func (r *Runner) unsafeCPI(bench trace.Source) (float64, error) {
+	return (&query{r: r}).unsafeCPI(bench)
+}
+
+// unsafeReq is the baseline request every normalization depends on.
+func unsafeReq(bench trace.Source) runReq {
+	return runReq{bench: bench, pol: defense.Policy{Scheme: defense.Unsafe}}
+}
+
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(tinyParams())
 	b := trace.ByName("leela_r")
@@ -40,7 +50,7 @@ func TestRunnerMemoizes(t *testing.T) {
 func TestNormalized(t *testing.T) {
 	r := NewRunner(tinyParams())
 	b := trace.ByName("leela_r")
-	n, err := r.normalized(b, defense.Policy{Scheme: defense.Fence, Variant: defense.Comp})
+	n, err := (&query{r: r}).normalized(b, defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,38 +32,54 @@ type Figure1 struct {
 	Overhead map[string][4]float64
 }
 
+// condPolicies are a scheme delaying the VP by each cumulative condition
+// set of condMasks in turn.
+func condPolicies(sch defense.Scheme) []defense.Policy {
+	pols := make([]defense.Policy, len(condMasks))
+	for i, cm := range condMasks {
+		pols[i] = defense.Policy{Scheme: sch, Conds: cm.Mask}
+	}
+	return pols
+}
+
+// geoOverheads returns, per column, the geomean overhead (%) over the Unsafe
+// baseline across benches; norm is one benchmark's normalized CPI in one
+// column. It asks benchmark-major, so in a sweep's plan a benchmark's runs
+// follow its baseline.
+func geoOverheads(benches []*trace.Profile, cols int, norm func(b *trace.Profile, col int) (float64, error)) ([]float64, error) {
+	norms := make([][]float64, cols)
+	for _, b := range benches {
+		for col := range norms {
+			n, err := norm(b, col)
+			if err != nil {
+				return nil, err
+			}
+			norms[col] = append(norms[col], n)
+		}
+	}
+	out := make([]float64, cols)
+	for col, ns := range norms {
+		out[col] = stats.Overhead(stats.GeoMean(ns))
+	}
+	return out, nil
+}
+
 // RunFigure1 executes the Figure 1 study.
 func RunFigure1(r *Runner) (*Figure1, error) {
-	f := &Figure1{Suites: []string{"SPEC17", "SPLASH2", "PARSEC"}, Overhead: map[string][4]float64{}}
-	var reqs []runReq
-	for _, suite := range f.Suites {
-		for _, b := range suiteBenches(suite) {
-			reqs = append(reqs, unsafeReq(b))
-			for _, cm := range condMasks {
-				reqs = append(reqs, runReq{bench: b, pol: defense.Policy{Scheme: defense.Fence, Conds: cm.Mask}})
+	return sweep(r, func(q *query) (*Figure1, error) {
+		f := &Figure1{Suites: []string{"SPEC17", "SPLASH2", "PARSEC"}, Overhead: map[string][4]float64{}}
+		pols := condPolicies(defense.Fence)
+		for _, suite := range f.Suites {
+			o, err := geoOverheads(suiteBenches(suite), len(pols), func(b *trace.Profile, i int) (float64, error) {
+				return q.normalized(b, pols[i], nil)
+			})
+			if err != nil {
+				return nil, err
 			}
+			f.Overhead[suite] = [4]float64(o)
 		}
-	}
-	if err := r.runAll(reqs); err != nil {
-		return nil, err
-	}
-	for _, suite := range f.Suites {
-		var out [4]float64
-		for i, cm := range condMasks {
-			var norms []float64
-			for _, b := range suiteBenches(suite) {
-				pol := defense.Policy{Scheme: defense.Fence, Conds: cm.Mask}
-				n, err := r.normalized(b, pol)
-				if err != nil {
-					return nil, err
-				}
-				norms = append(norms, n)
-			}
-			out[i] = stats.Overhead(stats.GeoMean(norms))
-		}
-		f.Overhead[suite] = out
-	}
-	return f, nil
+		return f, nil
+	})
 }
 
 // String renders the figure as a stacked table.
@@ -92,52 +108,52 @@ type CPIFigure struct {
 	GeoMean map[defense.Scheme]map[defense.Variant]float64
 }
 
-// RunCPIFigure runs the normalized-CPI sweep over the given suites.
+// RunCPIFigure runs the normalized-CPI sweep over the given suites. It asks
+// benchmark-major, the baseline first: the job order bench/fig7.go's
+// fig7Jobs documents.
 func RunCPIFigure(r *Runner, title string, suites ...string) (*CPIFigure, error) {
-	f := &CPIFigure{
-		Title:   title,
-		Schemes: defense.Schemes(),
-		Norm:    map[defense.Scheme]map[defense.Variant]map[string]float64{},
-		GeoMean: map[defense.Scheme]map[defense.Variant]float64{},
-	}
-	var benches []*trace.Profile
-	for _, s := range suites {
-		benches = append(benches, suiteBenches(s)...)
-	}
-	for _, b := range benches {
-		f.Benches = append(f.Benches, b.BenchName)
-	}
-	var reqs []runReq
-	for _, b := range benches {
-		reqs = append(reqs, unsafeReq(b))
+	benches := suiteBenches(suites...)
+	return sweep(r, func(q *query) (*CPIFigure, error) {
+		f := &CPIFigure{
+			Title:   title,
+			Schemes: defense.Schemes(),
+			Norm:    map[defense.Scheme]map[defense.Variant]map[string]float64{},
+			GeoMean: map[defense.Scheme]map[defense.Variant]float64{},
+		}
+		for _, sch := range f.Schemes {
+			f.Norm[sch] = map[defense.Variant]map[string]float64{}
+			f.GeoMean[sch] = map[defense.Variant]float64{}
+			for _, v := range defense.Variants() {
+				f.Norm[sch][v] = map[string]float64{}
+			}
+		}
+		for _, b := range benches {
+			f.Benches = append(f.Benches, b.BenchName)
+			base, err := q.unsafeCPI(b)
+			if err != nil {
+				return nil, err
+			}
+			for _, sch := range f.Schemes {
+				for _, v := range defense.Variants() {
+					out, err := q.run(b, defense.Policy{Scheme: sch, Variant: v}, nil)
+					if err != nil {
+						return nil, err
+					}
+					f.Norm[sch][v][b.BenchName] = out.CPI / base
+				}
+			}
+		}
 		for _, sch := range f.Schemes {
 			for _, v := range defense.Variants() {
-				reqs = append(reqs, runReq{bench: b, pol: defense.Policy{Scheme: sch, Variant: v}})
-			}
-		}
-	}
-	if err := r.runAll(reqs); err != nil {
-		return nil, err
-	}
-	for _, sch := range f.Schemes {
-		f.Norm[sch] = map[defense.Variant]map[string]float64{}
-		f.GeoMean[sch] = map[defense.Variant]float64{}
-		for _, v := range defense.Variants() {
-			m := map[string]float64{}
-			var norms []float64
-			for _, b := range benches {
-				n, err := r.normalized(b, defense.Policy{Scheme: sch, Variant: v})
-				if err != nil {
-					return nil, err
+				norms := make([]float64, len(f.Benches))
+				for i, bench := range f.Benches {
+					norms[i] = f.Norm[sch][v][bench]
 				}
-				m[b.BenchName] = n
-				norms = append(norms, n)
+				f.GeoMean[sch][v] = stats.GeoMean(norms)
 			}
-			f.Norm[sch][v] = m
-			f.GeoMean[sch][v] = stats.GeoMean(norms)
 		}
-	}
-	return f, nil
+		return f, nil
+	})
 }
 
 // String renders one table per scheme, matching the paper's plot layout.
@@ -180,8 +196,8 @@ type Figure9Row struct {
 	EP    float64 // overhead (%) with Early Pinning
 }
 
-// figure9Groups are the suite groupings of Figure 9.
-var figure9Groups = []struct {
+// suiteGroups are the suite groupings of Figure 9 and the Wd study.
+var suiteGroups = []struct {
 	name   string
 	suites []string
 }{
@@ -191,64 +207,25 @@ var figure9Groups = []struct {
 
 // RunFigure9 executes the Figure 9 study.
 func RunFigure9(r *Runner) (*Figure9, error) {
-	var reqs []runReq
-	for _, sch := range defense.Schemes() {
-		for _, g := range figure9Groups {
-			for _, s := range g.suites {
-				for _, b := range suiteBenches(s) {
-					reqs = append(reqs, unsafeReq(b))
-					for _, cm := range condMasks {
-						reqs = append(reqs, runReq{bench: b, pol: defense.Policy{Scheme: sch, Conds: cm.Mask}})
-					}
-					for _, v := range []defense.Variant{defense.LP, defense.EP} {
-						reqs = append(reqs, runReq{bench: b, pol: defense.Policy{Scheme: sch, Variant: v}})
-					}
+	return sweep(r, func(q *query) (*Figure9, error) {
+		f := &Figure9{}
+		for _, sch := range defense.Schemes() {
+			// Columns: the four cumulative condition sets, then LP and EP.
+			pols := append(condPolicies(sch),
+				defense.Policy{Scheme: sch, Variant: defense.LP}, defense.Policy{Scheme: sch, Variant: defense.EP})
+			for _, g := range suiteGroups {
+				o, err := geoOverheads(suiteBenches(g.suites...), len(pols), func(b *trace.Profile, i int) (float64, error) {
+					return q.normalized(b, pols[i], nil)
+				})
+				if err != nil {
+					return nil, err
 				}
+				f.Rows = append(f.Rows, Figure9Row{Scheme: sch, Group: g.name,
+					Stack: [4]float64(o), LP: o[4], EP: o[5]})
 			}
 		}
-	}
-	if err := r.runAll(reqs); err != nil {
-		return nil, err
-	}
-	f := &Figure9{}
-	for _, sch := range defense.Schemes() {
-		for _, g := range figure9Groups {
-			var benches []*trace.Profile
-			for _, s := range g.suites {
-				benches = append(benches, suiteBenches(s)...)
-			}
-			row := Figure9Row{Scheme: sch, Group: g.name}
-			for i, cm := range condMasks {
-				var norms []float64
-				for _, b := range benches {
-					n, err := r.normalized(b, defense.Policy{Scheme: sch, Conds: cm.Mask})
-					if err != nil {
-						return nil, err
-					}
-					norms = append(norms, n)
-				}
-				row.Stack[i] = stats.Overhead(stats.GeoMean(norms))
-			}
-			for _, v := range []defense.Variant{defense.LP, defense.EP} {
-				var norms []float64
-				for _, b := range benches {
-					n, err := r.normalized(b, defense.Policy{Scheme: sch, Variant: v})
-					if err != nil {
-						return nil, err
-					}
-					norms = append(norms, n)
-				}
-				o := stats.Overhead(stats.GeoMean(norms))
-				if v == defense.LP {
-					row.LP = o
-				} else {
-					row.EP = o
-				}
-			}
-			f.Rows = append(f.Rows, row)
-		}
-	}
-	return f, nil
+		return f, nil
+	})
 }
 
 // String renders the breakdown table.
@@ -311,28 +288,21 @@ func RunFigure2(r *Runner) (*Figure2, error) {
 		{"independent", figure2Workload("fig2-independent", false)},
 		{"dependent", figure2Workload("fig2-dependent", true)},
 	}
-	var reqs []runReq
-	for _, w := range workloads {
-		for _, pc := range figure2Policies {
-			reqs = append(reqs, runReq{bench: w.bench, pol: pc.pol})
-		}
-	}
-	if err := r.runAll(reqs); err != nil {
-		return nil, err
-	}
-	f := &Figure2{CPI: map[string]map[string]float64{}}
-	for _, w := range workloads {
-		m := map[string]float64{}
-		for _, pc := range figure2Policies {
-			out, err := r.run(w.bench, pc.pol, nil)
-			if err != nil {
-				return nil, err
+	return sweep(r, func(q *query) (*Figure2, error) {
+		f := &Figure2{CPI: map[string]map[string]float64{}}
+		for _, w := range workloads {
+			m := map[string]float64{}
+			for _, pc := range figure2Policies {
+				out, err := q.run(w.bench, pc.pol, nil)
+				if err != nil {
+					return nil, err
+				}
+				m[pc.name] = out.CPI
 			}
-			m[pc.name] = out.CPI
+			f.CPI[w.name] = m
 		}
-		f.CPI[w.name] = m
-	}
-	return f, nil
+		return f, nil
+	})
 }
 
 // String renders the microbenchmark CPIs.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,28 +95,90 @@ func TestRunAllOverlappingSets(t *testing.T) {
 	}
 }
 
-// TestRunAllOrderedProgress checks that Progress lines arrive in
-// enumeration order no matter how the workers interleave.
+// TestRunAllOrderedProgress checks that Progress lines arrive in plan order
+// no matter how the workers interleave: for a hand-made request set, and for
+// RunCPIFigure, whose plan is its render body's question order — benchmark-
+// major, Unsafe first, the order bench/fig7.go's fig7Jobs documents and its
+// per-job spans are labelled by.
 func TestRunAllOrderedProgress(t *testing.T) {
-	r := NewRunner(tinyParams())
-	r.Workers = 4
-	var lines []string
-	r.Progress = func(s string) { lines = append(lines, s) }
 	names := []string{"leela_r", "xz_r", "mcf_r", "gcc_r"}
-	var reqs []runReq
-	for _, n := range names {
-		reqs = append(reqs, unsafeReq(trace.ByName(n)))
-	}
-	if err := r.runAll(reqs); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != len(names) {
-		t.Fatalf("progress lines = %d, want %d", len(lines), len(names))
-	}
-	for i, n := range names {
-		if !strings.HasPrefix(lines[i], n) {
-			t.Fatalf("line %d = %q, want prefix %q", i, lines[i], n)
+	var fig7 []string
+	for _, b := range suiteBenches("SPEC17") {
+		fig7 = append(fig7, fmt.Sprintf("%-16s %-14s", b.BenchName, defense.Policy{Scheme: defense.Unsafe}))
+		for _, sch := range defense.Schemes() {
+			for _, v := range defense.Variants() {
+				fig7 = append(fig7, fmt.Sprintf("%-16s %-14s", b.BenchName, defense.Policy{Scheme: sch, Variant: v}))
+			}
 		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func(r *Runner) error
+		want []string // line prefixes
+	}{
+		{"request set", func(r *Runner) error {
+			var reqs []runReq
+			for _, n := range names {
+				reqs = append(reqs, unsafeReq(trace.ByName(n)))
+			}
+			return r.runAll(reqs)
+		}, names},
+		{"RunCPIFigure", func(r *Runner) error {
+			_, err := RunCPIFigure(r, "Figure 7", "SPEC17")
+			return err
+		}, fig7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRunner(Params{Warmup: 200, Measure: 500, Seed: 1})
+			r.Workers = 4
+			var lines []string
+			r.Progress = func(s string) { lines = append(lines, s) }
+			if err := c.run(r); err != nil {
+				t.Fatal(err)
+			}
+			if len(lines) != len(c.want) {
+				t.Fatalf("progress lines = %d, want %d", len(lines), len(c.want))
+			}
+			for i, w := range c.want {
+				if !strings.HasPrefix(lines[i], w) {
+					t.Fatalf("line %d = %q, want prefix %q", i, lines[i], w)
+				}
+			}
+		})
+	}
+}
+
+// TestCatalogRendersFromMemo holds every catalog entry to the single
+// spelling: whatever its body asks for while rendering, it asked for while
+// planning, so the render pass starts no simulation. Simulations+RemoteRuns
+// as of the pool's last Progress line (every planned run is done by then)
+// must not move before the entry returns; a body whose second pass asks a
+// new question fails here instead of running it serially. The security
+// entry runs no simulation through the Runner and takes a minute; the
+// security tier covers it.
+func TestCatalogRendersFromMemo(t *testing.T) {
+	r := NewRunner(Params{Warmup: 200, Measure: 500, Seed: 1})
+	ran := func() int64 { return r.Simulations() + r.RemoteRuns() }
+	var atPoolEnd int64
+	r.Progress = func(string) { atPoolEnd = ran() }
+	for _, e := range Catalog {
+		if e.Kind == "security" {
+			continue
+		}
+		atPoolEnd = ran()
+		res, err := e.Run(r)
+		if err != nil {
+			t.Fatalf("-%s %s: %v", e.Kind, e.ID, err)
+		}
+		if res.String() == "" {
+			t.Errorf("-%s %s rendered nothing", e.Kind, e.ID)
+		}
+		if extra := ran() - atPoolEnd; extra != 0 {
+			t.Errorf("-%s %s: the render pass ran %d simulations its planning pass did not ask for", e.Kind, e.ID, extra)
+		}
+	}
+	if ran() == 0 {
+		t.Fatal("the catalog ran no simulation")
 	}
 }
 
@@ -140,7 +203,7 @@ func TestRunAllPropagatesError(t *testing.T) {
 		t.Fatalf("error lacks context: %v", err)
 	}
 	// The healthy request must have completed despite the failure.
-	if _, err := r.get(unsafeReq(b)); err != nil {
+	if _, err := r.unsafeCPI(b); err != nil {
 		t.Fatalf("pool did not drain past the failure: %v", err)
 	}
 	// The failure is memoized: re-requesting it returns the same error
@@ -176,7 +239,7 @@ func TestRunRecoversPanic(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want recovered panic", err)
 	}
-	if _, err := r.get(unsafeReq(trace.ByName("leela_r"))); err != nil {
+	if _, err := r.unsafeCPI(trace.ByName("leela_r")); err != nil {
 		t.Fatalf("pool did not survive the panic: %v", err)
 	}
 }

@@ -32,51 +32,42 @@ type TrafficRow struct {
 
 // RunTraffic executes the traffic study over SPLASH2 and PARSEC.
 func RunTraffic(r *Runner) (*Traffic, error) {
-	benches := append(suiteBenches("SPLASH2"), suiteBenches("PARSEC")...)
-	var reqs []runReq
-	for _, sch := range defense.Schemes() {
-		for _, v := range []defense.Variant{defense.LP, defense.EP} {
-			for _, b := range benches {
-				reqs = append(reqs, runReq{bench: b, pol: defense.Policy{Scheme: sch, Variant: v}})
+	benches := suiteBenches("SPLASH2", "PARSEC")
+	return sweep(r, func(q *query) (*Traffic, error) {
+		out := &Traffic{}
+		for _, sch := range defense.Schemes() {
+			for _, v := range []defense.Variant{defense.LP, defense.EP} {
+				row := TrafficRow{Scheme: sch, Variant: v}
+				var wSum, eSum float64
+				for _, b := range benches {
+					res, err := q.run(b, defense.Policy{Scheme: sch, Variant: v}, nil)
+					if err != nil {
+						return nil, err
+					}
+					insts := float64(res.Counters["retired"])
+					if insts == 0 {
+						continue
+					}
+					w := float64(res.Counters["coh.retried_writes"]) / insts * 1e6
+					e := float64(res.Counters["coh.retried_evictions"]+
+						res.Counters["coh.retried_evictions_l1"]) / insts * 1e6
+					wSum += w
+					eSum += e
+					if w > row.MaxWrites {
+						row.MaxWrites = w
+						row.MaxBench = b.BenchName
+					}
+					if e > row.MaxEvictions {
+						row.MaxEvictions = e
+					}
+				}
+				row.MeanWrites = wSum / float64(len(benches))
+				row.MeanEvictions = eSum / float64(len(benches))
+				out.Rows = append(out.Rows, row)
 			}
 		}
-	}
-	if err := r.runAll(reqs); err != nil {
-		return nil, err
-	}
-	out := &Traffic{}
-	for _, sch := range defense.Schemes() {
-		for _, v := range []defense.Variant{defense.LP, defense.EP} {
-			row := TrafficRow{Scheme: sch, Variant: v}
-			var wSum, eSum float64
-			for _, b := range benches {
-				res, err := r.run(b, defense.Policy{Scheme: sch, Variant: v}, nil)
-				if err != nil {
-					return nil, err
-				}
-				insts := float64(res.Counters["retired"])
-				if insts == 0 {
-					continue
-				}
-				w := float64(res.Counters["coh.retried_writes"]) / insts * 1e6
-				e := float64(res.Counters["coh.retried_evictions"]+
-					res.Counters["coh.retried_evictions_l1"]) / insts * 1e6
-				wSum += w
-				eSum += e
-				if w > row.MaxWrites {
-					row.MaxWrites = w
-					row.MaxBench = b.BenchName
-				}
-				if e > row.MaxEvictions {
-					row.MaxEvictions = e
-				}
-			}
-			row.MeanWrites = wSum / float64(len(benches))
-			row.MeanEvictions = eSum / float64(len(benches))
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 // String renders the traffic table.
@@ -104,69 +95,52 @@ type CSTStudy struct {
 	OverheadDelta map[string]float64
 }
 
-// cstReqs returns the pair of requests the CST study runs per benchmark:
-// the default (finite) CST configuration and the infinite-CST variant.
-// Both phases of RunCSTStudy go through this helper so the enumerated and
-// rendered keys cannot drift apart.
-func cstReqs(b *trace.Profile) (finite, infinite runReq) {
-	pol := defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
-	cfg := arch.PaperConfig(b.Cores())
-	inf := cfg
-	inf.InfiniteCST = true
-	finite = runReq{bench: b, pol: pol, cfg: &cfg}
-	infinite = runReq{bench: b, pol: pol, cfg: &inf}
-	return finite, infinite
-}
+// fenceEP is the policy of the CST and CPT studies: Fence, the scheme that
+// leans on pinning hardest, with Early Pinning.
+var fenceEP = defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
 
-// RunCSTStudy executes the CST sensitivity study. To bound runtime it uses
-// the Fence scheme (the most CST-pressured) over a sample of benchmarks.
+// RunCSTStudy executes the CST sensitivity study: per benchmark, the default
+// (finite) CST configuration against an infinite CST.
 func RunCSTStudy(r *Runner) (*CSTStudy, error) {
-	suites := []string{"SPEC17", "SPLASH2", "PARSEC"}
-	var reqs []runReq
-	for _, suite := range suites {
-		for _, b := range suiteBenches(suite) {
-			finite, infinite := cstReqs(b)
-			reqs = append(reqs, finite, infinite)
+	return sweep(r, func(q *query) (*CSTStudy, error) {
+		out := &CSTStudy{
+			L1FP: map[string]float64{}, DirFP: map[string]float64{},
+			OverheadDelta: map[string]float64{},
 		}
-	}
-	if err := r.runAll(reqs); err != nil {
-		return nil, err
-	}
-	out := &CSTStudy{
-		L1FP: map[string]float64{}, DirFP: map[string]float64{},
-		OverheadDelta: map[string]float64{},
-	}
-	for _, suite := range suites {
-		var l1Sum, dirSum float64
-		var n int
-		var ratio []float64
-		for _, b := range suiteBenches(suite) {
-			finiteReq, infiniteReq := cstReqs(b)
-			finite, err := r.get(finiteReq)
-			if err != nil {
-				return nil, err
-			}
-			infinite, err := r.get(infiniteReq)
-			if err != nil {
-				return nil, err
-			}
-			ratio = append(ratio, finite.CPI/infinite.CPI)
-			for _, hs := range finite.HW {
-				if !hs.CST {
-					continue
+		for _, suite := range []string{"SPEC17", "SPLASH2", "PARSEC"} {
+			var l1Sum, dirSum float64
+			var n int
+			var ratio []float64
+			for _, b := range suiteBenches(suite) {
+				cfg := arch.PaperConfig(b.Cores())
+				inf := cfg
+				inf.InfiniteCST = true
+				finite, err := q.run(b, fenceEP, &cfg)
+				if err != nil {
+					return nil, err
 				}
-				l1Sum += hs.L1FP
-				dirSum += hs.DirFP
-				n++
+				infinite, err := q.run(b, fenceEP, &inf)
+				if err != nil {
+					return nil, err
+				}
+				ratio = append(ratio, finite.CPI/infinite.CPI)
+				for _, hs := range finite.HW {
+					if !hs.CST {
+						continue
+					}
+					l1Sum += hs.L1FP
+					dirSum += hs.DirFP
+					n++
+				}
 			}
+			if n > 0 {
+				out.L1FP[suite] = l1Sum / float64(n)
+				out.DirFP[suite] = dirSum / float64(n)
+			}
+			out.OverheadDelta[suite] = (stats.GeoMean(ratio) - 1) * 100
 		}
-		if n > 0 {
-			out.L1FP[suite] = l1Sum / float64(n)
-			out.DirFP[suite] = dirSum / float64(n)
-		}
-		out.OverheadDelta[suite] = (stats.GeoMean(ratio) - 1) * 100
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 // String renders the CST study.
@@ -189,71 +163,52 @@ type CPTStudy struct {
 	Inserts       uint64
 }
 
-// cptReqs returns the pair of requests the CPT study runs per benchmark:
-// an ideal (unbounded) CPT and the default 4-entry configuration.
-func cptReqs(b *trace.Profile) (ideal, deflt runReq) {
-	pol := defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
-	cfg := arch.PaperConfig(b.Cores())
-	cfg.CPTEntries = 0
-	ideal = runReq{bench: b, pol: pol, cfg: &cfg}
-	deflt = runReq{bench: b, pol: pol}
-	return ideal, deflt
-}
-
 // RunCPTStudy executes the CPT study over the parallel suites with the
 // write-sharing-heavy benchmarks.
 func RunCPTStudy(r *Runner) (*CPTStudy, error) {
-	benches := append(suiteBenches("SPLASH2"), suiteBenches("PARSEC")...)
-	var reqs []runReq
-	for _, b := range benches {
-		ideal, deflt := cptReqs(b)
-		reqs = append(reqs, ideal, deflt)
-	}
-	if err := r.runAll(reqs); err != nil {
-		return nil, err
-	}
-	out := &CPTStudy{}
-	var occSum float64
-	var occN int
-	var overflows, inserts uint64
-	for _, b := range benches {
-		idealReq, defltReq := cptReqs(b)
-		// Ideal CPT: unbounded capacity.
-		res, err := r.get(idealReq)
-		if err != nil {
-			return nil, err
-		}
-		for _, hs := range res.HW {
-			if !hs.CPT || hs.CPTSamples == 0 {
-				continue
+	benches := suiteBenches("SPLASH2", "PARSEC")
+	return sweep(r, func(q *query) (*CPTStudy, error) {
+		out := &CPTStudy{}
+		var occSum float64
+		var occN int
+		var overflows uint64
+		for _, b := range benches {
+			// Ideal CPT: unbounded capacity.
+			ideal := arch.PaperConfig(b.Cores())
+			ideal.CPTEntries = 0
+			res, err := q.run(b, fenceEP, &ideal)
+			if err != nil {
+				return nil, err
 			}
-			occSum += hs.CPTMean
-			occN++
-			if hs.CPTMax > out.MaxOccupancy {
-				out.MaxOccupancy = hs.CPTMax
+			for _, hs := range res.HW {
+				if !hs.CPT || hs.CPTSamples == 0 {
+					continue
+				}
+				occSum += hs.CPTMean
+				occN++
+				out.MaxOccupancy = max(out.MaxOccupancy, hs.CPTMax)
+			}
+			// Default 4-entry CPT: measure overflow rate.
+			def, err := q.run(b, fenceEP, nil)
+			if err != nil {
+				return nil, err
+			}
+			for _, hs := range def.HW {
+				if !hs.CPT {
+					continue
+				}
+				overflows += hs.CPTOverflows
+				out.Inserts += hs.CPTInserts
 			}
 		}
-		// Default CPT: measure overflow rate.
-		def, err := r.get(defltReq)
-		if err != nil {
-			return nil, err
+		if occN > 0 {
+			out.MeanOccupancy = occSum / float64(occN)
 		}
-		for _, hs := range def.HW {
-			if !hs.CPT {
-				continue
-			}
-			overflows += hs.CPTOverflows
-			inserts += hs.CPTInserts
+		if out.Inserts > 0 {
+			out.OverflowRate = float64(overflows) / float64(out.Inserts)
 		}
-	}
-	if occN > 0 {
-		out.MeanOccupancy = occSum / float64(occN)
-	}
-	out.Inserts = inserts
-	if inserts > 0 {
-		out.OverflowRate = float64(overflows) / float64(inserts)
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 // String renders the CPT study.
@@ -281,70 +236,35 @@ type WdRow struct {
 	Wd1Percent float64
 }
 
-// wdReq returns the request for one benchmark at the given reservation
-// size. Wd=2 is the default configuration, so it reuses the Figure 7/8
-// runs (empty tag); Wd=1 carries its own config and tag.
-func wdReq(b *trace.Profile, sch defense.Scheme, wd int) runReq {
-	pol := defense.Policy{Scheme: sch, Variant: defense.EP}
+// wdConfig is the machine for one benchmark at the given reservation size.
+// Wd=2 is the default machine (nil), so those runs are the Figure 7/8 runs.
+func wdConfig(b *trace.Profile, wd int) *arch.Config {
 	if wd == 2 {
-		return runReq{bench: b, pol: pol}
+		return nil
 	}
 	cfg := arch.PaperConfig(b.Cores())
 	cfg.Wd = wd
-	return runReq{bench: b, pol: pol, cfg: &cfg}
+	return &cfg
 }
 
 // RunWdStudy executes the Wd sensitivity study.
 func RunWdStudy(r *Runner) (*WdStudy, error) {
-	groups := []struct {
-		name   string
-		suites []string
-	}{{"SPEC17", []string{"SPEC17"}}, {"Parallel", []string{"SPLASH2", "PARSEC"}}}
-	var reqs []runReq
-	for _, sch := range defense.Schemes() {
-		for _, g := range groups {
-			for _, s := range g.suites {
-				for _, b := range suiteBenches(s) {
-					reqs = append(reqs, unsafeReq(b), wdReq(b, sch, 2), wdReq(b, sch, 1))
+	return sweep(r, func(q *query) (*WdStudy, error) {
+		out := &WdStudy{}
+		wds := []int{2, 1}
+		for _, sch := range defense.Schemes() {
+			for _, g := range suiteGroups {
+				o, err := geoOverheads(suiteBenches(g.suites...), len(wds), func(b *trace.Profile, i int) (float64, error) {
+					return q.normalized(b, defense.Policy{Scheme: sch, Variant: defense.EP}, wdConfig(b, wds[i]))
+				})
+				if err != nil {
+					return nil, err
 				}
+				out.Rows = append(out.Rows, WdRow{Scheme: sch, Group: g.name, Wd2Percent: o[0], Wd1Percent: o[1]})
 			}
 		}
-	}
-	if err := r.runAll(reqs); err != nil {
-		return nil, err
-	}
-	out := &WdStudy{}
-	for _, sch := range defense.Schemes() {
-		for _, g := range groups {
-			var benches []*trace.Profile
-			for _, s := range g.suites {
-				benches = append(benches, suiteBenches(s)...)
-			}
-			row := WdRow{Scheme: sch, Group: g.name}
-			for _, wd := range []int{2, 1} {
-				var norms []float64
-				for _, b := range benches {
-					res, err := r.get(wdReq(b, sch, wd))
-					if err != nil {
-						return nil, err
-					}
-					base, err := r.unsafeCPI(b)
-					if err != nil {
-						return nil, err
-					}
-					norms = append(norms, res.CPI/base)
-				}
-				o := stats.Overhead(stats.GeoMean(norms))
-				if wd == 2 {
-					row.Wd2Percent = o
-				} else {
-					row.Wd1Percent = o
-				}
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 // String renders the Wd study.

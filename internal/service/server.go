@@ -334,16 +334,12 @@ func (s *Server) runJob(j *job) {
 			run.Resume = blob
 		}
 	}
-	out, err := run.Execute(ctx)
-	if err != nil && len(run.Resume) > 0 && !errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded) {
-		// A checkpoint from an older binary or a corrupted write can fail
-		// restore; retry the job cold rather than failing it.
+	out, err := run.ExecuteOrCold(ctx, func(error) {
+		// A checkpoint from an older binary or a corrupted write fails
+		// restore; the job runs cold rather than failing.
 		s.count("svc.resume_fallbacks")
 		os.Remove(ckptPath)
-		run.Resume = nil
-		out, err = run.Execute(ctx)
-	}
+	})
 	if err == nil {
 		s.count("svc.executed")
 		if perr := s.cache.Put(j.id, out); perr != nil {

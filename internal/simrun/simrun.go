@@ -13,6 +13,7 @@ package simrun
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -266,7 +267,7 @@ func (r *Run) Simulate(ctx context.Context) (f *Finished, err error) {
 	if len(r.Resume) > 0 {
 		meta, err := checkpoint.Restore(r.Resume, sys)
 		if err != nil {
-			return nil, fail("resume: ", err)
+			return nil, fail("", &ResumeError{err})
 		}
 		if r.OnResume != nil {
 			r.OnResume(meta)
@@ -297,6 +298,35 @@ func (r *Run) Simulate(ctx context.Context) (f *Finished, err error) {
 		f.Events, f.EventsLost = ring.Events(), ring.Dropped()
 	}
 	return f, nil
+}
+
+// ResumeError is a failure of the restore stage: the Resume checkpoint did
+// not apply to this run's machine (an older format, another configuration's
+// fingerprint, a corrupted write). The run itself has not started.
+type ResumeError struct{ Err error }
+
+func (e *ResumeError) Error() string { return "resume: " + e.Err.Error() }
+func (e *ResumeError) Unwrap() error { return e.Err }
+
+// ExecuteOrCold is Execute for a run whose Resume checkpoint the caller
+// cannot vouch for (a warm store, a file a killed process left): when the
+// checkpoint does not restore, rejected — if non-nil — is told why and the
+// run executes cold instead. That is the only fallback. A failure after a
+// good restore (a cancelled context, the deadlock backstop, a recovered
+// panic) belongs to the run, not the checkpoint; a cold run would repeat it
+// at full cost, so it is returned as is.
+func (r *Run) ExecuteOrCold(ctx context.Context, rejected func(error)) (*Output, error) {
+	out, err := r.Execute(ctx)
+	var re *ResumeError
+	if !errors.As(err, &re) {
+		return out, err
+	}
+	if rejected != nil {
+		rejected(err)
+	}
+	cold := *r
+	cold.Resume = nil
+	return cold.Execute(ctx)
 }
 
 // Execute simulates the run and snapshots the result.

@@ -7,10 +7,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"pinnedloads/internal/defense"
+	"pinnedloads/internal/experiments"
 )
 
 // TestOneRunDescription holds the module to one of each mechanism a run's
@@ -79,6 +81,112 @@ func TestOneRunDescription(t *testing.T) {
 	for _, path := range builders {
 		if path != "internal/simrun/simrun.go" && path != "internal/sectest/sectest.go" {
 			t.Errorf("%s builds a machine with core.New/NewBlank: run it through simrun's Run.Simulate", path)
+		}
+	}
+}
+
+// TestOneExperimentSpelling holds the harness to one spelling of each
+// experiment, over the parsed non-test source. In internal/experiments a run
+// set exists only as what a body asked its query: runAll is called from
+// sweep alone, and runReq — the pool's unit of work — is named only by the
+// query that notes it, by sweep and by runAll, so no Run* function can keep
+// a request list beside its rendering. In cmd/plbench the experiments are
+// the catalog's: main.go ranges over it and calls no Run* function itself.
+func TestOneExperimentSpelling(t *testing.T) {
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob("internal/experiments/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweeps := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+					name = star.X.(*ast.Ident).Name + "." + name
+				}
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "runAll" && name != "sweep" {
+						t.Errorf("%s: %s calls runAll: an experiment's run set is what its body asks sweep's query",
+							fset.Position(n.Pos()), name)
+					}
+					if isIdent(n.Fun, "sweep") {
+						sweeps++
+					}
+				case *ast.Ident:
+					if n.Name == "runReq" && name != "query.run" && name != "sweep" && name != "Runner.runAll" {
+						t.Errorf("%s: %s builds a request (runReq): ask the query for the run where it is rendered",
+							fset.Position(n.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if sweeps < 8 {
+		t.Errorf("found %d sweep calls in internal/experiments, want the eight studies: the check has lost its subject", sweeps)
+	}
+
+	main, err := parser.ParseFile(fset, "cmd/plbench/main.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops := 0
+	ast.Inspect(main, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if isIdent(n.X, "experiments") && strings.HasPrefix(n.Sel.Name, "Run") {
+				t.Errorf("%s: cmd/plbench names experiments.%s: add a Catalog entry instead of a block",
+					fset.Position(n.Pos()), n.Sel.Name)
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Run" && isIdent(sel.X, "e") {
+				loops++
+			}
+		}
+		return true
+	})
+	if loops != 1 {
+		t.Errorf("cmd/plbench/main.go runs catalog entries at %d sites, want one dispatch loop", loops)
+	}
+}
+
+// TestDESIGNIndexesTheCatalog holds DESIGN.md §4's regeneration column to
+// the catalog, both ways: every entry's plbench selector appears there, and
+// every plbench selector written there names an entry.
+func TestDESIGNIndexesTheCatalog(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, _ := strings.Cut(string(design), "\n## 4. ")
+	index, _, _ = strings.Cut(index, "\n## 5. ")
+	known := map[string]bool{}
+	for _, e := range experiments.Catalog {
+		selector := strings.TrimSpace("plbench -" + e.Kind + " " + e.ID)
+		known[selector] = true
+		if !strings.Contains(index, "`"+selector+"`") {
+			t.Errorf("DESIGN.md §4 has no regeneration target `%s`", selector)
+		}
+	}
+	for _, m := range regexp.MustCompile("`(plbench -[^`]*)`").FindAllStringSubmatch(index, -1) {
+		if !known[m[1]] {
+			t.Errorf("DESIGN.md §4 names `%s`, which is no catalog entry", m[1])
 		}
 	}
 }
