@@ -29,11 +29,13 @@ import (
 // Version is the current checkpoint format version. Version 2 added the
 // reversible-speculation state (RCP scheme): ROB-entry spec tokens, the
 // L1's spec-transaction journal and MSHR spec flags, and the directory's
-// spec-born line marks. Version 3 writes a directory/LLC slice as its valid
-// ways only (coherence.Dir.SaveState). Exactly one version is readable:
-// anything else, older blobs included, is a *VersionError and the caller
-// runs cold — there is no migration code.
-const Version = 3
+// spec-born line marks. Version 3 wrote a directory/LLC slice as its valid
+// ways only; version 4 writes those ways in plane-major order as runs of
+// default-state lines and single lines in the long form
+// (coherence.Dir.SaveState). Exactly one version is readable: anything
+// else, older blobs included, is a *VersionError and the caller runs cold —
+// there is no migration code.
+const Version = 4
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"
@@ -142,19 +144,21 @@ func Decode(data []byte) (Meta, []byte, error) {
 // Capture snapshots a system into a checkpoint blob under the given
 // identity. The system must be at a cycle boundary (between Ticks); Run's
 // checkpoint hook guarantees this. Header, metadata and payload are written
-// straight into one buffer sized from the system's own estimate.
+// into one recycled buffer and the blob is a copy of it, so a store that
+// keeps the blob keeps its bytes and no more.
 func Capture(sys *core.System, identity string) ([]byte, error) {
-	e := ckptio.NewEncoder()
-	e.Grow(metaRoom(identity) + sys.SnapshotSizeHint())
-	begin(e, Meta{
-		Identity:    identity,
-		Cycle:       sys.Cycle(),
-		Fingerprint: sys.Fingerprint(),
+	return ckptio.Encode(func(e *ckptio.Encoder) error {
+		begin(e, Meta{
+			Identity:    identity,
+			Cycle:       sys.Cycle(),
+			Fingerprint: sys.Fingerprint(),
+		})
+		if err := sys.SaveState(e); err != nil {
+			return err
+		}
+		seal(e)
+		return nil
 	})
-	if err := sys.SaveState(e); err != nil {
-		return nil, err
-	}
-	return seal(e), nil
 }
 
 // Restore validates a checkpoint blob against the target system's

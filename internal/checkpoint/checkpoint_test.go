@@ -56,15 +56,19 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 		t.Fatalf("VersionError.Version = %d, want 99", ve.Version)
 	}
 
-	// A blob the previous format wrote: "PLCK", version 2, then its CRC and
-	// body, which a version 3 reader must not so much as checksum. There is
-	// no migration: the caller gets the typed error and runs cold.
-	v2 := append([]byte("PLCK\x02\xde\xad\xbe\xef"), "any version 2 body"...)
-	if _, _, err = Decode(v2); !errors.As(err, &ve) || ve.Version != 2 {
-		t.Fatalf("version 2 header: want *VersionError{2}, got %v", err)
-	}
-	if _, err = Restore(v2, testSystem(t)); !errors.As(err, &ve) || ve.Version != 2 {
-		t.Fatalf("Restore of a version 2 blob: want *VersionError{2}, got %v", err)
+	// A blob the previous format wrote — Version-1, whatever Version is, so
+	// that each bump tests the format a deployed binary actually left behind —
+	// and a version 2 one: "PLCK", the version byte, then a CRC and body that
+	// the current reader must not so much as checksum. There is no migration:
+	// the caller gets the typed error and runs cold.
+	for _, old := range []uint8{Version - 1, 2} {
+		blob := append([]byte{'P', 'L', 'C', 'K', old, 0xde, 0xad, 0xbe, 0xef}, "an older format's body"...)
+		if _, _, err = Decode(blob); !errors.As(err, &ve) || ve.Version != old {
+			t.Fatalf("version %d header: want *VersionError{%d}, got %v", old, old, err)
+		}
+		if _, err = Restore(blob, testSystem(t)); !errors.As(err, &ve) || ve.Version != old {
+			t.Fatalf("Restore of a version %d blob: want *VersionError{%d}, got %v", old, old, err)
+		}
 	}
 }
 

@@ -17,13 +17,14 @@ import (
 // changes. Refactors of derived, non-serialized state (the ROB slot
 // arithmetic, the load-queue candidate lists, the probe memo) must leave
 // them alone; a deliberate format change bumps Version and re-records them.
-// The version 3 pins were recorded with nothing but the sparse directory
-// codec applied to the version 2 tree, so they also hold the rest of that
-// change (zeroed invalid ways, bulk Prewarm, the blank resume machine) to
-// leaving the serialized state alone.
+// The version 4 pins were recorded with nothing but the run-length directory
+// codec applied to the version 3 tree. ocean_cp is the 8-core row: its lines
+// have sharers and owners, so it pins the long form and the backlog as the
+// SPEC17 rows pin the runs.
 const (
-	pinGccDOMLP  uint64 = 0xbb441b9153a6b365
-	pinMcfRCPCmp uint64 = 0x2652030e38e15ff2
+	pinGccDOMLP   uint64 = 0x710a72c8a5e96876
+	pinMcfRCPCmp  uint64 = 0xb5f3bb14a6461757
+	pinOceanDOMEP uint64 = 0x8fbe3b2e533753d3
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -55,18 +56,24 @@ func captureAtWarmup(t *testing.T, bench string, pol defense.Policy) []byte {
 }
 
 // TestCheckpointSizeRatchet pins "bytes encoded per checkpoint" as an exact
-// count at the same boundary: a blob follows what the LLC holds (gcc_r and
-// mcf_r keep a few tens of thousands of lines resident, exchange2_r 128),
-// and an encoding change that costs a byte per line shows here on any host.
+// count at the same boundary. A blob follows what the warmup has done to the
+// LLC, not what the LLC holds: gcc_r and mcf_r keep a few tens of thousands of
+// lines resident, nearly all of them as Prewarm left them and so a few hundred
+// runs (version 3 spent 297 778 and 553 593 bytes on them); exchange2_r holds
+// 128 lines and none in the default state, so it is the row that shows a byte
+// added to the long form; ocean_cp is eight cores sharing. An encoding change
+// that costs a byte per record shows here on any host. gcc_r/DOM-LP must stay
+// below 45 000.
 func TestCheckpointSizeRatchet(t *testing.T) {
 	for _, c := range []struct {
 		bench string
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 297778},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 553593},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 39101},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 32184},
 		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 16515},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 360509},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {
@@ -84,6 +91,7 @@ func TestCheckpointBytesStable(t *testing.T) {
 	}{
 		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, pinGccDOMLP},
 		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, pinMcfRCPCmp},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, pinOceanDOMEP},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			blob := captureAtWarmup(t, c.bench, c.pol)
@@ -95,6 +103,49 @@ func TestCheckpointBytesStable(t *testing.T) {
 			if got := h.Sum64(); got != c.want {
 				t.Fatalf("checkpoint bytes changed: FNV-1a %#016x, pinned %#016x (%d bytes)",
 					got, c.want, len(blob))
+			}
+		})
+	}
+}
+
+// TestCaptureBlobIsItsBytes: a warm store and the service keep the slice
+// Capture returns for as long as they live, so what a stored checkpoint
+// costs is the capacity of that slice. It must be the blob's bytes and an
+// allocator size class's slack, not a buffer somebody sized from an estimate
+// and filled part of; and capturing from a machine that has captured before
+// allocates the blob, the sorted counter names and nothing that grows with
+// the machine (the fingerprint in the header builds its strings each time and
+// is counted apart).
+func TestCaptureBlobIsItsBytes(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		pol   defense.Policy
+	}{
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}},
+	} {
+		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
+			sys, err := core.New(arch.PaperConfig(0), c.pol, trace.ByName(c.bench), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(0, 3_000); err != nil {
+				t.Fatal(err)
+			}
+			blob, err := Capture(sys, "stability")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(blob) > len(blob)+len(blob)/4 {
+				t.Fatalf("a %d-byte checkpoint holds %d bytes of memory", len(blob), cap(blob))
+			}
+			if raceEnabled {
+				return // the race detector's sync.Pool drops a quarter of what it is handed
+			}
+			fingerprint := testing.AllocsPerRun(5, func() { sys.Fingerprint() })
+			if got := testing.AllocsPerRun(5, func() { Capture(sys, "stability") }) - fingerprint; got > 3 {
+				t.Fatalf("Capture allocates %v times beside the fingerprint, want at most 3", got)
 			}
 		})
 	}

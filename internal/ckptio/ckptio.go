@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Encoder appends primitive values to a byte buffer. err is set only by a
@@ -46,6 +47,24 @@ func (e *Encoder) failf(format string, args ...any) {
 	if e.err == nil {
 		e.err = fmt.Errorf("ckptio: "+format, args...)
 	}
+}
+
+// encoders recycles the buffers Encode writes through.
+var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+
+// Encode runs write over a recycled encoder and returns a copy of the bytes
+// it left there, or write's error. What a caller keeps — a checkpoint in a
+// store holds its blob for as long as the store lives — is then as big as its
+// bytes, whatever the buffer had to grow to, and nobody has to estimate a size
+// in advance: the grown buffer serves the next call.
+func Encode(write func(*Encoder) error) ([]byte, error) {
+	e := encoders.Get().(*Encoder)
+	defer encoders.Put(e)
+	e.buf, e.err = e.buf[:0], nil
+	if err := write(e); err != nil {
+		return nil, err
+	}
+	return slices.Clone(e.buf), nil
 }
 
 // Len returns the number of bytes encoded so far.

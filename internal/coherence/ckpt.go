@@ -153,12 +153,22 @@ func (l *L1) State(s ckptio.State) {
 	}
 }
 
-// Line forms of the directory section. A valid way is written as its index
-// step, one form byte, then addr and lru; lineFull adds every other field.
-// The encoding is canonical — one byte string per slice state — so a line
-// in the default state (no sharers, no owner, no transient or residual
-// field set: what Prewarm installs and most of a warmed LLC still is) must
-// use lineDefault, and LoadState rejects it in the long form.
+// Record forms of the directory section (DESIGN.md §10). The valid ways are
+// written in plane-major order — way w of set s has index w*LLCSets+s, the
+// order the planes hold them in — as records: each is the distance of its
+// first way from the last way of the record before it, one form byte, then
+//
+//	lineDefault: n >= 1, addr, lru — n consecutive ways in the default
+//	    state (no sharers, no owner, no transient or residual field set),
+//	    the first holding addr and lru and each one after it the address
+//	    LLCSlices further on and the next stamp: what Prewarm leaves along a
+//	    plane, and most of a warmed LLC still is
+//	lineFull: addr, lru and every other field of one way
+//
+// The encoding is canonical — one byte string per slice state — so a
+// default-state way must be in a run, a run must take in every way it could
+// (a lineDefault record that continues the one before it is rejected), and
+// LoadState rejects both a default line in the long form and a split run.
 const (
 	lineDefault = 0
 	lineFull    = 1
@@ -171,56 +181,113 @@ func defaultLine(addr, lru uint64) dirLine {
 }
 
 // isDefault reports whether the valid line equals defaultLine(addr, lru),
-// field by field: SaveState asks it of every line it writes, and the
+// field by field: SaveState asks it of every line it walks, and the
 // compiler's struct comparison is a call that costs as much as encoding the
 // line. TestIsDefaultCoversEveryField holds the two to each other.
 func (ln *dirLine) isDefault() bool {
-	return ln.sharers == 0 && ln.prevSharers == 0 && ln.pendAcks == 0 && ln.owner == -1 &&
-		ln.busy == busyNone && ln.busyReq == 0 && !ln.busyStar && !ln.deferred &&
-		ln.fetchKind == kindNone && !ln.specBorn
+	diff := ln.sharers | ln.prevSharers | uint32(ln.pendAcks) | uint32(ln.busy^busyNone) |
+		uint32(ln.busyReq) | uint32(ln.fetchKind^kindNone)
+	return diff == 0 && ln.owner == -1 && !ln.busyStar && !ln.deferred && !ln.specBorn
+}
+
+// dirRec is one record of a slice's section: the n default-state ways from
+// plane-major index at on, or with n == 0 the way at in the long form.
+type dirRec struct{ at, n int32 }
+
+// last returns the index of the record's last way.
+func (r dirRec) last() int { return int(r.at) + max(int(r.n), 1) - 1 }
+
+// runNext is where a run of default-state ways goes on: the index, address
+// and stamp of the way that would extend it. at is -1 if nothing can — the
+// address or the stamp would wrap, or the last record is not a run.
+type runNext struct {
+	at        int
+	addr, lru uint64
+}
+
+// follows reports whether a default-state way continues the run.
+func (nx runNext) follows(at int, addr, lru uint64) bool {
+	return at == nx.at && addr == nx.addr && lru == nx.lru
+}
+
+// runAfter returns where a run whose last way is at, holding addr and lru,
+// goes on in a directory of the given slice count. The encoder and the
+// decoder both ask it, so they agree on what a maximal run is.
+func runAfter(at int, addr, lru, slices uint64) runNext {
+	nx := runNext{at + 1, addr + slices, lru + 1}
+	if nx.addr < addr || nx.lru == 0 {
+		nx.at = -1
+	}
+	return nx
+}
+
+// way returns the way at a plane-major index whose plane exists.
+func (d *Dir) way(at int) *dirLine {
+	return &d.planes[at>>d.setBits][at&(d.cfg.LLCSets-1)]
+}
+
+// records walks the planes once, in index order, and returns the slice's
+// records: a long-form record per way that is not in the default state, and
+// maximal runs of the rest.
+func (d *Dir) records() []dirRec {
+	recs := d.recs[:0]
+	nx, slices := runNext{at: -1}, uint64(d.cfg.LLCSlices)
+	for w, p := range d.planes {
+		base := w << d.setBits
+		for s := range p {
+			ln := &p[s]
+			switch at := base + s; {
+			case !ln.valid:
+			case !ln.isDefault():
+				recs = append(recs, dirRec{at: int32(at)})
+				nx.at = -1
+			case nx.follows(at, ln.addr, ln.lru):
+				recs[len(recs)-1].n++
+				nx = runAfter(at, ln.addr, ln.lru, slices)
+			default:
+				recs = append(recs, dirRec{at: int32(at), n: 1})
+				nx = runAfter(at, ln.addr, ln.lru, slices)
+			}
+		}
+	}
+	d.recs = recs
+	return recs
 }
 
 // SaveState serializes a directory/LLC slice: the LRU stamp clock, the
-// valid ways in ascending way index (each as its distance from the previous
-// one; invalid ways hold no state and are not written), and the demand
-// backlog. A way's index is set*ways+way, whatever planes hold the ways.
+// records of its valid ways (invalid ways hold no state and are not
+// written), and the demand backlog. It walks the planes once; the records it
+// then counts and writes are a few hundred for a warmed slice.
 func (d *Dir) SaveState(e *ckptio.Encoder) {
+	recs := d.records()
 	e.U64(d.stamp)
 	e.Int(len(d.ptag))
-	e.U64(uint64(d.resident))
-	ways, prev := d.cfg.LLCWays, -1
-	for s, n := range d.occ {
-		if n == 0 {
-			continue
-		}
-		for w, t := range d.row(s) {
-			if t == 0 {
-				continue
-			}
-			ln, i := &d.planes[w][s], s*ways+w
-			e.U64(uint64(i - prev))
-			prev = i
-			form := uint8(lineFull)
-			if ln.isDefault() {
-				form = lineDefault
-			}
-			e.U8(form)
+	e.U64(uint64(len(recs)))
+	prev := -1
+	for _, r := range recs {
+		ln := d.way(int(r.at))
+		e.U64(uint64(int(r.at) - prev))
+		prev = r.last()
+		if r.n > 0 {
+			e.U8(lineDefault)
+			e.U64(uint64(r.n))
 			e.U64(ln.addr)
 			e.U64(ln.lru)
-			if form == lineDefault {
-				continue
-			}
-			e.U32(ln.sharers)
-			e.I64(int64(ln.owner))
-			e.U8(uint8(ln.busy))
-			e.I64(int64(ln.busyReq))
-			e.Bool(ln.busyStar)
-			e.U32(ln.prevSharers)
-			e.I32(ln.pendAcks)
-			e.Bool(ln.deferred)
-			e.U8(uint8(ln.fetchKind))
-			e.Bool(ln.specBorn)
+			continue
 		}
+		e.U8(lineFull)
+		e.U64(ln.addr)
+		e.U64(ln.lru)
+		e.U32(ln.sharers)
+		e.I64(int64(ln.owner))
+		e.U8(uint8(ln.busy))
+		e.I64(int64(ln.busyReq))
+		e.Bool(ln.busyStar)
+		e.U32(ln.prevSharers)
+		e.I32(ln.pendAcks)
+		e.Bool(ln.deferred)
+		e.U8(uint8(ln.fetchKind))
+		e.Bool(ln.specBorn)
 	}
 	e.Int(d.demandUsed)
 	e.U64(uint64(d.backlog.Len()))
@@ -228,13 +295,6 @@ func (d *Dir) SaveState(e *ckptio.Encoder) {
 		m := d.backlog.At(i)
 		m.walk(ckptio.SaveTo(e), d.cfg)
 	}
-}
-
-// stateSizeHint estimates SaveState's output from above for a slice whose
-// lines are mostly in the default state: a one-byte step and form, an
-// address below 2^35 and an LRU stamp no larger than the clock per line.
-func (d *Dir) stateSizeHint() int {
-	return 64 + d.resident*(2+5+ckptio.UvarintLen(d.stamp)) + 24*d.backlog.Len()
 }
 
 // coreField reads a directory line's owner or requestor: a core index, or
@@ -248,10 +308,81 @@ func (d *Dir) coreField(dec *ckptio.Decoder, what string) int8 {
 	return int8(v)
 }
 
+// atHome reports whether a way of the set is one the line can live in: the
+// slice is the line's home slice and the set its home set. find looks nowhere
+// else, so a line anywhere else is one the protocol can never hit.
+func (d *Dir) atHome(set int, line uint64) bool {
+	home, _ := d.home(line)
+	return d.cfg.LLCSlice(line) == d.idx && home == set
+}
+
+// loadRun reads the rest of a lineDefault record whose first way is at and
+// installs the run, unless it continues the run that nx is the end of. It
+// returns the run's last way and where the run goes on, or fails the decoder.
+func (d *Dir) loadRun(dec *ckptio.Decoder, at int, nx runNext) (int, runNext) {
+	n, addr, lru := dec.U64(), dec.U64(), dec.U64()
+	if dec.Err() != nil {
+		return at, nx
+	}
+	slices := uint64(d.cfg.LLCSlices)
+	span := (n - 1) * slices
+	switch {
+	case n == 0 || n > uint64(len(d.ptag)-at):
+		dec.Failf("directory run of %d ways from way %d leaves %d ways", n, at, len(d.ptag))
+	case !d.atHome(at&(d.cfg.LLCSets-1), addr):
+		dec.Failf("directory way %d: line %#x is not at home", at, addr)
+	case addr+span < addr || lru+n-1 < lru:
+		dec.Failf("directory run of %d ways from line %#x, stamp %d wraps", n, addr, lru)
+	case nx.follows(at, addr, lru):
+		dec.Failf("directory way %d: run continues the one before it", at)
+	default:
+		d.installRun(at, int(n), addr, lru)
+		last := at + int(n) - 1
+		return last, runAfter(last, addr+span, lru+n-1, slices)
+	}
+	return at, nx
+}
+
+// loadLine reads the rest of a lineFull record and installs its way.
+func (d *Dir) loadLine(dec *ckptio.Decoder, at int) {
+	ln := defaultLine(dec.U64(), dec.U64())
+	ln.sharers = dec.U32()
+	ln.owner = d.coreField(dec, "owner")
+	b := dec.U8()
+	ln.busy = busyKind(b)
+	ln.busyReq = d.coreField(dec, "requestor")
+	ln.busyStar = dec.Bool()
+	ln.prevSharers = dec.U32()
+	ln.pendAcks = dec.I32()
+	ln.deferred = dec.Bool()
+	fk := dec.U8()
+	ln.fetchKind = Kind(fk)
+	ln.specBorn = dec.Bool()
+	switch {
+	case dec.Err() != nil:
+	case ln.busy > busyRecall:
+		dec.Failf("invalid directory busy state %d", b)
+	case ln.fetchKind >= numKinds:
+		dec.Failf("invalid fetch kind %d", fk)
+	case !d.atHome(at&(d.cfg.LLCSets-1), ln.addr):
+		dec.Failf("directory way %d: line %#x is not at home", at, ln.addr)
+	case ln == defaultLine(ln.addr, ln.lru):
+		dec.Failf("directory way %d: default-state line in the long form", at)
+	default:
+		d.install(at&(d.cfg.LLCSets-1), at>>d.setBits, ln)
+	}
+}
+
 // LoadState restores a directory slice of the same geometry. Ways the
 // checkpoint does not name end up invalid and zero, at the cost of the lines
 // the target holds: none for a blank machine. The target keeps its planes and
-// gains the ones the checkpoint's lines need.
+// gains the ones the checkpoint's lines need. A record is checked whole
+// before any of it is installed — its ways lie inside the slice, its first
+// line is at home in its first way (the later lines of a run follow: the
+// address steps by the slice count, so the slice stays and the set steps with
+// the index, across a plane boundary too), a run is maximal — so a rejected
+// section leaves a consistent slice, and an accepted one allocates no more
+// than the slice's own planes.
 func (d *Dir) LoadState(dec *ckptio.Decoder) {
 	d.stamp = dec.U64()
 	n := dec.Int()
@@ -263,69 +394,36 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 		dec.Failf("directory has %d ways, checkpoint has %d", total, n)
 		return
 	}
-	// Invalid ways are zero already, so only the target's valid ones need
-	// clearing.
-	for i, ln := range d.valid() {
-		*ln = dirLine{}
-		d.ptag[i] = 0
+	// A target that holds lines gives them up plane by plane; a blank one
+	// has nothing to clear.
+	if d.resident > 0 {
+		for _, p := range d.planes {
+			clear(p)
+		}
+		clear(d.ptag)
+		clear(d.occ)
 	}
-	clear(d.occ)
 	d.resident = 0
 	d.warmOnly = false
-	ways := d.cfg.LLCWays
-	count := dec.Count(total)
-	idx, set := -1, 0
-	for ; count > 0; count-- {
-		step := dec.U64()
-		if dec.Err() != nil {
-			return
-		}
-		if step == 0 || step > uint64(total-1-idx) {
-			dec.Failf("directory way step %d from way %d leaves %d ways", step, idx, total)
-			return
-		}
-		idx += int(step)
-		form := dec.U8()
-		addr := dec.U64()
-		ln := defaultLine(addr, dec.U64())
-		switch form {
-		case lineDefault:
-		case lineFull:
-			ln.sharers = dec.U32()
-			ln.owner = d.coreField(dec, "owner")
-			b := dec.U8()
-			if busyKind(b) > busyRecall {
-				dec.Failf("invalid directory busy state %d", b)
-				return
-			}
-			ln.busy = busyKind(b)
-			ln.busyReq = d.coreField(dec, "requestor")
-			ln.busyStar = dec.Bool()
-			ln.prevSharers = dec.U32()
-			ln.pendAcks = dec.I32()
-			ln.deferred = dec.Bool()
-			fk := dec.U8()
-			if Kind(fk) >= numKinds {
-				dec.Failf("invalid fetch kind %d", fk)
-				return
-			}
-			ln.fetchKind = Kind(fk)
-			ln.specBorn = dec.Bool()
-			if ln == defaultLine(ln.addr, ln.lru) {
-				dec.Failf("directory way %d: default-state line in the long form", idx)
-				return
-			}
+	nx := runNext{at: -1}
+	for count, prev := dec.Count(total), -1; count > 0; count-- {
+		step, form := dec.U64(), dec.U8()
+		switch {
+		case dec.Err() != nil:
+		case step == 0 || step > uint64(total-1-prev):
+			dec.Failf("directory way step %d from way %d leaves %d ways", step, prev, total)
+		case form == lineDefault:
+			prev, nx = d.loadRun(dec, prev+int(step), nx)
+		case form == lineFull:
+			prev += int(step)
+			d.loadLine(dec, prev)
+			nx.at = -1
 		default:
 			dec.Failf("unknown directory line form %d", form)
-			return
 		}
 		if dec.Err() != nil {
 			return
 		}
-		for idx >= (set+1)*ways {
-			set++
-		}
-		d.install(set, idx-set*ways, ln)
 	}
 	d.demandUsed = dec.Int()
 	for d.backlog.Len() > 0 {
@@ -342,9 +440,9 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 	}
 }
 
-// State joins the slice to a walk. The sparse section is the one place the
-// two directions share a format and no logic (an occupancy walk out,
-// way-stepping in), so they stay a pair.
+// State joins the slice to a walk. The directory section is the one place
+// the two directions share a format and no logic (a walk of the planes that
+// finds the runs out, bulk installs in), so they stay a pair.
 func (d *Dir) State(s ckptio.State) {
 	if s.Loading() {
 		d.LoadState(s.Decoder())
@@ -371,14 +469,4 @@ func (s *System) State(st ckptio.State) {
 	for _, d := range s.dirs {
 		d.State(st)
 	}
-}
-
-// StateSizeHint estimates the size of what State saves for the directory
-// slices, which hold nearly all of it.
-func (s *System) StateSizeHint() int {
-	n := 0
-	for _, d := range s.dirs {
-		n += d.stateSizeHint()
-	}
-	return n
 }

@@ -104,7 +104,11 @@ func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
 			if err := bulk.CheckResidency(); err != nil {
 				t.Fatal(err)
 			}
-			if installed > 0 && bulk.StateSizeHint() <= each.Dirs()*64 {
+			resident := 0
+			for i := 0; i < bulk.Dirs(); i++ {
+				resident += bulk.Dir(i).resident
+			}
+			if installed > 0 && resident == 0 {
 				t.Fatal("warm set installed nothing")
 			}
 		})
@@ -127,29 +131,40 @@ func TestWarmLinesAllocatesOnce(t *testing.T) {
 	}
 }
 
-// dirSection hand-writes a version 3 directory section for smallDir: the
-// header fields, then whatever lines appends, then an empty backlog.
-func dirSection(ways int, count uint64, lines func(e *ckptio.Encoder)) []byte {
+// dirSection hand-writes a version 4 directory section for smallDir: the
+// header fields, then whatever records appends, then an empty backlog.
+func dirSection(ways int, count uint64, records func(e *ckptio.Encoder)) []byte {
 	e := ckptio.NewEncoder()
 	e.U64(9) // stamp
 	e.Int(ways)
 	e.U64(count)
-	lines(e)
+	records(e)
 	e.Int(0) // demandUsed
 	e.U64(0) // backlog
 	return e.Bytes()
 }
 
-func shortLine(step, addr, lru uint64) func(*ckptio.Encoder) {
+// smallSets is smallDir's LLCSets: way w of set s has index w*smallSets+s.
+const smallSets = 4
+
+// homeLine returns a line of slice 0 whose home set in smallDir is set; k
+// tells lines of one set apart. homeLine(s+1, k) is the line a run goes on
+// with after homeLine(s, k), and homeLine(0, k+1) after homeLine(3, k).
+func homeLine(set, k int) uint64 { return uint64(k*smallSets+set) * 8 }
+
+// run writes a lineDefault record: n default-state ways, the first step ways
+// after the last way of the record before it.
+func run(step, n, addr, lru uint64) func(*ckptio.Encoder) {
 	return func(e *ckptio.Encoder) {
 		e.U64(step)
 		e.U8(lineDefault)
+		e.U64(n)
 		e.U64(addr)
 		e.U64(lru)
 	}
 }
 
-// fullLine writes a long-form line owned by core 0 unless owner says
+// fullLine writes a lineFull record owned by core 0 unless owner says
 // otherwise.
 func fullLine(step, addr uint64, owner int64) func(*ckptio.Encoder) {
 	return func(e *ckptio.Encoder) {
@@ -180,28 +195,48 @@ func seq(fs ...func(*ckptio.Encoder)) func(*ckptio.Encoder) {
 
 // TestDirLoadStateRejectsMalformed feeds Dir.LoadState directory sections
 // that are wrong in one way each. Every one must end in the decoder's sticky
-// error: no panic, and no allocation that a corrupt count could size.
+// error: no panic, and no allocation that a corrupt count could size. The run
+// count is the one number in a section that stands for more memory than its
+// own bytes, and what it can stand for is bounded by geometry, not by the
+// input: a run is checked against the ways the slice has left before anything
+// is installed, so an accepted run allocates at most the slice's own planes —
+// what NewSystem agreed to when it took the configuration — and a rejected
+// one nothing.
 func TestDirLoadStateRejectsMalformed(t *testing.T) {
-	const ways = 4 * 16
-	good := dirSection(ways, 2, seq(shortLine(1, 0x40, 1), fullLine(5, 0x48, 0)))
+	const ways = smallSets * 16
+	// Ways 0-5 (plane 0 and half of plane 1) as one run, way 7 in the long
+	// form, ways 9-10 as a run that the long-form line keeps apart from it.
+	good := dirSection(ways, 3, seq(run(1, 6, homeLine(0, 1), 1), fullLine(2, homeLine(3, 5), 0), run(2, 2, homeLine(1, 7), 4)))
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"way step 0", dirSection(ways, 1, shortLine(0, 0x40, 1)), "way step"},
-		{"first step past the last way", dirSection(ways, 1, shortLine(ways+1, 0x40, 1)), "way step"},
-		{"later step past the last way", dirSection(ways, 2, seq(shortLine(ways, 0x40, 1), shortLine(1, 0x48, 2))), "way step"},
-		{"step overflows int", dirSection(ways, 1, shortLine(1<<63, 0x40, 1)), "way step"},
-		{"count above the ways", dirSection(ways, ways+1, seq(shortLine(1, 0x40, 1), func(e *ckptio.Encoder) { e.Raw(make([]byte, 4*ways)) })), "sequence length"},
-		{"count above the remaining bytes", dirSection(ways, 40, shortLine(1, 0x40, 1)), "sequence length"},
-		{"unknown line form", dirSection(ways, 1, func(e *ckptio.Encoder) { e.U64(1); e.U8(2); e.U64(0x40); e.U64(1) }), "line form"},
+		{"way step 0", dirSection(ways, 1, run(0, 1, homeLine(0, 1), 1)), "way step"},
+		{"first step past the last way", dirSection(ways, 1, run(ways+1, 1, homeLine(0, 1), 1)), "way step"},
+		{"later step past the last way", dirSection(ways, 2, seq(run(ways, 1, homeLine(3, 1), 1), run(1, 1, homeLine(0, 1), 2))), "way step"},
+		{"step overflows int", dirSection(ways, 1, run(1<<63, 1, homeLine(0, 1), 1)), "way step"},
+		{"run length 0", dirSection(ways, 1, run(1, 0, homeLine(0, 1), 1)), "run of 0 ways"},
+		{"run past the last way", dirSection(ways, 1, run(ways-1, 3, homeLine(2, 1), 1)), "run of 3 ways"},
+		{"run that is the whole slice and one way", dirSection(ways, 1, run(1, ways+1, homeLine(0, 1), 1)), "run of 65 ways"},
+		{"run count overflows int", dirSection(ways, 1, run(2, 1<<63, homeLine(1, 1), 1)), "run of"},
+		{"run count is the largest uvarint", dirSection(ways, 1, run(2, 1<<64-1, homeLine(1, 1), 1)), "run of"},
+		{"run split in two", dirSection(ways, 2, seq(run(1, 2, homeLine(0, 1), 1), run(1, 4, homeLine(2, 1), 3))), "continues"},
+		{"run split at a plane boundary", dirSection(ways, 2, seq(run(1, 4, homeLine(0, 1), 1), run(1, 1, homeLine(0, 2), 5))), "continues"},
+		{"run whose address wraps", dirSection(ways, 1, run(4, 2, 1<<64-8, 1)), "wraps"},
+		{"run whose stamp wraps", dirSection(ways, 1, run(1, 2, homeLine(0, 1), 1<<64-1)), "wraps"},
+		{"run not home to its set", dirSection(ways, 1, run(1, 2, homeLine(1, 1), 1)), "not at home"},
+		{"run not home to the slice", dirSection(ways, 1, run(1, 2, homeLine(0, 1)+1, 1)), "not at home"},
+		{"long-form line not home to its set", dirSection(ways, 1, fullLine(1, homeLine(2, 1), 0)), "not at home"},
+		{"count above the ways", dirSection(ways, ways+1, seq(run(1, 1, homeLine(0, 1), 1), func(e *ckptio.Encoder) { e.Raw(make([]byte, 4*ways)) })), "sequence length"},
+		{"count above the remaining bytes", dirSection(ways, 40, run(1, 1, homeLine(0, 1), 1)), "sequence length"},
+		{"unknown line form", dirSection(ways, 1, func(e *ckptio.Encoder) { e.U64(1); e.U8(2); e.U64(1); e.U64(homeLine(0, 1)); e.U64(1) }), "line form"},
 		{"truncated mid-line", good[:len(good)-8], ""},
 		{"truncated before the backlog", good[:len(good)-1], ""},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), "trailing"},
-		{"default line in the long form", dirSection(ways, 1, fullLine(1, 0x40, -1)), "long form"},
-		{"owner is not a core", dirSection(ways, 1, fullLine(1, 0x40, 1)), "not a core"},
-		{"owner below -1", dirSection(ways, 1, fullLine(1, 0x40, -2)), "not a core"},
+		{"default line in the long form", dirSection(ways, 1, fullLine(1, homeLine(0, 1), -1)), "long form"},
+		{"owner is not a core", dirSection(ways, 1, fullLine(1, homeLine(0, 1), 1)), "not a core"},
+		{"owner below -1", dirSection(ways, 1, fullLine(1, homeLine(0, 1), -2)), "not a core"},
 		{"other geometry", dirSection(ways+16, 0, seq()), "ways"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -227,6 +262,12 @@ func TestDirLoadStateRejectsMalformed(t *testing.T) {
 			d.LoadState(dec)
 			if err := dec.Done(); err != nil {
 				t.Fatal(err)
+			}
+			if err := d.checkWays(); err != nil {
+				t.Fatal(err)
+			}
+			if d.resident != 9 {
+				t.Fatalf("the good section left %d resident ways, want 9", d.resident)
 			}
 			if !bytes.Equal(dirBytes(d), good) {
 				t.Fatal("slice does not re-save the good section after a rejected one")
@@ -287,9 +328,10 @@ var (
 )
 
 // Fields of Dir that its section leaves out: the filter tags, occupancy
-// counts and warm-only mark are rebuilt by LoadState from the ways it loads.
+// counts and warm-only mark are rebuilt by LoadState from the ways it loads,
+// and recs is the array SaveState collects its records into.
 var (
-	dirDerived = []string{"ptag", "occ", "resident", "warmOnly"}
+	dirDerived = []string{"ptag", "occ", "resident", "warmOnly", "recs"}
 	dirConfig  = []string{"idx", "cfg", "fab", "count", "cnt", "setBits"}
 )
 
@@ -308,7 +350,8 @@ func TestWalksCoverEveryField(t *testing.T) {
 	ckpttest.Fields(t, pendingFill{}, func(s ckptio.State, p *pendingFill) { p.walk(s) }, nil)
 	ckpttest.Container(t, "ckpt.go", fabric{}, fabricDerived, fabricConfig)
 	ckpttest.Container(t, "ckpt.go", L1{}, l1Derived, l1Config)
-	ckpttest.Container(t, "ckpt.go", Dir{}, dirDerived, dirConfig, "SaveState", "LoadState")
+	// records is the walk of the planes SaveState writes from.
+	ckpttest.Container(t, "ckpt.go", Dir{}, dirDerived, dirConfig, "SaveState", "LoadState", "records")
 	ckpttest.Container(t, "ckpt.go", System{}, nil, systemConfig)
 }
 

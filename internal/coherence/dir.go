@@ -101,13 +101,17 @@ type Dir struct {
 	// makes the valid ways of every set its first occ[s].
 	//
 	// All four are derived state (DESIGN.md §9): they move only where a
-	// way's valid bit flips (install, drop), LoadState rebuilds them and
-	// nothing serializes them. They let every walk visit the ways that exist
-	// instead of the ways there could be.
+	// way's valid bit flips (install, installRun, drop), LoadState rebuilds
+	// them and nothing serializes them. They let every walk visit the ways
+	// that exist instead of the ways there could be.
 	ptag     []uint16
 	occ      []int32
 	resident int
 	warmOnly bool
+
+	// recs is SaveState's record list, kept from one save to the next so a
+	// machine that is checkpointed often collects into the same array.
+	recs []dirRec
 
 	// demandUsed counts the demand requests accepted this cycle; when
 	// cfg.DirPortsPerCycle is non-zero, excess demand requests wait in the
@@ -232,18 +236,51 @@ func (d *Dir) install(set, w int, ln dirLine) *dirLine {
 	return d.installTagged(set, w, tag, ln)
 }
 
+// plane returns way w of every set, allocating it on first use.
+func (d *Dir) plane(w int) []dirLine {
+	if d.planes[w] == nil {
+		d.planes[w] = make([]dirLine, d.cfg.LLCSets)
+	}
+	return d.planes[w]
+}
+
 // installTagged is install for a caller that has the line's filter tag.
 func (d *Dir) installTagged(set, w int, tag uint16, ln dirLine) *dirLine {
-	p := d.planes[w]
-	if p == nil {
-		p = make([]dirLine, d.cfg.LLCSets)
-		d.planes[w] = p
-	}
+	p := d.plane(w)
 	p[set] = ln
 	d.ptag[set*d.cfg.LLCWays+w] = tag
 	d.occ[set]++
 	d.resident++
 	return &p[set]
+}
+
+// installRun validates the n invalid ways from plane-major index at on
+// (way at/LLCSets of set at%LLCSets, then the next set of that plane, then
+// the first set of the next plane) with default-state lines: the first holds
+// addr and lru, and each one after it the address LLCSlices further on and the
+// next stamp. addr must be at home in the first way, which puts every later
+// line at home in its own: the quotient by the slice count steps by one with
+// the set, so within a plane the filter tag is one value, and it is computed
+// once per plane. The caller has checked that the run ends inside the slice
+// and that neither the address nor the stamp wraps.
+func (d *Dir) installRun(at, n int, addr, lru uint64) {
+	sets, ways, slices := d.cfg.LLCSets, d.cfg.LLCWays, uint64(d.cfg.LLCSlices)
+	d.resident += n
+	q := addr / slices
+	for w, set := at>>d.setBits, at&(sets-1); n > 0; w, set = w+1, 0 {
+		p := d.plane(w)
+		end := min(sets, set+n)
+		n -= end - set
+		_, tag := d.homeOf(q)
+		q += uint64(end - set)
+		for ; set < end; set++ {
+			p[set] = defaultLine(addr, lru)
+			d.ptag[set*ways+w] = tag
+			d.occ[set]++
+			addr += slices
+			lru++
+		}
+	}
 }
 
 func (d *Dir) fill(set, w int, ln dirLine) *dirLine {

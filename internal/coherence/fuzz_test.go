@@ -74,17 +74,33 @@ func FuzzSpecStateDecode(f *testing.F) {
 	})
 }
 
-// FuzzDirStateDecode hardens the version 3 directory section on one slice:
+// FuzzDirStateDecode hardens the version 4 directory section on one slice:
 // arbitrary bytes fed to Dir.LoadState must never panic, and an input it
 // accepts must leave a consistent slice (occupancy counts matching the valid
-// bits) whose re-save is accepted in turn — LoadState takes only way indexes
-// that ascend strictly and stay in range — and is a fixed point of load and
-// save, into a target that is not empty.
+// bits, every line in its home set) whose re-save is accepted in turn —
+// LoadState takes only records that ascend strictly, stay in range and are
+// maximal runs — and is a fixed point of load and save, into a target that is
+// not empty. Beside the episode's slices the seeds hold a hand-written
+// section with a run that crosses a plane boundary, a long-form line next to
+// it, a run of one next to that, and a run apart from them all.
 func FuzzDirStateDecode(f *testing.F) {
 	h := sharingEpisode(f)
 	for i := 0; i < h.sys.Dirs(); i++ {
 		f.Add(dirBytes(h.sys.Dir(i)))
 	}
+	cfg := h.sys.cfg
+	line := func(set, k int) uint64 { return uint64(k*cfg.LLCSets+set) * uint64(cfg.LLCSlices) }
+	written := dirSection(cfg.LLCSets*cfg.LLCWays, 4, seq(
+		run(uint64(cfg.LLCSets-1), 4, line(cfg.LLCSets-2, 1), 10),
+		fullLine(1, line(2, 3), 0),
+		run(1, 1, line(3, 4), 2),
+		run(5, 2, line(8, 9), 7)))
+	dec := ckptio.NewDecoder(written)
+	newDir(0, cfg, nil, &stats.Counters{}).LoadState(dec)
+	if err := dec.Done(); err != nil {
+		f.Fatalf("the hand-written seed is not a section: %v", err)
+	}
+	f.Add(written)
 	valid := dirBytes(h.sys.Dir(0))
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:3])
@@ -95,7 +111,6 @@ func FuzzDirStateDecode(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 
-	cfg := h.sys.cfg
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := newDir(0, cfg, nil, &stats.Counters{})
 		dec := ckptio.NewDecoder(data)

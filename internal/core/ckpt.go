@@ -45,27 +45,9 @@ func (s *System) SaveState(e *ckptio.Encoder) error {
 	return e.Err()
 }
 
-// coreStateRoom is a generous allowance for what SaveState writes per core
-// outside the LLC: the pipeline, its L1 and the workload generator.
-const coreStateRoom = 48 << 10
-
-// SnapshotSizeHint estimates the size of SaveState's output, so that the
-// caller can encode into one buffer. It follows what the LLC holds, which
-// is nearly all of a snapshot; an estimate that turns out low only costs
-// the encoder a reallocation.
-func (s *System) SnapshotSizeHint() int {
-	return len(s.cores)*coreStateRoom + s.mem.StateSizeHint()
-}
-
-// Snapshot returns SaveState's output as a fresh payload.
-func (s *System) Snapshot() ([]byte, error) {
-	e := ckptio.NewEncoder()
-	e.Grow(s.SnapshotSizeHint())
-	if err := s.SaveState(e); err != nil {
-		return nil, err
-	}
-	return e.Bytes(), nil
-}
+// Snapshot returns SaveState's output as a fresh payload, exactly as big as
+// its bytes.
+func (s *System) Snapshot() ([]byte, error) { return ckptio.Encode(s.SaveState) }
 
 // Restore overwrites the system's state with a payload produced by Snapshot
 // on an identically configured system (same arch.Config, policy, workload

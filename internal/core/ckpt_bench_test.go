@@ -13,9 +13,10 @@ const snapshotAllocBudget = 4
 // state of a warmed 1-core gcc_r system under DOM-LP — the Pinned Loads
 // design point with the most checkpointable structures (CSTs, CPT,
 // per-set pin counts). ns/op is the write latency EXPERIMENTS.md records;
-// bytes/op tracks the encoder's buffer churn, and the benchmark fails
-// outright above snapshotAllocBudget allocations: a snapshot is one buffer
-// sized in advance, the encoder and the sorted counter names.
+// bytes/op is the payload itself (ckptio.Encode writes through a recycled
+// buffer and returns a copy as big as its bytes), and the benchmark fails
+// outright above snapshotAllocBudget allocations: a snapshot is that copy
+// and the sorted counter names.
 func BenchmarkCheckpointSnapshot(b *testing.B) {
 	sys := newBenchSystem(b, "gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, nil)
 	if !raceEnabled {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pinnedloads/internal/checkpoint"
 	"pinnedloads/internal/defense"
 )
 
@@ -132,8 +133,10 @@ func TestWarmForkIgnoresOldFormatBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The previous format is Version-1, whatever Version is: the one a
+	// binary built before the last bump wrote.
 	r.Warm.store(run.WarmKey(),
-		append([]byte("PLCK\x02\x00\x00\x00\x00"), "version 2 body"...))
+		append([]byte{'P', 'L', 'C', 'K', checkpoint.Version - 1, 0, 0, 0, 0}, "the previous format's body"...))
 	got, err := r.unsafeCPI(bench)
 	if err != nil {
 		t.Fatal(err)

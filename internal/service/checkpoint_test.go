@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"pinnedloads/internal/checkpoint"
 )
 
 // ckptSpec is a job long enough to cross several checkpoint intervals.
@@ -145,20 +147,21 @@ func TestInvalidCheckpointRunsCold(t *testing.T) {
 }
 
 // TestOldFormatCheckpointRunsCold: a <id>.ckpt that a binary of the previous
-// checkpoint format left behind (a well-formed version 2 envelope: magic,
-// version byte, a CRC that matches its body) is not migrated. The job counts
-// one resume fallback, removes the file and computes what a cold run does.
+// checkpoint format left behind (a well-formed envelope of checkpoint.Version-1,
+// whatever Version is: magic, version byte, a CRC that matches its body) is not
+// migrated. The job counts one resume fallback, removes the file and computes
+// what a cold run does.
 func TestOldFormatCheckpointRunsCold(t *testing.T) {
 	spec := ckptSpec()
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	body := []byte("version 2 metadata and payload")
-	v2 := append([]byte("PLCK\x02"), binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(body))...)
-	v2 = append(v2, body...)
+	body := []byte("the previous format's metadata and payload")
+	old := binary.LittleEndian.AppendUint32([]byte{'P', 'L', 'C', 'K', checkpoint.Version - 1}, crc32.ChecksumIEEE(body))
+	old = append(old, body...)
 	dir := t.TempDir()
 	path := filepath.Join(dir, spec.Key()+".ckpt")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
