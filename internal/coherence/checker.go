@@ -72,9 +72,8 @@ func (s *System) CheckInvariants() error {
 			return fmt.Errorf("line %#x: writable copy coexists with %d other copies",
 				line, len(hs)-1)
 		}
-		d := s.dirs[s.cfg.LLCSlice(line)]
-		e := d.lookup(line)
-		if e == nil {
+		e, ok := s.dirs[s.cfg.LLCSlice(line)].peek(line)
+		if !ok {
 			return fmt.Errorf("line %#x: cached in L1 but absent from its home slice", line)
 		}
 		if e.busy != busyNone {
@@ -89,12 +88,15 @@ func (s *System) CheckInvariants() error {
 		}
 	}
 	// No directory entry may be transient at quiescence, even uncached
-	// ones.
+	// ones. Pending ways are in the default state.
 	for i, d := range s.dirs {
-		for _, ln := range d.valid() {
-			if ln.busy != busyNone {
-				return fmt.Errorf("slice %d: line %#x stuck in transient state %d",
-					i, ln.addr, ln.busy)
+		for _, set := range d.held {
+			lines, _ := d.stored(int(set))
+			for _, ln := range lines {
+				if ln.busy != busyNone {
+					return fmt.Errorf("slice %d: line %#x stuck in transient state %d",
+						i, ln.addr, ln.busy)
+				}
 			}
 		}
 	}
@@ -102,11 +104,14 @@ func (s *System) CheckInvariants() error {
 }
 
 // CheckResidency validates what holds of every directory slice at every
-// cycle boundary, transient states included: an invalid way is all zero or
-// has no plane (a way carries nothing out of one life into the next, which is
-// what lets a checkpoint leave invalid ways out), the derived filter tags and
-// occupancy counts match the valid bits, and a valid way sits in its line's
-// home slice and set. It returns the first violation found, or nil.
+// cycle boundary, transient states included: the runs are sorted, disjoint,
+// inside the slice and at home; a lazy set's pending count is the number of
+// its run ways and none of them is stored, and a set whose run ways are stale
+// has storage; an invalid stored way is all zero (a way carries nothing out
+// of one life into the next, which is what lets a checkpoint leave invalid
+// ways out); the filter tags, occupancy counts and list of stored sets match
+// the ways; and a valid way sits in its line's home slice and set. It returns
+// the first violation found, or nil.
 func (s *System) CheckResidency() error {
 	for i, d := range s.dirs {
 		if err := d.checkWays(); err != nil {
@@ -116,17 +121,61 @@ func (s *System) CheckResidency() error {
 	return nil
 }
 
+// peek is lookup for a reader: it finds the line among its set's stored and
+// pending ways, installing nothing.
+func (d *Dir) peek(line uint64) (dirLine, bool) {
+	set, tag := d.home(line)
+	lines, tags := d.stored(set)
+	for w, t := range tags {
+		if t == tag && lines[w].addr == line {
+			return lines[w], true
+		}
+	}
+	for _, ln := range d.pending(set) {
+		if ln.addr == line {
+			return ln, true
+		}
+	}
+	return dirLine{}, false
+}
+
 // checkWays is CheckResidency for one slice: all of it is what LoadState
 // guarantees of any input it accepts.
 func (d *Dir) checkWays() error {
-	resident := 0
-	for set, occ := range d.occ {
-		n := 0
-		for w, tag := range d.row(set) {
-			var ln dirLine
-			if d.planes[w] != nil {
-				ln = d.planes[w][set]
+	sets, total, stride := d.cfg.LLCSets, len(d.sets)*d.cfg.LLCWays, uint64(d.cfg.LLCSlices)
+	runWays, end := make([]int, sets), 0
+	for _, r := range d.runs {
+		if r.n < 1 || int(r.at) < end || r.last() >= total {
+			return fmt.Errorf("run of %d ways from way %d is not sorted, disjoint and inside the slice", r.n, r.at)
+		}
+		if !d.atHome(int(r.at)&(sets-1), r.addr) || r.addr+uint64(r.n-1)*stride < r.addr || r.lru+uint64(r.n-1) < r.lru {
+			return fmt.Errorf("run of %d ways from way %d: line %#x is not at home or the run wraps", r.n, r.at, r.addr)
+		}
+		for at := int(r.at); at <= r.last(); at++ {
+			runWays[at&(sets-1)]++
+		}
+		end = r.last() + 1
+	}
+	listed := make([]bool, sets)
+	for _, set := range d.held {
+		if listed[set] {
+			return fmt.Errorf("set %d is listed as stored twice", set)
+		}
+		listed[set] = true
+	}
+	resident, size := 0, 1<<d.slabBits
+	for set, st := range d.sets {
+		if (st.cap > 0) != listed[set] {
+			return fmt.Errorf("set %d: storage of %d ways, listed as stored %v", set, st.cap, listed[set])
+		}
+		if st.cap > 0 {
+			if int(st.cap) > d.cfg.LLCWays || int(st.at)%size+int(st.cap) > size || int(st.at)+int(st.cap) > d.next {
+				return fmt.Errorf("set %d: storage of %d ways at %d is not inside the carved slabs", set, st.cap, st.at)
 			}
+		}
+		lines, tags := d.stored(set)
+		n := 0
+		for w, ln := range lines {
 			var want uint16
 			if ln.valid {
 				n++
@@ -134,20 +183,27 @@ func (d *Dir) checkWays() error {
 				if !d.atHome(set, ln.addr) {
 					return fmt.Errorf("set %d way %d: line %#x is not at home", set, w, ln.addr)
 				}
+				if _, ok := d.runAt(w<<d.setBits | set); ok && st.pend() > 0 {
+					return fmt.Errorf("set %d way %d: stored and pending at once", set, w)
+				}
 			} else if ln != (dirLine{}) {
 				return fmt.Errorf("set %d way %d: invalid way holds %+v", set, w, ln)
 			}
-			if tag != want {
-				return fmt.Errorf("set %d way %d: filter tag %#x, the way's is %#x", set, w, tag, want)
+			if tags[w] != want {
+				return fmt.Errorf("set %d way %d: filter tag %#x, the way's is %#x", set, w, tags[w], want)
 			}
 		}
-		if int(occ) != n {
-			return fmt.Errorf("set %d: occupancy count %d, %d valid ways", set, occ, n)
+		switch pend := st.pend(); {
+		case int(st.live) != n:
+			return fmt.Errorf("set %d: live count %d, %d valid stored ways", set, st.live, n)
+		case pend < 0:
+			return fmt.Errorf("set %d: occupancy count %d below the %d valid stored ways", set, st.occ, n)
+		case pend > 0 && pend != runWays[set]:
+			return fmt.Errorf("set %d: lazy with %d pending ways, its run ways are %d", set, pend, runWays[set])
+		case pend == 0 && runWays[set] > 0 && st.cap == 0:
+			return fmt.Errorf("set %d: %d stale run ways and no storage", set, runWays[set])
 		}
-		if d.warmOnly && n < d.cfg.LLCWays && d.freeWay(set) != n {
-			return fmt.Errorf("set %d: warm-only slice whose %d valid ways are not its first", set, n)
-		}
-		resident += n
+		resident += int(st.occ)
 	}
 	if d.resident != resident {
 		return fmt.Errorf("resident count %d, %d valid ways", d.resident, resident)

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"slices"
+
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/cache"
 	"pinnedloads/internal/ckptio"
@@ -155,7 +157,7 @@ func (l *L1) State(s ckptio.State) {
 
 // Record forms of the directory section (DESIGN.md §10). The valid ways are
 // written in plane-major order — way w of set s has index w*LLCSets+s, the
-// order the planes hold them in — as records: each is the distance of its
+// order the slice keeps its runs in — as records: each is the distance of its
 // first way from the last way of the record before it, one form byte, then
 //
 //	lineDefault: n >= 1, addr, lru — n consecutive ways in the default
@@ -181,7 +183,7 @@ func defaultLine(addr, lru uint64) dirLine {
 }
 
 // isDefault reports whether the valid line equals defaultLine(addr, lru),
-// field by field: SaveState asks it of every line it walks, and the
+// field by field: SaveState asks it of every stored line it walks, and the
 // compiler's struct comparison is a call that costs as much as encoding the
 // line. TestIsDefaultCoversEveryField holds the two to each other.
 func (ln *dirLine) isDefault() bool {
@@ -190,12 +192,22 @@ func (ln *dirLine) isDefault() bool {
 	return diff == 0 && ln.owner == -1 && !ln.busyStar && !ln.deferred && !ln.specBorn
 }
 
-// dirRec is one record of a slice's section: the n default-state ways from
-// plane-major index at on, or with n == 0 the way at in the long form.
-type dirRec struct{ at, n int32 }
+// dirRec is one record of a slice's section, and the form a slice keeps its
+// pending ways in: the n default-state ways from plane-major index at on, the
+// first holding addr and lru, or with n == 0 the way at in the long form.
+type dirRec struct {
+	at, n     int32
+	addr, lru uint64
+}
 
 // last returns the index of the record's last way.
 func (r dirRec) last() int { return int(r.at) + max(int(r.n), 1) - 1 }
+
+// after returns where a run goes on in a directory of the given slice count.
+func (r dirRec) after(slices uint64) runNext {
+	k := uint64(r.n - 1)
+	return runAfter(r.last(), r.addr+k*slices, r.lru+k, slices)
+}
 
 // runNext is where a run of default-state ways goes on: the index, address
 // and stamp of the way that would extend it. at is -1 if nothing can — the
@@ -221,74 +233,148 @@ func runAfter(at int, addr, lru, slices uint64) runNext {
 	return nx
 }
 
-// way returns the way at a plane-major index whose plane exists.
-func (d *Dir) way(at int) *dirLine {
-	return &d.planes[at>>d.setBits][at&(d.cfg.LLCSets-1)]
+// recorder turns a slice's valid ways, fed in index order, into its records —
+// maximal runs of the default-state ones, a long-form record for each of the
+// others — and counts them, writing them to e too unless e is nil. It holds
+// the record it is building until the next one starts, so a run is written
+// whole.
+type recorder struct {
+	d        *Dir
+	e        *ckptio.Encoder
+	count    int
+	cur      dirRec // the record being built, if building
+	building bool
+	prev     int     // the last way of the record before cur
+	nx       runNext // where cur goes on, if it is a run
 }
 
-// records walks the planes once, in index order, and returns the slice's
-// records: a long-form record per way that is not in the default state, and
-// maximal runs of the rest.
-func (d *Dir) records() []dirRec {
-	recs := d.recs[:0]
-	nx, slices := runNext{at: -1}, uint64(d.cfg.LLCSlices)
-	for w, p := range d.planes {
-		base := w << d.setBits
-		for s := range p {
-			ln := &p[s]
-			switch at := base + s; {
-			case !ln.valid:
-			case !ln.isDefault():
-				recs = append(recs, dirRec{at: int32(at)})
-				nx.at = -1
-			case nx.follows(at, ln.addr, ln.lru):
-				recs[len(recs)-1].n++
-				nx = runAfter(at, ln.addr, ln.lru, slices)
-			default:
-				recs = append(recs, dirRec{at: int32(at), n: 1})
-				nx = runAfter(at, ln.addr, ln.lru, slices)
+// start finishes the record being built and begins r.
+func (b *recorder) start(r dirRec) {
+	b.finish()
+	b.cur, b.building = r, true
+}
+
+// finish counts the record being built and writes it.
+func (b *recorder) finish() {
+	if !b.building {
+		return
+	}
+	b.building = false
+	b.count++
+	e, r := b.e, b.cur
+	if e == nil {
+		return
+	}
+	e.U64(uint64(int(r.at) - b.prev))
+	b.prev = r.last()
+	if r.n > 0 {
+		e.U8(lineDefault)
+		e.U64(uint64(r.n))
+		e.U64(r.addr)
+		e.U64(r.lru)
+		return
+	}
+	ln := b.d.way(int(r.at)&(b.d.cfg.LLCSets-1), int(r.at)>>b.d.setBits)
+	e.U8(lineFull)
+	e.U64(ln.addr)
+	e.U64(ln.lru)
+	e.U32(ln.sharers)
+	e.I64(int64(ln.owner))
+	e.U8(uint8(ln.busy))
+	e.I64(int64(ln.busyReq))
+	e.Bool(ln.busyStar)
+	e.U32(ln.prevSharers)
+	e.I32(ln.pendAcks)
+	e.Bool(ln.deferred)
+	e.U8(uint8(ln.fetchKind))
+	e.Bool(ln.specBorn)
+}
+
+// run takes the n default-state ways of run r from index at on.
+func (b *recorder) run(r dirRec, at, n int) {
+	if n == 0 {
+		return
+	}
+	k, stride := uint64(at-int(r.at)), uint64(b.d.cfg.LLCSlices)
+	if addr, lru := r.addr+k*stride, r.lru+k; b.nx.follows(at, addr, lru) {
+		b.cur.n += int32(n)
+	} else {
+		b.start(dirRec{at: int32(at), n: int32(n), addr: addr, lru: lru})
+	}
+	b.nx = b.cur.after(stride)
+}
+
+// way takes stored way w of the set, if it is valid.
+func (b *recorder) way(set, w int) {
+	if w >= int(b.d.sets[set].cap) {
+		return
+	}
+	lines, tags := b.d.stored(set)
+	if tags[w] == 0 {
+		return
+	}
+	at, ln := w<<b.d.setBits|set, &lines[w]
+	if ln.isDefault() {
+		b.run(dirRec{at: int32(at), n: 1, addr: ln.addr, lru: ln.lru}, at, 1)
+		return
+	}
+	b.start(dirRec{at: int32(at)})
+	b.nx.at = -1
+}
+
+// records merges the slice's runs and stored ways into its records, one
+// plane at a time: in plane w, a run's ways go in as they are except in the
+// sets the protocol has opened, where the stored way stands instead, and
+// every stored way outside a run goes in between. It costs the runs, plus
+// the planes times the sets with storage — not the ways of the slice.
+func (d *Dir) records(b *recorder) {
+	slices.Sort(d.held)
+	b.prev, b.nx = -1, runNext{at: -1}
+	stored := 0 // the planes with a stored way
+	for _, s := range d.held {
+		stored = max(stored, int(d.sets[s].cap))
+	}
+	sets, ri := d.cfg.LLCSets, 0
+	for w := 0; w < stored || ri < len(d.runs); w++ {
+		base, k := w<<d.setBits, 0
+		for ; ri < len(d.runs) && int(d.runs[ri].at) < base+sets; ri++ {
+			r := d.runs[ri]
+			lo, hi := max(int(r.at)-base, 0), min(r.last()+1-base, sets)
+			for ; k < len(d.held) && int(d.held[k]) < hi; k++ {
+				s := int(d.held[k])
+				switch {
+				case s < lo:
+					b.way(s, w)
+				case d.sets[s].pend() == 0:
+					b.run(r, base+lo, s-lo)
+					b.way(s, w)
+					lo = s + 1
+				}
+			}
+			b.run(r, base+lo, hi-lo)
+			if r.last() >= base+sets {
+				break // the run goes on in the next plane
 			}
 		}
+		for ; k < len(d.held); k++ {
+			b.way(int(d.held[k]), w)
+		}
 	}
-	d.recs = recs
-	return recs
+	b.finish()
 }
 
 // SaveState serializes a directory/LLC slice: the LRU stamp clock, the
 // records of its valid ways (invalid ways hold no state and are not
-// written), and the demand backlog. It walks the planes once; the records it
-// then counts and writes are a few hundred for a warmed slice.
+// written), and the demand backlog. It installs nothing and keeps nothing:
+// one merge of the runs and the stored ways counts the records, a second
+// writes them.
 func (d *Dir) SaveState(e *ckptio.Encoder) {
-	recs := d.records()
+	count := recorder{d: d}
+	d.records(&count)
 	e.U64(d.stamp)
-	e.Int(len(d.ptag))
-	e.U64(uint64(len(recs)))
-	prev := -1
-	for _, r := range recs {
-		ln := d.way(int(r.at))
-		e.U64(uint64(int(r.at) - prev))
-		prev = r.last()
-		if r.n > 0 {
-			e.U8(lineDefault)
-			e.U64(uint64(r.n))
-			e.U64(ln.addr)
-			e.U64(ln.lru)
-			continue
-		}
-		e.U8(lineFull)
-		e.U64(ln.addr)
-		e.U64(ln.lru)
-		e.U32(ln.sharers)
-		e.I64(int64(ln.owner))
-		e.U8(uint8(ln.busy))
-		e.I64(int64(ln.busyReq))
-		e.Bool(ln.busyStar)
-		e.U32(ln.prevSharers)
-		e.I32(ln.pendAcks)
-		e.Bool(ln.deferred)
-		e.U8(uint8(ln.fetchKind))
-		e.Bool(ln.specBorn)
-	}
+	e.Int(len(d.sets) * d.cfg.LLCWays)
+	e.U64(uint64(count.count))
+	d.records(&recorder{d: d, e: e})
 	e.Int(d.demandUsed)
 	e.U64(uint64(d.backlog.Len()))
 	for i := 0; i < d.backlog.Len(); i++ {
@@ -317,28 +403,37 @@ func (d *Dir) atHome(set int, line uint64) bool {
 }
 
 // loadRun reads the rest of a lineDefault record whose first way is at and
-// installs the run, unless it continues the run that nx is the end of. It
-// returns the run's last way and where the run goes on, or fails the decoder.
+// records the run as pending, unless it continues the run that nx is the end
+// of. It returns the run's last way and where the run goes on, or fails the
+// decoder.
 func (d *Dir) loadRun(dec *ckptio.Decoder, at int, nx runNext) (int, runNext) {
 	n, addr, lru := dec.U64(), dec.U64(), dec.U64()
 	if dec.Err() != nil {
 		return at, nx
 	}
-	slices := uint64(d.cfg.LLCSlices)
-	span := (n - 1) * slices
+	total, stride := len(d.sets)*d.cfg.LLCWays, uint64(d.cfg.LLCSlices)
 	switch {
-	case n == 0 || n > uint64(len(d.ptag)-at):
-		dec.Failf("directory run of %d ways from way %d leaves %d ways", n, at, len(d.ptag))
+	case n == 0 || n > uint64(total-at):
+		dec.Failf("directory run of %d ways from way %d leaves %d ways", n, at, total)
 	case !d.atHome(at&(d.cfg.LLCSets-1), addr):
 		dec.Failf("directory way %d: line %#x is not at home", at, addr)
-	case addr+span < addr || lru+n-1 < lru:
+	case addr+(n-1)*stride < addr || lru+n-1 < lru:
 		dec.Failf("directory run of %d ways from line %#x, stamp %d wraps", n, addr, lru)
 	case nx.follows(at, addr, lru):
 		dec.Failf("directory way %d: run continues the one before it", at)
 	default:
-		d.installRun(at, int(n), addr, lru)
-		last := at + int(n) - 1
-		return last, runAfter(last, addr+span, lru+n-1, slices)
+		r := dirRec{at: int32(at), n: int32(n), addr: addr, lru: lru}
+		d.runs = append(d.runs, r)
+		for i, end := at, r.last()+1; i < end; {
+			set := i & (d.cfg.LLCSets - 1)
+			stretch := d.sets[set:min(d.cfg.LLCSets, set+end-i)] // up to the plane's end
+			for k := range stretch {
+				stretch[k].occ++
+			}
+			i += len(stretch)
+		}
+		d.resident += int(n)
+		return r.last(), r.after(stride)
 	}
 	return at, nx
 }
@@ -373,38 +468,36 @@ func (d *Dir) loadLine(dec *ckptio.Decoder, at int) {
 	}
 }
 
-// LoadState restores a directory slice of the same geometry. Ways the
-// checkpoint does not name end up invalid and zero, at the cost of the lines
-// the target holds: none for a blank machine. The target keeps its planes and
-// gains the ones the checkpoint's lines need. A record is checked whole
-// before any of it is installed — its ways lie inside the slice, its first
-// line is at home in its first way (the later lines of a run follow: the
-// address steps by the slice count, so the slice stays and the set steps with
-// the index, across a plane boundary too), a run is maximal — so a rejected
-// section leaves a consistent slice, and an accepted one allocates no more
-// than the slice's own planes.
+// LoadState restores a directory slice of the same geometry. A run becomes
+// pending ways, as Prewarm leaves them, and a long-form line is stored; ways
+// the checkpoint does not name end up invalid. A target that holds lines or
+// storage gives them up first, keeping its slabs. A record is checked whole
+// before any of it is taken — its ways lie inside the slice, its first line
+// is at home in its first way (the later lines of a run follow: the address
+// steps by the slice count, so the slice stays and the set steps with the
+// index, across a plane boundary too), a run is maximal — so a rejected
+// section leaves a consistent slice. An accepted run costs one record
+// however many ways it covers, and a long-form line at most its set's
+// storage: what geometry already permits.
 func (d *Dir) LoadState(dec *ckptio.Decoder) {
 	d.stamp = dec.U64()
 	n := dec.Int()
 	if dec.Err() != nil {
 		return
 	}
-	total := len(d.ptag)
+	total := len(d.sets) * d.cfg.LLCWays
 	if n != total {
 		dec.Failf("directory has %d ways, checkpoint has %d", total, n)
 		return
 	}
-	// A target that holds lines gives them up plane by plane; a blank one
-	// has nothing to clear.
-	if d.resident > 0 {
-		for _, p := range d.planes {
-			clear(p)
+	if d.resident > 0 || d.next > 0 {
+		clear(d.sets)
+		for _, sl := range d.slabs {
+			clear(sl.lines)
+			clear(sl.tags)
 		}
-		clear(d.ptag)
-		clear(d.occ)
 	}
-	d.resident = 0
-	d.warmOnly = false
+	d.runs, d.held, d.next, d.resident = d.runs[:0], d.held[:0], 0, 0
 	nx := runNext{at: -1}
 	for count, prev := dec.Count(total), -1; count > 0; count-- {
 		step, form := dec.U64(), dec.U8()
@@ -441,8 +534,8 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 }
 
 // State joins the slice to a walk. The directory section is the one place
-// the two directions share a format and no logic (a walk of the planes that
-// finds the runs out, bulk installs in), so they stay a pair.
+// the two directions share a format and no logic (a merge of runs and stored
+// ways out, runs recorded in), so they stay a pair.
 func (d *Dir) State(s ckptio.State) {
 	if s.Loading() {
 		d.LoadState(s.Decoder())

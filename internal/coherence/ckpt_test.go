@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -43,22 +44,24 @@ func single(lines ...uint64) []arch.LineRange {
 	return runs
 }
 
-// TestPrewarmBulkMatchesInstallWarm holds the warm-only shortcut of
-// Dir.InstallWarm (probe the set's first occ ways, take the next) against
-// the general path (probe every way, take the first free one), which slices
-// marked as filled by something else take: every slice must serialize to the
-// same bytes, for every proxy's warm set and for lists that are out of
-// order, repeat lines, or hold more lines of one set than it has ways.
+// TestPrewarmBulkMatchesInstallWarm holds Prewarm, which records each
+// slice's warm lines as runs and installs nothing, to warm installs as the
+// eager directory made them, line by line, on a dense reference of every
+// slice: the stamp and every way of every set, read through view, must agree
+// for every proxy's warm set and for lists that are out of order, repeat
+// lines, or hold more lines of one set than it has ways. Prewarm stores no
+// set, and opening every set changes no byte of any slice's section.
 func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
 	type warmSet struct {
-		name  string
-		cores int
-		runs  func(core int) []arch.LineRange
+		name     string
+		cores    int
+		runs     func(core int) []arch.LineRange
+		resident int // the lines that must end up valid, when the case pins it
 	}
 	var sets []warmSet
 	for suite, profiles := range trace.Suites() {
 		for _, p := range profiles {
-			sets = append(sets, warmSet{suite + "/" + p.BenchName, p.Cores(), p.WarmRanges})
+			sets = append(sets, warmSet{suite + "/" + p.BenchName, p.Cores(), p.WarmRanges, 0})
 		}
 	}
 	sort.Slice(sets, func(i, j int) bool { return sets[i].name < sets[j].name })
@@ -73,43 +76,56 @@ func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
 	recorded := &tracefile.Trace{Warm: [][]arch.LineRange{{{First: 0x100, N: 2}, {First: 0x100, N: 1},
 		{First: 0x108, N: 1}, {First: 0x101, N: 1}, {First: 0x90, N: 1}, {First: 0x108, N: 2}}}}
 	sets = append(sets,
-		warmSet{"trace/duplicates", 1, recorded.WarmRanges},
-		warmSet{"trace/overfull-set", 1, func(int) []arch.LineRange { return single(overfull...) }})
+		// 0x100, 0x101, 0x108, 0x90 and 0x109: every repeat is skipped.
+		warmSet{"trace/duplicates", 1, recorded.WarmRanges, 5},
+		// The first LLCWays lines of the full set and 0x4001.
+		warmSet{"trace/overfull-set", 1, func(int) []arch.LineRange { return single(overfull...) }, cfg.LLCWays + 1})
 
 	for _, ws := range sets {
 		t.Run(ws.name, func(t *testing.T) {
 			cfg := arch.PaperConfig(ws.cores)
-			var c1, c2 stats.Counters
-			bulk, each := NewSystem(&cfg, &c1), NewSystem(&cfg, &c2)
-			for i := 0; i < each.Dirs(); i++ {
-				each.Dir(i).warmOnly = false
+			var count stats.Counters
+			sys := NewSystem(&cfg, &count)
+			refs := make([]*denseRef, sys.Dirs())
+			for i := range refs {
+				refs[i] = newDenseRef(&cfg)
 			}
-			installed := uint64(0)
 			for core := 0; core < ws.cores; core++ {
 				runs := ws.runs(core)
-				bulk.Prewarm(runs)
-				each.Prewarm(runs)
+				sys.Prewarm(runs)
 				for _, r := range runs {
-					installed += r.N
+					for l := r.First; l < r.First+r.N; l++ {
+						refs[cfg.LLCSlice(l)].warm(cfg.LLCSet(l), l)
+					}
 				}
 			}
-			for i := 0; i < bulk.Dirs(); i++ {
-				if !bytes.Equal(dirBytes(bulk.Dir(i)), dirBytes(each.Dir(i))) {
-					t.Fatalf("slice %d: the warm-only shortcut and the general path serialize differently", i)
-				}
-				if installed > 0 && !bulk.Dir(i).warmOnly {
-					t.Fatalf("slice %d left the warm-only state", i)
-				}
-			}
-			if err := bulk.CheckResidency(); err != nil {
+			if err := sys.CheckResidency(); err != nil {
 				t.Fatal(err)
 			}
-			resident := 0
-			for i := 0; i < bulk.Dirs(); i++ {
-				resident += bulk.Dir(i).resident
+			view, resident := make([]dirLine, cfg.LLCWays), 0
+			for i, ref := range refs {
+				d := sys.Dir(i)
+				if d.stamp != ref.stamp || d.StoredSets() != 0 {
+					t.Fatalf("slice %d: stamp %d, reference %d; %d sets stored", i, d.stamp, ref.stamp, d.StoredSets())
+				}
+				for s := range cfg.LLCSets {
+					d.view(s, view)
+					if !slices.Equal(view, ref.set(s)) {
+						t.Fatalf("slice %d set %d: Prewarm left %+v, the eager install %+v", i, s, view, ref.set(s))
+					}
+				}
+				resident += d.resident
+				before := dirBytes(d)
+				openAll(d)
+				if !bytes.Equal(dirBytes(d), before) {
+					t.Fatalf("slice %d: opening every set changed the section", i)
+				}
 			}
-			if installed > 0 && resident == 0 {
-				t.Fatal("warm set installed nothing")
+			if err := sys.CheckResidency(); err != nil {
+				t.Fatal(err)
+			}
+			if ws.resident > 0 && resident != ws.resident {
+				t.Fatalf("%d lines valid, want %d", resident, ws.resident)
 			}
 		})
 	}
@@ -196,12 +212,12 @@ func seq(fs ...func(*ckptio.Encoder)) func(*ckptio.Encoder) {
 // TestDirLoadStateRejectsMalformed feeds Dir.LoadState directory sections
 // that are wrong in one way each. Every one must end in the decoder's sticky
 // error: no panic, and no allocation that a corrupt count could size. The run
-// count is the one number in a section that stands for more memory than its
-// own bytes, and what it can stand for is bounded by geometry, not by the
-// input: a run is checked against the ways the slice has left before anything
-// is installed, so an accepted run allocates at most the slice's own planes —
-// what NewSystem agreed to when it took the configuration — and a rejected
-// one nothing.
+// count is the one number in a section that stands for more ways than its own
+// bytes, and it stands for no memory at all: a run is checked against the ways
+// the slice has left before it is taken, and an accepted one is one record
+// however many ways it covers — a set's ways are stored only when the
+// protocol opens the set, at most the set's ways, which is what NewSystem
+// agreed to when it took the configuration — and a rejected one nothing.
 func TestDirLoadStateRejectsMalformed(t *testing.T) {
 	const ways = smallSets * 16
 	// Ways 0-5 (plane 0 and half of plane 1) as one run, way 7 in the long
@@ -327,12 +343,13 @@ var (
 	l1Config  = []string{"id", "cfg", "fab", "count", "cnt", "hooks", "rec", "tracing"}
 )
 
-// Fields of Dir that its section leaves out: the filter tags, occupancy
-// counts and warm-only mark are rebuilt by LoadState from the ways it loads,
-// and recs is the array SaveState collects its records into.
+// Fields of Dir that its section rebuilds rather than reads: the sets' counts
+// and storage, the list of stored sets, the carving cursor and the resident
+// count follow from the records LoadState takes. runs and slabs are the
+// pending and the stored ways: what the section holds.
 var (
-	dirDerived = []string{"ptag", "occ", "resident", "warmOnly", "recs"}
-	dirConfig  = []string{"idx", "cfg", "fab", "count", "cnt", "setBits"}
+	dirDerived = []string{"sets", "held", "next", "resident"}
+	dirConfig  = []string{"idx", "cfg", "fab", "count", "cnt", "setBits", "slabBits"}
 )
 
 // systemConfig names the field of System that State leaves out (cfg it only
@@ -350,7 +367,7 @@ func TestWalksCoverEveryField(t *testing.T) {
 	ckpttest.Fields(t, pendingFill{}, func(s ckptio.State, p *pendingFill) { p.walk(s) }, nil)
 	ckpttest.Container(t, "ckpt.go", fabric{}, fabricDerived, fabricConfig)
 	ckpttest.Container(t, "ckpt.go", L1{}, l1Derived, l1Config)
-	// records is the walk of the planes SaveState writes from.
+	// records is the merge of runs and stored ways SaveState writes from.
 	ckpttest.Container(t, "ckpt.go", Dir{}, dirDerived, dirConfig, "SaveState", "LoadState", "records")
 	ckpttest.Container(t, "ckpt.go", System{}, nil, systemConfig)
 }
@@ -388,7 +405,7 @@ func TestMsgWalkRejectsForeignEndpoints(t *testing.T) {
 			// queued message.
 			e = ckptio.NewEncoder()
 			e.U64(9) // stamp
-			e.Int(len(h.sys.Dir(0).ptag))
+			e.Int(len(h.sys.Dir(0).sets) * h.sys.cfg.LLCWays)
 			e.U64(0) // lines
 			e.Int(0) // demandUsed
 			e.U64(1) // backlog
@@ -449,37 +466,45 @@ func TestDirSaveStateSensitivity(t *testing.T) {
 			}
 			seen[b] = what
 		}
-		ways, invalid := d.cfg.LLCWays, -1
-		for j := range d.ptag {
-			set, w := j/ways, j%ways
-			if d.ptag[j] == 0 {
-				if invalid < 0 {
-					invalid = j
+		// Every way is stored from here on; the bytes must not notice.
+		openAll(d)
+		if !bytes.Equal(dirBytes(d), base) {
+			t.Fatalf("slice %d: opening every set changed the bytes", i)
+		}
+		invalid := -1
+		for set := range d.sets {
+			for w := range d.cfg.LLCWays {
+				j := w<<d.setBits | set
+				lines, tags := d.stored(set)
+				if w >= len(tags) || tags[w] == 0 {
+					if invalid < 0 {
+						invalid = j
+					}
+					continue
 				}
-				continue
-			}
-			ln := &d.planes[w][set]
-			saved := *ln
-			if saved == defaultLine(saved.addr, saved.lru) {
-				forms[lineDefault]++
-			} else {
-				forms[lineFull]++
-			}
-			for field, mutate := range dirFieldMutations {
-				mutate(ln)
-				if *ln == saved {
-					t.Fatalf("mutation of %s changed nothing", field)
+				ln := &lines[w]
+				saved := *ln
+				if saved == defaultLine(saved.addr, saved.lru) {
+					forms[lineDefault]++
+				} else {
+					forms[lineFull]++
 				}
-				record(fmt.Sprintf("way %d with %s changed", j, field))
-				*ln = saved
+				for field, mutate := range dirFieldMutations {
+					mutate(ln)
+					if *ln == saved {
+						t.Fatalf("mutation of %s changed nothing", field)
+					}
+					record(fmt.Sprintf("way %d with %s changed", j, field))
+					*ln = saved
+				}
+				d.drop(set, w)
+				record(fmt.Sprintf("way %d invalidated", j))
+				d.install(set, w, saved)
 			}
-			d.drop(set, w)
-			record(fmt.Sprintf("way %d invalidated", j))
-			d.fill(set, w, saved)
 		}
 		if invalid >= 0 {
-			set, w := invalid/ways, invalid%ways
-			d.fill(set, w, defaultLine(uint64((7*d.cfg.LLCSets+set)*d.cfg.LLCSlices+i), 1))
+			set, w := invalid&(d.cfg.LLCSets-1), invalid>>d.setBits
+			d.install(set, w, defaultLine(uint64((7*d.cfg.LLCSets+set)*d.cfg.LLCSlices+i), 1))
 			record(fmt.Sprintf("way %d validated", invalid))
 			d.drop(set, w)
 		}

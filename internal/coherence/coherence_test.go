@@ -409,8 +409,8 @@ func TestTrafficCounted(t *testing.T) {
 	}
 }
 
-// TestDirLineSize pins the packed layout of an LLC way: the directory planes
-// are most of a machine's memory, so a field added in the wrong place (or
+// TestDirLineSize pins the packed layout of an LLC way: stored ways are most
+// of a used machine's memory, so a field added in the wrong place (or
 // widened) grows every machine.
 func TestDirLineSize(t *testing.T) {
 	if got := unsafe.Sizeof(dirLine{}); got != 40 {

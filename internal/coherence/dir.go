@@ -1,8 +1,10 @@
 package coherence
 
 import (
+	"cmp"
 	"iter"
 	"math/bits"
+	"slices"
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/ringq"
@@ -26,8 +28,8 @@ const (
 
 // dirLine is one LLC way with its embedded directory state. The LLC is
 // inclusive: any line cached in an L1 is present here. The fields are ordered
-// widest first so a way is 40 bytes (the LLC planes are most of a machine's
-// memory); TestDirLineSize pins it.
+// widest first so a way is 40 bytes (stored ways are most of a used
+// machine's memory); TestDirLineSize pins it.
 type dirLine struct {
 	addr        uint64
 	lru         uint64
@@ -71,47 +73,61 @@ func bindDirCounters(ct *stats.Counters) dirCounters {
 	}
 }
 
+// llcSet is one LLC set's bookkeeping: where its stored ways are, how many
+// ways it has valid, and how many of those are stored. Way w of the set is
+// stored if w < cap; every later way is invalid or pending.
+type llcSet struct {
+	at   uint32 // the set's first stored way in the slabs
+	cap  uint16 // stored ways
+	occ  uint16 // valid ways, stored or pending
+	live uint16 // valid stored ways
+}
+
+// pend is the set's pending ways, still in the slice's runs: nonzero marks
+// the set lazy.
+func (st llcSet) pend() int { return int(st.occ) - int(st.live) }
+
+// slab is a block of stored ways, carved into the sets that need them. Both
+// arrays are pointer-free and never move, so a *dirLine stays good until its
+// set grows.
+type slab struct {
+	lines []dirLine
+	tags  []uint16
+}
+
 // Dir is one directory/LLC slice. It owns the homes of all lines mapping to
 // it and runs the (Pinned Loads-extended) MESI protocol for them.
 type Dir struct {
-	idx     int
-	cfg     *arch.Config
-	setBits uint // log2(cfg.LLCSets)
-	fab     *fabric
-	count   *stats.Counters
-	cnt     dirCounters
+	idx      int
+	cfg      *arch.Config
+	setBits  uint // log2(cfg.LLCSets)
+	slabBits uint // log2 of the ways a slab holds: 256, or the slice's if fewer
+	fab      *fabric
+	count    *stats.Counters
+	cnt      dirCounters
+	stamp    uint64
 
-	// planes[w][s] is way w of set s. A plane (way w of every set of the
-	// slice) is allocated the first time any set needs way w and never moved,
-	// so a *dirLine stays good for the machine's life and a slice holds
-	// memory for the ways of its fullest set, not for the ways there could
-	// be. A way whose plane does not exist is an invalid way.
-	planes [][]dirLine
-	stamp  uint64
+	// A valid way is pending or stored (DESIGN.md §9). runs holds the
+	// pending ways as default-state runs in plane-major order — way w of set
+	// s has index w*LLCSets+s, the order the checkpoint writes (§10) — sorted
+	// and disjoint: Prewarm and LoadState record them instead of installing
+	// them. The first protocol access to a set (open) installs its pending
+	// ways into storage; the set's run ways are then stale, and its storage
+	// is authoritative. Nothing that only reads a set (SaveState, Snapshot,
+	// the checkers) installs anything.
+	runs []dirRec
+	sets []llcSet
 
-	// ptag[s*ways+w] is the filter tag of way w of set s: zero for an
-	// invalid way, else the tag of its addr (home). lookup and the free-way
-	// searches scan a set's row of it (32 bytes) and touch a plane only on a
-	// match; the planes are page-aligned, so the ways of one set share a
-	// page offset and walking them would take as many lines of one host
-	// cache set.
-	//
-	// occ[s] counts the valid ways of set s and resident is their sum.
-	// warmOnly says only InstallWarm has filled the slice so far, which
-	// makes the valid ways of every set its first occ[s].
-	//
-	// All four are derived state (DESIGN.md §9): they move only where a
-	// way's valid bit flips (install, installRun, drop), LoadState rebuilds
-	// them and nothing serializes them. They let every walk visit the ways
-	// that exist instead of the ways there could be.
-	ptag     []uint16
-	occ      []int32
-	resident int
-	warmOnly bool
-
-	// recs is SaveState's record list, kept from one save to the next so a
-	// machine that is checkpointed often collects into the same array.
-	recs []dirRec
+	// A set's stored ways are cap consecutive ways of one slab from at on,
+	// with a filter tag beside each: zero for an invalid way, else the tag
+	// of its addr (home). lookup and the free-way searches scan the set's
+	// tags and touch a way only on a match. Storage is carved at next, sized
+	// by capFor and moved to a larger carving when the set outgrows it;
+	// held lists the sets that have any.
+	slabs    []slab
+	next     int
+	held     []int32
+	resident int // valid ways of the slice: the sum of every set's occ
 
 	// demandUsed counts the demand requests accepted this cycle; when
 	// cfg.DirPortsPerCycle is non-zero, excess demand requests wait in the
@@ -128,11 +144,9 @@ func newDir(idx int, cfg *arch.Config, fab *fabric, count *stats.Counters) *Dir 
 		fab:      fab,
 		count:    count,
 		cnt:      bindDirCounters(count),
-		planes:   make([][]dirLine, cfg.LLCWays),
-		ptag:     make([]uint16, cfg.LLCSets*cfg.LLCWays),
-		occ:      make([]int32, cfg.LLCSets),
-		warmOnly: true,
+		sets:     make([]llcSet, cfg.LLCSets),
 		setBits:  uint(bits.TrailingZeros(uint(cfg.LLCSets))),
+		slabBits: uint(max(bits.Len(uint(cfg.LLCWays-1)), min(8, bits.Len(uint(cfg.LLCSets*cfg.LLCWays-1))))),
 	}
 }
 
@@ -144,27 +158,51 @@ func (d *Dir) addr() Addr { return Addr{Dir: true, Idx: d.idx} }
 // 8-14 of that, so a narrower tag would alias on every probe.
 const tagValid = 1 << 15
 
-// home returns the set of the line and the filter tag a way holding it has;
-// homeOf takes the line's quotient by the slice count instead, for a caller
-// that carries it along a run of lines.
+// home returns the set of the line and the filter tag a way holding it has.
 func (d *Dir) home(line uint64) (set int, tag uint16) {
-	return d.homeOf(line / uint64(d.cfg.LLCSlices))
-}
-
-func (d *Dir) homeOf(q uint64) (set int, tag uint16) {
+	q := line / uint64(d.cfg.LLCSlices)
 	return int(q) & (d.cfg.LLCSets - 1), tagValid | uint16(q>>d.setBits)
 }
 
-// row returns the filter tags of the set, one per way.
-func (d *Dir) row(set int) []uint16 {
-	return d.ptag[set*d.cfg.LLCWays : (set+1)*d.cfg.LLCWays]
+// stored returns the set's stored ways and their filter tags.
+func (d *Dir) stored(set int) ([]dirLine, []uint16) {
+	st := d.sets[set]
+	if st.cap == 0 {
+		return nil, nil
+	}
+	sl := &d.slabs[st.at>>d.slabBits]
+	off := int(st.at) & (1<<d.slabBits - 1)
+	end := off + int(st.cap)
+	return sl.lines[off:end:end], sl.tags[off:end:end]
+}
+
+// way returns stored way w of the set.
+func (d *Dir) way(set, w int) *dirLine {
+	lines, _ := d.stored(set)
+	return &lines[w]
+}
+
+// open is how the protocol reaches a set: it installs the set's pending
+// ways, if any, and returns its stored ways.
+func (d *Dir) open(set int) ([]dirLine, []uint16) {
+	if st := &d.sets[set]; st.pend() > 0 {
+		for w, ln := range d.pending(set) {
+			d.reserve(set, max(w+1, int(st.occ)))
+			lines, tags := d.stored(set)
+			lines[w] = ln
+			_, tags[w] = d.home(ln.addr)
+		}
+		st.live = st.occ
+	}
+	return d.stored(set)
 }
 
 // find returns the set of the line and the way holding it, or -1.
 func (d *Dir) find(line uint64) (set, way int) {
 	set, tag := d.home(line)
-	for w, t := range d.row(set) {
-		if t == tag && d.planes[w][set].addr == line {
+	lines, tags := d.open(set)
+	for w, t := range tags {
+		if t == tag && lines[w].addr == line {
 			return set, w
 		}
 	}
@@ -173,22 +211,37 @@ func (d *Dir) find(line uint64) (set, way int) {
 
 func (d *Dir) lookup(line uint64) *dirLine {
 	if s, w := d.find(line); w >= 0 {
-		return &d.planes[w][s]
+		return d.way(s, w)
 	}
 	return nil
 }
 
-// valid yields every valid way of the slice in ascending set and way order:
-// its index set*ways+way and the way itself. It visits occupied sets only.
-func (d *Dir) valid() iter.Seq2[int, *dirLine] {
-	return func(yield func(int, *dirLine) bool) {
-		ways := d.cfg.LLCWays
-		for s, n := range d.occ {
-			if n == 0 {
-				continue
-			}
-			for w, t := range d.row(s) {
-				if t != 0 && !yield(s*ways+w, &d.planes[w][s]) {
+// runAt returns the run holding plane-major index at, if any.
+func (d *Dir) runAt(at int) (dirRec, bool) {
+	lo, hi := 0, len(d.runs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); int(d.runs[m].at) <= at {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo > 0 && at <= d.runs[lo-1].last() {
+		return d.runs[lo-1], true
+	}
+	return dirRec{}, false
+}
+
+// pending yields the set's pending ways in way order, each with its line.
+func (d *Dir) pending(set int) iter.Seq2[int, dirLine] {
+	return func(yield func(int, dirLine) bool) {
+		stride := uint64(d.cfg.LLCSlices)
+		for w, left := 0, d.sets[set].pend(); left > 0 && w < d.cfg.LLCWays; w++ {
+			at := w<<d.setBits | set
+			if r, ok := d.runAt(at); ok {
+				left--
+				k := uint64(at - int(r.at))
+				if !yield(w, defaultLine(r.addr+k*stride, r.lru+k)) {
 					return
 				}
 			}
@@ -196,27 +249,62 @@ func (d *Dir) valid() iter.Seq2[int, *dirLine] {
 	}
 }
 
-// Planes reports how many way planes the slice has allocated and how many
-// its resident lines need: the highest valid way of any set, plus one. It is
+// view fills buf, one entry per way, with the set's valid ways, stored or
+// pending, and zero for the invalid ones, installing nothing.
+func (d *Dir) view(set int, buf []dirLine) {
+	lines, _ := d.stored(set)
+	clear(buf[copy(buf, lines):])
+	for w, ln := range d.pending(set) {
+		buf[w] = ln
+	}
+}
+
+// StoredSets reports how many sets of the slice have storage: the sets the
+// protocol has touched and those a restore gave a long-form line. It is
 // host-memory accounting for tests and tools, not simulated state.
-func (d *Dir) Planes() (held, needed int) {
-	for _, p := range d.planes {
-		if p != nil {
-			held++
-		}
+func (d *Dir) StoredSets() int { return len(d.held) }
+
+// capFor is the storage a set that needs n ways is given: the next multiple
+// of four above n, at most the set's ways, so a set that takes a fill or two
+// after its first access does not move.
+func (d *Dir) capFor(n int) int { return min(d.cfg.LLCWays, (n+4)&^3) }
+
+// reserve gives the set storage for at least n ways, carving a new block
+// and copying the set's stored ways into it if it has fewer. The old block is
+// left behind; LoadState reclaims every slab.
+func (d *Dir) reserve(set, n int) {
+	st := &d.sets[set]
+	if n <= int(st.cap) {
+		return
 	}
-	for i := range d.valid() {
-		needed = max(needed, i%d.cfg.LLCWays+1)
+	c, size := d.capFor(n), 1<<d.slabBits
+	if d.next%size+c > size {
+		d.next += size - d.next%size
 	}
-	return held, needed
+	if d.next/size == len(d.slabs) {
+		d.slabs = append(d.slabs, slab{make([]dirLine, size), make([]uint16, size)})
+	}
+	lines, tags := d.stored(set)
+	if st.cap == 0 {
+		d.held = append(d.held, int32(set))
+	}
+	st.at, st.cap = uint32(d.next), uint16(c)
+	d.next += c
+	nl, nt := d.stored(set)
+	copy(nl, lines)
+	copy(nt, tags)
 }
 
 // freeWay returns the first invalid way of the set, or -1.
 func (d *Dir) freeWay(set int) int {
-	for w, t := range d.row(set) {
+	_, tags := d.open(set)
+	for w, t := range tags {
 		if t == 0 {
 			return w
 		}
+	}
+	if len(tags) < d.cfg.LLCWays {
+		return len(tags)
 	}
 	return -1
 }
@@ -226,74 +314,84 @@ func (d *Dir) touch(e *dirLine) {
 	e.lru = d.stamp
 }
 
-// install validates the invalid way w of the set with the whole of ln, and
-// drop invalidates a way again by zeroing it: a way carries no state from one
-// life into the next, and an invalid way carries none at all, which is what
-// lets the checkpoint leave invalid ways out. fill is install by anything but
-// a warm install.
+// install validates the invalid way w of an opened set with the whole of ln,
+// and drop invalidates a stored way again by zeroing it: a way carries no
+// state from one life into the next, and an invalid way carries none at all,
+// which is what lets the checkpoint leave invalid ways out.
 func (d *Dir) install(set, w int, ln dirLine) *dirLine {
-	_, tag := d.home(ln.addr)
-	return d.installTagged(set, w, tag, ln)
-}
-
-// plane returns way w of every set, allocating it on first use.
-func (d *Dir) plane(w int) []dirLine {
-	if d.planes[w] == nil {
-		d.planes[w] = make([]dirLine, d.cfg.LLCSets)
-	}
-	return d.planes[w]
-}
-
-// installTagged is install for a caller that has the line's filter tag.
-func (d *Dir) installTagged(set, w int, tag uint16, ln dirLine) *dirLine {
-	p := d.plane(w)
-	p[set] = ln
-	d.ptag[set*d.cfg.LLCWays+w] = tag
-	d.occ[set]++
+	d.reserve(set, w+1)
+	lines, tags := d.stored(set)
+	lines[w] = ln
+	_, tags[w] = d.home(ln.addr)
+	d.sets[set].occ++
+	d.sets[set].live++
 	d.resident++
-	return &p[set]
-}
-
-// installRun validates the n invalid ways from plane-major index at on
-// (way at/LLCSets of set at%LLCSets, then the next set of that plane, then
-// the first set of the next plane) with default-state lines: the first holds
-// addr and lru, and each one after it the address LLCSlices further on and the
-// next stamp. addr must be at home in the first way, which puts every later
-// line at home in its own: the quotient by the slice count steps by one with
-// the set, so within a plane the filter tag is one value, and it is computed
-// once per plane. The caller has checked that the run ends inside the slice
-// and that neither the address nor the stamp wraps.
-func (d *Dir) installRun(at, n int, addr, lru uint64) {
-	sets, ways, slices := d.cfg.LLCSets, d.cfg.LLCWays, uint64(d.cfg.LLCSlices)
-	d.resident += n
-	q := addr / slices
-	for w, set := at>>d.setBits, at&(sets-1); n > 0; w, set = w+1, 0 {
-		p := d.plane(w)
-		end := min(sets, set+n)
-		n -= end - set
-		_, tag := d.homeOf(q)
-		q += uint64(end - set)
-		for ; set < end; set++ {
-			p[set] = defaultLine(addr, lru)
-			d.ptag[set*ways+w] = tag
-			d.occ[set]++
-			addr += slices
-			lru++
-		}
-	}
-}
-
-func (d *Dir) fill(set, w int, ln dirLine) *dirLine {
-	d.warmOnly = false
-	return d.install(set, w, ln)
+	return &lines[w]
 }
 
 func (d *Dir) drop(set, w int) {
-	d.warmOnly = false
-	d.planes[w][set] = dirLine{}
-	d.ptag[set*d.cfg.LLCWays+w] = 0
-	d.occ[set]--
+	lines, tags := d.stored(set)
+	lines[w], tags[w] = dirLine{}, 0
+	d.sets[set].occ--
+	d.sets[set].live--
 	d.resident--
+}
+
+// prewarm is Prewarm for one slice: it takes the slice's own lines of every
+// range, in order, and records them as pending ways.
+func (d *Dir) prewarm(ranges []arch.LineRange) {
+	if len(d.held) > 0 {
+		panic("coherence: Prewarm on a directory slice the protocol has used")
+	}
+	n, idx := uint64(d.cfg.LLCSlices), uint64(d.idx)
+	for _, r := range ranges {
+		first, end := r.First+(idx+n-r.First%n)%n, r.First+r.N
+		if first < end {
+			d.warm(d.runs, first/n, (end-1-idx)/n+1)
+		}
+	}
+	slices.SortFunc(d.runs, func(a, b dirRec) int { return cmp.Compare(a.at, b.at) })
+}
+
+// warm records the slice's lines whose quotient by the slice count is in
+// [q, end), in order, leaving out those a run of known holds: a line whose
+// set is full is skipped, and any other becomes pending in way occ of its set
+// with the next stamp.
+func (d *Dir) warm(known []dirRec, q, end uint64) {
+	stride := uint64(d.cfg.LLCSlices)
+	for i, r := range known {
+		if lo, hi := max(q, r.addr/stride), min(end, r.addr/stride+uint64(r.n)); lo < hi {
+			d.warm(known[i+1:], q, lo)
+			d.warm(known[i+1:], hi, end)
+			return
+		}
+	}
+	// The lines of a stretch of sets that hold the same number of ways, k,
+	// go to way k of each: one run.
+	stamp, idx := d.stamp, uint64(d.idx)
+	for q < end {
+		set := int(q) & (d.cfg.LLCSets - 1)
+		stretch := d.sets[set : set+int(min(end-q, uint64(d.cfg.LLCSets-set)))]
+		k, n := stretch[0].occ, 1
+		for n < len(stretch) && stretch[n].occ == k {
+			n++
+		}
+		if int(k) < d.cfg.LLCWays {
+			for i := range stretch[:n] {
+				stretch[i].occ++
+			}
+			r := dirRec{at: int32(int(k)<<d.setBits | set), n: int32(n), addr: q*stride + idx, lru: stamp + 1}
+			if last := len(d.runs) - 1; last >= 0 && d.runs[last].after(stride).follows(int(r.at), r.addr, r.lru) {
+				d.runs[last].n += r.n
+			} else {
+				d.runs = append(d.runs, r)
+			}
+			stamp += uint64(n)
+		}
+		q += uint64(n)
+	}
+	d.resident += int(stamp - d.stamp)
+	d.stamp = stamp
 }
 
 // DirSnap is one valid directory/LLC line in a Snapshot: its home set, the
@@ -315,63 +413,33 @@ type DirSnap struct {
 // different sharer state by a transient access is a directory-state leak.
 func (d *Dir) Snapshot() []DirSnap {
 	out := make([]DirSnap, 0, d.resident)
+	set := make([]dirLine, d.cfg.LLCWays)
 	ways := make([]int, 0, d.cfg.LLCWays)
-	for s, n := range d.occ {
-		if n == 0 {
+	for s := range d.sets {
+		if d.sets[s].occ == 0 {
 			continue
 		}
+		d.view(s, set)
 		ways = ways[:0]
-		for w, t := range d.row(s) {
-			if t != 0 {
+		for w := range set {
+			if set[w].valid {
 				ways = append(ways, w)
 			}
 		}
 		for a := range ways {
 			for b := a + 1; b < len(ways); b++ {
-				if d.planes[ways[b]][s].lru > d.planes[ways[a]][s].lru {
+				if set[ways[b]].lru > set[ways[a]].lru {
 					ways[a], ways[b] = ways[b], ways[a]
 				}
 			}
 		}
 		for r, w := range ways {
-			ln := &d.planes[w][s]
+			ln := &set[w]
 			out = append(out, DirSnap{Set: s, Addr: ln.addr, Sharers: ln.sharers,
 				Owner: ln.owner, Busy: uint8(ln.busy), Rank: r})
 		}
 	}
 	return out
-}
-
-// InstallWarm pre-populates the LLC with a line (present, no L1 copies),
-// modeling the warm cache state a checkpointed simulation starts from. It
-// does nothing if the line is present or its set has no free way. In a slice
-// that only warm installs have filled, the valid ways of a set are its first
-// occ[s]: the probe stops there and the next way is the free one.
-func (d *Dir) InstallWarm(line uint64) {
-	set, tag := d.home(line)
-	d.installWarm(line, set, tag)
-}
-
-// installWarm is InstallWarm for a caller that knows the line's home.
-func (d *Dir) installWarm(line uint64, set int, tag uint16) {
-	row := d.row(set)
-	if int(d.occ[set]) == len(row) {
-		return // present or not, a full set takes nothing
-	}
-	if d.warmOnly {
-		row = row[:d.occ[set]]
-	}
-	free := len(row)
-	for w, t := range row {
-		if t == tag && d.planes[w][set].addr == line {
-			return
-		}
-		if t == 0 && free == len(row) {
-			free = w
-		}
-	}
-	d.stamp++
-	d.installTagged(set, free, tag, dirLine{valid: true, addr: line, owner: -1, lru: d.stamp})
 }
 
 // newCycle resets the per-cycle demand-request budget and serves queued
@@ -600,13 +668,13 @@ func (d *Dir) handleGetSSpec(m Msg) {
 		}
 		*d.cnt.specFills++
 		// lru stays 0: the line ranks below every architecturally-touched one.
-		d.fill(set, free, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
+		d.install(set, free, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
 			busyReq: int8(r), fetchKind: GetSSpec, specBorn: true})
 		d.fab.self(Msg{Kind: MemResp, Line: m.Line, Src: d.addr(), Dst: d.addr(),
 			Requestor: r}, d.cfg.DRAMCycles)
 		return
 	}
-	e := &d.planes[w][set]
+	e := d.way(set, w)
 	if e.busy != busyNone {
 		d.nack(m)
 		return
@@ -638,7 +706,7 @@ func (d *Dir) handleSpecUndo(m Msg) {
 	if w < 0 {
 		return
 	}
-	e := &d.planes[w][set]
+	e := d.way(set, w)
 	if e.busy != busyNone {
 		return
 	}
@@ -671,7 +739,7 @@ func (d *Dir) miss(m Msg) {
 		return
 	}
 	*d.cnt.dramFetches++
-	d.touch(d.fill(set, w, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
+	d.touch(d.install(set, w, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
 		busyReq: int8(m.Src.Idx), fetchKind: m.Kind}))
 	d.fab.self(Msg{Kind: MemResp, Line: m.Line, Src: d.addr(), Dst: d.addr(),
 		Requestor: m.Src.Idx}, d.cfg.DRAMCycles)
@@ -709,13 +777,14 @@ func (d *Dir) handleMemResp(m Msg) {
 // when none can be freed this cycle.
 func (d *Dir) allocWay(line uint64) (set, way int) {
 	set, _ = d.home(line)
+	lines, tags := d.open(set)
 	idle, held := -1, -1
 	var idleLRU, heldLRU uint64
-	for w, t := range d.row(set) {
+	for w, t := range tags {
 		if t == 0 {
 			return set, w
 		}
-		e := &d.planes[w][set]
+		e := &lines[w]
 		if e.busy != busyNone {
 			continue
 		}
@@ -727,6 +796,9 @@ func (d *Dir) allocWay(line uint64) (set, way int) {
 			held, heldLRU = w, e.lru
 		}
 	}
+	if len(tags) < d.cfg.LLCWays {
+		return set, len(tags)
+	}
 	if idle >= 0 {
 		// LLC-only line: evict silently (writeback to memory implied).
 		*d.cnt.llcEvictions++
@@ -734,7 +806,7 @@ func (d *Dir) allocWay(line uint64) (set, way int) {
 		return set, idle
 	}
 	if held >= 0 {
-		d.startRecall(&d.planes[held][set])
+		d.startRecall(&lines[held])
 	}
 	return set, -1
 }
@@ -767,12 +839,12 @@ func (d *Dir) startRecall(e *dirLine) {
 
 func (d *Dir) handleRecallResp(m Msg) {
 	set, w := d.find(m.Line)
-	if w < 0 || d.planes[w][set].busy != busyRecall {
+	if w < 0 || d.way(set, w).busy != busyRecall {
 		// The recall was already resolved (e.g. a racing PutM completed
 		// it); ignore the straggler.
 		return
 	}
-	e := &d.planes[w][set]
+	e := d.way(set, w)
 	e.pendAcks--
 	if m.Kind == RecallDefer {
 		e.deferred = true

@@ -76,13 +76,16 @@ func FuzzSpecStateDecode(f *testing.F) {
 
 // FuzzDirStateDecode hardens the version 4 directory section on one slice:
 // arbitrary bytes fed to Dir.LoadState must never panic, and an input it
-// accepts must leave a consistent slice (occupancy counts matching the valid
-// bits, every line in its home set) whose re-save is accepted in turn —
-// LoadState takes only records that ascend strictly, stay in range and are
-// maximal runs — and is a fixed point of load and save, into a target that is
-// not empty. Beside the episode's slices the seeds hold a hand-written
-// section with a run that crosses a plane boundary, a long-form line next to
-// it, a run of one next to that, and a run apart from them all.
+// accepts must leave a consistent slice (CheckResidency's every clause) whose
+// re-save is accepted in turn — LoadState takes only records that ascend
+// strictly, stay in range and are maximal runs — and is a fixed point of load
+// and save, into a target that is not empty. The accepted input re-encodes to
+// that same canonical form untouched and after every set is opened, so the
+// bytes never depend on which sets the protocol has reached. (The canonical
+// form is the input itself up to the uvarints' padding and trailing bytes,
+// which the decoder reads past.) Beside the episode's slices the seeds hold a
+// hand-written section with a run that crosses a plane boundary, a long-form
+// line next to it, a run of one next to that, and a run apart from them all.
 func FuzzDirStateDecode(f *testing.F) {
 	h := sharingEpisode(f)
 	for i := 0; i < h.sys.Dirs(); i++ {
@@ -122,9 +125,14 @@ func FuzzDirStateDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		b1 := dirBytes(d)
+		openAll(d)
+		if !bytes.Equal(dirBytes(d), b1) {
+			t.Fatal("opening every set changed the section")
+		}
 
 		d2 := newDir(0, cfg, nil, &stats.Counters{})
-		d2.InstallWarm(0x40) // not pristine: LoadState must clear it
+		d2.prewarm(single(0, 8, 16)) // not pristine: LoadState must clear it
+		d2.open(1)
 		dec = ckptio.NewDecoder(b1)
 		d2.LoadState(dec)
 		if err := dec.Done(); err != nil {
@@ -135,6 +143,10 @@ func FuzzDirStateDecode(f *testing.F) {
 		}
 		if !bytes.Equal(dirBytes(d2), b1) {
 			t.Fatal("save/load not a fixed point on canonical bytes")
+		}
+		openAll(d2)
+		if !bytes.Equal(dirBytes(d2), b1) {
+			t.Fatal("opening every restored set changed the section")
 		}
 	})
 }

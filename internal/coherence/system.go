@@ -44,23 +44,18 @@ func (s *System) Dir(i int) *Dir { return s.dirs[i] }
 // Dirs returns the number of directory/LLC slices.
 func (s *System) Dirs() int { return len(s.dirs) }
 
-// Prewarm installs runs of lines into the LLC as present-but-uncached,
-// modeling the warm cache state a checkpointed simulation interval starts
-// from: Dir.InstallWarm line by line, in order. Consecutive lines go round
-// the slices, so a run divides by the slice count once and carries the slice
-// and the quotient from line to line.
+// Prewarm gives the LLC runs of lines as present-but-uncached, modeling the
+// warm cache state a checkpointed simulation interval starts from. Each slice
+// takes its own lines of every range, in order: a line an earlier range of
+// the machine's warm history holds, or whose set already has LLCWays lines,
+// is skipped (nothing evicts during warm-up, so that is what present means),
+// and any other takes way occ of its set and the slice's next stamp. The
+// lines are recorded as runs, as a checkpoint writes them, and no set is
+// stored until the protocol first opens it. Prewarm is the warm-up of a
+// machine: it panics on a slice that has stored a set.
 func (s *System) Prewarm(runs []arch.LineRange) {
-	n := uint64(len(s.dirs))
-	for _, r := range runs {
-		q, slice := r.First/n, r.First%n
-		for l := r.First; l != r.First+r.N; l++ {
-			d := s.dirs[slice]
-			set, tag := d.homeOf(q)
-			d.installWarm(l, set, tag)
-			if slice++; slice == n {
-				slice, q = 0, q+1
-			}
-		}
+	for _, d := range s.dirs {
+		d.prewarm(runs)
 	}
 }
 

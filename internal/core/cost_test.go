@@ -18,68 +18,71 @@ func allocatedBy(f func()) uint64 {
 	return m1.TotalAlloc - m0.TotalAlloc
 }
 
-// planes returns the way planes the machine's LLC slices hold between them
-// and the planes their resident lines need, slice by slice.
-func planes(sys *System) (held, needed int) {
+// storedSets returns the LLC sets the machine's slices hold storage for,
+// between them.
+func storedSets(sys *System) int {
+	n := 0
 	for i := 0; i < sys.mem.Dirs(); i++ {
-		h, n := sys.mem.Dir(i).Planes()
-		held, needed = held+h, needed+n
+		n += sys.mem.Dir(i).StoredSets()
 	}
-	return held, needed
+	return n
 }
 
 // TestMachineCostsWhatItHolds pins what building a machine allocates to what
 // its LLC holds, in counts that do not depend on the host: a blank machine
-// owns no LLC lines, a warmed one owns a plane (way w of every set of a
-// slice) per way its fullest set reaches, and a restore allocates the planes
-// its checkpoint's lines need and no others.
+// allocates no more than it did with way planes and a set filter (cee097c),
+// a warmed one stores no set — its warm lines are runs — and a run stores only
+// sets the protocol reached, which a restore gives back only where they hold
+// a line in the long form.
 func TestMachineCostsWhatItHolds(t *testing.T) {
 	pol := defense.Policy{Scheme: defense.DOM, Variant: defense.EP}
 	for _, tc := range []struct {
-		bench  string
-		planes int    // held after New, all slices together
-		most   uint64 // bytes New may allocate, where the planes do not say
+		bench string
+		blank uint64 // what NewBlank allocated at cee097c
 	}{
-		{bench: "exchange2_r", planes: 0}, // nothing LLC-resident to warm
-		{bench: "gcc_r", planes: 16},
-		// Fills every way of every slice: the dense directory's worst case,
-		// held to what New allocated for it at cfc7845.
-		{bench: "canneal", planes: 128, most: 15_880_496},
+		{"exchange2_r", 703_816}, // nothing LLC-resident to warm
+		{"gcc_r", 703_944},
+		// Fills every way of every slice: 128 planes, 11.7 MB at cee097c.
+		{"canneal", 1_212_336},
 	} {
 		t.Run(tc.bench, func(t *testing.T) {
 			w := trace.ByName(tc.bench)
 			cfg := arch.PaperConfig(w.Cores())
-			planeBytes := uint64(cfg.LLCSets) * 40 // coherence.TestDirLineSize
 			var sys *System
 			var err error
 			blank := allocatedBy(func() { sys, err = NewBlank(cfg, pol, w, 1) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			if held, _ := planes(sys); held != 0 {
-				t.Errorf("blank machine holds %d planes", held)
-			}
-			if most := uint64(w.Cores()+1) << 19; blank >= most {
-				t.Errorf("NewBlank allocated %d bytes, want under %d", blank, most)
+			if blank > tc.blank {
+				t.Errorf("NewBlank allocated %d bytes, %d at cee097c", blank, tc.blank)
 			}
 			built := allocatedBy(func() { sys, err = New(cfg, pol, w, 1) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			if held, needed := planes(sys); held != tc.planes || needed != tc.planes {
-				t.Errorf("warmed machine holds %d planes and needs %d, want %d", held, needed, tc.planes)
+			if n := storedSets(sys); n != 0 {
+				t.Errorf("warmed machine stores %d sets, want 0", n)
 			}
-			if most := blank + uint64(tc.planes)*planeBytes + 4<<10; built > most {
-				t.Errorf("New allocated %d bytes, want at most %d: a blank machine and %d planes", built, most, tc.planes)
-			}
-			if tc.most > 0 && built > tc.most {
-				t.Errorf("New allocated %d bytes, the dense directory %d", built, tc.most)
+			// The runs: a few hundred records a slice, not the lines.
+			if most := blank + 64<<10; built > most {
+				t.Errorf("New allocated %d bytes, want at most %d: a blank machine and its runs", built, most)
 			}
 
-			// Run into demand fills and evictions, then fork: the blank
-			// target ends up with the planes the lines need.
+			// Run into demand fills and evictions: every stored set is one a
+			// directory request reached. Then fork: the blank target stores
+			// only the sets that hold a line in the long form, which the
+			// protocol made.
 			for i := 0; i < 4000; i++ {
 				sys.stepCycle()
+			}
+			requests := uint64(0)
+			for _, k := range []string{"GetS", "GetX", "GetX*", "PutM"} {
+				requests += sys.count.Get("coh.msg." + k)
+			}
+			stored := storedSets(sys)
+			if stored == 0 || uint64(stored) > requests {
+				t.Errorf("after 4000 cycles %d sets are stored, and the directories took %d requests", stored, requests)
 			}
 			blob, err := sys.Snapshot()
 			if err != nil {
@@ -93,15 +96,41 @@ func TestMachineCostsWhatItHolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, want := planes(sys)
-			if held, needed := planes(fork); held != want || needed != want {
-				t.Errorf("restored machine holds %d planes and needs %d, the one captured needs %d", held, needed, want)
+			if n := storedSets(fork); n == 0 || n > stored {
+				t.Errorf("restored machine stores %d sets, the one captured %d", n, stored)
 			}
 			// A blank core's queues, tables and L1 tags grow to the loaded
-			// state's size on the first restore: under 128 KB a core.
-			if most := uint64(want)*planeBytes + uint64(w.Cores())<<17; restored > most {
-				t.Errorf("Restore allocated %d bytes, want at most %d: %d planes and the cores' state", restored, most, want)
+			// state's size on the first restore: under 128 KB a core. A
+			// stored set costs at most its 16 ways and tags, and the carving
+			// a 256-way slab a slice.
+			most := uint64(storedSets(fork))*16*42 + uint64(cfg.LLCSlices)*256*42 + uint64(w.Cores())<<17
+			if restored > most {
+				t.Errorf("Restore allocated %d bytes, want at most %d: %d stored sets and the cores' state", restored, most, storedSets(fork))
 			}
 		})
+	}
+}
+
+// TestNewStoresNoSet: building a warmed machine stores no LLC set, for every
+// SPEC17 proxy and for the eight-core canneal and ocean_cp, whose warm sets
+// fill every way of every slice — every warm line is a run until the protocol
+// opens its set.
+func TestNewStoresNoSet(t *testing.T) {
+	benches := []string{"canneal", "ocean_cp"}
+	for _, p := range trace.Suites()["SPEC17"] {
+		benches = append(benches, p.BenchName)
+	}
+	for _, bench := range benches {
+		w := trace.ByName(bench)
+		sys, err := New(arch.PaperConfig(w.Cores()), defense.Policy{Scheme: defense.Unsafe}, w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := storedSets(sys); n != 0 {
+			t.Errorf("%s: New stored %d sets", bench, n)
+		}
+		if err := sys.mem.CheckResidency(); err != nil {
+			t.Errorf("%s: %v", bench, err)
+		}
 	}
 }
