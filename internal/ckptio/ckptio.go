@@ -18,7 +18,6 @@
 package ckptio
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -76,22 +75,6 @@ func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Raw appends bytes as they are, with no length prefix.
 func (e *Encoder) Raw(p []byte) { e.buf = append(e.buf, p...) }
-
-// KeyRoom sizes the stack arrays walks hand WalkMap and AppendSortedKeys: the
-// maps of a core and its L1 hold an entry per load-queue entry or
-// outstanding transaction at most.
-const KeyRoom = 128
-
-// AppendSortedKeys appends m's keys to dst in ascending order: the order a
-// map is written in. Handed an array on the caller's stack
-// (buf[:0]) it allocates only for a map that outgrows it.
-func AppendSortedKeys[K cmp.Ordered, V any](dst []K, m map[K]V) []K {
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
-}
 
 // UvarintLen returns how many bytes U64 writes for v.
 func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }

@@ -235,25 +235,3 @@ func TestEncoderGrowRawAndUvarintLen(t *testing.T) {
 		t.Fatalf("Grow(64) gave capacity %d, and %d bytes then moved the buffer to %d", room, e.Len(), cap(e.Bytes()))
 	}
 }
-
-func TestAppendSortedKeys(t *testing.T) {
-	m := map[int64]bool{9: true, -3: true, 4: true}
-	var buf [KeyRoom]int64
-	keys := AppendSortedKeys(buf[:0], m)
-	if len(keys) != 3 || keys[0] != -3 || keys[1] != 4 || keys[2] != 9 {
-		t.Fatalf("keys %v", keys)
-	}
-	if got := testing.AllocsPerRun(10, func() {
-		var buf [KeyRoom]int64
-		AppendSortedKeys(buf[:0], m)
-	}); got != 0 {
-		t.Fatalf("sorting into a stack array allocates %v times", got)
-	}
-	if keys = AppendSortedKeys(keys[:0], map[int64]bool{}); len(keys) != 0 {
-		t.Fatalf("empty map gave %v", keys)
-	}
-	var small [2]int64
-	if keys = AppendSortedKeys(small[:0], m); len(keys) != 3 || keys[2] != 9 {
-		t.Fatalf("a map that outgrows its array gave %v", keys)
-	}
-}

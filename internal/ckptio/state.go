@@ -1,9 +1,8 @@
 package ckptio
 
 import (
-	"cmp"
-
 	"pinnedloads/internal/isa"
+	"pinnedloads/internal/table"
 )
 
 // State is one direction of a component's field walk. A component describes
@@ -20,7 +19,7 @@ type State struct {
 
 // Walker is implemented by components that carry mutable state through a
 // checkpoint. Saving must be deterministic: the same state always produces
-// the same bytes (maps are walked in sorted key order).
+// the same bytes (tables are walked in sorted key order).
 type Walker interface {
 	State(s State)
 }
@@ -196,68 +195,65 @@ func Slice[T any](s State, p *[]T, max int) {
 	}
 }
 
-// MapWalk steps a walk through a map in ascending key order, the order that
-// makes the bytes deterministic:
+// TableKey is a key type a table walk carries: the table keys by the uint64
+// the key converts to, and the walk writes the key as its own type.
+type TableKey interface{ ~int64 | ~uint64 | ~uint32 }
+
+// TableWalk steps a walk through a table in ascending key order, the order
+// that makes the bytes deterministic, as the count and then each pair:
 //
-//	tokens := ckptio.WalkMap(s, c.tokenSeq, maxMapEnts)
+//	tokens := ckptio.WalkTable[int64](s, &c.tokenSeq, maxTableEnts)
 //	for tokens.Next() {
 //		s.I64(&tokens.Key)
 //		s.I64(&tokens.Val)
 //	}
 //
-// Saving, Next presents each entry in turn; loading, the map is emptied, Next
-// presents zero values for the body to fill and stores the previous pair. The
-// sorted keys live in the cursor itself, so that walking a map within KeyRoom
-// allocates nothing: keep the cursor a local and let no pointer to it escape.
-type MapWalk[K cmp.Ordered, V any] struct {
+// Saving, Next presents each entry in turn; loading, the table is emptied,
+// Next presents zero values for the body to fill and stores the previous
+// pair. Keys sort as K sorts, so signed keys keep their order. The sorted keys
+// are the table's own scratch, so a walk allocates nothing as long as the
+// cursor stays a local that no pointer escapes.
+type TableWalk[K TableKey, V any] struct {
 	Key K
 	Val V
 
 	s    State
-	m    map[K]V
+	t    *table.Table[V]
+	keys []uint64
 	n, i int
-	keys [KeyRoom]K
-	more []K // the sorted keys of a map that outgrows keys
 }
 
-// WalkMap walks m's length and returns the cursor over its entries.
-func WalkMap[K cmp.Ordered, V any](s State, m map[K]V, max int) MapWalk[K, V] {
-	w := MapWalk[K, V]{s: s, m: m}
+// WalkTable walks t's length and returns the cursor over its entries. Loading
+// reads at most max entries, and no more than t holds.
+func WalkTable[K TableKey, V any](s State, t *table.Table[V], max int) TableWalk[K, V] {
+	w := TableWalk[K, V]{s: s, t: t}
 	if s.d != nil {
-		clear(m)
-		w.n = s.d.Count(max)
+		t.Clear()
+		w.n = s.d.Count(min(max, t.Limit()))
 		return w
 	}
-	w.n = len(m)
-	keys := w.keys[:0]
-	if w.n > len(w.keys) {
-		w.more = make([]K, w.n)
-		keys = w.more[:0]
-	}
-	AppendSortedKeys(keys, m) // in place: keys has room for all of them
+	var zero K
+	w.keys = t.Sorted(zero-1 < zero)
+	w.n = len(w.keys)
 	s.e.U64(uint64(w.n))
 	return w
 }
 
 // Next moves to the next entry and reports whether there is one.
-func (w *MapWalk[K, V]) Next() bool {
+func (w *TableWalk[K, V]) Next() bool {
 	if w.s.d != nil {
 		if w.s.d.err != nil {
 			return false
 		}
 		if w.i > 0 {
-			w.m[w.Key] = w.Val
+			w.t.Set(uint64(w.Key), w.Val) // within the count, so within t's bound
 		}
 		var k K
 		var v V
 		w.Key, w.Val = k, v
 	} else if w.i < w.n {
-		keys := w.keys[:]
-		if w.more != nil {
-			keys = w.more
-		}
-		w.Key = keys[w.i]
-		w.Val = w.m[w.Key]
+		w.Key = K(w.keys[w.i])
+		w.Val, _ = w.t.Get(w.keys[w.i])
 	}
 	w.i++
 	return w.i <= w.n

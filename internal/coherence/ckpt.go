@@ -111,7 +111,7 @@ func (t *specTxn) walk(s ckptio.State) {
 }
 
 // State walks an L1 controller's mutable state. The tag array and MSHR file
-// carry their own geometry checks; maps go in sorted key order for
+// carry their own geometry checks; tables go in sorted key order for
 // deterministic bytes.
 func (l *L1) State(s ckptio.State) {
 	if s.Loading() {
@@ -122,7 +122,7 @@ func (l *L1) State(s ckptio.State) {
 	l.tags.State(s)
 	l.mshr.State(s)
 
-	acq := ckptio.WalkMap(s, l.acq, maxTxns)
+	acq := ckptio.WalkTable[uint64](s, &l.acq, maxTxns)
 	for acq.Next() {
 		if s.Loading() {
 			acq.Val = &storeTxn{}
@@ -130,10 +130,9 @@ func (l *L1) State(s ckptio.State) {
 		acq.Val.walk(s)
 		acq.Key = acq.Val.line
 	}
-	evict := ckptio.WalkMap(s, l.evictBuf, maxTxns)
+	evict := ckptio.WalkTable[uint64](s, &l.evictBuf, maxTxns)
 	for evict.Next() {
 		s.U64(&evict.Key)
-		evict.Val = true
 	}
 
 	ckptio.Slice(s, &l.pending, maxTxns)
@@ -143,15 +142,14 @@ func (l *L1) State(s ckptio.State) {
 	s.Int(&l.portsUsed)
 	s.U64(&l.lastFill)
 
-	spec := ckptio.WalkMap(s, l.spec, maxTxns)
+	spec := ckptio.WalkTable[int64](s, &l.spec, maxTxns)
 	for spec.Next() {
 		s.I64(&spec.Key)
 		spec.Val.walk(s)
 	}
-	aband := ckptio.WalkMap(s, l.specAband, maxTxns)
+	aband := ckptio.WalkTable[int64](s, &l.specAband, maxTxns)
 	for aband.Next() {
 		s.I64(&aband.Key)
-		aband.Val = true
 	}
 }
 

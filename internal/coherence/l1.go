@@ -5,6 +5,7 @@ import (
 	"pinnedloads/internal/cache"
 	"pinnedloads/internal/obs"
 	"pinnedloads/internal/stats"
+	"pinnedloads/internal/table"
 )
 
 // CoreHooks is the interface through which the memory system reaches into
@@ -149,9 +150,12 @@ type L1 struct {
 	tags *cache.SetAssoc
 	mshr *cache.MSHR
 
-	acq       map[uint64]*storeTxn // outstanding ownership transactions
-	txnFree   []*storeTxn          // recycled storeTxns (bounded by peak concurrency)
-	evictBuf  map[uint64]bool
+	// The four tables hold an entry per transaction in flight, which nothing
+	// in the configuration bounds: each starts small and doubles, a few times
+	// in a machine's life, when it must.
+	acq       table.Table[*storeTxn] // line -> outstanding ownership transaction
+	txnFree   []*storeTxn            // recycled storeTxns (bounded by peak concurrency)
+	evictBuf  table.Table[struct{}]  // lines written back, PutM not yet acknowledged
 	pending   []pendingFill
 	portsUsed int
 	lastFill  uint64 // last demand-fill line, for the next-line prefetcher
@@ -159,8 +163,8 @@ type L1 struct {
 	// spec journals completed speculative accesses by token (RCP scheme);
 	// specAband marks tokens squashed while their fill was still in
 	// flight, so the arriving fill is reversed immediately.
-	spec      map[int64]specTxn
-	specAband map[int64]bool
+	spec      table.Table[specTxn]
+	specAband table.Table[struct{}]
 
 	// touched records that the controller handled a message since the core
 	// last asked (TakeTouched): every way the memory system reaches into a
@@ -168,6 +172,9 @@ type L1 struct {
 	// never serialized; a restored L1 starts touched.
 	touched bool
 }
+
+// txnRoom is the room an L1's tables start with.
+const txnRoom = 8
 
 func newL1(id int, cfg *arch.Config, fab *fabric, count *stats.Counters) *L1 {
 	return &L1{
@@ -179,10 +186,10 @@ func newL1(id int, cfg *arch.Config, fab *fabric, count *stats.Counters) *L1 {
 		rec:       obs.Nop,
 		tags:      cache.NewSetAssoc(cfg.L1Sets, cfg.L1Ways),
 		mshr:      cache.NewMSHR(cfg.L1MSHRs),
-		acq:       make(map[uint64]*storeTxn),
-		evictBuf:  make(map[uint64]bool),
-		spec:      make(map[int64]specTxn),
-		specAband: make(map[int64]bool),
+		acq:       table.Growing[*storeTxn](txnRoom),
+		evictBuf:  table.Growing[struct{}](txnRoom),
+		spec:      table.Growing[specTxn](txnRoom),
+		specAband: table.Growing[struct{}](txnRoom),
 	}
 }
 
@@ -343,7 +350,7 @@ func (l *L1) LoadSpec(token int64, line uint64) LoadResult {
 	set := l.cfg.L1Set(line)
 	if e := l.tags.Lookup(set, line); e != nil && e.State.CanRead() {
 		*l.cnt.specHits++
-		l.spec[token] = specTxn{line: line, hit: true}
+		l.spec.Set(uint64(token), specTxn{line: line, hit: true})
 		l.fab.self(Msg{Kind: SelfDone, Line: line, Src: l.addr(), Dst: l.addr(),
 			Token: token}, l.cfg.L1HitCycles)
 		return LoadHit
@@ -370,11 +377,10 @@ func (l *L1) LoadSpec(token int64, line uint64) LoadResult {
 // Commit messages ride the reserved virtual network and consume no L1
 // port: they carry no data and are off the load's critical path.
 func (l *L1) SpecCommit(token int64) {
-	txn, ok := l.spec[token]
+	txn, ok := l.spec.Del(uint64(token))
 	if !ok {
 		return
 	}
-	delete(l.spec, token)
 	*l.cnt.specCommits++
 	if e := l.tags.Lookup(l.cfg.L1Set(txn.line), txn.line); e != nil {
 		l.tags.Touch(e)
@@ -390,12 +396,11 @@ func (l *L1) SpecCommit(token int64) {
 // arriving fill is reversed on the spot; otherwise the journaled state is
 // undone immediately.
 func (l *L1) SpecAbandon(token int64) {
-	txn, ok := l.spec[token]
+	txn, ok := l.spec.Del(uint64(token))
 	if !ok {
-		l.specAband[token] = true
+		l.specAband.Set(uint64(token), struct{}{})
 		return
 	}
-	delete(l.spec, token)
 	l.undoSpec(txn)
 }
 
@@ -432,8 +437,7 @@ func (l *L1) handleDataSpec(m Msg) {
 	}
 	registered := m.Kind == DataSpecS && m.Acks == 1
 	for _, w := range l.mshr.Release(i) {
-		if l.specAband[w] {
-			delete(l.specAband, w)
+		if _, ok := l.specAband.Del(uint64(w)); ok {
 			if registered {
 				l.fab.send(Msg{Kind: SpecUndo, Line: m.Line, Src: l.addr(),
 					Dst: l.home(m.Line)}, 0)
@@ -452,7 +456,7 @@ func (l *L1) handleDataSpec(m Msg) {
 				}
 			}
 		}
-		l.spec[w] = txn
+		l.spec.Set(uint64(w), txn)
 		l.hooks.LoadDone(w)
 	}
 }
@@ -471,7 +475,7 @@ func (l *L1) PinInFlight(line uint64) {
 // is already writable or a transaction is outstanding are no-ops.
 // hooks.LineOwned fires when ownership is obtained.
 func (l *L1) Acquire(line uint64) {
-	if l.acq[line] != nil {
+	if l.acq.Has(line) {
 		return
 	}
 	set := l.cfg.L1Set(line)
@@ -486,12 +490,12 @@ func (l *L1) Acquire(line uint64) {
 	} else {
 		st = &storeTxn{line: line}
 	}
-	l.acq[line] = st
+	l.acq.Set(line, st)
 	l.tryAcquire(st)
 }
 
 // AcquireCount returns the number of outstanding ownership transactions.
-func (l *L1) AcquireCount() int { return len(l.acq) }
+func (l *L1) AcquireCount() int { return l.acq.Len() }
 
 // tryAcquire sends (or re-sends) the ownership request.
 func (l *L1) tryAcquire(st *storeTxn) {
@@ -515,7 +519,7 @@ func (l *L1) tryAcquire(st *storeTxn) {
 // (nothing holds the pointer once the line leaves acq; later arrivals for
 // the line look it up afresh and see nil).
 func (l *L1) ownComplete(st *storeTxn) {
-	delete(l.acq, st.line)
+	l.acq.Del(st.line)
 	l.txnFree = append(l.txnFree, st)
 	l.fab.self(Msg{Kind: SelfDone, Line: st.line, Src: l.addr(), Dst: l.addr(),
 		Token: -2}, l.cfg.L1HitCycles)
@@ -574,7 +578,7 @@ func (l *L1) handle(m Msg) {
 	case Nack:
 		l.handleNack(m)
 	case PutMAck:
-		delete(l.evictBuf, m.Line)
+		l.evictBuf.Del(m.Line)
 	case SelfRetry:
 		l.handleRetry(m)
 	default:
@@ -632,7 +636,7 @@ func (l *L1) install(line uint64, st cache.State, mshrIdx int) {
 func (l *L1) evict(victim *cache.Line) {
 	*l.cnt.evictions++
 	if victim.State == cache.Modified || victim.State == cache.Exclusive {
-		l.evictBuf[victim.Addr] = true
+		l.evictBuf.Set(victim.Addr, struct{}{})
 		l.fab.send(Msg{Kind: PutM, Line: victim.Addr, Src: l.addr(),
 			Dst: l.home(victim.Addr)}, 0)
 	}
@@ -664,7 +668,7 @@ func (l *L1) finishFill(line uint64, mshrIdx int) {
 // handleDataX processes the directory's write grant for an outstanding
 // ownership transaction.
 func (l *L1) handleDataX(m Msg) {
-	st := l.acq[m.Line]
+	st, _ := l.acq.Get(m.Line)
 	if st == nil {
 		// A stale grant from an aborted transaction; ignore.
 		return
@@ -676,7 +680,7 @@ func (l *L1) handleDataX(m Msg) {
 // handleInvResp processes a sharer's InvAck or Defer addressed to this L1
 // as the write requestor.
 func (l *L1) handleInvResp(m Msg, deferred bool) {
-	st := l.acq[m.Line]
+	st, _ := l.acq.Get(m.Line)
 	if st == nil {
 		return
 	}
@@ -786,7 +790,7 @@ func (l *L1) handleFwdGetS(m Msg) {
 			Dst: l.home(m.Line)}, 0)
 		return
 	}
-	if l.evictBuf[m.Line] {
+	if l.evictBuf.Has(m.Line) {
 		// Serve from the evict buffer; the in-flight PutM completes the
 		// downgrade at the directory.
 		l.fab.send(Msg{Kind: DataS, Line: m.Line, Src: l.addr(), Dst: req}, 0)
@@ -830,7 +834,7 @@ func (l *L1) handleRecall(m Msg) {
 			Dst: m.Src}, 0)
 		return
 	}
-	if l.evictBuf[m.Line] {
+	if l.evictBuf.Has(m.Line) {
 		// Already writing the line back; the PutM acts as the response.
 		l.fab.send(Msg{Kind: RecallAck, Line: m.Line, Src: l.addr(),
 			Dst: m.Src}, 0)
@@ -850,7 +854,7 @@ func (l *L1) handleNack(m Msg) {
 				Dst: l.addr(), Token: retryRequest}, nackBackoff)
 		}
 	case GetX, GetXStar:
-		if st := l.acq[m.Line]; st != nil {
+		if st, _ := l.acq.Get(m.Line); st != nil {
 			st.inFlight = false
 			l.fab.self(Msg{Kind: SelfRetry, Line: m.Line, Src: l.addr(),
 				Dst: l.addr(), Token: retryStore}, nackBackoff)
@@ -861,7 +865,7 @@ func (l *L1) handleNack(m Msg) {
 func (l *L1) handleRetry(m Msg) {
 	switch m.Token {
 	case retryStore:
-		if st := l.acq[m.Line]; st != nil && !st.inFlight {
+		if st, _ := l.acq.Get(m.Line); st != nil && !st.inFlight {
 			l.tryAcquire(st)
 		}
 	case retryRequest:
@@ -894,7 +898,7 @@ func (l *L1) handleRetry(m Msg) {
 }
 
 func (l *L1) retryStoreInstall(p pendingFill) {
-	st := l.acq[p.line]
+	st, _ := l.acq.Get(p.line)
 	if st == nil {
 		return
 	}

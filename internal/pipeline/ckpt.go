@@ -8,10 +8,10 @@ import (
 // Decode bounds: every list here is bounded by ROB occupancy or the
 // frontend window in a live core; the caps are far above either.
 const (
-	maxRefs    = 1 << 20
-	maxSeqList = 1 << 20
-	maxWindow  = 1 << 16
-	maxMapEnts = 1 << 20
+	maxRefs      = 1 << 20
+	maxSeqList   = 1 << 20
+	maxWindow    = 1 << 16
+	maxTableEnts = 1 << 20
 )
 
 func (r *ref) walk(s ckptio.State) {
@@ -239,7 +239,7 @@ func (c *Core) State(s ckptio.State) {
 		c.rebuildStoreFilter()
 	}
 
-	tokens := ckptio.WalkMap(s, c.tokenSeq, maxMapEnts)
+	tokens := ckptio.WalkTable[int64](s, &c.tokenSeq, maxTableEnts)
 	for tokens.Next() {
 		s.I64(&tokens.Key)
 		s.I64(&tokens.Val)
@@ -250,7 +250,7 @@ func (c *Core) State(s ckptio.State) {
 		s.I64(&c.lqPerformed[i])
 	}
 
-	pinned := ckptio.WalkMap(s, c.pinnedRef, maxMapEnts)
+	pinned := ckptio.WalkTable[uint64](s, &c.pinnedRef, maxTableEnts)
 	for pinned.Next() {
 		s.U64(&pinned.Key)
 		s.Int(&pinned.Val)
@@ -267,7 +267,7 @@ func (c *Core) State(s ckptio.State) {
 
 	s.U64(&c.lqTagNext)
 	walkQueue(s, &c.pendingUnpins)
-	tags := ckptio.WalkMap(s, c.tagToSeq, maxMapEnts)
+	tags := ckptio.WalkTable[uint32](s, &c.tagToSeq, maxTableEnts)
 	for tags.Next() {
 		s.U32(&tags.Key)
 		s.I64(&tags.Val)

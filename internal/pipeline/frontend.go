@@ -7,12 +7,13 @@ import (
 )
 
 // windowAt returns the correct-path instruction with the given stream
-// index, generating forward as needed.
-func (c *Core) windowAt(idx int64) isa.Inst {
+// index, generating forward as needed. The pointer is into the window: it is
+// good until the window next grows or is pruned.
+func (c *Core) windowAt(idx int64) *isa.Inst {
 	for int64(len(c.window))+c.windowBase <= idx {
 		c.window = append(c.window, c.gen.Next())
 	}
-	return c.window[idx-c.windowBase]
+	return &c.window[idx-c.windowBase]
 }
 
 // pruneWindow drops retired correct-path instructions from the window.
@@ -42,13 +43,14 @@ func (c *Core) dispatch() {
 			*c.cnt.stallROBFull++
 			return
 		}
-		var in isa.Inst
+		var in *isa.Inst
 		winIdx := int64(-1)
 		if c.wrongMode {
 			// Consumes the generator's wrong-path stream even if the
 			// instruction then finds no LQ/SQ entry and is dropped.
 			c.active = true
-			in = c.gen.WrongPath()
+			wrong := c.gen.WrongPath()
+			in = &wrong
 		} else {
 			in = c.windowAt(c.fetchPtr)
 			if in.Op == isa.Halt {
@@ -87,21 +89,18 @@ func (c *Core) dispatch() {
 	}
 }
 
-// insert allocates and initializes a ROB entry for in.
-func (c *Core) insert(in isa.Inst, winIdx int64) {
+// insert allocates and initializes a ROB entry for in. The slot is reset in
+// place, field by field after one clear: a literal assigned to it would be
+// built whole on the stack and then copied in.
+func (c *Core) insert(in *isa.Inst, winIdx int64) {
 	seq := c.tail
 	c.tail++
 	c.genNext++
 	e := c.at(seq)
-	*e = entry{
-		inst:   in,
-		seq:    seq,
-		gen:    c.genNext,
-		winIdx: winIdx,
-		wrong:  winIdx < 0,
-		yroot:  -1,
-		wake:   e.wake[:0], // reuse the slice backing across generations
-	}
+	wake := e.wake[:0] // reuse the slice backing across generations
+	*e = entry{}
+	e.inst = *in
+	e.seq, e.gen, e.winIdx, e.wrong, e.yroot, e.wake = seq, c.genNext, winIdx, winIdx < 0, -1, wake
 	*c.cnt.dispatched++
 
 	switch in.Op {
@@ -206,7 +205,7 @@ func (c *Core) squashFrom(from int64, cause string) {
 			c.removePerformed(s)
 		}
 		if e.token != 0 {
-			delete(c.tokenSeq, e.token)
+			c.tokenSeq.Del(uint64(e.token))
 		}
 		if e.specToken != 0 {
 			// Reverse the load's journaled cache/directory state (RCP).

@@ -237,30 +237,72 @@ func TestDenialSummaryConservativeTSO(t *testing.T) {
 	}
 }
 
-// TestGateVisits pins the host work of the load-issue stage on an 8-core
-// ocean_cp run of core8_sharing's size, as counts any host reproduces: issue
-// gate evaluations and store-forwarding scans, summed over the cores. At the
-// parent commit every waiting load was asked every evaluated cycle and every
-// load past the gate scanned the store queue: 6 642 783 / 717 001 / 305 223
-// visits and 51 607 / 82 909 / 68 960 scans for the three policies. A count
-// that moves means the issue stage does different work: re-record it with the
-// reason, after TestCandidateListsMatchFullWalk has passed.
+// workCounts is the host work of a run as counts any host reproduces, summed
+// over the cores: issue gate evaluations (mayIssueLoad), store-forwarding
+// scans past the store-address filter, core ticks evaluated and slept (a
+// tick a jump skipped counts as slept), and the cycles the clock jumped.
+type workCounts struct {
+	visits, scans, evaluated, slept, jumped int64
+}
+
+// jump is core.System's clock jump (fastForward) on the test machine: when
+// every core sleeps through the next cycle, the clock moves to the cycle
+// before the first one that something must see — a core's next completion or
+// frontend restart, the next message due, the run loop's next poll, which
+// falls every 4096 cycles — and the cores replay the cycles in between. It
+// returns the cycles jumped; TestJumpMatchesEveryCycle holds the original to
+// stepping every cycle.
+func (m *machine) jump() int64 {
+	wake := (m.cycle | (4096 - 1)) + 1
+	for _, c := range m.cores {
+		w := c.WakeCycle()
+		if w <= m.cycle+1 {
+			return 0
+		}
+		wake = min(wake, w)
+	}
+	k := min(wake, m.mem.NextDue()) - 1 - m.cycle
+	if k <= 0 {
+		return 0
+	}
+	m.cycle += k
+	m.mem.Tick(m.cycle)
+	for _, c := range m.cores {
+		c.FastForward(k)
+	}
+	return k
+}
+
+// TestGateVisits pins the host work of core8_sharing's ocean_cp job, 3 000
+// warm-up and 7 500 measured instructions a core, under each of the
+// workload's five policies, run the way core.System runs it. At the commit
+// before the gate bound, every waiting load was asked every evaluated cycle
+// and every load past the gate scanned the store queue: 6 642 783 / 717 001 /
+// 305 223 visits and 51 607 / 82 909 / 68 960 scans for Fence-EP, DOM-EP and
+// STT-LP. A count that moves means the cycle loop does different work:
+// re-record it with the reason, after TestCandidateListsMatchFullWalk and the
+// fixed-point oracles of internal/core have passed. A change of
+// representation moves none of them.
 func TestGateVisits(t *testing.T) {
 	for _, tc := range []struct {
-		pol           defense.Policy
-		visits, scans int64
+		pol  defense.Policy
+		want workCounts
 	}{
-		{defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, 73_278, 436},
-		{defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 386_267, 4_749},
-		{defense.Policy{Scheme: defense.STT, Variant: defense.LP}, 229_743, 3_670},
+		{defense.Policy{Scheme: defense.Unsafe}, workCounts{75_078, 5_107, 65_431, 6_681, 0}},
+		{defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, workCounts{73_278, 436, 150_649, 57_311, 488}},
+		{defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, workCounts{386_267, 4_749, 125_847, 51_537, 446}},
+		{defense.Policy{Scheme: defense.STT, Variant: defense.LP}, workCounts{229_743, 3_670, 73_238, 9_250, 0}},
+		{defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, workCounts{151_530, 10_381, 93_153, 22_271, 0}},
 	} {
 		t.Run(tc.pol.String(), func(t *testing.T) {
 			m := newMachine(trace.ByName("ocean_cp"), tc.pol)
+			var got workCounts
 			for _, target := range []int64{3_000, 3_000 + 7_500} {
 				for _, c := range m.cores {
 					c.SetTarget(target)
 				}
 				for done := false; !done; {
+					got.jumped += m.jump()
 					m.cycle++
 					m.mem.Tick(m.cycle)
 					done = true
@@ -270,14 +312,14 @@ func TestGateVisits(t *testing.T) {
 					}
 				}
 			}
-			var visits, scans int64
 			for _, c := range m.cores {
-				visits += c.GateVisits()
-				scans += c.ForwardScans()
+				got.visits += c.GateVisits()
+				got.scans += c.ForwardScans()
+				got.slept += c.SleptCycles()
 			}
-			if visits != tc.visits || scans != tc.scans {
-				t.Fatalf("%d gate visits and %d forwarding scans in %d cycles, pinned at %d and %d",
-					visits, scans, m.cycle, tc.visits, tc.scans)
+			got.evaluated = int64(len(m.cores))*m.cycle - got.slept
+			if got != tc.want {
+				t.Fatalf("in %d cycles: %+v, pinned at %+v", m.cycle, got, tc.want)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -45,11 +46,12 @@ func (c *Core) bruteForceCandidates() (loads, stores, fences, issue, expose, spe
 }
 
 // checkCandidates verifies every seq list against the brute-force walk,
-// every live Delay-On-Miss probe memo against a fresh Probe, and the
-// store-address filter against a recount.
+// every live Delay-On-Miss probe memo against a fresh Probe, the
+// store-address filter against a recount, and the tables against the ROB.
 func checkCandidates(t *testing.T, c *Core, when string) {
 	t.Helper()
 	checkStoreFilter(t, c, when)
+	checkTables(t, c, when)
 	loads, stores, fences, issue, expose, spec := c.bruteForceCandidates()
 	for _, l := range []struct {
 		name string
@@ -89,7 +91,7 @@ func checkSetPins(t *testing.T, c *Core, cycle int) {
 	t.Helper()
 	wantL1 := map[uint32]int32{}
 	wantDir := map[uint32]int32{}
-	for line, n := range c.pinnedRef {
+	for line, n := range c.pinnedRef.All() {
 		if n > 0 {
 			wantL1[c.l1Key(line)]++
 			wantDir[c.dirKey(line)]++
@@ -112,6 +114,44 @@ func checkSetPins(t *testing.T, c *Core, cycle int) {
 	check("pinsPerDirSet", c.pinsPerDirSet, wantDir)
 }
 
+// checkTables recomputes the core's three tables from the ROB — the memory
+// token of every entry that holds one, the extended LQ ID and the line of
+// every pinned load — and holds each table to its recomputation, and to the
+// load-queue bound it is sized by.
+func checkTables(t *testing.T, c *Core, when string) {
+	t.Helper()
+	tokens := map[uint64]int64{}
+	tags := map[uint64]int64{}
+	pins := map[uint64]int{}
+	for seq := c.head; seq < c.tail; seq++ {
+		e := c.at(seq)
+		if e.token != 0 {
+			tokens[uint64(e.token)] = seq
+		}
+		if e.pinned {
+			tags[uint64(e.lqTag)] = seq
+			pins[e.line]++
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want map[uint64]int64
+	}{
+		{"tokenSeq", maps.Collect(c.tokenSeq.All()), tokens},
+		{"tagToSeq", maps.Collect(c.tagToSeq.All()), tags},
+	} {
+		if !maps.Equal(tc.got, tc.want) {
+			t.Fatalf("core %d @%d %s: %s holds %v, the ROB says %v", c.id, c.now, when, tc.name, tc.got, tc.want)
+		}
+	}
+	if got := maps.Collect(c.pinnedRef.All()); !maps.Equal(got, pins) {
+		t.Fatalf("core %d @%d %s: pinnedRef holds %v, the ROB's pinned loads say %v", c.id, c.now, when, got, pins)
+	}
+	if n := max(len(tokens), len(tags), len(pins)); n > c.cfg.LQEntries {
+		t.Fatalf("core %d @%d %s: %d entries in a table bounded by a %d-entry load queue", c.id, c.now, when, n, c.cfg.LQEntries)
+	}
+}
+
 // pinStream mixes mispredicted branches with L1-missing loads so loads sit
 // speculative long enough for the pin governor to pin them, and squashes
 // exercise the unpin and state-rewind paths.
@@ -130,7 +170,8 @@ func pinStream() *trace.Script {
 // TestScanStateInvariants runs pin-heavy workloads under every scheme that
 // exercises the optimized scan paths and cross-checks, every cycle, the
 // derived data structures the scans rely on against their authoritative
-// sources.
+// sources, and the core's tables against the ROB: RCP issues its reversible
+// accesses and IS its exposures under memory tokens too.
 func TestScanStateInvariants(t *testing.T) {
 	policies := []defense.Policy{
 		{Scheme: defense.Unsafe},
@@ -138,7 +179,10 @@ func TestScanStateInvariants(t *testing.T) {
 		{Scheme: defense.DOM, Variant: defense.LP},
 		{Scheme: defense.DOM, Variant: defense.EP},
 		{Scheme: defense.STT, Variant: defense.Comp},
+		{Scheme: defense.STT, Variant: defense.LP},
 		{Scheme: defense.IS, Variant: defense.Comp},
+		{Scheme: defense.IS, Variant: defense.EP},
+		{Scheme: defense.RCP, Variant: defense.Comp},
 	}
 	for _, pol := range policies {
 		pol := pol
@@ -157,9 +201,12 @@ func TestScanStateInvariants(t *testing.T) {
 			if c.Retired() == 0 {
 				t.Fatal("no progress")
 			}
-			if pol.Scheme == defense.DOM {
-				if count.Get("pin.pinned") == 0 {
-					t.Fatal("pin-heavy workload never pinned; invariant check is vacuous")
+			if pol.Pinning() && count.Get("pin.pinned") == 0 {
+				t.Fatal("pin-heavy workload never pinned; invariant check is vacuous")
+			}
+			for scheme, counter := range map[defense.Scheme]string{defense.RCP: "loads.issued_spec", defense.IS: "loads.exposed"} {
+				if pol.Scheme == scheme && count.Get(counter) == 0 {
+					t.Fatalf("%s never counted %s: its tokens went unchecked", pol, counter)
 				}
 			}
 		})

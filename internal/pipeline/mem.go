@@ -120,7 +120,7 @@ func (c *Core) issueLoad(e *entry) bool {
 		res = c.l1.Load(token, e.line)
 	}
 	if res == coherence.LoadBlocked {
-		delete(c.tokenSeq, token)
+		c.tokenSeq.Del(uint64(token))
 		e.token = 0
 		*c.cnt.stallMSHRFull++
 		return true
@@ -148,7 +148,9 @@ func (c *Core) issueLoad(e *entry) bool {
 func (c *Core) newToken(seq int64) int64 {
 	c.nextToken++
 	t := c.nextToken
-	c.tokenSeq[t] = seq
+	if !c.tokenSeq.Set(uint64(t), seq) {
+		c.fail("more than %d memory tokens live", c.cfg.LQEntries)
+	}
 	c.at(seq).token = t
 	return t
 }
@@ -252,7 +254,7 @@ func (c *Core) exposeLoads() {
 			if c.l1.Load(token, e.line) != coherence.LoadBlocked {
 				continue // in flight: LoadDone marks the load exposed
 			}
-			delete(c.tokenSeq, token)
+			c.tokenSeq.Del(uint64(token))
 			e.token = 0
 		}
 		cand[kept] = cand[i]
@@ -371,7 +373,13 @@ func (c *Core) drainWriteBufferRC() {
 
 // PinnedLine reports whether the core has the line pinned; the coherence
 // layer consults it before invalidating or evicting (paper Section 6.1.1).
-func (c *Core) PinnedLine(line uint64) bool { return c.pinnedRef[line] > 0 }
+func (c *Core) PinnedLine(line uint64) bool { return c.pins(line) > 0 }
+
+// pins returns how many pinned loads hold the line.
+func (c *Core) pins(line uint64) int {
+	n, _ := c.pinnedRef.Get(line)
+	return n
+}
 
 // OnInvalidate is the conventional TSO LQ snoop: when the L1 loses a line,
 // performed yet-to-retire loads of that line are conservatively squashed as
@@ -423,11 +431,10 @@ func (c *Core) OnClear(line uint64) {
 
 // LoadDone delivers data for an outstanding load access.
 func (c *Core) LoadDone(token int64) {
-	seq, ok := c.tokenSeq[token]
+	seq, ok := c.tokenSeq.Del(uint64(token))
 	if !ok {
 		return // the load was squashed while its fill was in flight
 	}
-	delete(c.tokenSeq, token)
 	if !c.valid(seq) {
 		return
 	}

@@ -20,6 +20,7 @@ import (
 	"pinnedloads/internal/pin"
 	"pinnedloads/internal/ringq"
 	"pinnedloads/internal/stats"
+	"pinnedloads/internal/table"
 	"pinnedloads/internal/trace"
 )
 
@@ -203,8 +204,11 @@ type Core struct {
 	// Write buffer (retired stores, FIFO of byte addresses).
 	wb ringq.Q[uint64]
 
-	// Memory tokens: load issue token -> seq.
-	tokenSeq  map[int64]int64
+	// Memory tokens: load issue token -> seq. The three tables of this core
+	// hold at most one entry per load-queue entry, and the two pin tables
+	// nothing under a policy that does not pin; a Set past that bound is a
+	// broken invariant (c.fail).
+	tokenSeq  table.Table[int64]
 	nextToken int64
 
 	// Performed, yet-to-retire loads (the LQ contents the coherence
@@ -212,16 +216,16 @@ type Core struct {
 	lqPerformed []int64
 
 	// Pinned Loads state.
-	pinnedRef     map[uint64]int // line -> pinned-load refcount
-	pinFrontier   int64          // next seq to consider for pinning
+	pinnedRef     table.Table[int] // line -> pinned-load refcount
+	pinFrontier   int64            // next seq to consider for pinning
 	l1CST         *pin.CST
 	dirCST        *pin.CST
 	cpt           *pin.CPT
 	lqTagNext     uint64          // monotonic LQ ID source
 	pendingUnpins ringq.Q[uint64] // queued L1-tag Pinned-bit clears (Section 6.1.2)
 	lqTagMask     uint32
-	tagToSeq      map[uint32]int64
-	wrapStall     bool // LQ ID wrapped: stop pinning until pinned drain
+	tagToSeq      table.Table[int64] // live extended LQ ID -> seq
+	wrapStall     bool               // LQ ID wrapped: stop pinning until pinned drain
 	// pinsPerL1Set / pinsPerDirSet count distinct pinned lines per L1 set
 	// and per directory (slice, set), indexed by l1Key/dirKey and grown on
 	// demand. Maintained incrementally at first-pin/last-unpin, they make
@@ -301,9 +305,7 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		issueCand:      newSeqList(cfg.LQEntries),
 		exposeCand:     newSeqList(cfg.LQEntries),
 		specCand:       newSeqList(cfg.LQEntries),
-		tokenSeq:       make(map[int64]int64),
-		pinnedRef:      make(map[uint64]int),
-		tagToSeq:       make(map[uint32]int64),
+		tokenSeq:       table.New[int64](cfg.LQEntries),
 		lqTagMask:      uint32(1)<<uint(cfg.LQIDTagBits) - 1,
 		doneCycle:      -1,
 		haltCycle:      -1,
@@ -311,6 +313,10 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		oldestLoadSeq:  -1,
 		lastRetiredWin: -1,
 		lastOdd:        -1,
+	}
+	if policy.Pinning() {
+		c.pinnedRef = table.New[int](cfg.LQEntries)
+		c.tagToSeq = table.New[int64](cfg.LQEntries)
 	}
 	if policy.Variant == defense.EP && !cfg.InfiniteCST {
 		c.l1CST = pin.NewCST(cfg.L1CSTEntries, cfg.L1CSTRecords)
@@ -403,7 +409,7 @@ func (c *Core) CSTs() (l1, dir *pin.CST) { return c.l1CST, c.dirCST }
 
 // PinnedLineCount returns the number of distinct lines the core currently
 // has pinned (for tests and invariant checks).
-func (c *Core) PinnedLineCount() int { return len(c.pinnedRef) }
+func (c *Core) PinnedLineCount() int { return c.pinnedRef.Len() }
 
 // MaxPinnedPerDirSet returns the largest number of this core's pinned lines
 // mapping to one directory/LLC (slice, set); Early Pinning must keep it at
@@ -411,7 +417,7 @@ func (c *Core) PinnedLineCount() int { return len(c.pinnedRef) }
 func (c *Core) MaxPinnedPerDirSet() int {
 	counts := map[[2]int]int{}
 	max := 0
-	for l := range c.pinnedRef {
+	for l := range c.pinnedRef.All() {
 		k := [2]int{c.cfg.LLCSlice(l), c.cfg.LLCSet(l)}
 		counts[k]++
 		if counts[k] > max {
@@ -426,7 +432,7 @@ func (c *Core) MaxPinnedPerDirSet() int {
 func (c *Core) MaxPinnedPerL1Set() int {
 	counts := map[int]int{}
 	max := 0
-	for l := range c.pinnedRef {
+	for l := range c.pinnedRef.All() {
 		counts[c.cfg.L1Set(l)]++
 		if counts[c.cfg.L1Set(l)] > max {
 			max = counts[c.cfg.L1Set(l)]

@@ -122,7 +122,7 @@ func (c *Core) retire() {
 				c.unpin(e)
 			}
 			if e.token != 0 {
-				delete(c.tokenSeq, e.token)
+				c.tokenSeq.Del(uint64(e.token))
 				e.token = 0
 			}
 			if e.specToken != 0 {

@@ -170,7 +170,7 @@ func (c *Core) pinGovernor() {
 	if c.wrapStall {
 		// LQ ID tag wraparound: wait for all pinned loads to retire,
 		// then clear the CSTs and resume (paper Section 6.2).
-		if len(c.pinnedRef) > 0 {
+		if c.pinnedRef.Len() > 0 {
 			return
 		}
 		if c.l1CST != nil {
@@ -281,7 +281,7 @@ func (c *Core) cstAdmit(e *entry) bool {
 		// even when it denies the pin.
 		c.active = true
 	}
-	if c.pinnedRef[line] > 0 {
+	if c.pins(line) > 0 {
 		// The line is already pinned by an older load: space is already
 		// guaranteed; the CST merely updates the youngest LQ ID.
 		if c.l1CST != nil {
@@ -317,7 +317,7 @@ func (c *Core) cstAdmit(e *entry) bool {
 // that same-core circular wait (a refinement of paper Section 5.1.2's
 // resource guarantee).
 func (c *Core) l1SetRoom(line uint64) bool {
-	if c.pinnedRef[line] > 0 {
+	if c.pins(line) > 0 {
 		return true // the line is already pinned: no new way needed
 	}
 	return int(c.setPins(c.l1Key(line), &c.pinsPerL1Set)) < c.cfg.L1Ways-1
@@ -338,7 +338,7 @@ func (c *Core) preciseRoom(line uint64, l1 bool) bool {
 		limit = c.cfg.Wd
 		n = int(c.setPins(c.dirKey(line), &c.pinsPerDirSet))
 	}
-	if c.pinnedRef[line] > 0 {
+	if c.pins(line) > 0 {
 		n--
 	}
 	return n < limit
@@ -386,7 +386,7 @@ func (c *Core) peekTag() uint32 { return uint32(c.lqTagNext) & c.lqTagMask }
 // tagLive reports whether an extended LQ ID names a currently pinned load;
 // the CST uses it to expunge stale records.
 func (c *Core) tagLive(tag uint32) bool {
-	seq, ok := c.tagToSeq[tag]
+	seq, ok := c.tagToSeq.Get(uint64(tag))
 	if !ok || !c.valid(seq) {
 		return false
 	}
@@ -402,7 +402,7 @@ func (c *Core) mayRecordPin(line uint64) bool {
 	if !c.cfg.PinRecordL1Tags {
 		return true
 	}
-	if c.pinnedRef[line] > 0 {
+	if c.pins(line) > 0 {
 		// An older pinned load covers the line: the hardware just
 		// passes the YPL bit in the LQ, with no L1 access.
 		return true
@@ -439,11 +439,13 @@ func (c *Core) commitPin(e *entry) {
 		c.wrapStall = true
 		*c.cnt.pinWraparound++
 	}
-	c.tagToSeq[e.lqTag] = e.seq
-	if c.pinnedRef[e.line] == 0 {
+	n := c.pins(e.line)
+	if !c.tagToSeq.Set(uint64(e.lqTag), e.seq) || !c.pinnedRef.Set(e.line, n+1) {
+		c.fail("pinning seq %d: more pinned loads than a %d-entry load queue holds", e.seq, c.cfg.LQEntries)
+	}
+	if n == 0 {
 		c.bumpSetPins(e.line, +1)
 	}
-	c.pinnedRef[e.line]++
 	c.pinFrontier = e.seq + 1
 	*c.cnt.pinPinned++
 	if c.tracing {
@@ -455,11 +457,11 @@ func (c *Core) commitPin(e *entry) {
 // unpin releases a pinned load's record at retirement.
 func (c *Core) unpin(e *entry) {
 	last := int64(0)
-	if n := c.pinnedRef[e.line]; n > 1 {
-		c.pinnedRef[e.line] = n - 1
+	if n := c.pins(e.line); n > 1 {
+		c.pinnedRef.Set(e.line, n-1)
 	} else {
 		last = 1
-		delete(c.pinnedRef, e.line)
+		c.pinnedRef.Del(e.line)
 		c.bumpSetPins(e.line, -1)
 		// Last pinned load of the line: with the L1-tag record, the
 		// Pinned bit in the cache must be cleared (the retiring load
@@ -470,7 +472,7 @@ func (c *Core) unpin(e *entry) {
 		c.rec.Record(obs.Event{Cycle: c.now, Core: int16(c.id), Kind: obs.KindUnpin,
 			Seq: e.seq, Line: e.line, Arg: last})
 	}
-	if s, ok := c.tagToSeq[e.lqTag]; ok && s == e.seq {
-		delete(c.tagToSeq, e.lqTag)
+	if s, ok := c.tagToSeq.Get(uint64(e.lqTag)); ok && s == e.seq {
+		c.tagToSeq.Del(uint64(e.lqTag))
 	}
 }

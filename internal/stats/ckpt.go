@@ -8,18 +8,14 @@ const maxCounters = 1 << 16
 
 // State walks every counter — including zero-valued ones, so the restored
 // set holds exactly the same handles — in sorted name order for deterministic
-// bytes. Loading goes through Handle and leaves the map's other entries be,
-// so pre-bound handle pointers held by the pipeline and coherence controllers
+// bytes. Loading goes through Handle and leaves the other counters be, so
+// pre-bound handle pointers held by the pipeline and coherence controllers
 // keep pointing at the live values.
 func (c *Counters) State(s ckptio.State) {
-	var names []string
-	if !s.Loading() {
-		names = ckptio.AppendSortedKeys(make([]string, 0, len(c.m)), c.m)
-	}
-	for i, n := 0, s.Count(len(names), maxCounters); i < n; i++ {
+	for i, n := 0, s.Count(len(c.names), maxCounters); i < n; i++ {
 		var name string
 		if !s.Loading() {
-			name = names[i]
+			name = c.names[i]
 		}
 		s.String(&name)
 		if s.Err() != nil {

@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -15,29 +15,31 @@ import (
 // The zero value is ready to use.
 //
 // Counters are stored behind stable pointers so hot paths can bind a name
-// once with Handle and increment through the pointer with no map lookup
-// and no allocation. Zero-valued counters are invisible to Get/Names/
+// once with Handle and increment through the pointer with no lookup and no
+// allocation. Zero-valued counters are invisible to Get/Names/
 // Snapshot/Merge/String: pre-binding a handle that is never incremented
 // does not change any enumerated output.
 type Counters struct {
-	m map[string]*uint64
+	names []string  // every bound name, ascending
+	vals  []*uint64 // vals[i] is names[i]'s counter
 }
+
+// find returns the position of name in the sorted names and whether it is
+// there.
+func (c *Counters) find(name string) (int, bool) { return slices.BinarySearch(c.names, name) }
 
 // Handle returns a stable pointer to the named counter's value. The
 // pointer remains valid for the lifetime of c; incrementing through it is
-// equivalent to Add but costs one add instruction instead of a map
+// equivalent to Add but costs one add instruction instead of a name
 // lookup. A handle whose counter stays zero leaves no trace in the
 // enumerated output.
 func (c *Counters) Handle(name string) *uint64 {
-	if c.m == nil {
-		c.m = make(map[string]*uint64)
+	i, ok := c.find(name)
+	if !ok {
+		c.names = slices.Insert(c.names, i, name)
+		c.vals = slices.Insert(c.vals, i, new(uint64))
 	}
-	p := c.m[name]
-	if p == nil {
-		p = new(uint64)
-		c.m[name] = p
-	}
-	return p
+	return c.vals[i]
 }
 
 // Add increments the named counter by n.
@@ -48,22 +50,20 @@ func (c *Counters) Inc(name string) { *c.Handle(name)++ }
 
 // Get returns the value of the named counter (zero if never incremented).
 func (c *Counters) Get(name string) uint64 {
-	if p := c.m[name]; p != nil {
-		return *p
+	if i, ok := c.find(name); ok {
+		return *c.vals[i]
 	}
 	return 0
 }
 
 // Names returns the names of all nonzero counters in sorted order.
 func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k, p := range c.m {
-		if *p == 0 {
-			continue
+	var names []string
+	for i, p := range c.vals {
+		if *p != 0 {
+			names = append(names, c.names[i])
 		}
-		names = append(names, k)
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -71,21 +71,20 @@ func (c *Counters) Names() []string {
 // copy is independent of later increments (metrics-interval sampling
 // uses it).
 func (c *Counters) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.m))
-	for k, p := range c.m {
-		if *p == 0 {
-			continue
+	out := make(map[string]uint64, len(c.names))
+	for i, p := range c.vals {
+		if *p != 0 {
+			out[c.names[i]] = *p
 		}
-		out[k] = *p
 	}
 	return out
 }
 
 // Merge adds all nonzero counters from other into c.
 func (c *Counters) Merge(other *Counters) {
-	for k, p := range other.m {
+	for i, p := range other.vals {
 		if *p != 0 {
-			c.Add(k, *p)
+			c.Add(other.names[i], *p)
 		}
 	}
 }
@@ -94,8 +93,10 @@ func (c *Counters) Merge(other *Counters) {
 // order.
 func (c *Counters) String() string {
 	var b strings.Builder
-	for _, name := range c.Names() {
-		fmt.Fprintf(&b, "%s=%d\n", name, *c.m[name])
+	for i, p := range c.vals {
+		if *p != 0 {
+			fmt.Fprintf(&b, "%s=%d\n", c.names[i], *p)
+		}
 	}
 	return b.String()
 }
