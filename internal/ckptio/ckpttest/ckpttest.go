@@ -122,13 +122,9 @@ func bump(t *testing.T, v reflect.Value, k int) int {
 // every field of zero's type must be mentioned through the receiver in the
 // type's State method in file (it is walked, or rebuilt there), or be named
 // in derived or config, and not in both. A name in either list that is not a
-// field is stale. A component whose two directions are separate methods
-// names them in walks, in place of State.
-func Container(t *testing.T, file string, zero any, derived, config []string, walks ...string) {
+// field is stale.
+func Container(t *testing.T, file string, zero any, derived, config []string) {
 	t.Helper()
-	if walks == nil {
-		walks = []string{"State"}
-	}
 	typ := reflect.TypeOf(zero)
 	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 	if err != nil {
@@ -137,7 +133,7 @@ func Container(t *testing.T, file string, zero any, derived, config []string, wa
 	var walked []string
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Recv == nil || !slices.Contains(walks, fn.Name.Name) || len(fn.Recv.List[0].Names) == 0 {
+		if !ok || fn.Recv == nil || fn.Name.Name != "State" || len(fn.Recv.List[0].Names) == 0 {
 			continue
 		}
 		recvType := fn.Recv.List[0].Type
@@ -158,7 +154,7 @@ func Container(t *testing.T, file string, zero any, derived, config []string, wa
 		})
 	}
 	if walked == nil {
-		t.Fatalf("%s declares no %v method on %s", file, walks, typ.Name())
+		t.Fatalf("%s declares no State method on %s", file, typ.Name())
 	}
 	for _, name := range slices.Concat(derived, config) {
 		if _, ok := typ.FieldByName(name); !ok {

@@ -1,7 +1,11 @@
 package ckptio
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"pinnedloads/internal/isa"
+	"pinnedloads/internal/ringq"
 	"pinnedloads/internal/table"
 )
 
@@ -29,13 +33,6 @@ func SaveTo(e *Encoder) State { return State{e: e} }
 
 // LoadFrom returns the State that overwrites every field it is handed from d.
 func LoadFrom(d *Decoder) State { return State{d: d} }
-
-// Encoder returns what a saving walk writes to, for a component that encodes
-// a section by hand; nil when loading.
-func (s State) Encoder() *Encoder { return s.e }
-
-// Decoder returns what a loading walk reads from; nil when saving.
-func (s State) Decoder() *Decoder { return s.d }
 
 // Loading reports whether the walk reads fields rather than writes them.
 func (s State) Loading() bool { return s.d != nil }
@@ -144,6 +141,26 @@ func (s State) Count(n, max int) int {
 	return n
 }
 
+// Counted walks the length of a sequence that saving learns only by walking
+// the elements. Loading, it reads the length as Count does; saving, it returns
+// a mark instead, and CountAt(mark, n) writes n there once the elements are
+// out: the bytes Count(n) and the same elements leave.
+func (s State) Counted(max int) (n, mark int) {
+	if s.d != nil {
+		return s.d.Count(max), 0
+	}
+	return 0, len(s.e.buf)
+}
+
+// CountAt writes a saving walk's length n at its Counted mark, in front of
+// the elements walked since; loading, it does nothing.
+func (s State) CountAt(mark, n int) {
+	if s.d == nil {
+		var v [binary.MaxVarintLen64]byte
+		s.e.buf = slices.Insert(s.e.buf, mark, binary.AppendUvarint(v[:0], uint64(n))...)
+	}
+}
+
 // Geometry walks a length that configuration fixes — n is the receiving
 // structure's — so that loading rejects a checkpoint of another shape. It
 // reports whether the walk may go on into the structure.
@@ -192,6 +209,25 @@ func Slice[T any](s State, p *[]T, max int) {
 		clear(*p)
 	} else {
 		*p = make([]T, n)
+	}
+}
+
+// Queue walks a FIFO front first, as its length and then each element through
+// walk, in place. Loading empties q and refills it with that many zero
+// elements for walk to overwrite, reading at most max.
+func Queue[T any](s State, q *ringq.Q[T], max int, walk func(State, *T)) {
+	n := s.Count(q.Len(), max)
+	if s.d != nil {
+		for q.Len() > 0 {
+			q.Pop()
+		}
+		var zero T
+		for range n {
+			q.Push(zero)
+		}
+	}
+	for i := range n {
+		walk(s, q.Ref(i))
 	}
 }
 

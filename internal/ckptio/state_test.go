@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pinnedloads/internal/isa"
+	"pinnedloads/internal/ringq"
 	"pinnedloads/internal/table"
 )
 
@@ -121,8 +122,8 @@ func TestStateRoundTrip(t *testing.T) {
 	got.set.Set(77, struct{}{})
 	d := NewDecoder(data)
 	s := LoadFrom(d)
-	if !s.Loading() || s.Decoder() != d || s.Encoder() != nil {
-		t.Fatal("LoadFrom's State does not say it is loading from d")
+	if !s.Loading() {
+		t.Fatal("LoadFrom's State does not say it is loading")
 	}
 	got.walk(s)
 	if err := d.Done(); err != nil {
@@ -217,8 +218,8 @@ func TestStateRejects(t *testing.T) {
 func TestStateSaveFailure(t *testing.T) {
 	e := NewEncoder()
 	s := SaveTo(e)
-	if s.Loading() || s.Err() != nil || s.Encoder() != e || s.Decoder() != nil {
-		t.Fatal("SaveTo's State does not say it is saving to e")
+	if s.Loading() || s.Err() != nil {
+		t.Fatal("SaveTo's State does not say it is saving")
 	}
 	s.Failf("part %d is not checkpointable", 7)
 	s.Failf("second")
@@ -230,6 +231,74 @@ func TestStateSaveFailure(t *testing.T) {
 	Enum(SaveTo(NewEncoder()), &c, 2, "color")
 	if c != 9 {
 		t.Fatal("saving changed an enum")
+	}
+}
+
+// TestCountedAndQueue: a length patched in front of elements already walked,
+// and a ring queue walked in place, leave the bytes Count and a walk of the
+// elements leave, and load back.
+func TestCountedAndQueue(t *testing.T) {
+	want := NewEncoder()
+	want.U8(7)
+	want.U64(300)
+	for v := uint64(0); v < 300; v++ {
+		want.U64(v * v)
+	}
+
+	e := NewEncoder()
+	e.U8(7)
+	s := SaveTo(e)
+	_, mark := s.Counted(1 << 10)
+	for v := uint64(0); v < 300; v++ {
+		sq := v * v
+		s.U64(&sq)
+	}
+	s.CountAt(mark, 300)
+	if string(e.Bytes()) != string(want.Bytes()) {
+		t.Fatal("Counted and CountAt do not leave Count's bytes")
+	}
+
+	var q ringq.Q[uint64]
+	for v := uint64(0); v < 5; v++ {
+		q.Push(v)
+	}
+	for range 5 {
+		q.Pop() // the queue wraps
+	}
+	for v := uint64(0); v < 300; v++ {
+		q.Push(v * v)
+	}
+	e = NewEncoder()
+	e.U8(7)
+	Queue(SaveTo(e), &q, 1<<10, State.U64)
+	if string(e.Bytes()) != string(want.Bytes()) {
+		t.Fatal("a queue walk does not leave Count's bytes and its elements, front first")
+	}
+
+	load := func(max int) (*ringq.Q[uint64], error) {
+		var back ringq.Q[uint64]
+		back.Push(99) // emptied by the load
+		d := NewDecoder(want.Bytes())
+		d.U8()
+		Queue(LoadFrom(d), &back, max, State.U64)
+		return &back, d.Done()
+	}
+	back, err := load(1 << 10)
+	if err != nil || back.Len() != 300 {
+		t.Fatalf("loading: %v, %d elements", err, back.Len())
+	}
+	for i := range 300 {
+		if back.At(i) != q.At(i) {
+			t.Fatalf("element %d loaded as %d, want %d", i, back.At(i), q.At(i))
+		}
+	}
+	if _, err := load(299); err == nil || !strings.Contains(err.Error(), "sequence length") {
+		t.Fatalf("loading 300 elements bounded by 299: %v", err)
+	}
+	d := NewDecoder(want.Bytes())
+	d.U8()
+	if n, _ := LoadFrom(d).Counted(1 << 10); n != 300 {
+		t.Fatalf("loading Counted reads %d, want 300", n)
 	}
 }
 

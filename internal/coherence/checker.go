@@ -88,11 +88,10 @@ func (s *System) CheckInvariants() error {
 		}
 	}
 	// No directory entry may be transient at quiescence, even uncached
-	// ones. Pending ways are in the default state.
+	// ones. A lazy set's ways are in the default state.
 	for i, d := range s.dirs {
 		for _, set := range d.held {
-			lines, _ := d.stored(int(set))
-			for _, ln := range lines {
+			for _, ln := range d.lines(int(set)) {
 				if ln.busy != busyNone {
 					return fmt.Errorf("slice %d: line %#x stuck in transient state %d",
 						i, ln.addr, ln.busy)
@@ -105,13 +104,12 @@ func (s *System) CheckInvariants() error {
 
 // CheckResidency validates what holds of every directory slice at every
 // cycle boundary, transient states included: the runs are sorted, disjoint,
-// inside the slice and at home; a lazy set's pending count is the number of
-// its run ways and none of them is stored, and a set whose run ways are stale
-// has storage; an invalid stored way is all zero (a way carries nothing out
-// of one life into the next, which is what lets a checkpoint leave invalid
-// ways out); the filter tags, occupancy counts and list of stored sets match
-// the ways; and a valid way sits in its line's home slice and set. It returns
-// the first violation found, or nil.
+// inside the slice and at home; a stored set's occupancy is its valid stored
+// ways and a lazy set's its run ways; an invalid stored way is all zero (a
+// way carries nothing out of one life into the next, which is what lets a
+// checkpoint leave invalid ways out); the filter tags, the resident count and
+// the list of stored sets match the ways; and a valid way sits in its line's
+// home slice and set. It returns the first violation found, or nil.
 func (s *System) CheckResidency() error {
 	for i, d := range s.dirs {
 		if err := d.checkWays(); err != nil {
@@ -121,17 +119,11 @@ func (s *System) CheckResidency() error {
 	return nil
 }
 
-// peek is lookup for a reader: it finds the line among its set's stored and
-// pending ways, installing nothing.
+// peek is lookup for a reader: it finds the line among its set's ways,
+// installing nothing.
 func (d *Dir) peek(line uint64) (dirLine, bool) {
-	set, tag := d.home(line)
-	lines, tags := d.stored(set)
-	for w, t := range tags {
-		if t == tag && lines[w].addr == line {
-			return lines[w], true
-		}
-	}
-	for _, ln := range d.pending(set) {
+	set, _ := d.home(line)
+	for _, ln := range d.lines(set) {
 		if ln.addr == line {
 			return ln, true
 		}
@@ -139,8 +131,8 @@ func (d *Dir) peek(line uint64) (dirLine, bool) {
 	return dirLine{}, false
 }
 
-// checkWays is CheckResidency for one slice: all of it is what LoadState
-// guarantees of any input it accepts.
+// checkWays is CheckResidency for one slice: all of it is what a loading
+// State guarantees of any input it accepts.
 func (d *Dir) checkWays() error {
 	sets, total, stride := d.cfg.LLCSets, len(d.sets)*d.cfg.LLCWays, uint64(d.cfg.LLCSlices)
 	runWays, end := make([]int, sets), 0
@@ -168,24 +160,14 @@ func (d *Dir) checkWays() error {
 		if (st.cap > 0) != listed[set] {
 			return fmt.Errorf("set %d: storage of %d ways, listed as stored %v", set, st.cap, listed[set])
 		}
-		if st.cap > 0 {
-			if int(st.cap) > d.cfg.LLCWays || int(st.at)%size+int(st.cap) > size || int(st.at)+int(st.cap) > d.next {
-				return fmt.Errorf("set %d: storage of %d ways at %d is not inside the carved slabs", set, st.cap, st.at)
-			}
+		if st.cap > 0 && (int(st.cap) > d.cfg.LLCWays || int(st.at)%size+int(st.cap) > size || int(st.at)+int(st.cap) > d.next) {
+			return fmt.Errorf("set %d: storage of %d ways at %d is not inside the carved slabs", set, st.cap, st.at)
 		}
 		lines, tags := d.stored(set)
-		n := 0
 		for w, ln := range lines {
 			var want uint16
 			if ln.valid {
-				n++
 				_, want = d.home(ln.addr)
-				if !d.atHome(set, ln.addr) {
-					return fmt.Errorf("set %d way %d: line %#x is not at home", set, w, ln.addr)
-				}
-				if _, ok := d.runAt(w<<d.setBits | set); ok && st.pend() > 0 {
-					return fmt.Errorf("set %d way %d: stored and pending at once", set, w)
-				}
 			} else if ln != (dirLine{}) {
 				return fmt.Errorf("set %d way %d: invalid way holds %+v", set, w, ln)
 			}
@@ -193,15 +175,18 @@ func (d *Dir) checkWays() error {
 				return fmt.Errorf("set %d way %d: filter tag %#x, the way's is %#x", set, w, tags[w], want)
 			}
 		}
-		switch pend := st.pend(); {
-		case int(st.live) != n:
-			return fmt.Errorf("set %d: live count %d, %d valid stored ways", set, st.live, n)
-		case pend < 0:
-			return fmt.Errorf("set %d: occupancy count %d below the %d valid stored ways", set, st.occ, n)
-		case pend > 0 && pend != runWays[set]:
-			return fmt.Errorf("set %d: lazy with %d pending ways, its run ways are %d", set, pend, runWays[set])
-		case pend == 0 && runWays[set] > 0 && st.cap == 0:
-			return fmt.Errorf("set %d: %d stale run ways and no storage", set, runWays[set])
+		valid := 0
+		for w, ln := range d.lines(set) {
+			if !d.atHome(set, ln.addr) {
+				return fmt.Errorf("set %d way %d: line %#x is not at home", set, w, ln.addr)
+			}
+			valid++
+		}
+		switch {
+		case st.cap > 0 && int(st.occ) != valid:
+			return fmt.Errorf("set %d: stored with %d valid ways, occupancy count %d", set, valid, st.occ)
+		case st.cap == 0 && int(st.occ) != runWays[set]:
+			return fmt.Errorf("set %d: lazy with %d run ways, occupancy count %d", set, runWays[set], st.occ)
 		}
 		resident += int(st.occ)
 	}

@@ -153,22 +153,14 @@ func (l *L1) State(s ckptio.State) {
 	}
 }
 
-// Record forms of the directory section (DESIGN.md §10). The valid ways are
-// written in plane-major order — way w of set s has index w*LLCSets+s, the
-// order the slice keeps its runs in — as records: each is the distance of its
-// first way from the last way of the record before it, one form byte, then
-//
-//	lineDefault: n >= 1, addr, lru — n consecutive ways in the default
-//	    state (no sharers, no owner, no transient or residual field set),
-//	    the first holding addr and lru and each one after it the address
-//	    LLCSlices further on and the next stamp: what Prewarm leaves along a
-//	    plane, and most of a warmed LLC still is
-//	lineFull: addr, lru and every other field of one way
-//
-// The encoding is canonical — one byte string per slice state — so a
-// default-state way must be in a run, a run must take in every way it could
-// (a lineDefault record that continues the one before it is rejected), and
-// LoadState rejects both a default line in the long form and a split run.
+// Record forms of the directory section (DESIGN.md §10): the valid ways go in
+// plane-major order — way w of set s has index w*LLCSets+s, the order of the
+// runs — as records, each the distance of its first way from the last way of
+// the record before it, a form byte, then for lineDefault a maximal run of
+// n >= 1 default-state ways (n, the first one's addr and lru; each later one
+// holds the address LLCSlices further on and the next stamp), for lineFull
+// one way in full. One byte string per slice state: loading rejects a default
+// line in the long form and a run that continues the record before it.
 const (
 	lineDefault = 0
 	lineFull    = 1
@@ -181,7 +173,7 @@ func defaultLine(addr, lru uint64) dirLine {
 }
 
 // isDefault reports whether the valid line equals defaultLine(addr, lru),
-// field by field: SaveState asks it of every stored line it walks, and the
+// field by field: saving asks it of every stored line it walks, and the
 // compiler's struct comparison is a call that costs as much as encoding the
 // line. TestIsDefaultCoversEveryField holds the two to each other.
 func (ln *dirLine) isDefault() bool {
@@ -190,9 +182,33 @@ func (ln *dirLine) isDefault() bool {
 	return diff == 0 && ln.owner == -1 && !ln.busyStar && !ln.deferred && !ln.specBorn
 }
 
+// walk carries a line in the long form. Loading marks it valid and rejects an
+// owner or requestor that is neither a core of the system nor -1, and an
+// out-of-range busy state or fetch kind.
+func (ln *dirLine) walk(s ckptio.State, cores int) {
+	s.U64(&ln.addr)
+	s.U64(&ln.lru)
+	s.U32(&ln.sharers)
+	s.I8(&ln.owner)
+	ckptio.Enum(s, &ln.busy, busyRecall, "directory busy state")
+	s.I8(&ln.busyReq)
+	s.Bool(&ln.busyStar)
+	s.U32(&ln.prevSharers)
+	s.I32(&ln.pendAcks)
+	s.Bool(&ln.deferred)
+	ckptio.Enum(s, &ln.fetchKind, numKinds-1, "fetch kind")
+	s.Bool(&ln.specBorn)
+	if s.Loading() && s.Err() == nil && (ln.owner < -1 || int(ln.owner) >= cores || ln.busyReq < -1 || int(ln.busyReq) >= cores) {
+		s.Failf("directory owner %d or requestor %d is not a core", ln.owner, ln.busyReq)
+	}
+	if s.Loading() {
+		ln.valid = true
+	}
+}
+
 // dirRec is one record of a slice's section, and the form a slice keeps its
-// pending ways in: the n default-state ways from plane-major index at on, the
-// first holding addr and lru, or with n == 0 the way at in the long form.
+// runs in: the n default-state ways from plane-major index at on, the first
+// holding addr and lru, or with n == 0 the way at in the long form.
 type dirRec struct {
 	at, n     int32
 	addr, lru uint64
@@ -201,195 +217,21 @@ type dirRec struct {
 // last returns the index of the record's last way.
 func (r dirRec) last() int { return int(r.at) + max(int(r.n), 1) - 1 }
 
-// after returns where a run goes on in a directory of the given slice count.
-func (r dirRec) after(slices uint64) runNext {
-	k := uint64(r.n - 1)
-	return runAfter(r.last(), r.addr+k*slices, r.lru+k, slices)
+// line returns the line the run holds at index at, in a directory of the
+// given slice count.
+func (r dirRec) line(at int, slices uint64) dirLine {
+	k := uint64(at - int(r.at))
+	return defaultLine(r.addr+k*slices, r.lru+k)
 }
 
-// runNext is where a run of default-state ways goes on: the index, address
-// and stamp of the way that would extend it. at is -1 if nothing can — the
-// address or the stamp would wrap, or the last record is not a run.
-type runNext struct {
-	at        int
-	addr, lru uint64
-}
-
-// follows reports whether a default-state way continues the run.
-func (nx runNext) follows(at int, addr, lru uint64) bool {
-	return at == nx.at && addr == nx.addr && lru == nx.lru
-}
-
-// runAfter returns where a run whose last way is at, holding addr and lru,
-// goes on in a directory of the given slice count. The encoder and the
-// decoder both ask it, so they agree on what a maximal run is.
-func runAfter(at int, addr, lru, slices uint64) runNext {
-	nx := runNext{at + 1, addr + slices, lru + 1}
-	if nx.addr < addr || nx.lru == 0 {
-		nx.at = -1
-	}
-	return nx
-}
-
-// recorder turns a slice's valid ways, fed in index order, into its records —
-// maximal runs of the default-state ones, a long-form record for each of the
-// others — and counts them, writing them to e too unless e is nil. It holds
-// the record it is building until the next one starts, so a run is written
-// whole.
-type recorder struct {
-	d        *Dir
-	e        *ckptio.Encoder
-	count    int
-	cur      dirRec // the record being built, if building
-	building bool
-	prev     int     // the last way of the record before cur
-	nx       runNext // where cur goes on, if it is a run
-}
-
-// start finishes the record being built and begins r.
-func (b *recorder) start(r dirRec) {
-	b.finish()
-	b.cur, b.building = r, true
-}
-
-// finish counts the record being built and writes it.
-func (b *recorder) finish() {
-	if !b.building {
-		return
-	}
-	b.building = false
-	b.count++
-	e, r := b.e, b.cur
-	if e == nil {
-		return
-	}
-	e.U64(uint64(int(r.at) - b.prev))
-	b.prev = r.last()
-	if r.n > 0 {
-		e.U8(lineDefault)
-		e.U64(uint64(r.n))
-		e.U64(r.addr)
-		e.U64(r.lru)
-		return
-	}
-	ln := b.d.way(int(r.at)&(b.d.cfg.LLCSets-1), int(r.at)>>b.d.setBits)
-	e.U8(lineFull)
-	e.U64(ln.addr)
-	e.U64(ln.lru)
-	e.U32(ln.sharers)
-	e.I64(int64(ln.owner))
-	e.U8(uint8(ln.busy))
-	e.I64(int64(ln.busyReq))
-	e.Bool(ln.busyStar)
-	e.U32(ln.prevSharers)
-	e.I32(ln.pendAcks)
-	e.Bool(ln.deferred)
-	e.U8(uint8(ln.fetchKind))
-	e.Bool(ln.specBorn)
-}
-
-// run takes the n default-state ways of run r from index at on.
-func (b *recorder) run(r dirRec, at, n int) {
-	if n == 0 {
-		return
-	}
-	k, stride := uint64(at-int(r.at)), uint64(b.d.cfg.LLCSlices)
-	if addr, lru := r.addr+k*stride, r.lru+k; b.nx.follows(at, addr, lru) {
-		b.cur.n += int32(n)
-	} else {
-		b.start(dirRec{at: int32(at), n: int32(n), addr: addr, lru: lru})
-	}
-	b.nx = b.cur.after(stride)
-}
-
-// way takes stored way w of the set, if it is valid.
-func (b *recorder) way(set, w int) {
-	if w >= int(b.d.sets[set].cap) {
-		return
-	}
-	lines, tags := b.d.stored(set)
-	if tags[w] == 0 {
-		return
-	}
-	at, ln := w<<b.d.setBits|set, &lines[w]
-	if ln.isDefault() {
-		b.run(dirRec{at: int32(at), n: 1, addr: ln.addr, lru: ln.lru}, at, 1)
-		return
-	}
-	b.start(dirRec{at: int32(at)})
-	b.nx.at = -1
-}
-
-// records merges the slice's runs and stored ways into its records, one
-// plane at a time: in plane w, a run's ways go in as they are except in the
-// sets the protocol has opened, where the stored way stands instead, and
-// every stored way outside a run goes in between. It costs the runs, plus
-// the planes times the sets with storage — not the ways of the slice.
-func (d *Dir) records(b *recorder) {
-	slices.Sort(d.held)
-	b.prev, b.nx = -1, runNext{at: -1}
-	stored := 0 // the planes with a stored way
-	for _, s := range d.held {
-		stored = max(stored, int(d.sets[s].cap))
-	}
-	sets, ri := d.cfg.LLCSets, 0
-	for w := 0; w < stored || ri < len(d.runs); w++ {
-		base, k := w<<d.setBits, 0
-		for ; ri < len(d.runs) && int(d.runs[ri].at) < base+sets; ri++ {
-			r := d.runs[ri]
-			lo, hi := max(int(r.at)-base, 0), min(r.last()+1-base, sets)
-			for ; k < len(d.held) && int(d.held[k]) < hi; k++ {
-				s := int(d.held[k])
-				switch {
-				case s < lo:
-					b.way(s, w)
-				case d.sets[s].pend() == 0:
-					b.run(r, base+lo, s-lo)
-					b.way(s, w)
-					lo = s + 1
-				}
-			}
-			b.run(r, base+lo, hi-lo)
-			if r.last() >= base+sets {
-				break // the run goes on in the next plane
-			}
-		}
-		for ; k < len(d.held); k++ {
-			b.way(int(d.held[k]), w)
-		}
-	}
-	b.finish()
-}
-
-// SaveState serializes a directory/LLC slice: the LRU stamp clock, the
-// records of its valid ways (invalid ways hold no state and are not
-// written), and the demand backlog. It installs nothing and keeps nothing:
-// one merge of the runs and the stored ways counts the records, a second
-// writes them.
-func (d *Dir) SaveState(e *ckptio.Encoder) {
-	count := recorder{d: d}
-	d.records(&count)
-	e.U64(d.stamp)
-	e.Int(len(d.sets) * d.cfg.LLCWays)
-	e.U64(uint64(count.count))
-	d.records(&recorder{d: d, e: e})
-	e.Int(d.demandUsed)
-	e.U64(uint64(d.backlog.Len()))
-	for i := 0; i < d.backlog.Len(); i++ {
-		m := d.backlog.At(i)
-		m.walk(ckptio.SaveTo(e), d.cfg)
-	}
-}
-
-// coreField reads a directory line's owner or requestor: a core index, or
-// -1 for none.
-func (d *Dir) coreField(dec *ckptio.Decoder, what string) int8 {
-	v := dec.I64()
-	if v < -1 || v >= int64(d.cfg.Cores) {
-		dec.Failf("directory %s %d is not a core", what, v)
-		return 0
-	}
-	return int8(v)
+// goesOn reports whether a default-state way at index at, holding addr and
+// lru, continues the run in a directory of the given slice count: it has the
+// next index, address and stamp, and neither wraps. Saving and loading both
+// ask it, so they agree on what a maximal run is.
+func (r dirRec) goesOn(at int, addr, lru, slices uint64) bool {
+	k := uint64(r.n)
+	return r.n > 0 && at == r.last()+1 && addr == r.addr+k*slices && addr > r.addr+(k-1)*slices &&
+		lru == r.lru+k && lru != 0
 }
 
 // atHome reports whether a way of the set is one the line can live in: the
@@ -400,146 +242,198 @@ func (d *Dir) atHome(set int, line uint64) bool {
 	return d.cfg.LLCSlice(line) == d.idx && home == set
 }
 
-// loadRun reads the rest of a lineDefault record whose first way is at and
-// records the run as pending, unless it continues the run that nx is the end
-// of. It returns the run's last way and where the run goes on, or fails the
-// decoder.
-func (d *Dir) loadRun(dec *ckptio.Decoder, at int, nx runNext) (int, runNext) {
-	n, addr, lru := dec.U64(), dec.U64(), dec.U64()
-	if dec.Err() != nil {
-		return at, nx
+// merge walks the slice in index order, one plane at a time, over the runs
+// and the stored sets: it hands run each stretch of a run's ways that lies in
+// lazy sets, n ways from index at on, and way the stored sets' way w, with
+// the run whose stale way it stands in for, if any. It costs the runs, plus
+// the planes times the stored sets — not the ways of the slice.
+func (d *Dir) merge(run func(r dirRec, at, n int), way func(set, w int, r *dirRec)) {
+	slices.Sort(d.held)
+	planes := 0 // the planes with a stored way
+	for _, s := range d.held {
+		planes = max(planes, int(d.sets[s].cap))
 	}
-	total, stride := len(d.sets)*d.cfg.LLCWays, uint64(d.cfg.LLCSlices)
-	switch {
-	case n == 0 || n > uint64(total-at):
-		dec.Failf("directory run of %d ways from way %d leaves %d ways", n, at, total)
-	case !d.atHome(at&(d.cfg.LLCSets-1), addr):
-		dec.Failf("directory way %d: line %#x is not at home", at, addr)
-	case addr+(n-1)*stride < addr || lru+n-1 < lru:
-		dec.Failf("directory run of %d ways from line %#x, stamp %d wraps", n, addr, lru)
-	case nx.follows(at, addr, lru):
-		dec.Failf("directory way %d: run continues the one before it", at)
-	default:
-		r := dirRec{at: int32(at), n: int32(n), addr: addr, lru: lru}
-		d.runs = append(d.runs, r)
-		for i, end := at, r.last()+1; i < end; {
-			set := i & (d.cfg.LLCSets - 1)
-			stretch := d.sets[set:min(d.cfg.LLCSets, set+end-i)] // up to the plane's end
-			for k := range stretch {
-				stretch[k].occ++
+	sets, ri := d.cfg.LLCSets, 0
+	for w := 0; w < planes || ri < len(d.runs); w++ {
+		base, k := w<<d.setBits, 0
+		for ; ri < len(d.runs) && int(d.runs[ri].at) < base+sets; ri++ {
+			r := &d.runs[ri]
+			lo, hi := max(int(r.at)-base, 0), min(r.last()+1-base, sets)
+			for ; k < len(d.held) && int(d.held[k]) < hi; k++ {
+				s := int(d.held[k])
+				if s < lo {
+					way(s, w, nil)
+					continue
+				}
+				run(*r, base+lo, s-lo)
+				way(s, w, r)
+				lo = s + 1
 			}
-			i += len(stretch)
+			run(*r, base+lo, hi-lo)
+			if r.last() >= base+sets {
+				break // the run goes on in the next plane
+			}
 		}
-		d.resident += int(n)
-		return r.last(), r.after(stride)
+		for ; k < len(d.held); k++ {
+			way(int(d.held[k]), w, nil)
+		}
 	}
-	return at, nx
 }
 
-// loadLine reads the rest of a lineFull record and installs its way.
-func (d *Dir) loadLine(dec *ckptio.Decoder, at int) {
-	ln := defaultLine(dec.U64(), dec.U64())
-	ln.sharers = dec.U32()
-	ln.owner = d.coreField(dec, "owner")
-	b := dec.U8()
-	ln.busy = busyKind(b)
-	ln.busyReq = d.coreField(dec, "requestor")
-	ln.busyStar = dec.Bool()
-	ln.prevSharers = dec.U32()
-	ln.pendAcks = dec.I32()
-	ln.deferred = dec.Bool()
-	fk := dec.U8()
-	ln.fetchKind = Kind(fk)
-	ln.specBorn = dec.Bool()
-	switch {
-	case dec.Err() != nil:
-	case ln.busy > busyRecall:
-		dec.Failf("invalid directory busy state %d", b)
-	case ln.fetchKind >= numKinds:
-		dec.Failf("invalid fetch kind %d", fk)
-	case !d.atHome(at&(d.cfg.LLCSets-1), ln.addr):
-		dec.Failf("directory way %d: line %#x is not at home", at, ln.addr)
-	case ln == defaultLine(ln.addr, ln.lru):
-		dec.Failf("directory way %d: default-state line in the long form", at)
+// recorder walks a slice's records in order. Saving, merge feeds it the valid
+// ways in index order, and it turns them into records — maximal runs of the
+// default-state ones, a long-form record for each of the others — holding the
+// one it is building until the next one starts, so a run is written whole.
+type recorder struct {
+	d     *Dir
+	s     ckptio.State
+	count int    // the records walked
+	last  dirRec // the record walked last
+	cur   dirRec // saving: the record being built, if its at is not -1
+}
+
+// record walks one record: its step from the last one, its form, then a run's
+// length, first address and first stamp, or a line in full. Loading checks
+// the record whole before it takes any of it — its ways lie inside the slice,
+// its first line is at home in its first way (the later lines of a run follow:
+// the address steps by the slice count, so the slice stays and the set steps
+// with the index, across a plane boundary too), a run is maximal, a long-form
+// line is not a default one — and then records the run or stores the line.
+func (b *recorder) record(r dirRec) {
+	d, s := b.d, b.s
+	total, stride, prev := len(d.sets)*d.cfg.LLCWays, uint64(d.cfg.LLCSlices), b.last.last()
+	step, form, n := uint64(int(r.at)-prev), uint8(lineFull), uint64(r.n)
+	if n > 0 {
+		form = lineDefault
+	}
+	s.U64(&step)
+	s.U8(&form)
+	if s.Loading() && s.Err() == nil && (step == 0 || step > uint64(total-1-prev)) {
+		s.Failf("directory way step %d from way %d leaves %d ways", step, prev, total)
+	}
+	if s.Err() != nil {
+		return
+	}
+	r.at = int32(prev + int(step))
+	at, set, w := int(r.at), int(r.at)&(d.cfg.LLCSets-1), int(r.at)>>d.setBits
+	switch form {
+	case lineDefault:
+		s.U64(&n)
+		s.U64(&r.addr)
+		s.U64(&r.lru)
+		if s.Loading() {
+			switch {
+			case s.Err() != nil:
+			case n == 0 || n > uint64(total-at):
+				s.Failf("directory run of %d ways from way %d leaves %d ways", n, at, total)
+			case !d.atHome(set, r.addr):
+				s.Failf("directory way %d: line %#x is not at home", at, r.addr)
+			case r.addr+(n-1)*stride < r.addr || r.lru+n-1 < r.lru:
+				s.Failf("directory run of %d ways from line %#x, stamp %d wraps", n, r.addr, r.lru)
+			case b.last.goesOn(at, r.addr, r.lru, stride):
+				s.Failf("directory way %d: run continues the one before it", at)
+			default:
+				r.n = int32(n)
+				d.addRun(r)
+			}
+		}
+	case lineFull:
+		ln := &dirLine{}
+		if !s.Loading() {
+			ln = d.way(set, w)
+		}
+		ln.walk(s, d.cfg.Cores)
+		if s.Loading() {
+			switch {
+			case s.Err() != nil:
+			case !d.atHome(set, ln.addr):
+				s.Failf("directory way %d: line %#x is not at home", at, ln.addr)
+			case *ln == defaultLine(ln.addr, ln.lru):
+				s.Failf("directory way %d: default-state line in the long form", at)
+			default:
+				d.install(set, w, *ln)
+			}
+		}
 	default:
-		d.install(at&(d.cfg.LLCSets-1), at>>d.setBits, ln)
+		s.Failf("unknown directory line form %d", form)
 	}
+	b.last = r
+	b.count++
 }
 
-// LoadState restores a directory slice of the same geometry. A run becomes
-// pending ways, as Prewarm leaves them, and a long-form line is stored; ways
-// the checkpoint does not name end up invalid. A target that holds lines or
-// storage gives them up first, keeping its slabs. A record is checked whole
-// before any of it is taken — its ways lie inside the slice, its first line
-// is at home in its first way (the later lines of a run follow: the address
-// steps by the slice count, so the slice stays and the set steps with the
-// index, across a plane boundary too), a run is maximal — so a rejected
-// section leaves a consistent slice. An accepted run costs one record
-// however many ways it covers, and a long-form line at most its set's
-// storage: what geometry already permits.
-func (d *Dir) LoadState(dec *ckptio.Decoder) {
-	d.stamp = dec.U64()
-	n := dec.Int()
-	if dec.Err() != nil {
-		return
+// start walks the record being built out, if any, and begins r.
+func (b *recorder) start(r dirRec) {
+	if b.cur.at >= 0 {
+		b.record(b.cur)
 	}
-	total := len(d.sets) * d.cfg.LLCWays
-	if n != total {
-		dec.Failf("directory has %d ways, checkpoint has %d", total, n)
-		return
-	}
-	if d.resident > 0 || d.next > 0 {
-		clear(d.sets)
-		for _, sl := range d.slabs {
-			clear(sl.lines)
-			clear(sl.tags)
-		}
-	}
-	d.runs, d.held, d.next, d.resident = d.runs[:0], d.held[:0], 0, 0
-	nx := runNext{at: -1}
-	for count, prev := dec.Count(total), -1; count > 0; count-- {
-		step, form := dec.U64(), dec.U8()
-		switch {
-		case dec.Err() != nil:
-		case step == 0 || step > uint64(total-1-prev):
-			dec.Failf("directory way step %d from way %d leaves %d ways", step, prev, total)
-		case form == lineDefault:
-			prev, nx = d.loadRun(dec, prev+int(step), nx)
-		case form == lineFull:
-			prev += int(step)
-			d.loadLine(dec, prev)
-			nx.at = -1
-		default:
-			dec.Failf("unknown directory line form %d", form)
-		}
-		if dec.Err() != nil {
-			return
-		}
-	}
-	d.demandUsed = dec.Int()
-	for d.backlog.Len() > 0 {
-		d.backlog.Pop()
-	}
-	nb := dec.Count(maxBacklog)
-	for i := 0; i < nb; i++ {
-		var m Msg
-		m.walk(ckptio.LoadFrom(dec), d.cfg)
-		if dec.Err() != nil {
-			return
-		}
-		d.backlog.Push(m)
-	}
+	b.cur = r
 }
 
-// State joins the slice to a walk. The directory section is the one place
-// the two directions share a format and no logic (a merge of runs and stored
-// ways out, runs recorded in), so they stay a pair.
-func (d *Dir) State(s ckptio.State) {
-	if s.Loading() {
-		d.LoadState(s.Decoder())
+// run takes the n default-state ways of run r from index at on.
+func (b *recorder) run(r dirRec, at, n int) {
+	if n == 0 {
+		return
+	}
+	stride := uint64(b.d.cfg.LLCSlices)
+	if ln := r.line(at, stride); b.cur.goesOn(at, ln.addr, ln.lru, stride) {
+		b.cur.n += int32(n)
 	} else {
-		d.SaveState(s.Encoder())
+		b.start(dirRec{at: int32(at), n: int32(n), addr: ln.addr, lru: ln.lru})
 	}
+}
+
+// way takes stored way w of the set, if it is valid.
+func (b *recorder) way(set, w int, _ *dirRec) {
+	lines, tags := b.d.stored(set)
+	if w >= len(tags) || tags[w] == 0 {
+		return
+	}
+	at, ln := w<<b.d.setBits|set, &lines[w]
+	if ln.isDefault() {
+		b.run(dirRec{at: int32(at), n: 1, addr: ln.addr, lru: ln.lru}, at, 1)
+	} else {
+		b.start(dirRec{at: int32(at)})
+	}
+}
+
+// State walks a directory/LLC slice of the same geometry: the LRU stamp
+// clock, the records of its valid ways and the demand backlog. Saving feeds
+// the records out of one merge and patches their count in front, installing
+// nothing. Loading clears the target (keeping its slabs), records runs, stores
+// long-form lines, then fills every set it stored with its run ways in one
+// more merge. A rejected record takes nothing, so the slice stays consistent.
+func (d *Dir) State(s ckptio.State) {
+	s.U64(&d.stamp)
+	total := len(d.sets) * d.cfg.LLCWays
+	if !s.GeometryInt(total, "directory ways") {
+		return
+	}
+	n, mark := s.Counted(total)
+	b := recorder{d: d, s: s, last: dirRec{at: -1}, cur: dirRec{at: -1}}
+	if s.Loading() {
+		if d.resident > 0 || d.next > 0 {
+			clear(d.sets)
+			for _, sl := range d.slabs {
+				clear(sl.lines)
+				clear(sl.tags)
+			}
+		}
+		d.runs, d.held, d.next, d.resident = d.runs[:0], d.held[:0], 0, 0
+		for ; n > 0 && s.Err() == nil; n-- {
+			b.record(dirRec{})
+		}
+		d.merge(func(dirRec, int, int) {}, func(set, w int, r *dirRec) {
+			if r != nil {
+				d.fill(set, w, r.line(w<<d.setBits|set, uint64(d.cfg.LLCSlices)))
+			}
+		})
+	} else {
+		d.merge(b.run, b.way)
+		b.start(dirRec{at: -1}) // walks the last record out
+		s.CountAt(mark, b.count)
+	}
+	s.Int(&d.demandUsed)
+	ckptio.Queue(s, &d.backlog, maxBacklog, func(s ckptio.State, m *Msg) { m.walk(s, d.cfg) })
 }
 
 // State walks the whole memory hierarchy: mesh traffic counters, the fabric

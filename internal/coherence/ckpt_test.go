@@ -17,11 +17,19 @@ import (
 	"pinnedloads/internal/tracefile"
 )
 
-// dirBytes is one slice's SaveState.
+// dirBytes is one slice's section, as a saving State writes it.
 func dirBytes(d *Dir) []byte {
 	e := ckptio.NewEncoder()
-	d.SaveState(e)
+	d.State(ckptio.SaveTo(e))
 	return e.Bytes()
+}
+
+// loadDir loads data into the slice as a directory section and returns the
+// decoder's verdict on it, trailing bytes included.
+func loadDir(d *Dir, data []byte) error {
+	dec := ckptio.NewDecoder(data)
+	d.State(ckptio.LoadFrom(dec))
+	return dec.Done()
 }
 
 // smallDir is a lone slice of 4 sets × 16 ways (slice 0 of 8), small enough
@@ -47,7 +55,7 @@ func single(lines ...uint64) []arch.LineRange {
 // TestPrewarmBulkMatchesInstallWarm holds Prewarm, which records each
 // slice's warm lines as runs and installs nothing, to warm installs as the
 // eager directory made them, line by line, on a dense reference of every
-// slice: the stamp and every way of every set, read through view, must agree
+// slice: the stamp and every way of every set, read through lines, must agree
 // for every proxy's warm set and for lists that are out of order, repeat
 // lines, or hold more lines of one set than it has ways. Prewarm stores no
 // set, and opening every set changes no byte of any slice's section.
@@ -109,8 +117,7 @@ func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
 					t.Fatalf("slice %d: stamp %d, reference %d; %d sets stored", i, d.stamp, ref.stamp, d.StoredSets())
 				}
 				for s := range cfg.LLCSets {
-					d.view(s, view)
-					if !slices.Equal(view, ref.set(s)) {
+					if !slices.Equal(waysOf(d, s, view), ref.set(s)) {
 						t.Fatalf("slice %d set %d: Prewarm left %+v, the eager install %+v", i, s, view, ref.set(s))
 					}
 				}
@@ -209,8 +216,8 @@ func seq(fs ...func(*ckptio.Encoder)) func(*ckptio.Encoder) {
 	}
 }
 
-// TestDirLoadStateRejectsMalformed feeds Dir.LoadState directory sections
-// that are wrong in one way each. Every one must end in the decoder's sticky
+// TestDirLoadStateRejectsMalformed feeds a loading Dir.State directory
+// sections that are wrong in one way each. Every one must end in the decoder's sticky
 // error: no panic, and no allocation that a corrupt count could size. The run
 // count is the one number in a section that stands for more ways than its own
 // bytes, and it stands for no memory at all: a run is checked against the ways
@@ -259,12 +266,10 @@ func TestDirLoadStateRejectsMalformed(t *testing.T) {
 			d := smallDir(t)
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			dec := ckptio.NewDecoder(tc.data)
-			d.LoadState(dec)
-			err := dec.Done()
+			err := loadDir(d, tc.data)
 			runtime.ReadMemStats(&m1)
 			if err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("LoadState error %v, want a ckptio error mentioning %q", err, tc.want)
+				t.Fatalf("loading error %v, want a ckptio error mentioning %q", err, tc.want)
 			}
 			if got := m1.TotalAlloc - m0.TotalAlloc; got > 4096 {
 				t.Fatalf("rejecting the input allocated %d bytes", got)
@@ -274,9 +279,7 @@ func TestDirLoadStateRejectsMalformed(t *testing.T) {
 			if err := d.checkWays(); err != nil {
 				t.Fatal(err)
 			}
-			dec = ckptio.NewDecoder(good)
-			d.LoadState(dec)
-			if err := dec.Done(); err != nil {
+			if err := loadDir(d, good); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.checkWays(); err != nil {
@@ -321,7 +324,7 @@ func TestIsDefaultCoversEveryField(t *testing.T) {
 	}
 	ckpttest.Variants(t, base, func(field string, ln *dirLine) {
 		if !ln.valid {
-			return // SaveState asks only of valid lines
+			return // saving asks only of valid lines
 		}
 		if got, want := ln.isDefault(), *ln == defaultLine(ln.addr, ln.lru); got != want {
 			t.Errorf("after changing %s: isDefault %v, struct comparison %v", field, got, want)
@@ -345,8 +348,8 @@ var (
 
 // Fields of Dir that its section rebuilds rather than reads: the sets' counts
 // and storage, the list of stored sets, the carving cursor and the resident
-// count follow from the records LoadState takes. runs and slabs are the
-// pending and the stored ways: what the section holds.
+// count follow from the records a loading State takes. runs and slabs are the
+// lazy and the stored sets' ways: what the section holds.
 var (
 	dirDerived = []string{"sets", "held", "next", "resident"}
 	dirConfig  = []string{"idx", "cfg", "fab", "count", "cnt", "setBits", "slabBits"}
@@ -365,10 +368,11 @@ func TestWalksCoverEveryField(t *testing.T) {
 	ckpttest.Fields(t, storeTxn{}, func(s ckptio.State, st *storeTxn) { st.walk(s) }, nil)
 	ckpttest.Fields(t, specTxn{}, func(s ckptio.State, txn *specTxn) { txn.walk(s) }, nil)
 	ckpttest.Fields(t, pendingFill{}, func(s ckptio.State, p *pendingFill) { p.walk(s) }, nil)
+	// A long-form line: valid follows from being in the section.
+	ckpttest.Fields(t, dirLine{owner: -1}, func(s ckptio.State, ln *dirLine) { ln.walk(s, cfg.Cores) }, []string{"valid"})
 	ckpttest.Container(t, "ckpt.go", fabric{}, fabricDerived, fabricConfig)
 	ckpttest.Container(t, "ckpt.go", L1{}, l1Derived, l1Config)
-	// records is the merge of runs and stored ways SaveState writes from.
-	ckpttest.Container(t, "ckpt.go", Dir{}, dirDerived, dirConfig, "SaveState", "LoadState", "records")
+	ckpttest.Container(t, "ckpt.go", Dir{}, dirDerived, dirConfig)
 	ckpttest.Container(t, "ckpt.go", System{}, nil, systemConfig)
 }
 
@@ -411,9 +415,7 @@ func TestMsgWalkRejectsForeignEndpoints(t *testing.T) {
 			e.U64(1) // backlog
 			m := tc.msg
 			m.walk(ckptio.SaveTo(e), h.sys.cfg)
-			dec = ckptio.NewDecoder(e.Bytes())
-			h.sys.Dir(0).LoadState(dec)
-			checkEndpointVerdict(t, "backlog", dec.Done(), tc.ok)
+			checkEndpointVerdict(t, "backlog", loadDir(h.sys.Dir(0), e.Bytes()), tc.ok)
 		})
 	}
 }
@@ -446,7 +448,7 @@ var dirFieldMutations = map[string]func(*dirLine){
 
 // TestDirSaveStateSensitivity keeps the byte-comparing oracles sharp
 // (TestQuietTicksAreFixedPoints, the capture → restore → capture checks):
-// they see a state change only if SaveState is injective on live state. So
+// they see a state change only if saving is injective on live state. So
 // changing any one field of any valid way, invalidating a valid way, or
 // validating an invalid one must each change the slice's bytes, to bytes no
 // other such change produces; and a state must save to the same bytes from

@@ -73,19 +73,15 @@ func bindDirCounters(ct *stats.Counters) dirCounters {
 	}
 }
 
-// llcSet is one LLC set's bookkeeping: where its stored ways are, how many
-// ways it has valid, and how many of those are stored. Way w of the set is
-// stored if w < cap; every later way is invalid or pending.
+// llcSet is one LLC set's bookkeeping: where its storage is and how many ways
+// it has valid. A set with storage (cap > 0) is stored: its valid ways are
+// the valid ways of its first cap, every later way is invalid, and its run
+// ways are stale. A set without is lazy: its valid ways are its run ways.
 type llcSet struct {
-	at   uint32 // the set's first stored way in the slabs
-	cap  uint16 // stored ways
-	occ  uint16 // valid ways, stored or pending
-	live uint16 // valid stored ways
+	at  uint32 // the set's first stored way in the slabs
+	cap uint16 // stored ways
+	occ uint16 // valid ways
 }
-
-// pend is the set's pending ways, still in the slice's runs: nonzero marks
-// the set lazy.
-func (st llcSet) pend() int { return int(st.occ) - int(st.live) }
 
 // slab is a block of stored ways, carved into the sets that need them. Both
 // arrays are pointer-free and never move, so a *dirLine stays good until its
@@ -107,14 +103,11 @@ type Dir struct {
 	cnt      dirCounters
 	stamp    uint64
 
-	// A valid way is pending or stored (DESIGN.md §9). runs holds the
-	// pending ways as default-state runs in plane-major order — way w of set
-	// s has index w*LLCSets+s, the order the checkpoint writes (§10) — sorted
-	// and disjoint: Prewarm and LoadState record them instead of installing
-	// them. The first protocol access to a set (open) installs its pending
-	// ways into storage; the set's run ways are then stale, and its storage
-	// is authoritative. Nothing that only reads a set (SaveState, Snapshot,
-	// the checkers) installs anything.
+	// A set is lazy or stored (DESIGN.md §9). runs holds default-state ways
+	// as sorted, disjoint runs in plane-major order — way w of set s has
+	// index w*LLCSets+s, the order the checkpoint writes (§10) — which Prewarm
+	// and a restore record instead of installing. The first protocol access
+	// to a lazy set (open) installs its run ways; readers install nothing.
 	runs []dirRec
 	sets []llcSet
 
@@ -182,19 +175,25 @@ func (d *Dir) way(set, w int) *dirLine {
 	return &lines[w]
 }
 
-// open is how the protocol reaches a set: it installs the set's pending
-// ways, if any, and returns its stored ways.
+// open is how the protocol reaches a set: it stores a lazy set's ways and
+// returns the set's stored ways.
 func (d *Dir) open(set int) ([]dirLine, []uint16) {
-	if st := &d.sets[set]; st.pend() > 0 {
-		for w, ln := range d.pending(set) {
-			d.reserve(set, max(w+1, int(st.occ)))
-			lines, tags := d.stored(set)
-			lines[w] = ln
-			_, tags[w] = d.home(ln.addr)
+	if st := d.sets[set]; st.cap == 0 && st.occ > 0 {
+		for w, ln := range d.lines(set) {
+			d.fill(set, w, ln)
 		}
-		st.live = st.occ
 	}
 	return d.stored(set)
+}
+
+// fill writes ln into way w of the set's storage, with room for the ways the
+// set counts: a lazy set's run ways when it opens, those of a set a restore
+// stores, or a line being installed.
+func (d *Dir) fill(set, w int, ln dirLine) {
+	d.reserve(set, max(w+1, int(d.sets[set].occ)))
+	lines, tags := d.stored(set)
+	lines[w] = ln
+	_, tags[w] = d.home(ln.addr)
 }
 
 // find returns the set of the line and the way holding it, or -1.
@@ -232,30 +231,30 @@ func (d *Dir) runAt(at int) (dirRec, bool) {
 	return dirRec{}, false
 }
 
-// pending yields the set's pending ways in way order, each with its line.
-func (d *Dir) pending(set int) iter.Seq2[int, dirLine] {
+// lines yields the set's valid ways in way order, each with its line: from
+// storage if the set is stored, else from the runs (one search a way),
+// installing nothing.
+func (d *Dir) lines(set int) iter.Seq2[int, dirLine] {
 	return func(yield func(int, dirLine) bool) {
-		stride := uint64(d.cfg.LLCSlices)
-		for w, left := 0, d.sets[set].pend(); left > 0 && w < d.cfg.LLCWays; w++ {
+		st := d.sets[set]
+		if st.cap > 0 {
+			lines, tags := d.stored(set)
+			for w, t := range tags {
+				if t != 0 && !yield(w, lines[w]) {
+					return
+				}
+			}
+			return
+		}
+		for w, left := 0, int(st.occ); left > 0 && w < d.cfg.LLCWays; w++ {
 			at := w<<d.setBits | set
 			if r, ok := d.runAt(at); ok {
 				left--
-				k := uint64(at - int(r.at))
-				if !yield(w, defaultLine(r.addr+k*stride, r.lru+k)) {
+				if !yield(w, r.line(at, uint64(d.cfg.LLCSlices))) {
 					return
 				}
 			}
 		}
-	}
-}
-
-// view fills buf, one entry per way, with the set's valid ways, stored or
-// pending, and zero for the invalid ones, installing nothing.
-func (d *Dir) view(set int, buf []dirLine) {
-	lines, _ := d.stored(set)
-	clear(buf[copy(buf, lines):])
-	for w, ln := range d.pending(set) {
-		buf[w] = ln
 	}
 }
 
@@ -271,7 +270,7 @@ func (d *Dir) capFor(n int) int { return min(d.cfg.LLCWays, (n+4)&^3) }
 
 // reserve gives the set storage for at least n ways, carving a new block
 // and copying the set's stored ways into it if it has fewer. The old block is
-// left behind; LoadState reclaims every slab.
+// left behind; a restore reclaims every slab.
 func (d *Dir) reserve(set, n int) {
 	st := &d.sets[set]
 	if n <= int(st.cap) {
@@ -319,26 +318,21 @@ func (d *Dir) touch(e *dirLine) {
 // state from one life into the next, and an invalid way carries none at all,
 // which is what lets the checkpoint leave invalid ways out.
 func (d *Dir) install(set, w int, ln dirLine) *dirLine {
-	d.reserve(set, w+1)
-	lines, tags := d.stored(set)
-	lines[w] = ln
-	_, tags[w] = d.home(ln.addr)
+	d.fill(set, w, ln)
 	d.sets[set].occ++
-	d.sets[set].live++
 	d.resident++
-	return &lines[w]
+	return d.way(set, w)
 }
 
 func (d *Dir) drop(set, w int) {
 	lines, tags := d.stored(set)
 	lines[w], tags[w] = dirLine{}, 0
 	d.sets[set].occ--
-	d.sets[set].live--
 	d.resident--
 }
 
 // prewarm is Prewarm for one slice: it takes the slice's own lines of every
-// range, in order, and records them as pending ways.
+// range, in order, and records them as runs.
 func (d *Dir) prewarm(ranges []arch.LineRange) {
 	if len(d.held) > 0 {
 		panic("coherence: Prewarm on a directory slice the protocol has used")
@@ -355,8 +349,8 @@ func (d *Dir) prewarm(ranges []arch.LineRange) {
 
 // warm records the slice's lines whose quotient by the slice count is in
 // [q, end), in order, leaving out those a run of known holds: a line whose
-// set is full is skipped, and any other becomes pending in way occ of its set
-// with the next stamp.
+// set is full is skipped, and any other becomes a run way in way occ of its
+// set with the next stamp.
 func (d *Dir) warm(known []dirRec, q, end uint64) {
 	stride := uint64(d.cfg.LLCSlices)
 	for i, r := range known {
@@ -368,7 +362,6 @@ func (d *Dir) warm(known []dirRec, q, end uint64) {
 	}
 	// The lines of a stretch of sets that hold the same number of ways, k,
 	// go to way k of each: one run.
-	stamp, idx := d.stamp, uint64(d.idx)
 	for q < end {
 		set := int(q) & (d.cfg.LLCSets - 1)
 		stretch := d.sets[set : set+int(min(end-q, uint64(d.cfg.LLCSets-set)))]
@@ -377,21 +370,31 @@ func (d *Dir) warm(known []dirRec, q, end uint64) {
 			n++
 		}
 		if int(k) < d.cfg.LLCWays {
-			for i := range stretch[:n] {
-				stretch[i].occ++
-			}
-			r := dirRec{at: int32(int(k)<<d.setBits | set), n: int32(n), addr: q*stride + idx, lru: stamp + 1}
-			if last := len(d.runs) - 1; last >= 0 && d.runs[last].after(stride).follows(int(r.at), r.addr, r.lru) {
-				d.runs[last].n += r.n
-			} else {
-				d.runs = append(d.runs, r)
-			}
-			stamp += uint64(n)
+			d.addRun(dirRec{at: int32(int(k)<<d.setBits | set), n: int32(n), addr: q*stride + uint64(d.idx), lru: d.stamp + 1})
+			d.stamp += uint64(n)
 		}
 		q += uint64(n)
 	}
-	d.resident += int(stamp - d.stamp)
-	d.stamp = stamp
+}
+
+// addRun records run r's ways as valid, extending the last run if r goes on
+// with it: it counts each way in its set's occupancy, across plane boundaries
+// too, and in the slice's.
+func (d *Dir) addRun(r dirRec) {
+	if last := len(d.runs) - 1; last >= 0 && d.runs[last].goesOn(int(r.at), r.addr, r.lru, uint64(d.cfg.LLCSlices)) {
+		d.runs[last].n += r.n
+	} else {
+		d.runs = append(d.runs, r)
+	}
+	for at, end := int(r.at), r.last()+1; at < end; {
+		set := at & (d.cfg.LLCSets - 1)
+		stretch := d.sets[set:min(d.cfg.LLCSets, set+end-at)] // up to the plane's end
+		for i := range stretch {
+			stretch[i].occ++
+		}
+		at += len(stretch)
+	}
+	d.resident += int(r.n)
 }
 
 // DirSnap is one valid directory/LLC line in a Snapshot: its home set, the
@@ -413,28 +416,23 @@ type DirSnap struct {
 // different sharer state by a transient access is a directory-state leak.
 func (d *Dir) Snapshot() []DirSnap {
 	out := make([]DirSnap, 0, d.resident)
-	set := make([]dirLine, d.cfg.LLCWays)
-	ways := make([]int, 0, d.cfg.LLCWays)
+	set := make([]dirLine, 0, d.cfg.LLCWays)
 	for s := range d.sets {
 		if d.sets[s].occ == 0 {
 			continue
 		}
-		d.view(s, set)
-		ways = ways[:0]
-		for w := range set {
-			if set[w].valid {
-				ways = append(ways, w)
-			}
+		set = set[:0]
+		for _, ln := range d.lines(s) {
+			set = append(set, ln)
 		}
-		for a := range ways {
-			for b := a + 1; b < len(ways); b++ {
-				if set[ways[b]].lru > set[ways[a]].lru {
-					ways[a], ways[b] = ways[b], ways[a]
+		for a := range set {
+			for b := a + 1; b < len(set); b++ {
+				if set[b].lru > set[a].lru {
+					set[a], set[b] = set[b], set[a]
 				}
 			}
 		}
-		for r, w := range ways {
-			ln := &set[w]
+		for r, ln := range set {
 			out = append(out, DirSnap{Set: s, Addr: ln.addr, Sharers: ln.sharers,
 				Owner: ln.owner, Busy: uint8(ln.busy), Rank: r})
 		}
@@ -777,13 +775,13 @@ func (d *Dir) handleMemResp(m Msg) {
 // when none can be freed this cycle.
 func (d *Dir) allocWay(line uint64) (set, way int) {
 	set, _ = d.home(line)
-	lines, tags := d.open(set)
+	if w := d.freeWay(set); w >= 0 {
+		return set, w
+	}
+	lines, _ := d.stored(set)
 	idle, held := -1, -1
 	var idleLRU, heldLRU uint64
-	for w, t := range tags {
-		if t == 0 {
-			return set, w
-		}
+	for w := range lines {
 		e := &lines[w]
 		if e.busy != busyNone {
 			continue
@@ -795,9 +793,6 @@ func (d *Dir) allocWay(line uint64) (set, way int) {
 		} else if held < 0 || e.lru < heldLRU {
 			held, heldLRU = w, e.lru
 		}
-	}
-	if len(tags) < d.cfg.LLCWays {
-		return set, len(tags)
 	}
 	if idle >= 0 {
 		// LLC-only line: evict silently (writeback to memory implied).

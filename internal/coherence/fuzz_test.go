@@ -75,9 +75,9 @@ func FuzzSpecStateDecode(f *testing.F) {
 }
 
 // FuzzDirStateDecode hardens the version 4 directory section on one slice:
-// arbitrary bytes fed to Dir.LoadState must never panic, and an input it
-// accepts must leave a consistent slice (CheckResidency's every clause) whose
-// re-save is accepted in turn — LoadState takes only records that ascend
+// arbitrary bytes fed to a loading Dir.State must never panic, and an input
+// it accepts must leave a consistent slice (CheckResidency's every clause) whose
+// re-save is accepted in turn — loading takes only records that ascend
 // strictly, stay in range and are maximal runs — and is a fixed point of load
 // and save, into a target that is not empty. The accepted input re-encodes to
 // that same canonical form untouched and after every set is opened, so the
@@ -98,9 +98,7 @@ func FuzzDirStateDecode(f *testing.F) {
 		fullLine(1, line(2, 3), 0),
 		run(1, 1, line(3, 4), 2),
 		run(5, 2, line(8, 9), 7)))
-	dec := ckptio.NewDecoder(written)
-	newDir(0, cfg, nil, &stats.Counters{}).LoadState(dec)
-	if err := dec.Done(); err != nil {
+	if err := loadDir(newDir(0, cfg, nil, &stats.Counters{}), written); err != nil {
 		f.Fatalf("the hand-written seed is not a section: %v", err)
 	}
 	f.Add(written)
@@ -117,7 +115,7 @@ func FuzzDirStateDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := newDir(0, cfg, nil, &stats.Counters{})
 		dec := ckptio.NewDecoder(data)
-		d.LoadState(dec)
+		d.State(ckptio.LoadFrom(dec))
 		if dec.Err() != nil {
 			return
 		}
@@ -131,11 +129,9 @@ func FuzzDirStateDecode(f *testing.F) {
 		}
 
 		d2 := newDir(0, cfg, nil, &stats.Counters{})
-		d2.prewarm(single(0, 8, 16)) // not pristine: LoadState must clear it
+		d2.prewarm(single(0, 8, 16)) // not pristine: loading must clear it
 		d2.open(1)
-		dec = ckptio.NewDecoder(b1)
-		d2.LoadState(dec)
-		if err := dec.Done(); err != nil {
+		if err := loadDir(d2, b1); err != nil {
 			t.Fatalf("canonical re-save failed to decode: %v", err)
 		}
 		if err := d2.checkWays(); err != nil {

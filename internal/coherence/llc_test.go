@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pinnedloads/internal/arch"
-	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/stats"
 	"pinnedloads/internal/xrand"
 )
@@ -144,10 +143,18 @@ func (r *denseRef) snapshot() []DirSnap {
 // slice.
 func openAll(d *Dir) {
 	for s := range d.sets {
-		if d.sets[s].pend() > 0 {
-			d.open(s)
-		}
+		d.open(s)
 	}
+}
+
+// waysOf fills buf, one entry per way, with the set as the dense reference
+// holds it, read through lines: zero for an invalid way.
+func waysOf(d *Dir, set int, buf []dirLine) []dirLine {
+	clear(buf)
+	for w, ln := range d.lines(set) {
+		buf[w] = ln
+	}
+	return buf
 }
 
 // TestDirMatchesDenseReference drives three forms of one slice through the
@@ -195,7 +202,13 @@ func TestDirMatchesDenseReference(t *testing.T) {
 	openAll(twin)
 
 	opened := map[int]bool{} // sets a step opened since the last restore, or a restore stored
-	stepsLazy, restores := 0, 0
+	// Sets holding ways that came from runs, lazy or stored by a restore,
+	// that no step has reached since.
+	fromRuns := map[int]bool{}
+	for s := range cfg.LLCSets {
+		fromRuns[s] = lazy.sets[s].occ > 0
+	}
+	stepsFromRuns, restores := 0, 0
 	for step := 0; step < 40_000; step++ {
 		line, set := pick()
 		_, tag := lazy.home(line)
@@ -209,19 +222,19 @@ func TestDirMatchesDenseReference(t *testing.T) {
 		if _, ok := lazy.peek(line); ok != (rw >= 0) {
 			t.Fatalf("step %d: peek(%#x) found %v, reference way %d", step, line, ok, rw)
 		}
-		if lazy.sets[set].pend() > 0 {
-			stepsLazy++
+		if fromRuns[set] {
+			stepsFromRuns++
+			fromRuns[set] = false
 		}
 		core := rng.Intn(2)
 		switch op := rng.Intn(16); {
 		case op == 0:
 			// Restore the lazy slice's bytes into both: the lazy slice
-			// takes them as runs again, the twin stores every set.
+			// takes them as runs again and stores the sets with a long-form
+			// line, the twin stores every set.
 			b := dirBytes(lazy)
 			for _, d := range []*Dir{lazy, twin} {
-				dec := ckptio.NewDecoder(b)
-				d.LoadState(dec)
-				if err := dec.Done(); err != nil {
+				if err := loadDir(d, b); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 			}
@@ -229,9 +242,12 @@ func TestDirMatchesDenseReference(t *testing.T) {
 			restores++
 			clear(opened)
 			for s := range cfg.LLCSets {
+				fromRuns[s] = false
 				for _, ln := range ref.set(s) {
 					if ln.valid && !ln.isDefault() {
 						opened[s] = true
+					} else if ln.valid {
+						fromRuns[s] = true
 					}
 				}
 			}
@@ -275,15 +291,16 @@ func TestDirMatchesDenseReference(t *testing.T) {
 			}
 			ref.set(set)[rw] = dirLine{}
 		case op < 8 && rw >= 0:
-			// End a recall or a fetch, or release the line, so later misses
-			// find idle and held victims of every age.
+			// End a recall or a fetch, or release the line to the default
+			// state, so later misses find idle and held victims of every age
+			// and a restore finds sets of default lines to leave lazy.
 			opened[set] = true
 			release := rng.Bool(0.5)
 			ref.stamp++
 			for _, e := range []*dirLine{lazy.lookup(line), twin.lookup(line), &ref.set(set)[rw]} {
 				e.busy, e.pendAcks, e.lru = busyNone, 0, ref.stamp
 				if release {
-					e.sharers, e.owner = 0, -1
+					*e = defaultLine(e.addr, e.lru)
 				}
 			}
 			lazy.stamp++
@@ -312,7 +329,7 @@ func TestDirMatchesDenseReference(t *testing.T) {
 		}
 		view := make([]dirLine, cfg.LLCWays)
 		for name, d := range map[string]*Dir{"lazy": lazy, "twin": twin} {
-			d.view(set, view)
+			waysOf(d, set, view)
 			for w, want := range ref.set(set) {
 				if view[w] != want {
 					t.Fatalf("step %d: %s set %d way %d is %+v, reference %+v", step, name, set, w, view[w], want)
@@ -342,8 +359,8 @@ func TestDirMatchesDenseReference(t *testing.T) {
 			}
 		}
 	}
-	if stepsLazy < 1000 || restores < 1000 {
-		t.Fatalf("%d steps met a lazy set, %d restores: the run never took one of the paths", stepsLazy, restores)
+	if stepsFromRuns < 1000 || restores < 1000 {
+		t.Fatalf("%d steps met a set holding ways from runs, %d restores: the run never took one of the paths", stepsFromRuns, restores)
 	}
 	for _, c := range []*stats.Counters{&c1, &c2} {
 		if c.Get("coh.llc_evictions") == 0 || c.Get("coh.msg.Recall") == 0 || c.Get("coh.spec_fills") == 0 {
@@ -357,9 +374,10 @@ func TestDirMatchesDenseReference(t *testing.T) {
 // requires CheckResidency to name each: in the stored set, a tag that is not
 // its way's, a tag on an invalid way, a valid way the filter does not show,
 // state left in an invalid way, a line away from home, storage outside the
-// carved slabs or listed twice; in the runs, disorder, a run away from home,
-// a lazy set with no run way, a pending way that is stored too, stale run ways
-// of a set with no storage; and counts that are off.
+// carved slabs or listed twice, a stored set missing a run way; in the runs,
+// disorder, a run away from home; a lazy set with no run way, one whose run
+// ways are more than it counts, one given storage without its ways; and
+// counts that are off.
 func TestResidencyHoldsFilterToWays(t *testing.T) {
 	cfg := arch.PaperConfig(1)
 	stride := uint64(cfg.LLCSlices * cfg.LLCSets)
@@ -384,15 +402,14 @@ func TestResidencyHoldsFilterToWays(t *testing.T) {
 		{"stored set not listed", func(d *Dir) { d.held = d.held[:0] }, "listed as stored"},
 		{"runs out of order", func(d *Dir) { d.runs[0], d.runs[1] = d.runs[1], d.runs[0] }, "not sorted"},
 		{"run away from home", func(d *Dir) { d.runs[len(d.runs)-1].addr += slices }, "not at home"},
-		{"lazy set with no run way", func(d *Dir) { d.sets[3].occ, d.resident = 1, d.resident+1 }, "lazy with 1 pending ways"},
-		{"pending way stored too", func(d *Dir) {
-			d.reserve(1, 1)
-			lines, tags := d.stored(1)
-			lines[0] = defaultLine(8, 3)
-			_, tags[0] = d.home(8)
-		}, "stored and pending"},
-		{"stale run ways and no storage", func(d *Dir) { d.sets[2].occ, d.resident = 0, d.resident-1 }, "no storage"},
-		{"live count", func(d *Dir) { d.sets[0].live++ }, "live count"},
+		{"lazy set with no run way", func(d *Dir) { d.sets[3].occ, d.resident = 1, d.resident+1 }, "lazy with 0 run ways, occupancy count 1"},
+		{"stale run ways and no storage", func(d *Dir) { d.sets[2].occ, d.resident = 0, d.resident-1 }, "lazy with 1 run ways, occupancy count 0"},
+		// What a restore leaves if it stores a set and not its run ways.
+		{"stored set missing a run way", func(d *Dir) {
+			lines, tags := d.stored(0)
+			lines[1], tags[1] = dirLine{}, 0
+		}, "stored with 1 valid ways, occupancy count 2"},
+		{"lazy set with storage", func(d *Dir) { d.reserve(1, 1) }, "stored with 0 valid ways, occupancy count 1"},
 		{"occupancy count", func(d *Dir) { d.sets[0].occ-- }, "occupancy count"},
 		{"resident count", func(d *Dir) { d.resident-- }, "resident count"},
 	} {

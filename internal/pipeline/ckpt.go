@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"pinnedloads/internal/ckptio"
-	"pinnedloads/internal/ringq"
-)
+import "pinnedloads/internal/ckptio"
 
 // Decode bounds: every list here is bounded by ROB occupancy or the
 // frontend window in a live core; the caps are far above either.
@@ -46,24 +43,6 @@ func (l *seqList) walk(s ckptio.State, head, tail int64) {
 	}
 	if s.Loading() {
 		l.buf, l.hi = seqs[:cap(seqs)], len(seqs)
-	}
-}
-
-// walkQueue carries a FIFO of addresses, front first.
-func walkQueue(s ckptio.State, q *ringq.Q[uint64]) {
-	n := s.Count(q.Len(), maxSeqList)
-	for s.Loading() && q.Len() > 0 {
-		q.Pop()
-	}
-	for i := 0; i < n; i++ {
-		var v uint64
-		if !s.Loading() {
-			v = q.At(i)
-		}
-		s.U64(&v)
-		if s.Loading() {
-			q.Push(v)
-		}
 	}
 }
 
@@ -234,7 +213,7 @@ func (c *Core) State(s ckptio.State) {
 	s.I64(&c.retired)
 	s.I64(&c.barriersHit)
 
-	walkQueue(s, &c.wb)
+	ckptio.Queue(s, &c.wb, maxSeqList, ckptio.State.U64)
 	if s.Loading() {
 		c.rebuildStoreFilter()
 	}
@@ -266,7 +245,7 @@ func (c *Core) State(s ckptio.State) {
 	}
 
 	s.U64(&c.lqTagNext)
-	walkQueue(s, &c.pendingUnpins)
+	ckptio.Queue(s, &c.pendingUnpins, maxSeqList, ckptio.State.U64)
 	tags := ckptio.WalkTable[uint32](s, &c.tagToSeq, maxTableEnts)
 	for tags.Next() {
 		s.U32(&tags.Key)

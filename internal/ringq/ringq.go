@@ -51,11 +51,15 @@ func (q *Q[T]) Front() T {
 
 // At returns the i-th element from the front (At(0) == Front()); it
 // panics when i is out of range.
-func (q *Q[T]) At(i int) T {
+func (q *Q[T]) At(i int) T { return *q.Ref(i) }
+
+// Ref returns a pointer to the i-th element from the front, good until the
+// queue next changes; it panics when i is out of range.
+func (q *Q[T]) Ref(i int) *T {
 	if i < 0 || i >= q.n {
-		panic("ringq: At index out of range")
+		panic("ringq: index out of range")
 	}
-	return q.buf[(q.head+i)&(len(q.buf)-1)]
+	return &q.buf[(q.head+i)&(len(q.buf)-1)]
 }
 
 // RemoveAt removes the i-th element from the front, preserving the order
