@@ -6,9 +6,44 @@ import (
 	"pinnedloads/internal/xrand"
 )
 
+// predictor is what accuracy measures: TAGE, or the gshare baseline below.
+type predictor interface {
+	Predict(pc uint64) bool
+	Update(pc uint64, taken bool)
+}
+
+// gshare is a global-history XOR-indexed pattern history table: the simpler
+// predictor TAGE is held to on long histories.
+type gshare struct {
+	table   []counter
+	history uint64
+}
+
+// newGShare returns a gshare predictor with 2^bits counters.
+func newGShare(bits uint) *gshare {
+	if bits == 0 || bits > 24 {
+		panic("branch: gshare bits out of range")
+	}
+	g := &gshare{table: make([]counter, 1<<bits)}
+	for i := range g.table {
+		g.table[i] = 1 // weakly not-taken
+	}
+	return g
+}
+
+func (g *gshare) index(pc uint64) uint64 { return (pc ^ g.history) & (uint64(len(g.table)) - 1) }
+
+func (g *gshare) Predict(pc uint64) bool { return g.table[g.index(pc)].taken() }
+
+func (g *gshare) Update(pc uint64, taken bool) {
+	i := g.index(pc)
+	g.table[i] = g.table[i].train(taken)
+	g.history = (g.history << 1) | boolBit(taken)
+}
+
 // accuracy trains a predictor on a deterministic outcome function and
 // returns its hit rate over the last half of the run.
-func accuracy(p Predictor, outcome func(i int, pc uint64) bool, n int) float64 {
+func accuracy(p predictor, outcome func(i int, pc uint64) bool, n int) float64 {
 	hits, measured := 0, 0
 	for i := 0; i < n; i++ {
 		pc := uint64(0x400000 + 4*(i%16))
@@ -27,7 +62,7 @@ func accuracy(p Predictor, outcome func(i int, pc uint64) bool, n int) float64 {
 
 func TestGShareLearnsBias(t *testing.T) {
 	// Always-taken branches must be predicted nearly perfectly.
-	acc := accuracy(NewGShare(12), func(int, uint64) bool { return true }, 4000)
+	acc := accuracy(newGShare(12), func(int, uint64) bool { return true }, 4000)
 	if acc < 0.99 {
 		t.Fatalf("always-taken accuracy %.3f", acc)
 	}
@@ -35,7 +70,7 @@ func TestGShareLearnsBias(t *testing.T) {
 
 func TestGShareLearnsAlternating(t *testing.T) {
 	// A strict alternation is history-predictable.
-	acc := accuracy(NewGShare(12), func(i int, _ uint64) bool { return i%2 == 0 }, 8000)
+	acc := accuracy(newGShare(12), func(i int, _ uint64) bool { return i%2 == 0 }, 8000)
 	if acc < 0.9 {
 		t.Fatalf("alternating accuracy %.3f", acc)
 	}
@@ -55,7 +90,7 @@ func TestTAGEBeatsGShareOnLongHistory(t *testing.T) {
 		true, false, false, false}
 	f := func(i int, _ uint64) bool { return pattern[i%len(pattern)] }
 	tage := accuracy(NewTAGE(10, 9), f, 40000)
-	small := accuracy(NewGShare(6), f, 40000)
+	small := accuracy(newGShare(6), f, 40000)
 	if tage <= small {
 		t.Fatalf("TAGE %.3f not better than tiny gshare %.3f", tage, small)
 	}
@@ -73,73 +108,10 @@ func TestPredictorsOnRandom(t *testing.T) {
 func TestGSharePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewGShare(0) did not panic")
+			t.Fatal("newGShare(0) did not panic")
 		}
 	}()
-	NewGShare(0)
-}
-
-func TestBTB(t *testing.T) {
-	b := NewBTB(64)
-	if _, ok := b.Lookup(0x1000); ok {
-		t.Fatal("hit in empty BTB")
-	}
-	b.Insert(0x1000, 0x2000)
-	if target, ok := b.Lookup(0x1000); !ok || target != 0x2000 {
-		t.Fatalf("Lookup = %#x,%v", target, ok)
-	}
-}
-
-func TestBTBConflict(t *testing.T) {
-	b := NewBTB(4)
-	b.Insert(4, 100)
-	b.Insert(8, 200) // maps to the same slot as 4 in a 4-entry BTB
-	if _, ok := b.Lookup(4); ok {
-		t.Fatal("evicted entry still hits")
-	}
-	if target, ok := b.Lookup(8); !ok || target != 200 {
-		t.Fatal("new entry missing")
-	}
-}
-
-func TestRASPushPop(t *testing.T) {
-	r := NewRAS(4)
-	r.Push(1)
-	r.Push(2)
-	if a, ok := r.Pop(); !ok || a != 2 {
-		t.Fatalf("Pop = %d,%v", a, ok)
-	}
-	if a, ok := r.Pop(); !ok || a != 1 {
-		t.Fatalf("Pop = %d,%v", a, ok)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("Pop on empty RAS succeeded")
-	}
-}
-
-func TestRASOverflowWraps(t *testing.T) {
-	r := NewRAS(2)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3) // overwrites 1
-	if a, _ := r.Pop(); a != 3 {
-		t.Fatalf("Pop = %d, want 3", a)
-	}
-	if a, _ := r.Pop(); a != 2 {
-		t.Fatalf("Pop = %d, want 2", a)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("RAS depth exceeded its size")
-	}
-}
-
-func TestRASPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRAS(0) did not panic")
-		}
-	}()
-	NewRAS(0)
+	newGShare(0)
 }
 
 func TestFoldHistory(t *testing.T) {
@@ -152,43 +124,5 @@ func TestFoldHistory(t *testing.T) {
 		if f != foldHistory(h, 16, 9) {
 			t.Fatal("foldHistory not deterministic")
 		}
-	}
-}
-
-func TestPerceptronLearnsBias(t *testing.T) {
-	acc := accuracy(NewPerceptron(10, 16), func(int, uint64) bool { return true }, 4000)
-	if acc < 0.99 {
-		t.Fatalf("always-taken accuracy %.3f", acc)
-	}
-}
-
-func TestPerceptronLearnsLinearPattern(t *testing.T) {
-	// Alternation is linearly separable over history.
-	acc := accuracy(NewPerceptron(10, 16), func(i int, _ uint64) bool { return i%2 == 0 }, 10000)
-	if acc < 0.95 {
-		t.Fatalf("alternating accuracy %.3f", acc)
-	}
-}
-
-func TestPerceptronLongPeriod(t *testing.T) {
-	pattern := []bool{true, true, false, true, false, false, true, false}
-	acc := accuracy(NewPerceptron(10, 24), func(i int, _ uint64) bool { return pattern[i%len(pattern)] }, 30000)
-	if acc < 0.85 {
-		t.Fatalf("period-8 accuracy %.3f", acc)
-	}
-}
-
-func TestPerceptronPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry did not panic")
-		}
-	}()
-	NewPerceptron(0, 8)
-}
-
-func TestSaturate16(t *testing.T) {
-	if saturate16(1000) != 127 || saturate16(-1000) != -127 || saturate16(5) != 5 {
-		t.Fatal("saturation wrong")
 	}
 }

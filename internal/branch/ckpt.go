@@ -12,12 +12,6 @@ func walkCounters(s ckptio.State, table []counter, what string) {
 	}
 }
 
-// State walks the gshare table and global history.
-func (g *GShare) State(s ckptio.State) {
-	walkCounters(s, g.table, "gshare counters")
-	s.U64(&g.history)
-}
-
 func (en *tageEntry) walk(s ckptio.State) {
 	s.U16(&en.tag)
 	s.I8(&en.ctr)

@@ -21,16 +21,32 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 )
 
 // Encoder appends primitive values to a byte buffer. err is set only by a
-// State walk that meets a component it cannot checkpoint.
+// State walk that meets a component it cannot checkpoint; Sites, by tests.
 type Encoder struct {
-	buf []byte
-	err error
+	buf   []byte
+	err   error
+	Sites *SiteMap
+}
+
+// A SiteMap records where each primitive starts and panics with itself just
+// before the one at index Stop (never if negative), for a deferred recover to
+// read the walk line off the stack: a call would not fit the inlining budget.
+type SiteMap struct {
+	Offs []int
+	Stop int
+}
+
+func (e *Encoder) site() {
+	if m := e.Sites; m != nil && len(m.Offs) == m.Stop {
+		panic(m)
+	} else if m != nil {
+		m.Offs = append(m.Offs, len(e.buf))
+	}
 }
 
 // NewEncoder returns an empty encoder.
@@ -66,9 +82,6 @@ func Encode(write func(*Encoder) error) ([]byte, error) {
 	return slices.Clone(e.buf), nil
 }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Grow makes room for n more bytes, so a caller that can bound what it is
 // about to encode pays for one buffer instead of a series of doublings.
 func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
@@ -76,23 +89,20 @@ func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 // Raw appends bytes as they are, with no length prefix.
 func (e *Encoder) Raw(p []byte) { e.buf = append(e.buf, p...) }
 
-// UvarintLen returns how many bytes U64 writes for v.
-func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
 // U8 writes one raw byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Encoder) U8(v uint8) { e.site(); e.buf = append(e.buf, v) }
 
 // Bool writes a bool as one byte.
 func (e *Encoder) Bool(v bool) {
+	var b uint8
 	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
+		b = 1
 	}
+	e.U8(b)
 }
 
 // U64 writes an unsigned value as a uvarint.
-func (e *Encoder) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *Encoder) U64(v uint64) { e.site(); e.buf = binary.AppendUvarint(e.buf, v) }
 
 // U32 writes a 32-bit unsigned value as a uvarint.
 func (e *Encoder) U32(v uint32) { e.U64(uint64(v)) }
@@ -115,6 +125,7 @@ func (e *Encoder) Int(v int) { e.I64(int64(v)) }
 // F64 writes a float64 as its raw IEEE-754 bits (fixed 8 bytes, so exact
 // round-trips are guaranteed).
 func (e *Encoder) F64(v float64) {
+	e.site()
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 

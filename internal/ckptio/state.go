@@ -149,6 +149,7 @@ func (s State) Counted(max int) (n, mark int) {
 	if s.d != nil {
 		return s.d.Count(max), 0
 	}
+	s.e.site()
 	return 0, len(s.e.buf)
 }
 
@@ -157,7 +158,13 @@ func (s State) Counted(max int) (n, mark int) {
 func (s State) CountAt(mark, n int) {
 	if s.d == nil {
 		var v [binary.MaxVarintLen64]byte
-		s.e.buf = slices.Insert(s.e.buf, mark, binary.AppendUvarint(v[:0], uint64(n))...)
+		b := binary.AppendUvarint(v[:0], uint64(n))
+		s.e.buf = slices.Insert(s.e.buf, mark, b...)
+		if m := s.e.Sites; m != nil { // what came after Counted's entry moves
+			for i := len(m.Offs) - 1; i > 0 && m.Offs[i-1] >= mark; i-- {
+				m.Offs[i] += len(b)
+			}
+		}
 	}
 }
 

@@ -118,7 +118,7 @@ func (l *L1) State(s ckptio.State) {
 		l.touched = true
 		l.txnFree = l.txnFree[:0]
 	}
-	s.I64(&l.now)
+	s.I64(&l.now) // clock
 	l.tags.State(s)
 	l.mshr.State(s)
 

@@ -494,9 +494,6 @@ func (l *L1) Acquire(line uint64) {
 	l.tryAcquire(st)
 }
 
-// AcquireCount returns the number of outstanding ownership transactions.
-func (l *L1) AcquireCount() int { return l.acq.Len() }
-
 // tryAcquire sends (or re-sends) the ownership request.
 func (l *L1) tryAcquire(st *storeTxn) {
 	set := l.cfg.L1Set(st.line)

@@ -59,7 +59,7 @@ func TestSteadyStateCycleAllocsRunLoop(t *testing.T) {
 			const chunks = 5
 			perChunk := testing.AllocsPerRun(chunks, func() {
 				target += runStallChunk
-				if _, err := sys.runUntil(ctx, target); err != nil {
+				if err := sys.runUntil(ctx, target); err != nil {
 					t.Fatal(err)
 				}
 			})

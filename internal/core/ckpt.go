@@ -39,7 +39,7 @@ func (s *System) State(st ckptio.State) {
 }
 
 // SaveState appends the system's state to e; it fails if a workload
-// generator or predictor cannot be checkpointed.
+// generator cannot be checkpointed.
 func (s *System) SaveState(e *ckptio.Encoder) error {
 	s.State(ckptio.SaveTo(e))
 	return e.Err()

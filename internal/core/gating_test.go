@@ -186,3 +186,57 @@ func TestISWithLatePinning(t *testing.T) {
 		t.Fatal("bad CPI")
 	}
 }
+
+// workCounts is the host work of a run as counts any host reproduces, summed
+// over the cores: issue gate evaluations (mayIssueLoad), store-forwarding
+// scans past the store-address filter, core ticks evaluated and slept (a
+// tick a jump skipped counts as slept), and the cycles the clock jumped.
+type workCounts struct {
+	visits, scans, evaluated, slept, jumped int64
+}
+
+// TestGateVisits pins the host work of core8_sharing's ocean_cp job, 3 000
+// warm-up and 7 500 measured instructions a core, under each of the
+// workload's five policies, through System.Run. At the commit before the gate
+// bound, every waiting load was asked every evaluated cycle and every load
+// past the gate scanned the store queue: 6 642 783 / 717 001 / 305 223
+// visits and 51 607 / 82 909 / 68 960 scans for Fence-EP, DOM-EP and STT-LP.
+// A count that moves means the cycle loop does different work: re-record it
+// with the reason, after TestCandidateListsMatchFullWalk (internal/pipeline)
+// and the lockstep rows of this package have passed. A change of
+// representation moves none of them.
+func TestGateVisits(t *testing.T) {
+	for _, tc := range []struct {
+		pol  defense.Policy
+		want workCounts
+	}{
+		{defense.Policy{Scheme: defense.Unsafe}, workCounts{75_078, 5_107, 65_431, 6_681, 0}},
+		{defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, workCounts{73_278, 436, 150_649, 57_311, 488}},
+		{defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, workCounts{386_267, 4_749, 125_847, 51_537, 446}},
+		{defense.Policy{Scheme: defense.STT, Variant: defense.LP}, workCounts{229_743, 3_670, 73_238, 9_250, 0}},
+		{defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, workCounts{151_530, 10_381, 93_153, 22_271, 0}},
+	} {
+		t.Run(tc.pol.String(), func(t *testing.T) {
+			w := trace.ByName("ocean_cp")
+			sys, err := New(arch.PaperConfig(w.Cores()), tc.pol, w, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(3_000, 7_500); err != nil {
+				t.Fatal(err)
+			}
+			var got workCounts
+			for i := range w.Cores() {
+				c := sys.Core(i)
+				got.visits += c.GateVisits()
+				got.scans += c.ForwardScans()
+				got.slept += c.SleptCycles()
+			}
+			got.evaluated = int64(w.Cores())*sys.Cycle() - got.slept
+			_, got.jumped = sys.FastForwarded()
+			if got != tc.want {
+				t.Fatalf("in %d cycles: %+v, pinned at %+v", sys.Cycle(), got, tc.want)
+			}
+		})
+	}
+}

@@ -109,6 +109,16 @@ func BenchmarkCoreCycleStall(b *testing.B) {
 	}
 }
 
+// runUntil runs RunContext's cycle loop until every core has retired target
+// instructions or halted: a run with no warmup.
+func (s *System) runUntil(ctx context.Context, target int64) error {
+	for r := s.begin(ctx, 0, target); ; {
+		if more, err := s.step(&r); !more {
+			return err
+		}
+	}
+}
+
 // runStallChunk is the retirement target step of one runUntil call in
 // BenchmarkRunStall and the allocation test: long enough (tens of thousands
 // of cycles on mcf_r) that re-arming the target, which wakes the core, is
@@ -129,7 +139,7 @@ func BenchmarkRunStall(b *testing.B) {
 			start, t0 := sys.cycle, time.Now()
 			for sys.cycle-start < int64(b.N) {
 				target += runStallChunk
-				if _, err := sys.runUntil(ctx, target); err != nil {
+				if err := sys.runUntil(ctx, target); err != nil {
 					b.Fatal(err)
 				}
 			}

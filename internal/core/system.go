@@ -49,7 +49,7 @@ type System struct {
 	ckptFn       func() error
 	warmupHook   func()
 
-	// jumps and jumped count the clock jumps runUntil took and the cycles
+	// jumps and jumped count the clock jumps the run loop took and the cycles
 	// they covered (FastForwarded); host-side figures, never serialized.
 	jumps, jumped int64
 }
@@ -167,103 +167,134 @@ func (s *System) RunContext(ctx context.Context, warmup, measure int64) (Result,
 		return Result{}, fmt.Errorf("core: measure count must be positive, got %d", measure)
 	}
 	defer s.flushEvents()
-	start := s.warmupDone
-	if !(s.resumed && s.warmupDone >= 0 && s.warmupTarget == warmup) {
-		var err error
-		start, err = s.runUntil(ctx, warmup)
+	r := s.begin(ctx, warmup, measure)
+	for {
+		more, err := s.step(&r)
 		if err != nil {
 			return Result{}, err
 		}
-		s.warmupDone = start
-		s.warmupTarget = warmup
+		if !more {
+			r.res.Counters = &s.count
+			return r.res, nil
+		}
+	}
+}
+
+// A run is RunContext under way, which step advances one pass of the cycle
+// loop at a time: its phase, the instruction target every core is to retire
+// in that phase, the retirement-progress backstop's last reading, and the
+// cycle the warmup ended.
+type run struct {
+	ctx                       context.Context
+	warmup, measure, target   int64
+	measuring                 bool
+	start                     int64
+	lastProgress, lastRetired int64
+	res                       Result
+}
+
+// begin starts a run in its warmup phase, or in its measure phase if the
+// system was restored from a snapshot taken after the same warmup.
+func (s *System) begin(ctx context.Context, warmup, measure int64) run {
+	r := run{ctx: ctx, warmup: warmup, measure: measure}
+	if s.resumed && s.warmupDone >= 0 && s.warmupTarget == warmup {
+		r.measuring, r.start = true, s.warmupDone
+		s.aim(&r, warmup+measure)
+	} else {
+		s.aim(&r, warmup)
+	}
+	return r
+}
+
+// aim starts a phase: a target of 0 or less is reached at once.
+func (s *System) aim(r *run, target int64) {
+	r.target, r.lastProgress, r.lastRetired = target, s.cycle, s.totalRetired()
+	for _, c := range s.cores {
+		if target > 0 {
+			c.SetTarget(target)
+		}
+	}
+}
+
+// step is one pass of the cycle loop: next, then the clock jump and one
+// cycle. It returns false, without moving, when the run is over; the run
+// is then done with.
+func (s *System) step(r *run) (bool, error) {
+	if more, err := s.next(r); !more {
+		return false, err
+	}
+	s.fastForward()
+	s.stepCycle()
+	return true, nil
+}
+
+// next readies the run's next cycle. While every core has retired the
+// phase's target or halted, it ends the phase — the interval ends when the
+// slowest core reached the target — and enters the next one, or records the
+// result and returns false after the measure phase. On the cycles it polls,
+// every ctxCheckMask+1, a canceled or timed-out run stops mid-simulation,
+// the retirement-progress backstop reads (progressWindow is vastly larger
+// than the poll interval, so a deadlock is caught within one interval of the
+// window expiring) and the checkpoint hook fires when due.
+func (s *System) next(r *run) (bool, error) {
+	for !s.pending(r.target) {
+		end := s.cycle
+		for _, c := range s.cores {
+			if r.target > 0 {
+				end = max(end, c.DoneCycle())
+			}
+		}
+		if r.measuring {
+			if s.sampler != nil {
+				s.sampler.Finish(s.cycle, &s.count)
+			}
+			r.res = Result{Cycles: end - r.start, Insts: r.measure, CPI: float64(end-r.start) / float64(r.measure)}
+			return false, nil
+		}
+		r.measuring, r.start, s.warmupDone, s.warmupTarget = true, end, end, r.warmup
 		if s.warmupHook != nil {
 			s.warmupHook()
 		}
+		s.aim(r, r.warmup+r.measure)
 	}
-	end, err := s.runUntil(ctx, warmup+measure)
-	if err != nil {
-		return Result{}, err
+	if s.cycle&ctxCheckMask == 0 {
+		if done := r.ctx.Done(); done != nil { // nil if ctx can never be canceled
+			select {
+			case <-done:
+				return false, fmt.Errorf("core: run stopped at cycle %d: %w", s.cycle, r.ctx.Err())
+			default:
+			}
+		}
+		if n := s.totalRetired(); n > r.lastRetired {
+			r.lastRetired, r.lastProgress = n, s.cycle
+		} else if s.cycle-r.lastProgress > progressWindow {
+			return false, fmt.Errorf("core: no retirement progress for %d cycles at cycle %d (policy %s)",
+				progressWindow, s.cycle, s.policy)
+		}
+		if s.ckptEvery > 0 && s.cycle-s.lastCkpt >= s.ckptEvery {
+			s.lastCkpt = s.cycle
+			if err := s.ckptFn(); err != nil {
+				return false, fmt.Errorf("core: checkpoint at cycle %d: %w", s.cycle, err)
+			}
+		}
 	}
-	if s.sampler != nil {
-		s.sampler.Finish(s.cycle, &s.count)
-	}
-	cycles := end - start
-	return Result{
-		Cycles:   cycles,
-		Insts:    measure,
-		CPI:      float64(cycles) / float64(measure),
-		Counters: &s.count,
-	}, nil
+	return true, nil
 }
 
-// runUntil advances the system until every core has retired target
-// instructions (or halted), returning the cycle the last core got there.
-// The context is polled every ctxCheckMask+1 cycles so a canceled or
-// timed-out run stops mid-simulation instead of running to completion.
-func (s *System) runUntil(ctx context.Context, target int64) (int64, error) {
-	if target <= 0 {
-		return s.cycle, nil
-	}
+// pending reports whether a core has yet to retire target instructions or
+// halt.
+func (s *System) pending(target int64) bool {
 	for _, c := range s.cores {
-		c.SetTarget(target)
-	}
-	// ctx.Done() is nil for contexts that can never be canceled (such as
-	// context.Background()); hoisting it lets those runs skip the poll
-	// entirely. The retirement-progress backstop shares the same masked
-	// check: progressWindow is vastly larger than the mask, so a deadlock
-	// is still caught within one poll interval of the window expiring.
-	done := ctx.Done()
-	lastProgress := s.cycle
-	lastRetired := s.totalRetired()
-	for {
-		allDone := true
-		for _, c := range s.cores {
-			if c.DoneCycle() < 0 && !c.Halted() {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		if s.cycle&ctxCheckMask == 0 {
-			if done != nil {
-				select {
-				case <-done:
-					return 0, fmt.Errorf("core: run stopped at cycle %d: %w", s.cycle, ctx.Err())
-				default:
-				}
-			}
-			if r := s.totalRetired(); r > lastRetired {
-				lastRetired = r
-				lastProgress = s.cycle
-			} else if s.cycle-lastProgress > progressWindow {
-				return 0, fmt.Errorf("core: no retirement progress for %d cycles at cycle %d (policy %s)",
-					progressWindow, s.cycle, s.policy)
-			}
-			if s.ckptEvery > 0 && s.cycle-s.lastCkpt >= s.ckptEvery {
-				s.lastCkpt = s.cycle
-				if err := s.ckptFn(); err != nil {
-					return 0, fmt.Errorf("core: checkpoint at cycle %d: %w", s.cycle, err)
-				}
-			}
-		}
-		s.fastForward()
-		s.stepCycle()
-	}
-	// The interval ends when the slowest core reached the target.
-	end := s.cycle
-	for _, c := range s.cores {
-		if d := c.DoneCycle(); d > end {
-			end = d
+		if c.DoneCycle() < 0 && !c.Halted() {
+			return target > 0
 		}
 	}
-	return end, nil
+	return false
 }
 
 // stepCycle advances the whole machine by one cycle: memory system first,
 // then every core, then the optional metrics sampler. This is the cycle
-// loop's entire steady-state body, shared by runUntil and the benchmarks.
+// loop's entire steady-state body, shared by step and the benchmarks.
 func (s *System) stepCycle() {
 	s.cycle++
 	s.mem.Tick(s.cycle)

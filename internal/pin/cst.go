@@ -143,9 +143,6 @@ func (c *CST) Clear() {
 	}
 }
 
-// Attempts returns the number of TryPin calls.
-func (c *CST) Attempts() uint64 { return c.attempts }
-
 // Denies returns the number of denied pin attempts.
 func (c *CST) Denies() uint64 { return c.denies }
 

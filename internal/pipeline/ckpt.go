@@ -134,8 +134,8 @@ func (b *BarrierSync) State(s ckptio.State) {
 // (including slots outside head..tail, so stale refs in the ready queue and
 // completion calendar behave identically after restore), the frontend,
 // execution queues, write buffer, pin bookkeeping, and the workload
-// generator's position. It fails if the workload generator or the predictor
-// does not support checkpointing. Loading restores a core built from the same
+// generator's position. It fails if the workload generator does not support
+// checkpointing. Loading restores a core built from the same
 // configuration, policy and workload: derived state (the head slot, the
 // load-queue candidate lists, the calendar occupancy mask) is rebuilt from
 // the restored fields, and the core starts awake.
@@ -149,7 +149,7 @@ func (c *Core) State(s ckptio.State) {
 		c.wake()
 	}
 
-	s.I64(&c.now)
+	s.I64(&c.now) // clock
 	if !s.GeometryInt(len(c.entries), "ROB entries") {
 		return
 	}
@@ -179,12 +179,7 @@ func (c *Core) State(s ckptio.State) {
 	}
 
 	if s.Present(c.predictor != nil, "predictor") {
-		p, ok := c.predictor.(ckptio.Walker)
-		if !ok {
-			s.Failf("predictor %T is not checkpointable", c.predictor)
-			return
-		}
-		p.State(s)
+		c.predictor.State(s)
 	}
 	ckptio.Slice(s, &c.window, maxWindow)
 	for i := range c.window {

@@ -1,10 +1,10 @@
 package pipeline
 
 import (
-	"bytes"
 	"testing"
 
 	"pinnedloads/internal/arch"
+	"pinnedloads/internal/ckptio/ckpttest"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/trace"
@@ -237,98 +237,11 @@ func TestDenialSummaryConservativeTSO(t *testing.T) {
 	}
 }
 
-// workCounts is the host work of a run as counts any host reproduces, summed
-// over the cores: issue gate evaluations (mayIssueLoad), store-forwarding
-// scans past the store-address filter, core ticks evaluated and slept (a
-// tick a jump skipped counts as slept), and the cycles the clock jumped.
-type workCounts struct {
-	visits, scans, evaluated, slept, jumped int64
-}
-
-// jump is core.System's clock jump (fastForward) on the test machine: when
-// every core sleeps through the next cycle, the clock moves to the cycle
-// before the first one that something must see — a core's next completion or
-// frontend restart, the next message due, the run loop's next poll, which
-// falls every 4096 cycles — and the cores replay the cycles in between. It
-// returns the cycles jumped; TestJumpMatchesEveryCycle holds the original to
-// stepping every cycle.
-func (m *machine) jump() int64 {
-	wake := (m.cycle | (4096 - 1)) + 1
-	for _, c := range m.cores {
-		w := c.WakeCycle()
-		if w <= m.cycle+1 {
-			return 0
-		}
-		wake = min(wake, w)
-	}
-	k := min(wake, m.mem.NextDue()) - 1 - m.cycle
-	if k <= 0 {
-		return 0
-	}
-	m.cycle += k
-	m.mem.Tick(m.cycle)
-	for _, c := range m.cores {
-		c.FastForward(k)
-	}
-	return k
-}
-
-// TestGateVisits pins the host work of core8_sharing's ocean_cp job, 3 000
-// warm-up and 7 500 measured instructions a core, under each of the
-// workload's five policies, run the way core.System runs it. At the commit
-// before the gate bound, every waiting load was asked every evaluated cycle
-// and every load past the gate scanned the store queue: 6 642 783 / 717 001 /
-// 305 223 visits and 51 607 / 82 909 / 68 960 scans for Fence-EP, DOM-EP and
-// STT-LP. A count that moves means the cycle loop does different work:
-// re-record it with the reason, after TestCandidateListsMatchFullWalk and the
-// fixed-point oracles of internal/core have passed. A change of
-// representation moves none of them.
-func TestGateVisits(t *testing.T) {
-	for _, tc := range []struct {
-		pol  defense.Policy
-		want workCounts
-	}{
-		{defense.Policy{Scheme: defense.Unsafe}, workCounts{75_078, 5_107, 65_431, 6_681, 0}},
-		{defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, workCounts{73_278, 436, 150_649, 57_311, 488}},
-		{defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, workCounts{386_267, 4_749, 125_847, 51_537, 446}},
-		{defense.Policy{Scheme: defense.STT, Variant: defense.LP}, workCounts{229_743, 3_670, 73_238, 9_250, 0}},
-		{defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, workCounts{151_530, 10_381, 93_153, 22_271, 0}},
-	} {
-		t.Run(tc.pol.String(), func(t *testing.T) {
-			m := newMachine(trace.ByName("ocean_cp"), tc.pol)
-			var got workCounts
-			for _, target := range []int64{3_000, 3_000 + 7_500} {
-				for _, c := range m.cores {
-					c.SetTarget(target)
-				}
-				for done := false; !done; {
-					got.jumped += m.jump()
-					m.cycle++
-					m.mem.Tick(m.cycle)
-					done = true
-					for _, c := range m.cores {
-						c.Tick(m.cycle)
-						done = done && c.DoneCycle() >= 0
-					}
-				}
-			}
-			for _, c := range m.cores {
-				got.visits += c.GateVisits()
-				got.scans += c.ForwardScans()
-				got.slept += c.SleptCycles()
-			}
-			got.evaluated = int64(len(m.cores))*m.cycle - got.slept
-			if got != tc.want {
-				t.Fatalf("in %d cycles: %+v, pinned at %+v", m.cycle, got, tc.want)
-			}
-		})
-	}
-}
-
 // TestRestoreWithBufferedStores forks a machine at a cycle its write buffer
 // holds stores — State rebuilds the candidate lists before it has loaded the
 // buffer, so what is derived from the buffer must be rebuilt after — and
-// holds the fork to the original byte for byte for 2 000 further cycles.
+// holds the fork to the original byte for byte on each of 2 000 further
+// cycles.
 func TestRestoreWithBufferedStores(t *testing.T) {
 	for _, pol := range []defense.Policy{
 		{Scheme: defense.Unsafe},
@@ -336,27 +249,25 @@ func TestRestoreWithBufferedStores(t *testing.T) {
 	} {
 		t.Run(pol.String(), func(t *testing.T) {
 			src := trace.ByName("perlbench_r")
-			m := newMachine(src, pol)
-			for m.cycle < 10_000 || m.cores[0].wb.Len() < 2 {
+			var from int64
+			step := func(m *machine) bool {
+				if m.cycle >= from+2_000 {
+					return false
+				}
 				m.step(t)
+				return true
+			}
+			forwarded := func(m *machine) uint64 { return m.count.Get("loads.forwarded") + m.count.Get("loads.forwarded_wb") }
+			var fwd uint64
+			forked := fork(t, src, pol, func(m *machine) bool {
 				if m.cycle > 50_000 {
 					t.Fatal("the write buffer never held two stores")
 				}
-			}
-			fork := newMachine(src, pol)
-			fork.plain = true
-			fork.restore(t, m.snapshot(t), m.cycle)
-			checkCandidates(t, fork.cores[0], "after restore")
-			forwarded := func() uint64 { return m.count.Get("loads.forwarded") + m.count.Get("loads.forwarded_wb") }
-			fwd := forwarded()
-			for i := 0; i < 2_000; i++ {
-				m.step(t)
-				fork.step(t)
-				if !bytes.Equal(m.snapshot(t), fork.snapshot(t)) {
-					t.Fatalf("the fork differs from the original %d cycles after the restore", i+1)
-				}
-			}
-			if forwarded() == fwd {
+				return m.cycle >= 10_000 && m.cores[0].wb.Len() >= 2
+			}, step, func(m *machine) { from, fwd = m.cycle, forwarded(m) })
+			original := ckpttest.Way[*machine]{Name: "original", New: func() *machine { return newMachine(src, pol) }, Step: step}
+			_, m := ckpttest.Lockstep(t, ckpttest.Row[*machine]{Name: pol.String(), A: original, B: forked, Every: 1})
+			if forwarded(m) == fwd {
 				t.Fatal("no load forwarded from a store after the restore")
 			}
 		})

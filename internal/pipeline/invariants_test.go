@@ -1,15 +1,18 @@
 package pipeline
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"testing"
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/ckptio"
+	"pinnedloads/internal/ckptio/ckpttest"
 	"pinnedloads/internal/coherence"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
+	"pinnedloads/internal/obs"
 	"pinnedloads/internal/stats"
 	"pinnedloads/internal/trace"
 )
@@ -215,7 +218,8 @@ func TestScanStateInvariants(t *testing.T) {
 
 // machine is a whole system assembled from this side of the import graph
 // (core imports pipeline, so these tests cannot use core.System): the
-// workload's cores over one memory hierarchy, stepped like stepCycle.
+// workload's cores over one memory hierarchy, stepped like stepCycle, with
+// their events recorded.
 type machine struct {
 	cfg   arch.Config
 	count stats.Counters
@@ -223,23 +227,28 @@ type machine struct {
 	cores []*Core
 	cycle int64
 	plain bool // step with Core.Tick itself, not tickChecked
+	ring  *obs.Ring
+	cnt   []*uint64 // every counter, in name order
 }
 
 func newMachine(w trace.Source, pol defense.Policy, tweak ...func(*arch.Config)) *machine {
-	m := &machine{cfg: arch.PaperConfig(w.Cores())}
+	m := &machine{cfg: arch.PaperConfig(w.Cores()), ring: obs.NewRing(64)}
 	for _, f := range tweak {
 		f(&m.cfg)
 	}
 	m.mem = coherence.NewSystem(&m.cfg, &m.count)
 	bar := NewBarrierSync(m.cfg.Cores)
 	for i := 0; i < m.cfg.Cores; i++ {
-		m.cores = append(m.cores, NewCore(i, &m.cfg, pol, m.mem.L1(i), w.Generator(i, 1), bar, &m.count))
+		c := NewCore(i, &m.cfg, pol, m.mem.L1(i), w.Generator(i, 1), bar, &m.count)
+		c.SetRecorder(m.ring)
+		m.cores = append(m.cores, c)
 	}
 	if warmer, ok := w.(trace.Warmer); ok {
 		for i := range m.cores {
 			m.mem.Prewarm(warmer.WarmRanges(i))
 		}
 	}
+	m.cnt = ckpttest.Counters(&m.count)
 	return m
 }
 
@@ -273,17 +282,10 @@ func (m *machine) halted() bool {
 	return true
 }
 
-func (m *machine) snapshot(t *testing.T) []byte {
-	t.Helper()
-	e := ckptio.NewEncoder()
-	m.state(ckptio.SaveTo(e))
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return e.Bytes()
-}
+func (m *machine) Cycle() int64        { return m.cycle }
+func (m *machine) Events() []obs.Event { return m.ring.Events() }
 
-func (m *machine) state(s ckptio.State) {
+func (m *machine) State(s ckptio.State) {
 	m.count.State(s)
 	m.mem.State(s)
 	m.cores[0].Barrier().State(s)
@@ -292,14 +294,47 @@ func (m *machine) state(s ckptio.State) {
 	}
 }
 
-func (m *machine) restore(t *testing.T, blob []byte, cycle int64) {
-	t.Helper()
-	d := ckptio.NewDecoder(blob)
-	m.state(ckptio.LoadFrom(d))
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
+// counters walks every counter's value: the cheap walk the forks are held
+// to on every cycle.
+func (m *machine) counters(s ckptio.State) {
+	for _, h := range m.cnt {
+		s.U64(h)
 	}
-	m.cycle = cycle
+}
+
+// fork is the way that steps like its source: a fresh plain machine that
+// restores what a machine of the same spec, ticked unchecked, holds on the
+// first cycle until accepts (or once it halts), and hands itself to
+// restored, if set.
+func fork(t *testing.T, w trace.Source, pol defense.Policy, until, step func(*machine) bool,
+	restored func(*machine)) ckpttest.Way[*machine] {
+	return ckpttest.Way[*machine]{Name: "restored", Step: step, New: func() *machine {
+		src := newMachine(w, pol)
+		for !until(src) && !src.halted() {
+			src.cycle++
+			src.mem.Tick(src.cycle)
+			for _, c := range src.cores {
+				c.Tick(src.cycle)
+			}
+		}
+		e := ckptio.NewEncoder()
+		src.State(ckptio.SaveTo(e))
+		m := newMachine(w, pol)
+		m.plain = true
+		d := ckptio.NewDecoder(e.Bytes())
+		m.State(ckptio.LoadFrom(d))
+		if err := cmp.Or(e.Err(), d.Done()); err != nil {
+			t.Fatal(err)
+		}
+		m.cycle = src.cycle
+		for _, c := range m.cores {
+			checkCandidates(t, c, "after restore")
+		}
+		if restored != nil {
+			restored(m)
+		}
+		return m
+	}}
 }
 
 // TestCandidateListsMatchFullWalk is the differential oracle for the
@@ -350,45 +385,42 @@ func TestCandidateListsMatchFullWalk(t *testing.T) {
 			var peakIssue, peakExpose, peakSpec, memos int
 			var squashed uint64
 			for _, w := range workloads {
-				m := newMachine(w.src, pol)
 				limit := w.cycles
 				if limit == 0 {
 					limit = attackLimit
 				}
-				var fork *machine
-				for m.cycle < limit && !m.halted() {
-					m.step(t)
-					if fork != nil {
-						fork.step(t)
+				step := func(m *machine) bool {
+					if m.cycle >= limit || m.halted() {
+						return false
 					}
-					for _, c := range m.cores {
-						peakIssue = max(peakIssue, len(c.issueCand.seqs()))
-						peakExpose = max(peakExpose, len(c.exposeCand.seqs()))
-						peakSpec = max(peakSpec, len(c.specCand.seqs()))
-						for seq := c.head; pol.Scheme == defense.DOM && seq < c.tail; seq++ {
-							if c.at(seq).probeEpoch == c.l1.TagEpoch() {
-								memos++
+					m.step(t)
+					return true
+				}
+				original := ckpttest.Way[*machine]{Name: "original", New: func() *machine { return newMachine(w.src, pol) },
+					Step: func(m *machine) bool {
+						if !step(m) {
+							return false
+						}
+						for _, c := range m.cores {
+							peakIssue = max(peakIssue, len(c.issueCand.seqs()))
+							peakExpose = max(peakExpose, len(c.exposeCand.seqs()))
+							peakSpec = max(peakSpec, len(c.specCand.seqs()))
+							for seq := c.head; pol.Scheme == defense.DOM && seq < c.tail; seq++ {
+								if c.at(seq).probeEpoch == c.l1.TagEpoch() {
+									memos++
+								}
 							}
 						}
-					}
-					if m.cycle == 2_500 {
-						// Mid-run restore into a fresh machine: the rebuilt
-						// lists are checked before its first cycle and on
-						// every cycle it then runs beside the original.
-						fork = newMachine(w.src, pol)
-						fork.plain = true
-						fork.restore(t, m.snapshot(t), m.cycle)
-						for _, c := range fork.cores {
-							checkCandidates(t, c, "after restore")
-						}
-					}
-				}
+						return true
+					}}
+				// A restore into a fresh machine mid-run: the rebuilt lists are
+				// checked before its first cycle and on every cycle it then runs
+				// beside the original.
+				forked := fork(t, w.src, pol, func(m *machine) bool { return m.cycle == 2_500 }, step, nil)
+				m, _ := ckpttest.Lockstep(t, ckpttest.Row[*machine]{Name: w.src.Name() + "/" + pol.String(),
+					A: original, B: forked, Every: 4096, Quick: (*machine).counters})
 				if w.cycles == 0 && !m.halted() {
 					t.Fatalf("%s did not halt in %d cycles", w.src.Name(), attackLimit)
-				}
-				if fork != nil && fork.count.String() != m.count.String() {
-					t.Fatalf("%s: restored run diverged from the original:\n%s\nvs\n%s",
-						w.src.Name(), fork.count.String(), m.count.String())
 				}
 				squashed += m.count.Get("squashed_insts")
 				if w.src.Name() == "fault-stream" && m.count.Get("squash.fault_taken") == 0 {

@@ -109,7 +109,6 @@ type entry struct {
 
 func (e *entry) isLoad() bool  { return e.inst.Op == isa.Load }
 func (e *entry) isStore() bool { return e.inst.Op == isa.Store }
-func (e *entry) isMem() bool   { return e.inst.Op.IsMem() }
 
 // BarrierSync coordinates isa.Barrier instructions across cores: a barrier
 // retires only once every core has reached the same barrier index.
@@ -183,7 +182,7 @@ type Core struct {
 	specCand   seqList // performed reversibly on transient operands (validateSpecLoads, RCP)
 
 	// Frontend.
-	predictor  branch.Predictor // nil unless Config.RealPredictor
+	predictor  *branch.TAGE // nil unless Config.RealPredictor
 	window     []isa.Inst
 	windowBase int64 // stream index of window[0]
 	fetchPtr   int64 // next correct-path stream index to dispatch
@@ -368,11 +367,6 @@ func (c *Core) SetRecorder(r obs.Recorder) {
 	c.l1.SetRecorder(r)
 	c.wake()
 }
-
-// VPFrontier returns the core's Visibility Point frontier: every ROB entry
-// with seq below it has met the active condition mask's prefix
-// requirements (for tests and invariant checks).
-func (c *Core) VPFrontier() int64 { return c.vpFrontier }
 
 // Retired returns the number of retired instructions.
 func (c *Core) Retired() int64 { return c.retired }

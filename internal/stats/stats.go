@@ -80,15 +80,6 @@ func (c *Counters) Snapshot() map[string]uint64 {
 	return out
 }
 
-// Merge adds all nonzero counters from other into c.
-func (c *Counters) Merge(other *Counters) {
-	for i, p := range other.vals {
-		if *p != 0 {
-			c.Add(other.names[i], *p)
-		}
-	}
-}
-
 // String renders the nonzero counters as "name=value" lines in sorted
 // order.
 func (c *Counters) String() string {

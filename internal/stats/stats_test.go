@@ -31,17 +31,6 @@ func TestCountersNamesSorted(t *testing.T) {
 	}
 }
 
-func TestCountersMerge(t *testing.T) {
-	var a, b Counters
-	a.Add("x", 2)
-	b.Add("x", 3)
-	b.Add("y", 1)
-	a.Merge(&b)
-	if a.Get("x") != 5 || a.Get("y") != 1 {
-		t.Fatalf("merge: x=%d y=%d", a.Get("x"), a.Get("y"))
-	}
-}
-
 func TestCountersString(t *testing.T) {
 	var c Counters
 	c.Add("hits", 7)

@@ -1,0 +1,63 @@
+#!/usr/bin/env bash
+# mutants.sh — holds the oracles to the hand mutations of derived state they
+# must catch. Each scripts/mutants/NAME.patch changes one line; the table
+# below names the tests that must fail on it. The script copies the working
+# tree (tracked and untracked files git does not ignore) to a temporary
+# directory once, and for each mutant applies its patch there — never in the
+# checkout — runs its tests and reverts the patch. It prints the failure line
+# of each killed mutant (a lockstep row names its cycle and walk line) and
+# exits non-zero if a mutant survives, or does not apply or build.
+#
+# Usage: scripts/mutants.sh [NAME...]    (default: every mutant in the table)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# NAME  PACKAGES  -run PATTERN
+table='
+oldest-load-wire      ./internal/core                          TestQuietTicksAreFixedPoints
+stamp-without-ver     ./internal/pipeline                      TestCandidateListsMatchFullWalk
+removeat-keeps-filter ./internal/pipeline                      TestCandidateListsMatchFullWalk
+compact-keeps-ver     ./internal/core                          TestGateVisits
+restore-skips-fill    ./internal/core                          TestSnapshotRestoreEquivalence
+addrun-skips-occ      ./internal/coherence                     TestResidencyHoldsFilterToWays|TestDirMatchesDenseReference
+lines-reads-runs      ./internal/coherence                     TestDirMatchesDenseReference|TestResidencyHoldsFilterToWays
+count-one-short       ./internal/checkpoint,./internal/core    TestCheckpointBytesStable|TestSnapshotRestoreEquivalence
+run-skips-athome      ./internal/coherence                     TestDirLoadStateRejectsMalformed
+'
+
+tree=$(mktemp -d)
+trap 'rm -rf "$tree"' EXIT
+# A tracked file deleted from the working tree but not from the index is left
+# out, as the checkout has it.
+git ls-files -z --cached --others --exclude-standard |
+	while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
+	tar --null -T - -cf - | tar -xf - -C "$tree"
+
+names=("$@")
+if [ ${#names[@]} -eq 0 ]; then
+	mapfile -t names < <(awk 'NF { print $1 }' <<<"$table")
+fi
+
+bad=0
+for name in "${names[@]}"; do
+	read -r _ pkgs pattern < <(awk -v n="$name" '$1 == n' <<<"$table") || { echo "$name: not in the table"; bad=1; continue; }
+	patch="$PWD/scripts/mutants/$name.patch"
+	if ! (cd "$tree" && git apply "$patch"); then
+		echo "$name: does not apply"
+		bad=1
+		continue
+	fi
+	out=$(cd "$tree" && go test -count=1 -run "$pattern" ${pkgs//,/ } 2>&1) && status=0 || status=$?
+	(cd "$tree" && git apply -R "$patch")
+	if grep -q '\[build failed\]\|\[setup failed\]' <<<"$out"; then
+		echo "$name: does not build"
+		bad=1
+	elif [ "$status" -eq 0 ]; then
+		echo "$name: SURVIVED $pattern"
+		bad=1
+	else
+		echo "$name: killed by $(grep -o '^--- FAIL: [A-Za-z0-9_]*' <<<"$out" | cut -d' ' -f3 | sort -u | paste -sd, -)"
+		grep -m1 -E 'first differ|changed serialized state|_test\.go:[0-9]+: ' <<<"$out" | sed 's/^[[:space:]]*/    /' | cut -c1-240
+	fi
+done
+exit "$bad"
