@@ -36,9 +36,11 @@ type Encoder struct {
 // A SiteMap records where each primitive starts and panics with itself just
 // before the one at index Stop (never if negative), for a deferred recover to
 // read the walk line off the stack: a call would not fit the inlining budget.
+// Ticking lists the indices of the primitives written through Ticking.
 type SiteMap struct {
-	Offs []int
-	Stop int
+	Offs    []int
+	Ticking []int
+	Stop    int
 }
 
 func (e *Encoder) site() {
@@ -54,6 +56,9 @@ func NewEncoder() *Encoder { return &Encoder{} }
 
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Reset empties the encoder for reuse, keeping its buffer.
+func (e *Encoder) Reset() { e.buf, e.err = e.buf[:0], nil }
 
 // Err returns the error of a walk that could not save its component.
 func (e *Encoder) Err() error { return e.err }
@@ -75,7 +80,7 @@ var encoders = sync.Pool{New: func() any { return new(Encoder) }}
 func Encode(write func(*Encoder) error) ([]byte, error) {
 	e := encoders.Get().(*Encoder)
 	defer encoders.Put(e)
-	e.buf, e.err = e.buf[:0], nil
+	e.Reset()
 	if err := write(e); err != nil {
 		return nil, err
 	}

@@ -2,15 +2,12 @@ package ckpttest
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -112,7 +109,7 @@ func (p *pair[M]) next() {
 func (p *pair[M]) same(walk func(M, ckptio.State)) bool {
 	p.aw.save(func(s ckptio.State) { walk(p.a, s) }, false)
 	p.bw.save(func(s ckptio.State) { walk(p.b, s) }, false)
-	return bytes.Equal(p.aw.buf, p.bw.buf)
+	return bytes.Equal(p.aw.e.Bytes(), p.bw.e.Bytes())
 }
 
 // bisect replays the row to the first cycle past agreed whose whole walks
@@ -168,138 +165,86 @@ func Counters(c *stats.Counters) []*uint64 {
 	return hs
 }
 
+// Diverges describes the first primitive walk saves other bytes for than want
+// holds in its place, or returns "": where a machine that failed to restore
+// from want, saved again, first parts from it.
+func Diverges(want []byte, walk func(ckptio.State)) string {
+	var w walked
+	w.save(walk, true)
+	for i, off := range w.sites.Offs {
+		span := w.span(i)
+		if got := want[min(off, len(want)):min(off+len(span), len(want))]; !bytes.Equal(got, span) {
+			return describe(lineOf(walk, i), got, span)
+		}
+	}
+	return ""
+}
+
 // A Fixpoint holds a walk to itself across a step its caller declares a
 // fixed point — Hold saves the walk before the step, Moved after it — but for
-// the primitives written from walk lines whose trailing comment names one of
-// the classes Moved is given (`// clock`, `// counter`).
-type Fixpoint struct {
-	before, after walked
-	known         walked       // the save lines were looked up in
-	lines         map[int]line // by primitive index
-}
+// the primitives written through ckptio.Ticking: a clock or a counter.
+type Fixpoint struct{ before, after walked }
 
 func (f *Fixpoint) Hold(walk func(ckptio.State)) error { return f.before.save(walk, true) }
 
-// Moved saves walk again and describes the first primitive that moved
-// outside the classes, or returns "".
-func (f *Fixpoint) Moved(walk func(ckptio.State), classes ...string) (string, error) {
+// Moved saves walk again and describes the first primitive outside Ticking's
+// that moved, or returns "". Up to that primitive both saves walked one path,
+// so their indices name the same fields.
+func (f *Fixpoint) Moved(walk func(ckptio.State)) (string, error) {
 	b, a := &f.before, &f.after
 	if err := a.save(walk, true); err != nil {
 		return "", err
 	}
-	moved := func(i int, l line) string {
-		if i < len(a.sites.Offs) && slices.Contains(classes, l.class()) {
-			return ""
+	n := max(len(b.sites.Offs), len(a.sites.Offs))
+	for lo, ticking := 0, a.sites.Ticking; lo <= n; lo++ {
+		hi := n + 1
+		if len(ticking) > 0 {
+			hi, ticking = ticking[0], ticking[1:]
 		}
-		return describe(l, b.span(i), a.span(i))
-	}
-	if !slices.Equal(b.sites.Offs, a.sites.Offs) || len(b.buf) != len(a.buf) {
-		for i := 0; i <= len(a.sites.Offs); i++ { // a primitive changed length
-			if bytes.Equal(b.span(i), a.span(i)) {
-				continue
+		if !bytes.Equal(b.spans(lo, hi), a.spans(lo, hi)) {
+			for bytes.Equal(b.span(lo), a.span(lo)) {
+				lo++
 			}
-			if m := moved(i, lineOf(walk, i)); m != "" {
-				return m, nil
-			}
+			return describe(lineOf(walk, lo), b.span(lo), a.span(lo)), nil
 		}
-		return "", nil
-	}
-	for p := mismatch(b.buf, a.buf, 0); p < len(a.buf); { // from each differing byte, its primitive
-		i := a.at(p)
-		if m := moved(i, f.line(walk, i, classes)); m != "" {
-			return m, nil
-		}
-		p = mismatch(b.buf, a.buf, a.sites.Offs[i]+len(a.span(i)))
+		lo = hi
 	}
 	return "", nil
-}
-
-// line is lineOf for the after save's i-th primitive, looked up again only if
-// that save may have walked another path to it than known did. A walk's path
-// is what its bytes say, as a decoder follows it, and no walk branches on a
-// classed value: the two walked one path if their primitives start at the
-// same offsets and their bytes differ only in primitives known to be classed.
-func (f *Fixpoint) line(walk func(ckptio.State), i int, classes []string) line {
-	a, k := &f.after, &f.known
-	same := len(k.sites.Offs) > i && slices.Equal(a.sites.Offs[:i+1], k.sites.Offs[:i+1])
-	for end, p := a.sites.Offs[i], 0; same; {
-		if p = mismatch(a.buf[:end], k.buf[:end], p); p == end {
-			break
-		}
-		j := a.at(p)
-		l, ok := f.lines[j]
-		same, p = ok && slices.Contains(classes, l.class()), a.sites.Offs[j]+len(a.span(j))
-	}
-	if !same {
-		k.buf, k.sites.Offs = append(k.buf[:0], a.buf...), append(k.sites.Offs[:0], a.sites.Offs...)
-		f.lines = map[int]line{}
-	}
-	if _, ok := f.lines[i]; !ok {
-		f.lines[i] = lineOf(walk, i)
-	}
-	return f.lines[i]
-}
-
-// mismatch returns the first position at or past from where a and b, of one
-// length, differ, or len(a).
-func mismatch(a, b []byte, from int) int {
-	for from+8 <= len(a) && binary.LittleEndian.Uint64(a[from:]) == binary.LittleEndian.Uint64(b[from:]) {
-		from += 8
-	}
-	for from < len(a) && a[from] == b[from] {
-		from++
-	}
-	return from
 }
 
 // walked is what a save of a walk left: its bytes and, if mapped, where each
 // primitive starts.
 type walked struct {
-	buf   []byte
+	e     ckptio.Encoder
 	sites ckptio.SiteMap
 }
 
-var errKept = errors.New("ckpttest: bytes kept")
-
-// save walks through ckptio.Encode's recycled encoder and copies the bytes
-// out before Encode would clone them: once the buffers have grown, saving
-// allocates nothing.
+// save walks through the encoder it keeps, so that once its buffers have
+// grown, saving allocates nothing.
 func (w *walked) save(walk func(ckptio.State), mapped bool) error {
-	w.sites = ckptio.SiteMap{Offs: w.sites.Offs[:0], Stop: -1}
-	_, err := ckptio.Encode(func(e *ckptio.Encoder) error {
-		if mapped {
-			e.Sites = &w.sites
-			defer func() { e.Sites = nil }()
-		}
-		walk(ckptio.SaveTo(e))
-		w.buf = append(w.buf[:0], e.Bytes()...)
-		return cmp.Or(e.Err(), errKept)
-	})
-	if err == errKept {
-		return nil
+	w.e.Reset()
+	w.sites = ckptio.SiteMap{Offs: w.sites.Offs[:0], Ticking: w.sites.Ticking[:0], Stop: -1}
+	if w.e.Sites = nil; mapped {
+		w.e.Sites = &w.sites
 	}
-	return err
+	walk(ckptio.SaveTo(&w.e))
+	return w.e.Err()
 }
 
-// at is the index of the primitive that holds byte p.
-func (w *walked) at(p int) int {
-	i, found := slices.BinarySearch(w.sites.Offs, p)
-	if !found {
-		i--
+// spans is the bytes of the primitives from lo up to hi, nil past the last;
+// span is the lo-th's.
+func (w *walked) spans(lo, hi int) []byte {
+	offs, buf := w.sites.Offs, w.e.Bytes()
+	if lo >= len(offs) {
+		return nil
 	}
-	return i
+	if hi < len(offs) {
+		return buf[offs[lo]:offs[hi]]
+	}
+	return buf[offs[lo]:]
 }
 
-// span is the bytes of the i-th primitive, nil past the last.
-func (w *walked) span(i int) []byte {
-	switch offs := w.sites.Offs; {
-	case i >= len(offs):
-		return nil
-	case i+1 < len(offs):
-		return w.buf[offs[i]:offs[i+1]]
-	}
-	return w.buf[w.sites.Offs[i]:]
-}
+func (w *walked) span(i int) []byte { return w.spans(i, i+1) }
 
 // line is a walk line, where a primitive was written from.
 type line struct {
@@ -346,16 +291,6 @@ func (l line) text() string {
 	}
 	if lines := v.([]string); l.n >= 1 && l.n <= len(lines) {
 		return strings.TrimSpace(lines[l.n-1])
-	}
-	return ""
-}
-
-// class is the walk line's trailing comment if that is one word: "clock" on
-// `s.I64(&c.now) // clock`.
-func (l line) class() string {
-	text := l.text()
-	if i := strings.LastIndex(text, "// "); i >= 0 && !strings.Contains(text[i+3:], " ") {
-		return text[i+3:]
 	}
 	return ""
 }

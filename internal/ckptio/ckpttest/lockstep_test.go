@@ -23,13 +23,13 @@ func (m *toy) Cycle() int64         { return m.now }
 func (m *toy) Events() []obs.Event  { return m.ring.Events() }
 func (m *toy) record(kind obs.Kind) { m.ring.Record(obs.Event{Cycle: m.now, Kind: kind}) }
 func (m *toy) State(s ckptio.State) {
-	s.I64(&m.now) // clock
+	ckptio.Ticking(s, &m.now)
 	_, mark := s.Counted(len(m.list))
 	for i := range m.list {
 		s.I64(&m.list[i])
 	}
 	s.CountAt(mark, len(m.list))
-	s.I64(&m.ticks) // counter
+	ckptio.Ticking(s, &m.ticks)
 	s.I64(&m.field)
 }
 
@@ -95,21 +95,31 @@ func TestLockstepNamesTheFirstWrongCycle(t *testing.T) {
 	}
 }
 
-// TestFixpointMasksItsClasses holds the toy across steps that move only the
-// clock and the counter, one that moves the field too, and one whose counter
-// is not among the classes.
+// TestFixpointMasksItsClasses holds the toy across steps that move only its
+// clock and counter, both walked through ckptio.Ticking, and one that moves
+// the field too: only the field is named.
 func TestFixpointMasksItsClasses(t *testing.T) {
 	m, step := newToy(), stepper("", 1, 100, 3).Step
 	var f Fixpoint
-	for cycle, classes := range [][]string{{"clock", "counter"}, {"clock", "counter"}, {"clock", "counter"}, {"clock"}} {
+	for cycle := int64(1); cycle <= 4; cycle++ {
 		if err := f.Hold(m.State); err != nil {
 			t.Fatal(err)
 		}
 		step(m)
-		got, err := f.Moved(m.State, classes...)
-		want := map[int]string{2: "`s.I64(&m.field)`: 0 vs 7", 3: "`s.I64(&m.ticks) // counter`: 6 vs 8"}[cycle]
+		got, err := f.Moved(m.State)
+		want := map[int64]string{3: "`s.I64(&m.field)`: 0 vs 7"}[cycle]
 		if err != nil || (want == "") != (got == "") || !strings.Contains(got, want) {
-			t.Errorf("step to cycle %d: moved %q (%v), want %q", cycle+1, got, err, want)
+			t.Errorf("step to cycle %d: moved %q (%v), want %q", cycle, got, err, want)
 		}
+	}
+}
+
+// TestDivergesNamesTheField names the field a toy saves other bytes for than
+// another, behind the count CountAt inserted.
+func TestDivergesNamesTheField(t *testing.T) {
+	want, m := ckptio.NewEncoder(), newToy()
+	newToy().State(ckptio.SaveTo(want))
+	if m.field = 7; !strings.Contains(Diverges(want.Bytes(), m.State), "`s.I64(&m.field)`: 0 vs 7") {
+		t.Fatalf("the toys part at %q", Diverges(want.Bytes(), m.State))
 	}
 }

@@ -93,6 +93,21 @@ func (s State) I8(p *int8) { field(s, p, (*Encoder).I8, (*Decoder).I8) }
 // Int walks a zigzag value that must fit an int.
 func (s State) Int(p *int) { field(s, p, (*Encoder).Int, (*Decoder).Int) }
 
+// Ticking walks a clock or a counter: a field that moves on every tick, even
+// on one its component declares quiet. It saves the bytes I64 or U64 would;
+// an attached SiteMap lists its index in Ticking.
+func Ticking[T int64 | uint64](s State, p *T) {
+	if s.e != nil && s.e.Sites != nil {
+		s.e.Sites.Ticking = append(s.e.Sites.Ticking, len(s.e.Sites.Offs))
+	}
+	switch p := any(p).(type) {
+	case *int64:
+		s.I64(p)
+	case *uint64:
+		s.U64(p)
+	}
+}
+
 // F64 walks a float64 as its raw IEEE-754 bits.
 func (s State) F64(p *float64) { field(s, p, (*Encoder).F64, (*Decoder).F64) }
 

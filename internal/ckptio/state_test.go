@@ -54,10 +54,10 @@ func (r record) contents() any {
 func (r *record) walk(s State) {
 	s.U8(&r.u8)
 	s.Bool(&r.b)
-	s.U64(&r.u64)
+	Ticking(s, &r.u64)
 	s.U32(&r.u32)
 	s.U16(&r.u16)
-	s.I64(&r.i64)
+	Ticking(s, &r.i64)
 	s.I32(&r.i32)
 	s.I8(&r.i8)
 	s.Int(&r.n)

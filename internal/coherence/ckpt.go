@@ -118,7 +118,7 @@ func (l *L1) State(s ckptio.State) {
 		l.touched = true
 		l.txnFree = l.txnFree[:0]
 	}
-	s.I64(&l.now) // clock
+	ckptio.Ticking(s, &l.now)
 	l.tags.State(s)
 	l.mshr.State(s)
 

@@ -11,16 +11,7 @@ import (
 // runCfg executes a short run of the benchmark under the config/policy.
 func runCfg(t *testing.T, cfg arch.Config, pol defense.Policy, bench string) Result {
 	t.Helper()
-	w := trace.ByName(bench)
-	sys, err := New(cfg, pol, w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run(1500, 8000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runFor(t, cfg, pol, trace.ByName(bench), 1, 1500, 8000)
 }
 
 // TestL1TagPinRecord checks the Section 6.1.2 alternative pinned-line

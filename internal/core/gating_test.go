@@ -11,16 +11,7 @@ import (
 // gateRun executes gcc_r briefly under the policy and returns counters.
 func gateRun(t *testing.T, pol defense.Policy) Result {
 	t.Helper()
-	w := trace.ByName("gcc_r")
-	sys, err := New(arch.PaperConfig(1), pol, w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run(1000, 6000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runFor(t, arch.PaperConfig(1), pol, trace.ByName("gcc_r"), 1, 1000, 6000)
 }
 
 func TestUnsafeNeverStallsOnPolicy(t *testing.T) {
@@ -110,17 +101,8 @@ func TestFigure1MaskMonotonicity(t *testing.T) {
 }
 
 func TestEPNormallyBeatsLPOnMissHeavy(t *testing.T) {
-	w := trace.ByName("fotonik3d_r")
 	run := func(v defense.Variant) float64 {
-		sys, err := New(arch.PaperConfig(1), defense.Policy{Scheme: defense.Fence, Variant: v}, w, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(2000, 10000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.CPI
+		return runFor(t, arch.PaperConfig(1), defense.Policy{Scheme: defense.Fence, Variant: v}, trace.ByName("fotonik3d_r"), 1, 2000, 10000).CPI
 	}
 	lp, ep := run(defense.LP), run(defense.EP)
 	if ep >= lp {
@@ -151,16 +133,7 @@ func TestISPinningHelps(t *testing.T) {
 	// exposure), and exposures of the rest leave the retirement critical
 	// path. Measure on a miss-heavy proxy where conversions are visible.
 	run := func(v defense.Variant) Result {
-		w := trace.ByName("fotonik3d_r")
-		sys, err := New(arch.PaperConfig(1), defense.Policy{Scheme: defense.IS, Variant: v}, w, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(1500, 8000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runFor(t, arch.PaperConfig(1), defense.Policy{Scheme: defense.IS, Variant: v}, trace.ByName("fotonik3d_r"), 1, 1500, 8000)
 	}
 	comp := run(defense.Comp)
 	ep := run(defense.EP)

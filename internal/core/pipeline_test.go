@@ -17,14 +17,25 @@ func runScript(t *testing.T, cfg arch.Config, pol defense.Policy, w trace.Source
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < cycles; i++ {
-		sys.cycle++
-		sys.mem.Tick(sys.cycle)
-		for _, c := range sys.cores {
-			c.Tick(sys.cycle)
-		}
+	for range cycles {
+		sys.stepCycle()
 	}
 	return sys
+}
+
+// runFor builds a system over w and runs it for warmup then measure
+// instructions a core.
+func runFor(t *testing.T, cfg arch.Config, pol defense.Policy, w trace.Source, seed uint64, warmup, measure int64) Result {
+	t.Helper()
+	sys, err := New(cfg, pol, w, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(warmup, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // loop returns a looping single-core script.
@@ -149,23 +160,20 @@ func TestBarrierSynchronizesCores(t *testing.T) {
 	}
 }
 
-func TestMCVSquashOnInvalidation(t *testing.T) {
-	// Core 0 keeps a speculatively-performed, non-oldest load to a shared
-	// line in flight; core 1 writes that line. Conventional TSO must
-	// squash (Unsafe scheme, aggressive TSO skips only the oldest load).
+// sharedWrite has core 0 keep a speculatively-performed, non-oldest load to
+// a shared line in flight (a slow load to a private line ahead of it) while
+// core 1 writes that line.
+func sharedWrite(name string) *trace.Script {
 	const shared = 0x40000
-	reader := []isa.Inst{
-		// A slow load to a private line keeps the shared load non-oldest.
-		{Op: isa.Load, Addr: 0x100040},
-		{Op: isa.Load, Addr: shared},
-		{Op: isa.ALU, Lat: 1},
-	}
-	writer := []isa.Inst{
-		{Op: isa.Store, Addr: shared},
-		{Op: isa.ALU, Lat: 1}, {Op: isa.ALU, Lat: 1}, {Op: isa.ALU, Lat: 1},
-	}
-	w := &trace.Script{ScriptName: "mcv", NumCores: 2, Insts: [][]isa.Inst{reader, writer}, Loop: true}
-	sys := runScript(t, arch.PaperConfig(2), unsafePol(), w, 4000)
+	reader := []isa.Inst{{Op: isa.Load, Addr: 0x100040}, {Op: isa.Load, Addr: shared}, {Op: isa.ALU, Lat: 1}}
+	writer := []isa.Inst{{Op: isa.Store, Addr: shared}, {Op: isa.ALU, Lat: 1}, {Op: isa.ALU, Lat: 1}, {Op: isa.ALU, Lat: 1}}
+	return &trace.Script{ScriptName: name, NumCores: 2, Insts: [][]isa.Inst{reader, writer}, Loop: true}
+}
+
+func TestMCVSquashOnInvalidation(t *testing.T) {
+	// Conventional TSO must squash the shared load (Unsafe scheme,
+	// aggressive TSO skips only the oldest load).
+	sys := runScript(t, arch.PaperConfig(2), unsafePol(), sharedWrite("mcv"), 4000)
 	if sys.count.Get("squash.mcv") == 0 {
 		t.Fatal("no MCV squashes despite cross-core write sharing")
 	}
@@ -174,19 +182,7 @@ func TestMCVSquashOnInvalidation(t *testing.T) {
 func TestPinningPreventsMCVSquash(t *testing.T) {
 	// The same sharing pattern under Fence+EP: reads of the contended
 	// line are pinned, so invalidations are deferred instead of squashing.
-	const shared = 0x40000
-	reader := []isa.Inst{
-		{Op: isa.Load, Addr: 0x100040},
-		{Op: isa.Load, Addr: shared},
-		{Op: isa.ALU, Lat: 1},
-	}
-	writer := []isa.Inst{
-		{Op: isa.Store, Addr: shared},
-		{Op: isa.ALU, Lat: 1}, {Op: isa.ALU, Lat: 1}, {Op: isa.ALU, Lat: 1},
-	}
-	w := &trace.Script{ScriptName: "pinmcv", NumCores: 2, Insts: [][]isa.Inst{reader, writer}, Loop: true}
-	sys := runScript(t, arch.PaperConfig(2),
-		defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, w, 6000)
+	sys := runScript(t, arch.PaperConfig(2), defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, sharedWrite("pinmcv"), 6000)
 	if sys.count.Get("pin.pinned") == 0 {
 		t.Fatal("no loads pinned")
 	}
@@ -303,15 +299,7 @@ func TestDOMAllowsHitsBlocksMisses(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (int64, uint64) {
-		w := trace.ByName("gcc_r")
-		sys, err := New(arch.PaperConfig(1), defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, w, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(1000, 5000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runFor(t, arch.PaperConfig(1), defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, trace.ByName("gcc_r"), 7, 1000, 5000)
 		return res.Cycles, res.Counters.Get("pin.pinned")
 	}
 	c1, p1 := run()
@@ -346,19 +334,10 @@ func TestDeadlockDetection(t *testing.T) {
 func TestConservativeTSO(t *testing.T) {
 	// With AggressiveTSO off, even the oldest load is squashable, making
 	// Fence-Comp strictly slower than the aggressive design.
-	w := trace.ByName("gcc_r")
 	run := func(aggressive bool) float64 {
 		cfg := arch.PaperConfig(1)
 		cfg.AggressiveTSO = aggressive
-		sys, err := New(cfg, defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}, w, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(1000, 6000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.CPI
+		return runFor(t, cfg, defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}, trace.ByName("gcc_r"), 1, 1000, 6000).CPI
 	}
 	agg, cons := run(true), run(false)
 	if cons <= agg {
@@ -371,15 +350,7 @@ func TestLQIDWraparound(t *testing.T) {
 	// and execution must stay correct.
 	cfg := arch.PaperConfig(1)
 	cfg.LQIDTagBits = 8 // wraps every 256 pins
-	w := trace.ByName("gcc_r")
-	sys, err := New(cfg, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run(1000, 8000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFor(t, cfg, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, trace.ByName("gcc_r"), 1, 1000, 8000)
 	if res.Counters.Get("pin.wraparound") == 0 {
 		t.Fatal("LQ ID tag never wrapped with 8-bit tags")
 	}
@@ -392,20 +363,11 @@ func TestPrewarmReducesCPI(t *testing.T) {
 	// The LLC prewarm must make large-footprint workloads faster.
 	w := trace.ByName("bwaves_r")
 	run := func(warm bool) float64 {
-		cfg := arch.PaperConfig(1)
 		var src trace.Source = w
 		if !warm {
 			src = &coldSource{w}
 		}
-		sys, err := New(cfg, unsafePol(), src, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(1000, 6000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.CPI
+		return runFor(t, arch.PaperConfig(1), unsafePol(), src, 1, 1000, 6000).CPI
 	}
 	if cold, warm := run(false), run(true); warm >= cold {
 		t.Fatalf("prewarm did not help: warm %.3f vs cold %.3f", warm, cold)

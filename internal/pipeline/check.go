@@ -1,0 +1,201 @@
+package pipeline
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+
+	"pinnedloads/internal/defense"
+	"pinnedloads/internal/isa"
+)
+
+// Check holds the core's derived state to a recomputation from what it is
+// derived from, as coherence.System.CheckResidency does a directory's, and
+// its pinned lines to the bounds the pin governor keeps. The head slot and
+// every live slot's seq must be their place in the ring, every live
+// Delay-On-Miss probe memo a fresh Probe, the seq lists and the load-queue
+// candidate lists a walk of the whole ROB, the store-address filter a recount
+// of the store queue and the write buffer, lastOdd the loads it must cover,
+// the three tables the ROB and the per-set pin counts the pinned lines. No
+// L1 set may hold more pinned lines than L1Ways-1 (l1SetRoom), under Early
+// Pinning no directory set more than Wd (paper Section 5.1.4), and no table
+// more entries than the load queue. It returns the first violation found, or
+// nil. Tests call it between cycles; the simulator never does.
+func (c *Core) Check() error {
+	for _, check := range []func() error{c.checkCandidates, c.checkStoreFilter, c.checkTables, c.checkSetPins} {
+		if err := check(); err != nil {
+			return fmt.Errorf("core %d @%d: %w", c.id, c.now, err)
+		}
+	}
+	return nil
+}
+
+// bruteForceCandidates recomputes the bookkeeping lists the way the cycle
+// loop found its work before they existed: the unretired loads, stores and
+// serializing ops by walking the whole ROB, and each load-queue candidate
+// list by the filter its stage applied to every unretired load.
+func (c *Core) bruteForceCandidates() (loads, stores, fences, issue, expose, spec []int64) {
+	for seq := c.head; seq < c.tail; seq++ {
+		e := c.at(seq)
+		switch e.inst.Op {
+		case isa.Load:
+			loads = append(loads, seq)
+		case isa.Store:
+			stores = append(stores, seq)
+		case isa.Fence, isa.Lock, isa.Barrier:
+			fences = append(fences, seq)
+		}
+		if !e.isLoad() {
+			continue
+		}
+		if e.state == stAddrDone {
+			issue = append(issue, seq)
+		}
+		if e.invisible && !e.exposeDone && e.performed && e.token == 0 {
+			expose = append(expose, seq)
+		}
+		if e.specToken != 0 && e.performed && e.inst.TransientAddr != 0 {
+			spec = append(spec, seq)
+		}
+	}
+	return
+}
+
+// checkCandidates holds the head slot and the slots' seqs to the ring, every
+// live probe memo to a fresh Probe and every seq list to the brute-force walk.
+func (c *Core) checkCandidates() error {
+	if got := int(c.head % int64(len(c.entries))); c.headSlot != got {
+		return fmt.Errorf("headSlot %d, head %% len is %d", c.headSlot, got)
+	}
+	for seq := c.head; seq < c.tail; seq++ {
+		e := c.at(seq)
+		if e.seq != seq {
+			return fmt.Errorf("slot of seq %d holds seq %d", seq, e.seq)
+		}
+		if e.probeEpoch == c.l1.TagEpoch() && e.probeHit != c.l1.Probe(e.probeLine) {
+			return fmt.Errorf("seq %d remembers Probe(%#x) = %v at epoch %d, a fresh Probe disagrees",
+				seq, e.probeLine, e.probeHit, e.probeEpoch)
+		}
+	}
+	loads, stores, fences, issue, expose, spec := c.bruteForceCandidates()
+	for _, l := range []struct {
+		name string
+		got  []int64
+		want []int64
+	}{
+		{"loadSeqs", c.loadSeqs.seqs(), loads},
+		{"storeSeqs", c.storeSeqs.seqs(), stores},
+		{"fences", c.fences.seqs(), fences},
+		{"issueCand", c.issueCand.seqs(), issue},
+		{"exposeCand", c.exposeCand.seqs(), expose},
+		{"specCand", c.specCand.seqs(), spec},
+	} {
+		if !slices.Equal(l.got, l.want) {
+			return fmt.Errorf("%s = %v, a walk of the ROB [%d, %d) says %v", l.name, l.got, c.head, c.tail, l.want)
+		}
+	}
+	return nil
+}
+
+// checkStoreFilter holds stFilter to a recount from the store queue and the
+// write buffer, and lastOdd to the loads it must cover.
+func (c *Core) checkStoreFilter() error {
+	var want [len(c.stFilter)]uint16
+	for _, seq := range c.storeSeqs.seqs() {
+		if e := c.at(seq); e.addrReady {
+			want[stHash(e.inst.Addr)]++
+		}
+	}
+	for i := 0; i < c.wb.Len(); i++ {
+		want[stHash(c.wb.At(i))]++
+	}
+	if c.stFilter != want {
+		return fmt.Errorf("store-address filter differs from a recount of %d SQ entries and %d buffered stores",
+			len(c.storeSeqs.seqs()), c.wb.Len())
+	}
+	for _, seq := range c.loadSeqs.seqs() {
+		if e := c.at(seq); (e.inst.Fault || e.inst.TransientAddr != 0) && seq > c.lastOdd {
+			return fmt.Errorf("load %d faults or has a transient address, lastOdd is %d", seq, c.lastOdd)
+		}
+	}
+	return nil
+}
+
+// checkTables recomputes the core's three tables from the ROB — the memory
+// token of every entry that holds one, the extended LQ ID and the line of
+// every pinned load — and holds each table to its recomputation, and to the
+// load-queue bound it is sized by.
+func (c *Core) checkTables() error {
+	tokens := map[uint64]int64{}
+	tags := map[uint64]int64{}
+	pins := map[uint64]int{}
+	for seq := c.head; seq < c.tail; seq++ {
+		e := c.at(seq)
+		if e.token != 0 {
+			tokens[uint64(e.token)] = seq
+		}
+		if e.pinned {
+			tags[uint64(e.lqTag)] = seq
+			pins[e.line]++
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want map[uint64]int64
+	}{
+		{"tokenSeq", maps.Collect(c.tokenSeq.All()), tokens},
+		{"tagToSeq", maps.Collect(c.tagToSeq.All()), tags},
+	} {
+		if !maps.Equal(tc.got, tc.want) {
+			return fmt.Errorf("%s holds %v, the ROB says %v", tc.name, tc.got, tc.want)
+		}
+	}
+	if got := maps.Collect(c.pinnedRef.All()); !maps.Equal(got, pins) {
+		return fmt.Errorf("pinnedRef holds %v, the ROB's pinned loads say %v", got, pins)
+	}
+	if n := max(len(tokens), len(tags), len(pins)); n > c.cfg.LQEntries {
+		return fmt.Errorf("%d entries in a table bounded by a %d-entry load queue", n, c.cfg.LQEntries)
+	}
+	return nil
+}
+
+// checkSetPins holds the incremental per-set pin counts to a recount of the
+// pinned lines, and the counts to the bounds pinning keeps.
+func (c *Core) checkSetPins() error {
+	wantL1 := map[uint32]int32{}
+	wantDir := map[uint32]int32{}
+	for line := range c.pinnedRef.All() {
+		wantL1[c.l1Key(line)]++
+		wantDir[c.dirKey(line)]++
+	}
+	for _, set := range []struct {
+		name  string
+		got   []int32
+		want  map[uint32]int32
+		bound int
+		kept  bool
+	}{
+		{"pinsPerL1Set", c.pinsPerL1Set, wantL1, c.cfg.L1Ways - 1, c.policy.Pinning()},
+		{"pinsPerDirSet", c.pinsPerDirSet, wantDir, c.cfg.Wd, c.policy.Variant == defense.EP},
+	} {
+		found := 0 // the keys of set.want passed with a count
+		for key, n := range set.got {
+			if n == 0 {
+				continue
+			}
+			if want := set.want[uint32(key)]; n != want {
+				return fmt.Errorf("%s[%d] = %d, the pinned lines say %d", set.name, key, n, want)
+			}
+			if set.kept && int(n) > set.bound {
+				return fmt.Errorf("%s bound %d: %d pinned lines in set %d", set.name, set.bound, n, key)
+			}
+			found++
+		}
+		for key, n := range set.want {
+			if found < len(set.want) && (int(key) >= len(set.got) || set.got[key] == 0) {
+				return fmt.Errorf("%s misses key %d (the pinned lines say %d)", set.name, key, n)
+			}
+		}
+	}
+	return nil
+}

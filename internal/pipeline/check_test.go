@@ -1,0 +1,56 @@
+package pipeline
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"pinnedloads/internal/defense"
+)
+
+// TestCheckNamesEachWreck breaks one piece of derived state, or one bound, at
+// a time in a core that holds pinned loads and memory tokens, and requires
+// Check to name it.
+func TestCheckNamesEachWreck(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		wreck func(c *Core)
+		want  string
+	}{
+		{"intact", func(c *Core) {}, ""},
+		{"load list", func(c *Core) { c.loadSeqs.reset() }, "loadSeqs = [], a walk of the ROB"},
+		{"candidate list", func(c *Core) { c.issueCand.insert(c.tail - 1) }, "issueCand = "},
+		{"head slot", func(c *Core) { c.headSlot++ }, "headSlot"},
+		{"slot's seq", func(c *Core) { c.at(c.head).seq++ }, "slot of seq"},
+		{"probe memo", func(c *Core) {
+			e := c.at(c.head)
+			e.probeEpoch, e.probeLine, e.probeHit = c.l1.TagEpoch(), 0x12345, true
+		}, "a fresh Probe disagrees"},
+		{"token table", func(c *Core) { c.tokenSeq.Set(1<<40, c.head) }, "tokenSeq holds"},
+		{"tag table", func(c *Core) { c.tagToSeq.Set(1<<20, c.head) }, "tagToSeq holds"},
+		{"pinned-line table", func(c *Core) { c.pinnedRef.Set(0x12345, 1) }, "pinnedRef holds"},
+		{"L1 set pins", func(c *Core) { c.pinsPerL1Set[slices.Index(c.pinsPerL1Set, 1)]++ }, "pinsPerL1Set["},
+		{"directory set pins", func(c *Core) { c.pinsPerDirSet = append(c.pinsPerDirSet, 1) }, "pinsPerDirSet["},
+		{"store filter", func(c *Core) { c.stFilter[7]++ }, "store-address filter"},
+		{"lastOdd", func(c *Core) { c.at(c.loadSeqs.seqs()[0]).inst.Fault = true }, "faults or has a transient address, lastOdd"},
+		{"L1 bound", func(c *Core) { c.cfg.L1Ways = 1 }, "pinsPerL1Set bound 0: "},
+		{"directory bound", func(c *Core) { c.cfg.Wd = 0 }, "pinsPerDirSet bound 0: "},
+		{"load-queue bound", func(c *Core) { c.cfg.LQEntries = 0 }, "bounded by a 0-entry load queue"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(pinStream(), defense.Policy{Scheme: defense.Fence, Variant: defense.EP})
+			c := m.cores[0]
+			for c.pinnedRef.Len() < 2 || c.tokenSeq.Len() == 0 {
+				m.step(t)
+			}
+			tc.wreck(c)
+			err := c.Check()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatal(err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Check = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}

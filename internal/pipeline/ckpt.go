@@ -149,7 +149,7 @@ func (c *Core) State(s ckptio.State) {
 		c.wake()
 	}
 
-	s.I64(&c.now) // clock
+	ckptio.Ticking(s, &c.now)
 	if !s.GeometryInt(len(c.entries), "ROB entries") {
 		return
 	}

@@ -266,7 +266,9 @@ func TestSquashedCandidatesLeaveNoStaleSeq(t *testing.T) {
 		}
 		mem.Tick(i)
 		c.Tick(i)
-		checkCandidates(t, c, "after Tick")
+		if err := c.Check(); err != nil {
+			t.Fatal(err)
+		}
 		if !squashed && count.Get("squash.branch") == 1 {
 			squashed = true
 			if !slices.Contains(parked, loadSeq) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pinnedloads/internal/arch"
-	"pinnedloads/internal/ckptio/ckpttest"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/trace"
@@ -113,9 +112,9 @@ func (c *Core) expectForward(seq int64, addr uint64, n *issueCounts) bool {
 // tickChecked is Core.Tick with the oracle in front of the issue stage. The
 // stages are spelled out again because the expectation must be taken from
 // the state issueLoads starts in; a copy that drifts from Tick shows when
-// the forks of TestCandidateListsMatchFullWalk, which run Tick itself,
-// end on different counters. A slept cycle replays a quiet tick's deltas over
-// unchanged state, so the expectation holds for it as it stands.
+// TestCandidateListsMatchFullWalk's machines end on other counters than the
+// same machines run through Tick itself. A slept cycle replays a quiet tick's
+// deltas over unchanged state, so the expectation holds for it as it stands.
 func tickChecked(t *testing.T, c *Core, now int64) {
 	t.Helper()
 	c.now = now
@@ -167,31 +166,6 @@ func tickChecked(t *testing.T, c *Core, now int64) {
 	}
 }
 
-// checkStoreFilter holds stFilter to a recount from the store queue and the
-// write buffer, and lastOdd to the loads it must cover.
-func checkStoreFilter(t *testing.T, c *Core, when string) {
-	t.Helper()
-	var want [len(c.stFilter)]uint16
-	for _, seq := range c.storeSeqs.seqs() {
-		if e := c.at(seq); e.addrReady {
-			want[stHash(e.inst.Addr)]++
-		}
-	}
-	for i := 0; i < c.wb.Len(); i++ {
-		want[stHash(c.wb.At(i))]++
-	}
-	if c.stFilter != want {
-		t.Fatalf("core %d @%d %s: store-address filter differs from a recount of %d SQ entries and %d buffered stores",
-			c.id, c.now, when, len(c.storeSeqs.seqs()), c.wb.Len())
-	}
-	for _, seq := range c.loadSeqs.seqs() {
-		if e := c.at(seq); (e.inst.Fault || e.inst.TransientAddr != 0) && seq > c.lastOdd {
-			t.Fatalf("core %d @%d %s: load %d faults or has a transient address, lastOdd is %d",
-				c.id, c.now, when, seq, c.lastOdd)
-		}
-	}
-}
-
 // faultStream holds a window of loads behind a branch that waits 40 cycles
 // for its operand, with a faulting load in the middle of the window: the
 // candidates on both sides of it are denied cycle after cycle while it sits
@@ -234,42 +208,5 @@ func TestDenialSummaryConservativeTSO(t *testing.T) {
 		if m.count.Get("stall.stt_tainted") == 0 {
 			t.Fatalf("%s: STT never denied a tainted load", src.Name())
 		}
-	}
-}
-
-// TestRestoreWithBufferedStores forks a machine at a cycle its write buffer
-// holds stores — State rebuilds the candidate lists before it has loaded the
-// buffer, so what is derived from the buffer must be rebuilt after — and
-// holds the fork to the original byte for byte on each of 2 000 further
-// cycles.
-func TestRestoreWithBufferedStores(t *testing.T) {
-	for _, pol := range []defense.Policy{
-		{Scheme: defense.Unsafe},
-		{Scheme: defense.DOM, Variant: defense.EP},
-	} {
-		t.Run(pol.String(), func(t *testing.T) {
-			src := trace.ByName("perlbench_r")
-			var from int64
-			step := func(m *machine) bool {
-				if m.cycle >= from+2_000 {
-					return false
-				}
-				m.step(t)
-				return true
-			}
-			forwarded := func(m *machine) uint64 { return m.count.Get("loads.forwarded") + m.count.Get("loads.forwarded_wb") }
-			var fwd uint64
-			forked := fork(t, src, pol, func(m *machine) bool {
-				if m.cycle > 50_000 {
-					t.Fatal("the write buffer never held two stores")
-				}
-				return m.cycle >= 10_000 && m.cores[0].wb.Len() >= 2
-			}, step, func(m *machine) { from, fwd = m.cycle, forwarded(m) })
-			original := ckpttest.Way[*machine]{Name: "original", New: func() *machine { return newMachine(src, pol) }, Step: step}
-			_, m := ckpttest.Lockstep(t, ckpttest.Row[*machine]{Name: pol.String(), A: original, B: forked, Every: 1})
-			if forwarded(m) == fwd {
-				t.Fatal("no load forwarded from a store after the restore")
-			}
-		})
 	}
 }

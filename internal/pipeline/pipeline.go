@@ -401,40 +401,6 @@ func (c *Core) CPT() *pin.CPT { return c.cpt }
 // CSTs returns the Early Pinning shadow tables (nil otherwise).
 func (c *Core) CSTs() (l1, dir *pin.CST) { return c.l1CST, c.dirCST }
 
-// PinnedLineCount returns the number of distinct lines the core currently
-// has pinned (for tests and invariant checks).
-func (c *Core) PinnedLineCount() int { return c.pinnedRef.Len() }
-
-// MaxPinnedPerDirSet returns the largest number of this core's pinned lines
-// mapping to one directory/LLC (slice, set); Early Pinning must keep it at
-// or below Wd (paper Section 5.1.4).
-func (c *Core) MaxPinnedPerDirSet() int {
-	counts := map[[2]int]int{}
-	max := 0
-	for l := range c.pinnedRef.All() {
-		k := [2]int{c.cfg.LLCSlice(l), c.cfg.LLCSet(l)}
-		counts[k]++
-		if counts[k] > max {
-			max = counts[k]
-		}
-	}
-	return max
-}
-
-// MaxPinnedPerL1Set returns the largest number of pinned lines in one L1
-// set; it can never exceed the L1 associativity.
-func (c *Core) MaxPinnedPerL1Set() int {
-	counts := map[int]int{}
-	max := 0
-	for l := range c.pinnedRef.All() {
-		counts[c.cfg.L1Set(l)]++
-		if counts[c.cfg.L1Set(l)] > max {
-			max = counts[c.cfg.L1Set(l)]
-		}
-	}
-	return max
-}
-
 // Tick advances the core by one cycle. The memory system must have been
 // ticked for the same cycle first. A sleeping core with no input due only
 // adds its measured per-cycle counter increments (sleep.go).

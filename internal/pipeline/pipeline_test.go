@@ -217,8 +217,8 @@ func TestHardwareAccessors(t *testing.T) {
 	if c2.CPT() != nil {
 		t.Fatal("Comp core has a CPT")
 	}
-	if c.PinnedLineCount() != 0 || c.MaxPinnedPerDirSet() != 0 || c.MaxPinnedPerL1Set() != 0 {
-		t.Fatal("fresh core reports pinned lines")
+	if c.pinnedRef.Len() != 0 || c.Check() != nil {
+		t.Fatalf("fresh core reports %d pinned lines, or %v", c.pinnedRef.Len(), c.Check())
 	}
 }
 

@@ -27,7 +27,7 @@ func (c *Counters) State(s ckptio.State) {
 
 // State walks the occupancy tracker.
 func (o *Occupancy) State(s ckptio.State) {
-	s.U64(&o.sum)     // counter
-	s.U64(&o.samples) // counter
+	ckptio.Ticking(s, &o.sum)
+	ckptio.Ticking(s, &o.samples)
 	s.Int(&o.max)
 }

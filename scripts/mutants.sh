@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # mutants.sh — holds the oracles to the hand mutations of derived state they
 # must catch. Each scripts/mutants/NAME.patch changes one line; the table
-# below names the tests that must fail on it. The script copies the working
-# tree (tracked and untracked files git does not ignore) to a temporary
-# directory once, and for each mutant applies its patch there — never in the
-# checkout — runs its tests and reverts the patch. It prints the failure line
-# of each killed mutant (a lockstep row names its cycle and walk line) and
-# exits non-zero if a mutant survives, or does not apply or build.
+# below names the tests that must fail on it, as a -run pattern (a row of
+# FuzzDerivedState's table that carries a test name runs under that name, not
+# as a seed). The script copies the working tree (tracked and untracked files
+# git does not ignore) to a temporary directory once, and for each mutant
+# applies its patch there — never in the checkout — runs its tests and
+# reverts the patch. A pattern that starts with a fuzz target adds, if every
+# test passes, 10 s of fuzzing that target. It prints the failure line of
+# each killed mutant (a lockstep row names its cycle and walk line, a
+# derived-state check its clause) and exits non-zero if a mutant survives, or
+# does not apply or build.
 #
 # Usage: scripts/mutants.sh [NAME...]    (default: every mutant in the table)
 set -euo pipefail
@@ -14,14 +18,14 @@ cd "$(dirname "$0")/.."
 
 # NAME  PACKAGES  -run PATTERN
 table='
-oldest-load-wire      ./internal/core                          TestQuietTicksAreFixedPoints
+oldest-load-wire      ./internal/core                          FuzzDerivedState|TestQuietTicksAreFixedPoints
 stamp-without-ver     ./internal/pipeline                      TestCandidateListsMatchFullWalk
-removeat-keeps-filter ./internal/pipeline                      TestCandidateListsMatchFullWalk
+removeat-keeps-filter ./internal/core                          FuzzDerivedState
 compact-keeps-ver     ./internal/core                          TestGateVisits
-restore-skips-fill    ./internal/core                          TestSnapshotRestoreEquivalence
-addrun-skips-occ      ./internal/coherence                     TestResidencyHoldsFilterToWays|TestDirMatchesDenseReference
+restore-skips-fill    ./internal/core                          FuzzDerivedState
+addrun-skips-occ      ./internal/core                          FuzzDerivedState
 lines-reads-runs      ./internal/coherence                     TestDirMatchesDenseReference|TestResidencyHoldsFilterToWays
-count-one-short       ./internal/checkpoint,./internal/core    TestCheckpointBytesStable|TestSnapshotRestoreEquivalence
+count-one-short       ./internal/core                          FuzzDerivedState
 run-skips-athome      ./internal/coherence                     TestDirLoadStateRejectsMalformed
 '
 
@@ -48,6 +52,15 @@ for name in "${names[@]}"; do
 		continue
 	fi
 	out=$(cd "$tree" && go test -count=1 -run "$pattern" ${pkgs//,/ } 2>&1) && status=0 || status=$?
+	if [ "$status" -eq 0 ] && [[ $pattern == Fuzz* ]]; then
+		# The input that kills the mutant is written into the corpus; it must
+		# not stay there to kill the next one.
+		target=${pattern%%|*}
+		corpus="$tree/${pkgs#./}/testdata/fuzz/$target"
+		kept=$(ls "$corpus" 2>/dev/null || true)
+		out=$(cd "$tree" && go test -run '^$' -fuzz "$target" -fuzztime 10s $pkgs 2>&1) && status=0 || status=$?
+		for f in $(ls "$corpus" 2>/dev/null); do grep -qxF "$f" <<<"$kept" || rm "$corpus/$f"; done
+	fi
 	(cd "$tree" && git apply -R "$patch")
 	if grep -q '\[build failed\]\|\[setup failed\]' <<<"$out"; then
 		echo "$name: does not build"
@@ -57,7 +70,8 @@ for name in "${names[@]}"; do
 		bad=1
 	else
 		echo "$name: killed by $(grep -o '^--- FAIL: [A-Za-z0-9_]*' <<<"$out" | cut -d' ' -f3 | sort -u | paste -sd, -)"
-		grep -m1 -E 'first differ|changed serialized state|_test\.go:[0-9]+: ' <<<"$out" | sed 's/^[[:space:]]*/    /' | cut -c1-240
+		grep -v -E ': row [0-9]+ \(|of core-cycles slept' <<<"$out" | grep -m1 -E 'first differ|changed serialized state|_test\.go:[0-9]+: ' |
+			sed 's/^[[:space:]]*/    /' | cut -c1-240 || true
 	fi
 done
 exit "$bad"
