@@ -140,8 +140,10 @@ func TestCaptureBlobIsItsBytes(t *testing.T) {
 			if cap(blob) > len(blob)+len(blob)/4 {
 				t.Fatalf("a %d-byte checkpoint holds %d bytes of memory", len(blob), cap(blob))
 			}
-			if raceEnabled {
-				return // the race detector's sync.Pool drops a quarter of what it is handed
+			// The race detector's sync.Pool drops a quarter of what it is
+			// handed, and -coverpkg's counters make the walks allocate.
+			if raceEnabled || testing.CoverMode() != "" {
+				return
 			}
 			fingerprint := testing.AllocsPerRun(5, func() { sys.Fingerprint() })
 			if got := testing.AllocsPerRun(5, func() { Capture(sys, "stability") }) - fingerprint; got > 3 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pinnedloads/internal/arch"
@@ -160,55 +161,201 @@ func TestISWithLatePinning(t *testing.T) {
 	}
 }
 
-// workCounts is the host work of a run as counts any host reproduces, summed
-// over the cores: issue gate evaluations (mayIssueLoad), store-forwarding
-// scans past the store-address filter, core ticks evaluated and slept (a
-// tick a jump skipped counts as slept), and the cycles the clock jumped.
+// workCounts is the work of a run as counts any host reproduces: issue gate
+// evaluations (mayIssueLoad), store-forwarding scans past the store-address
+// filter, core ticks evaluated and slept (a tick a jump skipped counts as
+// slept), the cycles the clock jumped, the LLC sets the directory slices store
+// (Dir.StoredSets), the messages the mesh carried and the bytes of a snapshot
+// taken at the end.
 type workCounts struct {
-	visits, scans, evaluated, slept, jumped int64
+	visits, scans, evaluated, slept, jumped, stored, messages, bytes int64
 }
 
-// TestGateVisits pins the host work of core8_sharing's ocean_cp job, 3 000
-// warm-up and 7 500 measured instructions a core, under each of the
-// workload's five policies, through System.Run. At the commit before the gate
-// bound, every waiting load was asked every evaluated cycle and every load
-// past the gate scanned the store queue: 6 642 783 / 717 001 / 305 223
-// visits and 51 607 / 82 909 / 68 960 scans for Fence-EP, DOM-EP and STT-LP.
-// A count that moves means the cycle loop does different work: re-record it
-// with the reason, after TestCandidateListsMatchFullWalk (internal/pipeline)
-// and the lockstep rows of this package have passed. A change of
-// representation moves none of them.
+// gateLists are bench/corewl.go's three simulator job lists: every proxy
+// under every policy of core1_busy, core1_stall and core8_sharing.
+var gateLists = []struct {
+	name    string
+	benches []string
+	pols    []defense.Policy
+}{
+	{"core1_busy", []string{"gcc_r", "exchange2_r", "leela_r", "x264_r", "perlbench_r", "namd_r"}, []defense.Policy{
+		{Scheme: defense.Unsafe},
+		{Scheme: defense.Fence, Variant: defense.EP},
+		{Scheme: defense.DOM, Variant: defense.EP},
+		{Scheme: defense.STT, Variant: defense.LP},
+		{Scheme: defense.IS, Variant: defense.EP},
+		{Scheme: defense.RCP},
+		{Scheme: defense.DOM, Variant: defense.Spectre},
+		{Scheme: defense.Unsafe, Consistency: defense.RC},
+	}},
+	{"core1_stall", []string{"mcf_r"}, []defense.Policy{
+		{Scheme: defense.Unsafe},
+		{Scheme: defense.Fence},
+		{Scheme: defense.DOM},
+		{Scheme: defense.STT},
+		{Scheme: defense.IS},
+		{Scheme: defense.RCP},
+		{Scheme: defense.Fence, Variant: defense.EP},
+		{Scheme: defense.DOM, Variant: defense.EP},
+		{Scheme: defense.Fence, Consistency: defense.RC},
+	}},
+	{"core8_sharing", []string{"ocean_cp", "radix", "fft", "canneal"}, []defense.Policy{
+		{Scheme: defense.Unsafe},
+		{Scheme: defense.Fence, Variant: defense.EP},
+		{Scheme: defense.DOM, Variant: defense.EP},
+		{Scheme: defense.STT, Variant: defense.LP},
+		{Scheme: defense.RCP},
+	}},
+}
+
+// gateWant is every job's workCounts, keyed by its subtest name.
+var gateWant = map[string]workCounts{
+	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_299, 1_515, 1_432, 703, 1_878, 33_238},
+	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_073, 1_060, 1_034, 128, 268, 17_468},
+	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_333, 1_801, 1_669, 515, 1_155, 28_325},
+	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_968, 1_603, 1_473, 935, 3_519, 37_877},
+	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_368, 1_919, 1_824, 643, 1_762, 31_669},
+	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 27_207},
+	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_089, 39_738, 38_054, 2_172, 11_874, 61_146},
+	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_431, 6_681, 0, 4_707, 26_261, 277_349},
+	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_332, 15_244, 18, 6_143, 47_404, 358_948},
+	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_873, 5_455, 0, 4_332, 30_586, 265_870},
+	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_676, 59_404, 22, 5_909, 54_607, 384_606},
+	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 9_004, 6_727, 6_510, 706, 1_886, 52_982},
+	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_455, 3_728, 3_643, 128, 270, 34_179},
+	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_300, 10_662, 10_380, 513, 1_160, 45_756},
+	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_770, 15_459, 14_968, 941, 3_542, 57_080},
+	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_465, 10_950, 10_640, 646, 1_751, 49_393},
+	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_919, 8_379, 8_145, 408, 832, 45_064},
+	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_234, 61_623, 59_272, 2_188, 12_050, 78_851},
+	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_649, 57_311, 488, 5_317, 30_781, 434_936},
+	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_186, 53_870, 723, 6_304, 47_816, 522_150},
+	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_178, 43_446, 298, 4_359, 30_155, 411_507},
+	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_980, 229_052, 2_768, 6_099, 57_137, 535_241},
+	"DOM-EP/core1_busy/gcc_r":               {16_584, 146, 6_276, 5_875, 5_684, 706, 1_884, 51_892},
+	"DOM-EP/core1_busy/exchange2_r":         {5_977, 91, 5_324, 3_364, 3_289, 128, 270, 33_158},
+	"DOM-EP/core1_busy/leela_r":             {10_305, 66, 7_232, 9_323, 9_062, 514, 1_162, 45_516},
+	"DOM-EP/core1_busy/x264_r":              {33_955, 191, 9_756, 13_625, 13_243, 941, 3_468, 55_786},
+	"DOM-EP/core1_busy/perlbench_r":         {16_454, 193, 6_229, 10_031, 9_739, 646, 1_762, 49_684},
+	"DOM-EP/core1_busy/namd_r":              {26_365, 153, 8_421, 7_435, 7_213, 408, 832, 43_664},
+	"DOM-EP/core1_stall/mcf_r":              {65_444, 88, 18_769, 61_430, 59_120, 2_188, 11_868, 78_869},
+	"DOM-EP/core8_sharing/ocean_cp":         {386_267, 4_749, 125_847, 51_537, 446, 6_023, 37_687, 446_957},
+	"DOM-EP/core8_sharing/radix":            {407_306, 6_424, 114_621, 46_323, 692, 7_313, 58_994, 542_514},
+	"DOM-EP/core8_sharing/fft":              {346_273, 2_585, 78_132, 35_492, 325, 4_395, 30_565, 414_443},
+	"DOM-EP/core8_sharing/canneal":          {544_146, 1_588, 122_226, 218_726, 2_846, 6_163, 56_801, 538_453},
+	"STT-LP/core1_busy/gcc_r":               {21_229, 165, 6_161, 2_005, 1_874, 699, 1_909, 50_699},
+	"STT-LP/core1_busy/exchange2_r":         {4_808, 100, 5_227, 1_060, 1_037, 128, 268, 31_934},
+	"STT-LP/core1_busy/leela_r":             {8_536, 104, 6_484, 2_662, 2_517, 513, 1_152, 44_504},
+	"STT-LP/core1_busy/x264_r":              {72_347, 214, 10_472, 9_268, 8_937, 941, 3_594, 55_052},
+	"STT-LP/core1_busy/perlbench_r":         {26_708, 139, 6_655, 4_222, 4_038, 648, 1_762, 48_102},
+	"STT-LP/core1_busy/namd_r":              {22_895, 169, 7_615, 1_304, 1_228, 409, 832, 41_994},
+	"STT-LP/core8_sharing/ocean_cp":         {229_743, 3_670, 73_238, 9_250, 0, 4_571, 24_950, 402_423},
+	"STT-LP/core8_sharing/radix":            {204_252, 6_013, 73_007, 16_713, 0, 6_024, 45_829, 488_305},
+	"STT-LP/core8_sharing/fft":              {190_188, 3_020, 61_264, 7_120, 0, 4_314, 30_294, 395_048},
+	"STT-LP/core8_sharing/canneal":          {451_711, 1_557, 96_735, 142_257, 855, 5_981, 55_835, 518_957},
+	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_536, 838, 784, 668, 2_327, 50_790},
+	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_543, 763, 749, 128, 468, 33_291},
+	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_326, 2_443, 2_303, 507, 1_890, 44_962},
+	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_617, 1_855, 1_690, 930, 4_642, 55_871},
+	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_385, 1_371, 1_291, 633, 2_498, 49_051},
+	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_864, 782, 744, 409, 1_738, 42_716},
+	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_695, 1_801, 1_736, 534, 1_892, 30_450},
+	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_493, 1_134, 1_109, 128, 535, 17_477},
+	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_713, 2_170, 2_051, 464, 1_773, 27_389},
+	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 36_425},
+	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_936, 2_115, 2_023, 551, 2_118, 29_274},
+	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 27_831},
+	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_052, 42_959, 41_607, 1_633, 8_037, 51_866},
+	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_153, 22_271, 0, 2_622, 28_825, 232_024},
+	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_050, 41_030, 7, 3_676, 34_340, 297_144},
+	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_997, 11_603, 0, 2_927, 29_830, 255_027},
+	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_958, 74_170, 23, 3_915, 40_392, 269_486},
+	"DOM-SPECTRE/core1_busy/gcc_r":          {14_222, 148, 5_833, 4_065, 3_914, 706, 1_892, 33_976},
+	"DOM-SPECTRE/core1_busy/exchange2_r":    {5_650, 87, 5_124, 3_071, 2_999, 128, 270, 17_432},
+	"DOM-SPECTRE/core1_busy/leela_r":        {9_077, 61, 6_679, 7_499, 7_248, 514, 1_163, 28_717},
+	"DOM-SPECTRE/core1_busy/x264_r":         {26_448, 207, 7_911, 9_247, 8_945, 940, 3_490, 38_812},
+	"DOM-SPECTRE/core1_busy/perlbench_r":    {13_863, 203, 5_605, 7_310, 7_071, 646, 1_780, 31_676},
+	"DOM-SPECTRE/core1_busy/namd_r":         {21_320, 160, 7_151, 4_574, 4_425, 409, 848, 27_210},
+	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_213, 984, 919, 703, 1_914, 33_089},
+	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_060, 939, 913, 128, 270, 17_474},
+	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_331, 1_805, 1_676, 515, 1_155, 28_325},
+	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_942, 1_526, 1_395, 935, 3_504, 37_861},
+	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_275, 1_170, 1_081, 643, 1_756, 31_639},
+	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 27_206},
+	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_479, 85_281, 82_046, 2_188, 12_061, 61_011},
+	"DOM-COMP/core1_stall/mcf_r":            {84_121, 80, 19_857, 83_111, 80_091, 2_188, 11_855, 61_030},
+	"STT-COMP/core1_stall/mcf_r":            {33_083, 75, 16_649, 55_058, 53_079, 2_177, 11_870, 60_786},
+	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_116, 73_490, 69_890, 2_138, 16_863, 59_441},
+	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_534, 61_983, 59_578, 2_188, 12_052, 61_108},
+}
+
+// TestGateVisits pins the work of every job of gateLists, 3 000 warm-up and
+// 7 500 measured instructions a core through System.Run, at zero tolerance.
+// At the commit before the gate bound, every waiting load was asked every
+// evaluated cycle and every load past the gate scanned the store queue:
+// 6 642 783 / 717 001 / 305 223 visits and 51 607 / 82 909 / 68 960 scans for
+// core8_sharing's ocean_cp under Fence-EP, DOM-EP and STT-LP. A count that
+// moves means the simulator does different work: re-record it with the
+// reason, after TestCandidateListsMatchFullWalk (internal/pipeline) and the
+// lockstep rows of this package have passed. A change of representation
+// moves none of them.
 func TestGateVisits(t *testing.T) {
-	for _, tc := range []struct {
-		pol  defense.Policy
-		want workCounts
-	}{
-		{defense.Policy{Scheme: defense.Unsafe}, workCounts{75_078, 5_107, 65_431, 6_681, 0}},
-		{defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, workCounts{73_278, 436, 150_649, 57_311, 488}},
-		{defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, workCounts{386_267, 4_749, 125_847, 51_537, 446}},
-		{defense.Policy{Scheme: defense.STT, Variant: defense.LP}, workCounts{229_743, 3_670, 73_238, 9_250, 0}},
-		{defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, workCounts{151_530, 10_381, 93_153, 22_271, 0}},
-	} {
-		t.Run(tc.pol.String(), func(t *testing.T) {
-			w := trace.ByName("ocean_cp")
-			sys, err := New(arch.PaperConfig(w.Cores()), tc.pol, w, 1)
-			if err != nil {
-				t.Fatal(err)
+	var pols []defense.Policy
+	jobs := 0
+	for _, l := range gateLists {
+		for _, p := range l.pols {
+			if !slices.Contains(pols, p) {
+				pols = append(pols, p)
 			}
-			if _, err := sys.Run(3_000, 7_500); err != nil {
-				t.Fatal(err)
-			}
-			var got workCounts
-			for i := range w.Cores() {
-				c := sys.Core(i)
-				got.visits += c.GateVisits()
-				got.scans += c.ForwardScans()
-				got.slept += c.SleptCycles()
-			}
-			got.evaluated = int64(w.Cores())*sys.Cycle() - got.slept
-			_, got.jumped = sys.FastForwarded()
-			if got != tc.want {
-				t.Fatalf("in %d cycles: %+v, pinned at %+v", sys.Cycle(), got, tc.want)
+		}
+		jobs += len(l.benches) * len(l.pols)
+	}
+	if jobs != len(gateWant) {
+		t.Fatalf("%d jobs, %d pinned rows", jobs, len(gateWant))
+	}
+	for _, pol := range pols {
+		t.Run(pol.String(), func(t *testing.T) {
+			for _, l := range gateLists {
+				if !slices.Contains(l.pols, pol) {
+					continue
+				}
+				for _, b := range l.benches {
+					t.Run(l.name+"/"+b, func(t *testing.T) {
+						want, ok := gateWant[pol.String()+"/"+l.name+"/"+b]
+						if !ok {
+							t.Fatal("no pinned row")
+						}
+						w := trace.ByName(b)
+						sys, err := New(arch.PaperConfig(w.Cores()), pol, w, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := sys.Run(3_000, 7_500); err != nil {
+							t.Fatal(err)
+						}
+						var got workCounts
+						for i := range w.Cores() {
+							c := sys.Core(i)
+							got.visits += c.GateVisits()
+							got.scans += c.ForwardScans()
+							got.slept += c.SleptCycles()
+						}
+						got.evaluated = int64(w.Cores())*sys.Cycle() - got.slept
+						_, got.jumped = sys.FastForwarded()
+						for i := range sys.Mem().Dirs() {
+							got.stored += int64(sys.Mem().Dir(i).StoredSets())
+						}
+						got.messages = int64(sys.Mem().Mesh().Messages())
+						blob, err := sys.Snapshot()
+						if err != nil {
+							t.Fatal(err)
+						}
+						got.bytes = int64(len(blob))
+						if got != want {
+							t.Fatalf("in %d cycles: %+v, pinned at %+v", sys.Cycle(), got, want)
+						}
+					})
+				}
 			}
 		})
 	}

@@ -294,7 +294,7 @@ func (s *System) pending(target int64) bool {
 
 // stepCycle advances the whole machine by one cycle: memory system first,
 // then every core, then the optional metrics sampler. This is the cycle
-// loop's entire steady-state body, shared by step and the benchmarks.
+// loop's entire steady-state body, shared by step and the tests.
 func (s *System) stepCycle() {
 	s.cycle++
 	s.mem.Tick(s.cycle)

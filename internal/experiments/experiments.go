@@ -4,7 +4,7 @@
 // sweeps (Figures 7 and 8), the overhead breakdown with LP/EP (Figure 9),
 // the network traffic analysis (Section 9.1.3), and the hardware structure
 // studies (Sections 9.2.1-9.2.4). Each experiment returns a renderable
-// result; cmd/plbench and the bench_test.go harness drive them.
+// result; cmd/plbench drives them through Catalog.
 //
 // An experiment is spelled once, as the body that renders it, and sweep
 // runs that body twice. The first pass plans: every simulation the body
