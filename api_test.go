@@ -1,8 +1,12 @@
 package pinnedloads
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"pinnedloads/internal/simrun"
+	"pinnedloads/internal/trace"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -55,6 +59,31 @@ func TestSuiteAccessors(t *testing.T) {
 	}
 	if Benchmark("mcf_r") == nil || Benchmark("nope") != nil {
 		t.Fatal("Benchmark lookup wrong")
+	}
+}
+
+// TestProfilesAreCopies checks that the profiles the library hands out are
+// the caller's own: editing one, down to a kernel, leaves the registry and
+// so every other run unchanged, and an unedited copy still counts as the
+// registered proxy.
+func TestProfilesAreCopies(t *testing.T) {
+	for _, p := range []*Profile{Benchmark("mcf_r"), SPEC17()[10], SPLASH2()[0], PARSEC()[0]} {
+		reg := trace.ByName(p.BenchName)
+		if p == reg || !reflect.DeepEqual(p, reg) {
+			t.Fatalf("%s: want an equal copy of the registry's profile", p.BenchName)
+		}
+		run := simrun.Run{Workload: p}
+		if run.Resolve() != nil || !run.Registered() {
+			t.Fatalf("%s: an unedited copy is not the registered proxy", p.BenchName)
+		}
+		p.LoadFrac++
+		p.Kernels[0].Weight++
+		if reg.LoadFrac == p.LoadFrac || reg.Kernels[0].Weight == p.Kernels[0].Weight {
+			t.Fatalf("%s: editing a copy edited the registry", p.BenchName)
+		}
+		if run.Registered() {
+			t.Fatalf("%s: an edited copy still counts as the registered proxy", p.BenchName)
+		}
 	}
 }
 

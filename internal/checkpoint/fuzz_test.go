@@ -51,13 +51,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	valid := Encode(Meta{Identity: "fuzz-seed", Cycle: 12345, Fingerprint: 0xabcdef},
 		[]byte("payload bytes of a pretend snapshot"))
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1])         // truncated payload
-	f.Add(valid[:9])                    // header only
-	f.Add(valid[:4])                    // magic only
-	f.Add([]byte{})                     // empty
-	f.Add([]byte("PLCK"))               // magic, nothing else
-	f.Add([]byte("not a checkpoint"))   // garbage
-	f.Add(bytes.Repeat([]byte{0}, 64))  // zeros
+	f.Add(valid[:len(valid)-1])        // truncated payload
+	f.Add(valid[:9])                   // header only
+	f.Add(valid[:4])                   // magic only
+	f.Add([]byte{})                    // empty
+	f.Add([]byte("PLCK"))              // magic, nothing else
+	f.Add([]byte("not a checkpoint"))  // garbage
+	f.Add(bytes.Repeat([]byte{0}, 64)) // zeros
 	badVersion := append([]byte(nil), valid...)
 	badVersion[4] = 7
 	f.Add(badVersion)

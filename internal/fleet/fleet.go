@@ -137,6 +137,9 @@ func (f *Fleet) count(name string) {
 // error — are returned immediately, because they would fail identically
 // everywhere; so is the caller's own cancellation, which says nothing
 // about the backend.
+//
+// The backend is sent the spec as the caller wrote it: it normalizes what
+// it receives, so the normalized copy here only names the job to route it.
 func (f *Fleet) Run(ctx context.Context, spec service.JobSpec) (*simrun.Output, error) {
 	ns := spec
 	if err := ns.Normalize(); err != nil {
@@ -163,7 +166,7 @@ func (f *Fleet) Run(ctx context.Context, spec service.JobSpec) (*simrun.Output, 
 			continue
 		}
 		f.count("fleet.submits")
-		out, err := b.c.Run(ctx, ns)
+		out, err := b.c.Run(ctx, spec)
 		if err != nil && ctx.Err() != nil {
 			b.endTrial()
 			return nil, fmt.Errorf("fleet: %w", ctx.Err())

@@ -1,14 +1,18 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -444,6 +448,63 @@ func TestBackpressureWalksOn(t *testing.T) {
 	}
 	if marks, fo := fleetCounter(f, "fleet.down_marks"), fleetCounter(f, "fleet.failovers"); marks != 0 || fo != 1 {
 		t.Fatalf("down_marks = %d, failovers = %d, want 0 and 1", marks, fo)
+	}
+}
+
+// TestRunForwardsTheCallersSpec runs a job on a real backend and checks the
+// body it receives is the spec as the caller wrote it, not the fleet's
+// normalized copy with its whole machine configuration, and that the
+// backend files the job under the normalized key the fleet routed it by.
+func TestRunForwardsTheCallersSpec(t *testing.T) {
+	srv := service.New(service.Options{Workers: 1})
+	srv.Start()
+	defer srv.Close()
+	var mu sync.Mutex
+	var bodies [][]byte
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			bodies = append(bodies, body)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	f, err := New(Options{Backends: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec := service.JobSpec{Benchmark: "gcc_r", Scheme: "fence", Variant: "ep", Warmup: 100, Measure: 500}
+	out, err := f.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bodies) != 1 {
+		t.Fatalf("backend saw %d submits, want 1", len(bodies))
+	}
+	var got service.JobSpec
+	if err := json.Unmarshal(bodies[0], &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, spec) {
+		t.Fatalf("backend received %s, want the caller's spec %+v", bodies[0], spec)
+	}
+	ns := spec
+	if err := ns.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	st, ok := srv.Job(ns.Key())
+	if !ok || st.State != service.StateDone || !reflect.DeepEqual(st.Result, out) {
+		t.Fatalf("backend has no done job under the normalized key %s (found %v, state %q)", ns.Key(), ok, st.State)
 	}
 }
 

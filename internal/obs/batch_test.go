@@ -64,7 +64,7 @@ type plainRecorder struct {
 	evs []Event
 }
 
-func (p *plainRecorder) Enabled() bool    { return true }
+func (p *plainRecorder) Enabled() bool   { return true }
 func (p *plainRecorder) Record(ev Event) { p.evs = append(p.evs, ev) }
 
 func TestBatchFallbackWithoutBulkRecorder(t *testing.T) {

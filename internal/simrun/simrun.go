@@ -104,7 +104,8 @@ type Output struct {
 // under which defense policy, on which machine, for how long. Every entry
 // point — the public RunSpec, the service's JobSpec, the experiment
 // Runner's requests, the security tier — is a conversion to it; Resolve
-// makes it canonical, Key names it and Execute runs it. The Params hooks
+// makes it canonical, Key names it and Execute runs it. A looked-up
+// Workload is the registry's shared, read-only profile. The Params hooks
 // and MetricsInterval ride along for the run but are not part of its
 // identity.
 type Run struct {
@@ -180,8 +181,8 @@ func (r *Run) Resolve() error {
 }
 
 // Registered reports whether the workload is the registered benchmark
-// proxy of its name (same parameters — registries return fresh instances,
-// so compare by value). Only such a run means the same thing to another
+// proxy of its name (same parameters — the public API hands out copies,
+// so compare by value; the registry's own pointer compares at once). Only such a run means the same thing to another
 // process: a key stands for a name, and a service can only run what its
 // registry holds.
 func (r *Run) Registered() bool {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
-	"strings"
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/trace"
@@ -64,33 +63,48 @@ type Spec struct {
 // Canonical returns the versioned canonical encoding of the spec. Every
 // field is emitted as |name=len:value with the value's byte length, so the
 // encoding is injective regardless of the bytes inside values.
-func (s Spec) Canonical() string {
-	var b strings.Builder
-	b.WriteString(Version)
-	field := func(name, val string) {
-		fmt.Fprintf(&b, "|%s=%d:%s", name, len(val), val)
-	}
-	field("bench", s.Benchmark)
-	field("scheme", s.Scheme)
-	field("variant", s.Variant)
-	field("conds", strconv.FormatUint(uint64(s.Conds), 10))
-	field("seed", strconv.FormatUint(s.Seed, 10))
-	field("warmup", strconv.FormatInt(s.Warmup, 10))
-	field("measure", strconv.FormatInt(s.Measure, 10))
-	field("trace", strconv.Itoa(s.TraceBuffer))
-	field("config", ConfigCanonical(s.Config))
-	field("attack", s.Attack)
-	if s.Consistency != "" && s.Consistency != "TSO" {
-		field("consistency", s.Consistency)
-	}
-	return b.String()
-}
+func (s Spec) Canonical() string { return string(s.appendCanonical(nil)) }
 
 // Key returns the spec's content-addressed identifier: the hex SHA-256 of
 // the canonical encoding.
 func (s Spec) Key() string {
-	sum := sha256.Sum256([]byte(s.Canonical()))
-	return hex.EncodeToString(sum[:])
+	var buf [1024]byte // a paper machine's encoding is ~660 bytes
+	sum := sha256.Sum256(s.appendCanonical(buf[:0]))
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
+}
+
+// appendCanonical appends the canonical encoding to b: the one encoder
+// behind Canonical and Key.
+func (s Spec) appendCanonical(b []byte) []byte {
+	var num [20]byte
+	var cfg [1024]byte
+	b = append(b, Version...)
+	b = field(b, "bench", s.Benchmark)
+	b = field(b, "scheme", s.Scheme)
+	b = field(b, "variant", s.Variant)
+	b = field(b, "conds", strconv.AppendUint(num[:0], uint64(s.Conds), 10))
+	b = field(b, "seed", strconv.AppendUint(num[:0], s.Seed, 10))
+	b = field(b, "warmup", strconv.AppendInt(num[:0], s.Warmup, 10))
+	b = field(b, "measure", strconv.AppendInt(num[:0], s.Measure, 10))
+	b = field(b, "trace", strconv.AppendInt(num[:0], int64(s.TraceBuffer), 10))
+	b = field(b, "config", appendConfig(cfg[:0], s.Config))
+	b = field(b, "attack", s.Attack)
+	if s.Consistency != "" && s.Consistency != "TSO" {
+		b = field(b, "consistency", s.Consistency)
+	}
+	return b
+}
+
+// field appends |name=len:val.
+func field[T string | []byte](b []byte, name string, val T) []byte {
+	b = append(b, '|')
+	b = append(b, name...)
+	b = append(b, '=')
+	b = strconv.AppendInt(b, int64(len(val)), 10)
+	b = append(b, ':')
+	return append(b, val...)
 }
 
 // ConfigCanonical encodes a machine configuration as name=value pairs in
@@ -98,77 +112,85 @@ func (s Spec) Key() string {
 // adding a field to arch.Config automatically changes every encoding (and
 // thus every key) instead of silently aliasing old results; the paired
 // test pins the current field set so additions are a conscious decision.
-func ConfigCanonical(cfg *arch.Config) string {
+func ConfigCanonical(cfg *arch.Config) string { return string(appendConfig(nil, cfg)) }
+
+// appendConfig appends ConfigCanonical(cfg) to b.
+func appendConfig(b []byte, cfg *arch.Config) []byte {
 	if cfg == nil {
-		return ""
+		return b
 	}
-	v := reflect.ValueOf(*cfg)
-	t := v.Type()
-	var b strings.Builder
-	for i := 0; i < t.NumField(); i++ {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(t.Field(i).Name)
-		b.WriteByte('=')
-		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Int:
-			b.WriteString(strconv.FormatInt(f.Int(), 10))
-		case reflect.Float64:
-			b.WriteString(strconv.FormatFloat(f.Float(), 'g', -1, 64))
-		case reflect.Bool:
-			if f.Bool() {
-				b.WriteByte('t')
-			} else {
-				b.WriteByte('f')
-			}
-		default:
-			// A new field kind needs an explicit canonical form; refuse to
-			// guess one silently.
-			panic(fmt.Sprintf("speckey: unsupported arch.Config field kind %s (%s)",
-				f.Kind(), t.Field(i).Name))
-		}
-	}
-	return b.String()
+	return appendFields(b, configFields, reflect.ValueOf(cfg).Elem())
 }
 
 // AttackCanonical encodes an adversarial workload (internal/trace.Attack)
 // as name=value pairs in struct-declaration order ("" for nil), the same
-// walk-by-reflection scheme as ConfigCanonical: a new Attack knob joins the
-// run identity automatically, and an unsupported field kind is a loud
-// refusal rather than a silent alias.
+// walk-by-reflection scheme as ConfigCanonical, with a string value
+// length-prefixed: a new Attack knob joins the run identity automatically.
 func AttackCanonical(a *trace.Attack) string {
 	if a == nil {
 		return ""
 	}
-	v := reflect.ValueOf(*a)
-	t := v.Type()
-	var b strings.Builder
-	for i := 0; i < t.NumField(); i++ {
-		if i > 0 {
-			b.WriteByte(';')
+	return string(appendFields(nil, attackFields, reflect.ValueOf(a).Elem()))
+}
+
+// The encoded structs' fields, reflected once per type.
+var (
+	configFields = fieldsOf(reflect.TypeOf(arch.Config{}))
+	attackFields = fieldsOf(reflect.TypeOf(trace.Attack{}))
+)
+
+// structField is one field of an encoded struct: its kind and what
+// precedes its value ("Name=", ";Name=" after the first field).
+type structField struct {
+	kind   reflect.Kind
+	prefix string
+}
+
+// fieldsOf lists a struct type's fields in declaration order. A field kind
+// without a canonical form is a loud refusal, not a silent alias: the
+// package does not initialise.
+func fieldsOf(t reflect.Type) []structField {
+	out := make([]structField, t.NumField())
+	for i := range out {
+		f := t.Field(i)
+		switch f.Type.Kind() {
+		case reflect.String, reflect.Int, reflect.Uint64, reflect.Float64, reflect.Bool:
+		default:
+			panic(fmt.Sprintf("speckey: unsupported %s field kind %s (%s)", t, f.Type.Kind(), f.Name))
 		}
-		b.WriteString(t.Field(i).Name)
-		b.WriteByte('=')
+		out[i] = structField{kind: f.Type.Kind(), prefix: ";" + f.Name + "="}
+	}
+	if len(out) > 0 {
+		out[0].prefix = out[0].prefix[1:]
+	}
+	return out
+}
+
+// appendFields appends v's fields as name=value pairs: integers in
+// decimal, floats in the shortest 'g' form, booleans as t/f and strings as
+// len:value.
+func appendFields(b []byte, fields []structField, v reflect.Value) []byte {
+	for i, sf := range fields {
+		b = append(b, sf.prefix...)
 		f := v.Field(i)
-		switch f.Kind() {
+		switch sf.kind {
 		case reflect.String:
-			fmt.Fprintf(&b, "%d:%s", f.Len(), f.String())
+			b = strconv.AppendInt(b, int64(f.Len()), 10)
+			b = append(b, ':')
+			b = append(b, f.String()...)
 		case reflect.Int:
-			b.WriteString(strconv.FormatInt(f.Int(), 10))
+			b = strconv.AppendInt(b, f.Int(), 10)
 		case reflect.Uint64:
-			b.WriteString(strconv.FormatUint(f.Uint(), 10))
+			b = strconv.AppendUint(b, f.Uint(), 10)
+		case reflect.Float64:
+			b = strconv.AppendFloat(b, f.Float(), 'g', -1, 64)
 		case reflect.Bool:
 			if f.Bool() {
-				b.WriteByte('t')
+				b = append(b, 't')
 			} else {
-				b.WriteByte('f')
+				b = append(b, 'f')
 			}
-		default:
-			panic(fmt.Sprintf("speckey: unsupported trace.Attack field kind %s (%s)",
-				f.Kind(), t.Field(i).Name))
 		}
 	}
-	return b.String()
+	return b
 }

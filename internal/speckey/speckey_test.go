@@ -1,7 +1,13 @@
 package speckey
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -193,5 +199,166 @@ func TestAttackFieldSetPinned(t *testing.T) {
 	if n := reflect.TypeOf(trace.Attack{}).NumField(); n != 5 {
 		t.Fatalf("trace.Attack has %d fields (expected 5): update this pin and "+
 			"bump speckey.Version if cached results are invalidated", n)
+	}
+}
+
+// refCanonical is the reference encoding Canonical must reproduce byte for
+// byte: every key already issued (job IDs, cache addresses, warm stores)
+// was spelled by it, through fmt and a reflect walk per call.
+func refCanonical(s Spec) string {
+	var b strings.Builder
+	b.WriteString(Version)
+	field := func(name, val string) {
+		fmt.Fprintf(&b, "|%s=%d:%s", name, len(val), val)
+	}
+	field("bench", s.Benchmark)
+	field("scheme", s.Scheme)
+	field("variant", s.Variant)
+	field("conds", strconv.FormatUint(uint64(s.Conds), 10))
+	field("seed", strconv.FormatUint(s.Seed, 10))
+	field("warmup", strconv.FormatInt(s.Warmup, 10))
+	field("measure", strconv.FormatInt(s.Measure, 10))
+	field("trace", strconv.Itoa(s.TraceBuffer))
+	cfg := ""
+	if s.Config != nil {
+		cfg = refStruct(reflect.ValueOf(*s.Config))
+	}
+	field("config", cfg)
+	field("attack", s.Attack)
+	if s.Consistency != "" && s.Consistency != "TSO" {
+		field("consistency", s.Consistency)
+	}
+	return b.String()
+}
+
+// refStruct is the reference name=value walk of arch.Config and
+// trace.Attack.
+func refStruct(v reflect.Value) string {
+	t := v.Type()
+	var b strings.Builder
+	for i := 0; i < t.NumField(); i++ {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		b.WriteString(t.Field(i).Name)
+		b.WriteByte('=')
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			fmt.Fprintf(&b, "%d:%s", f.Len(), f.String())
+		case reflect.Int:
+			b.WriteString(strconv.FormatInt(f.Int(), 10))
+		case reflect.Uint64:
+			b.WriteString(strconv.FormatUint(f.Uint(), 10))
+		case reflect.Float64:
+			b.WriteString(strconv.FormatFloat(f.Float(), 'g', -1, 64))
+		case reflect.Bool:
+			if f.Bool() {
+				b.WriteByte('t')
+			} else {
+				b.WriteByte('f')
+			}
+		default:
+			panic(fmt.Sprintf("unsupported field kind %s", f.Kind()))
+		}
+	}
+	return b.String()
+}
+
+// randomize sets every field of the struct v points to from rng: integers
+// of every magnitude and sign, floats including the special values, random
+// bytes for strings.
+func randomize(rng *rand.Rand, v reflect.Value) {
+	v = v.Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(randomString(rng))
+		case reflect.Int:
+			f.SetInt(rng.Int64() >> rng.IntN(64))
+			if rng.IntN(2) == 0 {
+				f.SetInt(-f.Int())
+			}
+		case reflect.Uint64:
+			f.SetUint(rng.Uint64() >> rng.IntN(64))
+		case reflect.Float64:
+			specials := []float64{0, math.Copysign(0, -1), 1e-300, 5e-324, math.MaxFloat64,
+				math.Inf(1), math.Inf(-1), math.NaN(), 0.1, 2.5, 1e21, 123456789}
+			x := specials[rng.IntN(len(specials))]
+			if rng.IntN(2) == 0 {
+				x = rng.NormFloat64() * math.Pow(10, float64(rng.IntN(40)-20))
+			}
+			f.SetFloat(x)
+		case reflect.Bool:
+			f.SetBool(rng.IntN(2) == 0)
+		default:
+			panic(fmt.Sprintf("randomize: field kind %s", f.Kind()))
+		}
+	}
+}
+
+func randomString(rng *rand.Rand) string {
+	const alphabet = "ab|=:;0 \xff\u00e9"
+	b := make([]byte, rng.IntN(12))
+	for i := range b {
+		b[i] = alphabet[rng.IntN(len(alphabet))]
+	}
+	return string(b)
+}
+
+// TestCanonicalMatchesReference holds the encoder to the reference over
+// random specs (random machine configurations, every attack kernel as the
+// security tier builds it and random attacks, both consistency spellings)
+// and over the paper machines: same bytes, so the same keys.
+func TestCanonicalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	var attacks []*trace.Attack
+	for _, kernel := range []string{"spectre_v1", "alias", "mcv", "interference"} {
+		for secret := uint64(0); secret < 2; secret++ {
+			attacks = append(attacks, &trace.Attack{AttackKind: kernel, Secret: secret})
+		}
+	}
+	for i := 0; i < 64; i++ {
+		var a trace.Attack
+		randomize(rng, reflect.ValueOf(&a))
+		attacks = append(attacks, &a)
+	}
+	for _, a := range attacks {
+		if got, want := AttackCanonical(a), refStruct(reflect.ValueOf(*a)); got != want {
+			t.Fatalf("AttackCanonical(%+v)\n got %q\nwant %q", *a, got, want)
+		}
+	}
+	var configs []*arch.Config
+	for _, cores := range []int{0, 1, 8} {
+		cfg := arch.PaperConfig(cores)
+		configs = append(configs, &cfg)
+	}
+	for i := 0; i < 500; i++ {
+		var cfg arch.Config
+		randomize(rng, reflect.ValueOf(&cfg))
+		configs = append(configs, &cfg)
+	}
+	for i, cfg := range configs {
+		s := Spec{Benchmark: randomString(rng), Scheme: randomString(rng), Variant: randomString(rng),
+			Conds: uint8(rng.Uint32()), Seed: rng.Uint64(), Warmup: rng.Int64() - rng.Int64(),
+			Measure: rng.Int64(), TraceBuffer: int(rng.Int32()) - int(rng.Int32()), Config: cfg,
+			Consistency: []string{"", "TSO", "RC", randomString(rng)}[i%4]}
+		if i%3 == 0 {
+			s.Config = nil
+		}
+		if i%2 == 0 {
+			s.Attack = AttackCanonical(attacks[i%len(attacks)])
+		}
+		want := refCanonical(s)
+		if got := s.Canonical(); got != want {
+			t.Fatalf("spec %d:\n got %q\nwant %q", i, got, want)
+		}
+		if got := ConfigCanonical(cfg); cfg != nil && got != refStruct(reflect.ValueOf(*cfg)) {
+			t.Fatalf("ConfigCanonical of config %d: %q", i, got)
+		}
+		if sum := sha256.Sum256([]byte(want)); s.Key() != hex.EncodeToString(sum[:]) {
+			t.Fatalf("spec %d: Key is not the SHA-256 of the reference encoding", i)
+		}
 	}
 }

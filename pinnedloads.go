@@ -27,6 +27,7 @@ package pinnedloads
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/checkpoint"
@@ -128,13 +129,27 @@ type HardwareCost = pin.HardwareCost
 // Cost computes Pinned Loads storage for a configuration (Section 9.2.4).
 func Cost(cfg *Config) HardwareCost { return pin.Cost(cfg) }
 
-// SPEC17, SPLASH2 and PARSEC return the benchmark proxy suites.
-func SPEC17() []*Profile  { return trace.SPEC17() }
-func SPLASH2() []*Profile { return trace.SPLASH2() }
-func PARSEC() []*Profile  { return trace.PARSEC() }
+// SPEC17, SPLASH2 and PARSEC return the benchmark proxy suites. Every
+// profile is the caller's own copy: editing one changes no other run.
+func SPEC17() []*Profile  { return copies(trace.SPEC17()...) }
+func SPLASH2() []*Profile { return copies(trace.SPLASH2()...) }
+func PARSEC() []*Profile  { return copies(trace.PARSEC()...) }
 
-// Benchmark returns the proxy with the given name, or nil.
-func Benchmark(name string) *Profile { return trace.ByName(name) }
+// Benchmark returns a copy of the proxy with the given name, or nil.
+func Benchmark(name string) *Profile { return copies(trace.ByName(name))[0] }
+
+// copies replaces each registry profile in ps, shared and read-only, by a
+// deep copy; nil stays nil.
+func copies(ps ...*Profile) []*Profile {
+	for i, p := range ps {
+		if p != nil {
+			c := *p
+			c.Kernels = slices.Clone(p.Kernels)
+			ps[i] = &c
+		}
+	}
+	return ps
+}
 
 // RecordTrace captures n instructions per core of a workload into a
 // replayable binary trace file (see also cmd/pltrace -record).
