@@ -183,17 +183,15 @@ func TestSteadyStateCycleAllocsCheckpointOff(t *testing.T) {
 }
 
 // TestSteadyStateCycleAllocsTracerOn pins the tracing overhead: with a
-// ring recorder attached (fronted by the shared event batch), the budget
-// is a small constant — batch appends and bulk ring copies, no per-event
-// allocation. The bound is deliberately tight so a reintroduced per-event
-// allocation (one alloc per traced event, several events per cycle) fails
-// immediately.
+// ring recorder attached, the budget is a small constant — ring stores, no
+// per-event allocation. The bound is deliberately tight so a reintroduced
+// per-event allocation (one alloc per traced event, several events per cycle)
+// fails immediately.
 func TestSteadyStateCycleAllocsTracerOn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
 	sys := newWarmSystem(t, "gcc_r", defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, obs.NewRing(1<<16))
-	defer sys.flushEvents()
 	avg := testing.AllocsPerRun(2000, func() { sys.stepCycle() })
 	if avg > 0.05 {
 		t.Fatalf("steady-state cycle loop allocates %v/cycle with tracing on, want <= 0.05", avg)

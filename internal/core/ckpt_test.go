@@ -11,7 +11,7 @@ import (
 // hooks a caller attaches.
 var (
 	systemDerived = []string{"resumed", "lastCkpt", "jumps", "jumped"}
-	systemConfig  = []string{"cfg", "policy", "sampler", "batch", "ckptEvery", "ckptFn", "warmupHook"}
+	systemConfig  = []string{"cfg", "policy", "sampler", "ckptEvery", "ckptFn", "warmupHook"}
 )
 
 // TestSystemStateCoversEveryField: a field added to System must be walked or

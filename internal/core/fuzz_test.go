@@ -223,10 +223,7 @@ func newSim(t testing.TB, r lockstepRow, observed bool) *sim {
 	return m
 }
 
-func (m *sim) Events() []obs.Event {
-	m.flushEvents()
-	return m.ring.Events()
-}
+func (m *sim) Events() []obs.Event { return m.ring.Events() }
 
 // counters walks every counter's value: a row's quick walk.
 func (m *sim) counters(s ckptio.State) {
@@ -410,7 +407,7 @@ func sleepPair(t *testing.T, r lockstepRow) (woken, sleeper *sim) {
 			prev = values(m, prev)
 			c.Tick(m.cycle)
 			wasQuiet[i] = c.Quiet()
-			if c.SetRecorder(m.batch); !wasQuiet[i] { // SetRecorder keeps the core awake
+			if c.SetRecorder(m.ring); !wasQuiet[i] { // SetRecorder keeps the core awake
 				delta[i] = delta[i][:0]
 				continue
 			}

@@ -31,11 +31,6 @@ type System struct {
 	// SampleEvery. The nil default costs the cycle loop one branch.
 	sampler *obs.Sampler
 
-	// batch buffers traced events between the cores and the recorder the
-	// caller attached, so hot-path Record calls are plain appends. Events
-	// from all cores share one buffer, preserving global recording order.
-	batch *obs.Batch
-
 	// Checkpoint/restore state. warmupDone records the cycle the warmup
 	// phase ended (-1 until then) and warmupTarget its instruction target;
 	// both travel in snapshots so a restored run can skip a completed
@@ -96,24 +91,11 @@ func NewBlank(cfg arch.Config, policy defense.Policy, w trace.Source, seed uint6
 }
 
 // SetRecorder attaches an event recorder to every core (and, through each
-// core, its L1). Call it before Run; the enabled state is cached. Enabled
-// recorders are fronted by a shared batch buffer that is flushed when each
-// run ends, so events reach r in bulk but in unchanged order.
+// core, its L1). Call it before Run; the enabled state is cached. Every core
+// records into r itself, so r sees the events in global recording order.
 func (s *System) SetRecorder(r obs.Recorder) {
-	s.batch = nil
-	if r != nil && r.Enabled() {
-		s.batch = obs.NewBatch(r, 512)
-		r = s.batch
-	}
 	for _, c := range s.cores {
 		c.SetRecorder(r)
-	}
-}
-
-// flushEvents hands any buffered trace events to the attached recorder.
-func (s *System) flushEvents() {
-	if s.batch != nil {
-		s.batch.Flush()
 	}
 }
 
@@ -166,7 +148,6 @@ func (s *System) RunContext(ctx context.Context, warmup, measure int64) (Result,
 	if measure <= 0 {
 		return Result{}, fmt.Errorf("core: measure count must be positive, got %d", measure)
 	}
-	defer s.flushEvents()
 	r := s.begin(ctx, warmup, measure)
 	for {
 		more, err := s.step(&r)

@@ -91,21 +91,6 @@ func (c Cause) String() string {
 	return "none"
 }
 
-// CauseFromString maps the pipeline's squash-cause strings to Cause values.
-func CauseFromString(s string) Cause {
-	switch s {
-	case "branch":
-		return CauseBranch
-	case "alias":
-		return CauseAlias
-	case "mcv":
-		return CauseMCV
-	case "fault":
-		return CauseFault
-	}
-	return CauseNone
-}
-
 // Event is one traced simulator event. The struct is fixed-size and
 // pointer-free so a Ring of them is a single allocation.
 type Event struct {
@@ -187,73 +172,4 @@ func (r *Ring) Events() []Event {
 	n := copy(out, r.buf[start:])
 	copy(out[n:], r.buf[:start])
 	return out
-}
-
-// RecordAll appends a batch of events in order, equivalent to calling
-// Record on each but with bulk copies instead of per-event calls.
-func (r *Ring) RecordAll(evs []Event) {
-	for len(evs) > 0 {
-		if len(r.buf) < cap(r.buf) {
-			n := copy(r.buf[len(r.buf):cap(r.buf)], evs)
-			r.buf = r.buf[:len(r.buf)+n]
-			r.total += uint64(n)
-			evs = evs[n:]
-			continue
-		}
-		start := int(r.total % uint64(cap(r.buf)))
-		n := copy(r.buf[start:], evs)
-		r.total += uint64(n)
-		evs = evs[n:]
-	}
-}
-
-// bulkRecorder is implemented by recorders that accept event batches.
-type bulkRecorder interface {
-	RecordAll([]Event)
-}
-
-// Batch is a buffering front for another recorder: events accumulate in a
-// single shared buffer (preserving global recording order across sources)
-// and are handed to the destination in bulk, either when the buffer fills
-// or on Flush. The cycle loop records into the buffer with a plain append;
-// the destination sees identical events in identical order.
-type Batch struct {
-	dst Recorder
-	buf []Event
-}
-
-// NewBatch returns a batching recorder flushing to dst every threshold
-// events. The destination must be enabled.
-func NewBatch(dst Recorder, threshold int) *Batch {
-	if threshold <= 0 {
-		panic("obs: NewBatch requires threshold > 0")
-	}
-	return &Batch{dst: dst, buf: make([]Event, 0, threshold)}
-}
-
-// Enabled implements Recorder.
-func (b *Batch) Enabled() bool { return true }
-
-// Record implements Recorder, buffering the event.
-func (b *Batch) Record(ev Event) {
-	b.buf = append(b.buf, ev)
-	if len(b.buf) == cap(b.buf) {
-		b.Flush()
-	}
-}
-
-// Flush forwards all buffered events to the destination. Callers must
-// Flush before reading the destination (for example at the end of a run).
-func (b *Batch) Flush() {
-	if len(b.buf) == 0 {
-		return
-	}
-	if bulk, ok := b.dst.(bulkRecorder); ok {
-		bulk.RecordAll(b.buf)
-	} else {
-		for _, ev := range b.buf {
-			b.dst.Record(ev)
-		}
-	}
-	b.buf = b.buf[:0]
 }

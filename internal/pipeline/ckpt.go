@@ -78,8 +78,7 @@ func (en *entry) walk(s ckptio.State) {
 }
 
 // rebuildCandidates recomputes the load-queue candidate lists and lastOdd
-// from the unretired loads; resetting issueCand moves its version on, which
-// voids the gate summary.
+// from the unretired loads.
 func (c *Core) rebuildCandidates() {
 	c.issueCand.reset()
 	c.exposeCand.reset()

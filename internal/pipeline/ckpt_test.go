@@ -20,8 +20,8 @@ var entryDerived = []string{"probeEpoch", "probeLine", "probeHit"}
 var (
 	coreDerived = []string{"headSlot", "issueCand", "exposeCand", "specCand", "active", "asleep",
 		"wire", "cntBefore", "replay", "calMask", "barrierSeen", "slept",
-		"lastOdd", "denied", "stFilter", "gateVisits", "forwardScans"}
-	coreConfig = []string{"id", "cfg", "policy", "l1", "gen", "bar", "count", "cnt", "rec", "tracing",
+		"lastOdd", "stFilter", "gateVisits", "forwardScans"}
+	coreConfig = []string{"id", "cfg", "policy", "l1", "gen", "bar", "cnt", "rec", "tracing",
 		"predictor", "l1CST", "dirCST", "cpt", "lqTagMask", "cntAll"}
 )
 

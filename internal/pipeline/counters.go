@@ -1,6 +1,9 @@
 package pipeline
 
-import "pinnedloads/internal/stats"
+import (
+	"pinnedloads/internal/obs"
+	"pinnedloads/internal/stats"
+)
 
 // coreCounters holds pre-bound stats.Counters handles for every counter
 // the core touches on the cycle path. Binding once in NewCore turns each
@@ -13,10 +16,7 @@ type coreCounters struct {
 	dispatched     *uint64
 	retired        *uint64
 	squashedInsts  *uint64
-	squashBranch   *uint64
-	squashAlias    *uint64
-	squashMCV      *uint64
-	squashFault    *uint64
+	squash         [obs.CauseFault + 1]*uint64 // by cause; squash[obs.CauseNone] is nil
 	squashFaultTkn *uint64
 
 	stallRetireLoad   *uint64
@@ -72,13 +72,15 @@ func bindCoreCounters(ct *stats.Counters) (coreCounters, []*uint64) {
 		return p
 	}
 	cnt := coreCounters{
-		dispatched:     h("dispatched"),
-		retired:        h("retired"),
-		squashedInsts:  h("squashed_insts"),
-		squashBranch:   h("squash.branch"),
-		squashAlias:    h("squash.alias"),
-		squashMCV:      h("squash.mcv"),
-		squashFault:    h("squash.fault"),
+		dispatched:    h("dispatched"),
+		retired:       h("retired"),
+		squashedInsts: h("squashed_insts"),
+		squash: [...]*uint64{
+			obs.CauseBranch: h("squash.branch"),
+			obs.CauseAlias:  h("squash.alias"),
+			obs.CauseMCV:    h("squash.mcv"),
+			obs.CauseFault:  h("squash.fault"),
+		},
 		squashFaultTkn: h("squash.fault_taken"),
 
 		stallRetireLoad:   h("stall.retire_load"),
@@ -123,20 +125,4 @@ func bindCoreCounters(ct *stats.Counters) (coreCounters, []*uint64) {
 		storesDeferred: h("stores.deferred"),
 	}
 	return cnt, all
-}
-
-// squashCounter maps a squash cause to its pre-bound counter; unknown
-// causes (none exist today) fall back to the string-keyed path.
-func (c *Core) squashCounter(cause string) *uint64 {
-	switch cause {
-	case "branch":
-		return c.cnt.squashBranch
-	case "alias":
-		return c.cnt.squashAlias
-	case "mcv":
-		return c.cnt.squashMCV
-	case "fault":
-		return c.cnt.squashFault
-	}
-	return c.count.Handle("squash." + cause)
 }

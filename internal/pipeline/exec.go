@@ -3,6 +3,7 @@ package pipeline
 import (
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/isa"
+	"pinnedloads/internal/obs"
 )
 
 // deref resolves a ref to its live entry, or nil if the generation was
@@ -129,7 +130,7 @@ func (c *Core) complete() {
 				// redirect the frontend to the fall-through stream.
 				// The redirect must happen even when resolution beat
 				// the first wrong-path dispatch.
-				c.squashFrom(e.seq+1, "branch")
+				c.squashFrom(e.seq+1, obs.CauseBranch)
 				c.wrongMode = false
 				c.fetchPtr = winIdx + 1
 				c.stallUntil = c.now + int64(c.cfg.FetchRedirectCycles)
@@ -212,7 +213,7 @@ func (c *Core) aliasCheck(st *entry) {
 		}
 	}
 	if victim >= 0 {
-		c.squashFrom(victim, "alias")
+		c.squashFrom(victim, obs.CauseAlias)
 	}
 }
 

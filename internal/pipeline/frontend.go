@@ -172,18 +172,18 @@ func (c *Core) insert(in *isa.Inst, winIdx int64) {
 
 // squashFrom removes entries [from, tail) from the ROB, redirects the
 // frontend to refetch, and applies the redirect penalty.
-func (c *Core) squashFrom(from int64, cause string) {
+func (c *Core) squashFrom(from int64, cause obs.Cause) {
 	if from >= c.tail {
 		return
 	}
 	if from < c.head {
 		c.fail("squash before head (%d < %d)", from, c.head)
 	}
-	*c.squashCounter(cause)++
+	*c.cnt.squash[cause]++
 	*c.cnt.squashedInsts += uint64(c.tail - from)
 	if c.tracing {
 		c.rec.Record(obs.Event{Cycle: c.now, Core: int16(c.id), Kind: obs.KindSquash,
-			Seq: from, Arg: c.tail - from, Cause: obs.CauseFromString(cause)})
+			Seq: from, Arg: c.tail - from, Cause: cause})
 	}
 
 	refetch := int64(-1) // correct-path stream index to resume from

@@ -43,12 +43,12 @@ func (c *Core) expectReachedVP(e *entry) bool {
 	return true
 }
 
-// expectIssue recomputes what issueLoads is about to add to issueCounts, the
-// way the stage worked before the gate bound, the denial summary and the
-// store-address filter existed: every candidate in program order, the whole
-// Table 2 gate for each, a fresh L1 probe, a scan of the whole ROB and write
-// buffer for a forwarding store, until the L1 ports run out. It writes
-// nothing: not the VP and probe memos, not an effective address, no counter.
+// expectIssue recomputes what issueLoads is about to add to issueCounts
+// without its gate bound, DOM probe memo or store-address filter: every
+// candidate in program order, the whole Table 2 gate for each, a fresh L1
+// probe, a scan of the whole ROB and write buffer for a forwarding store,
+// until the L1 ports run out. It writes nothing: not the VP and probe memos,
+// not an effective address, no counter.
 func (c *Core) expectIssue() issueCounts {
 	var n issueCounts
 	ports := c.l1.PortsUsed()
@@ -196,17 +196,25 @@ func faultStream() *trace.Script {
 
 // TestDenialSummaryConservativeTSO runs the oracle on the configuration the
 // machines of TestCandidateListsMatchFullWalk leave out: a load is MCV-safe
-// only at the ROB head, so STT's taint roots — and with them the denial
-// summary — turn on head, not on the oldest-load mark.
+// only at the ROB head, so STT's taint roots and Fence's gate bound, with and
+// without pinning, turn on head, not on the oldest-load mark.
 func TestDenialSummaryConservativeTSO(t *testing.T) {
-	pol := defense.Policy{Scheme: defense.STT, Variant: defense.Comp}
-	for _, src := range []trace.Source{trace.ByName("mcf_r"), faultStream()} {
-		m := newMachine(src, pol, func(cfg *arch.Config) { cfg.AggressiveTSO = false })
-		for m.cycle < 8_000 {
-			m.step(t)
-		}
-		if m.count.Get("stall.stt_tainted") == 0 {
-			t.Fatalf("%s: STT never denied a tainted load", src.Name())
+	for _, tc := range []struct {
+		pol   defense.Policy
+		stall string
+	}{
+		{defense.Policy{Scheme: defense.STT, Variant: defense.Comp}, "stall.stt_tainted"},
+		{defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}, "stall.fence"},
+		{defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, "stall.fence"},
+	} {
+		for _, src := range []trace.Source{trace.ByName("mcf_r"), faultStream()} {
+			m := newMachine(src, tc.pol, func(cfg *arch.Config) { cfg.AggressiveTSO = false })
+			for m.cycle < 8_000 {
+				m.step(t)
+			}
+			if m.count.Get(tc.stall) == 0 {
+				t.Fatalf("%s on %s: %s never moved", tc.pol, src.Name(), tc.stall)
+			}
 		}
 	}
 }

@@ -6,41 +6,18 @@ import (
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/coherence"
 	"pinnedloads/internal/defense"
+	"pinnedloads/internal/obs"
 )
 
 // issueLoads sends eligible loads to the memory system, applying the active
 // defense scheme's gating rule. It visits the loads in stAddrDone, in program
-// order, and keeps the ones still waiting. Past the gate bound a load meets
-// only the scheme's own predicate, so if the L1 ports held out that far,
-// Fence denies the rest by count, and DOM and STT replay the count of their
-// last walk of the rest for as long as nothing that walk read has moved.
+// order, and keeps the ones still waiting. Past Fence's gate bound every load
+// would be denied, so if the L1 ports held out that far, Fence counts the rest
+// without visiting them.
 func (c *Core) issueLoads() {
 	cand := c.issueCand.seqs()
-	stall, bound := c.gate()
-	kept, i := c.issueUpTo(cand, 0, 0, bound)
-	if i < len(cand) && cand[i] > bound {
-		sum := gateSummary{ver: c.issueCand.ver, n: uint64(len(cand) - i)}
-		switch c.policy.Scheme {
-		case defense.DOM:
-			sum.epoch = c.l1.TagEpoch()
-		case defense.STT:
-			sum.vp, sum.head, sum.pin, sum.oldest = c.vpFrontier, c.head, c.pinFrontier, c.oldestLoadSeq
-		}
-		if c.policy.Scheme == defense.Fence || c.denied == sum {
-			*stall += sum.n // i stays: compact keeps every one of them
-		} else {
-			before := *stall
-			kept, i = c.issueUpTo(cand, kept, i, math.MaxInt64)
-			sum.n = *stall - before // short of the rest if any of them passed
-			c.denied = sum
-		}
-	}
-	c.issueCand.compact(kept, i)
-}
-
-// issueUpTo is the walk of issueLoads over cand[i:] up to seq bound: it moves
-// the loads that stay to cand[:kept] and stops early when issueLoad does.
-func (c *Core) issueUpTo(cand []int64, kept, i int, bound int64) (int, int) {
+	bound := c.gate()
+	kept, i := 0, 0
 	for ; i < len(cand) && cand[i] <= bound; i++ {
 		e := c.at(cand[i])
 		if !c.issueLoad(e) {
@@ -51,36 +28,22 @@ func (c *Core) issueUpTo(cand []int64, kept, i int, bound int64) (int, int) {
 			kept++
 		}
 	}
-	return kept, i
-}
-
-// gateSummary is one walk of the candidates past the gate bound: n of them
-// bumped the scheme's stall counter. ver says which list they are the last n
-// of; the rest is what the scheme's predicate read besides the load itself,
-// the L1 tag epoch (DOM) or the frontiers tainted's reachedVP goes by (STT).
-type gateSummary struct {
-	ver, n, epoch         uint64
-	vp, head, pin, oldest int64
-}
-
-// gate returns the seq past which mayIssueLoad is the scheme's predicate
-// alone, and the counter that predicate's denial bumps. Above vpFrontier no
-// load has vpReached, at or above pinFrontier none is pinned, and lastOdd
-// keeps on the walked side every load that faults (denied, but not counted)
-// or whose address effectiveAddr may move. A scheme that denies nothing past
-// its VP has no bound.
-func (c *Core) gate() (stall *uint64, bound int64) {
-	switch c.policy.Scheme {
-	case defense.Fence:
-		stall = c.cnt.stallFence
-	case defense.DOM:
-		stall = c.cnt.stallDOMMiss
-	case defense.STT:
-		stall = c.cnt.stallSTTTainted
-	default:
-		return nil, math.MaxInt64
+	if i < len(cand) && cand[i] > bound {
+		*c.cnt.stallFence += uint64(len(cand) - i) // i stays: compact keeps every one of them
 	}
-	return stall, max(c.vpFrontier, c.pinFrontier-1, c.pinPendingSeq, c.lastOdd)
+	c.issueCand.compact(kept, i)
+}
+
+// gate returns the seq past which Fence denies every load. Above vpFrontier
+// no load has vpReached, at or above pinFrontier none is pinned, and lastOdd
+// keeps on the walked side every load that faults (denied, but not counted)
+// or whose address effectiveAddr may move. The other schemes' predicates
+// read more than the load's place in program order, so they have no bound.
+func (c *Core) gate() int64 {
+	if c.policy.Scheme != defense.Fence {
+		return math.MaxInt64
+	}
+	return max(c.vpFrontier, c.pinFrontier-1, c.pinPendingSeq, c.lastOdd)
 }
 
 // issueLoad tries to start e's memory access (or satisfy it by store
@@ -407,7 +370,7 @@ func (c *Core) OnInvalidate(line uint64) {
 		}
 	}
 	if victim >= 0 {
-		c.squashFrom(victim, "mcv")
+		c.squashFrom(victim, obs.CauseMCV)
 	}
 }
 

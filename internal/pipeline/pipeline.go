@@ -148,7 +148,6 @@ type Core struct {
 	l1     *coherence.L1
 	gen    trace.Generator
 	bar    *BarrierSync
-	count  *stats.Counters
 	cnt    coreCounters // pre-bound handles for cycle-path counters
 
 	// rec receives structured trace events; tracing caches rec.Enabled()
@@ -269,12 +268,10 @@ type Core struct {
 
 	// Load issue (mem.go), all derived and never serialized. lastOdd is at or
 	// above the seq of every in-flight load with inst.Fault or a
-	// TransientAddr (-1: none), which issueLoads always walks; denied is what
-	// the last walk of the candidates past the gate bound found; stFilter
-	// counts the resolved in-flight store addresses by hash, SQ and write
-	// buffer together; gateVisits and forwardScans count host work.
+	// TransientAddr (-1: none), which issueLoads always walks; stFilter counts
+	// the resolved in-flight store addresses by hash, SQ and write buffer
+	// together; gateVisits and forwardScans count host work.
 	lastOdd      int64
-	denied       gateSummary
 	stFilter     [256]uint16
 	gateVisits   int64
 	forwardScans int64
@@ -291,7 +288,6 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		l1:             l1,
 		gen:            gen,
 		bar:            bar,
-		count:          count,
 		cnt:            cnt,
 		cntAll:         cntAll,
 		cntBefore:      make([]uint64, len(cntAll)),

@@ -21,7 +21,7 @@ func (c *Core) retire() {
 				// charge the handler penalty, and continue past the
 				// faulting instruction as if the OS repaired it.
 				*c.cnt.squashFaultTkn++
-				c.squashFrom(c.head+1, "fault")
+				c.squashFrom(c.head+1, obs.CauseFault)
 				c.stallUntil = c.now + faultFlushPenalty
 				break
 			}
@@ -58,7 +58,7 @@ func (c *Core) retire() {
 			}
 			if e.inst.Fault {
 				*c.cnt.squashFaultTkn++
-				c.squashFrom(c.head+1, "fault")
+				c.squashFrom(c.head+1, obs.CauseFault)
 				c.stallUntil = c.now + faultFlushPenalty
 				c.stFilter[stHash(e.inst.Addr)]-- // leaves the SQ for nowhere
 				break

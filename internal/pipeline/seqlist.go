@@ -10,9 +10,6 @@ package pipeline
 type seqList struct {
 	buf    []int64
 	lo, hi int // live window is buf[lo:hi]
-	// ver moves whenever an element joins or leaves: while it is unchanged
-	// the list holds the same instructions, not merely the same seqs.
-	ver uint64
 }
 
 // newSeqList returns an empty list that holds up to n seqs without growing.
@@ -41,7 +38,6 @@ func (l *seqList) push(seq int64) {
 	l.room()
 	l.buf[l.hi] = seq
 	l.hi++
-	l.ver++
 }
 
 // insert adds seq at its program-order position.
@@ -53,7 +49,6 @@ func (l *seqList) insert(seq int64) {
 	}
 	l.buf[i] = seq
 	l.hi++
-	l.ver++
 }
 
 // dropFront removes seq if it is the oldest element — how a retiring
@@ -64,7 +59,6 @@ func (l *seqList) dropFront(seq int64) bool {
 		return false
 	}
 	l.lo++
-	l.ver++
 	return true
 }
 
@@ -72,7 +66,6 @@ func (l *seqList) dropFront(seq int64) bool {
 func (l *seqList) truncate(from int64) {
 	for l.hi > l.lo && l.buf[l.hi-1] >= from {
 		l.hi--
-		l.ver++
 	}
 }
 
@@ -83,12 +76,10 @@ func (l *seqList) compact(n, i int) {
 	if n < i {
 		n += copy(l.buf[l.lo+n:l.hi], l.buf[l.lo+i:l.hi])
 		l.hi = l.lo + n
-		l.ver++
 	}
 }
 
 // reset empties the list.
 func (l *seqList) reset() {
 	l.lo, l.hi = 0, 0
-	l.ver++
 }

@@ -19,9 +19,7 @@ cd "$(dirname "$0")/.."
 # NAME  PACKAGES  -run PATTERN
 table='
 oldest-load-wire      ./internal/core                          FuzzDerivedState|TestQuietTicksAreFixedPoints
-stamp-without-ver     ./internal/pipeline                      TestCandidateListsMatchFullWalk
 removeat-keeps-filter ./internal/core                          FuzzDerivedState
-compact-keeps-ver     ./internal/core                          TestGateVisits
 restore-skips-fill    ./internal/core                          FuzzDerivedState
 addrun-skips-occ      ./internal/core                          FuzzDerivedState
 lines-reads-runs      ./internal/coherence                     TestDirMatchesDenseReference|TestResidencyHoldsFilterToWays
