@@ -46,10 +46,19 @@ func TestRunCustomConfig(t *testing.T) {
 }
 
 func TestRunInvalidConfig(t *testing.T) {
-	cfg := PaperConfig(1)
-	cfg.ROBEntries = 0
-	if _, err := Run(RunSpec{Benchmark: "leela_r", Config: &cfg}); err == nil {
-		t.Fatal("invalid config accepted")
+	// The last three once passed validation and panicked in the fabric or
+	// the mesh at the first message.
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.ROBEntries = 0 },
+		func(c *Config) { c.DRAMCycles = 1100 },
+		func(c *Config) { c.WriteRetryBackoff = 2000 },
+		func(c *Config) { c.HopCycles = -1 },
+	} {
+		cfg := PaperConfig(1)
+		mutate(&cfg)
+		if _, err := Run(RunSpec{Benchmark: "mcf_r", Config: &cfg, Warmup: 500, Measure: 2000}); err == nil {
+			t.Fatalf("invalid config accepted: %+v", cfg)
+		}
 	}
 }
 

@@ -5,7 +5,10 @@
 // protocol, a 4x2 ordered mesh, and 50 ns round-trip DRAM.
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the cache line size in bytes. The whole simulator assumes
 // 64-byte lines, as in the paper.
@@ -13,6 +16,19 @@ const LineBytes = 64
 
 // LineShift is log2(LineBytes).
 const LineShift = 6
+
+// MaxFabricSlots is the checkpoint format's calendar: a fabric slot is
+// written as its arrival cycle mod MaxFabricSlots, so no configuration may
+// schedule a message this many cycles ahead.
+const MaxFabricSlots = 1024
+
+// NackBackoff and InstallRetryCycles are the coherence protocol's fixed
+// delays: a Nacked request is re-sent NackBackoff cycles later, and a fill
+// that found every way pinned retries after InstallRetryCycles.
+const (
+	NackBackoff        = 10
+	InstallRetryCycles = 4
+)
 
 // Config describes one simulated machine. Use PaperConfig for the paper's
 // Table 1 parameters and then override individual fields as needed; call
@@ -203,6 +219,8 @@ func (c *Config) Validate() error {
 			c.LLCSlices, c.LLCSets, c.LLCWays)
 	case c.LLCSets&(c.LLCSets-1) != 0:
 		return fmt.Errorf("arch: LLCSets must be a power of two, got %d", c.LLCSets)
+	case c.MeshCols <= 0 || c.MeshRows <= 0:
+		return fmt.Errorf("arch: mesh geometry must be positive (%dx%d)", c.MeshCols, c.MeshRows)
 	case c.MeshCols*c.MeshRows < c.Cores:
 		return fmt.Errorf("arch: mesh %dx%d too small for %d cores",
 			c.MeshCols, c.MeshRows, c.Cores)
@@ -220,8 +238,32 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("arch: CPTEntries must be >= 0, got %d", c.CPTEntries)
 	case c.DirPortsPerCycle < 0:
 		return fmt.Errorf("arch: DirPortsPerCycle must be >= 0, got %d", c.DirPortsPerCycle)
+	case c.L1HitCycles < 0 || c.LLCHitCycles < 0 || c.DRAMCycles < 0 || c.HopCycles < 0 ||
+		c.WriteRetryBackoff < 0 || c.FetchRedirectCycles < 0:
+		return fmt.Errorf("arch: latencies must be >= 0 (L1HitCycles %d, LLCHitCycles %d, DRAMCycles %d, HopCycles %d, WriteRetryBackoff %d, FetchRedirectCycles %d)",
+			c.L1HitCycles, c.LLCHitCycles, c.DRAMCycles, c.HopCycles, c.WriteRetryBackoff, c.FetchRedirectCycles)
+	case c.LongestDelay() >= MaxFabricSlots:
+		return fmt.Errorf("arch: longest message delay %d cycles (the largest of DRAMCycles, WriteRetryBackoff, L1HitCycles and a mesh crossing after LLCHitCycles) must be below %d",
+			c.LongestDelay(), MaxFabricSlots)
 	}
 	return nil
+}
+
+// LongestDelay returns the most cycles ahead the coherence fabric schedules
+// a message on this machine: a directory reply crossing the mesh's diameter
+// after an LLC access (a message pays HopCycles at every router, one more
+// than its hops), a DRAM fetch, an L1 hit, a store's retry backoff, or one
+// of the protocol's fixed retries.
+func (c *Config) LongestDelay() int {
+	mesh := c.HopCycles*(c.MeshCols+c.MeshRows-1) + c.LLCHitCycles
+	return max(mesh, c.DRAMCycles, c.L1HitCycles, c.WriteRetryBackoff, NackBackoff, InstallRetryCycles)
+}
+
+// FabricSlots returns the length of the fabric's calendar ring: the smallest
+// power of two, at least 64, above LongestDelay (128 for the paper's
+// machine).
+func (c *Config) FabricSlots() int {
+	return max(64, 1<<bits.Len(uint(c.LongestDelay())))
 }
 
 // LineAddr returns the cache line address (address >> 6) for a byte address.

@@ -80,6 +80,15 @@ func TestValidateErrors(t *testing.T) {
 		{"wdshare", func(c *Config) { c.Wd = 3 }, "associativity"},
 		{"lqtag", func(c *Config) { c.LQIDTagBits = 4 }, "LQIDTagBits"},
 		{"cpt", func(c *Config) { c.CPTEntries = -1 }, "CPT"},
+		{"meshgeom", func(c *Config) { c.MeshCols, c.MeshRows = -4, -2 }, "mesh geometry"},
+		{"hopneg", func(c *Config) { c.HopCycles = -1 }, "latencies"},
+		{"dramneg", func(c *Config) { c.DRAMCycles = -1 }, "latencies"},
+		{"l1hitneg", func(c *Config) { c.L1HitCycles = -2 }, "latencies"},
+		{"dram", func(c *Config) { c.DRAMCycles = 1100 }, "longest message delay"},
+		{"dramedge", func(c *Config) { c.DRAMCycles = MaxFabricSlots }, "longest message delay"},
+		{"retry", func(c *Config) { c.WriteRetryBackoff = 2000 }, "longest message delay"},
+		{"hop", func(c *Config) { c.HopCycles = 300 }, "longest message delay"},
+		{"llchit", func(c *Config) { c.LLCHitCycles = 1020 }, "longest message delay"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,6 +100,39 @@ func TestValidateErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.substr) {
 				t.Fatalf("error %q does not mention %q", err, tc.substr)
+			}
+		})
+	}
+}
+
+// TestFabricSlots: the ring is the smallest power of two, at least 64, above
+// the longest delay, and the longest accepted delay fills the format's slots.
+func TestFabricSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		mutate        func(*Config)
+		longest, ring int
+	}{
+		{"paper", func(c *Config) {}, 100, 128},
+		// 1 cycle at each of 4+2-1 routers, then the 8-cycle slice.
+		{"mesh", func(c *Config) { c.DRAMCycles, c.WriteRetryBackoff = 1, 1 }, 13, 64},
+		{"hops", func(c *Config) { c.HopCycles = 30 }, 158, 256},
+		{"retry", func(c *Config) { c.WriteRetryBackoff = 200 }, 200, 256},
+		{"dram127", func(c *Config) { c.DRAMCycles = 127 }, 127, 128},
+		{"dram128", func(c *Config) { c.DRAMCycles = 128 }, 128, 256},
+		{"dram1023", func(c *Config) { c.DRAMCycles = MaxFabricSlots - 1 }, MaxFabricSlots - 1, MaxFabricSlots},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := PaperConfig(8)
+			tc.mutate(&cfg)
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if got := cfg.LongestDelay(); got != tc.longest {
+				t.Errorf("LongestDelay %d, want %d", got, tc.longest)
+			}
+			if got := cfg.FabricSlots(); got != tc.ring {
+				t.Errorf("FabricSlots %d, want %d", got, tc.ring)
 			}
 		})
 	}

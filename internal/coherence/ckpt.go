@@ -45,8 +45,10 @@ func (m *Msg) walk(s ckptio.State, cfg *arch.Config) {
 }
 
 // State walks the fabric: the current cycle and every non-empty calendar
-// slot with its in-flight messages, in slot order (deterministic). Loading
-// empties the slots the checkpoint does not name.
+// slot with its in-flight messages. A slot is named by its arrival cycle mod
+// arch.MaxFabricSlots, whatever the ring's length, and the names go in
+// ascending order (deterministic). Loading empties the slots the checkpoint
+// does not name and rejects one farther ahead than this machine's ring holds.
 func (f *fabric) State(s ckptio.State, cfg *arch.Config) {
 	s.I64(&f.cycle)
 	slots := 0
@@ -54,7 +56,7 @@ func (f *fabric) State(s ckptio.State, cfg *arch.Config) {
 		for i := range f.ring {
 			f.ring[i] = f.ring[i][:0]
 		}
-		f.occupied = [len(f.occupied)]uint64{}
+		clear(f.occupied)
 	} else {
 		for i := range f.ring {
 			if len(f.ring[i]) > 0 {
@@ -63,28 +65,39 @@ func (f *fabric) State(s ckptio.State, cfg *arch.Config) {
 		}
 	}
 	slot := -1
-	for slots = s.Count(slots, maxDelay); slots > 0; slots-- {
+	for slots = s.Count(slots, arch.MaxFabricSlots); slots > 0; slots-- {
 		if !s.Loading() {
-			for slot++; len(f.ring[slot]) == 0; slot++ {
+			for slot++; f.arrival(slot)-f.cycle > f.mask || len(f.ring[f.arrival(slot)&f.mask]) == 0; slot++ {
 			}
 		}
 		s.Int(&slot)
 		if s.Err() != nil {
 			return
 		}
-		if slot < 0 || slot >= maxDelay {
+		if slot < 0 || slot >= arch.MaxFabricSlots {
 			s.Failf("fabric slot %d out of range", slot)
 			return
 		}
-		msgs := &f.ring[slot]
+		at := f.arrival(slot)
+		if at-f.cycle > f.mask {
+			s.Failf("fabric slot %d arrives %d cycles ahead, past this machine's %d-slot ring", slot, at-f.cycle, len(f.ring))
+			return
+		}
+		msgs := &f.ring[at&f.mask]
 		ckptio.Slice(s, msgs, maxSlotMsgs)
 		for i := range *msgs {
 			(*msgs)[i].walk(s, cfg)
 		}
 		if len(*msgs) > 0 {
-			f.occupied[slot/64] |= 1 << uint(slot%64)
+			f.occupied[at&f.mask/64] |= 1 << uint(at&63)
 		}
 	}
+}
+
+// arrival returns the cycle, one to arch.MaxFabricSlots after the fabric's,
+// that the checkpoint names slot.
+func (f *fabric) arrival(slot int) int64 {
+	return f.cycle + 1 + (int64(slot)-f.cycle-1)&(arch.MaxFabricSlots-1)
 }
 
 func (st *storeTxn) walk(s ckptio.State) {

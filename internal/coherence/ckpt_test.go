@@ -332,10 +332,11 @@ func TestIsDefaultCoversEveryField(t *testing.T) {
 	})
 }
 
-// Fields of fabric that State leaves out: occupied is rebuilt when loading,
-// scheduled is only ever compared with itself across one tick.
+// Fields of fabric that State leaves out: mask is the configuration's ring
+// length less one, occupied is rebuilt when loading, scheduled is only ever
+// compared with itself across one tick.
 var (
-	fabricDerived = []string{"occupied", "scheduled"}
+	fabricDerived = []string{"mask", "occupied", "scheduled"}
 	fabricConfig  = []string{"mesh", "count", "msgCount"}
 )
 
@@ -374,6 +375,102 @@ func TestWalksCoverEveryField(t *testing.T) {
 	ckpttest.Container(t, "ckpt.go", L1{}, l1Derived, l1Config)
 	ckpttest.Container(t, "ckpt.go", Dir{}, dirDerived, dirConfig)
 	ckpttest.Container(t, "ckpt.go", System{}, nil, systemConfig)
+}
+
+// TestFabricLongestDelayRoundTrip: at every ring length, a message scheduled
+// at the configuration's longest delay survives save → load into its arrival
+// cycle, and the bytes are the ones a 1 024-slot ring writes for the same
+// messages: a slot's name does not depend on the ring's length.
+func TestFabricLongestDelayRoundTrip(t *testing.T) {
+	for _, row := range fabricRows {
+		for _, start := range []int64{0, 900, 1000, 5000} {
+			t.Run(fmt.Sprint(row.slots, "/", start), func(t *testing.T) {
+				f, cfg := fabricFor(t, row.dram, row.slots)
+				var count stats.Counters
+				ref := newFabric(f.mesh, &count, arch.MaxFabricSlots)
+				long := Msg{Kind: MemResp, Line: 7, Src: Addr{Dir: true}, Dst: Addr{Dir: true}}
+				for _, g := range []*fabric{f, ref} {
+					g.due(start)
+					g.schedule(Msg{Kind: GetS, Line: 1, Dst: Addr{Dir: true}}, 1)
+					g.schedule(Msg{Kind: DataS, Line: 2}, cfg.LongestDelay()/2)
+					g.schedule(long, cfg.LongestDelay())
+				}
+				save := func(g *fabric) []byte {
+					e := ckptio.NewEncoder()
+					g.State(ckptio.SaveTo(e), cfg)
+					return e.Bytes()
+				}
+				blob := save(f)
+				if !bytes.Equal(blob, save(ref)) {
+					t.Fatalf("a %d-slot ring saves other bytes than a %d-slot one", row.slots, arch.MaxFabricSlots)
+				}
+				to, _ := fabricFor(t, row.dram, row.slots)
+				dec := ckptio.NewDecoder(blob)
+				to.State(ckptio.LoadFrom(dec), cfg)
+				if err := dec.Done(); err != nil {
+					t.Fatal(err)
+				}
+				if got := to.nextDue(); got != start+1 {
+					t.Fatalf("restored fabric's next delivery at %d, want %d", got, start+1)
+				}
+				arrive, got := start+int64(cfg.LongestDelay()), int64(-1)
+				for c := start + 1; c <= arrive; c++ {
+					for _, m := range to.due(c) {
+						if m == long {
+							got = c
+						}
+					}
+				}
+				if got != arrive {
+					t.Fatalf("message scheduled %d cycles after %d arrived at %d, want %d", cfg.LongestDelay(), start, got, arrive)
+				}
+				if to.pendingMessages() != 0 {
+					t.Fatalf("%d messages left after the longest delay", to.pendingMessages())
+				}
+			})
+		}
+	}
+}
+
+// TestFabricLoadRejectsMalformed: a slot the checkpoint names must arrive
+// within this machine's ring. One farther ahead (written by a machine with a
+// longer ring, or corrupt) is a ckptio error, never an alias of a nearer slot
+// or a panic, and so is a name outside the format's slots.
+func TestFabricLoadRejectsMalformed(t *testing.T) {
+	const cycle = 1000
+	for _, tc := range []struct {
+		name string
+		slot int
+		want string
+	}{
+		{"last slot of the ring", (cycle + 127) % arch.MaxFabricSlots, ""},
+		{"one past the ring", (cycle + 128) % arch.MaxFabricSlots, "128 cycles ahead, past this machine's 128-slot ring"},
+		{"the cycle's own slot", cycle, "1024 cycles ahead"},
+		{"name past the format", arch.MaxFabricSlots, "out of range"},
+		{"negative name", -1, "out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, cfg := fabricFor(t, 100, 128)
+			e := ckptio.NewEncoder()
+			e.I64(cycle)
+			e.U64(1) // slots
+			e.Int(tc.slot)
+			e.U64(1) // messages in the slot
+			m := Msg{Kind: GetS, Dst: Addr{Dir: true}}
+			m.walk(ckptio.SaveTo(e), cfg)
+			dec := ckptio.NewDecoder(e.Bytes())
+			f.State(ckptio.LoadFrom(dec), cfg)
+			err := dec.Done()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatal(err)
+			case tc.want == "" && f.nextDue() != cycle+127:
+				t.Fatalf("next delivery at %d, want %d", f.nextDue(), cycle+127)
+			case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want a ckptio error containing %q", err, tc.want)
+			}
+		})
+	}
 }
 
 // TestMsgWalkRejectsForeignEndpoints: a message in the fabric or a directory

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -418,39 +419,62 @@ func TestDirLineSize(t *testing.T) {
 	}
 }
 
+// fabricRows are the calendar lengths the fabric tests run at: the paper's
+// machine, and DRAM latencies that need 256, 512 and 1 024 slots.
+var fabricRows = []struct{ dram, slots int }{{100, 128}, {128, 256}, {300, 512}, {1000, 1024}}
+
+// fabricFor returns the fabric of a 1-core paper machine with the given DRAM
+// latency, and its configuration.
+func fabricFor(t *testing.T, dram, slots int) (*fabric, *arch.Config) {
+	t.Helper()
+	cfg := arch.PaperConfig(1)
+	cfg.DRAMCycles = dram
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var count stats.Counters
+	f := NewSystem(&cfg, &count).fab
+	if len(f.ring) != slots || cfg.LongestDelay() >= slots {
+		t.Fatalf("DRAMCycles %d: %d slots for a longest delay of %d, want %d", dram, len(f.ring), cfg.LongestDelay(), slots)
+	}
+	return f, &cfg
+}
+
 // TestFabricNextDue holds the occupancy bitmap's answer against a walk of the
 // ring, at every clock position of a wrap and across a checkpoint restore
-// (which rebuilds the bitmap from the slots).
+// (which rebuilds the bitmap from the slots), for every ring length.
 func TestFabricNextDue(t *testing.T) {
-	var count stats.Counters
-	cfg := arch.PaperConfig(1)
-	f := NewSystem(&cfg, &count).fab
-	walk := func() int64 {
-		for d := int64(1); d < maxDelay; d++ {
-			if len(f.ring[(f.cycle+d)%maxDelay]) > 0 {
-				return f.cycle + d
+	for _, row := range fabricRows {
+		t.Run(fmt.Sprint(row.slots), func(t *testing.T) {
+			f, cfg := fabricFor(t, row.dram, row.slots)
+			n := int64(len(f.ring))
+			walk := func() int64 {
+				for d := int64(1); d < n; d++ {
+					if len(f.ring[(f.cycle+d)&f.mask]) > 0 {
+						return f.cycle + d
+					}
+				}
+				return math.MaxInt64
 			}
-		}
-		return math.MaxInt64
-	}
-	rng := xrand.New(7)
-	for cycle := int64(1); cycle < 3*maxDelay; cycle++ {
-		f.due(cycle)
-		if rng.Bool(0.02) {
-			f.schedule(Msg{Kind: GetS}, 1+rng.Intn(maxDelay-1))
-		}
-		if got, want := f.nextDue(), walk(); got != want {
-			t.Fatalf("cycle %d: nextDue %d, the ring says %d", cycle, got, want)
-		}
-		if cycle%500 == 0 {
-			e := ckptio.NewEncoder()
-			cfg := arch.PaperConfig(1)
-			f.State(ckptio.SaveTo(e), &cfg)
-			f.occupied = [len(f.occupied)]uint64{}
-			f.State(ckptio.LoadFrom(ckptio.NewDecoder(e.Bytes())), &cfg)
-			if got, want := f.nextDue(), walk(); got != want {
-				t.Fatalf("cycle %d after restore: nextDue %d, the ring says %d", cycle, got, want)
+			rng := xrand.New(7)
+			for cycle := int64(1); cycle < 3*arch.MaxFabricSlots; cycle++ {
+				f.due(cycle)
+				if rng.Bool(0.02) {
+					f.schedule(Msg{Kind: GetS}, 1+rng.Intn(int(n)-1))
+				}
+				if got, want := f.nextDue(), walk(); got != want {
+					t.Fatalf("cycle %d: nextDue %d, the ring says %d", cycle, got, want)
+				}
+				if cycle%500 == 0 {
+					e := ckptio.NewEncoder()
+					f.State(ckptio.SaveTo(e), cfg)
+					clear(f.occupied)
+					f.State(ckptio.LoadFrom(ckptio.NewDecoder(e.Bytes())), cfg)
+					if got, want := f.nextDue(), walk(); got != want {
+						t.Fatalf("cycle %d after restore: nextDue %d, the ring says %d", cycle, got, want)
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -8,17 +8,15 @@ import (
 	"pinnedloads/internal/stats"
 )
 
-// maxDelay bounds the in-flight delay of any message (mesh traversal plus
-// controller processing plus DRAM). The fabric ring must be larger than the
-// largest delay ever scheduled.
-const maxDelay = 1024
-
 // fabric is the message transport: a calendar queue that delivers messages
 // at their arrival cycle, in send order within a cycle. Latencies come from
 // the mesh model; self events pay no mesh latency.
 type fabric struct {
-	mesh  *mesh.Mesh
-	ring  [maxDelay][]Msg
+	mesh *mesh.Mesh
+	// ring is the calendar: slot at&mask holds the messages arriving at
+	// cycle at. Its length, arch.Config.FabricSlots, is a power of two above
+	// the longest delay the configuration schedules.
+	ring  [][]Msg
 	cycle int64
 	count *stats.Counters
 	// msgCount holds one pre-bound "coh.msg.<kind>" counter handle per
@@ -27,17 +25,19 @@ type fabric struct {
 	// every message — the cycle loop's only steady-state allocation.
 	msgCount [numKinds]*uint64
 
-	// Derived, never serialized (DESIGN.md §9). occupied has bit s set
-	// while ring[s] holds a message, so the next delivery cycle is a bitmap
-	// scan (nextDue); a loading State rebuilds it. scheduled counts every message
-	// and self event ever queued: a core compares it around its tick to
-	// learn whether its L1 sent anything.
-	occupied  [maxDelay / 64]uint64
+	// Derived, never serialized (DESIGN.md §9). mask is len(ring)-1.
+	// occupied has bit s set while ring[s] holds a message, so the next
+	// delivery cycle is a bitmap scan (nextDue); a loading State rebuilds
+	// it. scheduled counts every message and self event ever queued: a core
+	// compares it around its tick to learn whether its L1 sent anything.
+	mask      int64
+	occupied  []uint64
 	scheduled uint64
 }
 
-func newFabric(m *mesh.Mesh, count *stats.Counters) *fabric {
-	f := &fabric{mesh: m, count: count}
+func newFabric(m *mesh.Mesh, count *stats.Counters, slots int) *fabric {
+	f := &fabric{mesh: m, count: count, ring: make([][]Msg, slots),
+		mask: int64(slots - 1), occupied: make([]uint64, slots/64)}
 	for k := kindNone; k < numKinds; k++ {
 		f.msgCount[k] = count.Handle("coh.msg." + k.String())
 	}
@@ -72,10 +72,10 @@ func (f *fabric) schedule(m Msg, delay int) {
 	if delay < 1 {
 		delay = 1
 	}
-	if delay >= maxDelay {
+	if int64(delay) > f.mask {
 		panic("coherence: message delay exceeds fabric ring")
 	}
-	at := (f.cycle + int64(delay)) % maxDelay
+	at := (f.cycle + int64(delay)) & f.mask
 	f.ring[at] = append(f.ring[at], m)
 	f.occupied[at/64] |= 1 << uint(at%64)
 	f.scheduled++
@@ -84,7 +84,7 @@ func (f *fabric) schedule(m Msg, delay int) {
 // nextDue returns the first cycle after the last delivered one at which a
 // message arrives, or math.MaxInt64 when nothing is in flight.
 func (f *fabric) nextDue() int64 {
-	start := int((f.cycle + 1) % maxDelay)
+	start := int((f.cycle + 1) & f.mask)
 	words, bit := len(f.occupied), uint(start%64)
 	// Scan a full turn of the ring from start's word: that word comes up
 	// twice, first for the slots from start on, last for the ones before
@@ -108,7 +108,7 @@ func (f *fabric) nextDue() int64 {
 // is reused on the next wrap; callers must consume it immediately.
 func (f *fabric) due(cycle int64) []Msg {
 	f.cycle = cycle
-	slot := cycle % maxDelay
+	slot := cycle & f.mask
 	msgs := f.ring[slot]
 	f.ring[slot] = f.ring[slot][:0]
 	f.occupied[slot/64] &^= 1 << uint(slot%64)

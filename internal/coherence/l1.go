@@ -55,9 +55,6 @@ const (
 	retryInstall
 )
 
-// nackBackoff is the delay before re-sending a Nacked request.
-const nackBackoff = 10
-
 // storeTxn tracks one outstanding ownership (RFO) transaction. TSO cores
 // acquire ownership for several buffered stores concurrently and merge them
 // into the cache in order; only the merge must be ordered.
@@ -618,7 +615,7 @@ func (l *L1) install(line uint64, st cache.State, mshrIdx int) {
 		*l.cnt.retriedEvL1++
 		l.pending = append(l.pending, pendingFill{line: line, state: st, mshr: mshrIdx})
 		l.fab.self(Msg{Kind: SelfRetry, Line: line, Src: l.addr(), Dst: l.addr(),
-			Token: retryInstall}, 4)
+			Token: retryInstall}, arch.InstallRetryCycles)
 		return
 	}
 	if victim.State != cache.Invalid {
@@ -725,7 +722,7 @@ func (l *L1) maybeResolveAcquire(st *storeTxn) {
 		*l.cnt.installDenied++
 		l.pending = append(l.pending, pendingFill{line: st.line, state: cache.Modified, mshr: -1})
 		l.fab.self(Msg{Kind: SelfRetry, Line: st.line, Src: l.addr(),
-			Dst: l.addr(), Token: retryInstall}, 4)
+			Dst: l.addr(), Token: retryInstall}, arch.InstallRetryCycles)
 		// Completion is deferred until the install succeeds.
 		return
 	}
@@ -848,13 +845,13 @@ func (l *L1) handleNack(m Msg) {
 	case GetS, GetSSpec:
 		if i := l.mshr.Lookup(m.Line); i >= 0 {
 			l.fab.self(Msg{Kind: SelfRetry, Line: m.Line, Src: l.addr(),
-				Dst: l.addr(), Token: retryRequest}, nackBackoff)
+				Dst: l.addr(), Token: retryRequest}, arch.NackBackoff)
 		}
 	case GetX, GetXStar:
 		if st, _ := l.acq.Get(m.Line); st != nil {
 			st.inFlight = false
 			l.fab.self(Msg{Kind: SelfRetry, Line: m.Line, Src: l.addr(),
-				Dst: l.addr(), Token: retryStore}, nackBackoff)
+				Dst: l.addr(), Token: retryStore}, arch.NackBackoff)
 		}
 	}
 }
@@ -904,7 +901,7 @@ func (l *L1) retryStoreInstall(p pendingFill) {
 	if victim == nil {
 		l.pending = append(l.pending, p)
 		l.fab.self(Msg{Kind: SelfRetry, Line: p.line, Src: l.addr(),
-			Dst: l.addr(), Token: retryInstall}, 4)
+			Dst: l.addr(), Token: retryInstall}, arch.InstallRetryCycles)
 		return
 	}
 	if victim.State != cache.Invalid {

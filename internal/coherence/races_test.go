@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 
 	"pinnedloads/internal/arch"
@@ -176,16 +177,35 @@ func TestDeferFromMultiplePinners(t *testing.T) {
 	}
 }
 
+// TestFabricDelayBound: a delay of the ring's own length would land in the
+// slot being delivered, so schedule refuses it, whatever the length.
 func TestFabricDelayBound(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized delay did not panic")
-		}
-	}()
+	for _, row := range fabricRows {
+		t.Run(fmt.Sprint(row.slots), func(t *testing.T) {
+			f, _ := fabricFor(t, row.dram, row.slots)
+			f.schedule(Msg{}, row.slots-1)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("oversized delay did not panic")
+				}
+			}()
+			f.schedule(Msg{}, row.slots)
+		})
+	}
+	// The bound's mesh term is the slowest route after an LLC access.
+	cfg := arch.PaperConfig(8)
+	cfg.HopCycles = 30
 	var count stats.Counters
-	cfg := arch.PaperConfig(1)
-	s := NewSystem(&cfg, &count)
-	s.fab.schedule(Msg{}, maxDelay)
+	m := NewSystem(&cfg, &count).mesh
+	slowest := 0
+	for a := range m.Nodes() {
+		for b := range m.Nodes() {
+			slowest = max(slowest, m.Latency(a, b, 1)+cfg.LLCHitCycles)
+		}
+	}
+	if slowest != cfg.LongestDelay() {
+		t.Fatalf("slowest directory reply takes %d cycles, LongestDelay says %d", slowest, cfg.LongestDelay())
+	}
 }
 
 func TestInvisibleAccessLeavesNoFootprint(t *testing.T) {

@@ -24,7 +24,7 @@ type System struct {
 // hooks must be attached to every L1 (SetHooks) before the first Tick.
 func NewSystem(cfg *arch.Config, count *stats.Counters) *System {
 	m := mesh.New(cfg.MeshCols, cfg.MeshRows, cfg.HopCycles)
-	fab := newFabric(m, count)
+	fab := newFabric(m, count, cfg.FabricSlots())
 	s := &System{cfg: cfg, mesh: m, fab: fab, count: count}
 	for i := 0; i < cfg.Cores; i++ {
 		s.l1s = append(s.l1s, newL1(i, cfg, fab, count))

@@ -30,7 +30,8 @@ func storedSets(sys *System) int {
 
 // TestMachineCostsWhatItHolds pins what building a machine allocates to what
 // its LLC holds, in counts that do not depend on the host: a blank machine
-// allocates no more than it did with way planes and a set filter (cee097c),
+// allocates no more than it does with a fabric ring sized to the
+// configuration's longest delay (a ratchet: lower it, never raise it),
 // a warmed one stores no set — its warm lines are runs — and a run stores only
 // sets the protocol reached, which a restore gives back only where they hold
 // a line in the long form.
@@ -38,12 +39,12 @@ func TestMachineCostsWhatItHolds(t *testing.T) {
 	pol := defense.Policy{Scheme: defense.DOM, Variant: defense.EP}
 	for _, tc := range []struct {
 		bench string
-		blank uint64 // what NewBlank allocated at cee097c
+		blank uint64 // what NewBlank allocates, a 128-slot fabric ring included
 	}{
-		{"exchange2_r", 703_816}, // nothing LLC-resident to warm
-		{"gcc_r", 703_944},
+		{"exchange2_r", 227_288}, // nothing LLC-resident to warm
+		{"gcc_r", 227_416},
 		// Fills every way of every slice: 128 planes, 11.7 MB at cee097c.
-		{"canneal", 1_212_336},
+		{"canneal", 801_888},
 	} {
 		t.Run(tc.bench, func(t *testing.T) {
 			w := trace.ByName(tc.bench)
@@ -54,8 +55,9 @@ func TestMachineCostsWhatItHolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if blank > tc.blank {
-				t.Errorf("NewBlank allocated %d bytes, %d at cee097c", blank, tc.blank)
+			// The race detector's instrumentation allocates on its own account.
+			if !raceEnabled && blank > tc.blank {
+				t.Errorf("NewBlank allocated %d bytes, want at most %d", blank, tc.blank)
 			}
 			built := allocatedBy(func() { sys, err = New(cfg, pol, w, 1) })
 			if err != nil {

@@ -25,6 +25,7 @@ addrun-skips-occ      ./internal/core                          FuzzDerivedState
 lines-reads-runs      ./internal/coherence                     TestDirMatchesDenseReference|TestResidencyHoldsFilterToWays
 count-one-short       ./internal/core                          FuzzDerivedState
 run-skips-athome      ./internal/coherence                     TestDirLoadStateRejectsMalformed
+ring-one-short        ./internal/arch,./internal/coherence     TestFabric
 '
 
 tree=$(mktemp -d)
