@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"pinnedloads/internal/cache"
 )
@@ -108,8 +109,11 @@ func (s *System) CheckInvariants() error {
 // ways and a lazy set's its run ways; an invalid stored way is all zero (a
 // way carries nothing out of one life into the next, which is what lets a
 // checkpoint leave invalid ways out); the filter tags, the resident count and
-// the list of stored sets match the ways; and a valid way sits in its line's
-// home slice and set. It returns the first violation found, or nil.
+// the list of stored sets match the ways; a valid way sits in its line's
+// home slice and set; and the carving is whole: every carved way is one
+// stored set's or one free block's, and a free block is all zero, inside the
+// carved slabs and on the list for its size. It returns the first violation
+// found, or nil.
 func (s *System) CheckResidency() error {
 	for i, d := range s.dirs {
 		if err := d.checkWays(); err != nil {
@@ -155,24 +159,41 @@ func (d *Dir) checkWays() error {
 		}
 		listed[set] = true
 	}
-	resident, size := 0, 1<<d.slabBits
+	// Every carved way is one stored set's or one free block's: claim marks
+	// a block's ways, after checking that it lies inside the carved slabs.
+	size, claimed := uint32(1)<<d.slabBits, make([]bool, d.next)
+	claim := func(b llcSet) string {
+		end := uint64(b.at) + uint64(b.cap)
+		if int(b.cap) > d.cfg.LLCWays || b.at%size+uint32(b.cap) > size || end > uint64(d.next) {
+			return "is not inside the carved slabs"
+		}
+		for at := b.at; uint64(at) < end; at++ {
+			if claimed[at] {
+				return fmt.Sprintf("overlaps another set's storage or a free block at way %d", at)
+			}
+			claimed[at] = true
+		}
+		return ""
+	}
+	resident := 0
 	for set, st := range d.sets {
 		if (st.cap > 0) != listed[set] {
 			return fmt.Errorf("set %d: storage of %d ways, listed as stored %v", set, st.cap, listed[set])
 		}
-		if st.cap > 0 && (int(st.cap) > d.cfg.LLCWays || int(st.at)%size+int(st.cap) > size || int(st.at)+int(st.cap) > d.next) {
-			return fmt.Errorf("set %d: storage of %d ways at %d is not inside the carved slabs", set, st.cap, st.at)
+		if st.cap > 0 {
+			if msg := claim(st); msg != "" {
+				return fmt.Errorf("set %d: storage of %d ways at %d %s", set, st.cap, st.at, msg)
+			}
 		}
 		lines, tags := d.stored(set)
 		for w, ln := range lines {
-			var want uint16
-			if ln.valid {
-				_, want = d.home(ln.addr)
-			} else if ln != (dirLine{}) {
+			switch {
+			case tags[w] == 0 && ln != (dirLine{}):
 				return fmt.Errorf("set %d way %d: invalid way holds %+v", set, w, ln)
-			}
-			if tags[w] != want {
-				return fmt.Errorf("set %d way %d: filter tag %#x, the way's is %#x", set, w, tags[w], want)
+			case tags[w] != 0:
+				if _, want := d.home(ln.addr); tags[w] != want {
+					return fmt.Errorf("set %d way %d: filter tag %#x, the way's is %#x", set, w, tags[w], want)
+				}
 			}
 		}
 		valid := 0
@@ -192,6 +213,25 @@ func (d *Dir) checkWays() error {
 	}
 	if d.resident != resident {
 		return fmt.Errorf("resident count %d, %d valid ways", d.resident, resident)
+	}
+	for k, free := range d.free {
+		for _, b := range free {
+			if int(b.cap) != k+1 {
+				return fmt.Errorf("free block of %d ways at %d is listed with the blocks of %d", b.cap, b.at, k+1)
+			}
+			if msg := claim(b); msg != "" {
+				return fmt.Errorf("free block of %d ways at %d %s", b.cap, b.at, msg)
+			}
+			lines, tags := d.block(b)
+			for w, ln := range lines {
+				if ln != (dirLine{}) || tags[w] != 0 {
+					return fmt.Errorf("free block of %d ways at %d: way %d holds %+v, filter tag %#x", b.cap, b.at, w, ln, tags[w])
+				}
+			}
+		}
+	}
+	if at := slices.Index(claimed, false); at >= 0 {
+		return fmt.Errorf("carved way %d is neither a stored set's nor in a free block", at)
 	}
 	return nil
 }

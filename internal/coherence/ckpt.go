@@ -182,7 +182,7 @@ const (
 // defaultLine returns the default-state line with the given address and
 // LRU stamp: the only two fields lineDefault carries.
 func defaultLine(addr, lru uint64) dirLine {
-	return dirLine{valid: true, addr: addr, lru: lru, owner: -1}
+	return dirLine{addr: addr, lru: lru, owner: -1}
 }
 
 // isDefault reports whether the valid line equals defaultLine(addr, lru),
@@ -195,9 +195,11 @@ func (ln *dirLine) isDefault() bool {
 	return diff == 0 && ln.owner == -1 && !ln.busyStar && !ln.deferred && !ln.specBorn
 }
 
-// walk carries a line in the long form. Loading marks it valid and rejects an
-// owner or requestor that is neither a core of the system nor -1, and an
-// out-of-range busy state or fetch kind.
+// walk carries a line in the long form. pendAcks goes as an I32 through a
+// local, as it did when the field was one. Loading rejects an owner or
+// requestor that is neither a core of the system nor -1, a recall awaiting
+// more acks than there are cores or fewer than none, and an out-of-range busy
+// state or fetch kind.
 func (ln *dirLine) walk(s ckptio.State, cores int) {
 	s.U64(&ln.addr)
 	s.U64(&ln.lru)
@@ -207,15 +209,21 @@ func (ln *dirLine) walk(s ckptio.State, cores int) {
 	s.I8(&ln.busyReq)
 	s.Bool(&ln.busyStar)
 	s.U32(&ln.prevSharers)
-	s.I32(&ln.pendAcks)
+	acks := int32(ln.pendAcks)
+	s.I32(&acks)
 	s.Bool(&ln.deferred)
 	ckptio.Enum(s, &ln.fetchKind, numKinds-1, "fetch kind")
 	s.Bool(&ln.specBorn)
-	if s.Loading() && s.Err() == nil && (ln.owner < -1 || int(ln.owner) >= cores || ln.busyReq < -1 || int(ln.busyReq) >= cores) {
-		s.Failf("directory owner %d or requestor %d is not a core", ln.owner, ln.busyReq)
+	if !s.Loading() || s.Err() != nil {
+		return
 	}
-	if s.Loading() {
-		ln.valid = true
+	switch {
+	case ln.owner < -1 || int(ln.owner) >= cores || ln.busyReq < -1 || int(ln.busyReq) >= cores:
+		s.Failf("directory owner %d or requestor %d is not a core", ln.owner, ln.busyReq)
+	case acks < 0 || int(acks) > cores:
+		s.Failf("directory line awaits %d recall acks from %d cores", acks, cores)
+	default:
+		ln.pendAcks = int8(acks)
 	}
 }
 
@@ -412,9 +420,10 @@ func (b *recorder) way(set, w int, _ *dirRec) {
 // State walks a directory/LLC slice of the same geometry: the LRU stamp
 // clock, the records of its valid ways and the demand backlog. Saving feeds
 // the records out of one merge and patches their count in front, installing
-// nothing. Loading clears the target (keeping its slabs), records runs, stores
-// long-form lines, then fills every set it stored with its run ways in one
-// more merge. A rejected record takes nothing, so the slice stays consistent.
+// nothing. Loading clears the target (keeping its slabs, emptying its free
+// lists), records runs, stores long-form lines, then fills every set it
+// stored with its run ways in one more merge. A rejected record takes
+// nothing, so the slice stays consistent.
 func (d *Dir) State(s ckptio.State) {
 	s.U64(&d.stamp)
 	total := len(d.sets) * d.cfg.LLCWays
@@ -432,6 +441,9 @@ func (d *Dir) State(s ckptio.State) {
 			}
 		}
 		d.runs, d.held, d.next, d.resident = d.runs[:0], d.held[:0], 0, 0
+		for k := range d.free {
+			d.free[k] = d.free[k][:0]
+		}
 		for ; n > 0 && s.Err() == nil; n-- {
 			b.record(dirRec{})
 		}

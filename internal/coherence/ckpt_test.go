@@ -110,15 +110,17 @@ func TestPrewarmBulkMatchesInstallWarm(t *testing.T) {
 			if err := sys.CheckResidency(); err != nil {
 				t.Fatal(err)
 			}
-			view, resident := make([]dirLine, cfg.LLCWays), 0
+			view, valid, resident := make([]dirLine, cfg.LLCWays), make([]bool, cfg.LLCWays), 0
 			for i, ref := range refs {
 				d := sys.Dir(i)
 				if d.stamp != ref.stamp || d.StoredSets() != 0 {
 					t.Fatalf("slice %d: stamp %d, reference %d; %d sets stored", i, d.stamp, ref.stamp, d.StoredSets())
 				}
 				for s := range cfg.LLCSets {
-					if !slices.Equal(waysOf(d, s, view), ref.set(s)) {
-						t.Fatalf("slice %d set %d: Prewarm left %+v, the eager install %+v", i, s, view, ref.set(s))
+					waysOf(d, s, view, valid)
+					if !slices.Equal(view, ref.set(s)) || !slices.Equal(valid, ref.validIn(s)) {
+						t.Fatalf("slice %d set %d: Prewarm left %+v valid %v, the eager install %+v valid %v",
+							i, s, view, valid, ref.set(s), ref.validIn(s))
 					}
 				}
 				resident += d.resident
@@ -190,6 +192,11 @@ func run(step, n, addr, lru uint64) func(*ckptio.Encoder) {
 // fullLine writes a lineFull record owned by core 0 unless owner says
 // otherwise.
 func fullLine(step, addr uint64, owner int64) func(*ckptio.Encoder) {
+	return recallLine(step, addr, owner, 0)
+}
+
+// recallLine is fullLine awaiting acks recall responses.
+func recallLine(step, addr uint64, owner int64, acks int32) func(*ckptio.Encoder) {
 	return func(e *ckptio.Encoder) {
 		e.U64(step)
 		e.U8(lineFull)
@@ -201,7 +208,7 @@ func fullLine(step, addr uint64, owner int64) func(*ckptio.Encoder) {
 		e.I64(0) // busyReq
 		e.Bool(false)
 		e.U32(0)
-		e.I32(0)
+		e.I32(acks)
 		e.Bool(false)
 		e.U8(uint8(kindNone))
 		e.Bool(false)
@@ -260,6 +267,10 @@ func TestDirLoadStateRejectsMalformed(t *testing.T) {
 		{"default line in the long form", dirSection(ways, 1, fullLine(1, homeLine(0, 1), -1)), "long form"},
 		{"owner is not a core", dirSection(ways, 1, fullLine(1, homeLine(0, 1), 1)), "not a core"},
 		{"owner below -1", dirSection(ways, 1, fullLine(1, homeLine(0, 1), -2)), "not a core"},
+		// smallDir has one core: one ack is the most a recall awaits.
+		{"more recall acks than cores", dirSection(ways, 1, recallLine(1, homeLine(0, 1), 0, 2)), "2 recall acks from 1 cores"},
+		{"recall acks past an int8", dirSection(ways, 1, recallLine(1, homeLine(0, 1), 0, 129)), "129 recall acks"},
+		{"negative recall acks", dirSection(ways, 1, recallLine(1, homeLine(0, 1), 0, -1)), "-1 recall acks"},
 		{"other geometry", dirSection(ways+16, 0, seq()), "ways"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -323,9 +334,6 @@ func TestIsDefaultCoversEveryField(t *testing.T) {
 		t.Fatal("defaultLine is not isDefault")
 	}
 	ckpttest.Variants(t, base, func(field string, ln *dirLine) {
-		if !ln.valid {
-			return // saving asks only of valid lines
-		}
 		if got, want := ln.isDefault(), *ln == defaultLine(ln.addr, ln.lru); got != want {
 			t.Errorf("after changing %s: isDefault %v, struct comparison %v", field, got, want)
 		}
@@ -348,11 +356,11 @@ var (
 )
 
 // Fields of Dir that its section rebuilds rather than reads: the sets' counts
-// and storage, the list of stored sets, the carving cursor and the resident
-// count follow from the records a loading State takes. runs and slabs are the
-// lazy and the stored sets' ways: what the section holds.
+// and storage, the list of stored sets, the free blocks, the carving cursor
+// and the resident count follow from the records a loading State takes. runs
+// and slabs are the lazy and the stored sets' ways: what the section holds.
 var (
-	dirDerived = []string{"sets", "held", "next", "resident"}
+	dirDerived = []string{"sets", "free", "held", "next", "resident"}
 	dirConfig  = []string{"idx", "cfg", "fab", "count", "cnt", "setBits", "slabBits"}
 )
 
@@ -369,8 +377,7 @@ func TestWalksCoverEveryField(t *testing.T) {
 	ckpttest.Fields(t, storeTxn{}, func(s ckptio.State, st *storeTxn) { st.walk(s) }, nil)
 	ckpttest.Fields(t, specTxn{}, func(s ckptio.State, txn *specTxn) { txn.walk(s) }, nil)
 	ckpttest.Fields(t, pendingFill{}, func(s ckptio.State, p *pendingFill) { p.walk(s) }, nil)
-	// A long-form line: valid follows from being in the section.
-	ckpttest.Fields(t, dirLine{owner: -1}, func(s ckptio.State, ln *dirLine) { ln.walk(s, cfg.Cores) }, []string{"valid"})
+	ckpttest.Fields(t, dirLine{owner: -1}, func(s ckptio.State, ln *dirLine) { ln.walk(s, cfg.Cores) }, nil)
 	ckpttest.Container(t, "ckpt.go", fabric{}, fabricDerived, fabricConfig)
 	ckpttest.Container(t, "ckpt.go", L1{}, l1Derived, l1Config)
 	ckpttest.Container(t, "ckpt.go", Dir{}, dirDerived, dirConfig)

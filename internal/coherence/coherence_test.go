@@ -412,10 +412,15 @@ func TestTrafficCounted(t *testing.T) {
 
 // TestDirLineSize pins the packed layout of an LLC way: stored ways are most
 // of a used machine's memory, so a field added in the wrong place (or
-// widened) grows every machine.
+// widened) grows every machine. A slice's Dir stays in the allocator's
+// 288-byte size class, which the next field would leave: every machine
+// builds eight.
 func TestDirLineSize(t *testing.T) {
-	if got := unsafe.Sizeof(dirLine{}); got != 40 {
-		t.Fatalf("dirLine is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(dirLine{}); got != 32 {
+		t.Fatalf("dirLine is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Dir{}); got > 288 {
+		t.Fatalf("Dir is %d bytes, want at most 288", got)
 	}
 }
 

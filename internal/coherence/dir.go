@@ -27,17 +27,17 @@ const (
 )
 
 // dirLine is one LLC way with its embedded directory state. The LLC is
-// inclusive: any line cached in an L1 is present here. The fields are ordered
-// widest first so a way is 40 bytes (stored ways are most of a used
-// machine's memory); TestDirLineSize pins it.
+// inclusive: any line cached in an L1 is present here. A way is valid when
+// its filter tag is non-zero (Dir.home). The fields are ordered widest first
+// so a way is 32 bytes (stored ways are most of a used machine's memory);
+// TestDirLineSize pins it.
 type dirLine struct {
 	addr        uint64
 	lru         uint64
 	sharers     uint32 // bitmask of L1s with (possibly stale) shared copies
 	prevSharers uint32 // sharer snapshot for Clear after a GetX* success
-	pendAcks    int32  // outstanding recall responses (at most one per sharer bit)
-	valid       bool
-	owner       int8 // owning L1 for E/M lines, -1 if none
+	pendAcks    int8   // outstanding recall responses (at most one per sharer bit)
+	owner       int8   // owning L1 for E/M lines, -1 if none
 	busy        busyKind
 	busyReq     int8 // requestor of the in-flight write transaction
 	busyStar    bool // transaction uses GetX*/Inv*
@@ -76,7 +76,8 @@ func bindDirCounters(ct *stats.Counters) dirCounters {
 // llcSet is one LLC set's bookkeeping: where its storage is and how many ways
 // it has valid. A set with storage (cap > 0) is stored: its valid ways are
 // the valid ways of its first cap, every later way is invalid, and its run
-// ways are stale. A set without is lazy: its valid ways are its run ways.
+// ways are stale. A set without is lazy: its valid ways are its run ways. A
+// free block is named the same way, with occ 0.
 type llcSet struct {
 	at  uint32 // the set's first stored way in the slabs
 	cap uint16 // stored ways
@@ -85,7 +86,7 @@ type llcSet struct {
 
 // slab is a block of stored ways, carved into the sets that need them. Both
 // arrays are pointer-free and never move, so a *dirLine stays good until its
-// set grows.
+// set grows; after that it may point into another set.
 type slab struct {
 	lines []dirLine
 	tags  []uint16
@@ -94,14 +95,12 @@ type slab struct {
 // Dir is one directory/LLC slice. It owns the homes of all lines mapping to
 // it and runs the (Pinned Loads-extended) MESI protocol for them.
 type Dir struct {
-	idx      int
-	cfg      *arch.Config
-	setBits  uint // log2(cfg.LLCSets)
-	slabBits uint // log2 of the ways a slab holds: 256, or the slice's if fewer
-	fab      *fabric
-	count    *stats.Counters
-	cnt      dirCounters
-	stamp    uint64
+	idx   int
+	cfg   *arch.Config
+	fab   *fabric
+	count *stats.Counters
+	cnt   dirCounters
+	stamp uint64
 
 	// A set is lazy or stored (DESIGN.md §9). runs holds default-state ways
 	// as sorted, disjoint runs in plane-major order — way w of set s has
@@ -114,13 +113,17 @@ type Dir struct {
 	// A set's stored ways are cap consecutive ways of one slab from at on,
 	// with a filter tag beside each: zero for an invalid way, else the tag
 	// of its addr (home). lookup and the free-way searches scan the set's
-	// tags and touch a way only on a match. Storage is carved at next, sized
-	// by capFor and moved to a larger carving when the set outgrows it;
-	// held lists the sets that have any.
+	// tags and touch a way only on a match. A set holds a block of exactly
+	// the ways it needs, carved at next; one it outgrows is cleared and
+	// listed in free by size (free[k] holds blocks of k+1 ways) for the next
+	// set that needs that many. held lists the sets that have storage.
 	slabs    []slab
-	next     int
+	free     [][]llcSet
 	held     []int32
-	resident int // valid ways of the slice: the sum of every set's occ
+	resident int    // valid ways of the slice: the sum of every set's occ
+	next     uint32 // the carving cursor: every way below it is a set's or free
+	setBits  uint8  // log2(cfg.LLCSets)
+	slabBits uint8  // log2 of the ways a slab holds: 256, or the slice's if fewer
 
 	// demandUsed counts the demand requests accepted this cycle; when
 	// cfg.DirPortsPerCycle is non-zero, excess demand requests wait in the
@@ -138,8 +141,8 @@ func newDir(idx int, cfg *arch.Config, fab *fabric, count *stats.Counters) *Dir 
 		count:    count,
 		cnt:      bindDirCounters(count),
 		sets:     make([]llcSet, cfg.LLCSets),
-		setBits:  uint(bits.TrailingZeros(uint(cfg.LLCSets))),
-		slabBits: uint(max(bits.Len(uint(cfg.LLCWays-1)), min(8, bits.Len(uint(cfg.LLCSets*cfg.LLCWays-1))))),
+		setBits:  uint8(bits.TrailingZeros(uint(cfg.LLCSets))),
+		slabBits: uint8(max(bits.Len(uint(cfg.LLCWays-1)), min(8, bits.Len(uint(cfg.LLCSets*cfg.LLCWays-1))))),
 	}
 }
 
@@ -158,14 +161,16 @@ func (d *Dir) home(line uint64) (set int, tag uint16) {
 }
 
 // stored returns the set's stored ways and their filter tags.
-func (d *Dir) stored(set int) ([]dirLine, []uint16) {
-	st := d.sets[set]
-	if st.cap == 0 {
+func (d *Dir) stored(set int) ([]dirLine, []uint16) { return d.block(d.sets[set]) }
+
+// block returns the ways and filter tags of a carved block.
+func (d *Dir) block(b llcSet) ([]dirLine, []uint16) {
+	if b.cap == 0 {
 		return nil, nil
 	}
-	sl := &d.slabs[st.at>>d.slabBits]
-	off := int(st.at) & (1<<d.slabBits - 1)
-	end := off + int(st.cap)
+	sl := &d.slabs[b.at>>d.slabBits]
+	off := int(b.at) & (1<<d.slabBits - 1)
+	end := off + int(b.cap)
 	return sl.lines[off:end:end], sl.tags[off:end:end]
 }
 
@@ -263,35 +268,71 @@ func (d *Dir) lines(set int) iter.Seq2[int, dirLine] {
 // host-memory accounting for tests and tools, not simulated state.
 func (d *Dir) StoredSets() int { return len(d.held) }
 
-// capFor is the storage a set that needs n ways is given: the next multiple
-// of four above n, at most the set's ways, so a set that takes a fill or two
-// after its first access does not move.
-func (d *Dir) capFor(n int) int { return min(d.cfg.LLCWays, (n+4)&^3) }
+// Carving reports, like StoredSets, the slice's host memory: the ways it has
+// carved from its slabs, those its stored sets hold valid, and those in free
+// blocks.
+func (d *Dir) Carving() (carved, valid, free int) {
+	for _, set := range d.held {
+		valid += int(d.sets[set].occ)
+	}
+	for k, blocks := range d.free {
+		free += (k + 1) * len(blocks)
+	}
+	return int(d.next), valid, free
+}
 
-// reserve gives the set storage for at least n ways, carving a new block
-// and copying the set's stored ways into it if it has fewer. The old block is
-// left behind; a restore reclaims every slab.
+// reserve gives the set storage for n ways if it has fewer: a block of
+// exactly n, into which its stored ways move. The block they leave is
+// cleared and listed free under its size.
 func (d *Dir) reserve(set, n int) {
 	st := &d.sets[set]
 	if n <= int(st.cap) {
 		return
 	}
-	c, size := d.capFor(n), 1<<d.slabBits
-	if d.next%size+c > size {
-		d.next += size - d.next%size
-	}
-	if d.next/size == len(d.slabs) {
-		d.slabs = append(d.slabs, slab{make([]dirLine, size), make([]uint16, size)})
-	}
+	b := d.carve(n)
 	lines, tags := d.stored(set)
-	if st.cap == 0 {
-		d.held = append(d.held, int32(set))
-	}
-	st.at, st.cap = uint32(d.next), uint16(c)
-	d.next += c
-	nl, nt := d.stored(set)
+	nl, nt := d.block(b)
 	copy(nl, lines)
 	copy(nt, tags)
+	if st.cap == 0 {
+		d.held = append(d.held, int32(set))
+	} else {
+		clear(lines)
+		clear(tags)
+		d.release(llcSet{at: st.at, cap: st.cap})
+	}
+	st.at, st.cap = b.at, b.cap
+}
+
+// carve returns a zeroed block of n ways: a free one of that size, else a
+// new one at next. When the slab's last ways are too few, they are freed and
+// the block starts the next slab.
+func (d *Dir) carve(n int) llcSet {
+	if n <= len(d.free) {
+		if free := d.free[n-1]; len(free) > 0 {
+			d.free[n-1] = free[:len(free)-1]
+			return free[len(free)-1]
+		}
+	}
+	size := uint32(1) << d.slabBits
+	if left := size - d.next%size; left < uint32(n) {
+		d.release(llcSet{at: d.next, cap: uint16(left)})
+		d.next += left
+	}
+	if int(d.next>>d.slabBits) == len(d.slabs) {
+		d.slabs = append(d.slabs, slab{make([]dirLine, size), make([]uint16, size)})
+	}
+	b := llcSet{at: d.next, cap: uint16(n)}
+	d.next += uint32(n)
+	return b
+}
+
+// release lists the zeroed block b as free.
+func (d *Dir) release(b llcSet) {
+	if d.free == nil {
+		d.free = make([][]llcSet, d.cfg.LLCWays)
+	}
+	d.free[b.cap-1] = append(d.free[b.cap-1], b)
 }
 
 // freeWay returns the first invalid way of the set, or -1.
@@ -666,7 +707,7 @@ func (d *Dir) handleGetSSpec(m Msg) {
 		}
 		*d.cnt.specFills++
 		// lru stays 0: the line ranks below every architecturally-touched one.
-		d.install(set, free, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
+		d.install(set, free, dirLine{addr: m.Line, owner: -1, busy: busyFetch,
 			busyReq: int8(r), fetchKind: GetSSpec, specBorn: true})
 		d.fab.self(Msg{Kind: MemResp, Line: m.Line, Src: d.addr(), Dst: d.addr(),
 			Requestor: r}, d.cfg.DRAMCycles)
@@ -737,7 +778,7 @@ func (d *Dir) miss(m Msg) {
 		return
 	}
 	*d.cnt.dramFetches++
-	d.touch(d.install(set, w, dirLine{valid: true, addr: m.Line, owner: -1, busy: busyFetch,
+	d.touch(d.install(set, w, dirLine{addr: m.Line, owner: -1, busy: busyFetch,
 		busyReq: int8(m.Src.Idx), fetchKind: m.Kind}))
 	d.fab.self(Msg{Kind: MemResp, Line: m.Line, Src: d.addr(), Dst: d.addr(),
 		Requestor: m.Src.Idx}, d.cfg.DRAMCycles)

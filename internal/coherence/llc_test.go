@@ -13,24 +13,39 @@ import (
 
 // denseRef is the layout the lazy runs and per-set storage replaced: every
 // way of every set in one array, installed eagerly and found by scanning the
-// set. It is the reference the differential tests hold Dir to.
+// set. It is the reference the differential tests hold Dir to. It keeps
+// which ways are valid itself: an invalid way is a zero line.
 type denseRef struct {
 	ways  int
 	lines []dirLine
+	valid []bool
 	stamp uint64
 }
 
 func newDenseRef(cfg *arch.Config) *denseRef {
-	return &denseRef{ways: cfg.LLCWays, lines: make([]dirLine, cfg.LLCSets*cfg.LLCWays)}
+	n := cfg.LLCSets * cfg.LLCWays
+	return &denseRef{ways: cfg.LLCWays, lines: make([]dirLine, n), valid: make([]bool, n)}
 }
 
 func (r *denseRef) set(s int) []dirLine { return r.lines[s*r.ways : (s+1)*r.ways] }
+
+// validIn reports, way by way, which ways of the set are valid.
+func (r *denseRef) validIn(s int) []bool { return r.valid[s*r.ways : (s+1)*r.ways] }
+
+// put validates way w of the set with ln, and drop invalidates it.
+func (r *denseRef) put(s, w int, ln dirLine) {
+	r.set(s)[w], r.validIn(s)[w] = ln, true
+}
+
+func (r *denseRef) drop(s, w int) {
+	r.set(s)[w], r.validIn(s)[w] = dirLine{}, false
+}
 
 // lookup returns the way of the set holding the line and firstInvalid its
 // first invalid way; -1 when there is none.
 func (r *denseRef) lookup(s int, line uint64) int {
 	for w, ln := range r.set(s) {
-		if ln.valid && ln.addr == line {
+		if r.validIn(s)[w] && ln.addr == line {
 			return w
 		}
 	}
@@ -38,8 +53,8 @@ func (r *denseRef) lookup(s int, line uint64) int {
 }
 
 func (r *denseRef) firstInvalid(s int) int {
-	for w, ln := range r.set(s) {
-		if !ln.valid {
+	for w, valid := range r.validIn(s) {
+		if !valid {
 			return w
 		}
 	}
@@ -52,7 +67,7 @@ func (r *denseRef) firstInvalid(s int) int {
 func (r *denseRef) warm(s int, line uint64) {
 	if w := r.firstInvalid(s); w >= 0 && r.lookup(s, line) < 0 {
 		r.stamp++
-		r.set(s)[w] = defaultLine(line, r.stamp)
+		r.put(s, w, defaultLine(line, r.stamp))
 	}
 }
 
@@ -65,7 +80,7 @@ func (r *denseRef) alloc(s int) (way, evicted, recalled int) {
 	for w := range ws {
 		e := &ws[w]
 		switch {
-		case !e.valid:
+		case !r.validIn(s)[w]:
 			return w, -1, -1
 		case e.busy != busyNone:
 		case e.sharers == 0 && e.owner < 0:
@@ -79,7 +94,7 @@ func (r *denseRef) alloc(s int) (way, evicted, recalled int) {
 		}
 	}
 	if idle >= 0 {
-		ws[idle] = dirLine{}
+		r.drop(s, idle)
 		return idle, idle, -1
 	}
 	return -1, -1, held
@@ -91,8 +106,8 @@ func (r *denseRef) specFill(s int, line uint64, core int) {
 	w := r.lookup(s, line)
 	if w < 0 {
 		if free := r.firstInvalid(s); free >= 0 {
-			r.set(s)[free] = dirLine{valid: true, addr: line, owner: -1, busy: busyFetch,
-				busyReq: int8(core), fetchKind: GetSSpec, specBorn: true}
+			r.put(s, free, dirLine{addr: line, owner: -1, busy: busyFetch,
+				busyReq: int8(core), fetchKind: GetSSpec, specBorn: true})
 		}
 		return
 	}
@@ -109,7 +124,7 @@ func (r *denseRef) specUndo(s int, line uint64, core int) {
 	e := &r.set(s)[w]
 	e.sharers &^= 1 << uint(core)
 	if e.specBorn && e.sharers == 0 && e.owner < 0 {
-		*e = dirLine{}
+		r.drop(s, w)
 	}
 }
 
@@ -119,8 +134,8 @@ func (r *denseRef) snapshot() []DirSnap {
 	for s := 0; s < len(r.lines)/r.ways; s++ {
 		set := r.set(s)
 		var ways []int
-		for w := range set {
-			if set[w].valid {
+		for w, valid := range r.validIn(s) {
+			if valid {
 				ways = append(ways, w)
 			}
 		}
@@ -147,14 +162,14 @@ func openAll(d *Dir) {
 	}
 }
 
-// waysOf fills buf, one entry per way, with the set as the dense reference
-// holds it, read through lines: zero for an invalid way.
-func waysOf(d *Dir, set int, buf []dirLine) []dirLine {
+// waysOf fills buf and valid, one entry per way, with the set as the dense
+// reference holds it, read through lines: zero and false for an invalid way.
+func waysOf(d *Dir, set int, buf []dirLine, valid []bool) {
 	clear(buf)
+	clear(valid)
 	for w, ln := range d.lines(set) {
-		buf[w] = ln
+		buf[w], valid[w] = ln, true
 	}
-	return buf
 }
 
 // TestDirMatchesDenseReference drives three forms of one slice through the
@@ -243,10 +258,10 @@ func TestDirMatchesDenseReference(t *testing.T) {
 			clear(opened)
 			for s := range cfg.LLCSets {
 				fromRuns[s] = false
-				for _, ln := range ref.set(s) {
-					if ln.valid && !ln.isDefault() {
+				for w, ln := range ref.set(s) {
+					if ref.validIn(s)[w] && !ln.isDefault() {
 						opened[s] = true
-					} else if ln.valid {
+					} else if ref.validIn(s)[w] {
 						fromRuns[s] = true
 					}
 				}
@@ -271,7 +286,7 @@ func TestDirMatchesDenseReference(t *testing.T) {
 				ref.set(set)[recalled] = got
 			}
 			if way >= 0 {
-				ln := dirLine{valid: true, addr: line, owner: -1, sharers: uint32(rng.Intn(4))}
+				ln := dirLine{addr: line, owner: -1, sharers: uint32(rng.Intn(4))}
 				if ln.sharers == 0 && rng.Bool(0.3) {
 					ln.owner = int8(rng.Intn(2))
 				}
@@ -279,7 +294,7 @@ func TestDirMatchesDenseReference(t *testing.T) {
 				twin.touch(twin.install(set, way, ln))
 				ref.stamp++
 				ln.lru = ref.stamp
-				ref.set(set)[way] = ln
+				ref.put(set, way, ln)
 			}
 		case op < 6 && rw >= 0:
 			opened[set] = true
@@ -289,7 +304,7 @@ func TestDirMatchesDenseReference(t *testing.T) {
 				}
 				d.drop(set, rw)
 			}
-			ref.set(set)[rw] = dirLine{}
+			ref.drop(set, rw)
 		case op < 8 && rw >= 0:
 			// End a recall or a fetch, or release the line to the default
 			// state, so later misses find idle and held victims of every age
@@ -327,12 +342,13 @@ func TestDirMatchesDenseReference(t *testing.T) {
 		if lazy.stamp != ref.stamp || twin.stamp != ref.stamp {
 			t.Fatalf("step %d: stamps %d and %d, reference %d", step, lazy.stamp, twin.stamp, ref.stamp)
 		}
-		view := make([]dirLine, cfg.LLCWays)
+		view, valid := make([]dirLine, cfg.LLCWays), make([]bool, cfg.LLCWays)
 		for name, d := range map[string]*Dir{"lazy": lazy, "twin": twin} {
-			waysOf(d, set, view)
+			waysOf(d, set, view, valid)
 			for w, want := range ref.set(set) {
-				if view[w] != want {
-					t.Fatalf("step %d: %s set %d way %d is %+v, reference %+v", step, name, set, w, view[w], want)
+				if view[w] != want || valid[w] != ref.validIn(set)[w] {
+					t.Fatalf("step %d: %s set %d way %d is %+v (valid %v), reference %+v (valid %v)",
+						step, name, set, w, view[w], valid[w], want, ref.validIn(set)[w])
 				}
 			}
 		}
@@ -372,12 +388,17 @@ func TestDirMatchesDenseReference(t *testing.T) {
 
 // TestResidencyHoldsFilterToWays breaks a warmed slice one way at a time and
 // requires CheckResidency to name each: in the stored set, a tag that is not
-// its way's, a tag on an invalid way, a valid way the filter does not show,
-// state left in an invalid way, a line away from home, storage outside the
-// carved slabs or listed twice, a stored set missing a run way; in the runs,
-// disorder, a run away from home; a lazy set with no run way, one whose run
-// ways are more than it counts, one given storage without its ways; and
-// counts that are off.
+// its way's, a tag on an invalid way, a valid way the filter does not show
+// (which leaves state in a way the tag calls invalid), state left in an
+// invalid way, a line away from home, storage outside the carved slabs or
+// listed twice, a stored set missing a run way; in the runs, disorder, a run
+// away from home; a lazy set with no run way, one whose run ways are more
+// than it counts, one given storage without its ways; counts that are off;
+// and in the carving, a free block outside the carved slabs, one holding
+// state, one on another size's list, one over a stored set or another free
+// block, and a carved way that is neither stored nor free. A row that needs
+// a spare way or a free block first grows set 0 to three ways, which frees
+// its first carving.
 func TestResidencyHoldsFilterToWays(t *testing.T) {
 	cfg := arch.PaperConfig(1)
 	stride := uint64(cfg.LLCSlices * cfg.LLCSets)
@@ -389,9 +410,10 @@ func TestResidencyHoldsFilterToWays(t *testing.T) {
 	}{
 		{"intact", func(d *Dir) {}, ""},
 		{"tag of another line", func(d *Dir) { _, tags := d.stored(0); tags[0]++ }, "filter tag"},
-		{"tag on an invalid way", func(d *Dir) { _, tags := d.stored(0); tags[2] = tagValid }, "filter tag"},
-		{"valid way the filter hides", func(d *Dir) { _, tags := d.stored(0); tags[1] = 0 }, "filter tag"},
-		{"state in an invalid way", func(d *Dir) { d.way(0, 3).lru = 7 }, "invalid way holds"},
+		{"intact after a set grows", func(d *Dir) { d.reserve(0, 3) }, ""},
+		{"tag on an invalid way", func(d *Dir) { d.reserve(0, 3); _, tags := d.stored(0); tags[2] = tagValid | 1 }, "filter tag"},
+		{"valid way the filter hides", func(d *Dir) { _, tags := d.stored(0); tags[1] = 0 }, "invalid way holds"},
+		{"state in an invalid way", func(d *Dir) { d.reserve(0, 3); d.way(0, 2).lru = 7 }, "invalid way holds"},
 		{"line away from home", func(d *Dir) {
 			lines, tags := d.stored(0)
 			lines[0].addr += slices
@@ -412,6 +434,19 @@ func TestResidencyHoldsFilterToWays(t *testing.T) {
 		{"lazy set with storage", func(d *Dir) { d.reserve(1, 1) }, "stored with 0 valid ways, occupancy count 1"},
 		{"occupancy count", func(d *Dir) { d.sets[0].occ-- }, "occupancy count"},
 		{"resident count", func(d *Dir) { d.resident-- }, "resident count"},
+		{"free block past the carved slabs", func(d *Dir) { d.release(llcSet{at: d.next, cap: 1}) }, "free block of 1 ways at 2 is not inside the carved slabs"},
+		{"state in a free block", func(d *Dir) {
+			d.reserve(0, 3)
+			lines, _ := d.block(d.free[1][0])
+			lines[1].lru = 7
+		}, "free block of 2 ways at 0: way 1 holds"},
+		{"free block on another size's list", func(d *Dir) {
+			d.reserve(0, 3)
+			d.free[2], d.free[1] = d.free[1], nil
+		}, "listed with the blocks of 3"},
+		{"free block over a stored set", func(d *Dir) { d.release(llcSet{at: d.sets[0].at, cap: d.sets[0].cap}) }, "free block of 2 ways at 0 overlaps"},
+		{"free blocks that overlap", func(d *Dir) { d.reserve(0, 3); d.release(llcSet{at: 1, cap: 1}) }, "free block of 2 ways at 0 overlaps"},
+		{"carved way neither stored nor free", func(d *Dir) { d.reserve(0, 3); d.free[1] = nil }, "carved way 0 is neither"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var count stats.Counters

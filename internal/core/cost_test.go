@@ -105,7 +105,7 @@ func TestMachineCostsWhatItHolds(t *testing.T) {
 			// state's size on the first restore: under 128 KB a core. A
 			// stored set costs at most its 16 ways and tags, and the carving
 			// a 256-way slab a slice.
-			most := uint64(storedSets(fork))*16*42 + uint64(cfg.LLCSlices)*256*42 + uint64(w.Cores())<<17
+			most := uint64(storedSets(fork))*16*34 + uint64(cfg.LLCSlices)*256*34 + uint64(w.Cores())<<17
 			if restored > most {
 				t.Errorf("Restore allocated %d bytes, want at most %d: %d stored sets and the cores' state", restored, most, storedSets(fork))
 			}
@@ -134,5 +134,32 @@ func TestNewStoresNoSet(t *testing.T) {
 		if err := sys.mem.CheckResidency(); err != nil {
 			t.Errorf("%s: %v", bench, err)
 		}
+	}
+}
+
+// TestCarvingHoldsWhatItStores pins, in ways, what a short mcf_r run carves
+// for its LLC: a count that does not depend on the host. A stored set holds a
+// block of exactly the ways it needs and one it outgrows is freed for the
+// next set of that size, so every carved way is a stored set's valid way or a
+// free one.
+func TestCarvingHoldsWhatItStores(t *testing.T) {
+	w := trace.ByName("mcf_r")
+	sys, err := New(arch.PaperConfig(w.Cores()), defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(3_000, 7_500); err != nil {
+		t.Fatal(err)
+	}
+	carved, valid, free := 0, 0, 0
+	for i := 0; i < sys.mem.Dirs(); i++ {
+		c, v, f := sys.mem.Dir(i).Carving()
+		carved, valid, free = carved+c, valid+v, free+f
+	}
+	if carved != valid+free {
+		t.Errorf("carved %d ways: %d valid in stored sets and %d free", carved, valid, free)
+	}
+	if stored := storedSets(sys); carved != 10_633 || free != 78 || stored != 2_188 {
+		t.Errorf("carved %d ways, %d of them free, for %d stored sets; want 10 633, 78 and 2 188", carved, free, stored)
 	}
 }

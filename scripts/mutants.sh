@@ -26,6 +26,8 @@ lines-reads-runs      ./internal/coherence                     TestDirMatchesDen
 count-one-short       ./internal/core                          FuzzDerivedState
 run-skips-athome      ./internal/coherence                     TestDirLoadStateRejectsMalformed
 ring-one-short        ./internal/arch,./internal/coherence     TestFabric
+recycle-keeps-state   ./internal/coherence                     TestDirMatchesDenseReference|TestResidencyHoldsFilterToWays
+free-wrong-class      ./internal/coherence                     TestDirMatchesDenseReference|TestResidencyHoldsFilterToWays
 '
 
 tree=$(mktemp -d)
