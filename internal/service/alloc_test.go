@@ -34,12 +34,12 @@ func TestHitPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	post := func() *httptest.ResponseRecorder {
+	post := func(target string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body)))
 		return rec
 	}
-	if rec := post(); rec.Code != http.StatusOK {
+	if rec := post("/v1/jobs"); rec.Code != http.StatusOK {
 		t.Fatalf("POST /v1/jobs of a done job: %d %s", rec.Code, rec.Body)
 	}
 
@@ -61,7 +61,9 @@ func TestHitPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"POST /v1/jobs hit", 95, func() { post() }},
+		{"POST /v1/jobs hit", 95, func() { post("/v1/jobs") }},
+		// What client.Run sends: a hit answers without reading the wait.
+		{"POST /v1/jobs?wait=30s hit", 95, func() { post("/v1/jobs?wait=30s") }},
 	} {
 		if got := testing.AllocsPerRun(20, c.fn); got > c.budget {
 			t.Errorf("%s allocates %v times, want at most %v", c.name, got, c.budget)

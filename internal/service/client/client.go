@@ -201,12 +201,21 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // Submit registers the job and returns its status (which may already be
 // terminal on a cache or dedup hit).
 func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
+	return c.submit(ctx, "/v1/jobs", spec)
+}
+
+// runPath submits and waits in one request: the server holds the reply
+// until the job is terminal or service.MaxWait has passed.
+var runPath = "/v1/jobs?wait=" + service.MaxWait.String()
+
+// submit posts the spec to path and decodes the job's status.
+func (c *Client) submit(ctx context.Context, path string, spec service.JobSpec) (service.JobStatus, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return service.JobStatus{}, fmt.Errorf("client: %w", err)
 	}
 	var st service.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", body, &st); err != nil {
+	if err := c.do(ctx, http.MethodPost, path, body, &st); err != nil {
 		return service.JobStatus{}, err
 	}
 	return st, nil
@@ -255,9 +264,11 @@ func (c *Client) Wait(ctx context.Context, id string) (service.JobStatus, error)
 }
 
 // Run submits the job and waits for its result — the round trip the
-// experiment runner's Remote hook needs. A failed job becomes an error.
+// experiment runner's Remote hook needs. One request does both unless the
+// job outlasts service.MaxWait; then Run follows it with Wait. A failed job
+// becomes an error.
 func (c *Client) Run(ctx context.Context, spec service.JobSpec) (*simrun.Output, error) {
-	st, err := c.Submit(ctx, spec)
+	st, err := c.submit(ctx, runPath, spec)
 	if err != nil {
 		return nil, err
 	}

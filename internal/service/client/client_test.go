@@ -77,6 +77,44 @@ func TestRunAgainstRealService(t *testing.T) {
 	}
 }
 
+// countingTransport counts the requests a client sends.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRunIsOneRequest checks a cold Run submits and waits in one request
+// (the server holds the submit until the job is done), and a hit too.
+func TestRunIsOneRequest(t *testing.T) {
+	s := service.New(service.Options{Workers: 1})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+	rt := &countingTransport{}
+	c := fastClient(ts.URL)
+	c.HTTP = &http.Client{Transport: rt}
+	spec := service.JobSpec{Benchmark: "gcc_r", Scheme: "fence", Variant: "ep",
+		Warmup: 500, Measure: 2000}
+	for _, name := range []string{"cold", "hit"} {
+		before := rt.n.Load()
+		out, err := c.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Insts != 2000 {
+			t.Fatalf("%s: implausible result %+v", name, out)
+		}
+		if n := rt.n.Load() - before; n != 1 {
+			t.Errorf("%s Run sent %d requests, want 1", name, n)
+		}
+	}
+}
+
 // TestRetryOn429HonorsRetryAfter serves two 429s with a 3-second
 // Retry-After and then succeeds. The fake clock proves the client waits
 // exactly the hinted duration — not less, not its own backoff — without

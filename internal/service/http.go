@@ -22,7 +22,8 @@ type apiError struct {
 //
 //	POST /v1/jobs            submit a JobSpec; 202 queued, 200 cached/known,
 //	                         400 bad spec, 429+Retry-After queue full,
-//	                         503 draining
+//	                         503 draining; ?wait=<duration> holds a job that
+//	                         is not terminal as GET ?wait= does
 //	GET  /v1/jobs/{id}       job status (404 unknown); ?wait=<duration> holds
 //	                         the answer until the job is terminal or the
 //	                         duration (capped at MaxWait) has passed, 400 if
@@ -46,19 +47,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleCache is the peering endpoint: it serves this backend's local
-// cache (memory+disk tiers only — never its own peer tier, so probes
-// cannot recurse across the fleet) in the same checksummed envelope
-// encoding the disk backend stores. The prober verifies the checksum
+// handleCache is the peering endpoint: it serves a done job from the
+// registry, else this backend's local cache (memory+disk tiers only —
+// never its own peer tier, so probes cannot recurse across the fleet), in
+// the same checksummed envelope encoding the disk backend stores. The
+// registry comes first because a finished job's result reaches the local
+// tiers only after its waiter has it. The prober verifies the checksum
 // before trusting the bytes, so a torn response is a miss, not a poison.
 // Registering GET also serves HEAD, which answers with the entry's size
 // and no body — what `plctl cache probe` uses.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	out, ok, err := s.local.Get(key)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("service: cache read: %w", err))
-		return
+	out, ok := s.result(key)
+	if !ok {
+		var err error
+		if out, ok, err = s.local.Get(key); err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("service: cache read: %w", err))
+			return
+		}
 	}
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no cached result for %q", key))
@@ -112,8 +118,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A brand-new job is 202 Accepted; anything already known (deduped,
-	// cache hit, finished earlier) is 200.
+	// Only a submit that is not terminal reads the wait, so a hit answers
+	// without parsing the query.
+	if !st.State.Terminal() {
+		wait, err := parseWait(r.URL.Query().Get("wait"))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if wait > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), wait)
+			st, _ = s.Wait(ctx, st.ID)
+			cancel()
+		}
+	}
+	// A job still queued is 202 Accepted; anything else (deduped, cache
+	// hit, finished earlier or during the wait) is 200.
 	code := http.StatusOK
 	if st.State == StateQueued {
 		code = http.StatusAccepted
@@ -121,9 +141,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, st)
 }
 
-// MaxWait caps the ?wait= of a status read, so a parked request is
-// bounded whatever the client asked for. Clients wanting to wait longer
-// read again.
+// MaxWait caps the ?wait= of a status read or a submit, so a parked
+// request is bounded whatever the client asked for. Clients wanting to
+// wait longer read again.
 const MaxWait = 30 * time.Second
 
 // parseWait reads the wait query parameter: absent is zero (answer at

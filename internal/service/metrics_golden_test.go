@@ -58,8 +58,8 @@ func TestMetricsGolden(t *testing.T) {
 		return st
 	}
 	// Job A is warm on the peer (probe + hit + cache hit), job B is cold
-	// everywhere (two probe rounds: submit and pre-execute; then one
-	// execution), then a duplicate of A exercises dedup.
+	// everywhere (one probe round, at submit; then one execution), then a
+	// duplicate of A exercises dedup.
 	a := submit(service.JobSpec{Benchmark: "gcc_r", Scheme: "fence", Variant: "ep",
 		Warmup: 200, Measure: 1000})
 	b := submit(service.JobSpec{Benchmark: "gcc_r", Warmup: 200, Measure: 1000})

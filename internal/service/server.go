@@ -52,10 +52,10 @@ type Options struct {
 	// peer probe backend.
 	Cache simcache.Cache
 	// Peers lists sibling plserved base URLs whose /v1/cache endpoints are
-	// probed on a local miss before executing a job. A warm result
-	// anywhere in the fleet then serves as a network hit here — fleet-wide
-	// exactly-once execution. Probes fail open: a dead, slow or corrupt
-	// peer is a miss, and the job computes locally.
+	// probed once, at submit, on a local miss. A warm result anywhere in
+	// the fleet then serves as a network hit here — fleet-wide exactly-once
+	// execution. Probes fail open: a dead, slow or corrupt peer is a miss,
+	// and the job computes locally.
 	Peers []string
 	// PeerTimeout bounds each individual peer probe (default 500ms).
 	PeerTimeout time.Duration
@@ -90,8 +90,8 @@ var (
 // Drain (graceful) and/or Close (abandon in-flight work).
 type Server struct {
 	opt Options
-	// cache is what jobs read and write: the local cache, tiered over the
-	// peer probe backend when peering is configured.
+	// cache is what a submit reads and a job writes: the local cache,
+	// tiered over the peer probe backend when peering is configured.
 	cache simcache.Cache
 	// local is the local tiers only — what /v1/cache serves, so one
 	// backend's probe can never recurse into another probe.
@@ -259,6 +259,16 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 	return JobStatus{ID: id, State: StateDone, CacheHit: true, Result: out}, true
 }
 
+// result returns a done job's output from the registry.
+func (s *Server) result(id string) (*simrun.Output, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; ok && j.state == StateDone {
+		return j.out, true
+	}
+	return nil, false
+}
+
 // Wait blocks until the job reaches a terminal state or ctx is done and
 // returns the job's status at that moment: a non-terminal status comes
 // with ctx's error. An ID neither the registry nor the cache holds is
@@ -292,9 +302,11 @@ func (s *Server) runJob(j *job) {
 	j.state = StateRunning
 	s.mu.Unlock()
 
-	// A result may have landed in the cache between submit and execution
-	// (e.g. a shared disk cache filled by another daemon).
-	if out, ok, err := s.cache.Get(j.id); err == nil && ok {
+	// A result may have landed in the local tiers between submit and
+	// execution (e.g. a shared disk cache filled by another daemon). The
+	// peers were asked at submit; asking them again here would only repeat
+	// that round.
+	if out, ok, err := s.local.Get(j.id); err == nil && ok {
 		s.count("svc.cache_hits")
 		s.finish(j, out, true, nil)
 		return
@@ -340,18 +352,26 @@ func (s *Server) runJob(j *job) {
 		s.count("svc.resume_fallbacks")
 		os.Remove(ckptPath)
 	})
-	if err == nil {
-		s.count("svc.executed")
-		if perr := s.cache.Put(j.id, out); perr != nil {
-			s.count("svc.cache_write_errors")
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			s.count("svc.timeouts")
 		}
-		if ckptPath != "" {
-			os.Remove(ckptPath)
-		}
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		s.count("svc.timeouts")
+		s.finish(j, nil, false, err)
+		return
 	}
-	s.finish(j, out, false, err)
+	s.count("svc.executed")
+	// The checkpoint goes before the waiter wakes, so nothing that follows
+	// the reply finds a finished job's checkpoint. The result is
+	// acknowledged before it is durable: while the put runs, the registry
+	// answers for the job (submits, reads and /v1/cache alike), and Drain
+	// waits for the put because it stays on this worker.
+	if ckptPath != "" {
+		os.Remove(ckptPath)
+	}
+	s.finish(j, out, false, nil)
+	if err := s.cache.Put(j.id, out); err != nil {
+		s.count("svc.cache_write_errors")
+	}
 }
 
 // loadCheckpoint reads and pre-validates a persisted checkpoint: it must

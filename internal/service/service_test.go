@@ -375,9 +375,11 @@ func TestDrain(t *testing.T) {
 }
 
 // TestDiskCacheSurvivesRestart computes a job against a disk cache,
-// "restarts" (a fresh server on the same directory), and checks the
-// resubmit is a cache hit without re-execution — then corrupts the entry
-// and checks the job is recomputed instead of served garbage.
+// restarts gracefully (drains, then a fresh server on the same directory),
+// and checks the resubmit is a cache hit without re-execution — then
+// corrupts the entry and checks the job is recomputed instead of served
+// garbage. The drain is what makes the restart lossless: a job's waiter
+// wakes before its result is written, and Drain waits for the write.
 func TestDiskCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*Server, *httptest.Server) {
@@ -388,11 +390,14 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 		return newTestServer(t, Options{Workers: 1, Cache: c})
 	}
 
-	_, ts1 := newTestServer(t, Options{Workers: 1, Cache: mustDisk(t, dir)})
+	s1, ts1 := newTestServer(t, Options{Workers: 1, Cache: mustDisk(t, dir)})
 	_, st, _ := postJob(t, ts1, tinySpec())
 	first := waitDone(t, ts1, st.ID)
 	if got := metric(t, ts1, "svc.executed"); got != 1 {
 		t.Fatalf("executed = %d", got)
+	}
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	_, ts2 := open()

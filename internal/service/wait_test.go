@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -199,6 +200,59 @@ func TestWaitCacheBornJobAnswersAtOnce(t *testing.T) {
 		code, got, held := getJob(t, ts, st.ID, "?wait=30s")
 		if code != http.StatusOK || got.State != StateDone || !got.CacheHit || held > prompt {
 			t.Errorf("%s: read = %d %+v after %v, want 200 done cache_hit at once", name, code, got, held)
+		}
+	}
+}
+
+// postWait submits tinySpec with the given raw query and reports how long
+// the server held the answer.
+func postWait(t *testing.T, ts *httptest.Server, query string) (int, JobStatus, time.Duration) {
+	t.Helper()
+	body, err := json.Marshal(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/v1/jobs"+query, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	if resp.StatusCode < 300 {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, st, time.Since(start)
+}
+
+// TestSubmitWait checks a submit that asks to wait is held like a status
+// read: until the job is done, or for the wait when the job cannot finish
+// (no worker runs it), with a malformed or negative wait a 400.
+func TestSubmitWait(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	code, st, _ := postWait(t, ts, "?wait=30s")
+	if code != http.StatusOK || st.State != StateDone || st.Result == nil {
+		t.Fatalf("POST ?wait=30s = %d %+v, want 200 with the done job", code, st)
+	}
+
+	idle := New(Options{Workers: 1}) // never started: a submit stays queued
+	its := httptest.NewServer(idle.Handler())
+	t.Cleanup(func() {
+		its.Close()
+		idle.Close()
+	})
+	code, st, held := postWait(t, its, "?wait=40ms")
+	if code != http.StatusAccepted || st.State != StateQueued {
+		t.Fatalf("expired POST wait = %d %+v, want 202 queued", code, st)
+	}
+	if held < 40*time.Millisecond || held > prompt {
+		t.Fatalf("answer held %v, want the 40ms asked for", held)
+	}
+	for _, q := range []string{"?wait=bogus", "?wait=-1s"} {
+		if code, _, _ := postWait(t, its, q); code != http.StatusBadRequest {
+			t.Errorf("POST /v1/jobs%s = %d, want 400", q, code)
 		}
 	}
 }

@@ -72,6 +72,10 @@ type peerFlight struct {
 // misbehaving peer cannot balloon the prober's memory.
 const defaultPeerMaxBytes = 64 << 20
 
+// drainBytes bounds how much of a non-200 reply is read before closing it:
+// a peer's JSON error body fits many times over.
+const drainBytes = 4 << 10
+
 // NewPeer returns a peer probe backend over the given sibling base URLs
 // (e.g. "http://10.0.0.2:8321"). The caller must exclude its own address.
 func NewPeer(peers []string) *Peer {
@@ -154,11 +158,13 @@ func (p *Peer) fetch(addr, key string) (*simrun.Output, bool) {
 		return nil, false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, false
-	}
 	if resp.StatusCode != http.StatusOK {
-		p.count("peer_errors")
+		// Read the short error body to its end so net/http can pool the
+		// connection for the next probe; a longer one is not worth it.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, drainBytes))
+		if resp.StatusCode != http.StatusNotFound {
+			p.count("peer_errors")
+		}
 		return nil, false
 	}
 	max := p.MaxBytes

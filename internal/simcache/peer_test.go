@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -320,5 +321,41 @@ func TestNewDiskSweepsOrphanTmp(t *testing.T) {
 	}
 	if _, ok, err := d.Get("feed"); !ok || err != nil {
 		t.Fatalf("real entry lost across reopen: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestPeerMissReusesConnection probes a peer that answers every key with a
+// JSON error body, the way plserved answers a miss, and counts the
+// connections it accepts: a miss must leave its connection reusable, so
+// sixteen probes through one Peer open one.
+func TestPeerMissReusesConnection(t *testing.T) {
+	for _, code := range []int{http.StatusNotFound, http.StatusInternalServerError} {
+		t.Run(http.StatusText(code), func(t *testing.T) {
+			var opened atomic.Int64
+			ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(code)
+				fmt.Fprintf(w, "{\"error\":\"service: no cached result for %q\"}\n", r.URL.Path)
+			}))
+			ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+				if st == http.StateNew {
+					opened.Add(1)
+				}
+			}
+			ts.Start()
+			defer ts.Close()
+			transport := &http.Transport{}
+			defer transport.CloseIdleConnections()
+			p := NewPeer([]string{ts.URL})
+			p.HTTP = &http.Client{Transport: transport}
+			for i := 0; i < 16; i++ {
+				if _, ok, err := p.Get(fmt.Sprintf("k%d", i)); ok || err != nil {
+					t.Fatalf("probe %d: ok=%v err=%v, want a clean miss", i, ok, err)
+				}
+			}
+			if n := opened.Load(); n != 1 {
+				t.Fatalf("16 miss probes opened %d connections, want 1", n)
+			}
+		})
 	}
 }

@@ -231,19 +231,20 @@ func (d *Disk) Put(key string, out *simrun.Output) error {
 	if err != nil {
 		return fmt.Errorf("simcache: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("simcache: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("simcache: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("simcache: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), p)
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err != nil {
+		// The rename consumed the temp file on success; only a failed put
+		// leaves one behind to remove.
+		os.Remove(tmp.Name())
 		return fmt.Errorf("simcache: %w", err)
 	}
 	return nil

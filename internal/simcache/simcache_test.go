@@ -191,3 +191,42 @@ func TestMemoErrorMemoized(t *testing.T) {
 		t.Fatalf("executions = %d, want 1", execs)
 	}
 }
+
+// TestDiskPutLeavesOnlyTheEntry checks a put's temp file is gone either
+// way: a successful put renames it into the entry, and a failed one (here
+// the rename, onto a directory) removes it.
+func TestDiskPutLeavesOnlyTheEntry(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("00ab", out(1.5)); err != nil {
+		t.Fatal(err)
+	}
+	names := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		return got
+	}
+	if got := names(); len(got) != 1 || got[0] != "00ab.json" {
+		t.Fatalf("after a successful put the directory holds %q, want only 00ab.json", got)
+	}
+
+	blocker := filepath.Join(dir, "beef.json")
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("beef", out(2)); err == nil {
+		t.Fatal("put onto a directory succeeded")
+	}
+	if got := names(); len(got) != 2 || got[0] != "00ab.json" || got[1] != "beef.json" {
+		t.Fatalf("after a failed put the directory holds %q, want no put-*.tmp", got)
+	}
+}
