@@ -32,6 +32,10 @@ func main() {
 		replay = flag.String("replay", "", "inspect a recorded trace file instead of a generator")
 	)
 	flag.Parse()
+	if *n < 0 {
+		fmt.Fprintf(os.Stderr, "pltrace: -n %d: want a count of at least 0\n", *n)
+		os.Exit(2)
+	}
 
 	var src trace.Source
 	if *replay != "" {

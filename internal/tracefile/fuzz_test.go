@@ -42,68 +42,73 @@ func fuzzSeedTrace() *Trace {
 // input, and that any input Decode accepts round-trips losslessly:
 // decode -> encode -> decode yields an identical trace and identical bytes.
 func FuzzTracefileRoundTrip(f *testing.F) {
-	var seed bytes.Buffer
-	if err := fuzzSeedTrace().Encode(&seed); err != nil {
+	seed, err := fuzzSeedTrace().Encode()
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed.Bytes())
+	f.Add(seed)
 	// A recorded generator trace exercises the PC-delta and warm-line paths.
-	var rec bytes.Buffer
-	if err := Record(trace.ByName("gcc_r"), 1, 32).Encode(&rec); err != nil {
+	rec, err := Record(trace.ByName("gcc_r"), 1, 32).Encode()
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(rec.Bytes())
+	f.Add(rec)
 	f.Add([]byte{})
 	f.Add([]byte("PLTR"))
 	f.Add([]byte("PLTR\x02\x01\x00"))
+	f.Add([]byte("PLTR\x02\x00\x00")) // no cores
 	// Truncations and bit flips of a valid encoding are the interesting
 	// corruption class; give the mutator a head start.
-	f.Add(seed.Bytes()[:len(seed.Bytes())/2])
-	flipped := append([]byte(nil), seed.Bytes()...)
+	f.Add(seed[:len(seed)/2])
+	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Decode(bytes.NewReader(data))
+		tr, err := Decode(data)
 		if err != nil {
 			return // rejected input is fine; panicking or OOM is not
 		}
-		var enc1 bytes.Buffer
-		if err := tr.Encode(&enc1); err != nil {
+		enc1, err := tr.Encode()
+		if err != nil {
 			t.Fatalf("encode of decoded trace failed: %v", err)
 		}
-		tr2, err := Decode(bytes.NewReader(enc1.Bytes()))
+		tr2, err := Decode(enc1)
 		if err != nil {
 			t.Fatalf("re-decode of encoded trace failed: %v", err)
 		}
 		if !reflect.DeepEqual(tr, tr2) {
 			t.Fatalf("round trip changed the trace:\nfirst:  %+v\nsecond: %+v", tr, tr2)
 		}
-		var enc2 bytes.Buffer
-		if err := tr2.Encode(&enc2); err != nil {
+		enc2, err := tr2.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
+		if !bytes.Equal(enc1, enc2) {
 			t.Fatal("re-encoding is not byte-stable")
 		}
 	})
 }
 
 // TestDecodeRejectsImplausibleCounts pins the hardening limits: headers
-// claiming absurd sizes must fail fast instead of allocating.
+// claiming absurd sizes must fail fast instead of allocating, and a trace
+// with no cores, which no run could replay, is not a trace.
 func TestDecodeRejectsImplausibleCounts(t *testing.T) {
 	huge := []byte("PLTR\x02\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01") // cores = 2^63+
-	if _, err := Decode(bytes.NewReader(huge)); err == nil {
+	if _, err := Decode(huge); err == nil {
 		t.Fatal("decode accepted an implausible core count")
 	}
 	name := []byte("PLTR\x02\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01") // nameLen huge
-	if _, err := Decode(bytes.NewReader(name)); err == nil {
+	if _, err := Decode(name); err == nil {
 		t.Fatal("decode accepted an implausible name length")
+	}
+	if _, err := Decode([]byte("PLTR\x02\x00\x00")); err == nil {
+		t.Fatal("decode accepted a trace with no cores")
 	}
 }
 
 // TestDecodeTruncatedStreamCount checks that a stream count far larger than
-// the remaining input errors out with bounded memory (the prealloc clamp).
+// the remaining input errors out with bounded memory (ckptio.Decoder.Count).
 func TestDecodeTruncatedStreamCount(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString("PLTR")
@@ -112,7 +117,7 @@ func TestDecodeTruncatedStreamCount(t *testing.T) {
 	buf.WriteByte(1)                                                  // name length 1
 	buf.WriteByte('x')                                                //
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // count ~2^55
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := Decode(buf.Bytes()); err == nil {
 		t.Fatal("decode accepted a truncated stream")
 	}
 }

@@ -121,14 +121,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestZigzag(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, 4, -4, 1 << 40, -(1 << 40)} {
-		if unzigzag(zigzag(v)) != v {
-			t.Fatalf("zigzag roundtrip failed for %d", v)
-		}
-	}
-}
-
 func TestCompactness(t *testing.T) {
 	src := trace.ByName("gcc_r")
 	rec := Record(src, 1, 10000)
@@ -176,11 +168,11 @@ func TestWarmLinesCoalesce(t *testing.T) {
 	split := &Trace{Streams: [][]isa.Inst{nil}, Wrong: [][]isa.Inst{nil},
 		Warm: [][]arch.LineRange{{{First: 0x100, N: 1}, {First: 0x101, N: 1}, {First: 0x100, N: 1},
 			{First: 0x108, N: 0}, {First: 0x90, N: 2}, {First: 0x92, N: 3}}}}
-	var a bytes.Buffer
-	if err := split.Encode(&a); err != nil {
+	a, err := split.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(bytes.NewReader(a.Bytes()))
+	got, err := Decode(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +180,11 @@ func TestWarmLinesCoalesce(t *testing.T) {
 	if !reflect.DeepEqual(got.Warm[0], want) {
 		t.Fatalf("loaded runs %v, want %v", got.Warm[0], want)
 	}
-	var b bytes.Buffer
-	if err := got.Encode(&b); err != nil {
+	b, err := got.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("coalesced runs write different bytes")
 	}
 }

@@ -154,6 +154,9 @@ func copies(ps ...*Profile) []*Profile {
 // RecordTrace captures n instructions per core of a workload into a
 // replayable binary trace file (see also cmd/pltrace -record).
 func RecordTrace(w Workload, seed uint64, n int, path string) error {
+	if n < 0 {
+		return fmt.Errorf("pinnedloads: cannot record a negative instruction count %d", n)
+	}
 	return tracefile.Record(w, seed, n).Save(path)
 }
 
