@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"pinnedloads/internal/service"
-	"pinnedloads/internal/simcache"
 	"pinnedloads/internal/simrun"
 	"pinnedloads/internal/vclock"
 )
@@ -124,70 +123,77 @@ func retryable(code int) bool {
 	return code == http.StatusTooManyRequests || code >= 500
 }
 
+// send makes one request to path and reads the whole reply. A non-2xx reply
+// comes back with its body and a *StatusError carrying the server's message:
+// the JSON error field when there is one, else the body, else the status.
+func (c *Client) send(ctx context.Context, method, path string, body []byte) (*http.Response, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, c.wrap(err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	httpc := c.HTTP
+	if httpc == nil {
+		httpc = http.DefaultClient
+	}
+	resp, err := httpc.Do(req)
+	if err != nil {
+		return nil, nil, c.wrap(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, nil, c.wrap(err)
+	}
+	if resp.StatusCode < 300 {
+		return resp, data, nil
+	}
+	var ae struct {
+		Error string `json:"error"`
+	}
+	json.Unmarshal(data, &ae)
+	if ae.Error == "" {
+		ae.Error = strings.TrimSpace(string(data))
+	}
+	if ae.Error == "" {
+		ae.Error = resp.Status
+	}
+	return resp, data, c.wrap(&StatusError{Code: resp.StatusCode, Message: ae.Error})
+}
+
 // do issues one API request with the retry/backoff policy and decodes a
-// 2xx JSON body into out (when non-nil).
+// 2xx JSON body into out (when non-nil). A failed request is tried again,
+// up to Retries times, unless the server answered with a status retryable
+// rejects.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
 	backoff := c.Backoff
 	if backoff <= 0 {
 		backoff = 250 * time.Millisecond
 	}
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, method, c.Base+path, bytes.NewReader(body))
-		if err != nil {
-			return c.wrap(err)
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		httpc := c.HTTP
-		if httpc == nil {
-			httpc = http.DefaultClient
-		}
-		resp, err := httpc.Do(req)
-		var wait time.Duration
-		switch {
-		case err != nil:
-			lastErr = c.wrap(err)
-			wait = backoff
-		default:
-			data, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr != nil {
-				lastErr = c.wrap(rerr)
-				wait = backoff
-				break
-			}
-			if resp.StatusCode < 300 {
-				if out == nil {
-					return nil
-				}
-				if err := json.Unmarshal(data, out); err != nil {
-					return c.wrap(fmt.Errorf("bad response body: %w", err))
-				}
+		resp, data, err := c.send(ctx, method, path, body)
+		if err == nil {
+			if out == nil {
 				return nil
 			}
-			var ae struct {
-				Error string `json:"error"`
+			if err := json.Unmarshal(data, out); err != nil {
+				return c.wrap(fmt.Errorf("bad response body: %w", err))
 			}
-			json.Unmarshal(data, &ae)
-			if ae.Error == "" {
-				ae.Error = strings.TrimSpace(string(data))
-			}
-			serr := &StatusError{Code: resp.StatusCode, Message: ae.Error}
+			return nil
+		}
+		wait := backoff
+		if resp != nil {
 			if !retryable(resp.StatusCode) {
-				return c.wrap(serr)
+				return err
 			}
-			lastErr = c.wrap(serr)
-			wait = backoff
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-					wait = time.Duration(secs) * time.Second
-				}
+			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs >= 0 {
+				wait = time.Duration(secs) * time.Second
 			}
 		}
 		if attempt >= c.Retries {
-			return lastErr
+			return err
 		}
 		backoff *= 2
 		select {
@@ -288,68 +294,14 @@ func (c *Client) Run(ctx context.Context, spec service.JobSpec) (*simrun.Output,
 // entry's encoded byte count on a hit. One round trip, no retries — this
 // is an operator's debugging probe, not a data path.
 func (c *Client) CacheProbe(ctx context.Context, key string) (hit bool, size int64, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead,
-		c.Base+"/v1/cache/"+url.PathEscape(key), nil)
-	if err != nil {
-		return false, 0, c.wrap(err)
-	}
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return false, 0, c.wrap(err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, resp.ContentLength, nil
-	case http.StatusNotFound:
-		return false, 0, nil
-	default:
-		return false, 0, c.wrap(&StatusError{Code: resp.StatusCode,
-			Message: resp.Status})
-	}
-}
-
-// CacheGet fetches a cached result straight from the backend's local
-// cache (GET /v1/cache/{key}), verifying the checksummed envelope before
-// trusting it. A missing key and a corrupt response are both (nil, false,
-// nil)-style misses — the latter also carries the decode error so a
-// debugging caller can see why.
-func (c *Client) CacheGet(ctx context.Context, key string) (*simrun.Output, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.Base+"/v1/cache/"+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, false, c.wrap(err)
-	}
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, false, c.wrap(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, c.wrap(err)
-	}
+	resp, _, err := c.send(ctx, http.MethodHead, "/v1/cache/"+url.PathEscape(key), nil)
 	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		return nil, false, nil
-	case resp.StatusCode != http.StatusOK:
-		return nil, false, c.wrap(&StatusError{Code: resp.StatusCode,
-			Message: strings.TrimSpace(string(data))})
+	case err == nil:
+		return true, resp.ContentLength, nil
+	case resp != nil && resp.StatusCode == http.StatusNotFound:
+		return false, 0, nil
 	}
-	out, err := simcache.DecodeEnvelope(data)
-	if err != nil {
-		return nil, false, c.wrap(err)
-	}
-	return out, true, nil
+	return false, 0, err
 }
 
 // Trace downloads a done job's Chrome trace JSON.
@@ -375,30 +327,10 @@ type Health struct {
 // raw verdict immediately. A draining server decodes into h but still
 // returns an error (it is not accepting work).
 func (c *Client) Healthz(ctx context.Context) (Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
-	if err != nil {
-		return Health{}, c.wrap(err)
-	}
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return Health{}, c.wrap(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return Health{}, c.wrap(err)
-	}
+	_, data, err := c.send(ctx, http.MethodGet, "/healthz", nil)
 	var h Health
 	json.Unmarshal(data, &h)
-	if resp.StatusCode != http.StatusOK {
-		return h, c.wrap(&StatusError{Code: resp.StatusCode,
-			Message: strings.TrimSpace(string(data))})
-	}
-	return h, nil
+	return h, err
 }
 
 // Drain asks the server to stop accepting jobs and finish what it has
@@ -409,25 +341,9 @@ func (c *Client) Drain(ctx context.Context) error {
 
 // Metrics fetches the server's counters as a name -> value map.
 func (c *Client) Metrics(ctx context.Context) (map[string]uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
+	_, data, err := c.send(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
-		return nil, c.wrap(err)
-	}
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, c.wrap(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, c.wrap(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, c.wrap(&StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(data))})
+		return nil, err
 	}
 	m := make(map[string]uint64)
 	for _, line := range strings.Split(string(data), "\n") {
