@@ -281,27 +281,35 @@ type BackendStatus struct {
 	Health  client.Health `json:"health,omitempty"`
 }
 
+// each runs fn on every backend at once and waits for all of them. The
+// errors are joined in configuration order.
+func (f *Fleet) each(fn func(i int, b *backend) error) error {
+	errs := make([]error, len(f.backends))
+	var wg sync.WaitGroup
+	for i, b := range f.backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, b)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // Status probes every backend's /healthz and reports both the live
 // verdict and the fleet's routing view.
 func (f *Fleet) Status(ctx context.Context) []BackendStatus {
 	out := make([]BackendStatus, len(f.backends))
-	var wg sync.WaitGroup
-	for i, b := range f.backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			h, err := f.probe(ctx, b)
-			healthy, lastErr := b.snapshot()
-			st := BackendStatus{Addr: b.addr, Healthy: healthy, Reach: err == nil, Health: h}
-			if err != nil {
-				st.Err = err.Error()
-			} else if lastErr != "" {
-				st.Err = lastErr
-			}
-			out[i] = st
-		}(i, b)
-	}
-	wg.Wait()
+	f.each(func(i int, b *backend) error {
+		h, err := f.probe(ctx, b)
+		healthy, lastErr := b.snapshot()
+		out[i] = BackendStatus{Addr: b.addr, Healthy: healthy, Reach: err == nil, Health: h, Err: lastErr}
+		if err != nil {
+			out[i].Err = err.Error()
+		}
+		return nil
+	})
 	return out
 }
 
@@ -325,54 +333,28 @@ func (f *Fleet) Metrics(ctx context.Context) (Metrics, error) {
 		Aggregate:  make(map[string]uint64),
 		PerBackend: make(map[string]map[string]uint64),
 	}
-	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		errs []error
-	)
-	for _, b := range f.backends {
-		wg.Add(1)
-		go func(b *backend) {
-			defer wg.Done()
-			bm, err := b.c.Metrics(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, err)
-				return
-			}
-			m.PerBackend[b.addr] = bm
-			for name, v := range bm {
-				m.Aggregate[name] += v
-			}
-		}(b)
+	per := make([]map[string]uint64, len(f.backends))
+	err := f.each(func(i int, b *backend) (err error) {
+		per[i], err = b.c.Metrics(ctx)
+		return err
+	})
+	for i, bm := range per {
+		if bm == nil {
+			continue
+		}
+		m.PerBackend[f.backends[i].addr] = bm
+		for name, v := range bm {
+			m.Aggregate[name] += v
+		}
 	}
-	wg.Wait()
 	f.cmu.Lock()
 	m.Fleet = f.counters.Snapshot()
 	f.cmu.Unlock()
-	return m, errors.Join(errs...)
+	return m, err
 }
 
 // Drain asks every backend to stop accepting jobs and finish queued
 // work; errors are joined but do not stop the remaining drains.
 func (f *Fleet) Drain(ctx context.Context) error {
-	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		errs []error
-	)
-	for _, b := range f.backends {
-		wg.Add(1)
-		go func(b *backend) {
-			defer wg.Done()
-			if err := b.c.Drain(ctx); err != nil {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-			}
-		}(b)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return f.each(func(_ int, b *backend) error { return b.c.Drain(ctx) })
 }
