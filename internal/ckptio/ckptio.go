@@ -1,9 +1,9 @@
 // Package ckptio provides the low-level codec shared by every component
-// that serializes simulation state into a checkpoint (package checkpoint).
-// The format follows the internal/tracefile idioms: varint-packed integers
-// (unsigned as uvarint, signed as zigzag), length-prefixed strings and
-// sequences, and a hardened decoder that turns every malformed input into a
-// sticky error instead of a panic or an unbounded allocation.
+// that serializes simulation state into a checkpoint (package checkpoint),
+// and by the recorded-trace file format (package tracefile): varint-packed
+// integers (unsigned as uvarint, signed as zigzag), length-prefixed strings
+// and sequences, and a hardened decoder that turns every malformed input
+// into a sticky error instead of a panic or an unbounded allocation.
 //
 // Components do not call the two directions themselves: each describes its
 // state once as a State walk (state.go), which runs over an Encoder to save
@@ -301,8 +301,8 @@ func (d *Decoder) F64() float64 {
 	return math.Float64frombits(v)
 }
 
-// maxStringLen bounds decoded string lengths (mirrors tracefile's name
-// hardening).
+// maxStringLen bounds decoded string lengths; a recorded trace's name is
+// held to it too.
 const maxStringLen = 1 << 16
 
 // String reads a length-prefixed string.
