@@ -51,9 +51,10 @@ func (s *Server) Handler() http.Handler {
 // registry, else this backend's local cache (memory+disk tiers only —
 // never its own peer tier, so probes cannot recurse across the fleet), in
 // the same checksummed envelope encoding the disk backend stores. The
-// registry comes first because a finished job's result reaches the local
-// tiers only after its waiter has it. The prober verifies the checksum
-// before trusting the bytes, so a torn response is a miss, not a poison.
+// registry comes first because a result reaches the local tiers only after
+// its waiter has it, whether a worker computed it or a peer served it. The
+// prober verifies the checksum before trusting the bytes, so a torn
+// response is a miss, not a poison.
 // Registering GET also serves HEAD, which answers with the entry's size
 // and no body — what `plctl cache probe` uses.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
@@ -194,10 +195,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: job %s recorded no events; submit with trace_buffer > 0", id))
 		return
 	}
-	cores := 0
-	if st.Spec.Config != nil {
-		cores = st.Spec.Config.Cores
-	}
 	short := id
 	if len(short) > 12 {
 		short = short[:12]
@@ -205,7 +202,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", short+".trace.json"))
-	if err := obs.WriteChromeTrace(w, st.Result.Events, cores); err != nil {
+	if err := obs.WriteChromeTrace(w, st.Result.Events, len(st.Result.HW)); err != nil {
 		// Headers are gone; nothing to do but log via a counter.
 		s.count("svc.trace_write_errors")
 	}

@@ -97,7 +97,7 @@ func TestCacheEndpoint(t *testing.T) {
 // TestPeerServingEndToEnd is the tentpole's core property at the service
 // level: a job warm on a sibling backend is served over the peering tier
 // — zero executions on the probing backend — and promoted into its local
-// cache so the endpoint can serve it onward.
+// cache, by the time Drain returns, so the endpoint can serve it onward.
 func TestPeerServingEndToEnd(t *testing.T) {
 	up := service.New(service.Options{Workers: 1})
 	up.Start()
@@ -137,7 +137,11 @@ func TestPeerServingEndToEnd(t *testing.T) {
 	if !strings.Contains(up.Metrics(), "svc.peer_served=1") {
 		t.Fatalf("origin backend did not count the serve:\n%s", up.Metrics())
 	}
-	// The hit was promoted: this backend now serves it locally too.
+	// The hit was promoted once Drain returns: this backend now serves it
+	// locally too.
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, _ := local.Get(st.ID); !ok {
 		t.Fatal("peer hit was not promoted into the local cache")
 	}

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"sync"
 	"testing"
@@ -127,5 +129,99 @@ func TestDrainWaitsForPut(t *testing.T) {
 	}
 	if n := metricsMap(t, r)["svc.executed"]; n != 0 {
 		t.Fatalf("restarted server executed %d jobs, want 0", n)
+	}
+}
+
+// promptly runs fn and fails unless it returns within the prompt bound.
+func promptly(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(prompt):
+		t.Fatalf("%s did not return while the local put was held", what)
+	}
+}
+
+// TestPeerHitReplyBeforePut holds the local writes of peer hits and checks
+// that a submit, an HTTP submit and an HTTP status read are each answered
+// while they are held, and that Drain returns only once every write is
+// released — one that starts while Drain already waits included.
+func TestPeerHitReplyBeforePut(t *testing.T) {
+	up, upTS := newTestServer(t, Options{Workers: 1})
+	specs := make([]JobSpec, 3)
+	for i := range specs {
+		specs[i] = tinySpec()
+		specs[i].Seed = uint64(i + 1)
+		st, err := up.Submit(&specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitPrompt(t, up, st.ID)
+	}
+	gate := newGatedCache(simcache.NewMemory(0))
+	defer gate.open()
+	s, ts := newTestServer(t, Options{Workers: 1, Cache: gate, Peers: []string{upTS.URL}})
+
+	var hit JobStatus
+	var err error
+	promptly(t, "Server.Submit of a peer hit", func() { hit, err = s.Submit(&specs[0]) })
+	if err != nil || hit.State != StateDone || !hit.CacheHit {
+		t.Fatalf("Submit = %+v, %v; want a done cache hit", hit, err)
+	}
+	<-gate.putting
+
+	var resp *http.Response
+	promptly(t, "POST /v1/jobs of a peer hit", func() {
+		body, _ := json.Marshal(specs[1])
+		resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/jobs of a peer hit = %d, want 200", resp.StatusCode)
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(context.Background()) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) while a peer hit was still unwritten", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	id := specs[2].Key()
+	promptly(t, "GET /v1/jobs/{id} of a peer hit during Drain", func() {
+		resp, err = http.Get(ts.URL + "/v1/jobs/" + id)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/jobs/{id} of a peer hit = %d, want 200", resp.StatusCode)
+	}
+
+	gate.open()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(prompt):
+		t.Fatal("Drain did not return after the puts were released")
+	}
+	for _, spec := range specs {
+		if _, ok, _ := gate.Cache.Get(spec.Key()); !ok {
+			t.Fatalf("peer hit %s was not in the local cache when Drain returned", spec.Key())
+		}
+	}
+	if m := metricsMap(t, s); m["svc.peer_hits"] != 3 || m["svc.executed"] != 0 {
+		t.Fatalf("peer_hits = %d, executed = %d; want 3 and 0", m["svc.peer_hits"], m["svc.executed"])
 	}
 }

@@ -48,8 +48,8 @@ type Options struct {
 	RetryAfter time.Duration
 	// Cache stores results by job ID (default: unbounded in-memory). This
 	// is the server's *local* cache: the /v1/cache peering endpoint serves
-	// it directly, and when Peers is set it becomes the fast tier over the
-	// peer probe backend.
+	// it directly, and it is read before Peers. A peer hit is answered
+	// first and written to it afterwards, before Drain returns.
 	Cache simcache.Cache
 	// Peers lists sibling plserved base URLs whose /v1/cache endpoints are
 	// probed once, at submit, on a local miss. A warm result anywhere in
@@ -90,17 +90,20 @@ var (
 // Drain (graceful) and/or Close (abandon in-flight work).
 type Server struct {
 	opt Options
-	// cache is what a submit reads and a job writes: the local cache,
-	// tiered over the peer probe backend when peering is configured.
-	cache simcache.Cache
-	// local is the local tiers only — what /v1/cache serves, so one
-	// backend's probe can never recurse into another probe.
+	// local is what a read tries first, a job writes and /v1/cache serves
+	// (so one backend's probe can never recurse into another probe); peer
+	// is what a local miss asks next, a miss at once without Peers.
 	local simcache.Cache
+	peer  *simcache.Peer
 
 	mu       sync.Mutex
 	jobs     map[string]*job
 	queue    chan *job
 	draining bool
+	// fetching counts peer hits not yet written to local; fetched wakes
+	// Drain at zero (no WaitGroup: a write may start while Drain waits).
+	fetching int
+	fetched  sync.Cond
 
 	workers sync.WaitGroup
 	baseCtx context.Context
@@ -154,22 +157,17 @@ func New(opt Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opt:     opt,
-		cache:   local,
 		local:   local,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, opt.QueueDepth),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
-	if len(opt.Peers) > 0 {
-		peer := simcache.NewPeer(opt.Peers)
-		peer.Timeout = opt.PeerTimeout
-		peer.Rank = opt.PeerRank
-		peer.Counter = func(name string) { s.count("svc." + name) }
-		// Local tiers in front, peers behind: a peer hit is promoted into
-		// memory+disk by Tiered, so the next read is local.
-		s.cache = simcache.NewTiered(local, peer)
-	}
+	s.fetched.L = &s.mu
+	s.peer = simcache.NewPeer(opt.Peers)
+	s.peer.Timeout = opt.PeerTimeout
+	s.peer.Rank = opt.PeerRank
+	s.peer.Counter = func(name string) { s.count("svc." + name) }
 	return s
 }
 
@@ -206,8 +204,8 @@ func (s *Server) Submit(spec *JobSpec) (JobStatus, error) {
 	}
 	s.mu.Unlock()
 
-	// Cache probe happens outside the lock (it may touch disk).
-	if out, ok, err := s.cache.Get(id); err == nil && ok {
+	// Cache probe happens outside the lock (it may touch disk or peers).
+	if out, fetched, ok := s.get(id); ok {
 		s.mu.Lock()
 		if _, exists := s.jobs[id]; !exists {
 			s.jobs[id] = &job{id: id, spec: *spec, state: StateDone, out: out,
@@ -215,6 +213,9 @@ func (s *Server) Submit(spec *JobSpec) (JobStatus, error) {
 		}
 		st := s.snapshotLocked(s.jobs[id])
 		s.mu.Unlock()
+		if fetched {
+			s.keep(id, out)
+		}
 		s.count("svc.cache_hits")
 		return st, nil
 	}
@@ -250,13 +251,42 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 		return st, true
 	}
 	s.mu.Unlock()
-	out, ok, err := s.cache.Get(id)
-	if err != nil || !ok {
+	out, fetched, ok := s.get(id)
+	if !ok {
 		return JobStatus{}, false
+	}
+	if fetched {
+		s.keep(id, out)
 	}
 	// The cache has the result but not the spec (the registry entry is
 	// gone); report what is known.
 	return JobStatus{ID: id, State: StateDone, CacheHit: true, Result: out}, true
+}
+
+// get reads the local tiers, then the peers; fetched reports a peer hit.
+func (s *Server) get(id string) (out *simrun.Output, fetched, ok bool) {
+	out, ok, err := s.local.Get(id)
+	if err != nil || ok {
+		return out, false, ok
+	}
+	out, ok, _ = s.peer.Get(id)
+	return out, ok, ok
+}
+
+// keep writes a peer hit to local off the request; Drain waits for it.
+func (s *Server) keep(id string, out *simrun.Output) {
+	s.mu.Lock()
+	s.fetching++
+	s.mu.Unlock()
+	go func() {
+		if err := s.local.Put(id, out); err != nil {
+			s.count("svc.cache_write_errors")
+		}
+		s.mu.Lock()
+		s.fetching--
+		s.fetched.Broadcast()
+		s.mu.Unlock()
+	}()
 }
 
 // result returns a done job's output from the registry.
@@ -369,7 +399,7 @@ func (s *Server) runJob(j *job) {
 		os.Remove(ckptPath)
 	}
 	s.finish(j, out, false, nil)
-	if err := s.cache.Put(j.id, out); err != nil {
+	if err := s.local.Put(j.id, out); err != nil {
 		s.count("svc.cache_write_errors")
 	}
 }
@@ -439,14 +469,19 @@ func (s *Server) BeginDrain() {
 }
 
 // Drain stops accepting jobs, lets the workers finish everything already
-// queued or running, and returns when the pool is idle (or ctx expires,
-// in which case in-flight jobs keep running until Close).
+// queued or running, and returns when the pool is idle and every result is
+// written locally (or ctx expires: in-flight jobs then run until Close).
 func (s *Server) Drain(ctx context.Context) error {
 	s.BeginDrain()
 
 	idle := make(chan struct{})
 	go func() {
 		s.workers.Wait()
+		s.mu.Lock()
+		for s.fetching > 0 {
+			s.fetched.Wait()
+		}
+		s.mu.Unlock()
 		close(idle)
 	}()
 	select {

@@ -343,6 +343,45 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestTraceSurvivesRestart reads a job's Chrome trace from a disk-backed
+// server, restarts on the same directory and reads it again: the restarted
+// server knows the job only from the cache, without its spec, and must
+// still name every core.
+func TestTraceSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec()
+	spec.TraceBuffer = 1 << 12
+	traceOf := func(ts *httptest.Server, id string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace = %d %s, want 200", resp.StatusCode, &buf)
+		}
+		return buf.Bytes()
+	}
+
+	s1, ts1 := newTestServer(t, Options{Workers: 1, Cache: mustDisk(t, dir)})
+	_, st, _ := postJob(t, ts1, spec)
+	waitDone(t, ts1, st.ID)
+	before := traceOf(ts1, st.ID)
+	if !bytes.Contains(before, []byte(`"process_name"`)) {
+		t.Fatalf("trace names no core:\n%s", before)
+	}
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Options{Workers: 1, Cache: mustDisk(t, dir)})
+	if after := traceOf(ts2, st.ID); !bytes.Equal(after, before) {
+		t.Fatalf("trace after a restart differs:\nbefore %.300s\nafter  %.300s", before, after)
+	}
+}
+
 // TestDrain checks a draining server finishes queued work, rejects new
 // submits with 503, and reports draining on /healthz.
 func TestDrain(t *testing.T) {

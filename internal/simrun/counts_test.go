@@ -1,0 +1,102 @@
+package simrun
+
+import (
+	"context"
+	"encoding/json"
+	"maps"
+	"testing"
+
+	"pinnedloads/internal/defense"
+	"pinnedloads/internal/trace"
+)
+
+// realCounters encodes the counters of a small real run.
+func realCounters(tb testing.TB) []byte {
+	tb.Helper()
+	out, err := Execute(context.Background(), trace.ByName("gcc_r"),
+		defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil, tiny)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := json.Marshal(out.Counters)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// FuzzCountsDecode checks Counts.UnmarshalJSON against encoding/json's own
+// map decoder: for any input, from a nil and from a filled map, both fail
+// or neither does, and both leave the same map — decoded alone, called
+// directly (so input encoding/json would reject reaches it) and as the
+// counters field of an Output.
+func FuzzCountsDecode(f *testing.F) {
+	f.Add(realCounters(f))
+	for _, s := range []string{
+		`{}`, `null`, `[]`, `""`, `7`, ``, `{`, `{"a":1,}`, `{,"a":1}`, `{"a" 1}`,
+		` { "a" : 1 ,` + "\t\n\r" + `"b":2 } `,
+		`{"a\"b":1}`, `{"\u0061":1}`, `{"\n":1}`, `{"a\\b":1}`, `{"a":2}`, `{"é":3}`, "{\"\xff\":4}", "{\"\x7f\":5}", "{\"\x01\":6}",
+		`{"a":1,"a":2}`, `{"a":1}{}`, `{"a":01}`, `{"a":0}`,
+		`{"a":-1}`, `{"a":1.5}`, `{"a":1e3}`, `{"a":1E+0}`, `{"a":null}`, `{"a":"1"}`,
+		`{"a":18446744073709551615}`, `{"a":18446744073709551616}`, `{"a":99999999999999999999}`,
+		`{"retired":1,"b":-1,"c":3}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, pre := range []map[string]uint64{nil, {"retired": 7, "a": 9}} {
+			want := maps.Clone(pre)
+			wantErr := json.Unmarshal(data, &want)
+			got := Counts(maps.Clone(pre))
+			gotErr := json.Unmarshal(data, &got)
+			direct := Counts(maps.Clone(pre))
+			directErr := direct.UnmarshalJSON(data)
+			for _, c := range []struct {
+				got Counts
+				err error
+			}{{got, gotErr}, {direct, directErr}} {
+				if (c.err == nil) != (wantErr == nil) || (c.got == nil) != (want == nil) || !maps.Equal(c.got, want) {
+					t.Fatalf("Counts decoded %q from %v to %v (%v); map[string]uint64 to %v (%v)",
+						data, pre, c.got, c.err, want, wantErr)
+				}
+			}
+
+			doc := append(append([]byte(`{"cpi":1,"counters":`), data...), '}')
+			var plain struct {
+				CPI      float64           `json:"cpi"`
+				Counters map[string]uint64 `json:"counters"`
+			}
+			plain.Counters = maps.Clone(pre)
+			wantErr = json.Unmarshal(doc, &plain)
+			out := Output{Counters: maps.Clone(pre)}
+			gotErr = json.Unmarshal(doc, &out)
+			if (gotErr == nil) != (wantErr == nil) || (out.Counters == nil) != (plain.Counters == nil) ||
+				!maps.Equal(out.Counters, plain.Counters) {
+				t.Fatalf("Output decoded %q from %v to %v (%v); the plain map to %v (%v)",
+					doc, pre, out.Counters, gotErr, plain.Counters, wantErr)
+			}
+		}
+	})
+}
+
+// BenchmarkOutputDecode decodes a real run's Output without events: the
+// client's share of every warm hit and DecodeEnvelope's of every disk or
+// peer hit.
+func BenchmarkOutputDecode(b *testing.B) {
+	out, err := Execute(context.Background(), trace.ByName("gcc_r"),
+		defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil, tiny)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := json.Marshal(out)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for range b.N {
+		var o Output
+		if err := json.Unmarshal(data, &o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
