@@ -207,24 +207,24 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // Submit registers the job and returns its status (which may already be
 // terminal on a cache or dedup hit).
 func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
-	return c.submit(ctx, "/v1/jobs", spec)
+	var st service.JobStatus
+	if err := c.submit(ctx, "/v1/jobs", spec, &st); err != nil {
+		return service.JobStatus{}, err
+	}
+	return st, nil
 }
 
 // runPath submits and waits in one request: the server holds the reply
 // until the job is terminal or service.MaxWait has passed.
 var runPath = "/v1/jobs?wait=" + service.MaxWait.String()
 
-// submit posts the spec to path and decodes the job's status.
-func (c *Client) submit(ctx context.Context, path string, spec service.JobSpec) (service.JobStatus, error) {
+// submit posts the spec to path and decodes the reply into out.
+func (c *Client) submit(ctx context.Context, path string, spec service.JobSpec, out any) error {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return service.JobStatus{}, fmt.Errorf("client: %w", err)
+		return fmt.Errorf("client: %w", err)
 	}
-	var st service.JobStatus
-	if err := c.do(ctx, http.MethodPost, path, body, &st); err != nil {
-		return service.JobStatus{}, err
-	}
-	return st, nil
+	return c.do(ctx, http.MethodPost, path, body, out)
 }
 
 // Get fetches a job's current status.
@@ -274,14 +274,22 @@ func (c *Client) Wait(ctx context.Context, id string) (service.JobStatus, error)
 // job outlasts service.MaxWait; then Run follows it with Wait. A failed job
 // becomes an error.
 func (c *Client) Run(ctx context.Context, spec service.JobSpec) (*simrun.Output, error) {
-	st, err := c.submit(ctx, runPath, spec)
-	if err != nil {
+	// Leaving the reply's echo of the spec undecoded spares each hit reflection.
+	var st struct {
+		ID     string         `json:"id"`
+		State  service.State  `json:"state"`
+		Error  string         `json:"error"`
+		Result *simrun.Output `json:"result"`
+	}
+	if err := c.submit(ctx, runPath, spec, &st); err != nil {
 		return nil, err
 	}
 	if !st.State.Terminal() {
-		if st, err = c.Wait(ctx, st.ID); err != nil {
+		full, err := c.Wait(ctx, st.ID)
+		if err != nil {
 			return nil, err
 		}
+		st.State, st.Error, st.Result = full.State, full.Error, full.Result
 	}
 	if st.State != service.StateDone {
 		return nil, c.wrap(&JobError{Backend: c.Base, ID: st.ID, Message: st.Error})

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pinnedloads/internal/service"
+	"pinnedloads/internal/simrun"
 	"pinnedloads/internal/vclock"
 )
 
@@ -349,6 +350,35 @@ func TestRunReportsJobFailure(t *testing.T) {
 	}
 	if jerr.Backend != ts.URL || !strings.Contains(err.Error(), ts.URL) {
 		t.Fatalf("JobError %+v does not attribute the backend %s", jerr, ts.URL)
+	}
+}
+
+// TestRunFollowsQueuedSubmit covers a submit that answers before the job
+// is terminal: Run follows it with Wait and reports what the status read
+// found — the result of a done job, the message of a failed one.
+func TestRunFollowsQueuedSubmit(t *testing.T) {
+	for _, final := range []service.JobStatus{
+		{ID: "abc", State: service.StateDone, Result: &simrun.Output{CPI: 3, Insts: 1000}},
+		{ID: "abc", State: service.StateFailed, Error: "boom"},
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(service.JobStatus{ID: "abc", State: service.StateQueued})
+		})
+		mux.HandleFunc("GET /v1/jobs/abc", func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(final)
+		})
+		fake := httptest.NewServer(mux)
+		out, err := fastClient(fake.URL).Run(context.Background(), service.JobSpec{Benchmark: "gcc_r"})
+		fake.Close()
+		var jerr *JobError
+		switch {
+		case final.State == service.StateDone && (err != nil || out == nil || out.CPI != 3 || out.Insts != 1000):
+			t.Errorf("done after a queued submit: Run = %+v, %v", out, err)
+		case final.State == service.StateFailed && (!errors.As(err, &jerr) || jerr.ID != "abc" || jerr.Message != "boom"):
+			t.Errorf("failed after a queued submit: Run err = %v, want a JobError for abc saying boom", err)
+		}
 	}
 }
 
