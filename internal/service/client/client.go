@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -142,11 +141,15 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte) (*h
 	if err != nil {
 		return nil, nil, c.wrap(err)
 	}
-	data, err := io.ReadAll(resp.Body)
+	// Sized from Content-Length when the reply has one, so a body is read
+	// into one allocation rather than a growing series.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), 1<<20)+bytes.MinRead))
+	_, err = buf.ReadFrom(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		return nil, nil, c.wrap(err)
 	}
+	data := buf.Bytes()
 	if resp.StatusCode < 300 {
 		return resp, data, nil
 	}
@@ -164,9 +167,9 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte) (*h
 }
 
 // do issues one API request with the retry/backoff policy and decodes a
-// 2xx JSON body into out (when non-nil). A failed request is tried again,
-// up to Retries times, unless the server answered with a status retryable
-// rejects.
+// 2xx JSON body into out (when non-nil; a *[]byte gets the body as it is).
+// A failed request is tried again, up to Retries times, unless the server
+// answered with a status retryable rejects.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
 	backoff := c.Backoff
 	if backoff <= 0 {
@@ -175,7 +178,10 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	for attempt := 0; ; attempt++ {
 		resp, data, err := c.send(ctx, method, path, body)
 		if err == nil {
-			if out == nil {
+			if raw, ok := out.(*[]byte); ok || out == nil {
+				if ok {
+					*raw = data
+				}
 				return nil
 			}
 			if err := json.Unmarshal(data, out); err != nil {
@@ -274,22 +280,18 @@ func (c *Client) Wait(ctx context.Context, id string) (service.JobStatus, error)
 // job outlasts service.MaxWait; then Run follows it with Wait. A failed job
 // becomes an error.
 func (c *Client) Run(ctx context.Context, spec service.JobSpec) (*simrun.Output, error) {
-	// Leaving the reply's echo of the spec undecoded spares each hit reflection.
-	var st struct {
-		ID     string         `json:"id"`
-		State  service.State  `json:"state"`
-		Error  string         `json:"error"`
-		Result *simrun.Output `json:"result"`
-	}
-	if err := c.submit(ctx, runPath, spec, &st); err != nil {
+	var reply []byte
+	if err := c.submit(ctx, runPath, spec, &reply); err != nil {
 		return nil, err
 	}
+	st, err := service.DecodeRunReply(reply)
+	if err != nil {
+		return nil, c.wrap(fmt.Errorf("bad response body: %w", err))
+	}
 	if !st.State.Terminal() {
-		full, err := c.Wait(ctx, st.ID)
-		if err != nil {
+		if st, err = c.Wait(ctx, st.ID); err != nil {
 			return nil, err
 		}
-		st.State, st.Error, st.Result = full.State, full.Error, full.Result
 	}
 	if st.State != service.StateDone {
 		return nil, c.wrap(&JobError{Backend: c.Base, ID: st.ID, Message: st.Error})

@@ -91,7 +91,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.BeginDrain()
 	queued, _ := s.QueueDepth()
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "draining",
 		"queue_depth": queued,
 	})
@@ -139,7 +139,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.State == StateQueued {
 		code = http.StatusAccepted
 	}
-	writeJSON(w, code, st)
+	s.writeStatus(w, code, st)
 }
 
 // MaxWait caps the ?wait= of a status read or a submit, so a parked
@@ -175,7 +175,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	s.writeStatus(w, http.StatusOK, st)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -222,7 +222,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["status"] = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	s.writeJSON(w, code, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -230,14 +230,32 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, s.Metrics())
 }
 
-// writeJSON writes v as compact JSON: replies are for programs, and
-// plctl (or jq) indents them for people.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+// writeJSON writes v as compact JSON, the bytes json.Encoder writes:
+// replies are for programs, and plctl (or jq) indents them for people.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.encodeFailed(w, err)
+		return
+	}
+	writeBody(w, code, append(body, '\n'))
+}
+
+// encodeFailed answers a reply that did not encode, a NaN among a result's
+// floats say, with a 500 that says why rather than an empty 200.
+func (s *Server) encodeFailed(w http.ResponseWriter, err error) {
+	s.count("svc.encode_errors")
+	writeError(w, http.StatusInternalServerError, fmt.Errorf("service: encoding the reply: %w", err))
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, apiError{Error: err.Error()})
+	// A struct of one string always encodes.
+	body, _ := json.Marshal(apiError{Error: err.Error()})
+	writeBody(w, code, append(body, '\n'))
+}
+
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body)
 }

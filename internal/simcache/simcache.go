@@ -93,39 +93,63 @@ func (m *Memory) Len() int {
 // diskEnvelope is the checksummed entry format shared by the disk backend
 // and the cache-peering wire protocol: the result bytes plus their digest,
 // so a torn write, a truncated download or a corrupt peer response is
-// detected on read.
+// detected on read. EncodeEnvelope writes it as json.Marshal does, as
+// envelopeHead, the digest in lowercase hex, envelopeResult, the result
+// and '}'; DecodeEnvelope reads that form by hand and anything else
+// through this struct.
 type diskEnvelope struct {
 	Version int             `json:"version"`
 	SHA256  string          `json:"sha256"`
 	Result  json.RawMessage `json:"result"`
 }
 
-// diskVersion is bumped when the envelope or Output encoding changes.
+// diskVersion is bumped when the envelope or Output encoding changes;
+// envelopeHead spells it.
 const diskVersion = 1
+
+const (
+	envelopeHead   = `{"version":1,"sha256":"`
+	envelopeResult = `","result":`
+	sumLen         = 2 * sha256.Size // the digest in hex
+)
 
 // EncodeEnvelope wraps a result in the checksummed envelope — the exact
 // bytes the disk backend stores and the /v1/cache peering endpoint serves.
 func EncodeEnvelope(out *simrun.Output) ([]byte, error) {
-	payload, err := json.Marshal(out)
+	// Room for the envelope around a 1-core result.
+	b := make([]byte, 0, 1024)
+	b = append(b, envelopeHead...)
+	b = append(b, make([]byte, sumLen)...)
+	b = append(b, envelopeResult...)
+	start := len(b)
+	b, err := out.AppendJSON(b)
 	if err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(diskEnvelope{
-		Version: diskVersion,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Result:  payload,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("simcache: %w", err)
-	}
-	return data, nil
+	sum := sha256.Sum256(b[start:])
+	hex.Encode(b[len(envelopeHead):], sum[:])
+	return append(b, '}'), nil
 }
 
 // DecodeEnvelope verifies and unwraps an envelope. Any defect — bad JSON,
 // wrong version, checksum mismatch, undecodable payload — is an error;
 // callers treat it as a miss, never as a result.
 func DecodeEnvelope(data []byte) (*simrun.Output, error) {
+	// EncodeEnvelope's form: its result starts and ends the value it is, so
+	// the checksum covers what json.RawMessage would hold.
+	if n := len(envelopeHead) + sumLen + len(envelopeResult); len(data) > n+2 &&
+		string(data[:len(envelopeHead)]) == envelopeHead &&
+		string(data[n-len(envelopeResult):n]) == envelopeResult &&
+		data[n] == '{' && data[len(data)-2] == '}' && data[len(data)-1] == '}' {
+		var want [sumLen]byte
+		sum := sha256.Sum256(data[n : len(data)-1])
+		hex.Encode(want[:], sum[:])
+		var out simrun.Output
+		if string(data[len(envelopeHead):len(envelopeHead)+sumLen]) == string(want[:]) &&
+			out.UnmarshalJSON(data[n:len(data)-1]) == nil {
+			return &out, nil
+		}
+	}
 	var env diskEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("simcache: corrupt envelope: %w", err)

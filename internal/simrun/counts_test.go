@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"maps"
+	"reflect"
 	"testing"
 
 	"pinnedloads/internal/defense"
@@ -79,9 +80,9 @@ func FuzzCountsDecode(f *testing.F) {
 	})
 }
 
-// BenchmarkOutputDecode decodes a real run's Output without events: the
-// client's share of every warm hit and DecodeEnvelope's of every disk or
-// peer hit.
+// BenchmarkOutputDecode decodes a real run's Output without events as the
+// client and DecodeEnvelope do, through UnmarshalJSON: the client's share of
+// every warm hit and DecodeEnvelope's of every disk or peer hit.
 func BenchmarkOutputDecode(b *testing.B) {
 	out, err := Execute(context.Background(), trace.ByName("gcc_r"),
 		defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil, tiny)
@@ -95,8 +96,54 @@ func BenchmarkOutputDecode(b *testing.B) {
 	b.ReportAllocs()
 	for range b.N {
 		var o Output
-		if err := json.Unmarshal(data, &o); err != nil {
+		if err := o.UnmarshalJSON(data); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOutputAppendJSON encodes the same Output: the server's share of
+// every hit reply and EncodeEnvelope's of every disk write and peer serve.
+func BenchmarkOutputAppendJSON(b *testing.B) {
+	out, err := Execute(context.Background(), trace.ByName("gcc_r"),
+		defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil, tiny)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := out.AppendJSON(make([]byte, 0, 1024)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecoderReadsAppendJSON checks that the decoder reads back, without
+// encoding/json, everything AppendJSON writes itself: real 1-core and
+// 8-core results and one with every member set. The fuzz and reference
+// tests hold both to encoding/json; this holds the fast path to being the
+// one taken.
+func TestDecoderReadsAppendJSON(t *testing.T) {
+	var outs []*Output
+	for _, b := range []string{"gcc_r", "ocean_cp"} {
+		out, err := Execute(context.Background(), trace.ByName(b),
+			defense.Policy{Scheme: defense.STT, Variant: defense.EP}, nil, tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	outs = append(outs, &Output{CPI: 1.5, Cycles: 3, Insts: 2, Counters: Counts{}, EventsLost: 1,
+		HW: []HW{{CST: true, L1FP: 1e-9, DirFP: .25, CPT: true, CPTMean: 2.5, CPTMax: 4,
+			CPTSamples: 5, CPTInserts: 6, CPTOverflows: 7}, {}}})
+	for _, o := range outs {
+		data, err := o.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := decoder{s: data}
+		if got := d.output(); !d.done() || !reflect.DeepEqual(&got, o) {
+			t.Fatalf("the decoder read %s\nas %+v (done %v)", data, got, d.done())
 		}
 	}
 }

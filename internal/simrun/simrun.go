@@ -12,9 +12,7 @@
 package simrun
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -100,53 +98,6 @@ type Output struct {
 	// EventsLost counts ring-buffer drops.
 	Events     []obs.Event `json:"events,omitempty"`
 	EventsLost uint64      `json:"events_lost,omitempty"`
-}
-
-// Counts is a run's event counters by name, encoded as the plain map is.
-// Decoding into a nil map reads that compact encoding without reflection;
-// other input, or a non-nil map, goes to encoding/json, as a map would.
-type Counts map[string]uint64
-
-// UnmarshalJSON sets c only once all of data has parsed.
-func (c *Counts) UnmarshalJSON(data []byte) error {
-	if m, ok := scanCounts(data); ok && *c == nil {
-		*c = m
-		return nil
-	}
-	return json.Unmarshal(data, (*map[string]uint64)(c))
-}
-
-// scanCounts parses s as a JSON object without whitespace, of
-// printable-ASCII keys without escapes, ',' or ':' and of integer values in
-// uint64's range, and reports whether s parsed.
-func scanCounts(s []byte) (Counts, bool) {
-	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		return nil, false
-	}
-	m := make(Counts, bytes.Count(s, []byte(":")))
-	if s = s[1 : len(s)-1]; len(s) == 0 {
-		return m, true
-	}
-	for more := true; more; {
-		var pair []byte
-		pair, s, more = bytes.Cut(s, []byte(","))
-		k, v, _ := bytes.Cut(pair, []byte(":"))
-		if len(k) < 2 || k[0] != '"' || k[len(k)-1] != '"' || len(v) > 1 && v[0] == '0' {
-			return nil, false
-		}
-		k = k[1 : len(k)-1]
-		for i := 0; i < len(k); i++ {
-			if k[i] < ' ' || k[i] >= 0x80 || k[i] == '"' || k[i] == '\\' {
-				return nil, false
-			}
-		}
-		c, err := strconv.ParseUint(string(v), 10, 64)
-		if err != nil {
-			return nil, false
-		}
-		m[string(k)] = c
-	}
-	return m, true
 }
 
 // Run is the one description of a simulation: what runs (the workload),
