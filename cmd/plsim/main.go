@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"pinnedloads"
+	"pinnedloads/internal/checkpoint"
 	"pinnedloads/internal/defense"
 )
 
@@ -107,7 +108,7 @@ func main() {
 	if *ckptOut != "" {
 		spec.CheckpointEvery = *ckptEvery
 		spec.CheckpointSink = func(b []byte) error {
-			return writeFileAtomic(*ckptOut, b)
+			return checkpoint.WriteFile(*ckptOut, b)
 		}
 	}
 	if *resumeFrom != "" {
@@ -120,7 +121,7 @@ func main() {
 			fatal("resume: %v", err)
 		}
 		spec.ResumeFrom = b
-		fmt.Fprintf(os.Stderr, "resuming %q from cycle %d\n", meta.Identity, meta.Cycle)
+		fmt.Fprintf(os.Stderr, "resuming run %s from cycle %d\n", meta.Identity, meta.Cycle)
 	}
 	res, err := pinnedloads.Run(spec)
 	if err != nil {
@@ -201,16 +202,6 @@ func suiteProfiles(suite string) []*pinnedloads.Profile {
 	default:
 		return pinnedloads.PARSEC()
 	}
-}
-
-// writeFileAtomic writes via a temp file + rename so a crash mid-write
-// never leaves a truncated checkpoint behind.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func fatal(format string, args ...any) {

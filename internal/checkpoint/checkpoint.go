@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 
 	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/core"
@@ -46,9 +47,10 @@ const headerLen = len(magic) + 1 + 4
 
 // Meta describes a checkpoint without its payload.
 type Meta struct {
-	// Identity names what is being checkpointed — typically the service
-	// job ID or the speckey run key — so a resume can verify it is
-	// continuing the right run.
+	// Identity names the run the snapshot belongs to: simrun stamps a
+	// periodic capture with the run's key (the service's job ID) and a
+	// warmup-boundary capture with its warm key, and resumes a checkpoint
+	// only into a run that has one of those names.
 	Identity string
 	// Cycle is the simulation cycle the snapshot was taken at.
 	Cycle int64
@@ -75,6 +77,17 @@ type MismatchError struct {
 func (e *MismatchError) Error() string {
 	return fmt.Sprintf("checkpoint: fingerprint %016x does not match system %016x (different configuration or policy)",
 		e.Got, e.Want)
+}
+
+// IdentityError reports a checkpoint that names another run than the one
+// asked to resume from it: same machine and policy, another workload, seed
+// or length.
+type IdentityError struct {
+	Got, Want string
+}
+
+func (e *IdentityError) Error() string {
+	return fmt.Sprintf("checkpoint: captured in run %s, not in run %s or its warmed prefix", e.Got, e.Want)
 }
 
 // ErrCorrupt reports a checkpoint that failed structural validation.
@@ -176,4 +189,15 @@ func Restore(data []byte, sys *core.System) (Meta, error) {
 		return Meta{}, err
 	}
 	return m, nil
+}
+
+// WriteFile writes a checkpoint through a temporary file and a rename, so a
+// crash mid-write never leaves a truncated blob where a resume would find
+// it.
+func WriteFile(path string, blob []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }

@@ -130,7 +130,7 @@ type Runner struct {
 
 // NewRunner returns a Runner with the given parameters.
 func NewRunner(p Params) *Runner {
-	return &Runner{P: p, memo: simcache.NewMemo(simcache.NewMemory(0))}
+	return &Runner{P: p, memo: simcache.NewMemo()}
 }
 
 // Simulations returns how many simulations actually executed locally
@@ -194,7 +194,6 @@ func (r *Runner) simulate(run simrun.Run, cfg *arch.Config) (*simrun.Output, err
 		if blob, ok := r.Warm.m.Load(wkey); ok {
 			run.Resume, forked = blob.([]byte), true
 		}
-		run.CheckpointIdentity = "warm:" + wkey
 		run.WarmupSink = func(b []byte) { r.Warm.store(wkey, b) }
 	}
 	// A checkpoint that fails to restore (version skew, fingerprint

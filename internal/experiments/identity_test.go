@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -83,15 +84,14 @@ var axes = map[string]func(*simrun.Run){
 // notIdentity moves each field a run carries that is deliberately outside
 // its key: setting it must change neither the key nor the result.
 var notIdentity = map[string]func(*simrun.Run){
-	"Workload":                  func(r *simrun.Run) { r.Workload = trace.ByName(r.Benchmark) }, // the name, spelled the other way
-	"MetricsInterval":           func(r *simrun.Run) { r.MetricsInterval = 1000 },
-	"Params.CheckpointEvery":    func(r *simrun.Run) { r.CheckpointEvery = 4096 },
-	"Params.CheckpointSink":     func(r *simrun.Run) { r.CheckpointSink = func([]byte) error { return nil } },
-	"Params.CheckpointIdentity": func(r *simrun.Run) { r.CheckpointIdentity = "label" },
-	"Params.WarmupSink":         func(r *simrun.Run) { r.WarmupSink = func([]byte) {} },
-	"Params.OnResume":           func(r *simrun.Run) { r.OnResume = func(checkpoint.Meta) {} },
-	// A resumed run is the same run started later; the checkpoint
-	// equivalence tests own that property.
+	"Workload":               func(r *simrun.Run) { r.Workload = trace.ByName(r.Benchmark) }, // the name, spelled the other way
+	"MetricsInterval":        func(r *simrun.Run) { r.MetricsInterval = 1000 },
+	"Params.CheckpointEvery": func(r *simrun.Run) { r.CheckpointEvery = 4096 },
+	"Params.CheckpointSink":  func(r *simrun.Run) { r.CheckpointSink = func([]byte) error { return nil } },
+	"Params.WarmupSink":      func(r *simrun.Run) { r.WarmupSink = func([]byte) {} },
+	"Params.OnResume":        func(r *simrun.Run) { r.OnResume = func(checkpoint.Meta) {} },
+	// A resumed run is the same run started later: TestEveryAxis's resume
+	// column, and the checkpoint equivalence tests, own that property.
 	"Params.Resume": nil,
 }
 
@@ -119,10 +119,25 @@ func runFields() []string {
 // Runner all derive that same key, that the wire form of the resolved run is
 // a fixed point of Normalize, and that the change reaches the machine (the
 // simulation's output moves). Fields outside the identity move neither.
+//
+// Its resume column holds the one resume rule to the same table: the moved
+// run refuses the base run's periodic checkpoint with a
+// *checkpoint.IdentityError, and its warmup-boundary checkpoint too unless
+// only Measure moved (a warm fork serves runs that differ in how long they
+// measure); every field outside the key resumes both, byte for byte.
 func TestEveryAxis(t *testing.T) {
+	// Long enough to cross a 4096-cycle safe point, where a periodic
+	// checkpoint is taken.
 	base := func() simrun.Run {
 		return simrun.Run{Benchmark: "gcc_r", Policy: defense.Policy{Scheme: defense.Fence},
-			Params: simrun.Params{Seed: 1, Warmup: 500, Measure: 2000}}
+			Params: simrun.Params{Seed: 1, Warmup: 500, Measure: 4000}}
+	}
+	render := func(out *simrun.Output) []byte {
+		csv := out.MarshalCSV()
+		for _, ev := range out.Events {
+			csv = append(csv, ev.Kind.String()...)
+		}
+		return csv
 	}
 	observe := func(run *simrun.Run) (string, []byte) {
 		t.Helper()
@@ -133,14 +148,41 @@ func TestEveryAxis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		csv := out.MarshalCSV()
-		for _, ev := range out.Events {
-			csv = append(csv, ev.Kind.String()...)
-		}
-		return run.Key(), csv
+		return run.Key(), render(out)
 	}
+	// resume runs a resolved run from a checkpoint.
+	resume := func(run simrun.Run, blob []byte) ([]byte, error) {
+		run.Resume = blob
+		out, err := run.Execute(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		return render(out), nil
+	}
+	refused := func(err error) bool {
+		var re *simrun.ResumeError
+		var ie *checkpoint.IdentityError
+		return errors.As(err, &re) && errors.As(err, &ie)
+	}
+	var periodic, warm []byte
 	b := base()
+	b.CheckpointEvery = 4096
+	b.CheckpointSink = func(c []byte) error {
+		if periodic == nil {
+			periodic = c
+		}
+		return nil
+	}
+	b.WarmupSink = func(c []byte) { warm = c }
 	baseKey, baseOut := observe(&b)
+	if periodic == nil || warm == nil {
+		t.Fatalf("the base run left %d periodic and %d warm checkpoint bytes; it must leave both", len(periodic), len(warm))
+	}
+	// forks names the one axis a checkpoint may also start a moved run on.
+	checkpoints := []struct {
+		name, forks string
+		blob        []byte
+	}{{"periodic", "", periodic}, {"warmup-boundary", "Params.Measure", warm}}
 
 	for _, path := range runFields() {
 		move, keyed := axes[path]
@@ -158,6 +200,12 @@ func TestEveryAxis(t *testing.T) {
 			if key, out := observe(&run); key != baseKey || !bytes.Equal(out, baseOut) {
 				t.Errorf("%s is outside the run's identity but moved its key or its result", path)
 			}
+			for _, c := range checkpoints {
+				if out, err := resume(run, c.blob); err != nil || !bytes.Equal(out, baseOut) {
+					t.Errorf("%s is outside the run's identity but the base run's %s checkpoint "+
+						"did not resume into it byte for byte: %v", path, c.name, err)
+				}
+			}
 		default:
 			run := base()
 			move(&run)
@@ -168,6 +216,19 @@ func TestEveryAxis(t *testing.T) {
 			}
 			if bytes.Equal(out, baseOut) {
 				t.Errorf("%s: moving it left the simulation's output unchanged", path)
+			}
+			for _, c := range checkpoints {
+				got, err := resume(run, c.blob)
+				switch {
+				case path == c.forks:
+					if err != nil || !bytes.Equal(got, out) {
+						t.Errorf("%s: the base run's %s checkpoint did not fork the run byte for byte: %v",
+							path, c.name, err)
+					}
+				case !refused(err):
+					t.Errorf("%s: the moved run took the base run's %s checkpoint (%v), "+
+						"want a *checkpoint.IdentityError", path, c.name, err)
+				}
 			}
 
 			lib, err := pinnedloads.SpecKey(pinnedloads.RunSpec{

@@ -35,7 +35,6 @@ func seedCheckpoint(t *testing.T, dir string, spec JobSpec, every int64) string 
 		t.Fatal(err)
 	}
 	var blob []byte
-	run.CheckpointIdentity = id
 	run.CheckpointEvery = every
 	run.CheckpointSink = func(b []byte) error {
 		if blob == nil {
@@ -196,6 +195,57 @@ func TestOldFormatCheckpointRunsCold(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("old-format checkpoint %s not removed", path)
+	}
+}
+
+// TestForeignCheckpointRunsCold: a <id>.ckpt that holds another job's
+// checkpoint — same machine and policy, so its fingerprint matches, but
+// another seed — must not resume this job. The job counts the file invalid,
+// removes it and computes what a cold run does.
+func TestForeignCheckpointRunsCold(t *testing.T) {
+	spec := ckptSpec()
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	other := spec
+	other.Seed = 2
+	dir := t.TempDir()
+	path := filepath.Join(dir, spec.Key()+".ckpt")
+	if err := os.Rename(seedCheckpoint(t, dir, other, 10_000), path); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(opt Options) (JobStatus, *Server) {
+		t.Helper()
+		s := New(opt)
+		s.Start()
+		t.Cleanup(s.Close)
+		js := spec
+		st, err := s.Submit(&js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Wait(context.Background(), st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != StateDone {
+			t.Fatalf("job state %s: %s", got.State, got.Error)
+		}
+		return got, s
+	}
+	want, _ := run(Options{Workers: 1})
+	got, s := run(Options{Workers: 1, CheckpointDir: dir, CheckpointEvery: 1 << 40})
+	if !bytes.Equal(got.Result.MarshalCSV(), want.Result.MarshalCSV()) || !reflect.DeepEqual(got.Result, want.Result) {
+		t.Fatalf("result with another job's checkpoint differs from a cold run:\ngot  %+v\nwant %+v", got.Result, want.Result)
+	}
+	m := metricsMap(t, s)
+	if m["svc.checkpoint_invalid"] != 1 || m["svc.resume_fallbacks"] != 0 || m["svc.resumed_jobs"] != 0 {
+		t.Errorf("svc.checkpoint_invalid = %d, svc.resume_fallbacks = %d, svc.resumed_jobs = %d; want 1, 0, 0",
+			m["svc.checkpoint_invalid"], m["svc.resume_fallbacks"], m["svc.resumed_jobs"])
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("another job's checkpoint %s not removed", path)
 	}
 }
 

@@ -49,7 +49,7 @@ func (s *Server) Handler() http.Handler {
 
 // handleCache is the peering endpoint: it serves a done job from the
 // registry, else this backend's local cache (memory+disk tiers only —
-// never its own peer tier, so probes cannot recurse across the fleet), in
+// never its own peers, so probes cannot recurse across the fleet), in
 // the same checksummed envelope encoding the disk backend stores. The
 // registry comes first because a result reaches the local tiers only after
 // its waiter has it, whether a worker computed it or a peer served it. The

@@ -5,11 +5,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pinnedloads/internal/service"
 	"pinnedloads/internal/simcache"
+	"pinnedloads/internal/simrun"
 )
 
 // quickSpec is a small deterministic job used across the peering tests.
@@ -147,16 +149,25 @@ func TestPeerServingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPeerCorruptFailsOpen points a backend at a peer that serves garbage
-// for every key: the job must fall back to local compute, succeed, and
-// count the rejected probes — never fail, never cache the garbage.
+// TestPeerCorruptFailsOpen points a backend at a peer that serves, for
+// every key, the envelope of another result with its checksum broken: the
+// job must fall back to local compute, succeed, and count the rejected
+// probes — never fail, and never let the peer's bytes reach the local cache,
+// which holds only what the job computed once Drain returns.
 func TestPeerCorruptFailsOpen(t *testing.T) {
+	env, err := simcache.EncodeEnvelope(&simrun.Output{CPI: 99, Cycles: 1, Insts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(env), `"sha256":"`) + len(`"sha256":"`)
+	env[i] ^= 1 // one hex digit of the digest
 	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("i am not an envelope"))
+		w.Write(env)
 	}))
 	defer evil.Close()
 
-	s := service.New(service.Options{Workers: 1, Peers: []string{evil.URL}})
+	local := simcache.NewMemory(0)
+	s := service.New(service.Options{Workers: 1, Cache: local, Peers: []string{evil.URL}})
 	s.Start()
 	defer s.Close()
 
@@ -170,6 +181,13 @@ func TestPeerCorruptFailsOpen(t *testing.T) {
 	}
 	if !strings.Contains(m, "svc.peer_errors=") {
 		t.Fatalf("rejected probes not counted:\n%s", m)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, _ := local.Get(st.ID); local.Len() != 1 || !ok || !reflect.DeepEqual(got, st.Result) {
+		t.Fatalf("local cache holds %d entries, the job's %v (%+v); want only the computed result %+v",
+			local.Len(), ok, got, st.Result)
 	}
 }
 

@@ -67,7 +67,9 @@ type Options struct {
 	// CheckpointDir, when set, persists a periodic checkpoint per running
 	// job to <dir>/<jobID>.ckpt (written atomically, deleted on success).
 	// A resubmitted job whose checkpoint survives — e.g. after the backend
-	// was SIGKILLed mid-run — resumes from it instead of starting over.
+	// was SIGKILLed mid-run — resumes from it instead of starting over; a
+	// file there that does not restore into the job is removed and the job
+	// runs cold.
 	CheckpointDir string
 	// CheckpointEvery is the cycle interval between persisted checkpoints
 	// (default 500k cycles when CheckpointDir is set).
@@ -269,7 +271,7 @@ func (s *Server) get(id string) (out *simrun.Output, fetched, ok bool) {
 	if err != nil || ok {
 		return out, false, ok
 	}
-	out, ok, _ = s.peer.Get(id)
+	out, ok = s.peer.Get(id)
 	return out, ok, ok
 }
 
@@ -356,10 +358,9 @@ func (s *Server) runJob(j *job) {
 	ckptPath := ""
 	if s.opt.CheckpointDir != "" {
 		ckptPath = filepath.Join(s.opt.CheckpointDir, j.id+".ckpt")
-		run.CheckpointIdentity = j.id
 		run.CheckpointEvery = s.opt.CheckpointEvery
 		run.CheckpointSink = func(b []byte) error {
-			if err := writeFileAtomic(ckptPath, b); err != nil {
+			if err := checkpoint.WriteFile(ckptPath, b); err != nil {
 				s.count("svc.checkpoint_write_errors")
 				// A checkpoint that fails to persist must not kill the
 				// job; it only narrows the resume window.
@@ -372,14 +373,23 @@ func (s *Server) runJob(j *job) {
 			s.count("svc.resumed_jobs")
 			s.countN("svc.resumed_cycles", uint64(m.Cycle))
 		}
-		if blob := s.loadCheckpoint(ckptPath, j.id); blob != nil {
-			run.Resume = blob
-		}
+		// What a killed predecessor left; the run decides whether it is
+		// this job's.
+		run.Resume, _ = os.ReadFile(ckptPath)
 	}
-	out, err := run.ExecuteOrCold(ctx, func(error) {
-		// A checkpoint from an older binary or a corrupted write fails
-		// restore; the job runs cold rather than failing.
-		s.count("svc.resume_fallbacks")
+	out, err := run.ExecuteOrCold(ctx, func(err error) {
+		// A checkpoint that does not restore is removed and the job runs
+		// cold rather than failing. One this binary cannot restore (an
+		// older format, another machine or policy: there is no migration)
+		// is a resume fallback; anything else — another run's checkpoint,
+		// a corrupted write — is invalid.
+		var old *checkpoint.VersionError
+		var other *checkpoint.MismatchError
+		if errors.As(err, &old) || errors.As(err, &other) {
+			s.count("svc.resume_fallbacks")
+		} else {
+			s.count("svc.checkpoint_invalid")
+		}
 		os.Remove(ckptPath)
 	})
 	if err != nil {
@@ -402,40 +412,6 @@ func (s *Server) runJob(j *job) {
 	if err := s.local.Put(j.id, out); err != nil {
 		s.count("svc.cache_write_errors")
 	}
-}
-
-// loadCheckpoint reads and pre-validates a persisted checkpoint: it must
-// decode cleanly and carry the job's own ID as identity. Anything else is
-// deleted so the job runs cold — counted as a resume fallback when the file
-// is a checkpoint in a format this binary does not read (an older binary
-// left it: there is no migration), as invalid otherwise.
-func (s *Server) loadCheckpoint(path, id string) []byte {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	m, _, err := checkpoint.Decode(blob)
-	if err == nil && m.Identity == id {
-		return blob
-	}
-	var old *checkpoint.VersionError
-	if errors.As(err, &old) {
-		s.count("svc.resume_fallbacks")
-	} else {
-		s.count("svc.checkpoint_invalid")
-	}
-	os.Remove(path)
-	return nil
-}
-
-// writeFileAtomic writes via temp file + rename so a crash mid-write never
-// leaves a truncated checkpoint where a resume would find it.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // finish moves a job to its terminal state and wakes waiters.

@@ -11,7 +11,19 @@ import (
 	"pinnedloads/internal/simrun"
 )
 
-// envelopeBytes encodes a valid on-disk entry for the fuzz seed corpus.
+// diskEnvelope is the envelope as encoding/json spells it: the reference
+// encoder EncodeEnvelope's bytes are held to.
+type diskEnvelope struct {
+	Version int             `json:"version"`
+	SHA256  string          `json:"sha256"`
+	Result  json.RawMessage `json:"result"`
+}
+
+// diskVersion is the version envelopeHead spells.
+const diskVersion = 1
+
+// envelopeBytes encodes a valid on-disk entry through encoding/json, for the
+// fuzz seed corpus and the golden's reference.
 func envelopeBytes(o *simrun.Output) []byte {
 	payload, err := json.Marshal(o)
 	if err != nil {

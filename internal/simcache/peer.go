@@ -12,24 +12,21 @@ import (
 	"pinnedloads/internal/simrun"
 )
 
-// Peer is a read-only cache backend over sibling daemons' result caches:
-// a Get probes each peer's GET /v1/cache/{key} endpoint until one serves
-// the checksummed envelope for the key. Composed as the slow tier under
-// Tiered, it turns a result any backend in the fleet has already computed
-// into a network hit instead of a recompute — fleet-wide exactly-once
-// execution on top of the per-daemon caches.
+// Peer probes sibling daemons' result caches: a Get asks each peer's GET
+// /v1/cache/{key} endpoint until one serves the checksummed envelope for
+// the key. The service asks it after a miss in its own tiers, which turns
+// a result any backend in the fleet has already computed into a network
+// hit instead of a recompute — fleet-wide exactly-once execution on top of
+// the per-daemon caches. It is a prober, not a Cache: peers fill their own
+// caches by computing or by keeping a peer hit, never by remote writes.
 //
-// Peer fails open by design: its Get never returns an error. A peer that
-// is down, slow past Timeout, answering with a non-200 status, or serving
-// a corrupt, truncated or oversized envelope is simply a miss for that
-// probe (counted in peer_errors), and the caller falls back to the next
-// peer and finally to local compute. A corrupt response is detected by
-// the envelope checksum before it can reach the caller, so a bad peer can
-// never poison the local tiers — Tiered only promotes hits, and Peer only
-// reports a hit for an envelope that verified.
-//
-// Put is a no-op: peers fill their own caches by computing or promoting,
-// never by remote writes.
+// Peer fails open by design: a Get is a hit or a miss, never an error. A
+// peer that is down, slow past Timeout, answering with a non-200 status,
+// or serving a corrupt, truncated or oversized envelope is simply a miss
+// for that probe (counted in peer_errors), and the caller falls back to
+// the next peer and finally to local compute. A corrupt response is
+// detected by the envelope checksum before it can reach the caller: Peer
+// only reports a hit for an envelope that verified.
 type Peer struct {
 	peers []string
 
@@ -92,17 +89,16 @@ func NewPeer(peers []string) *Peer {
 func (p *Peer) Peers() []string { return p.peers }
 
 // Get probes the peers for key. It reports a hit only for a response
-// whose envelope checksum verified; every failure mode is a miss, and the
-// returned error is always nil (fail-open).
-func (p *Peer) Get(key string) (*simrun.Output, bool, error) {
+// whose envelope checksum verified; every failure mode is a miss.
+func (p *Peer) Get(key string) (*simrun.Output, bool) {
 	if len(p.peers) == 0 || key == "" {
-		return nil, false, nil
+		return nil, false
 	}
 	p.mu.Lock()
 	if f, ok := p.flights[key]; ok {
 		p.mu.Unlock()
 		<-f.done
-		return f.out, f.ok, nil
+		return f.out, f.ok
 	}
 	f := &peerFlight{done: make(chan struct{})}
 	p.flights[key] = f
@@ -114,11 +110,8 @@ func (p *Peer) Get(key string) (*simrun.Output, bool, error) {
 	delete(p.flights, key)
 	p.mu.Unlock()
 	close(f.done)
-	return f.out, f.ok, nil
+	return f.out, f.ok
 }
-
-// Put is a no-op; the peer tier is read-only.
-func (p *Peer) Put(key string, out *simrun.Output) error { return nil }
 
 // probe walks the ranked peers and returns the first verified hit.
 func (p *Peer) probe(key string) (*simrun.Output, bool) {

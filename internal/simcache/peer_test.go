@@ -48,10 +48,10 @@ func peerWith(rt rtFunc) (*Peer, map[string]*atomic.Int64) {
 	return p, counts
 }
 
-// TestPeerHitAndPromotion serves a valid envelope and checks the full
-// composition: Peer reports the hit, and Tiered promotes it into the
-// local memory tier.
-func TestPeerHitAndPromotion(t *testing.T) {
+// TestPeerHit serves a valid envelope: Peer reports the hit, with the
+// result intact, and counts one probe round that hit. Keeping the hit
+// locally is the server's (internal/service's peer tests).
+func TestPeerHit(t *testing.T) {
 	want := out(1.75)
 	env, err := EncodeEnvelope(want)
 	if err != nil {
@@ -63,17 +63,12 @@ func TestPeerHitAndPromotion(t *testing.T) {
 		}
 		return respond(http.StatusOK, env), nil
 	})
-	mem := NewMemory(8)
-	c := NewTiered(mem, p)
-	got, ok, err := c.Get("k1")
-	if err != nil || !ok {
-		t.Fatalf("tiered get over peer: ok=%v err=%v", ok, err)
+	got, ok := p.Get("k1")
+	if !ok {
+		t.Fatal("peer get missed a served envelope")
 	}
 	if got.CPI != want.CPI || got.Counters["retired"] != 50 {
 		t.Fatalf("peer hit mangled the entry: %+v", got)
-	}
-	if _, ok, _ := mem.Get("k1"); !ok {
-		t.Fatal("peer hit was not promoted into the local tier")
 	}
 	if counts["peer_probes"].Load() != 1 || counts["peer_hits"].Load() != 1 || counts["peer_errors"].Load() != 0 {
 		t.Fatalf("counters = probes:%d hits:%d errors:%d, want 1/1/0",
@@ -83,8 +78,7 @@ func TestPeerHitAndPromotion(t *testing.T) {
 
 // TestPeerMalformedResponsesAreMisses is the poisoning table: every
 // corrupt, truncated, oversized or otherwise broken peer response must be
-// a silent miss — no error surfaced to the caller (Memo would memoize it
-// permanently) and nothing promoted into the local tiers.
+// a silent miss, with nothing returned for the server to keep.
 func TestPeerMalformedResponsesAreMisses(t *testing.T) {
 	valid, err := EncodeEnvelope(out(2.0))
 	if err != nil {
@@ -125,17 +119,8 @@ func TestPeerMalformedResponsesAreMisses(t *testing.T) {
 			if tc.maxBytes > 0 {
 				p.MaxBytes = tc.maxBytes
 			}
-			mem := NewMemory(8)
-			c := NewTiered(mem, p)
-			o, ok, err := c.Get("k")
-			if err != nil {
-				t.Fatalf("malformed peer response surfaced an error: %v", err)
-			}
-			if ok || o != nil {
+			if o, ok := p.Get("k"); ok || o != nil {
 				t.Fatalf("malformed peer response served as a hit: %+v", o)
-			}
-			if mem.Len() != 0 {
-				t.Fatal("malformed peer response poisoned the local tier")
 			}
 			if counts["peer_hits"].Load() != 0 {
 				t.Fatal("counted a hit for a rejected payload")
@@ -184,7 +169,7 @@ func TestPeerRankOrder(t *testing.T) {
 	p.Rank = func(key string) []string { return []string{"http://b", "http://a"} }
 
 	serve["b"] = envB
-	o, ok, _ := p.Get("k1")
+	o, ok := p.Get("k1")
 	if !ok || o.CPI != 4.0 {
 		t.Fatalf("ranked-first peer hit: ok=%v cpi=%v", ok, o.CPI)
 	}
@@ -195,7 +180,7 @@ func TestPeerRankOrder(t *testing.T) {
 	gotOrder = nil
 	delete(serve, "b")
 	serve["a"] = envA
-	o, ok, _ = p.Get("k2")
+	o, ok = p.Get("k2")
 	if !ok || o.CPI != 3.0 {
 		t.Fatalf("fallback peer hit: ok=%v", ok)
 	}
@@ -224,9 +209,8 @@ func TestPeerSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			o, ok, err := p.Get("shared")
-			if err != nil || !ok || o.CPI != 2.5 {
-				t.Errorf("singleflight follower: ok=%v err=%v", ok, err)
+			if o, ok := p.Get("shared"); !ok || o.CPI != 2.5 {
+				t.Errorf("singleflight follower: ok=%v", ok)
 			}
 		}()
 	}
@@ -251,8 +235,8 @@ func TestPeerTimeoutFailsOpen(t *testing.T) {
 	p := NewPeer([]string{ts.URL})
 	p.Timeout = 30 * time.Millisecond
 	start := time.Now()
-	if _, ok, err := p.Get("k"); ok || err != nil {
-		t.Fatalf("hung peer: ok=%v err=%v, want clean miss", ok, err)
+	if _, ok := p.Get("k"); ok {
+		t.Fatal("hung peer: a hit, want a clean miss")
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("probe took %v, timeout did not bound it", d)
@@ -265,8 +249,8 @@ func TestPeerDownFailsOpen(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	ts.Close() // dead on arrival
 	p := NewPeer([]string{ts.URL})
-	if _, ok, err := p.Get("k"); ok || err != nil {
-		t.Fatalf("dead peer: ok=%v err=%v, want clean miss", ok, err)
+	if _, ok := p.Get("k"); ok {
+		t.Fatal("dead peer: a hit, want a clean miss")
 	}
 }
 
@@ -275,8 +259,8 @@ func TestPeerNoPeersNoProbe(t *testing.T) {
 	p := NewPeer(nil)
 	var counted atomic.Int64
 	p.Counter = func(string) { counted.Add(1) }
-	if _, ok, err := p.Get("k"); ok || err != nil {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	if _, ok := p.Get("k"); ok {
+		t.Fatal("a hit with no peers configured")
 	}
 	if counted.Load() != 0 {
 		t.Fatal("probe counted with no peers configured")
@@ -349,8 +333,8 @@ func TestPeerMissReusesConnection(t *testing.T) {
 			p := NewPeer([]string{ts.URL})
 			p.HTTP = &http.Client{Transport: transport}
 			for i := 0; i < 16; i++ {
-				if _, ok, err := p.Get(fmt.Sprintf("k%d", i)); ok || err != nil {
-					t.Fatalf("probe %d: ok=%v err=%v, want a clean miss", i, ok, err)
+				if _, ok := p.Get(fmt.Sprintf("k%d", i)); ok {
+					t.Fatalf("probe %d: a hit, want a clean miss", i)
 				}
 			}
 			if n := opened.Load(); n != 1 {

@@ -1,17 +1,17 @@
 // Package simcache stores simulation results keyed by their speckey
 // content address. It provides the Cache interface with three backends —
 // a bounded in-memory LRU, a crash-safe on-disk store, and a tiered
-// combination — plus Memo, the singleflight layer that guarantees each
-// key simulates at most once across concurrent requesters. The experiment
-// runner's memoization and the simulation service's result cache are both
-// built from these pieces, so they share keys and semantics.
+// combination —, Peer, the prober of sibling daemons' caches, and Memo,
+// the singleflight layer that guarantees each key simulates at most once
+// across concurrent requesters and keeps what it computed. The simulation
+// service caches through the backends and the experiment runner memoizes
+// through Memo, under the same keys.
 package simcache
 
 import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,8 +32,7 @@ type Cache interface {
 }
 
 // Memory is a bounded in-memory LRU cache. The zero bound means
-// unbounded, which is what the experiment runner uses (its working set is
-// one figure sweep); the service bounds it and spills to disk.
+// unbounded, a server's default; plserved bounds it and spills to disk.
 type Memory struct {
 	mu      sync.Mutex
 	max     int
@@ -90,23 +89,13 @@ func (m *Memory) Len() int {
 	return m.order.Len()
 }
 
-// diskEnvelope is the checksummed entry format shared by the disk backend
+// The envelope is the checksummed entry format shared by the disk backend
 // and the cache-peering wire protocol: the result bytes plus their digest,
 // so a torn write, a truncated download or a corrupt peer response is
-// detected on read. EncodeEnvelope writes it as json.Marshal does, as
-// envelopeHead, the digest in lowercase hex, envelopeResult, the result
-// and '}'; DecodeEnvelope reads that form by hand and anything else
-// through this struct.
-type diskEnvelope struct {
-	Version int             `json:"version"`
-	SHA256  string          `json:"sha256"`
-	Result  json.RawMessage `json:"result"`
-}
-
-// diskVersion is bumped when the envelope or Output encoding changes;
-// envelopeHead spells it.
-const diskVersion = 1
-
+// detected on read. It is the JSON object {"version","sha256","result"}
+// as json.Marshal writes it: envelopeHead (which spells the version, bumped
+// when the envelope or the Output encoding changes), the digest of the
+// result in lowercase hex, envelopeResult, the result and '}'.
 const (
 	envelopeHead   = `{"version":1,"sha256":"`
 	envelopeResult = `","result":`
@@ -131,38 +120,26 @@ func EncodeEnvelope(out *simrun.Output) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// DecodeEnvelope verifies and unwraps an envelope. Any defect — bad JSON,
-// wrong version, checksum mismatch, undecodable payload — is an error;
-// callers treat it as a miss, never as a result.
+// DecodeEnvelope verifies and unwraps an envelope. Any defect — another
+// framing or version, a checksum mismatch, an undecodable result — is an
+// error; callers treat it as a miss, never as a result.
 func DecodeEnvelope(data []byte) (*simrun.Output, error) {
-	// EncodeEnvelope's form: its result starts and ends the value it is, so
-	// the checksum covers what json.RawMessage would hold.
-	if n := len(envelopeHead) + sumLen + len(envelopeResult); len(data) > n+2 &&
-		string(data[:len(envelopeHead)]) == envelopeHead &&
-		string(data[n-len(envelopeResult):n]) == envelopeResult &&
-		data[n] == '{' && data[len(data)-2] == '}' && data[len(data)-1] == '}' {
-		var want [sumLen]byte
-		sum := sha256.Sum256(data[n : len(data)-1])
-		hex.Encode(want[:], sum[:])
-		var out simrun.Output
-		if string(data[len(envelopeHead):len(envelopeHead)+sumLen]) == string(want[:]) &&
-			out.UnmarshalJSON(data[n:len(data)-1]) == nil {
-			return &out, nil
-		}
+	// The result starts and ends the value it is, so the checksum covers
+	// exactly its bytes.
+	n := len(envelopeHead) + sumLen + len(envelopeResult)
+	if len(data) <= n+2 || string(data[:len(envelopeHead)]) != envelopeHead ||
+		string(data[n-len(envelopeResult):n]) != envelopeResult ||
+		data[n] != '{' || data[len(data)-2] != '}' || data[len(data)-1] != '}' {
+		return nil, fmt.Errorf("simcache: corrupt envelope")
 	}
-	var env diskEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("simcache: corrupt envelope: %w", err)
-	}
-	if env.Version != diskVersion {
-		return nil, fmt.Errorf("simcache: envelope version %d, want %d", env.Version, diskVersion)
-	}
-	sum := sha256.Sum256(env.Result)
-	if env.SHA256 != hex.EncodeToString(sum[:]) {
+	var want [sumLen]byte
+	sum := sha256.Sum256(data[n : len(data)-1])
+	hex.Encode(want[:], sum[:])
+	if string(data[len(envelopeHead):len(envelopeHead)+sumLen]) != string(want[:]) {
 		return nil, fmt.Errorf("simcache: envelope checksum mismatch")
 	}
 	var out simrun.Output
-	if err := json.Unmarshal(env.Result, &out); err != nil {
+	if err := out.UnmarshalJSON(data[n : len(data)-1]); err != nil {
 		return nil, fmt.Errorf("simcache: corrupt result payload: %w", err)
 	}
 	return &out, nil
@@ -306,15 +283,14 @@ func (t *Tiered) Put(key string, out *simrun.Output) error {
 	return t.slow.Put(key, out)
 }
 
-// Memo adds singleflight execution on top of a Cache: the first requester
-// of a key runs the compute function, concurrent requesters for the same
-// key block and share the result, and completed results are served from
-// the cache. A failed computation is memoized permanently (its flight
-// entry is retained), so a key that errored once reports the same error
-// without re-executing — the experiment pool depends on this to fail fast
-// across a sweep.
+// Memo is singleflight execution with its results kept: the first
+// requester of a key runs the compute function, concurrent and later
+// requesters for the same key block until it finishes and share its
+// result. A flight is never dropped, so a failed computation is memoized
+// permanently too: a key that errored once reports the same error without
+// re-executing — the experiment pool depends on this to fail fast across a
+// sweep.
 type Memo struct {
-	cache   Cache
 	mu      sync.Mutex
 	flights map[string]*flight
 }
@@ -325,41 +301,26 @@ type flight struct {
 	err  error
 }
 
-// NewMemo wraps the cache with singleflight memoization.
-func NewMemo(c Cache) *Memo {
-	return &Memo{cache: c, flights: make(map[string]*flight)}
+// NewMemo returns an empty memo.
+func NewMemo() *Memo {
+	return &Memo{flights: make(map[string]*flight)}
 }
 
-// Do returns the cached output for key, or executes fn exactly once to
+// Do returns the memoized output for key, or executes fn exactly once to
 // compute it (concurrent callers share the one execution).
 func (m *Memo) Do(key string, fn func() (*simrun.Output, error)) (*simrun.Output, error) {
 	m.mu.Lock()
-	if f, ok := m.flights[key]; ok {
-		m.mu.Unlock()
+	f, ok := m.flights[key]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		m.flights[key] = f
+	}
+	m.mu.Unlock()
+	if ok {
 		<-f.done
 		return f.out, f.err
 	}
-	if out, ok, err := m.cache.Get(key); ok && err == nil {
-		m.mu.Unlock()
-		return out, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	m.flights[key] = f
-	m.mu.Unlock()
-
 	f.out, f.err = fn()
-	if f.err == nil {
-		if err := m.cache.Put(key, f.out); err != nil {
-			f.err = err
-		}
-	}
-	if f.err == nil {
-		// Success lives in the cache; drop the flight so memory follows
-		// the cache's eviction policy rather than growing forever.
-		m.mu.Lock()
-		delete(m.flights, key)
-		m.mu.Unlock()
-	}
 	close(f.done)
 	return f.out, f.err
 }

@@ -142,9 +142,9 @@ func TestTieredPromotion(t *testing.T) {
 }
 
 // TestMemoSingleflight hammers one key from many goroutines: exactly one
-// execution, every caller shares the same pointer.
+// execution, every caller — and every later one — shares the same pointer.
 func TestMemoSingleflight(t *testing.T) {
-	m := NewMemo(NewMemory(0))
+	m := NewMemo()
 	var execs atomic.Int64
 	const n = 32
 	outs := make([]*simrun.Output, n)
@@ -172,12 +172,19 @@ func TestMemoSingleflight(t *testing.T) {
 			t.Fatal("callers got different result pointers")
 		}
 	}
+	// The finished flight keeps its result: a later caller shares it too.
+	if o, err := m.Do("k", func() (*simrun.Output, error) { execs.Add(1); return out(2), nil }); o != outs[0] || err != nil {
+		t.Fatalf("a later call got %p, %v; want the first result %p", o, err, outs[0])
+	}
+	if execs.Load() != 1 {
+		t.Fatalf("executions after a later call = %d, want 1", execs.Load())
+	}
 }
 
 // TestMemoErrorMemoized checks a failed computation is remembered: the
 // second request returns the same error without re-executing.
 func TestMemoErrorMemoized(t *testing.T) {
-	m := NewMemo(NewMemory(0))
+	m := NewMemo()
 	boom := errors.New("boom")
 	var execs int
 	fn := func() (*simrun.Output, error) { execs++; return nil, boom }

@@ -222,6 +222,11 @@ func FuzzOutputDecode(f *testing.F) {
 		if rawSum := sha256.Sum256(raw.Result); wantEnvErr == nil && raw.SHA256 != hex.EncodeToString(rawSum[:]) {
 			wantEnvErr = errors.New("checksum mismatch")
 		}
+		if wantEnvErr == nil && !bytes.HasPrefix(raw.Result, []byte("{")) {
+			// EncodeEnvelope frames an Output's object; anything else there
+			// (a checksummed null) is another framing, which is a miss.
+			wantEnvErr = errors.New("result is not an object")
+		}
 		if wantEnvErr == nil {
 			wantEnvErr = json.Unmarshal(raw.Result, &wantEnv)
 		}

@@ -48,22 +48,22 @@ type Params struct {
 	// CheckpointEvery, when positive, snapshots the full simulator state
 	// roughly every that many cycles (at the cycle-loop's existing poll
 	// boundary, so zero leaves the hot loop untouched) and hands the
-	// encoded checkpoint to CheckpointSink. A sink error aborts the run.
+	// encoded checkpoint, named by the run's Key, to CheckpointSink. A
+	// sink error aborts the run.
 	CheckpointEvery int64
 	CheckpointSink  func([]byte) error
-	// CheckpointIdentity is a free-form label stored in checkpoint
-	// metadata (job ID, spec key); it is informational only.
-	CheckpointIdentity string
 
 	// WarmupSink, when set, receives one checkpoint captured exactly at
-	// the warmup/measure boundary — the shared-warmup fork point.
+	// the warmup/measure boundary — the shared-warmup fork point — named
+	// by the run's WarmKey.
 	WarmupSink func([]byte)
 
 	// Resume, when non-empty, restores the simulator from an encoded
-	// checkpoint before running. The checkpoint's configuration/policy
-	// fingerprint must match or Execute fails with the typed mismatch
-	// error. Resuming changes only where execution starts, never the
-	// Output: a resumed run is byte-identical to a cold one.
+	// checkpoint before running. The checkpoint must name this run — its
+	// Key, or its WarmKey for a warmup-boundary capture — and match its
+	// configuration/policy fingerprint, or Execute fails with a
+	// *ResumeError. Resuming changes only where execution starts, never
+	// the Output: a resumed run is byte-identical to a cold one.
 	Resume []byte
 	// OnResume, when set alongside Resume, observes the restored
 	// checkpoint's metadata (e.g. to report how many cycles were skipped).
@@ -213,12 +213,13 @@ func (r *Run) spec() speckey.Spec {
 }
 
 // Key returns the run's content-addressed identity: memoization key, job
-// ID, cache address and checkpoint label.
+// ID, cache address and the name of its periodic checkpoints.
 func (r *Run) Key() string { return r.spec().Key() }
 
 // WarmKey identifies the run's warmed prefix: its key with the measure
 // length zeroed, so runs differing only in how long they measure share one
-// warmup checkpoint.
+// warmup checkpoint. A checkpoint taken later must not be shared that way:
+// a run measuring less would already be past its target.
 func (r *Run) WarmKey() string {
 	s := r.spec()
 	s.Measure = 0
@@ -237,7 +238,11 @@ type Finished struct {
 
 // Simulate is the one run assembly: build the machine (blank when a
 // checkpoint will overwrite it), attach the recorder and sampler, restore,
-// install the checkpoint and warmup hooks, run. The context is threaded
+// install the checkpoint and warmup hooks, run. It is also the one place
+// that decides whether a checkpoint may start this run: it must be named
+// by the run's Key or WarmKey, which is what the hooks stamp, and anything
+// else fails as a *ResumeError wrapping a *checkpoint.IdentityError before
+// the machine is touched. The context is threaded
 // into the cycle loop: cancellation stops the simulation mid-run. A panic
 // anywhere inside the simulator is recovered into an error so one broken
 // run cannot take down a worker. The run must be resolved.
@@ -266,7 +271,15 @@ func (r *Run) Simulate(ctx context.Context) (f *Finished, err error) {
 	}
 	sys.SampleEvery(r.MetricsInterval)
 	if len(r.Resume) > 0 {
-		meta, err := checkpoint.Restore(r.Resume, sys)
+		// The name is checked first: a checkpoint of another run is refused
+		// as one, whatever else about it differs.
+		meta, _, err := checkpoint.Decode(r.Resume)
+		if err == nil && meta.Identity != r.WarmKey() && meta.Identity != r.Key() {
+			err = &checkpoint.IdentityError{Got: meta.Identity, Want: r.Key()}
+		}
+		if err == nil {
+			_, err = checkpoint.Restore(r.Resume, sys)
+		}
 		if err != nil {
 			return nil, fail("", &ResumeError{err})
 		}
@@ -275,8 +288,9 @@ func (r *Run) Simulate(ctx context.Context) (f *Finished, err error) {
 		}
 	}
 	if r.CheckpointEvery > 0 && r.CheckpointSink != nil {
+		key := r.Key()
 		sys.SetCheckpointHook(r.CheckpointEvery, func() error {
-			b, err := checkpoint.Capture(sys, r.CheckpointIdentity)
+			b, err := checkpoint.Capture(sys, key)
 			if err != nil {
 				return err
 			}
@@ -284,8 +298,9 @@ func (r *Run) Simulate(ctx context.Context) (f *Finished, err error) {
 		})
 	}
 	if r.WarmupSink != nil {
+		key := r.WarmKey()
 		sys.SetWarmupHook(func() {
-			if b, err := checkpoint.Capture(sys, r.CheckpointIdentity); err == nil {
+			if b, err := checkpoint.Capture(sys, key); err == nil {
 				r.WarmupSink(b)
 			}
 		})
@@ -302,8 +317,9 @@ func (r *Run) Simulate(ctx context.Context) (f *Finished, err error) {
 }
 
 // ResumeError is a failure of the restore stage: the Resume checkpoint did
-// not apply to this run's machine (an older format, another configuration's
-// fingerprint, a corrupted write). The run itself has not started.
+// not apply to this run (an older format, another configuration's
+// fingerprint, another run's name, a corrupted write). The run itself has
+// not started.
 type ResumeError struct{ Err error }
 
 func (e *ResumeError) Error() string { return "resume: " + e.Err.Error() }

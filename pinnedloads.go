@@ -222,18 +222,20 @@ type RunSpec struct {
 
 	// ResumeFrom, when non-empty, restores the simulation from a
 	// checkpoint previously produced by CheckpointSink before running.
-	// The checkpoint must come from an identical spec (same workload,
-	// configuration, scheme and variant) or Run fails with a mismatch
-	// error. A resumed run produces results byte-identical to an
-	// uninterrupted one.
+	// Every checkpoint names the run it was taken in (its SpecKey), and it
+	// restores only into that run: a checkpoint of any other spec —
+	// another workload, policy, configuration, seed, length or trace
+	// buffer — fails Run with an error naming both runs. A resumed run
+	// produces results byte-identical to an uninterrupted one.
 	ResumeFrom []byte
 }
 
 // CheckpointMeta is the metadata stored in an encoded checkpoint.
 type CheckpointMeta = checkpoint.Meta
 
-// CheckpointInfo decodes a checkpoint's metadata (identity label, cycle
-// number, configuration fingerprint) without restoring it.
+// CheckpointInfo decodes a checkpoint's metadata (the key of the run it
+// was taken in, cycle number, configuration fingerprint) without restoring
+// it.
 func CheckpointInfo(data []byte) (CheckpointMeta, error) {
 	m, _, err := checkpoint.Decode(data)
 	return m, err
@@ -297,7 +299,6 @@ func (spec RunSpec) resolve() (simrun.Run, error) {
 		MetricsInterval: spec.MetricsInterval,
 	}
 	err := run.Resolve()
-	run.CheckpointIdentity = run.Benchmark
 	return run, err
 }
 
