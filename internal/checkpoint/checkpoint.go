@@ -33,10 +33,12 @@ import (
 // spec-born line marks. Version 3 wrote a directory/LLC slice as its valid
 // ways only; version 4 writes those ways in plane-major order as runs of
 // default-state lines and single lines in the long form
-// (coherence.Dir.State). Exactly one version is readable: anything
+// (coherence.Dir.State). Version 5 carries each ROB entry's held mark and
+// counters that charge every core-cycle to one cause (the CPI stack, package
+// pipeline). Exactly one version is readable: anything
 // else, older blobs included, is a *VersionError and the caller runs cold —
 // there is no migration code.
-const Version = 4
+const Version = 5
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

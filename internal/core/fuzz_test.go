@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"pinnedloads/internal/ckptio/ckpttest"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/obs"
+	"pinnedloads/internal/pipeline"
 )
 
 // FuzzDerivedState drives the machine-level oracles of this package: a row of
@@ -252,14 +254,30 @@ func checked(r lockstepRow, name string, reference bool, step func(*sim) bool) f
 	}
 }
 
-// checkDerived runs every core's Check, or the memory system's checks:
-// CheckResidency, and CheckInvariants when it is quiescent.
+// CheckStack holds the CPI stack to the clock: every core-cycle, stepped,
+// slept or jumped, is charged to exactly one of pipeline.Causes, so they sum
+// to cores × cycles.
+func (s *System) CheckStack() error {
+	var sum uint64
+	for _, name := range pipeline.Causes {
+		sum += s.count.Get(name)
+	}
+	if want := uint64(len(s.cores)) * uint64(s.cycle); sum != want {
+		return fmt.Errorf("the causes sum to %d core-cycles, %d cores × %d cycles are %d", sum, len(s.cores), s.cycle, want)
+	}
+	return nil
+}
+
+// checkDerived runs every core's Check and the CPI stack's, or the memory
+// system's checks: CheckResidency, and CheckInvariants when it is quiescent.
 func (m *sim) checkDerived(way string, mem bool) {
 	var err error
 	if mem {
 		if err = m.mem.CheckResidency(); err == nil && m.mem.Quiescent() {
 			err = m.mem.CheckInvariants()
 		}
+	} else {
+		err = m.CheckStack()
 	}
 	for i := 0; !mem && err == nil && i < len(m.cores); i++ {
 		err = m.cores[i].Check()

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"testing"
 
 	"pinnedloads/internal/arch"
+	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/defense"
+	"pinnedloads/internal/pipeline"
 	"pinnedloads/internal/trace"
 )
 
@@ -210,87 +214,88 @@ var gateLists = []struct {
 
 // gateWant is every job's workCounts, keyed by its subtest name.
 var gateWant = map[string]workCounts{
-	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_299, 1_515, 1_432, 703, 1_878, 33_238},
-	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_073, 1_060, 1_034, 128, 268, 17_468},
-	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_333, 1_801, 1_669, 515, 1_155, 28_325},
-	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_968, 1_603, 1_473, 935, 3_519, 37_877},
-	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_368, 1_919, 1_824, 643, 1_762, 31_669},
-	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 27_207},
-	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_089, 39_738, 38_054, 2_172, 11_874, 61_146},
-	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_431, 6_681, 0, 4_707, 26_261, 277_349},
-	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_332, 15_244, 18, 6_143, 47_404, 358_948},
-	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_873, 5_455, 0, 4_332, 30_586, 265_870},
-	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_676, 59_404, 22, 5_909, 54_607, 384_606},
-	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 9_004, 6_727, 6_510, 706, 1_886, 52_982},
-	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_455, 3_728, 3_643, 128, 270, 34_179},
-	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_300, 10_662, 10_380, 513, 1_160, 45_756},
-	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_770, 15_459, 14_968, 941, 3_542, 57_080},
-	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_465, 10_950, 10_640, 646, 1_751, 49_393},
-	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_919, 8_379, 8_145, 408, 832, 45_064},
-	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_234, 61_623, 59_272, 2_188, 12_050, 78_851},
-	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_649, 57_311, 488, 5_317, 30_781, 434_936},
-	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_186, 53_870, 723, 6_304, 47_816, 522_150},
-	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_178, 43_446, 298, 4_359, 30_155, 411_507},
-	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_980, 229_052, 2_768, 6_099, 57_137, 535_241},
-	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_276, 5_875, 5_684, 706, 1_884, 51_892},
-	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_324, 3_364, 3_289, 128, 270, 33_158},
-	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_232, 9_323, 9_062, 514, 1_162, 45_516},
-	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_756, 13_625, 13_243, 941, 3_468, 55_786},
-	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_229, 10_031, 9_739, 646, 1_762, 49_684},
-	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 43_664},
-	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_769, 61_430, 59_120, 2_188, 11_868, 78_869},
-	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_847, 51_537, 446, 6_023, 37_687, 446_957},
-	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_621, 46_323, 692, 7_313, 58_994, 542_514},
-	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_132, 35_492, 325, 4_395, 30_565, 414_443},
-	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_226, 218_726, 2_846, 6_163, 56_801, 538_453},
-	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_161, 2_005, 1_874, 699, 1_909, 50_699},
-	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_227, 1_060, 1_037, 128, 268, 31_934},
-	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_484, 2_662, 2_517, 513, 1_152, 44_504},
-	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_472, 9_268, 8_937, 941, 3_594, 55_052},
-	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_655, 4_222, 4_038, 648, 1_762, 48_102},
-	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 41_994},
-	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_238, 9_250, 0, 4_571, 24_950, 402_423},
-	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 73_007, 16_713, 0, 6_024, 45_829, 488_305},
-	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_264, 7_120, 0, 4_314, 30_294, 395_048},
-	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_735, 142_257, 855, 5_981, 55_835, 518_957},
-	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_536, 838, 784, 668, 2_327, 50_790},
-	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_543, 763, 749, 128, 468, 33_291},
-	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_326, 2_443, 2_303, 507, 1_890, 44_962},
-	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_617, 1_855, 1_690, 930, 4_642, 55_871},
-	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_385, 1_371, 1_291, 633, 2_498, 49_051},
-	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_864, 782, 744, 409, 1_738, 42_716},
-	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_695, 1_801, 1_736, 534, 1_892, 30_450},
-	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_493, 1_134, 1_109, 128, 535, 17_477},
-	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_713, 2_170, 2_051, 464, 1_773, 27_389},
-	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 36_425},
-	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_936, 2_115, 2_023, 551, 2_118, 29_274},
-	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 27_831},
-	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_052, 42_959, 41_607, 1_633, 8_037, 51_866},
-	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_153, 22_271, 0, 2_622, 28_825, 232_024},
-	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_050, 41_030, 7, 3_676, 34_340, 297_144},
-	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_997, 11_603, 0, 2_927, 29_830, 255_027},
-	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_958, 74_170, 23, 3_915, 40_392, 269_486},
-	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_833, 4_065, 3_914, 706, 1_892, 33_976},
-	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_124, 3_071, 2_999, 128, 270, 17_432},
-	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_679, 7_499, 7_248, 514, 1_163, 28_717},
-	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_911, 9_247, 8_945, 940, 3_490, 38_812},
-	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_605, 7_310, 7_071, 646, 1_780, 31_676},
-	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 27_210},
-	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_213, 984, 919, 703, 1_914, 33_089},
-	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_060, 939, 913, 128, 270, 17_474},
-	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_331, 1_805, 1_676, 515, 1_155, 28_325},
-	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_942, 1_526, 1_395, 935, 3_504, 37_861},
-	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_275, 1_170, 1_081, 643, 1_756, 31_639},
-	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 27_206},
-	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_479, 85_281, 82_046, 2_188, 12_061, 61_011},
-	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_857, 83_111, 80_091, 2_188, 11_855, 61_030},
-	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_649, 55_058, 53_079, 2_177, 11_870, 60_786},
-	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_116, 73_490, 69_890, 2_138, 16_863, 59_441},
-	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_534, 61_983, 59_578, 2_188, 12_052, 61_108},
+	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_299, 1_515, 1_432, 703, 1_878, 33_406},
+	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_073, 1_060, 1_034, 128, 268, 17_636},
+	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_333, 1_801, 1_669, 515, 1_155, 28_493},
+	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_968, 1_603, 1_473, 935, 3_519, 38_044},
+	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_368, 1_919, 1_824, 643, 1_762, 31_837},
+	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 27_374},
+	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_089, 39_738, 38_054, 2_172, 11_874, 61_314},
+	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_431, 6_681, 0, 4_707, 26_261, 278_863},
+	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_332, 15_244, 18, 6_143, 47_404, 360_461},
+	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_873, 5_455, 0, 4_332, 30_586, 267_384},
+	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_676, 59_404, 22, 5_909, 54_607, 386_119},
+	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 9_004, 6_727, 6_510, 706, 1_886, 53_164},
+	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_455, 3_728, 3_643, 128, 270, 34_361},
+	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_300, 10_662, 10_380, 513, 1_160, 45_937},
+	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_770, 15_459, 14_968, 941, 3_542, 57_260},
+	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_465, 10_950, 10_640, 646, 1_751, 49_574},
+	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_919, 8_379, 8_145, 408, 832, 45_244},
+	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_234, 61_623, 59_272, 2_188, 12_050, 79_034},
+	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_649, 57_311, 488, 5_317, 30_781, 436_463},
+	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_186, 53_870, 723, 6_304, 47_816, 523_677},
+	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_178, 43_446, 298, 4_359, 30_155, 413_032},
+	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_980, 229_052, 2_768, 6_099, 57_137, 536_767},
+	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_276, 5_875, 5_684, 706, 1_884, 52_077},
+	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_324, 3_364, 3_289, 128, 270, 33_343},
+	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_232, 9_323, 9_062, 514, 1_162, 45_701},
+	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_756, 13_625, 13_243, 941, 3_468, 55_969},
+	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_229, 10_031, 9_739, 646, 1_762, 49_869},
+	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 43_848},
+	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_769, 61_430, 59_120, 2_188, 11_868, 79_055},
+	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_847, 51_537, 446, 6_023, 37_687, 448_487},
+	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_621, 46_323, 692, 7_313, 58_994, 544_043},
+	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_132, 35_492, 325, 4_395, 30_565, 415_973},
+	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_226, 218_726, 2_846, 6_163, 56_801, 539_982},
+	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_161, 2_005, 1_874, 699, 1_909, 50_885},
+	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_227, 1_060, 1_037, 128, 268, 32_121},
+	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_484, 2_662, 2_517, 513, 1_152, 44_691},
+	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_472, 9_268, 8_937, 941, 3_594, 55_237},
+	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_655, 4_222, 4_038, 648, 1_762, 48_288},
+	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 42_179},
+	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_238, 9_250, 0, 4_571, 24_950, 403_954},
+	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 73_007, 16_713, 0, 6_024, 45_829, 489_836},
+	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_264, 7_120, 0, 4_314, 30_294, 396_579},
+	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_735, 142_257, 855, 5_981, 55_835, 520_489},
+	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_536, 838, 784, 668, 2_327, 50_960},
+	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_543, 763, 749, 128, 468, 33_461},
+	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_326, 2_443, 2_303, 507, 1_890, 45_132},
+	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_617, 1_855, 1_690, 930, 4_642, 56_040},
+	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_385, 1_371, 1_291, 633, 2_498, 49_220},
+	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_864, 782, 744, 409, 1_738, 42_885},
+	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_695, 1_801, 1_736, 534, 1_892, 30_618},
+	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_493, 1_134, 1_109, 128, 535, 17_645},
+	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_713, 2_170, 2_051, 464, 1_773, 27_557},
+	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 36_592},
+	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_936, 2_115, 2_023, 551, 2_118, 29_442},
+	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 27_998},
+	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_052, 42_959, 41_607, 1_633, 8_037, 52_034},
+	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_153, 22_271, 0, 2_622, 28_825, 233_534},
+	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_050, 41_030, 7, 3_676, 34_340, 298_656},
+	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_997, 11_603, 0, 2_927, 29_830, 256_538},
+	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_958, 74_170, 23, 3_915, 40_392, 270_997},
+	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_833, 4_065, 3_914, 706, 1_892, 34_161},
+	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_124, 3_071, 2_999, 128, 270, 17_617},
+	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_679, 7_499, 7_248, 514, 1_163, 28_902},
+	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_911, 9_247, 8_945, 940, 3_490, 38_996},
+	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_605, 7_310, 7_071, 646, 1_780, 31_861},
+	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 27_392},
+	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_213, 984, 919, 703, 1_914, 33_257},
+	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_060, 939, 913, 128, 270, 17_642},
+	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_331, 1_805, 1_676, 515, 1_155, 28_493},
+	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_942, 1_526, 1_395, 935, 3_504, 38_028},
+	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_275, 1_170, 1_081, 643, 1_756, 31_807},
+	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 27_373},
+	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_479, 85_281, 82_046, 2_188, 12_061, 61_194},
+	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_857, 83_111, 80_091, 2_188, 11_855, 61_216},
+	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_649, 55_058, 53_079, 2_177, 11_870, 60_972},
+	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_116, 73_490, 69_890, 2_138, 16_863, 59_609},
+	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_534, 61_983, 59_578, 2_188, 12_052, 61_291},
 }
 
 // TestGateVisits pins the work of every job of gateLists, 3 000 warm-up and
-// 7 500 measured instructions a core through System.Run, at zero tolerance.
+// 7 500 measured instructions a core through System.Run, at zero tolerance,
+// and holds its CPI stack to the clock (CheckStack).
 // Fence alone has a gate bound: DOM and STT ask every waiting load every
 // evaluated cycle, 717 001 and 305 223 visits for core8_sharing's ocean_cp
 // under DOM-EP and STT-LP, where Fence-EP asks 73 278 times (6 642 783
@@ -300,8 +305,111 @@ var gateWant = map[string]workCounts{
 // moves means the simulator does different work: re-record it with the
 // reason, after TestCandidateListsMatchFullWalk (internal/pipeline) and the
 // lockstep rows of this package have passed. A change of representation
-// moves none of them.
+// moves none of them; a change of the checkpoint format moves bytes.
 func TestGateVisits(t *testing.T) {
+	gateJobs(t, func(t *testing.T, sys *System, want workCounts) {
+		if _, err := sys.Run(3_000, 7_500); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.CheckStack(); err != nil {
+			t.Fatal(err)
+		}
+		var got workCounts
+		for _, c := range sys.cores {
+			got.visits += c.GateVisits()
+			got.scans += c.ForwardScans()
+			got.slept += c.SleptCycles()
+		}
+		got.evaluated = int64(len(sys.cores))*sys.Cycle() - got.slept
+		_, got.jumped = sys.FastForwarded()
+		for i := range sys.Mem().Dirs() {
+			got.stored += int64(sys.Mem().Dir(i).StoredSets())
+		}
+		got.messages = int64(sys.Mem().Mesh().Messages())
+		blob, err := sys.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.bytes = int64(len(blob))
+		if got != want {
+			t.Fatalf("in %d cycles: %+v, pinned at %+v", sys.Cycle(), got, want)
+		}
+	})
+}
+
+// TestQuietTickReplaysItsCharges steps every job of gateLists through the
+// run TestGateVisits makes, every cycle, and holds each core tick that was
+// quiet or slept to its replay: the counters it moved, each by how much,
+// must be exactly the charges it replays (Core.Charges), among them one
+// cause. A tally bumped in a quiet tick outside Core.charge, or a charge the
+// replay leaves out, fails on its first cycle.
+func TestQuietTickReplaysItsCharges(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine stepping 77 jobs every cycle: a minute under the race detector, which has nothing to find here")
+	}
+	gateJobs(t, func(t *testing.T, sys *System, _ workCounts) {
+		names, hs := counterHandles(sys)
+		cause := map[*uint64]bool{}
+		for _, name := range pipeline.Causes {
+			cause[sys.count.Handle(name)] = true
+		}
+		before, moved := make([]uint64, len(hs)), map[*uint64]uint64{}
+		var quiet int64
+		r := sys.begin(context.Background(), 3_000, 7_500)
+		for {
+			if more, err := sys.next(&r); err != nil {
+				t.Fatal(err)
+			} else if !more {
+				break
+			}
+			sys.cycle++
+			sys.mem.Tick(sys.cycle)
+			for i, c := range sys.cores {
+				for k, h := range hs {
+					before[k] = *h
+				}
+				slept := c.SleptCycles()
+				c.Tick(sys.cycle)
+				if !c.Quiet() && c.SleptCycles() == slept {
+					continue
+				}
+				quiet++
+				clear(moved)
+				for k, h := range hs {
+					if *h != before[k] {
+						moved[h] = *h - before[k]
+					}
+				}
+				causes := 0
+				for _, h := range c.Charges() {
+					if moved[h]--; moved[h] == 0 {
+						delete(moved, h)
+					}
+					if cause[h] {
+						causes++
+					}
+				}
+				if len(moved) > 0 || causes != 1 {
+					var got []string
+					for k, h := range hs {
+						if *h != before[k] {
+							got = append(got, fmt.Sprintf("%s+%d", names[k], *h-before[k]))
+						}
+					}
+					t.Fatalf("core %d @%d: a quiet tick moved %v, and charged %d tallies, %d of them causes",
+						i, sys.cycle, got, len(c.Charges()), causes)
+				}
+			}
+		}
+		if quiet == 0 {
+			t.Fatal("no quiet tick")
+		}
+	})
+}
+
+// gateJobs runs fn on a fresh machine for every job of gateLists, each a
+// subtest <policy>/<list>/<proxy>, with the job's pinned work counts.
+func gateJobs(t *testing.T, fn func(t *testing.T, sys *System, want workCounts)) {
 	var pols []defense.Policy
 	jobs := 0
 	for _, l := range gateLists {
@@ -332,33 +440,27 @@ func TestGateVisits(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := sys.Run(3_000, 7_500); err != nil {
-							t.Fatal(err)
-						}
-						var got workCounts
-						for i := range w.Cores() {
-							c := sys.Core(i)
-							got.visits += c.GateVisits()
-							got.scans += c.ForwardScans()
-							got.slept += c.SleptCycles()
-						}
-						got.evaluated = int64(w.Cores())*sys.Cycle() - got.slept
-						_, got.jumped = sys.FastForwarded()
-						for i := range sys.Mem().Dirs() {
-							got.stored += int64(sys.Mem().Dir(i).StoredSets())
-						}
-						got.messages = int64(sys.Mem().Mesh().Messages())
-						blob, err := sys.Snapshot()
-						if err != nil {
-							t.Fatal(err)
-						}
-						got.bytes = int64(len(blob))
-						if got != want {
-							t.Fatalf("in %d cycles: %+v, pinned at %+v", sys.Cycle(), got, want)
-						}
+						fn(t, sys, want)
 					})
 				}
 			}
 		})
 	}
+}
+
+// counterHandles returns every counter's name and handle, in name order.
+func counterHandles(sys *System) ([]string, []*uint64) {
+	e := ckptio.NewEncoder()
+	sys.count.State(ckptio.SaveTo(e))
+	d := ckptio.NewDecoder(e.Bytes())
+	var names []string
+	for n := d.Count(1 << 16); n > 0; n-- {
+		names = append(names, d.String())
+		d.U64()
+	}
+	hs := make([]*uint64, len(names))
+	for i, name := range names {
+		hs[i] = sys.count.Handle(name)
+	}
+	return names, hs
 }

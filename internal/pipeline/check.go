@@ -14,7 +14,8 @@ import (
 // its pinned lines to the bounds the pin governor keeps. The head slot and
 // every live slot's seq must be their place in the ring, every live
 // Delay-On-Miss probe memo a fresh Probe, the seq lists and the load-queue
-// candidate lists a walk of the whole ROB, the store-address filter a recount
+// candidate lists a walk of the whole ROB (and under Fence every candidate
+// past the gate bound held), the store-address filter a recount
 // of the store queue and the write buffer, lastOdd the loads it must cover,
 // the three tables the ROB and the per-set pin counts the pinned lines. No
 // L1 set may hold more pinned lines than L1Ways-1 (l1SetRoom), under Early
@@ -62,7 +63,8 @@ func (c *Core) bruteForceCandidates() (loads, stores, fences, issue, expose, spe
 }
 
 // checkCandidates holds the head slot and the slots' seqs to the ring, every
-// live probe memo to a fresh Probe and every seq list to the brute-force walk.
+// live probe memo to a fresh Probe, every seq list to the brute-force walk,
+// and under Fence every candidate past the gate bound to being held.
 func (c *Core) checkCandidates() error {
 	if got := int(c.head % int64(len(c.entries))); c.headSlot != got {
 		return fmt.Errorf("headSlot %d, head %% len is %d", c.headSlot, got)
@@ -92,6 +94,15 @@ func (c *Core) checkCandidates() error {
 	} {
 		if !slices.Equal(l.got, l.want) {
 			return fmt.Errorf("%s = %v, a walk of the ROB [%d, %d) says %v", l.name, l.got, c.head, c.tail, l.want)
+		}
+	}
+	if c.policy.Scheme != defense.Fence {
+		return nil
+	}
+	bound := c.gate()
+	for _, seq := range issue {
+		if seq > bound && !c.at(seq).held {
+			return fmt.Errorf("candidate %d is past Fence's gate bound %d and not held", seq, bound)
 		}
 	}
 	return nil

@@ -72,17 +72,19 @@ func (en *entry) walk(s ckptio.State) {
 	s.I64(&en.yroot)
 	s.U32(&en.lqTag)
 	s.Bool(&en.lockIssued)
+	s.Bool(&en.held)
 	if s.Loading() {
 		en.probeEpoch = 0
 	}
 }
 
 // rebuildCandidates recomputes the load-queue candidate lists and lastOdd
-// from the unretired loads.
+// from the unretired loads, and resets Fence's record of new candidates.
 func (c *Core) rebuildCandidates() {
 	c.issueCand.reset()
 	c.exposeCand.reset()
 	c.specCand.reset()
+	c.freshFrom = 0 // lastOdd may now be below the one saved, and with it the gate bound
 	c.lastOdd = -1
 	for _, seq := range c.loadSeqs.seqs() {
 		e := c.at(seq)

@@ -19,10 +19,10 @@ var entryDerived = []string{"probeEpoch", "probeLine", "probeHit"}
 // what they hold, not whether they exist.
 var (
 	coreDerived = []string{"headSlot", "issueCand", "exposeCand", "specCand", "active", "asleep",
-		"wire", "cntBefore", "replay", "calMask", "barrierSeen", "slept",
-		"lastOdd", "stFilter", "gateVisits", "forwardScans"}
+		"wire", "charges", "nCharges", "calMask", "barrierSeen", "slept",
+		"lastOdd", "stFilter", "freshFrom", "gateVisits", "forwardScans"}
 	coreConfig = []string{"id", "cfg", "policy", "l1", "gen", "bar", "cnt", "rec", "tracing",
-		"predictor", "l1CST", "dirCST", "cpt", "lqTagMask", "cntAll"}
+		"predictor", "l1CST", "dirCST", "cpt", "lqTagMask"}
 )
 
 // TestWalksCoverEveryField: a field added to a record must move the saved

@@ -127,8 +127,15 @@ func TestMSHRFullStall(t *testing.T) {
 	w := &trace.Script{ScriptName: "mshr", Insts: [][]isa.Inst{insts}, Loop: true}
 	c := NewCore(0, &cfg, defense.Policy{Scheme: defense.Unsafe},
 		mem.L1(0), w.Generator(0, 1), NewBarrierSync(1), count)
-	run(c, mem, 5000)
-	if count.Get("stall.mshr_full") == 0 {
+	// A cycle that ends with every MSHR busy and a load still waiting to
+	// issue, which Unsafe never denies.
+	full := false
+	for now := int64(1); now <= 5000; now++ {
+		mem.Tick(now)
+		c.Tick(now)
+		full = full || len(c.l1.MSHRLines()) == cfg.L1MSHRs && len(c.issueCand.seqs()) > 0
+	}
+	if !full {
 		t.Fatal("MSHR limit never hit")
 	}
 	if c.Retired() == 0 {

@@ -1,9 +1,21 @@
 package pipeline
 
 import (
+	"cmp"
+
+	"pinnedloads/internal/defense"
 	"pinnedloads/internal/obs"
 	"pinnedloads/internal/stats"
 )
+
+// Causes is the CPI stack: each core-cycle is charged to exactly one of them
+// (retire), so over a run they sum to cores × cycles.
+var Causes = []string{"stall.base", "stall.frontend", "stall.exec", "stall.retire_load",
+	"stall.fence", "stall.dom_miss", "stall.stt_tainted", "stall.retire_expose",
+	"stall.wb_full", "stall.wb_drain", "stall.barrier", "stall.lock"}
+
+// heldCause is the cause of a load the scheme's gate held (hold).
+var heldCause = [defense.RCP + 1]string{defense.Fence: "stall.fence", defense.DOM: "stall.dom_miss", defense.STT: "stall.stt_tainted"}
 
 // coreCounters holds pre-bound stats.Counters handles for every counter
 // the core touches on the cycle path. Binding once in NewCore turns each
@@ -12,6 +24,8 @@ import (
 // here must stay in sync with the strings they replace: a handle never
 // incremented leaves no trace in enumerated output, so binding extra
 // names is harmless, but incrementing the wrong one changes statistics.
+// The causes and the other per-cycle tallies (a dispatch stall, a pin
+// governor stall) move only through Core.charge.
 type coreCounters struct {
 	dispatched     *uint64
 	retired        *uint64
@@ -19,19 +33,20 @@ type coreCounters struct {
 	squash         [obs.CauseFault + 1]*uint64 // by cause; squash[obs.CauseNone] is nil
 	squashFaultTkn *uint64
 
+	stallBase         *uint64
+	stallFrontend     *uint64
+	stallExec         *uint64
 	stallRetireLoad   *uint64
+	stallHeld         *uint64 // the scheme's heldCause
 	stallRetireExpose *uint64
 	stallWBFull       *uint64
+	stallWBDrain      *uint64
 	stallBarrier      *uint64
 	stallLock         *uint64
-	stallROBFull      *uint64
-	stallLQFull       *uint64
-	stallSQFull       *uint64
-	stallL1Ports      *uint64
-	stallMSHRFull     *uint64
-	stallFence        *uint64
-	stallDOMMiss      *uint64
-	stallSTTTainted   *uint64
+
+	stallROBFull *uint64
+	stallLQFull  *uint64
+	stallSQFull  *uint64
 
 	loadsPerformed       *uint64
 	loadsForwarded       *uint64
@@ -61,17 +76,10 @@ type coreCounters struct {
 	storesDeferred *uint64
 }
 
-// bindCoreCounters binds the handles and also returns them as a list, which
-// is how the quiescent-core sleep measures a tick's increments without
-// knowing the counters by name (sleep.go).
-func bindCoreCounters(ct *stats.Counters) (coreCounters, []*uint64) {
-	var all []*uint64
-	h := func(name string) *uint64 {
-		p := ct.Handle(name)
-		all = append(all, p)
-		return p
-	}
-	cnt := coreCounters{
+// bindCoreCounters binds the handles of a core under the scheme.
+func bindCoreCounters(ct *stats.Counters, scheme defense.Scheme) coreCounters {
+	h := ct.Handle
+	return coreCounters{
 		dispatched:    h("dispatched"),
 		retired:       h("retired"),
 		squashedInsts: h("squashed_insts"),
@@ -83,19 +91,20 @@ func bindCoreCounters(ct *stats.Counters) (coreCounters, []*uint64) {
 		},
 		squashFaultTkn: h("squash.fault_taken"),
 
+		stallBase:         h("stall.base"),
+		stallFrontend:     h("stall.frontend"),
+		stallExec:         h("stall.exec"),
 		stallRetireLoad:   h("stall.retire_load"),
+		stallHeld:         h(cmp.Or(heldCause[scheme], "stall.retire_load")),
 		stallRetireExpose: h("stall.retire_expose"),
 		stallWBFull:       h("stall.wb_full"),
+		stallWBDrain:      h("stall.wb_drain"),
 		stallBarrier:      h("stall.barrier"),
 		stallLock:         h("stall.lock"),
-		stallROBFull:      h("stall.rob_full"),
-		stallLQFull:       h("stall.lq_full"),
-		stallSQFull:       h("stall.sq_full"),
-		stallL1Ports:      h("stall.l1_ports"),
-		stallMSHRFull:     h("stall.mshr_full"),
-		stallFence:        h("stall.fence"),
-		stallDOMMiss:      h("stall.dom_miss"),
-		stallSTTTainted:   h("stall.stt_tainted"),
+
+		stallROBFull: h("stall.rob_full"),
+		stallLQFull:  h("stall.lq_full"),
+		stallSQFull:  h("stall.sq_full"),
 
 		loadsPerformed:       h("loads.performed"),
 		loadsForwarded:       h("loads.forwarded"),
@@ -124,5 +133,4 @@ func bindCoreCounters(ct *stats.Counters) (coreCounters, []*uint64) {
 		storesOwned:    h("stores.owned"),
 		storesDeferred: h("stores.deferred"),
 	}
-	return cnt, all
 }

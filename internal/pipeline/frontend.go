@@ -40,7 +40,7 @@ func (c *Core) dispatch() {
 	}
 	for n := 0; n < c.cfg.IssueWidth; n++ {
 		if c.tail-c.head >= int64(len(c.entries)) {
-			*c.cnt.stallROBFull++
+			c.charge(c.cnt.stallROBFull)
 			return
 		}
 		var in *isa.Inst
@@ -63,12 +63,12 @@ func (c *Core) dispatch() {
 		switch in.Op {
 		case isa.Load, isa.Lock:
 			if c.loadsInROB >= c.cfg.LQEntries {
-				*c.cnt.stallLQFull++
+				c.charge(c.cnt.stallLQFull)
 				return
 			}
 		case isa.Store:
 			if c.storesInROB >= c.cfg.SQEntries {
-				*c.cnt.stallSQFull++
+				c.charge(c.cnt.stallSQFull)
 				return
 			}
 		}

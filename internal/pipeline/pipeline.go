@@ -98,6 +98,8 @@ type entry struct {
 
 	// lockIssued marks a Lock whose read-modify-write is in flight.
 	lockIssued bool
+	// held marks a load the scheme's gate denied short of its VP (hold).
+	held bool
 
 	// Delay-On-Miss probe memo (derived, never serialized): the L1 Probe
 	// verdict for probeLine as of tag epoch probeEpoch (0 = none); see
@@ -251,17 +253,16 @@ type Core struct {
 
 	// Quiescent-core sleep (sleep.go), all derived and never serialized.
 	// active is raised during a tick by every site that changes simulated
-	// state the scalars in wire do not show; asleep says the last tick was
-	// quiet and replay holds its counter increments, taken from cntBefore
-	// over the handles in cntAll; calMask has bit
-	// s set while calendar[s] holds an event; barrierSeen is the barrier
-	// epoch as of the last evaluated tick; slept counts replayed cycles.
+	// state the scalars in wire do not show; charges holds the last
+	// evaluated tick's charges, which a sleeping core replays; asleep says
+	// that tick was quiet; calMask has bit s set while calendar[s] holds an
+	// event; barrierSeen is the barrier epoch as of the last evaluated tick;
+	// slept counts replayed cycles.
 	active      bool
 	asleep      bool
 	wire        tripwire
-	cntAll      []*uint64
-	cntBefore   []uint64
-	replay      []counterDelta
+	charges     [maxCharges]*uint64
+	nCharges    int
 	calMask     uint64
 	barrierSeen uint64
 	slept       int64
@@ -270,9 +271,12 @@ type Core struct {
 	// above the seq of every in-flight load with inst.Fault or a
 	// TransientAddr (-1: none), which issueLoads always walks; stFilter counts
 	// the resolved in-flight store addresses by hash, SQ and write buffer
-	// together; gateVisits and forwardScans count host work.
+	// together; freshFrom is the oldest load that became an issue candidate
+	// since Fence's last issue stage (holdPastBound; 0: look at every one);
+	// gateVisits and forwardScans count host work.
 	lastOdd      int64
 	stFilter     [256]uint16
+	freshFrom    int64
 	gateVisits   int64
 	forwardScans int64
 }
@@ -280,7 +284,6 @@ type Core struct {
 // NewCore builds a core attached to an L1 and a workload generator.
 func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 	gen trace.Generator, bar *BarrierSync, count *stats.Counters) *Core {
-	cnt, cntAll := bindCoreCounters(count)
 	c := &Core{
 		id:             id,
 		cfg:            cfg,
@@ -288,10 +291,7 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		l1:             l1,
 		gen:            gen,
 		bar:            bar,
-		cnt:            cnt,
-		cntAll:         cntAll,
-		cntBefore:      make([]uint64, len(cntAll)),
-		replay:         make([]counterDelta, 0, len(cntAll)),
+		cnt:            bindCoreCounters(count, policy.Scheme),
 		rec:            obs.Nop,
 		entries:        make([]entry, cfg.ROBEntries),
 		fences:         newSeqList(cfg.ROBEntries),
@@ -347,6 +347,7 @@ func (c *Core) at(seq int64) *entry {
 func (c *Core) awaitIssue(e *entry) {
 	e.state = stAddrDone
 	c.issueCand.insert(e.seq)
+	c.freshFrom = min(c.freshFrom, e.seq)
 }
 
 // valid reports whether seq names a live ROB entry.
@@ -397,9 +398,10 @@ func (c *Core) CPT() *pin.CPT { return c.cpt }
 // CSTs returns the Early Pinning shadow tables (nil otherwise).
 func (c *Core) CSTs() (l1, dir *pin.CST) { return c.l1CST, c.dirCST }
 
-// Tick advances the core by one cycle. The memory system must have been
-// ticked for the same cycle first. A sleeping core with no input due only
-// adds its measured per-cycle counter increments (sleep.go).
+// Tick advances the core by one cycle and charges the cycle to one cause
+// (retire). The memory system must have been ticked for the same cycle
+// first. A sleeping core with no input due only replays its charges
+// (sleep.go).
 func (c *Core) Tick(now int64) {
 	c.now = now
 	input := c.inputDue(now)
@@ -408,13 +410,13 @@ func (c *Core) Tick(now int64) {
 		return
 	}
 	// Only a tick that starts with no input and an empty ready queue can be
-	// quiet; it alone pays for the counter snapshot and the tripwire.
+	// quiet; it alone pays for the tripwire.
 	watched := !input && len(c.readyQ) == 0
 	if watched {
-		c.snapshotCounters()
 		c.arm()
 	}
 	c.active = false
+	c.nCharges = 0
 	c.complete()
 	c.drainUnpins()
 	c.advanceVP()
@@ -423,7 +425,7 @@ func (c *Core) Tick(now int64) {
 	c.issueLoads()
 	c.exposeLoads()
 	c.execute()
-	c.retire()
+	c.charge(c.retire())
 	c.drainWriteBuffer()
 	c.dispatch()
 	if c.cpt != nil {

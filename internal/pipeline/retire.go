@@ -8,10 +8,18 @@ import (
 // faultFlushPenalty is the extra frontend stall after taking an exception.
 const faultFlushPenalty = 30
 
-// retire commits up to IssueWidth instructions from the head of the ROB.
-func (c *Core) retire() {
+// retire commits up to IssueWidth instructions from the head of the ROB and
+// returns the cycle's cause (Causes): stall.base if it retired any, else
+// what holds the head, a held load's wait being its gate's (DESIGN.md §9).
+func (c *Core) retire() *uint64 {
 	retiredIdx := int64(-1)
 	startHead := c.head
+	stuck := func(h *uint64) *uint64 {
+		if c.head > startHead {
+			return c.cnt.stallBase
+		}
+		return h
+	}
 	for n := 0; n < c.cfg.IssueWidth && c.head < c.tail; n++ {
 		e := c.at(c.head)
 		switch e.inst.Op {
@@ -25,15 +33,16 @@ func (c *Core) retire() {
 				c.stallUntil = c.now + faultFlushPenalty
 				break
 			}
+			if !e.performed && e.held {
+				return stuck(c.cnt.stallHeld)
+			}
 			if !e.performed {
-				*c.cnt.stallRetireLoad++
-				return
+				return stuck(c.cnt.stallRetireLoad)
 			}
 			if e.invisible && !e.exposeDone {
 				// An invisibly performed load must complete its exposure
 				// access before it may retire (InvisiSpec semantics).
-				*c.cnt.stallRetireExpose++
-				return
+				return stuck(c.cnt.stallRetireExpose)
 			}
 			if e.specToken != 0 && e.inst.TransientAddr != 0 {
 				// A reversibly performed load (RCP) validates its address
@@ -48,13 +57,12 @@ func (c *Core) retire() {
 				// validateSpecLoads can observe them.
 				if c.misspeculatedAddr(e) {
 					c.specCand.dropFront(e.seq)
-					*c.cnt.stallRetireLoad++
-					return
+					return stuck(c.cnt.stallRetireLoad)
 				}
 			}
 		case isa.Store:
 			if e.state != stDone {
-				return
+				return stuck(c.cnt.stallExec)
 			}
 			if e.inst.Fault {
 				*c.cnt.squashFaultTkn++
@@ -64,21 +72,19 @@ func (c *Core) retire() {
 				break
 			}
 			if c.wb.Len() >= c.cfg.WriteBufferEntries {
-				*c.cnt.stallWBFull++
-				return
+				return stuck(c.cnt.stallWBFull)
 			}
 			c.wb.Push(e.inst.Addr)
 		case isa.Fence:
 			if c.wb.Len() > 0 {
-				return
+				return stuck(c.cnt.stallWBDrain)
 			}
 		case isa.Barrier:
 			if c.wb.Len() > 0 {
-				return
+				return stuck(c.cnt.stallWBDrain)
 			}
 			if c.bar != nil && !c.bar.arrive(c.id, c.barriersHit+1) {
-				*c.cnt.stallBarrier++
-				return
+				return stuck(c.cnt.stallBarrier)
 			}
 			c.barriersHit++
 		case isa.Lock:
@@ -87,7 +93,7 @@ func (c *Core) retire() {
 			// is owned and the RMW merges.
 			if !e.performed {
 				if c.wb.Len() > 0 {
-					return
+					return stuck(c.cnt.stallWBDrain)
 				}
 				// The RMW attempt touches the line's replacement state or
 				// (re)starts an ownership transaction.
@@ -95,14 +101,13 @@ func (c *Core) retire() {
 				e.lockIssued = true
 				if !c.l1.MergeStore(e.line) {
 					c.l1.Acquire(e.line)
-					*c.cnt.stallLock++
-					return
+					return stuck(c.cnt.stallLock)
 				}
 				e.performed = true
 			}
 		default:
 			if e.state != stDone {
-				return
+				return stuck(c.cnt.stallExec)
 			}
 		}
 
@@ -164,6 +169,7 @@ func (c *Core) retire() {
 		c.rec.Record(obs.Event{Cycle: c.now, Core: int16(c.id), Kind: obs.KindRetire,
 			Seq: c.head, Arg: c.head - startHead})
 	}
+	return stuck(c.cnt.stallFrontend)
 }
 
 // retireFrom takes the retiring instruction off the bookkeeping list of its

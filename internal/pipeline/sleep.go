@@ -8,22 +8,27 @@ import (
 // Quiescent-core sleep. A tick is quiet when it received no input — no
 // completion due, no message handled by the L1 since the last tick, no
 // barrier arrival elsewhere, not the cycle the frontend stall ends — and
-// changed no simulated state except stall counters. Tick is a deterministic
-// function of that state and those inputs, and reads the cycle number only
-// to index the calendar and to compare against stallUntil, so the tick after
-// a quiet one repeats it exactly for as long as no input arrives: the same
-// state, the same counter increments. A tick that could be quiet (it starts
-// with no input and nothing ready to execute) is bracketed by a snapshot of
-// the core's counters; if it is quiet, its increments are the whole effect
-// of a cycle and later ticks add them instead of walking the stages
-// (replay), until an input wakes the core.
+// changed no simulated state except its charges (charge). Tick is a
+// deterministic function of that state and those inputs, and reads the cycle
+// number only to index the calendar and to compare against stallUntil, so
+// the tick after a quiet one repeats it exactly for as long as no input
+// arrives: the same state, the same charges. A tick that could be quiet (it
+// starts with no input and nothing ready to execute) is bracketed by the
+// tripwire; if it is quiet, its charges are the whole effect of a cycle and
+// later ticks add them instead of walking the stages (replay), until an
+// input wakes the core.
 //
 // All of it is derived state: never serialized, reset when State loads.
 
-// counterDelta is one counter's increment per quiet cycle.
-type counterDelta struct {
-	h *uint64
-	n uint64
+// maxCharges bounds a tick's charges: a cause, a dispatch and a pin stall.
+const maxCharges = 3
+
+// charge counts the cycle against h, one of its per-cycle tallies, and
+// records it: a quiet tick's charges are what a sleeping core replays.
+func (c *Core) charge(h *uint64) {
+	*h++
+	c.charges[c.nCharges] = h
+	c.nCharges++
 }
 
 // tripwire is the scalar state a tick can move, recorded before the stages
@@ -84,37 +89,19 @@ func (c *Core) inputDue(now int64) bool {
 }
 
 // settle ends an evaluated tick: if it was quiet, the core falls asleep with
-// the tick's counter increments as its replay. watched says the counters and
-// the tripwire were recorded ahead of the stages; a tick that was not watched
-// cannot be quiet, because it started with an input or something to execute.
+// the tick's charges as its replay. watched says the tripwire was recorded
+// ahead of the stages; a tick that was not watched cannot be quiet, because
+// it started with an input or something to execute.
 func (c *Core) settle(watched bool) {
 	c.barrierSeen = c.barrierEpoch()
-	c.asleep = false
-	if !watched || c.active || c.l1.PortsUsed() > 0 || c.tripped() {
-		return
-	}
-	c.replay = c.replay[:0]
-	for i, h := range c.cntAll {
-		if n := *h - c.cntBefore[i]; n != 0 {
-			c.replay = append(c.replay, counterDelta{h, n})
-		}
-	}
-	c.asleep = true
+	c.asleep = watched && !c.active && c.l1.PortsUsed() == 0 && !c.tripped()
 }
 
-// snapshotCounters records every bound counter ahead of a tick that may
-// turn out quiet.
-func (c *Core) snapshotCounters() {
-	for i, h := range c.cntAll {
-		c.cntBefore[i] = *h
-	}
-}
-
-// sleepThrough accounts k cycles as copies of the measured quiet tick. The
-// counters are brought up to date at once, so they are exact at every cycle.
+// sleepThrough accounts k cycles as copies of the quiet tick. The counters
+// are brought up to date at once, so they are exact at every cycle.
 func (c *Core) sleepThrough(k int64) {
-	for _, d := range c.replay {
-		*d.h += d.n * uint64(k)
+	for _, h := range c.charges[:c.nCharges] {
+		*h += uint64(k)
 	}
 	if c.cpt != nil {
 		c.cpt.SampleN(k)
@@ -157,8 +144,12 @@ func (c *Core) FastForward(k int64) {
 func (c *Core) SleptCycles() int64 { return c.slept }
 
 // Quiet reports whether the last Tick was a fixed point: it changed no
-// simulated state other than stall counters (for the fixed-point oracle).
+// simulated state other than its charges (for the fixed-point oracle).
 func (c *Core) Quiet() bool { return c.asleep }
+
+// Charges returns the tallies the last evaluated Tick charged, which a
+// sleeping core replays (for the replay oracle).
+func (c *Core) Charges() []*uint64 { return c.charges[:c.nCharges] }
 
 // GateVisits returns how many times the issue gate (mayIssueLoad) was
 // evaluated, and ForwardScans how many store-forwarding scans got past the

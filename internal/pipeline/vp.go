@@ -181,7 +181,7 @@ func (c *Core) pinGovernor() {
 		c.active = true
 	}
 	if !c.cpt.CanPin() {
-		*c.cnt.pinStallCPTFull++
+		c.charge(c.cnt.pinStallCPTFull)
 		return
 	}
 	if c.pinFrontier < c.head {
@@ -216,11 +216,11 @@ func (c *Core) pinGovernor() {
 		// Write-buffer deadlock check (paper Section 5.1.2): every
 		// yet-to-complete older store must fit in the write buffer.
 		if c.olderUndrainedStores(e.seq) > c.cfg.WriteBufferEntries {
-			*c.cnt.pinStallWB++
+			c.charge(c.cnt.pinStallWB)
 			return
 		}
 		if c.cpt.Contains(e.line) {
-			*c.cnt.pinStallCPT++
+			c.charge(c.cnt.pinStallCPT)
 			return
 		}
 		if c.policy.Variant == defense.LP {
@@ -231,11 +231,11 @@ func (c *Core) pinGovernor() {
 				return
 			}
 			if !c.l1SetRoom(e.line) {
-				*c.cnt.pinStallL1Set++
+				c.charge(c.cnt.pinStallL1Set)
 				return
 			}
 			if !c.mayRecordPin(e.line) {
-				*c.cnt.pinStallRecord++
+				c.charge(c.cnt.pinStallRecord)
 				return
 			}
 			c.commitPin(e)
@@ -243,11 +243,11 @@ func (c *Core) pinGovernor() {
 		}
 		// Early Pinning: consult the Cache Shadow Tables.
 		if !c.cstAdmit(e) {
-			*c.cnt.pinStallCST++
+			c.charge(c.cnt.pinStallCST)
 			return
 		}
 		if !c.mayRecordPin(e.line) {
-			*c.cnt.pinStallRecord++
+			c.charge(c.cnt.pinStallRecord)
 			return
 		}
 		c.commitPin(e)

@@ -1,7 +1,7 @@
 // Package stats provides the statistics machinery shared by all simulator
-// components: named counters, occupancy trackers, simple histograms, and the
-// aggregate helpers (geometric mean, normalized overhead) used by the
-// experiment harness to regenerate the paper's tables and figures.
+// components: named counters, occupancy trackers, and the aggregate helpers
+// (geometric mean, normalized overhead) used by the experiment harness to
+// regenerate the paper's tables and figures.
 package stats
 
 import (
@@ -125,51 +125,6 @@ func (o *Occupancy) Max() int { return o.max }
 
 // Samples returns the number of samples recorded.
 func (o *Occupancy) Samples() uint64 { return o.samples }
-
-// Histogram is a fixed-bucket histogram of small non-negative integers.
-// Values at or above the bucket count are accumulated in the last bucket.
-type Histogram struct {
-	buckets []uint64
-	total   uint64
-}
-
-// NewHistogram returns a histogram with n buckets (n must be > 0).
-func NewHistogram(n int) *Histogram {
-	if n <= 0 {
-		panic("stats: NewHistogram requires n > 0")
-	}
-	return &Histogram{buckets: make([]uint64, n)}
-}
-
-// Observe records one occurrence of value v (clamped to the last bucket).
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.buckets) {
-		v = len(h.buckets) - 1
-	}
-	h.buckets[v]++
-	h.total++
-}
-
-// Count returns the number of observations in bucket i.
-func (h *Histogram) Count(i int) uint64 { return h.buckets[i] }
-
-// Total returns the total number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Mean returns the mean observed value (treating the last bucket as exact).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum uint64
-	for i, c := range h.buckets {
-		sum += uint64(i) * c
-	}
-	return float64(sum) / float64(h.total)
-}
 
 // GeoMean returns the geometric mean of xs. It panics if any value is not
 // positive, and returns 0 for an empty slice.

@@ -52,40 +52,6 @@ func TestOccupancy(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(4)
-	for _, v := range []int{0, 1, 1, 2, 9, -3} {
-		h.Observe(v)
-	}
-	if h.Count(0) != 2 { // 0 and the clamped -3
-		t.Fatalf("bucket 0 = %d", h.Count(0))
-	}
-	if h.Count(3) != 1 { // 9 clamps into the last bucket
-		t.Fatalf("bucket 3 = %d", h.Count(3))
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(10)
-	h.Observe(2)
-	h.Observe(4)
-	if h.Mean() != 3 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(0) did not panic")
-		}
-	}()
-	NewHistogram(0)
-}
-
 func TestGeoMean(t *testing.T) {
 	got := GeoMean([]float64{1, 4})
 	if math.Abs(got-2) > 1e-12 {
