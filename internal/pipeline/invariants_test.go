@@ -96,7 +96,7 @@ func newMachine(w trace.Source, pol defense.Policy, tweak ...func(*arch.Config))
 
 // step advances one cycle, holding every core to Check both after the memory
 // system moved (fills, invalidations and the squashes they cause happen
-// there) and after the core's own stages, and what the issue stage counted to
+// there) and after the core's own stages, and what the issue stage did to
 // expectIssue (tickChecked).
 func (m *machine) step(t *testing.T) {
 	t.Helper()
@@ -153,10 +153,12 @@ func (m *machine) halted() bool {
 // TestCandidateListsMatchFullWalk is the differential oracle for the
 // event-driven load queue: under every kind of policy that reaches a distinct
 // maintenance path, on stalled, busy, sharing and adversarial workloads, Check
-// holds twice every cycle, and what issueLoads counted equals expectIssue's
-// walk of every candidate (gate_test.go); the alias and mcv kernels carry
+// holds twice every cycle, and what issueLoads did equals expectIssue's walk
+// of every candidate (gate_test.go); the alias and mcv kernels carry
 // transient addresses and the fault stream a faulting load, which the gate
-// bound must leave on the walked side. Restores are core.FuzzDerivedState's.
+// bound must leave on the walked side, and the transient stream moves a
+// denied load's line under a Delay-On-Miss verdict. Restores are
+// core.FuzzDerivedState's.
 func TestCandidateListsMatchFullWalk(t *testing.T) {
 	workloads := []struct {
 		src    trace.Source
@@ -170,6 +172,7 @@ func TestCandidateListsMatchFullWalk(t *testing.T) {
 		{&trace.Attack{AttackKind: "mcv", Secret: 1}, 0},
 		{&trace.Attack{AttackKind: "interference", Secret: 1}, 0},
 		{faultStream(), 6_000},
+		{transientStream(), 6_000},
 	}
 	policies := []defense.Policy{
 		{Scheme: defense.Unsafe},

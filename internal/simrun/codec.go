@@ -3,9 +3,11 @@ package simrun
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
+	"sync/atomic"
 )
 
 // Output's wire codec. AppendJSON writes the bytes json.Marshal writes and
@@ -303,6 +305,14 @@ func (d *decoder) bool() bool {
 	return false
 }
 
+// interned holds the counter names decodes have read, so that a name every
+// cached result repeats is allocated once per process, not once per hit.
+// Copied on write, it stops growing at 1 024 names (a run defines a few
+// dozen).
+var interned atomic.Pointer[map[string]string]
+
+func init() { interned.Store(&map[string]string{}) }
+
 // counts consumes an object of plain names and unsigned integers; a
 // repeated name keeps its last value, as encoding/json keeps it.
 func (d *decoder) counts() Counts {
@@ -321,23 +331,35 @@ func (d *decoder) counts() Counts {
 	if d.opt("}") {
 		return m
 	}
+	known, fresh := interned.Load(), []string(nil)
 	for !d.bad {
 		d.lit(`"`)
 		j := d.i
 		for d.i < len(d.s) && !escaped[d.s[d.i]] {
 			d.i++
 		}
-		name := d.s[j:d.i]
+		name, ok := (*known)[string(d.s[j:d.i])]
+		if !ok {
+			name = string(d.s[j:d.i])
+			fresh = append(fresh, name)
+		}
 		d.lit(`":`)
 		v := d.uint()
 		if d.bad {
 			break
 		}
-		m[string(name)] = v
+		m[name] = v
 		if !d.opt(",") {
 			d.lit("}")
 			break
 		}
+	}
+	if fresh != nil && !d.bad && len(*known)+len(fresh) <= 1<<10 {
+		names := maps.Clone(*known)
+		for _, name := range fresh {
+			names[name] = name
+		}
+		interned.CompareAndSwap(known, &names) // a racing decode's names come back with the next
 	}
 	return m
 }

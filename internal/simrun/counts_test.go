@@ -3,8 +3,10 @@ package simrun
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"reflect"
+	"sync"
 	"testing"
 
 	"pinnedloads/internal/defense"
@@ -145,5 +147,36 @@ func TestDecoderReadsAppendJSON(t *testing.T) {
 		if got := d.output(); !d.done() || !reflect.DeepEqual(&got, o) {
 			t.Fatalf("the decoder read %s\nas %+v (done %v)", data, got, d.done())
 		}
+	}
+}
+
+// TestDecodesShareNames decodes counters from several goroutines at once,
+// each name new to the process when its first decode reads it, some read
+// by every goroutine and some by one: every map holds its own values, and
+// the names the decodes keep for later ones stop at 1 024 however many
+// distinct ones arrive.
+func TestDecodesShareNames(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 300 {
+				want := Counts{fmt.Sprintf("shared.%d", i): uint64(w), fmt.Sprintf("own.%d.%d", w, i): uint64(i)}
+				data, err := json.Marshal(want)
+				var got Counts
+				if err == nil {
+					err = json.Unmarshal(data, &got)
+				}
+				if err != nil || !maps.Equal(got, want) {
+					t.Errorf("goroutine %d decoded %s to %v (%v)", w, data, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(*interned.Load()); n > 1<<10 {
+		t.Fatalf("%d counter names kept, want at most 1 024", n)
 	}
 }
