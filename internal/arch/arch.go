@@ -143,19 +143,6 @@ type Config struct {
 	// responses get faster, but pinning and unpinning each consume an L1
 	// port, which the paper cites as the reason not to choose it.
 	PinRecordL1Tags bool
-
-	// CPTReserve enables the advanced Cannot-Pin Table of Section 6.3: a
-	// small FIFO queues the lines of writers that found the CPT full, and
-	// freed entries are reserved for them.
-	CPTReserve bool
-
-	// RealPredictor replaces the parametric per-branch misprediction
-	// annotations with a live TAGE predictor trained on the workload's
-	// branch PCs and outcomes (the workload generators emit learnable
-	// per-site branch biases). The paper's machine uses LTAGE; the
-	// parametric mode remains the default because it gives each proxy
-	// exact control of its application's misprediction rate.
-	RealPredictor bool
 }
 
 // PaperConfig returns the Table 1 configuration with the given core count.

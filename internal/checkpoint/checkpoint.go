@@ -35,10 +35,11 @@ import (
 // default-state lines and single lines in the long form
 // (coherence.Dir.State). Version 5 carries each ROB entry's held mark and
 // counters that charge every core-cycle to one cause (the CPI stack, package
-// pipeline). Exactly one version is readable: anything
-// else, older blobs included, is a *VersionError and the caller runs cold —
-// there is no migration code.
-const Version = 5
+// pipeline). Version 6 drops a core's predictor-presence byte and the CPT's
+// reservation queue, parts no configuration builds any more. Exactly one
+// version is readable: anything else, older blobs included, is a
+// *VersionError and the caller runs cold — there is no migration code.
+const Version = 6
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

@@ -19,14 +19,18 @@ import (
 // them alone; a deliberate format change bumps Version and re-records them.
 // The version 4 pins were recorded with nothing but the run-length directory
 // codec applied to the version 3 tree; version 5 added a ROB entry's held
-// mark and the CPI stack's counters (a byte an entry, 167 to 1 527 a blob).
+// mark and the CPI stack's counters (a byte an entry, 167 to 1 527 a blob);
+// version 6 dropped a core's predictor-presence byte and the CPT's
+// reservation queue, and a core's window is now also pruned by a sweep that
+// retires and then stalls (gcc_r 39 285 to 39 282 bytes, ocean_cp 362 036 to
+// 362 451).
 // ocean_cp is the 8-core row: its lines
 // have sharers and owners, so it pins the long form and the backlog as the
 // SPEC17 rows pin the runs.
 const (
-	pinGccDOMLP   uint64 = 0x1f887fb6156e8ca9
-	pinMcfRCPCmp  uint64 = 0xb9856b3cc0e73807
-	pinOceanDOMEP uint64 = 0x5227392d22c047cb
+	pinGccDOMLP   uint64 = 0x8e096e007853a409
+	pinMcfRCPCmp  uint64 = 0x6fe904a45b649634
+	pinOceanDOMEP uint64 = 0x45307e25d1b01281
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -72,10 +76,10 @@ func TestCheckpointSizeRatchet(t *testing.T) {
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 39285},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 32351},
-		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 16682},
-		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 362036},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 39282},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 32246},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 16680},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 362451},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {

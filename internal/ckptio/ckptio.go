@@ -306,18 +306,21 @@ func (d *Decoder) F64() float64 {
 const maxStringLen = 1 << 16
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return string(d.stringBytes()) }
+
+// stringBytes reads a length-prefixed string as a view of the input.
+func (d *Decoder) stringBytes() []byte {
 	n := d.U64()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxStringLen || n > uint64(d.Remaining()) {
 		d.Failf("string length %d exceeds input", n)
-		return ""
+		return nil
 	}
-	s := string(d.data[d.off : d.off+int(n)])
+	b := d.data[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
 }
 
 // Count reads a sequence length and validates it against max and the bytes

@@ -3,6 +3,7 @@ package ckptio
 import (
 	"encoding/binary"
 	"slices"
+	"sort"
 
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/ringq"
@@ -113,6 +114,24 @@ func (s State) F64(p *float64) { field(s, p, (*Encoder).F64, (*Decoder).F64) }
 
 // String walks a length-prefixed string.
 func (s State) String(p *string) { field(s, p, (*Encoder).String, (*Decoder).String) }
+
+// Name walks a string that loading expects among sorted, the ascending names
+// the receiver already holds: an equal one is shared rather than copied, so
+// a restore into a receiver that knows every name allocates none.
+func (s State) Name(p *string, sorted []string) {
+	if s.d == nil {
+		s.e.String(*p)
+		return
+	}
+	// Comparing with string(b) does not allocate; passing it would.
+	b := s.d.stringBytes()
+	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= string(b) })
+	if i < len(sorted) && sorted[i] == string(b) {
+		*p = sorted[i]
+	} else {
+		*p = string(b)
+	}
+}
 
 // Inst walks one micro-operation, including every field (unlike the
 // tracefile stream encoding, TransientAddr is preserved: checkpointed

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/ringq"
@@ -353,5 +354,45 @@ func TestWalkTableRejectsPastItsBound(t *testing.T) {
 		case bound == 4 && (err == nil || !strings.Contains(err.Error(), "sequence length 5 exceeds limit 4")):
 			t.Fatalf("loading five entries into a table of bound 4: %v", err)
 		}
+	}
+}
+
+// TestNameSharesKnownStrings: loading a name the receiver holds hands back the
+// receiver's string without allocating, whatever its length; a name it does
+// not hold is read as its own string, and the bytes are String's.
+func TestNameSharesKnownStrings(t *testing.T) {
+	known := []string{"a", "pipeline.stall_retire_expose_after_a_long_name", "retired", "z"}
+	names := []string{"retired", "pipeline.stall_retire_expose_after_a_long_name", "unknown"}
+	e := NewEncoder()
+	for _, n := range names {
+		SaveTo(e).Name(&n, known)
+	}
+	for _, n := range names {
+		e.String(n)
+	}
+	if half := len(e.Bytes()) / 2; string(e.Bytes()[:half]) != string(e.Bytes()[half:]) {
+		t.Fatal("Name saves other bytes than String")
+	}
+	var got [3]string
+	s := LoadFrom(NewDecoder(e.Bytes()))
+	for i := range got {
+		s.Name(&got[i], known)
+	}
+	if got != [3]string{names[0], names[1], names[2]} {
+		t.Fatalf("loaded %q, want %q", got, names)
+	}
+	if unsafe.StringData(got[1]) != unsafe.StringData(known[1]) {
+		t.Error("a known name was copied, not shared")
+	}
+	e.Reset()
+	for _, n := range names[:2] {
+		SaveTo(e).Name(&n, known)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		s := LoadFrom(NewDecoder(e.Bytes()))
+		s.Name(&got[0], known)
+		s.Name(&got[1], known)
+	}); a != 0 {
+		t.Fatalf("loading known names allocates %v times", a)
 	}
 }

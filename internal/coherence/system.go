@@ -97,8 +97,10 @@ func (s *System) Tick(cycle int64) {
 	for _, l := range s.l1s {
 		l.newCycle(cycle)
 	}
-	for _, d := range s.dirs {
-		d.newCycle()
+	for _, d := range s.dirs { // an idle slice has nothing to reset or serve
+		if d.demandUsed != 0 || d.backlog.Len() > 0 {
+			d.newCycle()
+		}
 	}
 	for _, m := range s.fab.due(cycle) {
 		if m.Dst.Dir {

@@ -37,22 +37,6 @@ func TestL1TagPinRecord(t *testing.T) {
 	}
 }
 
-// TestCPTReserveOption checks the Section 6.3 advanced CPT design runs
-// correctly under contention.
-func TestCPTReserveOption(t *testing.T) {
-	cfg := arch.PaperConfig(8)
-	cfg.CPTEntries = 1 // force overflows
-	cfg.CPTReserve = true
-	pol := defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
-	res := runCfg(t, cfg, pol, "radiosity")
-	if res.CPI <= 0 {
-		t.Fatal("bad CPI")
-	}
-	if res.Counters.Get("pin.pinned") == 0 {
-		t.Fatal("no pinning with reserving CPT")
-	}
-}
-
 // TestPrefetcherAblation checks that disabling the prefetcher hurts a
 // streaming workload.
 func TestPrefetcherAblation(t *testing.T) {
@@ -93,25 +77,5 @@ func TestSmallCachesStillCorrect(t *testing.T) {
 		if res.CPI <= 0 {
 			t.Fatalf("%v: bad CPI", v)
 		}
-	}
-}
-
-// TestRealPredictor runs the live-TAGE frontend mode: it must work
-// correctly and produce a plausible misprediction rate on the learnable
-// branch-site streams the generators emit.
-func TestRealPredictor(t *testing.T) {
-	cfg := arch.PaperConfig(1)
-	cfg.RealPredictor = true
-	res := runCfg(t, cfg, defense.Policy{Scheme: defense.Unsafe}, "leela_r")
-	squashes := res.Counters.Get("squash.branch")
-	if squashes == 0 {
-		t.Fatal("live predictor never mispredicted")
-	}
-	retired := res.Counters.Get("retired")
-	// leela is ~18% branches; a trained TAGE on the site mix should miss
-	// on the order of the profile's 7% of branches — sanity-bound it.
-	rate := float64(squashes) / (float64(retired) * 0.18)
-	if rate > 0.30 {
-		t.Fatalf("implausible live mispredict rate %.3f", rate)
 	}
 }

@@ -95,8 +95,8 @@ func (f *mapFinder) value(v reflect.Value, path string) {
 // bookkeeping lives in bounded open-addressed tables (internal/table), and
 // the maps they replaced cost a tenth of an 8-core run's host time; a map
 // that comes back fails here instead. The machines run a while first, with a
-// recorder, the live predictor and every optional part of a core in place,
-// so that what a run creates on the way is walked too.
+// recorder and every optional part of a core in place, so that what a run
+// creates on the way is walked too.
 func TestNoMapOnTheCyclePath(t *testing.T) {
 	for _, pol := range []defense.Policy{
 		{Scheme: defense.DOM, Variant: defense.EP},
@@ -107,7 +107,6 @@ func TestNoMapOnTheCyclePath(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			w := trace.ByName("ocean_cp")
 			cfg := arch.PaperConfig(w.Cores())
-			cfg.RealPredictor = true
 			sys, err := New(cfg, pol, w, 1)
 			if err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
+	"pinnedloads/internal/obs"
 	"pinnedloads/internal/trace"
 )
 
@@ -381,4 +382,49 @@ func (c *coldSource) Name() string { return c.p.Name() }
 func (c *coldSource) Cores() int   { return c.p.Cores() }
 func (c *coldSource) Generator(core int, seed uint64) trace.Generator {
 	return c.p.Generator(core, seed)
+}
+
+// TestRetireEventsCountEveryRetirement: a traced run's retire events sum, for
+// each core, to the instructions it retired, so a sweep that retires some
+// instructions and then stalls on its head still records what it retired.
+func TestRetireEventsCountEveryRetirement(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		pol   defense.Policy
+	}{
+		{"gcc_r", defense.Policy{Scheme: defense.Unsafe}},
+		{"mcf_r", defense.Policy{Scheme: defense.DOM, Variant: defense.Comp}},
+	} {
+		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
+			w := trace.ByName(c.bench)
+			sys, err := New(arch.PaperConfig(w.Cores()), c.pol, w, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring := obs.NewRing(1 << 18)
+			sys.SetRecorder(ring)
+			if _, err := sys.Run(3_000, 3_000); err != nil {
+				t.Fatal(err)
+			}
+			if ring.Dropped() != 0 {
+				t.Fatalf("ring dropped %d events", ring.Dropped())
+			}
+			sums := make([]int64, w.Cores())
+			for _, ev := range ring.Events() {
+				if ev.Kind == obs.KindRetire {
+					sums[ev.Core] += ev.Arg
+				}
+			}
+			var total int64
+			for i, sum := range sums {
+				if got := sys.Core(i).Retired(); sum != got {
+					t.Errorf("core %d: retire events sum to %d, it retired %d", i, sum, got)
+				}
+				total += sum
+			}
+			if got := sys.Counters().Get("retired"); uint64(total) != got {
+				t.Errorf("retire events sum to %d, retired counter %d", total, got)
+			}
+		})
+	}
 }

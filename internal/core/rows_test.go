@@ -107,7 +107,6 @@ var lockstepRows = func() []lockstepRow {
 		sleep(p.String(), p, nil, works...)
 	}
 	sleep("L1TagPinRecord", pol(defense.Fence, defense.EP), func(c *arch.Config) { c.PinRecordL1Tags = true }, works[0])
-	sleep("RealPredictor", pol(defense.DOM, defense.EP), func(c *arch.Config) { c.RealPredictor = true }, works[1])
 	sleep("DirPorts", pol(defense.IS, defense.Comp), func(c *arch.Config) { c.DirPortsPerCycle = 1 }, works[8])
 	sleep("SmallCPT", pol(defense.Fence, defense.EP), cpt1,
 		lockstepRow{src: contendedLines(), cycles: 12_000, stride: 4, floors: []floor{cptReached}})
@@ -152,6 +151,11 @@ var lockstepRows = func() []lockstepRow {
 			add("", w)
 		}
 	}
+	// The trace's annotation alone decides which branch mispredicts, so the
+	// checkpoint carries no predictor: leela_r, the most mispredicting
+	// workload, resumed under DOM-EP, which holds loads behind its branches.
+	add("", lockstepRow{pair: "resume", src: trace.ByName("leela_r"), pol: pol(defense.DOM, defense.EP), measure: 1 << 40,
+		cycles: 2 * poll, from: []int{0}, cancel: 1})
 
 	// The hand-stepped loops, as jump rows. Early Pinning keeps a core's
 	// pinned lines within Wd a directory set (paper Section 5.1.4), checked

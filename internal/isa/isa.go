@@ -101,8 +101,8 @@ type Inst struct {
 	// leave it zero.
 	TransientAddr uint64
 
-	// PC is an abstract program counter used by the real branch
-	// predictors and by trace inspection tools.
+	// PC is an abstract program counter (a branch's is its site's) used
+	// by trace inspection tools.
 	PC uint64
 }
 

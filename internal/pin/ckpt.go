@@ -26,18 +26,13 @@ func (c *CST) State(s ckptio.State) {
 	s.U64(&c.falsePositives)
 }
 
-func walkLines(s ckptio.State, lines *[]uint64) {
-	ckptio.Slice(s, lines, maxCPTLines)
-	for i := range *lines {
-		s.U64(&(*lines)[i])
-	}
-}
-
 // State walks the CPT's mutable state.
 func (t *CPT) State(s ckptio.State) {
-	walkLines(s, &t.lines)
+	ckptio.Slice(s, &t.lines, maxCPTLines)
+	for i := range t.lines {
+		s.U64(&t.lines[i])
+	}
 	s.Bool(&t.stalled)
-	walkLines(s, &t.waitq)
 	t.occupancy.State(s)
 	s.U64(&t.inserts)
 	s.U64(&t.overflows)

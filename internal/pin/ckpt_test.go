@@ -12,7 +12,7 @@ import (
 var cstConfig = []string{"nEntries", "nRecords"}
 
 // cptConfig names the fields of CPT that State leaves out.
-var cptConfig = []string{"capacity", "reserve"}
+var cptConfig = []string{"capacity"}
 
 // TestWalksCoverEveryField: a field added to a CST record must move the saved
 // bytes, and a field added to the CST or the CPT must be walked or classified

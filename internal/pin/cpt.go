@@ -13,13 +13,6 @@ type CPT struct {
 	capacity int // 0 = ideal (unbounded), used for the Section 9.2.2 study
 	stalled  bool
 
-	// reserve, when enabled, implements the advanced design of Section
-	// 6.3: lines whose insertion overflowed queue here, and each freed
-	// entry is reserved for the FIFO head so the starving writer is
-	// guaranteed to make progress.
-	reserve bool
-	waitq   []uint64
-
 	occupancy stats.Occupancy
 	inserts   uint64
 	overflows uint64
@@ -31,15 +24,9 @@ func NewCPT(capacity int) *CPT {
 	return &CPT{capacity: capacity}
 }
 
-// NewReservingCPT returns a CPT with the Section 6.3 FIFO reservation.
-func NewReservingCPT(capacity int) *CPT {
-	return &CPT{capacity: capacity, reserve: true}
-}
-
 // Insert records that the core may not pin the line. It reports whether
 // the insertion succeeded; on overflow the core enters the stalled state
-// and stops pinning until the table drains to half capacity. With the
-// reserving design the overflowed line queues for the next free entry.
+// and stops pinning until the table drains to half capacity.
 func (t *CPT) Insert(line uint64) bool {
 	t.inserts++
 	for _, l := range t.lines {
@@ -50,35 +37,17 @@ func (t *CPT) Insert(line uint64) bool {
 	if t.capacity > 0 && len(t.lines) >= t.capacity {
 		t.overflows++
 		t.stalled = true
-		if t.reserve && !t.queued(line) {
-			t.waitq = append(t.waitq, line)
-		}
 		return false
 	}
 	t.lines = append(t.lines, line)
 	return true
 }
 
-func (t *CPT) queued(line uint64) bool {
-	for _, l := range t.waitq {
-		if l == line {
-			return true
-		}
-	}
-	return false
-}
-
-// Remove drops the line from the table (a Clear arrived). With the
-// reserving design, the freed entry is handed to the FIFO head.
+// Remove drops the line from the table (a Clear arrived).
 func (t *CPT) Remove(line uint64) {
 	for i, l := range t.lines {
 		if l == line {
 			t.lines = append(t.lines[:i], t.lines[i+1:]...)
-			if t.reserve && len(t.waitq) > 0 {
-				next := t.waitq[0]
-				t.waitq = t.waitq[1:]
-				t.lines = append(t.lines, next)
-			}
 			break
 		}
 	}

@@ -179,9 +179,6 @@ func (c *Core) State(s ckptio.State) {
 		c.rebuildCandidates()
 	}
 
-	if s.Present(c.predictor != nil, "predictor") {
-		c.predictor.State(s)
-	}
 	ckptio.Slice(s, &c.window, maxWindow)
 	for i := range c.window {
 		s.Inst(&c.window[i])

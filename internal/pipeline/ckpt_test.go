@@ -22,7 +22,7 @@ var (
 		"wire", "charges", "nCharges", "calMask", "barrierSeen", "slept",
 		"lastOdd", "stFilter", "freshFrom", "gateVisits", "forwardScans"}
 	coreConfig = []string{"id", "cfg", "policy", "l1", "gen", "bar", "cnt", "rec", "tracing",
-		"predictor", "l1CST", "dirCST", "cpt", "lqTagMask"}
+		"l1CST", "dirCST", "cpt", "lqTagMask"}
 )
 
 // TestWalksCoverEveryField: a field added to a record must move the saved

@@ -121,9 +121,6 @@ func (c *Core) complete() {
 			e.resolved = true
 			winIdx := e.winIdx
 			mispredict := e.willMispredict
-			if c.predictor != nil && !e.wrong {
-				c.predictor.Update(e.inst.PC, e.inst.Taken)
-			}
 			c.finish(e)
 			if mispredict {
 				// Squash the wrong path (if any was dispatched) and

@@ -105,12 +105,7 @@ func (c *Core) insert(in *isa.Inst, winIdx int64) {
 
 	switch in.Op {
 	case isa.Branch:
-		if c.predictor != nil {
-			// Live prediction replaces the workload annotation.
-			e.willMispredict = c.predictor.Predict(in.PC) != in.Taken && !e.wrong
-		} else {
-			e.willMispredict = in.Mispredict && !e.wrong
-		}
+		e.willMispredict = in.Mispredict && !e.wrong
 	case isa.Load:
 		c.loadsInROB++
 		c.loadSeqs.push(seq)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"pinnedloads/internal/arch"
-	"pinnedloads/internal/branch"
 	"pinnedloads/internal/coherence"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
@@ -86,9 +85,8 @@ type entry struct {
 
 	// Control state.
 	resolved bool
-	// willMispredict is the effective prediction outcome for a branch:
-	// the workload annotation by default, or the live predictor's miss
-	// when Config.RealPredictor is set.
+	// willMispredict is the effective prediction outcome for a branch: the
+	// workload annotation, never set on the wrong path.
 	willMispredict bool
 
 	// VP / STT state.
@@ -183,7 +181,6 @@ type Core struct {
 	specCand   seqList // performed reversibly on transient operands (validateSpecLoads, RCP)
 
 	// Frontend.
-	predictor  *branch.TAGE // nil unless Config.RealPredictor
 	window     []isa.Inst
 	windowBase int64 // stream index of window[0]
 	fetchPtr   int64 // next correct-path stream index to dispatch
@@ -312,20 +309,11 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 	if policy.Pinning() {
 		c.pinnedRef = table.New[int](cfg.LQEntries)
 		c.tagToSeq = table.New[int64](cfg.LQEntries)
+		c.cpt = pin.NewCPT(cfg.CPTEntries)
 	}
 	if policy.Variant == defense.EP && !cfg.InfiniteCST {
 		c.l1CST = pin.NewCST(cfg.L1CSTEntries, cfg.L1CSTRecords)
 		c.dirCST = pin.NewCST(cfg.DirCSTEntries, cfg.DirCSTRecords)
-	}
-	if cfg.RealPredictor {
-		c.predictor = branch.NewTAGE(12, 10)
-	}
-	if policy.Pinning() {
-		if cfg.CPTReserve {
-			c.cpt = pin.NewReservingCPT(cfg.CPTEntries)
-		} else {
-			c.cpt = pin.NewCPT(cfg.CPTEntries)
-		}
 	}
 	l1.SetHooks(c)
 	return c

@@ -14,103 +14,13 @@ const faultFlushPenalty = 30
 func (c *Core) retire() *uint64 {
 	retiredIdx := int64(-1)
 	startHead := c.head
-	stuck := func(h *uint64) *uint64 {
-		if c.head > startHead {
-			return c.cnt.stallBase
-		}
-		return h
-	}
+	cause := c.cnt.stallFrontend
 	for n := 0; n < c.cfg.IssueWidth && c.head < c.tail; n++ {
 		e := c.at(c.head)
-		switch e.inst.Op {
-		case isa.Load:
-			if e.inst.Fault && e.addrReady {
-				// Precise exception at the head: flush younger work,
-				// charge the handler penalty, and continue past the
-				// faulting instruction as if the OS repaired it.
-				*c.cnt.squashFaultTkn++
-				c.squashFrom(c.head+1, obs.CauseFault)
-				c.stallUntil = c.now + faultFlushPenalty
-				break
-			}
-			if !e.performed && e.held {
-				return stuck(c.cnt.stallHeld)
-			}
-			if !e.performed {
-				return stuck(c.cnt.stallRetireLoad)
-			}
-			if e.invisible && !e.exposeDone {
-				// An invisibly performed load must complete its exposure
-				// access before it may retire (InvisiSpec semantics).
-				return stuck(c.cnt.stallRetireExpose)
-			}
-			if e.specToken != 0 && e.inst.TransientAddr != 0 {
-				// A reversibly performed load (RCP) validates its address
-				// at the commit point: every older squash source is gone
-				// here, so effectiveAddr resolves architecturally. If the
-				// speculative access went to a transiently forwarded
-				// address instead, reverse the journaled state and
-				// re-issue before committing — otherwise the wrong line's
-				// install would be finalized. The mid-window squash case
-				// is handled by squashFrom; this catches windows that
-				// close benignly within one retire sweep, before
-				// validateSpecLoads can observe them.
-				if c.misspeculatedAddr(e) {
-					c.specCand.dropFront(e.seq)
-					return stuck(c.cnt.stallRetireLoad)
-				}
-			}
-		case isa.Store:
-			if e.state != stDone {
-				return stuck(c.cnt.stallExec)
-			}
-			if e.inst.Fault {
-				*c.cnt.squashFaultTkn++
-				c.squashFrom(c.head+1, obs.CauseFault)
-				c.stallUntil = c.now + faultFlushPenalty
-				c.stFilter[stHash(e.inst.Addr)]-- // leaves the SQ for nowhere
-				break
-			}
-			if c.wb.Len() >= c.cfg.WriteBufferEntries {
-				return stuck(c.cnt.stallWBFull)
-			}
-			c.wb.Push(e.inst.Addr)
-		case isa.Fence:
-			if c.wb.Len() > 0 {
-				return stuck(c.cnt.stallWBDrain)
-			}
-		case isa.Barrier:
-			if c.wb.Len() > 0 {
-				return stuck(c.cnt.stallWBDrain)
-			}
-			if c.bar != nil && !c.bar.arrive(c.id, c.barriersHit+1) {
-				return stuck(c.cnt.stallBarrier)
-			}
-			c.barriersHit++
-		case isa.Lock:
-			// The atomic read-modify-write executes at the head, after
-			// the write buffer drains, holding the ROB until the line
-			// is owned and the RMW merges.
-			if !e.performed {
-				if c.wb.Len() > 0 {
-					return stuck(c.cnt.stallWBDrain)
-				}
-				// The RMW attempt touches the line's replacement state or
-				// (re)starts an ownership transaction.
-				c.active = true
-				e.lockIssued = true
-				if !c.l1.MergeStore(e.line) {
-					c.l1.Acquire(e.line)
-					return stuck(c.cnt.stallLock)
-				}
-				e.performed = true
-			}
-		default:
-			if e.state != stDone {
-				return stuck(c.cnt.stallExec)
-			}
+		if h := c.blocker(e); h != nil {
+			cause = h
+			break
 		}
-
 		// Commit.
 		switch e.inst.Op {
 		case isa.Load:
@@ -165,11 +75,108 @@ func (c *Core) retire() *uint64 {
 	if retiredIdx >= 0 {
 		c.pruneWindow(retiredIdx)
 	}
-	if c.tracing && c.head > startHead {
-		c.rec.Record(obs.Event{Cycle: c.now, Core: int16(c.id), Kind: obs.KindRetire,
-			Seq: c.head, Arg: c.head - startHead})
+	if c.head > startHead {
+		cause = c.cnt.stallBase
+		if c.tracing {
+			c.rec.Record(obs.Event{Cycle: c.now, Core: int16(c.id), Kind: obs.KindRetire,
+				Seq: c.head, Arg: c.head - startHead})
+		}
 	}
-	return stuck(c.cnt.stallFrontend)
+	return cause
+}
+
+// blocker does the head's work at commit — a fault's flush, a store's
+// write-buffer push, a barrier's arrival, a lock's read-modify-write — and
+// returns the cause that keeps it from committing, nil if it commits.
+func (c *Core) blocker(e *entry) *uint64 {
+	switch e.inst.Op {
+	case isa.Load:
+		if e.inst.Fault && e.addrReady {
+			// Precise exception at the head: flush younger work, charge the
+			// handler penalty, and continue past the faulting instruction
+			// as if the OS repaired it.
+			*c.cnt.squashFaultTkn++
+			c.squashFrom(c.head+1, obs.CauseFault)
+			c.stallUntil = c.now + faultFlushPenalty
+			return nil
+		}
+		if !e.performed && e.held {
+			return c.cnt.stallHeld
+		}
+		if !e.performed {
+			return c.cnt.stallRetireLoad
+		}
+		if e.invisible && !e.exposeDone {
+			// An invisibly performed load must complete its exposure
+			// access before it may retire (InvisiSpec semantics).
+			return c.cnt.stallRetireExpose
+		}
+		if e.specToken != 0 && e.inst.TransientAddr != 0 {
+			// A reversibly performed load (RCP) validates its address at
+			// the commit point: every older squash source is gone here, so
+			// effectiveAddr resolves architecturally. If the speculative
+			// access went to a transiently forwarded address instead,
+			// reverse the journaled state and re-issue before committing —
+			// otherwise the wrong line's install would be finalized. The
+			// mid-window squash case is handled by squashFrom; this catches
+			// windows that close benignly within one retire sweep, before
+			// validateSpecLoads can observe them.
+			if c.misspeculatedAddr(e) {
+				c.specCand.dropFront(e.seq)
+				return c.cnt.stallRetireLoad
+			}
+		}
+	case isa.Store:
+		if e.state != stDone {
+			return c.cnt.stallExec
+		}
+		if e.inst.Fault {
+			*c.cnt.squashFaultTkn++
+			c.squashFrom(c.head+1, obs.CauseFault)
+			c.stallUntil = c.now + faultFlushPenalty
+			c.stFilter[stHash(e.inst.Addr)]-- // leaves the SQ for nowhere
+			return nil
+		}
+		if c.wb.Len() >= c.cfg.WriteBufferEntries {
+			return c.cnt.stallWBFull
+		}
+		c.wb.Push(e.inst.Addr)
+	case isa.Fence:
+		if c.wb.Len() > 0 {
+			return c.cnt.stallWBDrain
+		}
+	case isa.Barrier:
+		if c.wb.Len() > 0 {
+			return c.cnt.stallWBDrain
+		}
+		if c.bar != nil && !c.bar.arrive(c.id, c.barriersHit+1) {
+			return c.cnt.stallBarrier
+		}
+		c.barriersHit++
+	case isa.Lock:
+		// The atomic read-modify-write executes at the head, after the
+		// write buffer drains, holding the ROB until the line is owned and
+		// the RMW merges.
+		if !e.performed {
+			if c.wb.Len() > 0 {
+				return c.cnt.stallWBDrain
+			}
+			// The RMW attempt touches the line's replacement state or
+			// (re)starts an ownership transaction.
+			c.active = true
+			e.lockIssued = true
+			if !c.l1.MergeStore(e.line) {
+				c.l1.Acquire(e.line)
+				return c.cnt.stallLock
+			}
+			e.performed = true
+		}
+	default:
+		if e.state != stDone {
+			return c.cnt.stallExec
+		}
+	}
+	return nil
 }
 
 // retireFrom takes the retiring instruction off the bookkeeping list of its

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pinnedloads/internal/arch"
 	"pinnedloads/internal/simcache"
 )
 
@@ -221,6 +222,46 @@ func TestBadSpecAndUnknownJob(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown trace = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDeletedConfigFieldsRefused: a job whose config names a machine switch
+// the simulator no longer has is a bad request, whatever the value, and is
+// neither run nor enqueued — never silently run without the switch.
+func TestDeletedConfigFieldsRefused(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	for _, field := range []string{"RealPredictor", "CPTReserve"} {
+		for _, v := range []bool{true, false} {
+			spec := tinySpec()
+			cfg := arch.PaperConfig(1)
+			spec.Config = &cfg
+			body, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(body, &doc); err != nil {
+				t.Fatal(err)
+			}
+			doc["config"].(map[string]any)[field] = v
+			if body, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("config naming %s=%v: %d, want 400", field, v, resp.StatusCode)
+			}
+		}
+	}
+	m := metricsMap(t, s)
+	for _, name := range []string{"svc.submitted", "svc.jobs", "svc.queue_depth", "svc.executed"} {
+		if m[name] != 0 {
+			t.Errorf("%s = %d after refused submits, want 0", name, m[name])
+		}
 	}
 }
 

@@ -10,14 +10,14 @@ const maxCounters = 1 << 16
 // set holds exactly the same handles — in sorted name order for deterministic
 // bytes. Loading goes through Handle and leaves the other counters be, so
 // pre-bound handle pointers held by the pipeline and coherence controllers
-// keep pointing at the live values.
+// keep pointing at the live values; a name already bound costs no string.
 func (c *Counters) State(s ckptio.State) {
 	for i, n := 0, s.Count(len(c.names), maxCounters); i < n; i++ {
 		var name string
 		if !s.Loading() {
 			name = c.names[i]
 		}
-		s.String(&name)
+		s.Name(&name, c.names)
 		if s.Err() != nil {
 			return
 		}
