@@ -136,13 +136,6 @@ type Config struct {
 	// precisely with no capacity or hash-collision limits; used for the
 	// Section 9.2.1 sensitivity study.
 	InfiniteCST bool
-
-	// PinRecordL1Tags selects the paper's alternative pinned-line record
-	// (Section 6.1.2): Pinned bits live in the L1 tags (plus a Youngest
-	// Pinned Load bit in the LQ) instead of only in the LQ. Invalidation
-	// responses get faster, but pinning and unpinning each consume an L1
-	// port, which the paper cites as the reason not to choose it.
-	PinRecordL1Tags bool
 }
 
 // PaperConfig returns the Table 1 configuration with the given core count.

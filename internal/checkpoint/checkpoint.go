@@ -36,10 +36,13 @@ import (
 // (coherence.Dir.State). Version 5 carries each ROB entry's held mark and
 // counters that charge every core-cycle to one cause (the CPI stack, package
 // pipeline). Version 6 drops a core's predictor-presence byte and the CPT's
-// reservation queue, parts no configuration builds any more. Exactly one
-// version is readable: anything else, older blobs included, is a
-// *VersionError and the caller runs cold — there is no migration code.
-const Version = 6
+// reservation queue, parts no configuration builds any more. Version 7
+// drops every instruction's program counter (a generator's, each queued
+// instruction's and each ROB entry's), the ROB entry's mispredict copy and
+// the core's queue of L1-tag unpins. Exactly one version is readable:
+// anything else, older blobs included, is a *VersionError and the caller
+// runs cold — there is no migration code.
+const Version = 7
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

@@ -23,14 +23,16 @@ import (
 // version 6 dropped a core's predictor-presence byte and the CPT's
 // reservation queue, and a core's window is now also pruned by a sweep that
 // retires and then stalls (gcc_r 39 285 to 39 282 bytes, ocean_cp 362 036 to
-// 362 451).
+// 362 451); version 7 dropped every instruction's program counter, a ROB
+// entry's mispredict copy and a core's L1-tag unpin queue (gcc_r 39 282 to
+// 37 907 bytes, ocean_cp 362 451 to 349 956).
 // ocean_cp is the 8-core row: its lines
 // have sharers and owners, so it pins the long form and the backlog as the
 // SPEC17 rows pin the runs.
 const (
-	pinGccDOMLP   uint64 = 0x8e096e007853a409
-	pinMcfRCPCmp  uint64 = 0x6fe904a45b649634
-	pinOceanDOMEP uint64 = 0x45307e25d1b01281
+	pinGccDOMLP   uint64 = 0x6d52c8681fa3f633
+	pinMcfRCPCmp  uint64 = 0xc2183bd5646118f8
+	pinOceanDOMEP uint64 = 0xc60bfbf5a4f125a5
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -76,10 +78,10 @@ func TestCheckpointSizeRatchet(t *testing.T) {
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 39282},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 32246},
-		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 16680},
-		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 362451},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 37907},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30653},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15617},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 349956},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {

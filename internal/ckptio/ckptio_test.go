@@ -27,7 +27,7 @@ func TestRoundTrip(t *testing.T) {
 	e.String("hello, checkpoint")
 	e.String("")
 	in := isa.Inst{Op: isa.Load, Lat: 3, Deps: [2]int32{1, -7}, Addr: 0xdeadbeef,
-		Taken: true, Mispredict: true, Fault: true, TransientAddr: 0xfeed, PC: 0x1234}
+		Taken: true, Mispredict: true, Fault: true, TransientAddr: 0xfeed}
 	SaveTo(e).Inst(&in)
 	d := NewDecoder(e.Bytes())
 	if v := d.U8(); v != 0xab {

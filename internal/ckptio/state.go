@@ -147,7 +147,6 @@ func (s State) Inst(in *isa.Inst) {
 	s.Bool(&in.Mispredict)
 	s.Bool(&in.Fault)
 	s.U64(&in.TransientAddr)
-	s.U64(&in.PC)
 }
 
 // Enum walks a one-byte enumeration; loading rejects a value above max.

@@ -92,7 +92,7 @@ func (r *record) walk(s State) {
 func sample() record {
 	r := record{u8: 0xab, b: true, u64: math.MaxUint64, u32: math.MaxUint32, u16: math.MaxUint16,
 		i64: math.MinInt64, i32: math.MinInt32, i8: math.MinInt8, n: -42, f: -0.5, str: "walk",
-		inst:  isa.Inst{Op: isa.Load, Lat: 3, Deps: [2]int32{1, -7}, Addr: 0xdeadbeef, Fault: true, PC: 0x1234},
+		inst:  isa.Inst{Op: isa.Load, Lat: 3, Deps: [2]int32{1, -7}, Addr: 0xdeadbeef, Fault: true},
 		c:     2,
 		fixed: []uint16{7, 8, 9}, hasP: true, part: 99, list: []int32{-1, 0, 1},
 		m: table.Growing[uint32](8), set: table.Growing[struct{}](8)}

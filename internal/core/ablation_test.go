@@ -14,29 +14,6 @@ func runCfg(t *testing.T, cfg arch.Config, pol defense.Policy, bench string) Res
 	return runFor(t, cfg, pol, trace.ByName(bench), 1, 1500, 8000)
 }
 
-// TestL1TagPinRecord checks the Section 6.1.2 alternative pinned-line
-// record: it must work correctly and cost some performance versus the
-// LQ-based record (extra L1 port pressure), never gain.
-func TestL1TagPinRecord(t *testing.T) {
-	pol := defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
-	base := runCfg(t, arch.PaperConfig(1), pol, "fotonik3d_r")
-	cfg := arch.PaperConfig(1)
-	cfg.PinRecordL1Tags = true
-	tagged := runCfg(t, cfg, pol, "fotonik3d_r")
-	if tagged.Counters.Get("pin.pinned") == 0 {
-		t.Fatal("no pinning with the L1-tag record")
-	}
-	if tagged.Counters.Get("pin.l1tag_unpins") == 0 {
-		t.Fatal("no Pinned-bit clears recorded")
-	}
-	// Port pressure can only hurt (allow a tiny tolerance for timing
-	// perturbation on short runs).
-	if tagged.CPI < base.CPI*0.98 {
-		t.Fatalf("L1-tag record faster than LQ record: %.3f vs %.3f",
-			tagged.CPI, base.CPI)
-	}
-}
-
 // TestPrefetcherAblation checks that disabling the prefetcher hurts a
 // streaming workload.
 func TestPrefetcherAblation(t *testing.T) {

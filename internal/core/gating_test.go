@@ -214,83 +214,83 @@ var gateLists = []struct {
 
 // gateWant is every job's workCounts, keyed by its subtest name.
 var gateWant = map[string]workCounts{
-	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_299, 1_515, 1_432, 703, 1_878, 33_185},
-	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_073, 1_060, 1_034, 128, 268, 17_635},
-	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_333, 1_801, 1_669, 515, 1_155, 28_492},
-	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_968, 1_603, 1_473, 935, 3_519, 38_359},
-	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_368, 1_919, 1_824, 643, 1_762, 31_035},
-	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 26_801},
-	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_089, 39_738, 38_054, 2_172, 11_874, 61_001},
-	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_431, 6_681, 0, 4_707, 26_261, 275_211},
-	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_332, 15_244, 18, 6_143, 47_404, 358_692},
-	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_873, 5_455, 0, 4_332, 30_586, 265_299},
-	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_676, 59_404, 22, 5_909, 54_607, 383_922},
-	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 9_004, 6_727, 6_510, 706, 1_886, 52_650},
-	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_455, 3_728, 3_643, 128, 270, 34_359},
-	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_300, 10_662, 10_380, 513, 1_160, 45_935},
-	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_770, 15_459, 14_968, 941, 3_542, 56_474},
-	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_465, 10_950, 10_640, 646, 1_751, 49_688},
-	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_919, 8_379, 8_145, 408, 832, 43_542},
-	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_234, 61_623, 59_272, 2_188, 12_050, 79_032},
-	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_649, 57_311, 488, 5_317, 30_781, 434_064},
-	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_186, 53_870, 723, 6_304, 47_816, 515_807},
-	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_178, 43_446, 298, 4_359, 30_155, 409_908},
-	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_980, 229_052, 2_768, 6_099, 57_137, 534_093},
-	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_276, 5_875, 5_684, 706, 1_884, 52_387},
-	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_324, 3_364, 3_289, 128, 270, 33_341},
-	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_232, 9_323, 9_062, 514, 1_162, 46_011},
-	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_756, 13_625, 13_243, 941, 3_468, 56_115},
-	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_229, 10_031, 9_739, 646, 1_762, 49_066},
-	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 43_274},
-	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_769, 61_430, 59_120, 2_188, 11_868, 79_053},
-	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_847, 51_537, 446, 6_023, 37_687, 447_880},
-	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_621, 46_323, 692, 7_313, 58_994, 543_925},
-	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_132, 35_492, 325, 4_395, 30_565, 413_786},
-	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_226, 218_726, 2_846, 6_163, 56_801, 537_737},
-	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_161, 2_005, 1_874, 699, 1_909, 50_883},
-	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_227, 1_060, 1_037, 128, 268, 32_119},
-	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_484, 2_662, 2_517, 513, 1_152, 44_689},
-	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_472, 9_268, 8_937, 941, 3_594, 55_235},
-	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_655, 4_222, 4_038, 648, 1_762, 47_601},
-	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 41_849},
-	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_238, 9_250, 0, 4_571, 24_950, 402_144},
-	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 73_007, 16_713, 0, 6_024, 45_829, 487_724},
-	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_264, 7_120, 0, 4_314, 30_294, 396_871},
-	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_735, 142_257, 855, 5_981, 55_835, 517_993},
-	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_536, 838, 784, 668, 2_327, 50_958},
-	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_543, 763, 749, 128, 468, 33_459},
-	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_326, 2_443, 2_303, 507, 1_890, 45_130},
-	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_617, 1_855, 1_690, 930, 4_642, 56_038},
-	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_385, 1_371, 1_291, 633, 2_498, 48_898},
-	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_864, 782, 744, 409, 1_738, 42_751},
-	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_695, 1_801, 1_736, 534, 1_892, 30_714},
-	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_493, 1_134, 1_109, 128, 535, 17_644},
-	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_713, 2_170, 2_051, 464, 1_773, 27_556},
-	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 36_907},
-	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_936, 2_115, 2_023, 551, 2_118, 29_541},
-	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 27_425},
-	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_052, 42_959, 41_607, 1_633, 8_037, 51_721},
-	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_153, 22_271, 0, 2_622, 28_825, 235_579},
-	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_050, 41_030, 7, 3_676, 34_340, 297_914},
-	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_997, 11_603, 0, 2_927, 29_830, 254_687},
-	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_958, 74_170, 23, 3_915, 40_392, 270_015},
-	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_833, 4_065, 3_914, 706, 1_892, 34_692},
-	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_124, 3_071, 2_999, 128, 270, 17_616},
-	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_679, 7_499, 7_248, 514, 1_163, 29_213},
-	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_911, 9_247, 8_945, 940, 3_490, 38_419},
-	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_605, 7_310, 7_071, 646, 1_780, 31_087},
-	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 26_819},
-	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_213, 984, 919, 703, 1_914, 33_036},
-	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_060, 939, 913, 128, 270, 17_641},
-	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_331, 1_805, 1_676, 515, 1_155, 28_492},
-	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_942, 1_526, 1_395, 935, 3_504, 38_343},
-	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_275, 1_170, 1_081, 643, 1_756, 31_005},
-	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 26_800},
-	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_479, 85_281, 82_046, 2_188, 12_061, 61_193},
-	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_857, 83_111, 80_091, 2_188, 11_855, 61_215},
-	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_649, 55_058, 53_079, 2_177, 11_870, 60_971},
-	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_116, 73_490, 69_890, 2_138, 16_863, 58_988},
-	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_534, 61_983, 59_578, 2_188, 12_052, 61_290},
+	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_299, 1_515, 1_432, 703, 1_878, 31_791},
+	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_073, 1_060, 1_034, 128, 268, 16_367},
+	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_333, 1_801, 1_669, 515, 1_155, 27_023},
+	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_968, 1_603, 1_473, 935, 3_519, 36_623},
+	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_368, 1_919, 1_824, 643, 1_762, 29_698},
+	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 24_993},
+	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_089, 39_738, 38_054, 2_172, 11_874, 59_727},
+	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_431, 6_681, 0, 4_707, 26_261, 262_286},
+	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_332, 15_244, 18, 6_143, 47_404, 346_538},
+	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_873, 5_455, 0, 4_332, 30_586, 252_377},
+	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_676, 59_404, 22, 5_909, 54_607, 370_991},
+	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 9_004, 6_727, 6_510, 706, 1_886, 51_022},
+	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_455, 3_728, 3_643, 128, 270, 33_163},
+	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_300, 10_662, 10_380, 513, 1_160, 44_463},
+	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_770, 15_459, 14_968, 941, 3_542, 54_675},
+	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_465, 10_950, 10_640, 646, 1_751, 48_279},
+	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_919, 8_379, 8_145, 408, 832, 41_749},
+	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_234, 61_623, 59_272, 2_188, 12_050, 77_764},
+	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_649, 57_311, 488, 5_317, 30_781, 420_524},
+	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_186, 53_870, 723, 6_304, 47_816, 502_318},
+	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_178, 43_446, 298, 4_359, 30_155, 396_614},
+	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_980, 229_052, 2_768, 6_099, 57_137, 521_987},
+	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_276, 5_875, 5_684, 706, 1_884, 50_744},
+	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_324, 3_364, 3_289, 128, 270, 32_073},
+	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_232, 9_323, 9_062, 514, 1_162, 44_374},
+	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_756, 13_625, 13_243, 941, 3_468, 54_442},
+	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_229, 10_031, 9_739, 646, 1_762, 47_666},
+	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 41_466},
+	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_769, 61_430, 59_120, 2_188, 11_868, 77_785},
+	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_847, 51_537, 446, 6_023, 37_687, 434_520},
+	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_621, 46_323, 692, 7_313, 58_994, 531_372},
+	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_132, 35_492, 325, 4_395, 30_565, 400_156},
+	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_226, 218_726, 2_846, 6_163, 56_801, 524_959},
+	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_161, 2_005, 1_874, 699, 1_909, 49_213},
+	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_227, 1_060, 1_037, 128, 268, 30_851},
+	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_484, 2_662, 2_517, 513, 1_152, 43_052},
+	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_472, 9_268, 8_937, 941, 3_594, 53_433},
+	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_655, 4_222, 4_038, 648, 1_762, 46_267},
+	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 40_029},
+	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_238, 9_250, 0, 4_571, 24_950, 388_982},
+	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 73_007, 16_713, 0, 6_024, 45_829, 475_150},
+	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_264, 7_120, 0, 4_314, 30_294, 383_802},
+	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_735, 142_257, 855, 5_981, 55_835, 505_263},
+	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_536, 838, 784, 668, 2_327, 49_333},
+	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_543, 763, 749, 128, 468, 32_191},
+	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_326, 2_443, 2_303, 507, 1_890, 43_601},
+	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_617, 1_855, 1_690, 930, 4_642, 54_350},
+	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_385, 1_371, 1_291, 633, 2_498, 47_432},
+	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_864, 782, 744, 409, 1_738, 41_033},
+	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_695, 1_801, 1_736, 534, 1_892, 29_248},
+	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_493, 1_134, 1_109, 128, 535, 16_376},
+	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_713, 2_170, 2_051, 464, 1_773, 26_087},
+	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 35_147},
+	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_936, 2_115, 2_023, 551, 2_118, 28_207},
+	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 25_617},
+	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_052, 42_959, 41_607, 1_633, 8_037, 50_447},
+	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_153, 22_271, 0, 2_622, 28_825, 222_477},
+	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_050, 41_030, 7, 3_676, 34_340, 284_947},
+	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_997, 11_603, 0, 2_927, 29_830, 241_123},
+	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_958, 74_170, 23, 3_915, 40_392, 256_802},
+	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_833, 4_065, 3_914, 706, 1_892, 33_025},
+	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_124, 3_071, 2_999, 128, 270, 16_348},
+	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_679, 7_499, 7_248, 514, 1_163, 27_576},
+	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_911, 9_247, 8_945, 940, 3_490, 36_758},
+	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_605, 7_310, 7_071, 646, 1_780, 29_744},
+	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 25_011},
+	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_213, 984, 919, 703, 1_914, 31_666},
+	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_060, 939, 913, 128, 270, 16_373},
+	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_331, 1_805, 1_676, 515, 1_155, 27_023},
+	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_942, 1_526, 1_395, 935, 3_504, 36_607},
+	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_275, 1_170, 1_081, 643, 1_756, 29_668},
+	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 24_992},
+	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_479, 85_281, 82_046, 2_188, 12_061, 59_925},
+	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_857, 83_111, 80_091, 2_188, 11_855, 59_947},
+	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_649, 55_058, 53_079, 2_177, 11_870, 59_703},
+	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_116, 73_490, 69_890, 2_138, 16_863, 57_699},
+	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_534, 61_983, 59_578, 2_188, 12_052, 60_022},
 }
 
 // TestGateVisits pins the work of every job of gateLists, 3 000 warm-up and

@@ -85,7 +85,7 @@ var lockstepRows = func() []lockstepRow {
 		tune: func(c *arch.Config) { c.DirPortsPerCycle = 1 }, warmup: 100, measure: 1 << 30})
 	jump(lockstepRow{src: barrierWaits(), pol: pol(defense.Unsafe, 0), warmup: 500, measure: 6_000})
 	jump(lockstepRow{src: contendedLines(), pol: pol(defense.Fence, defense.EP),
-		tune: func(c *arch.Config) { cpt1(c); c.PinRecordL1Tags = true }, warmup: 500, measure: 2_000})
+		tune: cpt1, warmup: 500, measure: 2_000})
 
 	// Sleep rows: a policy or configuration over its workloads, each of which
 	// must hold some quiet ticks to a fixed point and sleep through some.
@@ -106,7 +106,9 @@ var lockstepRows = func() []lockstepRow {
 		pol(defense.RCP, defense.Comp), rc(pol(defense.Fence, defense.Comp))} {
 		sleep(p.String(), p, nil, works...)
 	}
-	sleep("L1TagPinRecord", pol(defense.Fence, defense.EP), func(c *arch.Config) { c.PinRecordL1Tags = true }, works[0])
+	// Late Pinning pins a contended line when its data arrives.
+	sleep("Fence-LP", pol(defense.Fence, defense.LP), nil,
+		lockstepRow{src: contendedLines(), cycles: 12_000, stride: 4, floors: []floor{counted("pin.pinned")}})
 	sleep("DirPorts", pol(defense.IS, defense.Comp), func(c *arch.Config) { c.DirPortsPerCycle = 1 }, works[8])
 	sleep("SmallCPT", pol(defense.Fence, defense.EP), cpt1,
 		lockstepRow{src: contendedLines(), cycles: 12_000, stride: 4, floors: []floor{cptReached}})

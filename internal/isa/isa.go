@@ -100,22 +100,6 @@ type Inst struct {
 	// use it to emit alias- and MCV-window gadgets; ordinary workloads
 	// leave it zero.
 	TransientAddr uint64
-
-	// PC is an abstract program counter (a branch's is its site's) used
-	// by trace inspection tools.
-	PC uint64
-}
-
-// Producers appends to dst the absolute indices of i's producers, given that
-// i is the idx-th instruction of its stream, and returns the extended slice.
-// Dependence distances that reach before the start of the stream are ignored.
-func (in *Inst) Producers(idx int64, dst []int64) []int64 {
-	for _, d := range in.Deps {
-		if d > 0 && idx-int64(d) >= 0 {
-			dst = append(dst, idx-int64(d))
-		}
-	}
-	return dst
 }
 
 // String renders the instruction for debugging and trace dumps.

@@ -34,29 +34,6 @@ func TestIsMem(t *testing.T) {
 	}
 }
 
-func TestProducers(t *testing.T) {
-	in := Inst{Op: ALU, Deps: [2]int32{1, 3}}
-	got := in.Producers(10, nil)
-	if len(got) != 2 || got[0] != 9 || got[1] != 7 {
-		t.Fatalf("Producers = %v", got)
-	}
-}
-
-func TestProducersClipsStart(t *testing.T) {
-	in := Inst{Op: ALU, Deps: [2]int32{1, 5}}
-	got := in.Producers(2, nil)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Producers = %v, want [1]", got)
-	}
-}
-
-func TestProducersIgnoresZero(t *testing.T) {
-	in := Inst{Op: ALU}
-	if got := in.Producers(10, nil); len(got) != 0 {
-		t.Fatalf("Producers = %v, want empty", got)
-	}
-}
-
 func TestInstString(t *testing.T) {
 	ld := Inst{Op: Load, Addr: 0x1000}
 	if !strings.Contains(ld.String(), "0x1000") {

@@ -67,7 +67,6 @@ func (en *entry) walk(s ckptio.State) {
 	s.I64(&en.specToken)
 	s.U64(&en.archAddr)
 	s.Bool(&en.resolved)
-	s.Bool(&en.willMispredict)
 	s.Bool(&en.vpReached)
 	s.I64(&en.yroot)
 	s.U32(&en.lqTag)
@@ -238,7 +237,6 @@ func (c *Core) State(s ckptio.State) {
 	}
 
 	s.U64(&c.lqTagNext)
-	ckptio.Queue(s, &c.pendingUnpins, maxSeqList, ckptio.State.U64)
 	tags := ckptio.WalkTable[uint32](s, &c.tagToSeq, maxTableEnts)
 	for tags.Next() {
 		s.U32(&tags.Key)

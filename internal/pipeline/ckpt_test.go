@@ -37,8 +37,8 @@ func TestWalksCoverEveryField(t *testing.T) {
 // TestEntryWalkRejectsMalformed feeds the entry walk records that are wrong in
 // one field: the load must end in the sticky error, not in a wrapped value.
 func TestEntryWalkRejectsMalformed(t *testing.T) {
-	// A zero entry saves as one byte a field: ten of the instruction, seq,
-	// gen, winIdx and wrong, then state at 14 and depsLeft at 15.
+	// A zero entry saves as one byte a field: nine of the instruction, seq,
+	// gen, winIdx and wrong, then state at 13 and depsLeft at 14.
 	var en entry
 	e := ckptio.NewEncoder()
 	en.walk(ckptio.SaveTo(e))
@@ -56,10 +56,10 @@ func TestEntryWalkRejectsMalformed(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := ckptio.NewEncoder()
-			e.Raw(zero[:14])
+			e.Raw(zero[:13])
 			e.U8(tc.state)
 			e.I64(tc.depsLeft)
-			e.Raw(zero[16:])
+			e.Raw(zero[15:])
 			d := ckptio.NewDecoder(e.Bytes())
 			en.walk(ckptio.LoadFrom(d))
 			err := d.Done()

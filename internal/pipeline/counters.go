@@ -65,10 +65,8 @@ type coreCounters struct {
 	pinStallCPTFull *uint64
 	pinStallWB      *uint64
 	pinStallL1Set   *uint64
-	pinStallRecord  *uint64
 	pinStallCST     *uint64
 	pinWraparound   *uint64
-	pinL1TagUnpins  *uint64
 	cptOverflow     *uint64
 
 	storesMerged   *uint64
@@ -123,10 +121,8 @@ func bindCoreCounters(ct *stats.Counters, scheme defense.Scheme) coreCounters {
 		pinStallCPTFull: h("pin.stall_cpt_full"),
 		pinStallWB:      h("pin.stall_wb"),
 		pinStallL1Set:   h("pin.stall_l1set"),
-		pinStallRecord:  h("pin.stall_record"),
 		pinStallCST:     h("pin.stall_cst"),
 		pinWraparound:   h("pin.wraparound"),
-		pinL1TagUnpins:  h("pin.l1tag_unpins"),
 		cptOverflow:     h("cpt.overflow"),
 
 		storesMerged:   h("stores.merged"),

@@ -120,7 +120,7 @@ func (c *Core) complete() {
 		case isa.Branch:
 			e.resolved = true
 			winIdx := e.winIdx
-			mispredict := e.willMispredict
+			mispredict := e.inst.Mispredict && !e.wrong
 			c.finish(e)
 			if mispredict {
 				// Squash the wrong path (if any was dispatched) and

@@ -76,7 +76,7 @@ func (c *Core) dispatch() {
 		if !c.wrongMode {
 			c.fetchPtr++
 		}
-		if in.Op == isa.Branch && !c.wrongMode && c.at(c.tail-1).willMispredict {
+		if in.Op == isa.Branch && !c.wrongMode && in.Mispredict {
 			// The frontend follows the wrong path until this branch
 			// resolves and redirects.
 			c.wrongMode = true
@@ -104,8 +104,6 @@ func (c *Core) insert(in *isa.Inst, winIdx int64) {
 	*c.cnt.dispatched++
 
 	switch in.Op {
-	case isa.Branch:
-		e.willMispredict = in.Mispredict && !e.wrong
 	case isa.Load:
 		c.loadsInROB++
 		c.loadSeqs.push(seq)

@@ -194,7 +194,6 @@ func tickChecked(t *testing.T, c *Core, now int64) {
 		c.active = false
 		c.nCharges = 0
 		c.complete()
-		c.drainUnpins()
 		c.advanceVP()
 		c.pinGovernor()
 		c.validateSpecLoads()

@@ -85,9 +85,6 @@ type entry struct {
 
 	// Control state.
 	resolved bool
-	// willMispredict is the effective prediction outcome for a branch: the
-	// workload annotation, never set on the wrong path.
-	willMispredict bool
 
 	// VP / STT state.
 	vpReached bool
@@ -213,16 +210,15 @@ type Core struct {
 	lqPerformed []int64
 
 	// Pinned Loads state.
-	pinnedRef     table.Table[int] // line -> pinned-load refcount
-	pinFrontier   int64            // next seq to consider for pinning
-	l1CST         *pin.CST
-	dirCST        *pin.CST
-	cpt           *pin.CPT
-	lqTagNext     uint64          // monotonic LQ ID source
-	pendingUnpins ringq.Q[uint64] // queued L1-tag Pinned-bit clears (Section 6.1.2)
-	lqTagMask     uint32
-	tagToSeq      table.Table[int64] // live extended LQ ID -> seq
-	wrapStall     bool               // LQ ID wrapped: stop pinning until pinned drain
+	pinnedRef   table.Table[int] // line -> pinned-load refcount
+	pinFrontier int64            // next seq to consider for pinning
+	l1CST       *pin.CST
+	dirCST      *pin.CST
+	cpt         *pin.CPT
+	lqTagNext   uint64 // monotonic LQ ID source
+	lqTagMask   uint32
+	tagToSeq    table.Table[int64] // live extended LQ ID -> seq
+	wrapStall   bool               // LQ ID wrapped: stop pinning until pinned drain
 	// pinsPerL1Set / pinsPerDirSet count distinct pinned lines per L1 set
 	// and per directory (slice, set), indexed by l1Key/dirKey and grown on
 	// demand. Maintained incrementally at first-pin/last-unpin, they make
@@ -406,7 +402,6 @@ func (c *Core) Tick(now int64) {
 	c.active = false
 	c.nCharges = 0
 	c.complete()
-	c.drainUnpins()
 	c.advanceVP()
 	c.pinGovernor()
 	c.validateSpecLoads()

@@ -234,20 +234,12 @@ func (c *Core) pinGovernor() {
 				c.charge(c.cnt.pinStallL1Set)
 				return
 			}
-			if !c.mayRecordPin(e.line) {
-				c.charge(c.cnt.pinStallRecord)
-				return
-			}
 			c.commitPin(e)
 			continue
 		}
 		// Early Pinning: consult the Cache Shadow Tables.
 		if !c.cstAdmit(e) {
 			c.charge(c.cnt.pinStallCST)
-			return
-		}
-		if !c.mayRecordPin(e.line) {
-			c.charge(c.cnt.pinStallRecord)
 			return
 		}
 		c.commitPin(e)
@@ -394,40 +386,9 @@ func (c *Core) tagLive(tag uint32) bool {
 	return e.pinned && e.lqTag == tag
 }
 
-// mayRecordPin models the cost of the pinned-line record. With the default
-// LQ-based record (paper Section 6.1.1) pinning is free; with the L1-tag
-// record (Section 6.1.2) setting the Pinned bit of a newly pinned line
-// consumes an L1 port, so pinning waits when the ports are busy.
-func (c *Core) mayRecordPin(line uint64) bool {
-	if !c.cfg.PinRecordL1Tags {
-		return true
-	}
-	if c.pins(line) > 0 {
-		// An older pinned load covers the line: the hardware just
-		// passes the YPL bit in the LQ, with no L1 access.
-		return true
-	}
-	return c.l1.AcquirePort()
-}
-
-// recordUnpin models the unpin cost of the L1-tag record: clearing the
-// Pinned bit needs an L1 access; it queues until a port is free.
-func (c *Core) recordUnpin(line uint64) {
-	if !c.cfg.PinRecordL1Tags {
-		return
-	}
-	c.pendingUnpins.Push(line)
-}
-
-// drainUnpins retires queued Pinned-bit clears, one port each.
-func (c *Core) drainUnpins() {
-	for c.pendingUnpins.Len() > 0 && c.l1.AcquirePort() {
-		c.pendingUnpins.Pop()
-		*c.cnt.pinL1TagUnpins++
-	}
-}
-
-// commitPin marks the load pinned and advances the pin frontier.
+// commitPin marks the load pinned and advances the pin frontier. The
+// pinned-line record is the LQ's (paper Section 6.1.1), so pinning costs no
+// L1 port.
 func (c *Core) commitPin(e *entry) {
 	c.active = true
 	e.pinned = true
@@ -463,10 +424,6 @@ func (c *Core) unpin(e *entry) {
 		last = 1
 		c.pinnedRef.Del(e.line)
 		c.bumpSetPins(e.line, -1)
-		// Last pinned load of the line: with the L1-tag record, the
-		// Pinned bit in the cache must be cleared (the retiring load
-		// carries the YPL bit, paper Section 6.1.2).
-		c.recordUnpin(e.line)
 	}
 	if c.tracing {
 		c.rec.Record(obs.Event{Cycle: c.now, Core: int16(c.id), Kind: obs.KindUnpin,

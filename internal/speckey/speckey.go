@@ -28,8 +28,9 @@ import (
 // Version prefixes every canonical encoding. Bumping it invalidates all
 // previously derived keys (and therefore all cached results): v3 retired the
 // results whose stall counters counted attempts rather than core-cycles, v4
-// the keys that encoded the deleted RealPredictor and CPTReserve fields.
-const Version = "plspec-v4"
+// the keys that encoded the deleted RealPredictor and CPTReserve fields, v5
+// those that encoded the switch to the deleted L1-tag pinned-line record.
+const Version = "plspec-v5"
 
 // Spec is the canonical description of one simulation run. Scheme and
 // Variant are the paper's names (e.g. "Fence", "EP") rather than enum

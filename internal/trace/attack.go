@@ -152,17 +152,8 @@ type atkGen struct {
 	pending  []isa.Inst
 	pendPos  int
 	iter     int
-	pc       uint64
 	wrongPos int
 	wrong    []isa.Inst
-}
-
-func (g *atkGen) emit(in isa.Inst) isa.Inst {
-	g.pc += 4
-	if in.PC == 0 {
-		in.PC = g.pc
-	}
-	return in
 }
 
 // next drains the pending queue, calling refill once per iteration until
@@ -180,20 +171,18 @@ func (g *atkGen) next(refill func()) isa.Inst {
 	}
 	in := g.pending[g.pendPos]
 	g.pendPos++
-	return g.emit(in)
+	return in
 }
 
 // wrongNext walks the wrong-path script, padding with dependent ALU filler
 // once the script runs out.
 func (g *atkGen) wrongNext() isa.Inst {
-	g.pc += 4
 	if g.wrongPos < len(g.wrong) {
 		in := g.wrong[g.wrongPos]
 		g.wrongPos++
-		in.PC = g.pc
 		return in
 	}
-	return isa.Inst{Op: isa.ALU, Lat: 1, Deps: [2]int32{1, 2}, PC: g.pc}
+	return isa.Inst{Op: isa.ALU, Lat: 1, Deps: [2]int32{1, 2}}
 }
 
 // pad appends n dependent single-cycle ALU ops, jittered by the seed so
@@ -233,7 +222,6 @@ func (g *spectreGen) Next() isa.Inst {
 		g.delayChain(4, 60)
 		g.pending = append(g.pending, isa.Inst{
 			Op: isa.Branch, Taken: false, Mispredict: true, Deps: [2]int32{1},
-			PC: 0x40000 + uint64(iter)*4,
 		})
 		g.pad(6)
 		g.wrong = []isa.Inst{
@@ -336,7 +324,7 @@ func (g *mcvAttackerGen) Next() isa.Inst {
 	}
 	in := g.pending[g.pendPos]
 	g.pendPos++
-	return g.emit(in)
+	return in
 }
 
 func (g *mcvAttackerGen) WrongPath() isa.Inst { return g.wrongNext() }
@@ -368,7 +356,6 @@ func (g *intfVictimGen) Next() isa.Inst {
 		g.delayChain(2, 60)
 		g.pending = append(g.pending, isa.Inst{
 			Op: isa.Branch, Taken: false, Mispredict: true, Deps: [2]int32{1},
-			PC: 0x50000 + uint64(iter)*4,
 		})
 		g.pad(4)
 		// Wrong path: a secret-independent trigger load, then a burst of
@@ -404,8 +391,7 @@ func (g *intfAttackerGen) Next() isa.Inst {
 	g.iter++
 	line := atkStream/arch.LineBytes +
 		uint64(g.iter)*8 + uint64(g.atk.TargetSlice)
-	return g.emit(isa.Inst{Op: isa.Load, Addr: line * arch.LineBytes,
-		Deps: [2]int32{1}})
+	return isa.Inst{Op: isa.Load, Addr: line * arch.LineBytes, Deps: [2]int32{1}}
 }
 
 func (g *intfAttackerGen) WrongPath() isa.Inst { return g.wrongNext() }

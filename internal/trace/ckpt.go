@@ -26,12 +26,6 @@ func walkRNG(s ckptio.State, r *xrand.RNG) {
 	r.SetState(v)
 }
 
-func (b *branchSite) walk(s ckptio.State) {
-	s.U64(&b.pc)
-	s.F64(&b.taken)
-	s.Bool(&b.hard)
-}
-
 // State walks a profile generator created from one Profile, core and seed:
 // the stream position, RNG streams, kernel cursors and lazily built branch
 // sites.
@@ -54,7 +48,7 @@ func (g *profileGen) State(s ckptio.State) {
 	if built {
 		ckptio.Slice(s, &g.sites, maxSites)
 		for i := range g.sites {
-			g.sites[i].walk(s)
+			s.F64(&g.sites[i])
 		}
 	} else {
 		g.sites = nil
@@ -62,7 +56,6 @@ func (g *profileGen) State(s ckptio.State) {
 	walkInsts(s, &g.pending)
 	s.Int(&g.pendPos)
 	s.Int(&g.sinceBarrier)
-	s.U64(&g.pc)
 }
 
 // State walks a script generator (position only; the sequence is
@@ -80,7 +73,6 @@ func (g *atkGen) State(s ckptio.State) {
 	walkInsts(s, &g.pending)
 	s.Int(&g.pendPos)
 	s.Int(&g.iter)
-	s.U64(&g.pc)
 	s.Int(&g.wrongPos)
 	walkInsts(s, &g.wrong)
 }

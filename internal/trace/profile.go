@@ -150,13 +150,12 @@ type profileGen struct {
 	sharedLines uint64
 	lockLines   int
 
-	idx          int64 // correct-path instructions generated
-	lastLoad     int64 // index of the most recent load
-	sites        []branchSite
+	idx          int64     // correct-path instructions generated
+	lastLoad     int64     // index of the most recent load
+	sites        []float64 // each branch site's probability of being taken
 	pending      []isa.Inst
 	pendPos      int
 	sinceBarrier int
-	pc           uint64
 }
 
 // pickKernel selects a kernel by weight.
@@ -233,13 +232,8 @@ func (g *profileGen) Next() isa.Inst {
 	}
 }
 
-// emit assigns a PC (unless the instruction carries a static site PC),
-// advances the stream index, and tracks the last load.
+// emit advances the stream index and tracks the last load.
 func (g *profileGen) emit(in isa.Inst) isa.Inst {
-	g.pc += 4
-	if in.PC == 0 {
-		in.PC = g.pc
-	}
 	if in.Op == isa.Load || in.Op == isa.Lock {
 		g.lastLoad = g.idx
 	}
@@ -309,25 +303,19 @@ func (g *profileGen) genStore(parallel bool) isa.Inst {
 	return in
 }
 
-// branchSites is the number of static branch sites a generator models.
-// Each site has its own PC and taken bias so that real table-based
-// predictors can learn the stream; "hard" sites are coin flips and account
-// for the profile's misprediction rate.
+// branchSites is the number of static branch sites a generator models, each
+// with its own taken bias: "hard" sites are coin flips, the rest strongly
+// biased one way.
 const branchSites = 64
-
-type branchSite struct {
-	pc    uint64
-	taken float64 // probability the branch is taken
-	hard  bool
-}
 
 // initBranchSites lazily creates the generator's branch-site population.
 func (g *profileGen) initBranchSites() {
 	if g.sites != nil {
 		return
 	}
-	// With biased sites mispredicted ~3% of the time by a trained
-	// predictor, hard (50/50) sites supply the rest of the target rate.
+	// The share of hard sites follows the misprediction rate (sized for a
+	// trained predictor that misses a biased site ~3% of the time);
+	// Mispredict itself is drawn per branch in genBranch.
 	hardFrac := (g.p.MispredictRate - 0.015) * 2
 	if hardFrac < 0 {
 		hardFrac = g.p.MispredictRate
@@ -336,27 +324,23 @@ func (g *profileGen) initBranchSites() {
 		hardFrac = 1
 	}
 	for i := 0; i < branchSites; i++ {
-		s := branchSite{pc: 0x10000 + uint64(i)*4}
+		taken := 0.03
 		if g.rng.Bool(hardFrac) {
-			s.hard = true
-			s.taken = 0.5
+			taken = 0.5
 		} else if g.rng.Bool(0.5) {
-			s.taken = 0.97
-		} else {
-			s.taken = 0.03
+			taken = 0.97
 		}
-		g.sites = append(g.sites, s)
+		g.sites = append(g.sites, taken)
 	}
 }
 
 func (g *profileGen) genBranch() isa.Inst {
 	p := g.p
 	g.initBranchSites()
-	site := &g.sites[g.rng.Intn(len(g.sites))]
+	taken := g.sites[g.rng.Intn(len(g.sites))]
 	in := isa.Inst{
 		Op:         isa.Branch,
-		PC:         site.pc,
-		Taken:      g.rng.Bool(site.taken),
+		Taken:      g.rng.Bool(taken),
 		Mispredict: g.rng.Bool(p.MispredictRate),
 	}
 	if g.rng.Bool(p.BranchDepLoad) {
@@ -428,15 +412,13 @@ func (g *profileGen) sharedAddr() uint64 {
 // WrongPath implements Generator: transient instructions are a mix of
 // compute and loads into the first kernel's footprint.
 func (g *profileGen) WrongPath() isa.Inst {
-	g.pc += 4
 	if g.wrongRNG.Bool(0.3) && len(g.kernels) > 0 {
 		k := &g.kernels[0]
 		return isa.Inst{
 			Op:   isa.Load,
 			Addr: k.base + g.wrongRNG.Uint64n(k.lines)*arch.LineBytes,
 			Deps: [2]int32{1},
-			PC:   g.pc,
 		}
 	}
-	return isa.Inst{Op: isa.ALU, Lat: 1, Deps: [2]int32{1, 2}, PC: g.pc}
+	return isa.Inst{Op: isa.ALU, Lat: 1, Deps: [2]int32{1, 2}}
 }

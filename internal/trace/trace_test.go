@@ -371,42 +371,6 @@ func TestAddressesLineAligned(t *testing.T) {
 	}
 }
 
-func TestBranchSitesLearnable(t *testing.T) {
-	// Branch instructions must carry stable per-site PCs with biased
-	// outcomes so table-based predictors can learn the stream.
-	p := ByName("leela_r")
-	g := p.Generator(0, 1)
-	taken := map[uint64][2]int{} // pc -> [taken, total]
-	for i := 0; i < 300000; i++ {
-		in := g.Next()
-		if in.Op != isa.Branch {
-			continue
-		}
-		c := taken[in.PC]
-		if in.Taken {
-			c[0]++
-		}
-		c[1]++
-		taken[in.PC] = c
-	}
-	if len(taken) == 0 || len(taken) > 64 {
-		t.Fatalf("branch sites = %d, want 1..64", len(taken))
-	}
-	biased := 0
-	for _, c := range taken {
-		if c[1] < 50 {
-			continue
-		}
-		rate := float64(c[0]) / float64(c[1])
-		if rate < 0.1 || rate > 0.9 {
-			biased++
-		}
-	}
-	if biased == 0 {
-		t.Fatal("no biased (learnable) branch sites")
-	}
-}
-
 func TestSharedAccessesVisibleAcrossCores(t *testing.T) {
 	// Different cores of a parallel proxy must touch overlapping shared
 	// lines — otherwise there is no coherence traffic to study.

@@ -2,6 +2,8 @@ package tracefile
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -17,22 +19,22 @@ func fuzzSeedTrace() *Trace {
 		TraceName: "fuzz-seed.trace",
 		Streams: [][]isa.Inst{
 			{
-				{Op: isa.Load, Addr: 0x4000, PC: 0x100, Deps: [2]int32{1, 0}},
-				{Op: isa.Store, Addr: 0x4040, PC: 0x104},
-				{Op: isa.Branch, Taken: true, Mispredict: true, PC: 0x108},
-				{Op: isa.ALU, Lat: 3, PC: 0x10c},
-				{Op: isa.Load, Addr: 0x8000, Fault: true, PC: 0x90},
+				{Op: isa.Load, Addr: 0x4000, Deps: [2]int32{1, 0}},
+				{Op: isa.Store, Addr: 0x4040},
+				{Op: isa.Branch, Taken: true, Mispredict: true},
+				{Op: isa.ALU, Lat: 3},
+				{Op: isa.Load, Addr: 0x8000, Fault: true},
 			},
 			{
-				{Op: isa.Fence, PC: 0x200},
-				{Op: isa.Lock, Addr: 0x9000, PC: 0x204},
-				{Op: isa.Barrier, PC: 0x208},
-				{Op: isa.Halt, PC: 0x20c},
+				{Op: isa.Fence},
+				{Op: isa.Lock, Addr: 0x9000},
+				{Op: isa.Barrier},
+				{Op: isa.Halt},
 			},
 		},
 		Wrong: [][]isa.Inst{
-			{{Op: isa.Nop, PC: 0x300}},
-			{{Op: isa.Load, Addr: 0xdead40, PC: 0x304}},
+			{{Op: isa.Nop}},
+			{{Op: isa.Load, Addr: 0xdead40}},
 		},
 		Warm: [][]arch.LineRange{{{First: 0x100, N: 2}, {First: 0x200, N: 1}}, nil},
 	}
@@ -47,12 +49,19 @@ func FuzzTracefileRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	// A recorded generator trace exercises the PC-delta and warm-line paths.
+	// A recorded generator trace exercises the warm-line path.
 	rec, err := Record(trace.ByName("gcc_r"), 1, 32).Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(rec)
+	// A file the v2 writer left: its PC deltas are read and dropped, and it
+	// re-encodes as v3.
+	v2, err := os.ReadFile(filepath.Join("testdata", "fuzz-seed.v2.pltr"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
 	f.Add([]byte{})
 	f.Add([]byte("PLTR"))
 	f.Add([]byte("PLTR\x02\x01\x00"))

@@ -4,7 +4,7 @@
 // can be replayed bit-identically across simulator versions, shared, or
 // inspected offline (cmd/pltrace -record / -replay).
 //
-// Format v2 is one ckptio.State walk (Trace.walk), so it is varint-packed:
+// Format v3 is one ckptio.State walk (Trace.walk), so it is varint-packed:
 //
 //	magic "PLTR" | version u8 | cores uvarint (at least one)
 //	| name-length uvarint + name
@@ -13,7 +13,10 @@
 //	          | warm-line-count uvarint | warm lines (zigzag deltas)
 //	record:   op u8 | flags u8 (taken, mispredict, fault)
 //	          | lat uvarint | dep0 uvarint | dep1 uvarint
-//	          | addr uvarint (mem ops only) | pc-delta zigzag
+//	          | addr uvarint (mem ops only)
+//
+// Format v2 also ended each record with a program-counter delta (zigzag);
+// loading a v2 file reads it and drops it, since nothing replays a PC.
 //
 // Warm lines capture the workload's LLC-resident working set so a replayed
 // trace starts from the same warm-cache state as the original generator
@@ -31,10 +34,12 @@ import (
 	"pinnedloads/internal/trace"
 )
 
-// magic identifies trace files; version gates format changes.
+// magic identifies trace files; version gates format changes, and
+// versionPC is the older format Decode still reads.
 const (
-	magic   = "PLTR"
-	version = 2
+	magic     = "PLTR"
+	version   = 3
+	versionPC = 2
 )
 
 // maxCores bounds a decoded core count. Every other count is bounded by the
@@ -189,7 +194,7 @@ func (t *Trace) walk(s ckptio.State) {
 	}
 	v := uint8(version)
 	s.U8(&v)
-	if v != version {
+	if v != version && v != versionPC {
 		s.Failf("unsupported trace version %d", v)
 	}
 	cores := s.Count(len(t.Streams), maxCores)
@@ -203,18 +208,17 @@ func (t *Trace) walk(s ckptio.State) {
 		t.Warm = make([][]arch.LineRange, cores)
 	}
 	for c := range cores {
-		walkStream(s, &t.Streams[c])
-		walkStream(s, &t.Wrong[c])
+		walkStream(s, &t.Streams[c], v == versionPC)
+		walkStream(s, &t.Wrong[c], v == versionPC)
 		walkWarm(s, &t.Warm[c])
 	}
 }
 
 // walkStream walks a count and that many records. A record leaves out what
-// replay does not need (TransientAddr, the address of a non-memory op) and
-// writes its PC as the zigzag delta from the previous one.
-func walkStream(s ckptio.State, insts *[]isa.Inst) {
+// replay does not need (TransientAddr, the address of a non-memory op); a
+// v2 record's trailing PC delta (withPC, loading only) is read and dropped.
+func walkStream(s ckptio.State, insts *[]isa.Inst, withPC bool) {
 	ckptio.Slice(s, insts, math.MaxInt)
-	var lastPC uint64
 	for i := range *insts {
 		in := &(*insts)[i]
 		s.U8((*uint8)(&in.Op))
@@ -236,16 +240,16 @@ func walkStream(s ckptio.State, insts *[]isa.Inst) {
 		if in.Op.IsMem() {
 			s.U64(&in.Addr)
 		}
-		pc := int64(in.PC) - int64(lastPC)
-		s.I64(&pc)
+		if withPC {
+			var pc int64
+			s.I64(&pc)
+		}
 		if s.Loading() {
 			in.Lat, in.Deps = uint8(lat), [2]int32{int32(d0), int32(d1)}
 			in.Taken = flags&flagTaken != 0
 			in.Mispredict = flags&flagMispredict != 0
 			in.Fault = flags&flagFault != 0
-			in.PC = uint64(int64(lastPC) + pc)
 		}
-		lastPC = in.PC
 	}
 }
 
