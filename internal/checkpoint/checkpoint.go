@@ -39,10 +39,14 @@ import (
 // reservation queue, parts no configuration builds any more. Version 7
 // drops every instruction's program counter (a generator's, each queued
 // instruction's and each ROB entry's), the ROB entry's mispredict copy and
-// the core's queue of L1-tag unpins. Exactly one version is readable:
-// anything else, older blobs included, is a *VersionError and the caller
-// runs cold — there is no migration code.
-const Version = 7
+// the core's queue of L1-tag unpins. Version 8 drops a core's indexes over
+// its ROB — the load count, the seq lists, the performed-load list, the
+// token, tag and pinned-line tables and the per-set pin counts — which a
+// restore rebuilds from the ROB, and writes the write buffer right after the
+// ROB. Exactly one version is readable: anything
+// else, older blobs included, is a *VersionError and the caller runs cold —
+// there is no migration code.
+const Version = 8
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

@@ -59,7 +59,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte("not a checkpoint"))  // garbage
 	f.Add(bytes.Repeat([]byte{0}, 64)) // zeros
 	badVersion := append([]byte(nil), valid...)
-	badVersion[4] = 7
+	badVersion[4] = Version + 1
 	f.Add(badVersion)
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-1] ^= 0xff

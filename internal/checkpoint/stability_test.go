@@ -25,14 +25,19 @@ import (
 // retires and then stalls (gcc_r 39 285 to 39 282 bytes, ocean_cp 362 036 to
 // 362 451); version 7 dropped every instruction's program counter, a ROB
 // entry's mispredict copy and a core's L1-tag unpin queue (gcc_r 39 282 to
-// 37 907 bytes, ocean_cp 362 451 to 349 956).
+// 37 907 bytes, ocean_cp 362 451 to 349 956); version 8 dropped a core's
+// indexes over its ROB, which a restore rebuilds: the load count, the seq
+// lists, the performed-load list, the three tables and the per-set pin counts
+// that had grown to the highest set pinned so far, and moved the write buffer
+// up behind the ROB (gcc_r 37 907 to 23 405 bytes, ocean_cp 349 956 to
+// 220 747).
 // ocean_cp is the 8-core row: its lines
 // have sharers and owners, so it pins the long form and the backlog as the
 // SPEC17 rows pin the runs.
 const (
-	pinGccDOMLP   uint64 = 0x6d52c8681fa3f633
-	pinMcfRCPCmp  uint64 = 0xc2183bd5646118f8
-	pinOceanDOMEP uint64 = 0xc60bfbf5a4f125a5
+	pinGccDOMLP   uint64 = 0x95acb4acb9a8b43e
+	pinMcfRCPCmp  uint64 = 0xf2ed8ed4352b9d98
+	pinOceanDOMEP uint64 = 0x723c8d6f587287df
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -78,10 +83,10 @@ func TestCheckpointSizeRatchet(t *testing.T) {
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 37907},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30653},
-		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15617},
-		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 349956},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23405},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30448},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15606},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220747},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {

@@ -273,15 +273,15 @@ func Queue[T any](s State, q *ringq.Q[T], max int, walk func(State, *T)) {
 
 // TableKey is a key type a table walk carries: the table keys by the uint64
 // the key converts to, and the walk writes the key as its own type.
-type TableKey interface{ ~int64 | ~uint64 | ~uint32 }
+type TableKey interface{ ~int64 | ~uint64 }
 
 // TableWalk steps a walk through a table in ascending key order, the order
 // that makes the bytes deterministic, as the count and then each pair:
 //
-//	tokens := ckptio.WalkTable[int64](s, &c.tokenSeq, maxTableEnts)
-//	for tokens.Next() {
-//		s.I64(&tokens.Key)
-//		s.I64(&tokens.Val)
+//	spec := ckptio.WalkTable[int64](s, &l.spec, maxTxns)
+//	for spec.Next() {
+//		s.I64(&spec.Key)
+//		spec.Val.walk(s)
 //	}
 //
 // Saving, Next presents each entry in turn; loading, the table is emptied,

@@ -13,15 +13,16 @@ import (
 // derived from, as coherence.System.CheckResidency does a directory's, and
 // its pinned lines to the bounds the pin governor keeps. The head slot and
 // every live slot's seq must be their place in the ring, every live
-// Delay-On-Miss probe memo a fresh Probe, the seq lists and the load-queue
-// candidate lists a walk of the whole ROB (and under Fence every candidate
-// past the gate bound held), the store-address filter a recount
-// of the store queue and the write buffer, lastOdd the loads it must cover,
-// the three tables the ROB and the per-set pin counts the pinned lines. No
-// L1 set may hold more pinned lines than L1Ways-1 (l1SetRoom), under Early
-// Pinning no directory set more than Wd (paper Section 5.1.4), and no table
-// more entries than the load queue. It returns the first violation found, or
-// nil. Tests call it between cycles; the simulator never does.
+// Delay-On-Miss probe memo a fresh Probe, perfLines hold every performed
+// load's line, the load count, the seq lists and the candidate lists a walk
+// of the whole ROB (and under Fence every candidate past the gate bound
+// held), the store-address filter a recount of the store queue and the write
+// buffer, lastOdd the loads it must cover, the three tables the ROB and the
+// per-set pin counts the pinned lines. No L1 set may hold more pinned lines
+// than L1Ways-1 (l1SetRoom), under Early Pinning no directory set more than
+// Wd (paper Section 5.1.4), and no table more entries than the load queue.
+// It returns the first violation found, or nil. Tests call it between
+// cycles; the simulator never does.
 func (c *Core) Check() error {
 	for _, check := range []func() error{c.checkCandidates, c.checkStoreFilter, c.checkTables, c.checkSetPins} {
 		if err := check(); err != nil {
@@ -63,21 +64,32 @@ func (c *Core) bruteForceCandidates() (loads, stores, fences, issue, expose, spe
 }
 
 // checkCandidates holds the head slot and the slots' seqs to the ring, every
-// live probe memo to a fresh Probe, every seq list to the brute-force walk,
-// and under Fence every candidate past the gate bound to being held.
+// live probe memo to a fresh Probe, the load count to the loads and locks in
+// flight, every seq list to the brute-force walk, and under Fence every
+// candidate past the gate bound to being held.
 func (c *Core) checkCandidates() error {
 	if got := int(c.head % int64(len(c.entries))); c.headSlot != got {
 		return fmt.Errorf("headSlot %d, head %% len is %d", c.headSlot, got)
 	}
+	lq := 0
 	for seq := c.head; seq < c.tail; seq++ {
 		e := c.at(seq)
 		if e.seq != seq {
 			return fmt.Errorf("slot of seq %d holds seq %d", seq, e.seq)
 		}
+		if e.inst.Op == isa.Load || e.inst.Op == isa.Lock {
+			lq++
+		}
+		if e.isLoad() && e.performed && c.perfLines&lineBit(e.line) == 0 {
+			return fmt.Errorf("performed load %d's line %#x has no bit in perfLines %#x", seq, e.line, c.perfLines)
+		}
 		if e.probeEpoch == c.l1.TagEpoch() && e.probeHit != c.l1.Probe(e.probeLine) {
 			return fmt.Errorf("seq %d remembers Probe(%#x) = %v at epoch %d, a fresh Probe disagrees",
 				seq, e.probeLine, e.probeHit, e.probeEpoch)
 		}
+	}
+	if c.loadsInROB != lq {
+		return fmt.Errorf("loadsInROB = %d, the ROB [%d, %d) holds %d loads and locks", c.loadsInROB, c.head, c.tail, lq)
 	}
 	loads, stores, fences, issue, expose, spec := c.bruteForceCandidates()
 	for _, l := range []struct {
@@ -170,41 +182,37 @@ func (c *Core) checkTables() error {
 	return nil
 }
 
-// checkSetPins holds the incremental per-set pin counts to a recount of the
-// pinned lines, and the counts to the bounds pinning keeps.
+// checkSetPins holds the per-set pin counts to a recount of the pinned
+// lines, and the counts to the bounds pinning keeps. The counts are nil
+// until the core's first pin.
 func (c *Core) checkSetPins() error {
-	wantL1 := map[uint32]int32{}
-	wantDir := map[uint32]int32{}
+	if c.pinsPerL1Set == nil {
+		if n := c.pinnedRef.Len(); n > 0 {
+			return fmt.Errorf("%d pinned lines and no per-set pin counts", n)
+		}
+		return nil
+	}
+	wantL1 := make([]int32, len(c.pinsPerL1Set))
+	wantDir := make([]int32, len(c.pinsPerDirSet))
 	for line := range c.pinnedRef.All() {
 		wantL1[c.l1Key(line)]++
 		wantDir[c.dirKey(line)]++
 	}
 	for _, set := range []struct {
-		name  string
-		got   []int32
-		want  map[uint32]int32
-		bound int
-		kept  bool
+		name      string
+		got, want []int32
+		bound     int
+		kept      bool
 	}{
 		{"pinsPerL1Set", c.pinsPerL1Set, wantL1, c.cfg.L1Ways - 1, c.policy.Pinning()},
 		{"pinsPerDirSet", c.pinsPerDirSet, wantDir, c.cfg.Wd, c.policy.Variant == defense.EP},
 	} {
-		found := 0 // the keys of set.want passed with a count
 		for key, n := range set.got {
-			if n == 0 {
-				continue
-			}
-			if want := set.want[uint32(key)]; n != want {
-				return fmt.Errorf("%s[%d] = %d, the pinned lines say %d", set.name, key, n, want)
+			if n != set.want[key] {
+				return fmt.Errorf("%s[%d] = %d, the pinned lines say %d", set.name, key, n, set.want[key])
 			}
 			if set.kept && int(n) > set.bound {
 				return fmt.Errorf("%s bound %d: %d pinned lines in set %d", set.name, set.bound, n, key)
-			}
-			found++
-		}
-		for key, n := range set.want {
-			if found < len(set.want) && (int(key) >= len(set.got) || set.got[key] == 0) {
-				return fmt.Errorf("%s misses key %d (the pinned lines say %d)", set.name, key, n)
 			}
 		}
 	}

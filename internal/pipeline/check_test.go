@@ -18,6 +18,7 @@ func TestCheckNamesEachWreck(t *testing.T) {
 		want  string
 	}{
 		{"intact", func(c *Core) {}, ""},
+		{"load count", func(c *Core) { c.loadsInROB++ }, "loadsInROB = "},
 		{"load list", func(c *Core) { c.loadSeqs.reset() }, "loadSeqs = [], a walk of the ROB"},
 		{"candidate list", func(c *Core) { c.issueCand.insert(c.tail - 1) }, "issueCand = "},
 		{"head slot", func(c *Core) { c.headSlot++ }, "headSlot"},

@@ -1,14 +1,16 @@
 package pipeline
 
-import "pinnedloads/internal/ckptio"
+import (
+	"pinnedloads/internal/ckptio"
+	"pinnedloads/internal/isa"
+)
 
-// Decode bounds: every list here is bounded by ROB occupancy or the
-// frontend window in a live core; the caps are far above either.
+// Decode bounds: every list here is bounded by ROB occupancy, the write
+// buffer or the frontend window in a live core; the caps are far above any.
 const (
-	maxRefs      = 1 << 20
-	maxSeqList   = 1 << 20
-	maxWindow    = 1 << 16
-	maxTableEnts = 1 << 20
+	maxRefs    = 1 << 20
+	maxSeqList = 1 << 20
+	maxWindow  = 1 << 16
 )
 
 func (r *ref) walk(s ckptio.State) {
@@ -20,29 +22,6 @@ func walkRefs(s ckptio.State, refs *[]ref) {
 	ckptio.Slice(s, refs, maxRefs)
 	for i := range *refs {
 		(*refs)[i].walk(s)
-	}
-}
-
-// walk carries a list of live seqs, read straight into the list's own
-// storage. Loading rejects one that is not strictly ascending (every seqList
-// operation relies on the order) or that names a seq outside the ROB window
-// [head, tail), whose slot belongs to another instruction.
-func (l *seqList) walk(s ckptio.State, head, tail int64) {
-	if s.Loading() {
-		l.reset()
-	}
-	seqs := l.seqs()
-	ckptio.Slice(s, &seqs, maxSeqList)
-	prev := head - 1
-	for i := range seqs {
-		s.I64(&seqs[i])
-		if s.Loading() && s.Err() == nil && (seqs[i] <= prev || seqs[i] >= tail) {
-			s.Failf("seq %d after %d in a list of the ROB window [%d, %d)", seqs[i], prev, head, tail)
-		}
-		prev = seqs[i]
-	}
-	if s.Loading() {
-		l.buf, l.hi = seqs[:cap(seqs)], len(seqs)
 	}
 }
 
@@ -77,42 +56,83 @@ func (en *entry) walk(s ckptio.State) {
 	}
 }
 
-// rebuildCandidates recomputes the load-queue candidate lists and lastOdd
-// from the unretired loads, and resets Fence's record of new candidates.
-func (c *Core) rebuildCandidates() {
-	c.issueCand.reset()
-	c.exposeCand.reset()
-	c.specCand.reset()
-	c.freshFrom = 0 // lastOdd may now be below the one saved, and with it the gate bound
-	c.lastOdd = -1
-	for _, seq := range c.loadSeqs.seqs() {
-		e := c.at(seq)
-		if e.inst.Fault || e.inst.TransientAddr != 0 {
-			c.lastOdd = seq
-		}
-		if e.state == stAddrDone {
-			c.issueCand.push(seq)
-		}
-		if e.invisible && e.performed && !e.exposeDone && e.token == 0 {
-			c.exposeCand.push(seq)
-		}
-		if e.specToken != 0 && e.performed && e.inst.TransientAddr != 0 {
-			c.specCand.push(seq)
-		}
+// rebuild recomputes the core's indexes over the ROB window [head, tail) in
+// one pass: the seq lists and the load count, the load-queue candidate lists
+// and lastOdd, the store-address filter (the write buffer's addresses too),
+// the token, tag and pinned-line tables and the per-set pin counts. It resets
+// Fence's record of new candidates. Loading fails on a live slot that does
+// not hold its own seq, on a pinned load under a policy that does not pin,
+// and on more memory tokens or pinned loads than a table's load-queue bound.
+func (c *Core) rebuild(s ckptio.State) {
+	for _, l := range [...]*seqList{&c.fences, &c.loadSeqs, &c.storeSeqs,
+		&c.issueCand, &c.exposeCand, &c.specCand} {
+		l.reset()
 	}
-}
-
-// rebuildStoreFilter recounts stFilter from the resolved stores of the store
-// queue and the write buffer, so it runs once both are loaded.
-func (c *Core) rebuildStoreFilter() {
+	c.loadsInROB = 0
+	c.perfLines = ^uint64(0) // every line may have a performed load; OnInvalidate narrows it
 	c.stFilter = [len(c.stFilter)]uint16{}
-	for _, seq := range c.storeSeqs.seqs() {
-		if e := c.at(seq); e.addrReady {
-			c.stFilter[stHash(e.inst.Addr)]++
-		}
-	}
 	for i := 0; i < c.wb.Len(); i++ {
 		c.stFilter[stHash(c.wb.At(i))]++
+	}
+	c.tokenSeq.Clear()
+	c.pinnedRef.Clear()
+	c.tagToSeq.Clear()
+	clear(c.pinsPerL1Set)
+	clear(c.pinsPerDirSet)
+	c.freshFrom = 0 // lastOdd may now be below the one saved, and with it the gate bound
+	c.lastOdd = -1
+	for seq := c.head; seq < c.tail; seq++ {
+		e := c.at(seq)
+		if e.seq != seq {
+			s.Failf("ROB slot of seq %d holds seq %d", seq, e.seq)
+			return
+		}
+		switch e.inst.Op {
+		case isa.Load:
+			c.loadsInROB++
+			c.loadSeqs.push(seq)
+			if e.inst.Fault || e.inst.TransientAddr != 0 {
+				c.lastOdd = seq
+			}
+			if e.state == stAddrDone {
+				c.issueCand.push(seq)
+			}
+			if e.invisible && e.performed && !e.exposeDone && e.token == 0 {
+				c.exposeCand.push(seq)
+			}
+			if e.specToken != 0 && e.performed && e.inst.TransientAddr != 0 {
+				c.specCand.push(seq)
+			}
+		case isa.Lock:
+			c.loadsInROB++
+			c.fences.push(seq)
+		case isa.Store:
+			c.storeSeqs.push(seq)
+			if e.addrReady {
+				c.stFilter[stHash(e.inst.Addr)]++
+			}
+		case isa.Fence, isa.Barrier:
+			c.fences.push(seq)
+		}
+		if e.token != 0 && !c.tokenSeq.Set(uint64(e.token), seq) {
+			s.Failf("seq %d: more memory tokens than a %d-entry load queue holds", seq, c.tokenSeq.Limit())
+			return
+		}
+		if !e.pinned {
+			continue
+		}
+		if !c.policy.Pinning() {
+			s.Failf("seq %d: pinned load under %v, which does not pin", seq, c.policy)
+			return
+		}
+		n := c.pins(e.line)
+		if !c.tagToSeq.Set(uint64(e.lqTag), seq) || !c.pinnedRef.Set(e.line, n+1) {
+			s.Failf("seq %d: more pinned loads than a %d-entry load queue holds", seq, c.pinnedRef.Limit())
+			return
+		}
+		if n == 0 {
+			c.bumpSetPins(e.line, +1)
+		}
 	}
 }
 
@@ -137,8 +157,8 @@ func (b *BarrierSync) State(s ckptio.State) {
 // generator's position. It fails if the workload generator does not support
 // checkpointing. Loading restores a core built from the same
 // configuration, policy and workload: derived state (the head slot, the
-// load-queue candidate lists, the calendar occupancy mask) is rebuilt from
-// the restored fields, and the core starts awake.
+// indexes that rebuild recomputes, the calendar occupancy mask) is rebuilt
+// from the restored fields, and the core starts awake.
 func (c *Core) State(s ckptio.State) {
 	gen, ok := c.gen.(ckptio.Walker)
 	if !ok {
@@ -165,17 +185,12 @@ func (c *Core) State(s ckptio.State) {
 	if s.Err() != nil {
 		return
 	}
-	s.Int(&c.loadsInROB)
-	s.Int(&c.storesInROB)
-	c.fences.walk(s, c.head, c.tail)
-	c.loadSeqs.walk(s, c.head, c.tail)
-	c.storeSeqs.walk(s, c.head, c.tail)
-	if s.Err() != nil {
-		return
-	}
+	ckptio.Queue(s, &c.wb, maxSeqList, ckptio.State.U64)
 	if s.Loading() {
 		c.headSlot = int(c.head % int64(len(c.entries)))
-		c.rebuildCandidates()
+		if c.rebuild(s); s.Err() != nil {
+			return
+		}
 	}
 
 	ckptio.Slice(s, &c.window, maxWindow)
@@ -205,27 +220,7 @@ func (c *Core) State(s ckptio.State) {
 	s.I64(&c.retired)
 	s.I64(&c.barriersHit)
 
-	ckptio.Queue(s, &c.wb, maxSeqList, ckptio.State.U64)
-	if s.Loading() {
-		c.rebuildStoreFilter()
-	}
-
-	tokens := ckptio.WalkTable[int64](s, &c.tokenSeq, maxTableEnts)
-	for tokens.Next() {
-		s.I64(&tokens.Key)
-		s.I64(&tokens.Val)
-	}
 	s.I64(&c.nextToken)
-	ckptio.Slice(s, &c.lqPerformed, maxSeqList)
-	for i := range c.lqPerformed {
-		s.I64(&c.lqPerformed[i])
-	}
-
-	pinned := ckptio.WalkTable[uint64](s, &c.pinnedRef, maxTableEnts)
-	for pinned.Next() {
-		s.U64(&pinned.Key)
-		s.Int(&pinned.Val)
-	}
 	s.I64(&c.pinFrontier)
 
 	if s.Present(c.l1CST != nil, "CST") {
@@ -237,21 +232,7 @@ func (c *Core) State(s ckptio.State) {
 	}
 
 	s.U64(&c.lqTagNext)
-	tags := ckptio.WalkTable[uint32](s, &c.tagToSeq, maxTableEnts)
-	for tags.Next() {
-		s.U32(&tags.Key)
-		s.I64(&tags.Val)
-	}
 	s.Bool(&c.wrapStall)
-
-	ckptio.Slice(s, &c.pinsPerL1Set, maxSeqList)
-	for i := range c.pinsPerL1Set {
-		s.I32(&c.pinsPerL1Set[i])
-	}
-	ckptio.Slice(s, &c.pinsPerDirSet, maxSeqList)
-	for i := range c.pinsPerDirSet {
-		s.I32(&c.pinsPerDirSet[i])
-	}
 
 	s.I64(&c.vpFrontier)
 	s.I64(&c.pinVPFrontier)

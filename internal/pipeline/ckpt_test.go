@@ -6,6 +6,7 @@ import (
 
 	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/ckptio/ckpttest"
+	"pinnedloads/internal/defense"
 )
 
 // entryDerived names the fields of entry that walk leaves out: the
@@ -18,7 +19,9 @@ var entryDerived = []string{"probeEpoch", "probeLine", "probeHit"}
 // optional parts and the generator are listed as configuration: State walks
 // what they hold, not whether they exist.
 var (
-	coreDerived = []string{"headSlot", "issueCand", "exposeCand", "specCand", "active", "asleep",
+	coreDerived = []string{"headSlot", "loadsInROB", "fences", "loadSeqs", "storeSeqs", "perfLines",
+		"issueCand", "exposeCand", "specCand", "tokenSeq", "pinnedRef", "tagToSeq",
+		"pinsPerL1Set", "pinsPerDirSet", "active", "asleep",
 		"wire", "charges", "nCharges", "calMask", "barrierSeen", "slept",
 		"lastOdd", "stFilter", "freshFrom", "gateVisits", "forwardScans"}
 	coreConfig = []string{"id", "cfg", "policy", "l1", "gen", "bar", "cnt", "rec", "tracing",
@@ -66,6 +69,71 @@ func TestEntryWalkRejectsMalformed(t *testing.T) {
 			if tc.want == "" {
 				if err != nil || en.state != tc.state || int64(en.depsLeft) != tc.depsLeft {
 					t.Fatalf("loaded state %d, depsLeft %d, error %v", en.state, en.depsLeft, err)
+				}
+			} else if err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want a ckptio error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCoreStateRejectsMalformed saves a core that holds pinned loads, memory
+// tokens and more instructions than its load queue, with one wreck in its
+// ROB, and loads it into a fresh core. A restore rebuilds the core's indexes
+// from the ROB, so a live slot that holds another seq, a pinned load under a
+// policy that does not pin, and more pinned loads or tokens than a table's
+// load-queue bound, must end in the sticky error, not in a panic or a core
+// that breaks later; the intact cores must load whole.
+func TestCoreStateRejectsMalformed(t *testing.T) {
+	pinning := defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
+	comp := defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}
+	for _, tc := range []struct {
+		name  string
+		pol   defense.Policy
+		wreck func(c *Core)
+		want  string
+	}{
+		{"intact", pinning, func(*Core) {}, ""},
+		{"intact without pinning", comp, func(*Core) {}, ""},
+		{"pinned load without pinning", comp, func(c *Core) {
+			e := c.at(c.head)
+			e.pinned, e.lqTag = true, 1
+		}, "pinned load under Fence-COMP, which does not pin"},
+		{"slot's seq", pinning, func(c *Core) { c.at(c.tail-1).seq++ }, "holds seq"},
+		{"pinned loads", pinning, func(c *Core) {
+			for seq := c.head; seq < c.tail; seq++ {
+				e := c.at(seq)
+				e.pinned, e.lqTag = true, uint32(seq)
+			}
+		}, "more pinned loads than a 62-entry load queue"},
+		{"memory tokens", pinning, func(c *Core) {
+			for seq := c.head; seq < c.tail; seq++ {
+				c.at(seq).token = seq + 1
+			}
+		}, "more memory tokens than a 62-entry load queue"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := newMachine(pinStream(), tc.pol)
+			c := src.cores[0]
+			for (tc.pol.Pinning() && c.pinnedRef.Len() < 2) || c.tokenSeq.Len() == 0 || c.tail-c.head <= int64(c.cfg.LQEntries) {
+				if src.cycle == 20_000 {
+					t.Fatalf("no cycle held 2 pinned loads when pinning, a token and more than %d instructions", c.cfg.LQEntries)
+				}
+				src.step(t)
+			}
+			tc.wreck(c)
+			e := ckptio.NewEncoder()
+			c.State(ckptio.SaveTo(e))
+			dst := newMachine(pinStream(), tc.pol).cores[0]
+			d := ckptio.NewDecoder(e.Bytes())
+			dst.State(ckptio.LoadFrom(d))
+			err := d.Done()
+			if tc.want == "" {
+				if err == nil {
+					err = dst.Check()
+				}
+				if err != nil {
+					t.Fatal(err)
 				}
 			} else if err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want a ckptio error mentioning %q", err, tc.want)

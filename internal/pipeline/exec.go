@@ -159,6 +159,9 @@ func (c *Core) effectiveAddr(e *entry) {
 	if e.inst.Addr != addr {
 		e.inst.Addr = addr
 		e.line = arch.LineAddr(addr)
+		if e.performed {
+			c.perfLines |= lineBit(e.line)
+		}
 		c.active = true
 	}
 }
@@ -187,7 +190,7 @@ func (c *Core) loadPerformed(e *entry) {
 		return
 	}
 	e.performed = true
-	c.lqPerformed = append(c.lqPerformed, e.seq)
+	c.perfLines |= lineBit(e.line)
 	*c.cnt.loadsPerformed++
 	c.finish(e)
 }
@@ -197,20 +200,16 @@ func (c *Core) loadPerformed(e *entry) {
 // memory-dependence speculation and must be squashed (they read stale
 // data). This is the squash source the VP's Alias condition guards.
 func (c *Core) aliasCheck(st *entry) {
-	victim := int64(-1)
-	for _, seq := range c.lqPerformed {
-		if seq <= st.seq || !c.valid(seq) {
+	for _, seq := range c.loadSeqs.seqs() {
+		if seq <= st.seq {
 			continue
 		}
-		e := c.at(seq)
 		// Any load that performed before this store's address resolved
 		// cannot have observed the store's value.
-		if e.inst.Addr == st.inst.Addr && (victim < 0 || seq < victim) {
-			victim = seq
+		if e := c.at(seq); e.performed && e.inst.Addr == st.inst.Addr {
+			c.squashFrom(seq, obs.CauseAlias)
+			return
 		}
-	}
-	if victim >= 0 {
-		c.squashFrom(victim, obs.CauseAlias)
 	}
 }
 

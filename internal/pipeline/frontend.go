@@ -67,7 +67,7 @@ func (c *Core) dispatch() {
 				return
 			}
 		case isa.Store:
-			if c.storesInROB >= c.cfg.SQEntries {
+			if len(c.storeSeqs.seqs()) >= c.cfg.SQEntries {
 				c.charge(c.cnt.stallSQFull)
 				return
 			}
@@ -117,7 +117,6 @@ func (c *Core) insert(in *isa.Inst, winIdx int64) {
 		c.fences.push(seq)
 		e.line = arch.LineAddr(in.Addr)
 	case isa.Store:
-		c.storesInROB++
 		c.storeSeqs.push(seq)
 		e.line = arch.LineAddr(in.Addr)
 	case isa.Fence, isa.Barrier:
@@ -189,13 +188,9 @@ func (c *Core) squashFrom(from int64, cause obs.Cause) {
 		case isa.Load, isa.Lock:
 			c.loadsInROB--
 		case isa.Store:
-			c.storesInROB--
 			if e.addrReady {
 				c.stFilter[stHash(e.inst.Addr)]--
 			}
-		}
-		if e.performed {
-			c.removePerformed(s)
 		}
 		if e.token != 0 {
 			c.tokenSeq.Del(uint64(e.token))
@@ -233,14 +228,4 @@ func (c *Core) squashFrom(from int64, cause obs.Cause) {
 		c.fetchPtr = refetch
 	}
 	c.stallUntil = c.now + int64(c.cfg.FetchRedirectCycles)
-}
-
-// removePerformed deletes seq from the performed-load list.
-func (c *Core) removePerformed(seq int64) {
-	for i, v := range c.lqPerformed {
-		if v == seq {
-			c.lqPerformed = append(c.lqPerformed[:i], c.lqPerformed[i+1:]...)
-			return
-		}
-	}
 }

@@ -286,7 +286,6 @@ func (c *Core) misspeculatedAddr(e *entry) bool {
 	c.l1.SpecAbandon(e.specToken)
 	e.specToken = 0
 	e.performed = false
-	c.removePerformed(e.seq)
 	c.awaitIssue(e)
 	*c.cnt.loadsSpecRevalidated++
 	return true
@@ -347,29 +346,30 @@ func (c *Core) pins(line uint64) int {
 // the aggressive TSO implementation, which cannot have been reordered.
 // Under RC load→load order is not enforced, so the snoop never squashes.
 func (c *Core) OnInvalidate(line uint64) {
-	if c.policy.Consistency == defense.RC {
+	if c.policy.Consistency == defense.RC || c.perfLines&lineBit(line) == 0 {
 		return
 	}
-	victim := int64(-1)
-	for _, seq := range c.lqPerformed {
-		if !c.valid(seq) {
+	var held uint64
+	for _, seq := range c.loadSeqs.seqs() {
+		e := c.at(seq)
+		if !e.performed {
 			continue
 		}
-		e := c.at(seq)
+		held |= lineBit(e.line)
 		if e.line != line || e.forwarded || e.pinned {
 			continue
 		}
 		if c.cfg.AggressiveTSO && seq == c.oldestLoadSeq {
 			continue
 		}
-		if victim < 0 || seq < victim {
-			victim = seq
-		}
+		c.squashFrom(seq, obs.CauseMCV)
+		return
 	}
-	if victim >= 0 {
-		c.squashFrom(victim, obs.CauseMCV)
-	}
+	c.perfLines = held
 }
+
+// lineBit is a line's bit in perfLines.
+func lineBit(line uint64) uint64 { return 1 << (line * 0x9E3779B97F4A7C15 >> 58) }
 
 // OnInvStar records the line in the Cannot-Pin Table (an Inv* from a
 // starving writer arrived, paper Section 5.1.5).

@@ -161,18 +161,23 @@ type Core struct {
 	tail     int64
 	headSlot int
 
-	// Occupancy.
-	loadsInROB  int
-	storesInROB int
-	fences      seqList // unretired Fence/Lock/Barrier ops
-	loadSeqs    seqList // unretired Loads
-	storeSeqs   seqList // unretired Stores
+	// Occupancy: the load queue's (loads and locks) and the unretired ops of
+	// each kind in program order. These and the candidate lists, the three
+	// tables and the per-set pin counts below are indexes over the ROB,
+	// maintained at the transitions that change them and rebuilt (never
+	// serialized) on restore.
+	loadsInROB int
+	fences     seqList // unretired Fence/Lock/Barrier ops
+	loadSeqs   seqList // unretired Loads
+	storeSeqs  seqList // unretired Stores
+	// perfLines holds the lineBit of every performed, unretired load's line
+	// and maybe stale ones: OnInvalidate walks loadSeqs only for a set bit,
+	// and a walk that squashes nothing drops the stale bits.
+	perfLines uint64
 
 	// Load-queue candidate lists: the subsets of loadSeqs the three
 	// per-cycle LQ stages act on, in program order, so each stage visits
-	// only loads that can act and says "nothing to do" in O(1). They are
-	// derived state, maintained at the transitions that change membership
-	// and rebuilt (never serialized) on restore.
+	// only loads that can act and says "nothing to do" in O(1).
 	issueCand  seqList // state == stAddrDone: waiting to access memory (issueLoads)
 	exposeCand seqList // invisible, performed, no exposure issued yet (exposeLoads, IS)
 	specCand   seqList // performed reversibly on transient operands (validateSpecLoads, RCP)
@@ -205,10 +210,6 @@ type Core struct {
 	tokenSeq  table.Table[int64]
 	nextToken int64
 
-	// Performed, yet-to-retire loads (the LQ contents the coherence
-	// layer snoops), as a list of seqs.
-	lqPerformed []int64
-
 	// Pinned Loads state.
 	pinnedRef   table.Table[int] // line -> pinned-load refcount
 	pinFrontier int64            // next seq to consider for pinning
@@ -220,9 +221,9 @@ type Core struct {
 	tagToSeq    table.Table[int64] // live extended LQ ID -> seq
 	wrapStall   bool               // LQ ID wrapped: stop pinning until pinned drain
 	// pinsPerL1Set / pinsPerDirSet count distinct pinned lines per L1 set
-	// and per directory (slice, set), indexed by l1Key/dirKey and grown on
-	// demand. Maintained incrementally at first-pin/last-unpin, they make
-	// the per-admission room checks O(1) instead of an O(pinned-lines)
+	// and per directory (slice, set), indexed by l1Key/dirKey and sized on
+	// the first pin. Maintained incrementally at first-pin/last-unpin, they
+	// make the per-admission room checks O(1) instead of an O(pinned-lines)
 	// sweep of pinnedRef.
 	pinsPerL1Set  []int32
 	pinsPerDirSet []int32

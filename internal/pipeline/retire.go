@@ -30,9 +30,6 @@ func (c *Core) retire() *uint64 {
 			// its validated access still journaled.
 			c.issueCand.dropFront(e.seq)
 			c.specCand.dropFront(e.seq)
-			if e.performed {
-				c.removePerformed(e.seq)
-			}
 			if e.pinned {
 				c.unpin(e)
 			}
@@ -47,7 +44,6 @@ func (c *Core) retire() *uint64 {
 				e.specToken = 0
 			}
 		case isa.Store:
-			c.storesInROB--
 			c.retireFrom(&c.storeSeqs, e)
 		case isa.Lock:
 			c.loadsInROB--

@@ -283,8 +283,7 @@ func (c *Core) cstAdmit(e *entry) bool {
 		}
 		return true
 	}
-	l1Room := c.preciseRoom(line, true)
-	dirRoom := c.preciseRoom(line, false)
+	l1Room, dirRoom := c.l1SetRoom(line), c.dirSetRoom(line)
 	if c.l1CST == nil {
 		// Infinite (perfectly precise) CST mode.
 		return l1Room && dirRoom
@@ -307,60 +306,36 @@ func (c *Core) cstAdmit(e *entry) bool {
 // because a full write buffer stalls retirement — the younger pinned loads
 // protecting those ways would never retire either. Reserving a way breaks
 // that same-core circular wait (a refinement of paper Section 5.1.2's
-// resource guarantee).
+// resource guarantee). A line that is already pinned needs no new way.
 func (c *Core) l1SetRoom(line uint64) bool {
-	if c.pins(line) > 0 {
-		return true // the line is already pinned: no new way needed
-	}
-	return int(c.setPins(c.l1Key(line), &c.pinsPerL1Set)) < c.cfg.L1Ways-1
+	return c.pins(line) > 0 || int(c.setPins(c.l1Key(line), &c.pinsPerL1Set)) < c.cfg.L1Ways-1
 }
 
-// preciseRoom reports whether pinning a new line would keep the per-set
-// pinned-line count within the structural limit: the L1 associativity
-// (minus the reserved way, see l1SetRoom), or the per-core directory/LLC
-// reservation Wd (paper Section 5.1.4). The incremental pinsPer*Set
-// arrays count distinct pinned lines per set; when line itself is pinned
-// it contributes one, which the original pinnedRef sweep excluded.
-func (c *Core) preciseRoom(line uint64, l1 bool) bool {
-	var limit, n int
-	if l1 {
-		limit = c.cfg.L1Ways - 1
-		n = int(c.setPins(c.l1Key(line), &c.pinsPerL1Set))
-	} else {
-		limit = c.cfg.Wd
-		n = int(c.setPins(c.dirKey(line), &c.pinsPerDirSet))
-	}
-	if c.pins(line) > 0 {
-		n--
-	}
-	return n < limit
+// dirSetRoom reports whether a line that is not pinned yet may be pinned
+// within its directory set's per-core reservation Wd (paper Section 5.1.4).
+func (c *Core) dirSetRoom(line uint64) bool {
+	return int(c.setPins(c.dirKey(line), &c.pinsPerDirSet)) < c.cfg.Wd
 }
 
-// setPins reads a per-set pinned-line count, treating indexes beyond the
-// grown-on-demand array as zero.
+// setPins reads a per-set pinned-line count; the arrays are not sized until
+// the core's first pin, and read zero before it.
 func (c *Core) setPins(key uint32, arr *[]int32) int32 {
-	if int(key) >= len(*arr) {
+	if *arr == nil {
 		return 0
 	}
 	return (*arr)[key]
 }
 
 // bumpSetPins adjusts both per-set counts for a line gaining its first
-// pin (d=+1) or losing its last (d=-1). An array ends at its highest key so
-// far — its length is serialized — and append grows what is behind it.
+// pin (d=+1) or losing its last (d=-1). The core's first pin sizes each
+// array to every set its key can name.
 func (c *Core) bumpSetPins(line uint64, d int32) {
-	for _, ka := range [2]struct {
-		key uint32
-		arr *[]int32
-	}{
-		{c.l1Key(line), &c.pinsPerL1Set},
-		{c.dirKey(line), &c.pinsPerDirSet},
-	} {
-		if n := int(ka.key) + 1 - len(*ka.arr); n > 0 {
-			*ka.arr = append(*ka.arr, make([]int32, n)...)
-		}
-		(*ka.arr)[ka.key] += d
-		if (*ka.arr)[ka.key] < 0 {
+	if c.pinsPerL1Set == nil {
+		c.pinsPerL1Set = make([]int32, c.cfg.L1Sets)
+		c.pinsPerDirSet = make([]int32, c.cfg.LLCSlices*c.cfg.LLCSets)
+	}
+	for _, n := range [2]*int32{&c.pinsPerL1Set[c.l1Key(line)], &c.pinsPerDirSet[c.dirKey(line)]} {
+		if *n += d; *n < 0 {
 			c.fail("negative per-set pin count for line %#x", line)
 		}
 	}

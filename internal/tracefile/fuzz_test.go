@@ -2,9 +2,11 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pinnedloads/internal/arch"
@@ -55,13 +57,20 @@ func FuzzTracefileRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(rec)
-	// A file the v2 writer left: its PC deltas are read and dropped, and it
-	// re-encodes as v3.
-	v2, err := os.ReadFile(filepath.Join("testdata", "fuzz-seed.v2.pltr"))
-	if err != nil {
-		f.Fatal(err)
+	// Files the v2 and v3 writers left: a v2 file's PC deltas are read and
+	// dropped, a v3 file's warm lines gathered into runs, and both re-encode
+	// as v4.
+	for _, name := range []string{"fuzz-seed.v2.pltr", "fuzz-seed.v3.pltr"} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
 	}
-	f.Add(v2)
+	// Warm runs a loader must refuse: an empty one, and lines past the bound.
+	for _, runs := range [][]uint64{{0}, {1 << 60}, {maxWarmLines / 2, maxWarmLines/2 + 1}} {
+		f.Add(warmRunsFile(runs))
+	}
 	f.Add([]byte{})
 	f.Add([]byte("PLTR"))
 	f.Add([]byte("PLTR\x02\x01\x00"))
@@ -99,9 +108,22 @@ func FuzzTracefileRoundTrip(f *testing.F) {
 	})
 }
 
+// warmRunsFile is a one-core v4 file with no instructions whose warm lines are
+// runs of the given lengths, one line apart.
+func warmRunsFile(runs []uint64) []byte {
+	b := []byte("PLTR\x04\x01\x00\x00\x00")
+	b = binary.AppendUvarint(b, uint64(len(runs)))
+	for _, n := range runs {
+		b = binary.AppendUvarint(append(b, 2), n) // zigzag delta 1
+	}
+	return b
+}
+
 // TestDecodeRejectsImplausibleCounts pins the hardening limits: headers
-// claiming absurd sizes must fail fast instead of allocating, and a trace
-// with no cores, which no run could replay, is not a trace.
+// claiming absurd sizes must fail fast instead of allocating, a trace
+// with no cores, which no run could replay, is not a trace, and a core's
+// warm runs must be non-empty and hold at most maxWarmLines lines, so a
+// 20-byte file cannot ask replay to prewarm 2^60 of them.
 func TestDecodeRejectsImplausibleCounts(t *testing.T) {
 	huge := []byte("PLTR\x02\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01") // cores = 2^63+
 	if _, err := Decode(huge); err == nil {
@@ -113,6 +135,18 @@ func TestDecodeRejectsImplausibleCounts(t *testing.T) {
 	}
 	if _, err := Decode([]byte("PLTR\x02\x00\x00")); err == nil {
 		t.Fatal("decode accepted a trace with no cores")
+	}
+	for _, runs := range [][]uint64{{0}, {1 << 60}, {maxWarmLines / 2, maxWarmLines/2 + 1}} {
+		if _, err := Decode(warmRunsFile(runs)); err == nil || !strings.Contains(err.Error(), "warm run") {
+			t.Fatalf("warm runs %v: error %v, want a warm run rejected", runs, err)
+		}
+	}
+	tr, err := Decode(warmRunsFile([]uint64{maxWarmLines / 2, maxWarmLines / 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []arch.LineRange{{First: 1, N: maxWarmLines / 2}, {First: maxWarmLines/2 + 2, N: maxWarmLines / 2}}; !reflect.DeepEqual(tr.Warm[0], want) {
+		t.Fatalf("warm runs at the bound loaded as %v, want %v", tr.Warm[0], want)
 	}
 }
 

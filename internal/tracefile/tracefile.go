@@ -4,24 +4,26 @@
 // can be replayed bit-identically across simulator versions, shared, or
 // inspected offline (cmd/pltrace -record / -replay).
 //
-// Format v3 is one ckptio.State walk (Trace.walk), so it is varint-packed:
+// Format v4 is one ckptio.State walk (Trace.walk), so it is varint-packed:
 //
 //	magic "PLTR" | version u8 | cores uvarint (at least one)
 //	| name-length uvarint + name
 //	per core: count uvarint | count records
 //	          | wrong-path-count uvarint | records
-//	          | warm-line-count uvarint | warm lines (zigzag deltas)
+//	          | warm-run-count uvarint | warm runs
 //	record:   op u8 | flags u8 (taken, mispredict, fault)
 //	          | lat uvarint | dep0 uvarint | dep1 uvarint
 //	          | addr uvarint (mem ops only)
+//	warm run: first line, zigzag delta from the previous run's end
+//	          | line count uvarint (at least one)
 //
-// Format v2 also ended each record with a program-counter delta (zigzag);
-// loading a v2 file reads it and drops it, since nothing replays a PC.
+// Formats v3 and v2, which still load, listed every warm line as the zigzag
+// delta from the one before; v2 also ended each record with a program-counter
+// delta, which loading drops, since nothing replays a PC.
 //
 // Warm lines capture the workload's LLC-resident working set so a replayed
 // trace starts from the same warm-cache state as the original generator
-// (see trace.Warmer). In memory they are held as runs of consecutive lines;
-// the file lists every line.
+// (see trace.Warmer).
 package tracefile
 
 import (
@@ -34,11 +36,11 @@ import (
 	"pinnedloads/internal/trace"
 )
 
-// magic identifies trace files; version gates format changes, and
-// versionPC is the older format Decode still reads.
+// magic identifies trace files; version gates format changes, and Decode
+// still reads every version from versionPC on.
 const (
 	magic     = "PLTR"
-	version   = 3
+	version   = 4
 	versionPC = 2
 )
 
@@ -46,6 +48,11 @@ const (
 // bytes left in the input (ckptio.Decoder.Count), and the name's length by
 // ckptio's string limit, so a corrupt header cannot drive a large allocation.
 const maxCores = 1 << 12
+
+// maxWarmLines bounds a core's decoded warm lines. A run costs a few bytes
+// whatever its length, so without it a short file could ask replay to prewarm
+// 2^60 lines; the proxies warm at most 131 072 lines a core.
+const maxWarmLines = 1 << 22
 
 // wrongPathSample is how many wrong-path instructions are recorded per
 // core; replay cycles through them.
@@ -194,7 +201,7 @@ func (t *Trace) walk(s ckptio.State) {
 	}
 	v := uint8(version)
 	s.U8(&v)
-	if v != version && v != versionPC {
+	if v < versionPC || v > version {
 		s.Failf("unsupported trace version %d", v)
 	}
 	cores := s.Count(len(t.Streams), maxCores)
@@ -210,7 +217,7 @@ func (t *Trace) walk(s ckptio.State) {
 	for c := range cores {
 		walkStream(s, &t.Streams[c], v == versionPC)
 		walkStream(s, &t.Wrong[c], v == versionPC)
-		walkWarm(s, &t.Warm[c])
+		walkWarm(s, &t.Warm[c], v < version)
 	}
 }
 
@@ -253,32 +260,46 @@ func walkStream(s ckptio.State, insts *[]isa.Inst, withPC bool) {
 	}
 }
 
-// walkWarm walks a core's warm lines. The file lists every line as the
-// zigzag delta from the previous one; loading coalesces consecutive lines
-// back into runs, keeping their order.
-func walkWarm(s ckptio.State, warm *[]arch.LineRange) {
-	var lines []uint64
-	for _, r := range *warm {
-		for l := r.First; l != r.First+r.N; l++ {
-			lines = append(lines, l)
-		}
-	}
-	ckptio.Slice(s, &lines, math.MaxInt)
-	var last uint64
-	for i := range lines {
-		d := int64(lines[i]) - int64(last)
+// walkWarm walks a core's warm lines as a count of runs and, for each, the
+// zigzag delta of its first line from the previous run's end and its length.
+// Both directions merge touching runs and drop empty ones, so a trace has one
+// encoding; loading rejects an empty run and more than maxWarmLines lines. A
+// v2 or v3 file (perLine, loading only) lists every line as the zigzag delta
+// from the one before.
+func walkWarm(s ckptio.State, warm *[]arch.LineRange, perLine bool) {
+	runs := addRuns(nil, *warm...)
+	ckptio.Slice(s, &runs, math.MaxInt)
+	var end, lines uint64
+	for i, r := range runs {
+		d := int64(r.First - end)
 		s.I64(&d)
-		lines[i] = uint64(int64(last) + d)
-		last = lines[i]
+		if perLine {
+			end += uint64(d)
+			runs[i] = arch.LineRange{First: end, N: 1}
+			continue
+		}
+		s.U64(&r.N)
+		if s.Loading() && s.Err() == nil && (r.N == 0 || r.N > maxWarmLines-lines) {
+			s.Failf("warm run of %d lines after %d: want 1 to %d lines a core", r.N, lines, maxWarmLines)
+			return
+		}
+		runs[i] = arch.LineRange{First: end + uint64(d), N: r.N}
+		end, lines = runs[i].First+r.N, lines+r.N
 	}
-	if !s.Loading() {
-		return
+	if s.Loading() {
+		*warm = addRuns(nil, runs...)
 	}
-	for _, l := range lines {
-		if k := len(*warm) - 1; k >= 0 && l == (*warm)[k].First+(*warm)[k].N {
-			(*warm)[k].N++
-		} else {
-			*warm = append(*warm, arch.LineRange{First: l, N: 1})
+}
+
+// addRuns appends rs to runs, extending the last run by one that starts
+// where it ends and leaving out empty ones.
+func addRuns(runs []arch.LineRange, rs ...arch.LineRange) []arch.LineRange {
+	for _, r := range rs {
+		if k := len(runs) - 1; k >= 0 && runs[k].First+runs[k].N == r.First {
+			runs[k].N += r.N
+		} else if r.N > 0 {
+			runs = append(runs, r)
 		}
 	}
+	return runs
 }

@@ -160,10 +160,10 @@ func TestWarmLinesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWarmLinesCoalesce: the file lists lines, memory holds runs. A list
-// that repeats, descends or touches must load as the runs that expand to it
-// in the same order, and a trace whose runs could be merged must write the
-// same bytes as the merged one.
+// TestWarmLinesCoalesce: runs that repeat, descend, touch or are empty must
+// load as the merged runs that expand to the same lines in the same order,
+// and a trace whose runs could be merged must write the same bytes as the
+// merged one.
 func TestWarmLinesCoalesce(t *testing.T) {
 	split := &Trace{Streams: [][]isa.Inst{nil}, Wrong: [][]isa.Inst{nil},
 		Warm: [][]arch.LineRange{{{First: 0x100, N: 1}, {First: 0x101, N: 1}, {First: 0x100, N: 1},

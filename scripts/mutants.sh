@@ -30,6 +30,7 @@ recycle-keeps-state   ./internal/coherence                     TestDirMatchesDen
 free-wrong-class      ./internal/coherence                     TestDirMatchesDenseReference|TestResidencyHoldsFilterToWays
 jump-skips-charges    ./internal/core                          TestGateVisits/DOM-COMP/core1_stall
 probe-memo-ignores-line ./internal/pipeline                    TestCandidateListsMatchFullWalk/DOM-COMP
+rebuild-skips-setpins ./internal/core                          FuzzDerivedState
 '
 
 tree=$(mktemp -d)
