@@ -43,10 +43,13 @@ import (
 // its ROB — the load count, the seq lists, the performed-load list, the
 // token, tag and pinned-line tables and the per-set pin counts — which a
 // restore rebuilds from the ROB, and writes the write buffer right after the
-// ROB. Exactly one version is readable: anything
-// else, older blobs included, is a *VersionError and the caller runs cold —
-// there is no migration code.
-const Version = 8
+// ROB. Version 9 writes a memory token as the ROB slot it names plus a
+// multiple of the ROB's size, and an L1's transaction lists (ownership
+// transactions, writebacks, the spec journal with each record's token, the
+// abandoned tokens) in arrival order rather than as tables sorted by key.
+// Exactly one version is readable: anything else, older blobs included, is a
+// *VersionError and the caller runs cold — there is no migration code.
+const Version = 9
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

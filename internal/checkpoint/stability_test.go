@@ -30,14 +30,17 @@ import (
 // lists, the performed-load list, the three tables and the per-set pin counts
 // that had grown to the highest set pinned so far, and moved the write buffer
 // up behind the ROB (gcc_r 37 907 to 23 405 bytes, ocean_cp 349 956 to
-// 220 747).
+// 220 747); version 9 names a memory token by its ROB slot, a larger number
+// than the count it was, and writes an L1's transaction lists in arrival
+// order with each journal record's token (gcc_r 23 405 to 23 409 bytes,
+// mcf_r 30 448 to 30 532, ocean_cp 220 747 to 220 858).
 // ocean_cp is the 8-core row: its lines
 // have sharers and owners, so it pins the long form and the backlog as the
 // SPEC17 rows pin the runs.
 const (
-	pinGccDOMLP   uint64 = 0x95acb4acb9a8b43e
-	pinMcfRCPCmp  uint64 = 0xf2ed8ed4352b9d98
-	pinOceanDOMEP uint64 = 0x723c8d6f587287df
+	pinGccDOMLP   uint64 = 0x36e8f9af54f1ab4a
+	pinMcfRCPCmp  uint64 = 0x9c6f38cda9fbcb73
+	pinOceanDOMEP uint64 = 0x35231b8ae8adfe21
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -83,10 +86,10 @@ func TestCheckpointSizeRatchet(t *testing.T) {
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23405},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30448},
-		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15606},
-		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220747},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23409},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30532},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15626},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220858},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {

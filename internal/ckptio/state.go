@@ -7,7 +7,6 @@ import (
 
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/ringq"
-	"pinnedloads/internal/table"
 )
 
 // State is one direction of a component's field walk. A component describes
@@ -24,7 +23,7 @@ type State struct {
 
 // Walker is implemented by components that carry mutable state through a
 // checkpoint. Saving must be deterministic: the same state always produces
-// the same bytes (tables are walked in sorted key order).
+// the same bytes (lists are walked in a fixed order).
 type Walker interface {
 	State(s State)
 }
@@ -269,68 +268,4 @@ func Queue[T any](s State, q *ringq.Q[T], max int, walk func(State, *T)) {
 	for i := range n {
 		walk(s, q.Ref(i))
 	}
-}
-
-// TableKey is a key type a table walk carries: the table keys by the uint64
-// the key converts to, and the walk writes the key as its own type.
-type TableKey interface{ ~int64 | ~uint64 }
-
-// TableWalk steps a walk through a table in ascending key order, the order
-// that makes the bytes deterministic, as the count and then each pair:
-//
-//	spec := ckptio.WalkTable[int64](s, &l.spec, maxTxns)
-//	for spec.Next() {
-//		s.I64(&spec.Key)
-//		spec.Val.walk(s)
-//	}
-//
-// Saving, Next presents each entry in turn; loading, the table is emptied,
-// Next presents zero values for the body to fill and stores the previous
-// pair. Keys sort as K sorts, so signed keys keep their order. The sorted keys
-// are the table's own scratch, so a walk allocates nothing as long as the
-// cursor stays a local that no pointer escapes.
-type TableWalk[K TableKey, V any] struct {
-	Key K
-	Val V
-
-	s    State
-	t    *table.Table[V]
-	keys []uint64
-	n, i int
-}
-
-// WalkTable walks t's length and returns the cursor over its entries. Loading
-// reads at most max entries, and no more than t holds.
-func WalkTable[K TableKey, V any](s State, t *table.Table[V], max int) TableWalk[K, V] {
-	w := TableWalk[K, V]{s: s, t: t}
-	if s.d != nil {
-		t.Clear()
-		w.n = s.d.Count(min(max, t.Limit()))
-		return w
-	}
-	var zero K
-	w.keys = t.Sorted(zero-1 < zero)
-	w.n = len(w.keys)
-	s.e.U64(uint64(w.n))
-	return w
-}
-
-// Next moves to the next entry and reports whether there is one.
-func (w *TableWalk[K, V]) Next() bool {
-	if w.s.d != nil {
-		if w.s.d.err != nil {
-			return false
-		}
-		if w.i > 0 {
-			w.t.Set(uint64(w.Key), w.Val) // within the count, so within t's bound
-		}
-		var k K
-		var v V
-		w.Key, w.Val = k, v
-	} else if w.i < w.n {
-		w.Key = K(w.keys[w.i])
-		w.Val, _ = w.t.Get(w.keys[w.i])
-	}
-	w.i++
-	return w.i <= w.n
 }

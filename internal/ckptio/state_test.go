@@ -1,7 +1,6 @@
 package ckptio
 
 import (
-	"maps"
 	"math"
 	"reflect"
 	"strings"
@@ -10,7 +9,6 @@ import (
 
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/ringq"
-	"pinnedloads/internal/table"
 )
 
 type color uint8
@@ -34,22 +32,13 @@ type record struct {
 	hasP  bool
 	part  uint64
 	list  []int32
-	m     table.Table[uint32] // int64 keys
-	set   table.Table[struct{}]
+	m     []pair // a map as its (key, value) pairs
+	set   []uint64
 }
 
-// contents is the record with its tables as maps, the form two records are
-// compared in: where a table keeps an entry depends on the order the keys
-// came in, and a sorted walk leaves its scratch behind.
-func (r record) contents() any {
-	type flat struct {
-		record
-		M   map[uint64]uint32
-		Set map[uint64]struct{}
-	}
-	f := flat{record: r, M: maps.Collect(r.m.All()), Set: maps.Collect(r.set.All())}
-	f.record.m, f.record.set = table.Table[uint32]{}, table.Table[struct{}]{}
-	return f
+type pair struct {
+	k int64
+	v uint32
 }
 
 func (r *record) walk(s State) {
@@ -78,14 +67,14 @@ func (r *record) walk(s State) {
 	for i := range r.list {
 		s.I32(&r.list[i])
 	}
-	m := WalkTable[int64](s, &r.m, 1<<10)
-	for m.Next() {
-		s.I64(&m.Key)
-		s.U32(&m.Val)
+	Slice(s, &r.m, 1<<10)
+	for i := range r.m {
+		s.I64(&r.m[i].k)
+		s.U32(&r.m[i].v)
 	}
-	set := WalkTable[uint64](s, &r.set, 1<<10)
-	for set.Next() {
-		s.U64(&set.Key)
+	Slice(s, &r.set, 1<<10)
+	for i := range r.set {
+		s.U64(&r.set[i])
 	}
 }
 
@@ -95,13 +84,10 @@ func sample() record {
 		inst:  isa.Inst{Op: isa.Load, Lat: 3, Deps: [2]int32{1, -7}, Addr: 0xdeadbeef, Fault: true},
 		c:     2,
 		fixed: []uint16{7, 8, 9}, hasP: true, part: 99, list: []int32{-1, 0, 1},
-		m: table.Growing[uint32](8), set: table.Growing[struct{}](8)}
-	// Keys of both signs, inserted in descending order.
+		set: []uint64{9, 3, 1 << 40}}
+	// Keys of both signs, in descending order.
 	for k := int64(168); k > 0; k-- {
-		r.m.Set(uint64(k-20), uint32(k))
-	}
-	for _, k := range []uint64{9, 3, 1 << 40} {
-		r.set.Set(k, struct{}{})
+		r.m = append(r.m, pair{k - 20, uint32(k)})
 	}
 	return r
 }
@@ -117,10 +103,7 @@ func TestStateRoundTrip(t *testing.T) {
 	data := saved(&want)
 	// The target starts with other contents in everything of variable size.
 	got := record{fixed: make([]uint16, 3), hasP: true, list: make([]int32, 9, 16),
-		m: table.Growing[uint32](2), set: table.Growing[struct{}](2)}
-	got.m.Set(5, 5)
-	got.m.Set(1<<64-1000, 1)
-	got.set.Set(77, struct{}{})
+		m: []pair{{5, 5}, {-1000, 1}}, set: []uint64{77}}
 	d := NewDecoder(data)
 	s := LoadFrom(d)
 	if !s.Loading() {
@@ -130,36 +113,14 @@ func TestStateRoundTrip(t *testing.T) {
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.contents(), want.contents()) {
-		t.Fatalf("loaded %+v\nwant   %+v", got.contents(), want.contents())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v\nwant   %+v", got, want)
 	}
 	if again := saved(&got); string(again) != string(data) {
 		t.Fatal("save, load, save is not a fixed point")
 	}
-	// Saving leaves the record as it was and writes tables in key order, as
-	// the count and then each (key, value) pair.
-	if !reflect.DeepEqual(want.contents(), sample().contents()) {
+	if !reflect.DeepEqual(want, sample()) {
 		t.Fatal("saving changed the record")
-	}
-	small := table.New[uint32](3)
-	for k, v := range map[int64]uint32{3: 1, -2: 2, 1: 3} {
-		small.Set(uint64(k), v)
-	}
-	e := NewEncoder()
-	s = SaveTo(e)
-	w := WalkTable[int64](s, &small, 8)
-	for w.Next() {
-		s.I64(&w.Key)
-		s.U32(&w.Val)
-	}
-	pairs := NewEncoder()
-	pairs.U64(3)
-	for _, kv := range [][2]int64{{-2, 2}, {1, 3}, {3, 1}} {
-		pairs.I64(kv[0])
-		pairs.U32(uint32(kv[1]))
-	}
-	if string(e.Bytes()) != string(pairs.Bytes()) {
-		t.Fatalf("a table of three entries saves as % x, want % x", e.Bytes(), pairs.Bytes())
 	}
 }
 
@@ -193,15 +154,11 @@ func TestStateRejects(t *testing.T) {
 		{"other geometry", mutate(func(r *record) { r.fixed = r.fixed[:2] }), "fixed: configuration has 3, checkpoint has 2"},
 		{"part missing", mutate(func(r *record) { r.hasP = false }), "part: configuration has it true, checkpoint has it false"},
 		{"list above its bound", mutate(func(r *record) { r.list = make([]int32, 1<<10+1) }), "sequence length"},
-		{"map above its bound", mutate(func(r *record) {
-			for k := uint64(0); k <= 1<<10; k++ {
-				r.m.Set(k, 1)
-			}
-		}), "sequence length"},
+		{"map above its bound", mutate(func(r *record) { r.m = make([]pair, 1<<10+1) }), "sequence length"},
 		{"truncated in the map", saved(&base)[:len(saved(&base))-30], "uvarint"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := record{fixed: make([]uint16, 3), hasP: true, m: table.Growing[uint32](8), set: table.Growing[struct{}](8)}
+			got := record{fixed: make([]uint16, 3), hasP: true}
 			d := NewDecoder(tc.data)
 			s := LoadFrom(d)
 			got.walk(s)
@@ -300,60 +257,6 @@ func TestCountedAndQueue(t *testing.T) {
 	d.U8()
 	if n, _ := LoadFrom(d).Counted(1 << 10); n != 300 {
 		t.Fatalf("loading Counted reads %d, want 300", n)
-	}
-}
-
-// TestWalkTableAllocatesNothing: a sorted walk takes its keys from the
-// table's own scratch, so saving a core's or an L1's tables costs nothing
-// beyond the bytes.
-func TestWalkTableAllocatesNothing(t *testing.T) {
-	tab := table.New[*int](128)
-	for k := uint64(0); k < 128; k++ {
-		tab.Set(k*7919%1000, new(int))
-	}
-	e := NewEncoder()
-	e.Grow(4 * 128)
-	if got := testing.AllocsPerRun(10, func() {
-		e.buf = e.buf[:0]
-		s := SaveTo(e)
-		w := WalkTable[uint64](s, &tab, 1<<10)
-		for w.Next() {
-			s.U64(&w.Key)
-			s.Int(w.Val)
-		}
-	}); got != 0 {
-		t.Fatalf("walking a table of %d entries allocates %v times", tab.Len(), got)
-	}
-}
-
-// TestWalkTableRejectsPastItsBound: loading stops at the receiving table's
-// bound as it stops at the walk's, before anything is stored.
-func TestWalkTableRejectsPastItsBound(t *testing.T) {
-	five := table.New[int64](5)
-	for k := uint64(1); k <= 5; k++ {
-		five.Set(k, -int64(k))
-	}
-	e := NewEncoder()
-	walk := func(s State, tab *table.Table[int64]) {
-		w := WalkTable[uint64](s, tab, 1<<10)
-		for w.Next() {
-			s.U64(&w.Key)
-			s.I64(&w.Val)
-		}
-	}
-	walk(SaveTo(e), &five)
-	for _, bound := range []int{5, 4} {
-		back := table.New[int64](bound)
-		back.Set(99, 1) // emptied by the load
-		d := NewDecoder(e.Bytes())
-		walk(LoadFrom(d), &back)
-		err := d.Done()
-		switch {
-		case bound == 5 && (err != nil || back.Len() != 5 || back.Has(99)):
-			t.Fatalf("loading into a table of bound 5: %v, %d entries", err, back.Len())
-		case bound == 4 && (err == nil || !strings.Contains(err.Error(), "sequence length 5 exceeds limit 4")):
-			t.Fatalf("loading five entries into a table of bound 4: %v", err)
-		}
 	}
 }
 

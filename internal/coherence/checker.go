@@ -25,7 +25,7 @@ func (s *System) Quiescent() bool {
 		return false
 	}
 	for _, l := range s.l1s {
-		if l.acq.Len() > 0 || l.evictBuf.Len() > 0 || len(l.pending) > 0 {
+		if len(l.acq) > 0 || len(l.evictBuf) > 0 || len(l.pending) > 0 {
 			return false
 		}
 		if l.mshr.Free() != s.cfg.L1MSHRs {

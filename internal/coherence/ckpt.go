@@ -115,8 +115,8 @@ func (p *pendingFill) walk(s ckptio.State) {
 	s.Int(&p.mshr)
 }
 
-// walk carries a journal record; its token is the key it is stored under.
 func (t *specTxn) walk(s ckptio.State) {
+	s.I64(&t.token)
 	s.U64(&t.line)
 	s.Bool(&t.hit)
 	s.Bool(&t.installed)
@@ -124,8 +124,10 @@ func (t *specTxn) walk(s ckptio.State) {
 }
 
 // State walks an L1 controller's mutable state. The tag array and MSHR file
-// carry their own geometry checks; tables go in sorted key order for
-// deterministic bytes.
+// carry their own geometry checks; the transaction lists go in arrival
+// order. The controller keeps one entry per line or token and finds the
+// first, so loading rejects a line twice in acq or in evictBuf, and a token
+// twice in spec and specAband together.
 func (l *L1) State(s ckptio.State) {
 	if s.Loading() {
 		l.touched = true
@@ -135,17 +137,22 @@ func (l *L1) State(s ckptio.State) {
 	l.tags.State(s)
 	l.mshr.State(s)
 
-	acq := ckptio.WalkTable[uint64](s, &l.acq, maxTxns)
-	for acq.Next() {
+	ckptio.Slice(s, &l.acq, maxTxns)
+	for i := range l.acq {
 		if s.Loading() {
-			acq.Val = &storeTxn{}
+			l.acq[i] = &storeTxn{}
 		}
-		acq.Val.walk(s)
-		acq.Key = acq.Val.line
+		l.acq[i].walk(s)
+		if s.Loading() && l.acqTxn(l.acq[i].line) != l.acq[i] {
+			s.Failf("L1 %d: line %#x has two ownership transactions", l.id, l.acq[i].line)
+		}
 	}
-	evict := ckptio.WalkTable[uint64](s, &l.evictBuf, maxTxns)
-	for evict.Next() {
-		s.U64(&evict.Key)
+	ckptio.Slice(s, &l.evictBuf, maxTxns)
+	for i := range l.evictBuf {
+		s.U64(&l.evictBuf[i])
+		if s.Loading() && slices.Index(l.evictBuf, l.evictBuf[i]) != i {
+			s.Failf("L1 %d: line %#x is written back twice", l.id, l.evictBuf[i])
+		}
 	}
 
 	ckptio.Slice(s, &l.pending, maxTxns)
@@ -155,14 +162,19 @@ func (l *L1) State(s ckptio.State) {
 	s.Int(&l.portsUsed)
 	s.U64(&l.lastFill)
 
-	spec := ckptio.WalkTable[int64](s, &l.spec, maxTxns)
-	for spec.Next() {
-		s.I64(&spec.Key)
-		spec.Val.walk(s)
+	ckptio.Slice(s, &l.spec, maxTxns)
+	for i := range l.spec {
+		l.spec[i].walk(s)
+		if t := l.spec[i].token; s.Loading() && l.specAt(t) != i {
+			s.Failf("L1 %d: token %d has two journal records", l.id, t)
+		}
 	}
-	aband := ckptio.WalkTable[int64](s, &l.specAband, maxTxns)
-	for aband.Next() {
-		s.I64(&aband.Key)
+	ckptio.Slice(s, &l.specAband, maxTxns)
+	for i := range l.specAband {
+		s.I64(&l.specAband[i])
+		if t := l.specAband[i]; s.Loading() && (slices.Index(l.specAband, t) != i || l.specAt(t) >= 0) {
+			s.Failf("L1 %d: token %d is abandoned twice, or journaled too", l.id, t)
+		}
 	}
 }
 

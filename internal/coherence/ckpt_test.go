@@ -3,6 +3,7 @@ package coherence
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -473,6 +474,51 @@ func TestFabricLoadRejectsMalformed(t *testing.T) {
 				t.Fatal(err)
 			case tc.want == "" && f.nextDue() != cycle+127:
 				t.Fatalf("next delivery at %d, want %d", f.nextDue(), cycle+127)
+			case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want a ckptio error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestL1LoadStateRejectsMalformed: the controller keeps one ownership
+// transaction and one writeback per line, and one journal record or
+// abandonment per token, and finds an entry by searching its list front to
+// back. A checkpoint that names a line or a token twice is a ckptio error,
+// never a second entry the search would not reach; the intact lists load
+// back in their order.
+func TestL1LoadStateRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		wreck func(l *L1)
+		want  string
+	}{
+		{"intact", func(*L1) {}, ""},
+		{"line twice in acq", func(l *L1) { l.acq = append(l.acq, &storeTxn{line: 0x80}) }, "line 0x80 has two ownership transactions"},
+		{"line twice in evictBuf", func(l *L1) { l.evictBuf = append(l.evictBuf, 0x100) }, "line 0x100 is written back twice"},
+		{"token twice in spec", func(l *L1) { l.spec = append(l.spec, specTxn{token: 5, line: 0x200}) }, "token 5 has two journal records"},
+		{"token in spec and specAband", func(l *L1) { l.specAband = append(l.specAband, 5) }, "token 5 is abandoned twice, or journaled too"},
+		{"token twice in specAband", func(l *L1) { l.specAband = append(l.specAband, 7) }, "token 7 is abandoned twice, or journaled too"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newHarness(t, 1).sys.L1(0)
+			l.acq = []*storeTxn{{line: 0xc0, need: -1}, {line: 0x80, need: -1, inFlight: true}}
+			l.evictBuf = []uint64{0x140, 0x100}
+			l.spec = []specTxn{{token: 9, line: 0x40, hit: true}, {token: 5, line: 0x180, installed: true}}
+			l.specAband = []int64{7, 3}
+			tc.wreck(l)
+			e := ckptio.NewEncoder()
+			l.State(ckptio.SaveTo(e))
+			back := newHarness(t, 1).sys.L1(0)
+			d := ckptio.NewDecoder(e.Bytes())
+			back.State(ckptio.LoadFrom(d))
+			err := d.Done()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatal(err)
+			case tc.want == "" && (!reflect.DeepEqual(back.acq, l.acq) || !slices.Equal(back.evictBuf, l.evictBuf) ||
+				!slices.Equal(back.spec, l.spec) || !slices.Equal(back.specAband, l.specAband)):
+				t.Fatalf("loaded %v %v %v %v, want the lists saved", back.acq, back.evictBuf, back.spec, back.specAband)
 			case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "ckptio: ") || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("error %v, want a ckptio error containing %q", err, tc.want)
 			}

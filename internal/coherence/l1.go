@@ -1,11 +1,12 @@
 package coherence
 
 import (
+	"slices"
+
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/cache"
 	"pinnedloads/internal/obs"
 	"pinnedloads/internal/stats"
-	"pinnedloads/internal/table"
 )
 
 // CoreHooks is the interface through which the memory system reaches into
@@ -80,6 +81,7 @@ type pendingFill struct {
 // finalize it. A load whose access completed statelessly journals neither
 // flag: there is nothing to reverse.
 type specTxn struct {
+	token     int64 // the load's memory token
 	line      uint64
 	hit       bool // spec hit on a pre-existing line (commit touches LRU)
 	installed bool // line installed into an invalid L1 way (undo removes it)
@@ -147,21 +149,21 @@ type L1 struct {
 	tags *cache.SetAssoc
 	mshr *cache.MSHR
 
-	// The four tables hold an entry per transaction in flight, which nothing
-	// in the configuration bounds: each starts small and doubles, a few times
-	// in a machine's life, when it must.
-	acq       table.Table[*storeTxn] // line -> outstanding ownership transaction
-	txnFree   []*storeTxn            // recycled storeTxns (bounded by peak concurrency)
-	evictBuf  table.Table[struct{}]  // lines written back, PutM not yet acknowledged
+	// The lists hold an entry per transaction in flight, in arrival order,
+	// and are searched front to back: a handful of entries on the paper's
+	// machine (DESIGN.md §9), which nothing in the configuration bounds.
+	acq       []*storeTxn // outstanding ownership transactions, one per line
+	txnFree   []*storeTxn // recycled storeTxns (bounded by peak concurrency)
+	evictBuf  []uint64    // lines written back, PutM not yet acknowledged
 	pending   []pendingFill
 	portsUsed int
 	lastFill  uint64 // last demand-fill line, for the next-line prefetcher
 
-	// spec journals completed speculative accesses by token (RCP scheme);
-	// specAband marks tokens squashed while their fill was still in
-	// flight, so the arriving fill is reversed immediately.
-	spec      table.Table[specTxn]
-	specAband table.Table[struct{}]
+	// spec journals completed speculative accesses (RCP scheme), one per
+	// token; specAband holds the tokens squashed while their fill was still
+	// in flight, so the arriving fill is reversed immediately.
+	spec      []specTxn
+	specAband []int64
 
 	// touched records that the controller handled a message since the core
 	// last asked (TakeTouched): every way the memory system reaches into a
@@ -170,23 +172,16 @@ type L1 struct {
 	touched bool
 }
 
-// txnRoom is the room an L1's tables start with.
-const txnRoom = 8
-
 func newL1(id int, cfg *arch.Config, fab *fabric, count *stats.Counters) *L1 {
 	return &L1{
-		id:        id,
-		cfg:       cfg,
-		fab:       fab,
-		count:     count,
-		cnt:       bindL1Counters(count),
-		rec:       obs.Nop,
-		tags:      cache.NewSetAssoc(cfg.L1Sets, cfg.L1Ways),
-		mshr:      cache.NewMSHR(cfg.L1MSHRs),
-		acq:       table.Growing[*storeTxn](txnRoom),
-		evictBuf:  table.Growing[struct{}](txnRoom),
-		spec:      table.Growing[specTxn](txnRoom),
-		specAband: table.Growing[struct{}](txnRoom),
+		id:    id,
+		cfg:   cfg,
+		fab:   fab,
+		count: count,
+		cnt:   bindL1Counters(count),
+		rec:   obs.Nop,
+		tags:  cache.NewSetAssoc(cfg.L1Sets, cfg.L1Ways),
+		mshr:  cache.NewMSHR(cfg.L1MSHRs),
 	}
 }
 
@@ -347,7 +342,7 @@ func (l *L1) LoadSpec(token int64, line uint64) LoadResult {
 	set := l.cfg.L1Set(line)
 	if e := l.tags.Lookup(set, line); e != nil && e.State.CanRead() {
 		*l.cnt.specHits++
-		l.spec.Set(uint64(token), specTxn{line: line, hit: true})
+		l.spec = append(l.spec, specTxn{token: token, line: line, hit: true})
 		l.fab.self(Msg{Kind: SelfDone, Line: line, Src: l.addr(), Dst: l.addr(),
 			Token: token}, l.cfg.L1HitCycles)
 		return LoadHit
@@ -374,7 +369,7 @@ func (l *L1) LoadSpec(token int64, line uint64) LoadResult {
 // Commit messages ride the reserved virtual network and consume no L1
 // port: they carry no data and are off the load's critical path.
 func (l *L1) SpecCommit(token int64) {
-	txn, ok := l.spec.Del(uint64(token))
+	txn, ok := l.takeSpec(token)
 	if !ok {
 		return
 	}
@@ -393,12 +388,29 @@ func (l *L1) SpecCommit(token int64) {
 // arriving fill is reversed on the spot; otherwise the journaled state is
 // undone immediately.
 func (l *L1) SpecAbandon(token int64) {
-	txn, ok := l.spec.Del(uint64(token))
+	txn, ok := l.takeSpec(token)
 	if !ok {
-		l.specAband.Set(uint64(token), struct{}{})
+		l.specAband = append(l.specAband, token)
 		return
 	}
 	l.undoSpec(txn)
+}
+
+// specAt returns the index of token's journal record, or -1.
+func (l *L1) specAt(token int64) int {
+	return slices.IndexFunc(l.spec, func(t specTxn) bool { return t.token == token })
+}
+
+// takeSpec removes token's journal record and returns it, and whether there
+// was one.
+func (l *L1) takeSpec(token int64) (specTxn, bool) {
+	i := l.specAt(token)
+	if i < 0 {
+		return specTxn{}, false
+	}
+	txn := l.spec[i]
+	l.spec = slices.Delete(l.spec, i, i+1)
+	return txn, true
 }
 
 // undoSpec reverses the journaled state of one speculative transaction.
@@ -434,7 +446,8 @@ func (l *L1) handleDataSpec(m Msg) {
 	}
 	registered := m.Kind == DataSpecS && m.Acks == 1
 	for _, w := range l.mshr.Release(i) {
-		if _, ok := l.specAband.Del(uint64(w)); ok {
+		if i := slices.Index(l.specAband, w); i >= 0 {
+			l.specAband = slices.Delete(l.specAband, i, i+1)
 			if registered {
 				l.fab.send(Msg{Kind: SpecUndo, Line: m.Line, Src: l.addr(),
 					Dst: l.home(m.Line)}, 0)
@@ -442,7 +455,7 @@ func (l *L1) handleDataSpec(m Msg) {
 			*l.cnt.specRollbacks++
 			continue
 		}
-		txn := specTxn{line: m.Line, undoDir: registered}
+		txn := specTxn{token: w, line: m.Line, undoDir: registered}
 		if m.Kind == DataSpecS {
 			set := l.cfg.L1Set(m.Line)
 			if l.tags.Lookup(set, m.Line) == nil {
@@ -453,7 +466,7 @@ func (l *L1) handleDataSpec(m Msg) {
 				}
 			}
 		}
-		l.spec.Set(uint64(w), txn)
+		l.spec = append(l.spec, txn)
 		l.hooks.LoadDone(w)
 	}
 }
@@ -472,7 +485,7 @@ func (l *L1) PinInFlight(line uint64) {
 // is already writable or a transaction is outstanding are no-ops.
 // hooks.LineOwned fires when ownership is obtained.
 func (l *L1) Acquire(line uint64) {
-	if l.acq.Has(line) {
+	if l.acqTxn(line) != nil {
 		return
 	}
 	set := l.cfg.L1Set(line)
@@ -487,8 +500,18 @@ func (l *L1) Acquire(line uint64) {
 	} else {
 		st = &storeTxn{line: line}
 	}
-	l.acq.Set(line, st)
+	l.acq = append(l.acq, st)
 	l.tryAcquire(st)
+}
+
+// acqTxn returns the outstanding ownership transaction for the line, or nil.
+func (l *L1) acqTxn(line uint64) *storeTxn {
+	for _, st := range l.acq {
+		if st.line == line {
+			return st
+		}
+	}
+	return nil
 }
 
 // tryAcquire sends (or re-sends) the ownership request.
@@ -513,7 +536,8 @@ func (l *L1) tryAcquire(st *storeTxn) {
 // (nothing holds the pointer once the line leaves acq; later arrivals for
 // the line look it up afresh and see nil).
 func (l *L1) ownComplete(st *storeTxn) {
-	l.acq.Del(st.line)
+	i := slices.Index(l.acq, st)
+	l.acq = slices.Delete(l.acq, i, i+1)
 	l.txnFree = append(l.txnFree, st)
 	l.fab.self(Msg{Kind: SelfDone, Line: st.line, Src: l.addr(), Dst: l.addr(),
 		Token: -2}, l.cfg.L1HitCycles)
@@ -572,7 +596,9 @@ func (l *L1) handle(m Msg) {
 	case Nack:
 		l.handleNack(m)
 	case PutMAck:
-		l.evictBuf.Del(m.Line)
+		if i := slices.Index(l.evictBuf, m.Line); i >= 0 {
+			l.evictBuf = slices.Delete(l.evictBuf, i, i+1)
+		}
 	case SelfRetry:
 		l.handleRetry(m)
 	default:
@@ -630,7 +656,7 @@ func (l *L1) install(line uint64, st cache.State, mshrIdx int) {
 func (l *L1) evict(victim *cache.Line) {
 	*l.cnt.evictions++
 	if victim.State == cache.Modified || victim.State == cache.Exclusive {
-		l.evictBuf.Set(victim.Addr, struct{}{})
+		l.evictBuf = append(l.evictBuf, victim.Addr)
 		l.fab.send(Msg{Kind: PutM, Line: victim.Addr, Src: l.addr(),
 			Dst: l.home(victim.Addr)}, 0)
 	}
@@ -662,7 +688,7 @@ func (l *L1) finishFill(line uint64, mshrIdx int) {
 // handleDataX processes the directory's write grant for an outstanding
 // ownership transaction.
 func (l *L1) handleDataX(m Msg) {
-	st, _ := l.acq.Get(m.Line)
+	st := l.acqTxn(m.Line)
 	if st == nil {
 		// A stale grant from an aborted transaction; ignore.
 		return
@@ -674,7 +700,7 @@ func (l *L1) handleDataX(m Msg) {
 // handleInvResp processes a sharer's InvAck or Defer addressed to this L1
 // as the write requestor.
 func (l *L1) handleInvResp(m Msg, deferred bool) {
-	st, _ := l.acq.Get(m.Line)
+	st := l.acqTxn(m.Line)
 	if st == nil {
 		return
 	}
@@ -784,7 +810,7 @@ func (l *L1) handleFwdGetS(m Msg) {
 			Dst: l.home(m.Line)}, 0)
 		return
 	}
-	if l.evictBuf.Has(m.Line) {
+	if slices.Contains(l.evictBuf, m.Line) {
 		// Serve from the evict buffer; the in-flight PutM completes the
 		// downgrade at the directory.
 		l.fab.send(Msg{Kind: DataS, Line: m.Line, Src: l.addr(), Dst: req}, 0)
@@ -828,7 +854,7 @@ func (l *L1) handleRecall(m Msg) {
 			Dst: m.Src}, 0)
 		return
 	}
-	if l.evictBuf.Has(m.Line) {
+	if slices.Contains(l.evictBuf, m.Line) {
 		// Already writing the line back; the PutM acts as the response.
 		l.fab.send(Msg{Kind: RecallAck, Line: m.Line, Src: l.addr(),
 			Dst: m.Src}, 0)
@@ -848,7 +874,7 @@ func (l *L1) handleNack(m Msg) {
 				Dst: l.addr(), Token: retryRequest}, arch.NackBackoff)
 		}
 	case GetX, GetXStar:
-		if st, _ := l.acq.Get(m.Line); st != nil {
+		if st := l.acqTxn(m.Line); st != nil {
 			st.inFlight = false
 			l.fab.self(Msg{Kind: SelfRetry, Line: m.Line, Src: l.addr(),
 				Dst: l.addr(), Token: retryStore}, arch.NackBackoff)
@@ -859,7 +885,7 @@ func (l *L1) handleNack(m Msg) {
 func (l *L1) handleRetry(m Msg) {
 	switch m.Token {
 	case retryStore:
-		if st, _ := l.acq.Get(m.Line); st != nil && !st.inFlight {
+		if st := l.acqTxn(m.Line); st != nil && !st.inFlight {
 			l.tryAcquire(st)
 		}
 	case retryRequest:
@@ -892,7 +918,7 @@ func (l *L1) handleRetry(m Msg) {
 }
 
 func (l *L1) retryStoreInstall(p pendingFill) {
-	st, _ := l.acq.Get(p.line)
+	st := l.acqTxn(p.line)
 	if st == nil {
 		return
 	}

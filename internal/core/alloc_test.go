@@ -203,8 +203,7 @@ func TestSteadyStateCycleAllocsTracerOn(t *testing.T) {
 // most checkpointable structures (CSTs, CPT, per-set pin counts). A snapshot
 // is the exact-size copy ckptio.Encode returns from its recycled buffer and
 // the sorted counter names; a restore shares the names the machine has bound
-// instead of decoding each into a string (106 allocations when it did). A
-// table walk that lets its ckptio.TableWalk cursor escape shows up here first.
+// instead of decoding each into a string (106 allocations when it did).
 func TestCheckpointAllocs(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
 		t.Skip("allocation budgets do not hold under the race detector or -coverpkg")

@@ -91,10 +91,10 @@ func (f *mapFinder) value(v reflect.Value, path string) {
 }
 
 // TestNoMapOnTheCyclePath: nothing reachable from a core, its L1, a
-// directory slice or the fabric is a Go map. The cycle loop's keyed
-// bookkeeping lives in bounded open-addressed tables (internal/table), and
-// the maps they replaced cost a tenth of an 8-core run's host time; a map
-// that comes back fails here instead. The machines run a while first, with a
+// directory slice or the fabric is a Go map. A core names its loads by ROB
+// slot and LQ position and an L1 keeps short lists (DESIGN.md §9), and the
+// maps they replaced cost a tenth of an 8-core run's host time; a map that
+// comes back fails here instead. The machines run a while first, with a
 // recorder and every optional part of a core in place, so that what a run
 // creates on the way is walked too.
 func TestNoMapOnTheCyclePath(t *testing.T) {

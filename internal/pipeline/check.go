@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"pinnedloads/internal/defense"
@@ -17,14 +16,16 @@ import (
 // load's line, the load count, the seq lists and the candidate lists a walk
 // of the whole ROB (and under Fence every candidate past the gate bound
 // held), the store-address filter a recount of the store queue and the write
-// buffer, lastOdd the loads it must cover, the three tables the ROB and the
-// per-set pin counts the pinned lines. No L1 set may hold more pinned lines
-// than L1Ways-1 (l1SetRoom), under Early Pinning no directory set more than
-// Wd (paper Section 5.1.4), and no table more entries than the load queue.
+// buffer, lastOdd the loads it must cover, every memory token its own slot,
+// the pinned lines and their LQ IDs the ROB's pinned loads and the per-set
+// pin counts the pinned lines. No L1 set may hold more pinned lines than
+// L1Ways-1 (l1SetRoom), under Early Pinning no directory set more than Wd
+// (paper Section 5.1.4), and the load queue no more pinned loads than it
+// has entries.
 // It returns the first violation found, or nil. Tests call it between
 // cycles; the simulator never does.
 func (c *Core) Check() error {
-	for _, check := range []func() error{c.checkCandidates, c.checkStoreFilter, c.checkTables, c.checkSetPins} {
+	for _, check := range []func() error{c.checkCandidates, c.checkStoreFilter, c.checkPins, c.checkSetPins} {
 		if err := check(); err != nil {
 			return fmt.Errorf("core %d @%d: %w", c.id, c.now, err)
 		}
@@ -144,57 +145,74 @@ func (c *Core) checkStoreFilter() error {
 	return nil
 }
 
-// checkTables recomputes the core's three tables from the ROB — the memory
-// token of every entry that holds one, the extended LQ ID and the line of
-// every pinned load — and holds each table to its recomputation, and to the
-// load-queue bound it is sized by.
-func (c *Core) checkTables() error {
-	tokens := map[uint64]int64{}
-	tags := map[uint64]int64{}
-	pins := map[uint64]int{}
-	for seq := c.head; seq < c.tail; seq++ {
-		e := c.at(seq)
-		if e.token != 0 {
-			tokens[uint64(e.token)] = seq
-		}
-		if e.pinned {
-			tags[uint64(e.lqTag)] = seq
-			pins[e.line]++
-		}
-	}
-	for _, tc := range []struct {
-		name      string
-		got, want map[uint64]int64
-	}{
-		{"tokenSeq", maps.Collect(c.tokenSeq.All()), tokens},
-		{"tagToSeq", maps.Collect(c.tagToSeq.All()), tags},
-	} {
-		if !maps.Equal(tc.got, tc.want) {
-			return fmt.Errorf("%s holds %v, the ROB says %v", tc.name, tc.got, tc.want)
-		}
-	}
-	if got := maps.Collect(c.pinnedRef.All()); !maps.Equal(got, pins) {
-		return fmt.Errorf("pinnedRef holds %v, the ROB's pinned loads say %v", got, pins)
-	}
-	if n := max(len(tokens), len(tags), len(pins)); n > c.cfg.LQEntries {
-		return fmt.Errorf("%d entries in a table bounded by a %d-entry load queue", n, c.cfg.LQEntries)
+// tokenErr reports a memory token at seq that does not name seq's own ROB
+// slot, which LoadDone would deliver to another load.
+func (c *Core) tokenErr(seq int64) error {
+	if t := uint64(c.at(seq).token); t != 0 && t%uint64(len(c.entries)) != uint64(seq)%uint64(len(c.entries)) {
+		return fmt.Errorf("seq %d: memory token %d names ROB slot %d, not its own", seq, t, t%uint64(len(c.entries)))
 	}
 	return nil
+}
+
+// pinTagsErr holds the pinned loads' extended LQ IDs, youngest first, to the
+// last ones lqTagNext issued, as tagLive assumes.
+func (c *Core) pinTagsErr() error {
+	want := uint32(c.lqTagNext)
+	for seq := c.tail - 1; seq >= c.head; seq-- {
+		if e := c.at(seq); e.pinned {
+			if want--; e.lqTag != want&c.lqTagMask {
+				return fmt.Errorf("pinned load %d holds LQ ID %d, not %d: the pinned loads hold the last IDs issued", seq, e.lqTag, want&c.lqTagMask)
+			}
+		}
+	}
+	return nil
+}
+
+// checkPins holds every memory token to its slot, pinnedLines to the ROB's
+// pinned loads' lines in seq order, their LQ IDs to the last ones issued and
+// their number to the load-queue bound.
+func (c *Core) checkPins() error {
+	var want []uint64
+	for seq := c.head; seq < c.tail; seq++ {
+		if err := c.tokenErr(seq); err != nil {
+			return err
+		}
+		if e := c.at(seq); e.pinned {
+			want = append(want, e.line)
+		}
+	}
+	if got := c.pinned(); !slices.Equal(got, want) {
+		return fmt.Errorf("pinnedLines holds %#x, the ROB's pinned loads say %#x", got, want)
+	}
+	if len(want) > c.cfg.LQEntries {
+		return fmt.Errorf("%d pinned loads, bounded by a %d-entry load queue", len(want), c.cfg.LQEntries)
+	}
+	return c.pinTagsErr()
+}
+
+// pinned returns a copy of pinnedLines, oldest first.
+func (c *Core) pinned() []uint64 {
+	lines := make([]uint64, c.pinnedLines.Len())
+	for i := range lines {
+		lines[i] = c.pinnedLines.At(i)
+	}
+	return lines
 }
 
 // checkSetPins holds the per-set pin counts to a recount of the pinned
 // lines, and the counts to the bounds pinning keeps. The counts are nil
 // until the core's first pin.
 func (c *Core) checkSetPins() error {
+	lines := slices.Compact(slices.Sorted(slices.Values(c.pinned())))
 	if c.pinsPerL1Set == nil {
-		if n := c.pinnedRef.Len(); n > 0 {
-			return fmt.Errorf("%d pinned lines and no per-set pin counts", n)
+		if len(lines) > 0 {
+			return fmt.Errorf("%d pinned lines and no per-set pin counts", len(lines))
 		}
 		return nil
 	}
 	wantL1 := make([]int32, len(c.pinsPerL1Set))
 	wantDir := make([]int32, len(c.pinsPerDirSet))
-	for line := range c.pinnedRef.All() {
+	for _, line := range lines {
 		wantL1[c.l1Key(line)]++
 		wantDir[c.dirKey(line)]++
 	}

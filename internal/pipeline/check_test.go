@@ -8,6 +8,16 @@ import (
 	"pinnedloads/internal/defense"
 )
 
+// holdsToken reports whether a load of c has an access in flight.
+func holdsToken(c *Core) bool {
+	for seq := c.head; seq < c.tail; seq++ {
+		if c.at(seq).token != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestCheckNamesEachWreck breaks one piece of derived state, or one bound, at
 // a time in a core that holds pinned loads and memory tokens, and requires
 // Check to name it.
@@ -27,9 +37,16 @@ func TestCheckNamesEachWreck(t *testing.T) {
 			e := c.at(c.head)
 			e.probeEpoch, e.probeLine, e.probeHit = c.l1.TagEpoch(), 0x12345, true
 		}, "a fresh Probe disagrees"},
-		{"token table", func(c *Core) { c.tokenSeq.Set(1<<40, c.head) }, "tokenSeq holds"},
-		{"tag table", func(c *Core) { c.tagToSeq.Set(1<<20, c.head) }, "tagToSeq holds"},
-		{"pinned-line table", func(c *Core) { c.pinnedRef.Set(0x12345, 1) }, "pinnedRef holds"},
+		{"token table", func(c *Core) { c.at(c.head).token = int64(len(c.entries) + c.headSlot + 1) }, "names ROB slot"},
+		{"tag table", func(c *Core) {
+			for seq := c.head; ; seq++ {
+				if e := c.at(seq); e.pinned {
+					e.lqTag++
+					return
+				}
+			}
+		}, "holds LQ ID"},
+		{"pinned-line table", func(c *Core) { c.pinnedLines.Push(0x12345) }, "pinnedLines holds"},
 		{"L1 set pins", func(c *Core) { c.pinsPerL1Set[slices.Index(c.pinsPerL1Set, 1)]++ }, "pinsPerL1Set["},
 		{"directory set pins", func(c *Core) { c.pinsPerDirSet = append(c.pinsPerDirSet, 1) }, "pinsPerDirSet["},
 		{"store filter", func(c *Core) { c.stFilter[7]++ }, "store-address filter"},
@@ -41,7 +58,7 @@ func TestCheckNamesEachWreck(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newMachine(pinStream(), defense.Policy{Scheme: defense.Fence, Variant: defense.EP})
 			c := m.cores[0]
-			for c.pinnedRef.Len() < 2 || c.tokenSeq.Len() == 0 {
+			for c.pinnedLines.Len() < 2 || !holdsToken(c) {
 				m.step(t)
 			}
 			tc.wreck(c)

@@ -59,10 +59,11 @@ func (en *entry) walk(s ckptio.State) {
 // rebuild recomputes the core's indexes over the ROB window [head, tail) in
 // one pass: the seq lists and the load count, the load-queue candidate lists
 // and lastOdd, the store-address filter (the write buffer's addresses too),
-// the token, tag and pinned-line tables and the per-set pin counts. It resets
-// Fence's record of new candidates. Loading fails on a live slot that does
-// not hold its own seq, on a pinned load under a policy that does not pin,
-// and on more memory tokens or pinned loads than a table's load-queue bound.
+// the pinned lines and the per-set pin counts. It resets Fence's record of
+// new candidates. Loading fails on a live slot that does not hold its own
+// seq, on a memory token that names another slot, on a pinned load under a
+// policy that does not pin, and on more pinned loads than the load queue
+// holds.
 func (c *Core) rebuild(s ckptio.State) {
 	for _, l := range [...]*seqList{&c.fences, &c.loadSeqs, &c.storeSeqs,
 		&c.issueCand, &c.exposeCand, &c.specCand} {
@@ -74,9 +75,9 @@ func (c *Core) rebuild(s ckptio.State) {
 	for i := 0; i < c.wb.Len(); i++ {
 		c.stFilter[stHash(c.wb.At(i))]++
 	}
-	c.tokenSeq.Clear()
-	c.pinnedRef.Clear()
-	c.tagToSeq.Clear()
+	for c.pinnedLines.Len() > 0 {
+		c.pinnedLines.Pop()
+	}
 	clear(c.pinsPerL1Set)
 	clear(c.pinsPerDirSet)
 	c.freshFrom = 0 // lastOdd may now be below the one saved, and with it the gate bound
@@ -114,8 +115,8 @@ func (c *Core) rebuild(s ckptio.State) {
 		case isa.Fence, isa.Barrier:
 			c.fences.push(seq)
 		}
-		if e.token != 0 && !c.tokenSeq.Set(uint64(e.token), seq) {
-			s.Failf("seq %d: more memory tokens than a %d-entry load queue holds", seq, c.tokenSeq.Limit())
+		if err := c.tokenErr(seq); err != nil {
+			s.Failf("%v", err)
 			return
 		}
 		if !e.pinned {
@@ -125,14 +126,14 @@ func (c *Core) rebuild(s ckptio.State) {
 			s.Failf("seq %d: pinned load under %v, which does not pin", seq, c.policy)
 			return
 		}
-		n := c.pins(e.line)
-		if !c.tagToSeq.Set(uint64(e.lqTag), seq) || !c.pinnedRef.Set(e.line, n+1) {
-			s.Failf("seq %d: more pinned loads than a %d-entry load queue holds", seq, c.pinnedRef.Limit())
+		if c.pinnedLines.Len() == c.cfg.LQEntries {
+			s.Failf("seq %d: more pinned loads than a %d-entry load queue holds", seq, c.cfg.LQEntries)
 			return
 		}
-		if n == 0 {
+		if c.pins(e.line) == 0 {
 			c.bumpSetPins(e.line, +1)
 		}
+		c.pinnedLines.Push(e.line)
 	}
 }
 
@@ -232,6 +233,12 @@ func (c *Core) State(s ckptio.State) {
 	}
 
 	s.U64(&c.lqTagNext)
+	if s.Loading() && s.Err() == nil {
+		if err := c.pinTagsErr(); err != nil {
+			s.Failf("%v", err)
+			return
+		}
+	}
 	s.Bool(&c.wrapStall)
 
 	s.I64(&c.vpFrontier)

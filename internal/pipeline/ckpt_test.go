@@ -20,7 +20,7 @@ var entryDerived = []string{"probeEpoch", "probeLine", "probeHit"}
 // what they hold, not whether they exist.
 var (
 	coreDerived = []string{"headSlot", "loadsInROB", "fences", "loadSeqs", "storeSeqs", "perfLines",
-		"issueCand", "exposeCand", "specCand", "tokenSeq", "pinnedRef", "tagToSeq",
+		"issueCand", "exposeCand", "specCand", "pinnedLines",
 		"pinsPerL1Set", "pinsPerDirSet", "active", "asleep",
 		"wire", "charges", "nCharges", "calMask", "barrierSeen", "slept",
 		"lastOdd", "stFilter", "freshFrom", "gateVisits", "forwardScans"}
@@ -80,10 +80,11 @@ func TestEntryWalkRejectsMalformed(t *testing.T) {
 // TestCoreStateRejectsMalformed saves a core that holds pinned loads, memory
 // tokens and more instructions than its load queue, with one wreck in its
 // ROB, and loads it into a fresh core. A restore rebuilds the core's indexes
-// from the ROB, so a live slot that holds another seq, a pinned load under a
-// policy that does not pin, and more pinned loads or tokens than a table's
-// load-queue bound, must end in the sticky error, not in a panic or a core
-// that breaks later; the intact cores must load whole.
+// from the ROB, so a live slot that holds another seq, a memory token that
+// names another slot, a pinned load under a policy that does not pin, more
+// pinned loads than the load queue holds, and pinned loads that do not hold
+// the last LQ IDs issued, must end in the sticky error, not in a panic or a
+// core that breaks later; the intact cores must load whole.
 func TestCoreStateRejectsMalformed(t *testing.T) {
 	pinning := defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
 	comp := defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}
@@ -110,12 +111,13 @@ func TestCoreStateRejectsMalformed(t *testing.T) {
 			for seq := c.head; seq < c.tail; seq++ {
 				c.at(seq).token = seq + 1
 			}
-		}, "more memory tokens than a 62-entry load queue"},
+		}, "names ROB slot"},
+		{"pinned LQ IDs", pinning, func(c *Core) { c.lqTagNext++ }, "the pinned loads hold the last IDs issued"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := newMachine(pinStream(), tc.pol)
 			c := src.cores[0]
-			for (tc.pol.Pinning() && c.pinnedRef.Len() < 2) || c.tokenSeq.Len() == 0 || c.tail-c.head <= int64(c.cfg.LQEntries) {
+			for (tc.pol.Pinning() && c.pinnedLines.Len() < 2) || !holdsToken(c) || c.tail-c.head <= int64(c.cfg.LQEntries) {
 				if src.cycle == 20_000 {
 					t.Fatalf("no cycle held 2 pinned loads when pinning, a token and more than %d instructions", c.cfg.LQEntries)
 				}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"pinnedloads/internal/coherence"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
+	"pinnedloads/internal/obs"
 	"pinnedloads/internal/stats"
 	"pinnedloads/internal/trace"
 )
@@ -300,5 +302,52 @@ func TestSquashedCandidatesLeaveNoStaleSeq(t *testing.T) {
 	}
 	if mem.L1(0).Probe(arch.LineAddr(wrongAddr)) || !mem.L1(0).Probe(arch.LineAddr(rightAddr)) {
 		t.Fatal("the L1 holds the wrong path's line, or not the refetched load's")
+	}
+}
+
+// TestStaleTokenLeavesTheSlotsNewLoad squashes a load while its fill is in
+// flight, refetches a load into the same ROB slot and then delivers the old
+// load's token: a token names a slot, and the slot no longer holds it, so
+// the new load must stay as it was.
+func TestStaleTokenLeavesTheSlotsNewLoad(t *testing.T) {
+	var insts []isa.Inst
+	for i := range 8 {
+		insts = append(insts, isa.Inst{Op: isa.Load, Addr: 0x40000000 + uint64(i)*64*64}, isa.Inst{Op: isa.ALU, Lat: 1})
+	}
+	c, mem, _ := buildCore(t, defense.Policy{Scheme: defense.Unsafe}, insts)
+	seq, token := int64(-1), int64(0)
+	for seq < 0 {
+		if c.now == 1_000 {
+			t.Fatal("no load had a fill in flight")
+		}
+		run(c, mem, 1)
+		for s := c.head; s < c.tail; s++ {
+			if e := c.at(s); e.state == stIssued && e.token != 0 && slices.Contains(c.l1.MSHRLines(), e.line) {
+				seq, token = s, e.token
+				break
+			}
+		}
+	}
+	slot := seq % int64(len(c.entries))
+	c.squashFrom(seq, obs.CauseMCV)
+	// The refetched load issues, and its access is in flight too.
+	for !c.valid(seq) || c.at(seq).state != stIssued {
+		if c.valid(seq) && c.at(seq).performed {
+			t.Fatal("the refetched load performed before the test saw it issued")
+		}
+		run(c, mem, 1)
+	}
+	e := c.at(seq)
+	if e != &c.entries[slot] || e.inst.Op != isa.Load || e.token == 0 || e.token == token {
+		t.Fatalf("seq %d refetched as %v holding token %d (old %d), or not into slot %d", seq, e.inst.Op, e.token, token, slot)
+	}
+	before := *e
+	before.wake = slices.Clone(e.wake)
+	c.LoadDone(token)
+	if !reflect.DeepEqual(*e, before) {
+		t.Fatalf("the squashed load's token changed the new load in its slot:\n got %+v\nwant %+v", *e, before)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

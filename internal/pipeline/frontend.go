@@ -192,9 +192,6 @@ func (c *Core) squashFrom(from int64, cause obs.Cause) {
 				c.stFilter[stHash(e.inst.Addr)]--
 			}
 		}
-		if e.token != 0 {
-			c.tokenSeq.Del(uint64(e.token))
-		}
 		if e.specToken != 0 {
 			// Reverse the load's journaled cache/directory state (RCP).
 			c.l1.SpecAbandon(e.specToken)

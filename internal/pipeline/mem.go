@@ -87,7 +87,7 @@ func (c *Core) issueLoad(e *entry) bool {
 	if !c.l1.AcquirePort() {
 		return false
 	}
-	token := c.newToken(e.seq)
+	token := c.newToken(e)
 	var res coherence.LoadResult
 	switch mode {
 	case issueSpec:
@@ -105,7 +105,6 @@ func (c *Core) issueLoad(e *entry) bool {
 		res = c.l1.Load(token, e.line)
 	}
 	if res == coherence.LoadBlocked {
-		c.tokenSeq.Del(uint64(token))
 		e.token = 0
 		return true
 	}
@@ -128,15 +127,12 @@ func (c *Core) issueLoad(e *entry) bool {
 	return true
 }
 
-// newToken allocates a unique memory-access token for seq.
-func (c *Core) newToken(seq int64) int64 {
+// newToken gives e a fresh memory-access token, which names e's ROB slot,
+// seq mod ROBEntries.
+func (c *Core) newToken(e *entry) int64 {
 	c.nextToken++
-	t := c.nextToken
-	if !c.tokenSeq.Set(uint64(t), seq) {
-		c.fail("more than %d memory tokens live", c.cfg.LQEntries)
-	}
-	c.at(seq).token = t
-	return t
+	e.token = c.nextToken*int64(len(c.entries)) + e.seq%int64(len(c.entries))
+	return e.token
 }
 
 // issueMode is the outcome of the defense scheme's issue gate.
@@ -233,12 +229,11 @@ func (c *Core) exposeLoads() {
 			if !c.l1.AcquirePort() {
 				break
 			}
-			token := c.newToken(e.seq)
+			token := c.newToken(e)
 			*c.cnt.loadsExposed++
 			if c.l1.Load(token, e.line) != coherence.LoadBlocked {
 				continue // in flight: LoadDone marks the load exposed
 			}
-			c.tokenSeq.Del(uint64(token))
 			e.token = 0
 		}
 		cand[kept] = cand[i]
@@ -336,7 +331,12 @@ func (c *Core) PinnedLine(line uint64) bool { return c.pins(line) > 0 }
 
 // pins returns how many pinned loads hold the line.
 func (c *Core) pins(line uint64) int {
-	n, _ := c.pinnedRef.Get(line)
+	n := 0
+	for i := range c.pinnedLines.Len() {
+		if c.pinnedLines.At(i) == line {
+			n++
+		}
+	}
 	return n
 }
 
@@ -389,17 +389,11 @@ func (c *Core) OnClear(line uint64) {
 	}
 }
 
-// LoadDone delivers data for an outstanding load access.
+// LoadDone delivers data for an outstanding load access to the ROB slot the
+// token names, unless its load was squashed or retired meanwhile.
 func (c *Core) LoadDone(token int64) {
-	seq, ok := c.tokenSeq.Del(uint64(token))
-	if !ok {
-		return // the load was squashed while its fill was in flight
-	}
-	if !c.valid(seq) {
-		return
-	}
-	e := c.at(seq)
-	if e.token != token {
+	e := &c.entries[uint64(token)%uint64(len(c.entries))]
+	if e.token != token || !c.valid(e.seq) {
 		return
 	}
 	e.token = 0
@@ -416,9 +410,9 @@ func (c *Core) LoadDone(token int64) {
 			e.exposeDone = true
 			*c.cnt.loadsExposeSkipped++
 		case e.invisible:
-			c.exposeCand.insert(seq)
+			c.exposeCand.insert(e.seq)
 		case e.specToken != 0 && e.inst.TransientAddr != 0:
-			c.specCand.insert(seq)
+			c.specCand.insert(e.seq)
 		}
 		return
 	}

@@ -19,7 +19,6 @@ import (
 	"pinnedloads/internal/pin"
 	"pinnedloads/internal/ringq"
 	"pinnedloads/internal/stats"
-	"pinnedloads/internal/table"
 	"pinnedloads/internal/trace"
 )
 
@@ -162,8 +161,8 @@ type Core struct {
 	headSlot int
 
 	// Occupancy: the load queue's (loads and locks) and the unretired ops of
-	// each kind in program order. These and the candidate lists, the three
-	// tables and the per-set pin counts below are indexes over the ROB,
+	// each kind in program order. These and the candidate lists, the pinned
+	// lines and the per-set pin counts below are indexes over the ROB,
 	// maintained at the transitions that change them and rebuilt (never
 	// serialized) on restore.
 	loadsInROB int
@@ -203,28 +202,26 @@ type Core struct {
 	// Write buffer (retired stores, FIFO of byte addresses).
 	wb ringq.Q[uint64]
 
-	// Memory tokens: load issue token -> seq. The three tables of this core
-	// hold at most one entry per load-queue entry, and the two pin tables
-	// nothing under a policy that does not pin; a Set past that bound is a
-	// broken invariant (c.fail).
-	tokenSeq  table.Table[int64]
+	// Memory tokens name their load by ROB slot: the nth access the core
+	// issues carries n·ROBEntries + slot (nextToken counts them), so a
+	// delivery finds its load without an index (LoadDone).
 	nextToken int64
 
-	// Pinned Loads state.
-	pinnedRef   table.Table[int] // line -> pinned-load refcount
-	pinFrontier int64            // next seq to consider for pinning
+	// Pinned Loads state. pinnedLines holds the pinned loads' lines in pin
+	// (program) order: the load queue's pinned bits, oldest first (tagLive).
+	pinnedLines ringq.Q[uint64]
+	pinFrontier int64 // next seq to consider for pinning
 	l1CST       *pin.CST
 	dirCST      *pin.CST
 	cpt         *pin.CPT
 	lqTagNext   uint64 // monotonic LQ ID source
 	lqTagMask   uint32
-	tagToSeq    table.Table[int64] // live extended LQ ID -> seq
-	wrapStall   bool               // LQ ID wrapped: stop pinning until pinned drain
+	wrapStall   bool // LQ ID wrapped: stop pinning until pinned drain
 	// pinsPerL1Set / pinsPerDirSet count distinct pinned lines per L1 set
 	// and per directory (slice, set), indexed by l1Key/dirKey and sized on
 	// the first pin. Maintained incrementally at first-pin/last-unpin, they
 	// make the per-admission room checks O(1) instead of an O(pinned-lines)
-	// sweep of pinnedRef.
+	// sweep of pinnedLines.
 	pinsPerL1Set  []int32
 	pinsPerDirSet []int32
 
@@ -294,7 +291,6 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		issueCand:      newSeqList(cfg.LQEntries),
 		exposeCand:     newSeqList(cfg.LQEntries),
 		specCand:       newSeqList(cfg.LQEntries),
-		tokenSeq:       table.New[int64](cfg.LQEntries),
 		lqTagMask:      uint32(1)<<uint(cfg.LQIDTagBits) - 1,
 		doneCycle:      -1,
 		haltCycle:      -1,
@@ -304,8 +300,6 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		lastOdd:        -1,
 	}
 	if policy.Pinning() {
-		c.pinnedRef = table.New[int](cfg.LQEntries)
-		c.tagToSeq = table.New[int64](cfg.LQEntries)
 		c.cpt = pin.NewCPT(cfg.CPTEntries)
 	}
 	if policy.Variant == defense.EP && !cfg.InfiniteCST {

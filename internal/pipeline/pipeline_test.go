@@ -217,8 +217,8 @@ func TestHardwareAccessors(t *testing.T) {
 	if c2.CPT() != nil {
 		t.Fatal("Comp core has a CPT")
 	}
-	if c.pinnedRef.Len() != 0 || c.Check() != nil {
-		t.Fatalf("fresh core reports %d pinned lines, or %v", c.pinnedRef.Len(), c.Check())
+	if c.pinnedLines.Len() != 0 || c.Check() != nil {
+		t.Fatalf("fresh core reports %d pinned lines, or %v", c.pinnedLines.Len(), c.Check())
 	}
 }
 

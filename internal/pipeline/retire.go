@@ -33,10 +33,7 @@ func (c *Core) retire() *uint64 {
 			if e.pinned {
 				c.unpin(e)
 			}
-			if e.token != 0 {
-				c.tokenSeq.Del(uint64(e.token))
-				e.token = 0
-			}
+			e.token = 0
 			if e.specToken != 0 {
 				// Finalize the reversible access: the deferred LRU updates
 				// happen now that the load is architectural (RCP).

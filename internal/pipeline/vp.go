@@ -170,7 +170,7 @@ func (c *Core) pinGovernor() {
 	if c.wrapStall {
 		// LQ ID tag wraparound: wait for all pinned loads to retire,
 		// then clear the CSTs and resume (paper Section 6.2).
-		if c.pinnedRef.Len() > 0 {
+		if c.pinnedLines.Len() > 0 {
 			return
 		}
 		if c.l1CST != nil {
@@ -351,14 +351,11 @@ func (c *Core) dirKey(line uint64) uint32 {
 func (c *Core) peekTag() uint32 { return uint32(c.lqTagNext) & c.lqTagMask }
 
 // tagLive reports whether an extended LQ ID names a currently pinned load;
-// the CST uses it to expunge stale records.
+// the CST uses it to expunge stale records. Loads pin in program order,
+// retire in order and are never squashed, so the pinned ones hold the last
+// pinnedLines.Len() IDs issued.
 func (c *Core) tagLive(tag uint32) bool {
-	seq, ok := c.tagToSeq.Get(uint64(tag))
-	if !ok || !c.valid(seq) {
-		return false
-	}
-	e := c.at(seq)
-	return e.pinned && e.lqTag == tag
+	return (uint32(c.lqTagNext)-1-tag)&c.lqTagMask < uint32(c.pinnedLines.Len())
 }
 
 // commitPin marks the load pinned and advances the pin frontier. The
@@ -375,13 +372,13 @@ func (c *Core) commitPin(e *entry) {
 		c.wrapStall = true
 		*c.cnt.pinWraparound++
 	}
-	n := c.pins(e.line)
-	if !c.tagToSeq.Set(uint64(e.lqTag), e.seq) || !c.pinnedRef.Set(e.line, n+1) {
+	if c.pinnedLines.Len() == c.cfg.LQEntries {
 		c.fail("pinning seq %d: more pinned loads than a %d-entry load queue holds", e.seq, c.cfg.LQEntries)
 	}
-	if n == 0 {
+	if c.pins(e.line) == 0 {
 		c.bumpSetPins(e.line, +1)
 	}
+	c.pinnedLines.Push(e.line)
 	c.pinFrontier = e.seq + 1
 	*c.cnt.pinPinned++
 	if c.tracing {
@@ -390,21 +387,19 @@ func (c *Core) commitPin(e *entry) {
 	}
 }
 
-// unpin releases a pinned load's record at retirement.
+// unpin releases a pinned load's record at retirement: the oldest pinned
+// load retires first, so its line is the front of pinnedLines.
 func (c *Core) unpin(e *entry) {
+	if c.pinnedLines.Len() == 0 || c.pinnedLines.Pop() != e.line {
+		c.fail("retiring pinned seq %d of line %#x, not the oldest pinned load", e.seq, e.line)
+	}
 	last := int64(0)
-	if n := c.pins(e.line); n > 1 {
-		c.pinnedRef.Set(e.line, n-1)
-	} else {
+	if c.pins(e.line) == 0 {
 		last = 1
-		c.pinnedRef.Del(e.line)
 		c.bumpSetPins(e.line, -1)
 	}
 	if c.tracing {
 		c.rec.Record(obs.Event{Cycle: c.now, Core: int16(c.id), Kind: obs.KindUnpin,
 			Seq: e.seq, Line: e.line, Arg: last})
-	}
-	if s, ok := c.tagToSeq.Get(uint64(e.lqTag)); ok && s == e.seq {
-		c.tagToSeq.Del(uint64(e.lqTag))
 	}
 }

@@ -31,6 +31,7 @@ free-wrong-class      ./internal/coherence                     TestDirMatchesDen
 jump-skips-charges    ./internal/core                          TestGateVisits/DOM-COMP/core1_stall
 probe-memo-ignores-line ./internal/pipeline                    TestCandidateListsMatchFullWalk/DOM-COMP
 rebuild-skips-setpins ./internal/core                          FuzzDerivedState
+rebuild-skips-pinned  ./internal/core                          FuzzDerivedState
 '
 
 tree=$(mktemp -d)
