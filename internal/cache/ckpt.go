@@ -30,8 +30,6 @@ func (c *SetAssoc) State(s ckptio.State) {
 func (en *mshrEntry) walk(s ckptio.State) {
 	s.Bool(&en.used)
 	s.U64(&en.addr)
-	s.Bool(&en.forWrit)
-	s.Bool(&en.pinned)
 	s.Bool(&en.spec)
 	ckptio.Slice(s, &en.waiters, maxWaiters)
 	for i := range en.waiters {

@@ -1,11 +1,11 @@
 package cache
 
 // MSHR is a miss-status holding register file. Each entry tracks one
-// outstanding line fill and the IDs of the requests coalesced onto it. An
-// entry also carries the flags the coherence controller needs while the
-// fill is in flight: whether the requester wants write permission and — for
-// Early Pinning — whether the line was pinned before its data arrived
-// (paper Section 6.1.2 places a Pinned bit in the MSHR for that case).
+// outstanding line fill and the IDs of the requests coalesced onto it, and
+// whether the fill is a reversible speculative one (RCP scheme). It holds
+// no Pinned bit (paper Section 6.1.2): a line Early Pinning pins before its
+// data arrives is already in the core's load-queue record, which every pin
+// decision at the L1 asks.
 type MSHR struct {
 	entries []mshrEntry
 	free    int
@@ -14,8 +14,6 @@ type MSHR struct {
 type mshrEntry struct {
 	used    bool
 	addr    uint64
-	forWrit bool
-	pinned  bool
 	spec    bool
 	waiters []int64
 }
@@ -42,15 +40,13 @@ func (m *MSHR) Lookup(addr uint64) int {
 }
 
 // Alloc allocates an entry for line addr with the first waiter, returning
-// its index or -1 if the file is full. forWrite records whether the fill
-// must obtain write permission.
-func (m *MSHR) Alloc(addr uint64, waiter int64, forWrite bool) int {
+// its index or -1 if the file is full.
+func (m *MSHR) Alloc(addr uint64, waiter int64) int {
 	for i := range m.entries {
 		if !m.entries[i].used {
 			m.entries[i] = mshrEntry{
 				used:    true,
 				addr:    addr,
-				forWrit: forWrite,
 				waiters: append(m.entries[i].waiters[:0], waiter),
 			}
 			m.free--
@@ -65,12 +61,6 @@ func (m *MSHR) AddWaiter(i int, waiter int64) {
 	m.entries[i].waiters = append(m.entries[i].waiters, waiter)
 }
 
-// Addr returns the line address tracked by entry i.
-func (m *MSHR) Addr(i int) uint64 { return m.entries[i].addr }
-
-// ForWrite reports whether entry i requests write permission.
-func (m *MSHR) ForWrite(i int) bool { return m.entries[i].forWrit }
-
 // SetSpec marks entry i as a reversible speculative fill (RCP scheme).
 // Spec fills never coalesce with demand requests: the fill may complete
 // statelessly, which a demand waiter must not observe.
@@ -78,18 +68,6 @@ func (m *MSHR) SetSpec(i int, spec bool) { m.entries[i].spec = spec }
 
 // Spec reports whether entry i is a reversible speculative fill.
 func (m *MSHR) Spec(i int) bool { return m.entries[i].spec }
-
-// SetPinned marks entry i's in-flight line as pinned (Early Pinning).
-func (m *MSHR) SetPinned(i int, pinned bool) { m.entries[i].pinned = pinned }
-
-// Pinned reports whether entry i's in-flight line is pinned.
-func (m *MSHR) Pinned(i int) bool { return m.entries[i].pinned }
-
-// PinnedLine reports whether any in-flight entry for line addr is pinned.
-func (m *MSHR) PinnedLine(addr uint64) bool {
-	i := m.Lookup(addr)
-	return i >= 0 && m.entries[i].pinned
-}
 
 // Lines returns the line addresses of all in-use entries in entry order.
 // Outstanding fills are observable microarchitectural state (an attacker
@@ -113,7 +91,6 @@ func (m *MSHR) Release(i int) []int64 {
 		panic("cache: releasing free MSHR entry")
 	}
 	e.used = false
-	e.pinned = false
 	e.spec = false
 	m.free++
 	return e.waiters

@@ -47,9 +47,12 @@ import (
 // multiple of the ROB's size, and an L1's transaction lists (ownership
 // transactions, writebacks, the spec journal with each record's token, the
 // abandoned tokens) in arrival order rather than as tables sorted by key.
+// Version 10 writes a ROB entry's memory tokens as their access counts, the
+// slot being the entry's own, and drops an MSHR entry's write and Pinned
+// flags and an L1's last demand-fill line, which nothing read.
 // Exactly one version is readable: anything else, older blobs included, is a
 // *VersionError and the caller runs cold — there is no migration code.
-const Version = 9
+const Version = 10
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

@@ -33,14 +33,17 @@ import (
 // 220 747); version 9 names a memory token by its ROB slot, a larger number
 // than the count it was, and writes an L1's transaction lists in arrival
 // order with each journal record's token (gcc_r 23 405 to 23 409 bytes,
-// mcf_r 30 448 to 30 532, ocean_cp 220 747 to 220 858).
+// mcf_r 30 448 to 30 532, ocean_cp 220 747 to 220 858); version 10 writes a
+// ROB entry's tokens as access counts and drops two MSHR flags and an L1's
+// last-fill line, none of them read (gcc_r 23 409 to 23 373 bytes, mcf_r
+// 30 532 to 30 461, ocean_cp 220 858 to 220 541).
 // ocean_cp is the 8-core row: its lines
 // have sharers and owners, so it pins the long form and the backlog as the
 // SPEC17 rows pin the runs.
 const (
-	pinGccDOMLP   uint64 = 0x36e8f9af54f1ab4a
-	pinMcfRCPCmp  uint64 = 0x9c6f38cda9fbcb73
-	pinOceanDOMEP uint64 = 0x35231b8ae8adfe21
+	pinGccDOMLP   uint64 = 0xe0a3c3a4ce2aadb6
+	pinMcfRCPCmp  uint64 = 0x9979cd8714a28770
+	pinOceanDOMEP uint64 = 0xf407844f39b7d92e
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -86,10 +89,10 @@ func TestCheckpointSizeRatchet(t *testing.T) {
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23409},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30532},
-		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15626},
-		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220858},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23373},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30461},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15590},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220541},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {

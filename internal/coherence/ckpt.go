@@ -160,7 +160,6 @@ func (l *L1) State(s ckptio.State) {
 		l.pending[i].walk(s)
 	}
 	s.Int(&l.portsUsed)
-	s.U64(&l.lastFill)
 
 	ckptio.Slice(s, &l.spec, maxTxns)
 	for i := range l.spec {

@@ -334,17 +334,6 @@ func TestNackRetry(t *testing.T) {
 	}
 }
 
-func TestPinInFlight(t *testing.T) {
-	h := newHarness(t, 1)
-	l1 := h.sys.L1(0)
-	l1.Load(1, 0x40)
-	l1.PinInFlight(0x40)
-	h.step(300)
-	if h.cores[0].doneCount(1) != 1 {
-		t.Fatal("pinned in-flight load never completed")
-	}
-}
-
 func TestPrefetcherFetchesNextLine(t *testing.T) {
 	cfg := arch.PaperConfig(1)
 	h := &harness{}

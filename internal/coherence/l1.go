@@ -157,7 +157,6 @@ type L1 struct {
 	evictBuf  []uint64    // lines written back, PutM not yet acknowledged
 	pending   []pendingFill
 	portsUsed int
-	lastFill  uint64 // last demand-fill line, for the next-line prefetcher
 
 	// spec journals completed speculative accesses (RCP scheme), one per
 	// token; specAband holds the tokens squashed while their fill was still
@@ -304,7 +303,7 @@ func (l *L1) Load(token int64, line uint64) LoadResult {
 	if l.mshr.Free() == 0 {
 		return LoadBlocked
 	}
-	l.mshr.Alloc(line, token, false)
+	l.mshr.Alloc(line, token)
 	*l.cnt.misses++
 	if l.tracing {
 		l.rec.Record(obs.Event{Cycle: l.now, Core: int16(l.id), Kind: obs.KindMSHRAlloc, Line: line})
@@ -353,7 +352,7 @@ func (l *L1) LoadSpec(token int64, line uint64) LoadResult {
 	if l.mshr.Free() == 0 {
 		return LoadBlocked
 	}
-	i := l.mshr.Alloc(line, token, false)
+	i := l.mshr.Alloc(line, token)
 	l.mshr.SetSpec(i, true)
 	*l.cnt.specMisses++
 	if l.tracing {
@@ -471,15 +470,6 @@ func (l *L1) handleDataSpec(m Msg) {
 	}
 }
 
-// PinInFlight marks an outstanding fill for the line as pinned (Early
-// Pinning may pin a load before its data arrives; the Pinned bit then
-// lives in the MSHR, paper Section 6.1.2).
-func (l *L1) PinInFlight(line uint64) {
-	if i := l.mshr.Lookup(line); i >= 0 {
-		l.mshr.SetPinned(i, true)
-	}
-}
-
 // Acquire starts (or continues) an ownership transaction for the line so
 // buffered stores can merge into it. It is idempotent: calls while the line
 // is already writable or a transaction is outstanding are no-ops.
@@ -553,7 +543,7 @@ func (l *L1) prefetchAfterFill(line uint64) {
 	if l.Probe(next) || l.mshr.Lookup(next) >= 0 || l.mshr.Free() < 3 {
 		return
 	}
-	l.mshr.Alloc(next, -1, false)
+	l.mshr.Alloc(next, -1)
 	*l.cnt.prefetches++
 	if l.tracing {
 		l.rec.Record(obs.Event{Cycle: l.now, Core: int16(l.id), Kind: obs.KindMSHRAlloc, Line: next, Arg: 1})
@@ -667,8 +657,8 @@ func (l *L1) evict(victim *cache.Line) {
 }
 
 func (l *L1) finishFill(line uint64, mshrIdx int) {
-	// The pinned record lives in the core's LQ, so a pinned MSHR fill
-	// (Early Pinning) needs no state copied into the tags here.
+	// The pinned record lives in the core's LQ, so a fill Early Pinning
+	// pinned before its data arrived needs no state copied into the tags.
 	waiters := l.mshr.Release(mshrIdx)
 	demand := false
 	for _, w := range waiters {
@@ -680,7 +670,6 @@ func (l *L1) finishFill(line uint64, mshrIdx int) {
 	// Trigger the next-line prefetcher only after delivering the waiters:
 	// its MSHR allocation may reuse the entry just released.
 	if demand {
-		l.lastFill = line
 		l.prefetchAfterFill(line)
 	}
 }
@@ -891,10 +880,7 @@ func (l *L1) handleRetry(m Msg) {
 	case retryRequest:
 		if i := l.mshr.Lookup(m.Line); i >= 0 {
 			kind := GetS
-			switch {
-			case l.mshr.ForWrite(i):
-				kind = GetX
-			case l.mshr.Spec(i):
+			if l.mshr.Spec(i) {
 				kind = GetSSpec
 			}
 			l.fab.send(Msg{Kind: kind, Line: m.Line, Src: l.addr(),

@@ -214,83 +214,83 @@ var gateLists = []struct {
 
 // gateWant is every job's workCounts, keyed by its subtest name.
 var gateWant = map[string]workCounts{
-	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_299, 1_515, 1_432, 703, 1_878, 31_580},
-	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_073, 1_060, 1_034, 128, 268, 16_340},
-	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_333, 1_801, 1_669, 515, 1_155, 26_796},
-	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_968, 1_603, 1_473, 935, 3_519, 36_356},
-	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_368, 1_919, 1_824, 643, 1_762, 29_473},
-	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 24_654},
-	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_089, 39_738, 38_054, 2_172, 11_874, 59_517},
-	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_431, 6_681, 0, 4_707, 26_261, 259_286},
-	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_332, 15_244, 18, 6_143, 47_404, 344_568},
-	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_873, 5_455, 0, 4_332, 30_586, 249_623},
-	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_676, 59_404, 22, 5_909, 54_607, 368_281},
-	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 9_004, 6_727, 6_510, 706, 1_886, 34_386},
-	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_455, 3_728, 3_643, 128, 270, 18_555},
-	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_300, 10_662, 10_380, 513, 1_160, 29_053},
-	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_770, 15_459, 14_968, 941, 3_542, 38_356},
-	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_465, 10_950, 10_640, 646, 1_751, 31_732},
-	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_919, 8_379, 8_145, 408, 832, 26_658},
-	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_234, 61_623, 59_272, 2_188, 12_050, 61_107},
-	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_649, 57_311, 488, 5_317, 30_781, 290_269},
-	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_186, 53_870, 723, 6_304, 47_816, 369_285},
-	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_178, 43_446, 298, 4_359, 30_155, 264_537},
-	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_980, 229_052, 2_768, 6_099, 57_137, 388_943},
-	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_276, 5_875, 5_684, 706, 1_884, 34_045},
-	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_324, 3_364, 3_289, 128, 270, 17_608},
-	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_232, 9_323, 9_062, 514, 1_162, 28_778},
-	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_756, 13_625, 13_243, 941, 3_468, 37_977},
-	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_229, 10_031, 9_739, 646, 1_762, 31_112},
-	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 26_231},
-	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_769, 61_430, 59_120, 2_188, 11_868, 61_122},
-	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_847, 51_537, 446, 6_023, 37_687, 301_329},
-	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_621, 46_323, 692, 7_313, 58_994, 397_944},
-	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_132, 35_492, 325, 4_395, 30_565, 266_983},
-	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_226, 218_726, 2_846, 6_163, 56_801, 390_952},
-	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_161, 2_005, 1_874, 699, 1_909, 32_561},
-	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_227, 1_060, 1_037, 128, 268, 16_397},
-	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_484, 2_662, 2_517, 513, 1_152, 27_542},
-	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_472, 9_268, 8_937, 941, 3_594, 37_138},
-	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_655, 4_222, 4_038, 648, 1_762, 29_848},
-	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 24_807},
-	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_238, 9_250, 0, 4_571, 24_950, 257_878},
-	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 73_007, 16_713, 0, 6_024, 45_829, 342_182},
-	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_264, 7_120, 0, 4_314, 30_294, 251_314},
-	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_735, 142_257, 855, 5_981, 55_835, 372_152},
-	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_536, 838, 784, 668, 2_327, 32_534},
-	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_543, 763, 749, 128, 468, 17_713},
-	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_326, 2_443, 2_303, 507, 1_890, 27_866},
-	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_617, 1_855, 1_690, 930, 4_642, 37_501},
-	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_385, 1_371, 1_291, 633, 2_498, 30_690},
-	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_864, 782, 744, 409, 1_738, 25_793},
-	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_695, 1_801, 1_736, 534, 1_892, 29_090},
-	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_493, 1_134, 1_109, 128, 535, 16_347},
-	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_713, 2_170, 2_051, 464, 1_773, 25_926},
-	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 35_004},
-	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_936, 2_115, 2_023, 551, 2_118, 28_117},
-	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 25_382},
-	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_052, 42_959, 41_607, 1_633, 8_037, 50_289},
-	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_153, 22_271, 0, 2_622, 28_825, 220_855},
-	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_050, 41_030, 7, 3_676, 34_340, 283_080},
-	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_997, 11_603, 0, 2_927, 29_830, 239_000},
-	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_958, 74_170, 23, 3_915, 40_392, 254_603},
-	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_833, 4_065, 3_914, 706, 1_892, 32_739},
-	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_124, 3_071, 2_999, 128, 270, 16_308},
-	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_679, 7_499, 7_248, 514, 1_163, 27_346},
-	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_911, 9_247, 8_945, 940, 3_490, 36_474},
-	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_605, 7_310, 7_071, 646, 1_780, 29_582},
-	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 24_670},
-	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_213, 984, 919, 703, 1_914, 31_470},
-	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_060, 939, 913, 128, 270, 16_347},
-	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_331, 1_805, 1_676, 515, 1_155, 26_796},
-	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_942, 1_526, 1_395, 935, 3_504, 36_340},
-	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_275, 1_170, 1_081, 643, 1_756, 29_450},
-	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 24_654},
-	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_479, 85_281, 82_046, 2_188, 12_061, 59_727},
-	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_857, 83_111, 80_091, 2_188, 11_855, 59_731},
-	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_649, 55_058, 53_079, 2_177, 11_870, 59_523},
-	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_116, 73_490, 69_890, 2_138, 16_863, 57_523},
-	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_534, 61_983, 59_578, 2_188, 12_052, 59_813},
+	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_299, 1_515, 1_432, 703, 1_878, 31_541},
+	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_073, 1_060, 1_034, 128, 268, 16_304},
+	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_333, 1_801, 1_669, 515, 1_155, 26_759},
+	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_968, 1_603, 1_473, 935, 3_519, 36_316},
+	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_368, 1_919, 1_824, 643, 1_762, 29_435},
+	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 24_618},
+	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_089, 39_738, 38_054, 2_172, 11_874, 59_480},
+	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_431, 6_681, 0, 4_707, 26_261, 258_946},
+	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_332, 15_244, 18, 6_143, 47_404, 344_222},
+	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_873, 5_455, 0, 4_332, 30_586, 249_266},
+	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_676, 59_404, 22, 5_909, 54_607, 367_954},
+	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 9_004, 6_727, 6_510, 706, 1_886, 34_348},
+	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_455, 3_728, 3_643, 128, 270, 18_518},
+	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_300, 10_662, 10_380, 513, 1_160, 29_016},
+	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_770, 15_459, 14_968, 941, 3_542, 38_320},
+	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_465, 10_950, 10_640, 646, 1_751, 31_696},
+	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_919, 8_379, 8_145, 408, 832, 26_622},
+	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_234, 61_623, 59_272, 2_188, 12_050, 61_070},
+	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_649, 57_311, 488, 5_317, 30_781, 289_971},
+	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_186, 53_870, 723, 6_304, 47_816, 368_987},
+	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_178, 43_446, 298, 4_359, 30_155, 264_226},
+	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_980, 229_052, 2_768, 6_099, 57_137, 388_641},
+	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_276, 5_875, 5_684, 706, 1_884, 34_003},
+	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_324, 3_364, 3_289, 128, 270, 17_572},
+	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_232, 9_323, 9_062, 514, 1_162, 28_741},
+	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_756, 13_625, 13_243, 941, 3_468, 37_940},
+	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_229, 10_031, 9_739, 646, 1_762, 31_076},
+	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 26_195},
+	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_769, 61_430, 59_120, 2_188, 11_868, 61_085},
+	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_847, 51_537, 446, 6_023, 37_687, 301_033},
+	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_621, 46_323, 692, 7_313, 58_994, 397_635},
+	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_132, 35_492, 325, 4_395, 30_565, 266_664},
+	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_226, 218_726, 2_846, 6_163, 56_801, 390_649},
+	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_161, 2_005, 1_874, 699, 1_909, 32_523},
+	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_227, 1_060, 1_037, 128, 268, 16_361},
+	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_484, 2_662, 2_517, 513, 1_152, 27_504},
+	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_472, 9_268, 8_937, 941, 3_594, 37_102},
+	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_655, 4_222, 4_038, 648, 1_762, 29_812},
+	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 24_771},
+	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_238, 9_250, 0, 4_571, 24_950, 257_539},
+	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 73_007, 16_713, 0, 6_024, 45_829, 341_849},
+	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_264, 7_120, 0, 4_314, 30_294, 250_958},
+	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_735, 142_257, 855, 5_981, 55_835, 371_846},
+	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_536, 838, 784, 668, 2_327, 32_486},
+	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_543, 763, 749, 128, 468, 17_675},
+	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_326, 2_443, 2_303, 507, 1_890, 27_826},
+	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_617, 1_855, 1_690, 930, 4_642, 37_447},
+	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_385, 1_371, 1_291, 633, 2_498, 30_642},
+	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_864, 782, 744, 409, 1_738, 25_757},
+	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_695, 1_801, 1_736, 534, 1_892, 29_026},
+	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_493, 1_134, 1_109, 128, 535, 16_310},
+	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_713, 2_170, 2_051, 464, 1_773, 25_855},
+	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 34_892},
+	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_936, 2_115, 2_023, 551, 2_118, 28_021},
+	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 25_244},
+	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_052, 42_959, 41_607, 1_633, 8_037, 50_243},
+	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_153, 22_271, 0, 2_622, 28_825, 220_148},
+	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_050, 41_030, 7, 3_676, 34_340, 282_177},
+	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_997, 11_603, 0, 2_927, 29_830, 237_949},
+	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_958, 74_170, 23, 3_915, 40_392, 253_574},
+	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_833, 4_065, 3_914, 706, 1_892, 32_697},
+	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_124, 3_071, 2_999, 128, 270, 16_272},
+	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_679, 7_499, 7_248, 514, 1_163, 27_309},
+	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_911, 9_247, 8_945, 940, 3_490, 36_438},
+	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_605, 7_310, 7_071, 646, 1_780, 29_546},
+	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 24_634},
+	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_213, 984, 919, 703, 1_914, 31_429},
+	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_060, 939, 913, 128, 270, 16_311},
+	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_331, 1_805, 1_676, 515, 1_155, 26_759},
+	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_942, 1_526, 1_395, 935, 3_504, 36_300},
+	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_275, 1_170, 1_081, 643, 1_756, 29_412},
+	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 24_618},
+	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_479, 85_281, 82_046, 2_188, 12_061, 59_691},
+	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_857, 83_111, 80_091, 2_188, 11_855, 59_695},
+	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_649, 55_058, 53_079, 2_177, 11_870, 59_486},
+	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_116, 73_490, 69_890, 2_138, 16_863, 57_485},
+	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_534, 61_983, 59_578, 2_188, 12_052, 59_776},
 }
 
 // TestGateVisits pins the work of every job of gateLists, 3 000 warm-up and

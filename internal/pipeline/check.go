@@ -17,15 +17,14 @@ import (
 // of the whole ROB (and under Fence every candidate past the gate bound
 // held), the store-address filter a recount of the store queue and the write
 // buffer, lastOdd the loads it must cover, every memory token its own slot,
-// the pinned lines and their LQ IDs the ROB's pinned loads and the per-set
-// pin counts the pinned lines. No L1 set may hold more pinned lines than
-// L1Ways-1 (l1SetRoom), under Early Pinning no directory set more than Wd
-// (paper Section 5.1.4), and the load queue no more pinned loads than it
-// has entries.
+// and the pinned lines and their LQ IDs the ROB's pinned loads. No L1 set
+// may hold more pinned lines than L1Ways-1 (l1SetRoom), under Early Pinning
+// no directory set more than Wd (paper Section 5.1.4), and the load queue
+// no more pinned loads than it has entries.
 // It returns the first violation found, or nil. Tests call it between
 // cycles; the simulator never does.
 func (c *Core) Check() error {
-	for _, check := range []func() error{c.checkCandidates, c.checkStoreFilter, c.checkPins, c.checkSetPins} {
+	for _, check := range []func() error{c.checkCandidates, c.checkStoreFilter, c.checkPins, c.checkSetBounds} {
 		if err := check(); err != nil {
 			return fmt.Errorf("core %d @%d: %w", c.id, c.now, err)
 		}
@@ -199,39 +198,17 @@ func (c *Core) pinned() []uint64 {
 	return lines
 }
 
-// checkSetPins holds the per-set pin counts to a recount of the pinned
-// lines, and the counts to the bounds pinning keeps. The counts are nil
-// until the core's first pin.
-func (c *Core) checkSetPins() error {
-	lines := slices.Compact(slices.Sorted(slices.Values(c.pinned())))
-	if c.pinsPerL1Set == nil {
-		if len(lines) > 0 {
-			return fmt.Errorf("%d pinned lines and no per-set pin counts", len(lines))
+// checkSetBounds holds the distinct pinned lines of each L1 set to L1Ways-1
+// and, under Early Pinning, of each directory set to Wd.
+func (c *Core) checkSetBounds() error {
+	l1, dir := map[uint32]int{}, map[uint32]int{}
+	for _, line := range slices.Compact(slices.Sorted(slices.Values(c.pinned()))) {
+		l1Key, dirKey := c.l1Key(line), c.dirKey(line)
+		if l1[l1Key]++; l1[l1Key] > c.cfg.L1Ways-1 {
+			return fmt.Errorf("L1 set %d holds more than %d pinned lines", l1Key, c.cfg.L1Ways-1)
 		}
-		return nil
-	}
-	wantL1 := make([]int32, len(c.pinsPerL1Set))
-	wantDir := make([]int32, len(c.pinsPerDirSet))
-	for _, line := range lines {
-		wantL1[c.l1Key(line)]++
-		wantDir[c.dirKey(line)]++
-	}
-	for _, set := range []struct {
-		name      string
-		got, want []int32
-		bound     int
-		kept      bool
-	}{
-		{"pinsPerL1Set", c.pinsPerL1Set, wantL1, c.cfg.L1Ways - 1, c.policy.Pinning()},
-		{"pinsPerDirSet", c.pinsPerDirSet, wantDir, c.cfg.Wd, c.policy.Variant == defense.EP},
-	} {
-		for key, n := range set.got {
-			if n != set.want[key] {
-				return fmt.Errorf("%s[%d] = %d, the pinned lines say %d", set.name, key, n, set.want[key])
-			}
-			if set.kept && int(n) > set.bound {
-				return fmt.Errorf("%s bound %d: %d pinned lines in set %d", set.name, set.bound, n, key)
-			}
+		if dir[dirKey]++; dir[dirKey] > c.cfg.Wd && c.policy.Variant == defense.EP {
+			return fmt.Errorf("directory set %d holds more than %d pinned lines", dirKey, c.cfg.Wd)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -47,12 +46,10 @@ func TestCheckNamesEachWreck(t *testing.T) {
 			}
 		}, "holds LQ ID"},
 		{"pinned-line table", func(c *Core) { c.pinnedLines.Push(0x12345) }, "pinnedLines holds"},
-		{"L1 set pins", func(c *Core) { c.pinsPerL1Set[slices.Index(c.pinsPerL1Set, 1)]++ }, "pinsPerL1Set["},
-		{"directory set pins", func(c *Core) { c.pinsPerDirSet = append(c.pinsPerDirSet, 1) }, "pinsPerDirSet["},
 		{"store filter", func(c *Core) { c.stFilter[7]++ }, "store-address filter"},
 		{"lastOdd", func(c *Core) { c.at(c.loadSeqs.seqs()[0]).inst.Fault = true }, "faults or has a transient address, lastOdd"},
-		{"L1 bound", func(c *Core) { c.cfg.L1Ways = 1 }, "pinsPerL1Set bound 0: "},
-		{"directory bound", func(c *Core) { c.cfg.Wd = 0 }, "pinsPerDirSet bound 0: "},
+		{"L1 bound", func(c *Core) { c.cfg.L1Ways = 1 }, "L1 set"},
+		{"directory bound", func(c *Core) { c.cfg.Wd = 0 }, "directory set"},
 		{"load-queue bound", func(c *Core) { c.cfg.LQEntries = 0 }, "bounded by a 0-entry load queue"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,7 +25,10 @@ func walkRefs(s ckptio.State, refs *[]ref) {
 	}
 }
 
-func (en *entry) walk(s ckptio.State) {
+// walk walks the ROB entry in slot of a ring of rob entries. A memory token
+// is newToken's n·rob + slot, and the slot is the entry's own, so the walk
+// writes n alone (walkToken).
+func (en *entry) walk(s ckptio.State, slot, rob int) {
 	s.Inst(&en.inst)
 	s.I64(&en.seq)
 	s.U64(&en.gen)
@@ -42,8 +45,8 @@ func (en *entry) walk(s ckptio.State) {
 	s.Bool(&en.exposeDone)
 	s.Bool(&en.pinSafe)
 	s.U64(&en.line)
-	s.I64(&en.token)
-	s.I64(&en.specToken)
+	walkToken(s, &en.token, slot, rob)
+	walkToken(s, &en.specToken, slot, rob)
 	s.U64(&en.archAddr)
 	s.Bool(&en.resolved)
 	s.Bool(&en.vpReached)
@@ -56,13 +59,25 @@ func (en *entry) walk(s ckptio.State) {
 	}
 }
 
+// walkToken walks a memory token of the entry in slot as its access count
+// n, and loading rebuilds n·rob + slot; n 0 is no token.
+func walkToken(s ckptio.State, t *int64, slot, rob int) {
+	n := uint64(*t) / uint64(rob)
+	s.U64(&n)
+	if s.Loading() {
+		*t = 0
+		if n != 0 {
+			*t = int64(n)*int64(rob) + int64(slot)
+		}
+	}
+}
+
 // rebuild recomputes the core's indexes over the ROB window [head, tail) in
 // one pass: the seq lists and the load count, the load-queue candidate lists
 // and lastOdd, the store-address filter (the write buffer's addresses too),
-// the pinned lines and the per-set pin counts. It resets Fence's record of
-// new candidates. Loading fails on a live slot that does not hold its own
-// seq, on a memory token that names another slot, on a pinned load under a
-// policy that does not pin, and on more pinned loads than the load queue
+// and the pinned lines. It resets Fence's record of new candidates. Loading
+// fails on a live slot that does not hold its own seq, on a pinned load under
+// a policy that does not pin, and on more pinned loads than the load queue
 // holds.
 func (c *Core) rebuild(s ckptio.State) {
 	for _, l := range [...]*seqList{&c.fences, &c.loadSeqs, &c.storeSeqs,
@@ -78,8 +93,6 @@ func (c *Core) rebuild(s ckptio.State) {
 	for c.pinnedLines.Len() > 0 {
 		c.pinnedLines.Pop()
 	}
-	clear(c.pinsPerL1Set)
-	clear(c.pinsPerDirSet)
 	c.freshFrom = 0 // lastOdd may now be below the one saved, and with it the gate bound
 	c.lastOdd = -1
 	for seq := c.head; seq < c.tail; seq++ {
@@ -115,10 +128,6 @@ func (c *Core) rebuild(s ckptio.State) {
 		case isa.Fence, isa.Barrier:
 			c.fences.push(seq)
 		}
-		if err := c.tokenErr(seq); err != nil {
-			s.Failf("%v", err)
-			return
-		}
 		if !e.pinned {
 			continue
 		}
@@ -129,9 +138,6 @@ func (c *Core) rebuild(s ckptio.State) {
 		if c.pinnedLines.Len() == c.cfg.LQEntries {
 			s.Failf("seq %d: more pinned loads than a %d-entry load queue holds", seq, c.cfg.LQEntries)
 			return
-		}
-		if c.pins(e.line) == 0 {
-			c.bumpSetPins(e.line, +1)
 		}
 		c.pinnedLines.Push(e.line)
 	}
@@ -175,7 +181,7 @@ func (c *Core) State(s ckptio.State) {
 		return
 	}
 	for i := range c.entries {
-		c.entries[i].walk(s)
+		c.entries[i].walk(s, i, len(c.entries))
 	}
 	s.I64(&c.head)
 	s.I64(&c.tail)

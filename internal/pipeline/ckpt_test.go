@@ -20,8 +20,7 @@ var entryDerived = []string{"probeEpoch", "probeLine", "probeHit"}
 // what they hold, not whether they exist.
 var (
 	coreDerived = []string{"headSlot", "loadsInROB", "fences", "loadSeqs", "storeSeqs", "perfLines",
-		"issueCand", "exposeCand", "specCand", "pinnedLines",
-		"pinsPerL1Set", "pinsPerDirSet", "active", "asleep",
+		"issueCand", "exposeCand", "specCand", "pinnedLines", "active", "asleep",
 		"wire", "charges", "nCharges", "calMask", "barrierSeen", "slept",
 		"lastOdd", "stFilter", "freshFrom", "gateVisits", "forwardScans"}
 	coreConfig = []string{"id", "cfg", "policy", "l1", "gen", "bar", "cnt", "rec", "tracing",
@@ -32,7 +31,7 @@ var (
 // bytes or be in the record's derived list, and a field added to Core must be
 // walked or classified.
 func TestWalksCoverEveryField(t *testing.T) {
-	ckpttest.Fields(t, entry{}, func(s ckptio.State, en *entry) { en.walk(s) }, entryDerived)
+	ckpttest.Fields(t, entry{}, func(s ckptio.State, en *entry) { en.walk(s, 0, 1) }, entryDerived)
 	ckpttest.Fields(t, ref{}, func(s ckptio.State, r *ref) { r.walk(s) }, nil)
 	ckpttest.Container(t, "ckpt.go", Core{}, coreDerived, coreConfig)
 }
@@ -44,7 +43,7 @@ func TestEntryWalkRejectsMalformed(t *testing.T) {
 	// gen, winIdx and wrong, then state at 13 and depsLeft at 14.
 	var en entry
 	e := ckptio.NewEncoder()
-	en.walk(ckptio.SaveTo(e))
+	en.walk(ckptio.SaveTo(e), 0, 1)
 	zero := e.Bytes()
 	for _, tc := range []struct {
 		name     string
@@ -64,7 +63,7 @@ func TestEntryWalkRejectsMalformed(t *testing.T) {
 			e.I64(tc.depsLeft)
 			e.Raw(zero[15:])
 			d := ckptio.NewDecoder(e.Bytes())
-			en.walk(ckptio.LoadFrom(d))
+			en.walk(ckptio.LoadFrom(d), 0, 1)
 			err := d.Done()
 			if tc.want == "" {
 				if err != nil || en.state != tc.state || int64(en.depsLeft) != tc.depsLeft {
@@ -80,11 +79,12 @@ func TestEntryWalkRejectsMalformed(t *testing.T) {
 // TestCoreStateRejectsMalformed saves a core that holds pinned loads, memory
 // tokens and more instructions than its load queue, with one wreck in its
 // ROB, and loads it into a fresh core. A restore rebuilds the core's indexes
-// from the ROB, so a live slot that holds another seq, a memory token that
-// names another slot, a pinned load under a policy that does not pin, more
-// pinned loads than the load queue holds, and pinned loads that do not hold
-// the last LQ IDs issued, must end in the sticky error, not in a panic or a
-// core that breaks later; the intact cores must load whole.
+// from the ROB, so a live slot that holds another seq, a pinned load under a
+// policy that does not pin, more pinned loads than the load queue holds, and
+// pinned loads that do not hold the last LQ IDs issued, must end in the
+// sticky error, not in a panic or a core that breaks later; the intact cores
+// must load whole. A memory token is saved as its access count and rebuilt
+// from its slot, so no input names another slot.
 func TestCoreStateRejectsMalformed(t *testing.T) {
 	pinning := defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
 	comp := defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}
@@ -107,11 +107,6 @@ func TestCoreStateRejectsMalformed(t *testing.T) {
 				e.pinned, e.lqTag = true, uint32(seq)
 			}
 		}, "more pinned loads than a 62-entry load queue"},
-		{"memory tokens", pinning, func(c *Core) {
-			for seq := c.head; seq < c.tail; seq++ {
-				c.at(seq).token = seq + 1
-			}
-		}, "names ROB slot"},
 		{"pinned LQ IDs", pinning, func(c *Core) { c.lqTagNext++ }, "the pinned loads hold the last IDs issued"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

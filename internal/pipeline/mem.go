@@ -118,11 +118,6 @@ func (c *Core) issueLoad(e *entry) bool {
 		*c.cnt.loadsIssuedInvisible++
 	default:
 		*c.cnt.loadsIssued++
-		if e.pinned && !e.performed {
-			// Early Pinning pinned the load before issue; carry the
-			// Pinned bit into the MSHR (paper Section 6.1.2).
-			c.l1.PinInFlight(e.line)
-		}
 	}
 	return true
 }

@@ -209,6 +209,8 @@ type Core struct {
 
 	// Pinned Loads state. pinnedLines holds the pinned loads' lines in pin
 	// (program) order: the load queue's pinned bits, oldest first (tagLive).
+	// It is the core's only pin record; the set room checks walk it
+	// (pinnedInSets).
 	pinnedLines ringq.Q[uint64]
 	pinFrontier int64 // next seq to consider for pinning
 	l1CST       *pin.CST
@@ -217,13 +219,6 @@ type Core struct {
 	lqTagNext   uint64 // monotonic LQ ID source
 	lqTagMask   uint32
 	wrapStall   bool // LQ ID wrapped: stop pinning until pinned drain
-	// pinsPerL1Set / pinsPerDirSet count distinct pinned lines per L1 set
-	// and per directory (slice, set), indexed by l1Key/dirKey and sized on
-	// the first pin. Maintained incrementally at first-pin/last-unpin, they
-	// make the per-admission room checks O(1) instead of an O(pinned-lines)
-	// sweep of pinnedLines.
-	pinsPerL1Set  []int32
-	pinsPerDirSet []int32
 
 	// VP frontier: all entries with seq < vpFrontier satisfy the active
 	// condition mask's prefix requirements. pinVPFrontier is the same

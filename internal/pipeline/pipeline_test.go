@@ -242,3 +242,57 @@ func TestInfiniteCSTMode(t *testing.T) {
 		t.Fatal("no pinning under infinite CST")
 	}
 }
+
+// TestPinRoomCountsLines fills the pinned-line FIFO by hand and asks the room
+// checks whether a line may be pinned: l1SetRoom (Late Pinning) and cstAdmit
+// under a precise CST (Early Pinning). A set's room is counted in distinct
+// pinned lines, so a line several loads pinned counts once; an L1 set admits
+// below L1Ways-1 lines and denies at it, a directory set below Wd and at it,
+// and a line already pinned needs no new way.
+func TestPinRoomCountsLines(t *testing.T) {
+	c := newMachine(pinStream(), defense.Policy{Scheme: defense.Fence, Variant: defense.EP},
+		func(cfg *arch.Config) { cfg.InfiniteCST = true }).cores[0]
+	const line = 0x4000
+	l1Bound, wd := c.cfg.L1Ways-1, c.cfg.Wd
+	// sameL1 lines share line's L1 set and not its directory set; sameDir
+	// lines share its directory set.
+	var sameL1, sameDir []uint64
+	for l := uint64(line + 1); len(sameL1) < l1Bound || len(sameDir) < wd; l++ {
+		switch {
+		case c.dirKey(l) == c.dirKey(line):
+			sameDir = append(sameDir, l)
+		case c.l1Key(l) == c.l1Key(line):
+			sameL1 = append(sameL1, l)
+		}
+	}
+	twice := func(lines []uint64) []uint64 { return append(slices.Clone(lines), lines...) }
+	for _, tc := range []struct {
+		name          string
+		pinned        []uint64
+		l1Room, admit bool
+	}{
+		{"none pinned", nil, true, true},
+		{"one L1-set line pinned by many loads", slices.Repeat(sameL1[:1], l1Bound), true, true},
+		{"one directory-set line pinned by many loads", slices.Repeat(sameDir[:1], wd), true, true},
+		{"L1 set below its bound", twice(sameL1[:l1Bound-1]), true, true},
+		{"L1 set at its bound", sameL1[:l1Bound], false, false},
+		{"directory set below Wd", twice(sameDir[:wd-1]), true, true},
+		{"directory set at Wd", sameDir[:wd], true, false},
+		{"line already pinned in a full set", append(slices.Clone(sameL1[:l1Bound]), line), true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for c.pinnedLines.Len() > 0 {
+				c.pinnedLines.Pop()
+			}
+			for _, l := range tc.pinned {
+				c.pinnedLines.Push(l)
+			}
+			if got := c.l1SetRoom(line); got != tc.l1Room {
+				t.Errorf("l1SetRoom = %v, want %v", got, tc.l1Room)
+			}
+			if got := c.cstAdmit(&entry{line: line}); got != tc.admit {
+				t.Errorf("cstAdmit = %v, want %v", got, tc.admit)
+			}
+		})
+	}
+}

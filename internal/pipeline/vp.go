@@ -243,9 +243,6 @@ func (c *Core) pinGovernor() {
 			return
 		}
 		c.commitPin(e)
-		if !e.performed {
-			c.l1.PinInFlight(e.line)
-		}
 	}
 }
 
@@ -283,7 +280,8 @@ func (c *Core) cstAdmit(e *entry) bool {
 		}
 		return true
 	}
-	l1Room, dirRoom := c.l1SetRoom(line), c.dirSetRoom(line)
+	l1Lines, dirLines := c.pinnedInSets(line, true)
+	l1Room, dirRoom := l1Lines < c.cfg.L1Ways-1, dirLines < c.cfg.Wd
 	if c.l1CST == nil {
 		// Infinite (perfectly precise) CST mode.
 		return l1Room && dirRoom
@@ -300,45 +298,59 @@ func (c *Core) cstAdmit(e *entry) bool {
 	return l1Room && dirRoom
 }
 
-// l1SetRoom reports whether a new line may be pinned in its L1 set. One
+// l1SetRoom reports whether Late Pinning may pin line in its L1 set. One
 // way per set is never pinnable: if every way could hold a pinned line, an
 // older buffered store whose line maps to the set could never merge, and —
 // because a full write buffer stalls retirement — the younger pinned loads
 // protecting those ways would never retire either. Reserving a way breaks
 // that same-core circular wait (a refinement of paper Section 5.1.2's
-// resource guarantee). A line that is already pinned needs no new way.
+// resource guarantee), so a set holds at most L1Ways-1 pinned lines; Early
+// Pinning holds it to the same bound in cstAdmit, and a directory set to
+// its per-core reservation Wd (paper Section 5.1.4). A line that is
+// already pinned needs no new way.
 func (c *Core) l1SetRoom(line uint64) bool {
-	return c.pins(line) > 0 || int(c.setPins(c.l1Key(line), &c.pinsPerL1Set)) < c.cfg.L1Ways-1
-}
-
-// dirSetRoom reports whether a line that is not pinned yet may be pinned
-// within its directory set's per-core reservation Wd (paper Section 5.1.4).
-func (c *Core) dirSetRoom(line uint64) bool {
-	return int(c.setPins(c.dirKey(line), &c.pinsPerDirSet)) < c.cfg.Wd
-}
-
-// setPins reads a per-set pinned-line count; the arrays are not sized until
-// the core's first pin, and read zero before it.
-func (c *Core) setPins(key uint32, arr *[]int32) int32 {
-	if *arr == nil {
-		return 0
+	if c.pins(line) > 0 {
+		return true
 	}
-	return (*arr)[key]
+	l1Lines, _ := c.pinnedInSets(line, false)
+	return l1Lines < c.cfg.L1Ways-1
 }
 
-// bumpSetPins adjusts both per-set counts for a line gaining its first
-// pin (d=+1) or losing its last (d=-1). The core's first pin sizes each
-// array to every set its key can name.
-func (c *Core) bumpSetPins(line uint64, d int32) {
-	if c.pinsPerL1Set == nil {
-		c.pinsPerL1Set = make([]int32, c.cfg.L1Sets)
-		c.pinsPerDirSet = make([]int32, c.cfg.LLCSlices*c.cfg.LLCSets)
+// pinnedInSets counts the distinct pinned lines in line's L1 set and, when
+// dir is set, in its directory set, for a line that is not pinned yet. It
+// walks pinnedLines, the load queue's pinned record: at most LQEntries
+// lines, a handful of distinct ones (DESIGN.md §9). A line several loads
+// pinned counts once, at its oldest load.
+func (c *Core) pinnedInSets(line uint64, dir bool) (l1Lines, dirLines int) {
+	l1Key, dirKey := c.l1Key(line), uint32(0)
+	if dir {
+		dirKey = c.dirKey(line)
 	}
-	for _, n := range [2]*int32{&c.pinsPerL1Set[c.l1Key(line)], &c.pinsPerDirSet[c.dirKey(line)]} {
-		if *n += d; *n < 0 {
-			c.fail("negative per-set pin count for line %#x", line)
+	for i := range c.pinnedLines.Len() {
+		p := c.pinnedLines.At(i)
+		inL1, inDir := c.l1Key(p) == l1Key, dir && c.dirKey(p) == dirKey
+		if !inL1 && !inDir || c.pinnedEarlier(p, i) {
+			continue
+		}
+		if inL1 {
+			l1Lines++
+		}
+		if inDir {
+			dirLines++
 		}
 	}
+	return l1Lines, dirLines
+}
+
+// pinnedEarlier reports whether a load older than the ith pinned one
+// pinned line.
+func (c *Core) pinnedEarlier(line uint64, i int) bool {
+	for j := range i {
+		if c.pinnedLines.At(j) == line {
+			return true
+		}
+	}
+	return false
 }
 
 // l1Key and dirKey produce the CST entry hash keys.
@@ -375,9 +387,6 @@ func (c *Core) commitPin(e *entry) {
 	if c.pinnedLines.Len() == c.cfg.LQEntries {
 		c.fail("pinning seq %d: more pinned loads than a %d-entry load queue holds", e.seq, c.cfg.LQEntries)
 	}
-	if c.pins(e.line) == 0 {
-		c.bumpSetPins(e.line, +1)
-	}
 	c.pinnedLines.Push(e.line)
 	c.pinFrontier = e.seq + 1
 	*c.cnt.pinPinned++
@@ -393,12 +402,11 @@ func (c *Core) unpin(e *entry) {
 	if c.pinnedLines.Len() == 0 || c.pinnedLines.Pop() != e.line {
 		c.fail("retiring pinned seq %d of line %#x, not the oldest pinned load", e.seq, e.line)
 	}
-	last := int64(0)
-	if c.pins(e.line) == 0 {
-		last = 1
-		c.bumpSetPins(e.line, -1)
-	}
 	if c.tracing {
+		last := int64(0)
+		if c.pins(e.line) == 0 {
+			last = 1
+		}
 		c.rec.Record(obs.Event{Cycle: c.now, Core: int16(c.id), Kind: obs.KindUnpin,
 			Seq: e.seq, Line: e.line, Arg: last})
 	}

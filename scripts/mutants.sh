@@ -30,8 +30,8 @@ recycle-keeps-state   ./internal/coherence                     TestDirMatchesDen
 free-wrong-class      ./internal/coherence                     TestDirMatchesDenseReference|TestResidencyHoldsFilterToWays
 jump-skips-charges    ./internal/core                          TestGateVisits/DOM-COMP/core1_stall
 probe-memo-ignores-line ./internal/pipeline                    TestCandidateListsMatchFullWalk/DOM-COMP
-rebuild-skips-setpins ./internal/core                          FuzzDerivedState
 rebuild-skips-pinned  ./internal/core                          FuzzDerivedState
+setroom-counts-loads  ./internal/pipeline,./internal/core      TestPinRoomCountsLines|TestGateVisits/DOM-EP/core8_sharing/ocean_cp
 '
 
 tree=$(mktemp -d)
