@@ -49,10 +49,12 @@ import (
 // abandoned tokens) in arrival order rather than as tables sorted by key.
 // Version 10 writes a ROB entry's memory tokens as their access counts, the
 // slot being the entry's own, and drops an MSHR entry's write and Pinned
-// flags and an L1's last demand-fill line, which nothing read.
+// flags and an L1's last demand-fill line, which nothing read. Version 11
+// drops a core's cached seq of its oldest load: the oldest load's pinSafe
+// mark, written with its ROB entry, is the only record of it.
 // Exactly one version is readable: anything else, older blobs included, is a
 // *VersionError and the caller runs cold — there is no migration code.
-const Version = 10
+const Version = 11
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

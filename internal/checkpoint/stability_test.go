@@ -36,14 +36,16 @@ import (
 // mcf_r 30 448 to 30 532, ocean_cp 220 747 to 220 858); version 10 writes a
 // ROB entry's tokens as access counts and drops two MSHR flags and an L1's
 // last-fill line, none of them read (gcc_r 23 409 to 23 373 bytes, mcf_r
-// 30 532 to 30 461, ocean_cp 220 858 to 220 541).
-// ocean_cp is the 8-core row: its lines
+// 30 532 to 30 461, ocean_cp 220 858 to 220 541); version 11 drops a core's
+// cached oldest-load seq, a zigzag varint of one to three bytes (gcc_r
+// 23 373 to 23 371 bytes, mcf_r 30 461 to 30 460, ocean_cp 220 541 to
+// 220 525). ocean_cp is the 8-core row: its lines
 // have sharers and owners, so it pins the long form and the backlog as the
 // SPEC17 rows pin the runs.
 const (
-	pinGccDOMLP   uint64 = 0xe0a3c3a4ce2aadb6
-	pinMcfRCPCmp  uint64 = 0x9979cd8714a28770
-	pinOceanDOMEP uint64 = 0xf407844f39b7d92e
+	pinGccDOMLP   uint64 = 0xf690cfea8c902059
+	pinMcfRCPCmp  uint64 = 0x0bb9132b143bfda1
+	pinOceanDOMEP uint64 = 0x00d8376d5b87f0ea
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -89,10 +91,10 @@ func TestCheckpointSizeRatchet(t *testing.T) {
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23373},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30461},
-		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15590},
-		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220541},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23371},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30460},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15588},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220525},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {

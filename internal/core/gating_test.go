@@ -214,83 +214,83 @@ var gateLists = []struct {
 
 // gateWant is every job's workCounts, keyed by its subtest name.
 var gateWant = map[string]workCounts{
-	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_299, 1_515, 1_432, 703, 1_878, 31_541},
-	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_073, 1_060, 1_034, 128, 268, 16_304},
-	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_333, 1_801, 1_669, 515, 1_155, 26_759},
-	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_968, 1_603, 1_473, 935, 3_519, 36_316},
-	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_368, 1_919, 1_824, 643, 1_762, 29_435},
-	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 24_618},
-	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_089, 39_738, 38_054, 2_172, 11_874, 59_480},
-	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_431, 6_681, 0, 4_707, 26_261, 258_946},
-	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_332, 15_244, 18, 6_143, 47_404, 344_222},
-	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_873, 5_455, 0, 4_332, 30_586, 249_266},
-	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_676, 59_404, 22, 5_909, 54_607, 367_954},
-	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 9_004, 6_727, 6_510, 706, 1_886, 34_348},
-	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_455, 3_728, 3_643, 128, 270, 18_518},
-	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_300, 10_662, 10_380, 513, 1_160, 29_016},
-	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_770, 15_459, 14_968, 941, 3_542, 38_320},
-	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_465, 10_950, 10_640, 646, 1_751, 31_696},
-	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_919, 8_379, 8_145, 408, 832, 26_622},
-	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_234, 61_623, 59_272, 2_188, 12_050, 61_070},
-	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_649, 57_311, 488, 5_317, 30_781, 289_971},
-	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_186, 53_870, 723, 6_304, 47_816, 368_987},
-	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_178, 43_446, 298, 4_359, 30_155, 264_226},
-	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_980, 229_052, 2_768, 6_099, 57_137, 388_641},
-	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_276, 5_875, 5_684, 706, 1_884, 34_003},
-	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_324, 3_364, 3_289, 128, 270, 17_572},
-	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_232, 9_323, 9_062, 514, 1_162, 28_741},
-	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_756, 13_625, 13_243, 941, 3_468, 37_940},
-	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_229, 10_031, 9_739, 646, 1_762, 31_076},
-	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 26_195},
-	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_769, 61_430, 59_120, 2_188, 11_868, 61_085},
-	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_847, 51_537, 446, 6_023, 37_687, 301_033},
-	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_621, 46_323, 692, 7_313, 58_994, 397_635},
-	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_132, 35_492, 325, 4_395, 30_565, 266_664},
-	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_226, 218_726, 2_846, 6_163, 56_801, 390_649},
-	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_161, 2_005, 1_874, 699, 1_909, 32_523},
-	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_227, 1_060, 1_037, 128, 268, 16_361},
-	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_484, 2_662, 2_517, 513, 1_152, 27_504},
-	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_472, 9_268, 8_937, 941, 3_594, 37_102},
-	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_655, 4_222, 4_038, 648, 1_762, 29_812},
-	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 24_771},
-	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_238, 9_250, 0, 4_571, 24_950, 257_539},
-	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 73_007, 16_713, 0, 6_024, 45_829, 341_849},
-	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_264, 7_120, 0, 4_314, 30_294, 250_958},
-	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_735, 142_257, 855, 5_981, 55_835, 371_846},
-	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_536, 838, 784, 668, 2_327, 32_486},
-	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_543, 763, 749, 128, 468, 17_675},
-	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_326, 2_443, 2_303, 507, 1_890, 27_826},
-	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_617, 1_855, 1_690, 930, 4_642, 37_447},
-	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_385, 1_371, 1_291, 633, 2_498, 30_642},
-	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_864, 782, 744, 409, 1_738, 25_757},
-	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_695, 1_801, 1_736, 534, 1_892, 29_026},
-	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_493, 1_134, 1_109, 128, 535, 16_310},
-	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_713, 2_170, 2_051, 464, 1_773, 25_855},
-	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 34_892},
-	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_936, 2_115, 2_023, 551, 2_118, 28_021},
-	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 25_244},
-	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_052, 42_959, 41_607, 1_633, 8_037, 50_243},
-	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_153, 22_271, 0, 2_622, 28_825, 220_148},
-	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_050, 41_030, 7, 3_676, 34_340, 282_177},
-	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_997, 11_603, 0, 2_927, 29_830, 237_949},
-	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_958, 74_170, 23, 3_915, 40_392, 253_574},
-	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_833, 4_065, 3_914, 706, 1_892, 32_697},
-	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_124, 3_071, 2_999, 128, 270, 16_272},
-	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_679, 7_499, 7_248, 514, 1_163, 27_309},
-	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_911, 9_247, 8_945, 940, 3_490, 36_438},
-	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_605, 7_310, 7_071, 646, 1_780, 29_546},
-	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 24_634},
-	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_213, 984, 919, 703, 1_914, 31_429},
-	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_060, 939, 913, 128, 270, 16_311},
-	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_331, 1_805, 1_676, 515, 1_155, 26_759},
-	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_942, 1_526, 1_395, 935, 3_504, 36_300},
-	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_275, 1_170, 1_081, 643, 1_756, 29_412},
-	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 24_618},
-	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_479, 85_281, 82_046, 2_188, 12_061, 59_691},
-	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_857, 83_111, 80_091, 2_188, 11_855, 59_695},
-	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_649, 55_058, 53_079, 2_177, 11_870, 59_486},
-	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_116, 73_490, 69_890, 2_138, 16_863, 57_485},
-	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_534, 61_983, 59_578, 2_188, 12_052, 59_776},
+	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_297, 1_517, 1_434, 703, 1_878, 31_538},
+	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_046, 1_087, 1_061, 128, 268, 16_301},
+	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_322, 1_812, 1_680, 515, 1_155, 26_756},
+	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_967, 1_604, 1_474, 935, 3_519, 36_313},
+	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_363, 1_924, 1_828, 643, 1_762, 29_432},
+	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 24_615},
+	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_087, 39_740, 38_054, 2_172, 11_874, 59_477},
+	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_424, 6_688, 0, 4_707, 26_261, 258_922},
+	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_317, 15_259, 18, 6_143, 47_404, 344_198},
+	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_869, 5_459, 0, 4_332, 30_586, 249_242},
+	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_674, 59_406, 22, 5_909, 54_607, 367_930},
+	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 8_997, 6_734, 6_517, 706, 1_886, 34_345},
+	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_421, 3_762, 3_677, 128, 270, 18_515},
+	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_271, 10_691, 10_407, 513, 1_160, 29_013},
+	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_765, 15_464, 14_972, 941, 3_542, 38_317},
+	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_457, 10_958, 10_648, 646, 1_751, 31_693},
+	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_918, 8_380, 8_146, 408, 832, 26_619},
+	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_228, 61_629, 59_276, 2_188, 12_050, 61_067},
+	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_645, 57_315, 488, 5_317, 30_781, 289_947},
+	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_177, 53_879, 723, 6_304, 47_816, 368_963},
+	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_176, 43_448, 298, 4_359, 30_155, 264_202},
+	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_957, 229_075, 2_769, 6_099, 57_137, 388_619},
+	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_271, 5_880, 5_689, 706, 1_884, 34_000},
+	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_294, 3_394, 3_319, 128, 270, 17_569},
+	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_220, 9_335, 9_074, 514, 1_162, 28_738},
+	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_753, 13_628, 13_246, 941, 3_468, 37_937},
+	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_223, 10_037, 9_745, 646, 1_762, 31_073},
+	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 26_192},
+	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_762, 61_437, 59_125, 2_188, 11_868, 61_082},
+	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_826, 51_558, 446, 6_023, 37_687, 301_009},
+	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_581, 46_363, 692, 7_313, 58_994, 397_613},
+	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_126, 35_498, 325, 4_395, 30_565, 266_640},
+	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_214, 218_738, 2_846, 6_163, 56_801, 390_625},
+	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_154, 2_012, 1_881, 699, 1_909, 32_520},
+	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_194, 1_093, 1_070, 128, 268, 16_358},
+	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_467, 2_679, 2_534, 513, 1_152, 27_501},
+	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_467, 9_273, 8_942, 941, 3_594, 37_099},
+	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_646, 4_231, 4_046, 648, 1_762, 29_809},
+	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 24_768},
+	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_226, 9_262, 0, 4_571, 24_950, 257_515},
+	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 72_973, 16_747, 0, 6_024, 45_829, 341_825},
+	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_254, 7_130, 0, 4_314, 30_294, 250_934},
+	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_718, 142_274, 856, 5_981, 55_835, 371_822},
+	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_532, 842, 788, 668, 2_327, 32_483},
+	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_500, 806, 792, 128, 468, 17_672},
+	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_317, 2_452, 2_312, 507, 1_890, 27_823},
+	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_616, 1_856, 1_691, 930, 4_642, 37_444},
+	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_384, 1_372, 1_292, 633, 2_498, 30_639},
+	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_862, 784, 746, 409, 1_738, 25_754},
+	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_692, 1_804, 1_738, 534, 1_892, 29_023},
+	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_467, 1_160, 1_134, 128, 535, 16_307},
+	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_708, 2_175, 2_056, 464, 1_773, 25_852},
+	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 34_889},
+	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_931, 2_120, 2_027, 551, 2_118, 28_018},
+	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 25_241},
+	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_049, 42_962, 41_609, 1_633, 8_037, 50_240},
+	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_147, 22_277, 0, 2_622, 28_825, 220_124},
+	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_040, 41_040, 7, 3_676, 34_340, 282_153},
+	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_993, 11_607, 0, 2_927, 29_830, 237_925},
+	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_952, 74_176, 23, 3_915, 40_392, 253_550},
+	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_827, 4_071, 3_919, 706, 1_892, 32_694},
+	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_092, 3_103, 3_031, 128, 270, 16_269},
+	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_667, 7_511, 7_259, 514, 1_163, 27_306},
+	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_908, 9_250, 8_948, 940, 3_490, 36_435},
+	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_596, 7_319, 7_080, 646, 1_780, 29_543},
+	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 24_631},
+	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_207, 990, 924, 703, 1_914, 31_426},
+	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_027, 972, 946, 128, 270, 16_308},
+	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_317, 1_819, 1_690, 515, 1_155, 26_756},
+	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_940, 1_528, 1_397, 935, 3_504, 36_297},
+	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_266, 1_179, 1_089, 643, 1_756, 29_409},
+	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 24_615},
+	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_475, 85_285, 82_050, 2_188, 12_061, 59_688},
+	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_856, 83_112, 80_092, 2_188, 11_855, 59_692},
+	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_648, 55_059, 53_079, 2_177, 11_870, 59_483},
+	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_115, 73_491, 69_891, 2_138, 16_863, 57_482},
+	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_528, 61_989, 59_582, 2_188, 12_052, 59_773},
 }
 
 // TestGateVisits pins the work of every job of gateLists, 3 000 warm-up and

@@ -332,20 +332,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestConservativeTSO(t *testing.T) {
-	// With AggressiveTSO off, even the oldest load is squashable, making
-	// Fence-Comp strictly slower than the aggressive design.
-	run := func(aggressive bool) float64 {
-		cfg := arch.PaperConfig(1)
-		cfg.AggressiveTSO = aggressive
-		return runFor(t, cfg, defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}, trace.ByName("gcc_r"), 1, 1000, 6000).CPI
-	}
-	agg, cons := run(true), run(false)
-	if cons <= agg {
-		t.Fatalf("conservative TSO (%.3f) not slower than aggressive (%.3f)", cons, agg)
-	}
-}
-
 func TestLQIDWraparound(t *testing.T) {
 	// With tiny LQ ID tags, wraparound must trigger the stop-pinning path
 	// and execution must stay correct.

@@ -298,7 +298,7 @@ func HardwareTable() string {
 func ArchTable() string {
 	cfg := arch.PaperConfig(8)
 	t := &table{header: []string{"Parameter", "Value"}}
-	t.add("Cores", fmt.Sprintf("1 (SPEC17) or 8 (SPLASH2 & PARSEC), %g GHz", cfg.ClockGHz))
+	t.add("Cores", fmt.Sprintf("1 (SPEC17) or 8 (SPLASH2 & PARSEC), %g GHz", arch.ClockGHz))
 	t.add("Core", fmt.Sprintf("%d-issue, %d LQ, %d SQ, %d ROB entries",
 		cfg.IssueWidth, cfg.LQEntries, cfg.SQEntries, cfg.ROBEntries))
 	t.add("L1-D", fmt.Sprintf("%d sets x %d ways (32 KB), %d-cycle RT, %d ports, next-line prefetcher",

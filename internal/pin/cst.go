@@ -68,13 +68,14 @@ func NewCST(entries, records int) *CST {
 	}
 }
 
-// hashKey folds a set/slice key onto a CST entry index.
+// hashKey folds a set/slice key onto a CST entry index. It reduces in
+// uint32, so a host whose int has 32 bits picks the same entry.
 func (c *CST) hashKey(key uint32) int {
 	h := key
 	h ^= h >> 16
 	h *= 0x7feb352d
 	h ^= h >> 15
-	return int(h) % c.nEntries
+	return int(h % uint32(c.nEntries))
 }
 
 // addrHash is the 12-bit line-address hash stored in a record.

@@ -250,7 +250,6 @@ func (c *Core) State(s ckptio.State) {
 	s.I64(&c.vpFrontier)
 	s.I64(&c.pinVPFrontier)
 	s.I64(&c.pinPendingSeq)
-	s.I64(&c.oldestLoadSeq)
 	s.I64(&c.target)
 	s.I64(&c.doneCycle)
 	s.I64(&c.lastRetiredWin)

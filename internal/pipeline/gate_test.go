@@ -269,28 +269,3 @@ func transientStream() *trace.Script {
 	}
 	return &trace.Script{ScriptName: "transient-stream", Insts: [][]isa.Inst{insts}, Loop: true}
 }
-
-// TestDenialSummaryConservativeTSO runs the oracle on the configuration the
-// machines of TestCandidateListsMatchFullWalk leave out: a load is MCV-safe
-// only at the ROB head, so STT's taint roots and Fence's gate bound, with and
-// without pinning, turn on head, not on the oldest-load mark.
-func TestDenialSummaryConservativeTSO(t *testing.T) {
-	for _, tc := range []struct {
-		pol   defense.Policy
-		stall string
-	}{
-		{defense.Policy{Scheme: defense.STT, Variant: defense.Comp}, "stall.stt_tainted"},
-		{defense.Policy{Scheme: defense.Fence, Variant: defense.Comp}, "stall.fence"},
-		{defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, "stall.fence"},
-	} {
-		for _, src := range []trace.Source{trace.ByName("mcf_r"), faultStream()} {
-			m := newMachine(src, tc.pol, func(cfg *arch.Config) { cfg.AggressiveTSO = false })
-			for m.cycle < 8_000 {
-				m.step(t)
-			}
-			if m.count.Get(tc.stall) == 0 {
-				t.Fatalf("%s on %s: %s never moved", tc.pol, src.Name(), tc.stall)
-			}
-		}
-	}
-}

@@ -337,8 +337,8 @@ func (c *Core) pins(line uint64) int {
 
 // OnInvalidate is the conventional TSO LQ snoop: when the L1 loses a line,
 // performed yet-to-retire loads of that line are conservatively squashed as
-// potential memory-consistency violations — except the oldest load under
-// the aggressive TSO implementation, which cannot have been reordered.
+// potential memory-consistency violations — except pinned loads and the
+// oldest load (pinSafe), which cannot have been reordered.
 // Under RC load→load order is not enforced, so the snoop never squashes.
 func (c *Core) OnInvalidate(line uint64) {
 	if c.policy.Consistency == defense.RC || c.perfLines&lineBit(line) == 0 {
@@ -351,10 +351,7 @@ func (c *Core) OnInvalidate(line uint64) {
 			continue
 		}
 		held |= lineBit(e.line)
-		if e.line != line || e.forwarded || e.pinned {
-			continue
-		}
-		if c.cfg.AggressiveTSO && seq == c.oldestLoadSeq {
+		if e.line != line || e.forwarded || e.pinned || e.pinSafe {
 			continue
 		}
 		c.squashFrom(seq, obs.CauseMCV)

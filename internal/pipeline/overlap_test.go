@@ -81,31 +81,3 @@ func TestLoadOverlapSemantics(t *testing.T) {
 	}
 	t.Logf("overlap: comp=%d lp=%d ep=%d unsafe=%d", comp, lp, ep, unsafe)
 }
-
-// TestConservativeLPSingleOutstanding: without the aggressive TSO
-// implementation, Late Pinning loses the two-outstanding trick (the oldest
-// load is squashable, so it is not implicitly safe).
-func TestConservativeLPSingleOutstanding(t *testing.T) {
-	cfg := arch.PaperConfig(1)
-	cfg.Prefetch = false
-	cfg.AggressiveTSO = false
-	count := &stats.Counters{}
-	mem := coherence.NewSystem(&cfg, count)
-	w := missStream()
-	c := NewCore(0, &cfg, defense.Policy{Scheme: defense.Fence, Variant: defense.LP},
-		mem.L1(0), w.Generator(0, 1), NewBarrierSync(1), count)
-	max := 0
-	for i := 1; i <= 20000; i++ {
-		mem.Tick(int64(i))
-		c.Tick(int64(i))
-		if n := c.outstandingDemandLoads(); n > max {
-			max = n
-		}
-	}
-	if max > 1 {
-		t.Fatalf("conservative LP overlap = %d, want <= 1", max)
-	}
-	if c.Retired() == 0 {
-		t.Fatal("no progress")
-	}
-}

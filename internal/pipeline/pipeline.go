@@ -69,8 +69,8 @@ type entry struct {
 	// access completed (required before retirement).
 	invisible  bool
 	exposeDone bool
-	// pinSafe marks a load that is MCV-safe without being pinned (the
-	// oldest load under the aggressive TSO implementation).
+	// pinSafe marks a load that is MCV-safe without being pinned: it has
+	// been the oldest load in the ROB (the aggressive TSO implementation).
 	pinSafe bool
 	line    uint64
 	token   int64
@@ -227,7 +227,6 @@ type Core struct {
 	vpFrontier    int64
 	pinVPFrontier int64
 	pinPendingSeq int64
-	oldestLoadSeq int64 // cached seq of the oldest unretired load, -1 unknown
 
 	// doneCycle is set when the core first reaches its retirement target.
 	target    int64
@@ -290,7 +289,6 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		doneCycle:      -1,
 		haltCycle:      -1,
 		pinPendingSeq:  -1,
-		oldestLoadSeq:  -1,
 		lastRetiredWin: -1,
 		lastOdd:        -1,
 	}

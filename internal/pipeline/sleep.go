@@ -38,8 +38,7 @@ func (c *Core) charge(h *uint64) {
 type tripwire struct {
 	head, tail                             int64
 	vpFrontier, pinVPFrontier, pinFrontier int64
-	pinPendingSeq, oldestLoadSeq           int64
-	nextToken                              int64
+	pinPendingSeq, nextToken               int64
 	genNext, tagEpoch, scheduled, barrier  uint64
 	wb, ready, window                      int
 }
@@ -49,9 +48,8 @@ func (c *Core) arm() {
 	c.wire = tripwire{
 		head: c.head, tail: c.tail,
 		vpFrontier: c.vpFrontier, pinVPFrontier: c.pinVPFrontier, pinFrontier: c.pinFrontier,
-		pinPendingSeq: c.pinPendingSeq, oldestLoadSeq: c.oldestLoadSeq,
-		nextToken: c.nextToken,
-		genNext:   c.genNext, tagEpoch: c.l1.TagEpoch(), scheduled: c.l1.Scheduled(),
+		pinPendingSeq: c.pinPendingSeq, nextToken: c.nextToken,
+		genNext: c.genNext, tagEpoch: c.l1.TagEpoch(), scheduled: c.l1.Scheduled(),
 		barrier: c.barrierEpoch(),
 		wb:      c.wb.Len(), ready: len(c.readyQ), window: len(c.window),
 	}
@@ -63,8 +61,8 @@ func (c *Core) tripped() bool {
 	w := &c.wire
 	return w.tail != c.tail || w.head != c.head || w.genNext != c.genNext ||
 		w.vpFrontier != c.vpFrontier || w.pinVPFrontier != c.pinVPFrontier || w.pinFrontier != c.pinFrontier ||
-		w.pinPendingSeq != c.pinPendingSeq || w.oldestLoadSeq != c.oldestLoadSeq ||
-		w.nextToken != c.nextToken || w.tagEpoch != c.l1.TagEpoch() || w.scheduled != c.l1.Scheduled() ||
+		w.pinPendingSeq != c.pinPendingSeq || w.nextToken != c.nextToken ||
+		w.tagEpoch != c.l1.TagEpoch() || w.scheduled != c.l1.Scheduled() ||
 		w.barrier != c.barrierEpoch() ||
 		w.wb != c.wb.Len() || w.ready != len(c.readyQ) || w.window != len(c.window)
 }

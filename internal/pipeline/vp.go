@@ -7,32 +7,13 @@ import (
 	"pinnedloads/internal/pin"
 )
 
-// findOldestLoad refreshes the cached seq of the oldest unretired Load.
-func (c *Core) findOldestLoad() {
-	if loads := c.loadSeqs.seqs(); len(loads) > 0 {
-		c.oldestLoadSeq = loads[0]
-	} else {
-		c.oldestLoadSeq = -1
-	}
-}
-
 // mcvSafeNow reports whether the load can no longer be squashed by a memory
-// consistency violation: it is pinned, or — under the aggressive TSO
-// implementation the evaluation uses (paper Sections 2 and 3.3) — it is the
-// oldest load in the ROB; under the conservative implementation only a load
-// at the ROB head qualifies. Under relaxed consistency load→load order is
-// not enforced, so no load can suffer an MCV squash.
+// consistency violation: it is pinned, or it has been the oldest load in the
+// ROB (pinSafe; the aggressive TSO implementation, paper Sections 2 and
+// 3.3). Under relaxed consistency load→load order is not enforced, so no
+// load can suffer an MCV squash.
 func (c *Core) mcvSafeNow(e *entry) bool {
-	if c.policy.Consistency == defense.RC {
-		return true
-	}
-	if e.pinned || e.pinSafe {
-		return true
-	}
-	if c.cfg.AggressiveTSO {
-		return e.seq == c.oldestLoadSeq
-	}
-	return e.seq == c.head
+	return c.policy.Consistency == defense.RC || e.pinned || e.pinSafe
 }
 
 // frontierPass reports whether the VP frontier may advance past e under the
@@ -65,14 +46,12 @@ func (c *Core) frontierPass(e *entry, mask defense.Cond) bool {
 	return true
 }
 
-// advanceVP updates the cached oldest load, marks the oldest load MCV-safe
-// under aggressive TSO, and advances the VP frontiers.
+// advanceVP marks the oldest load MCV-safe and advances the VP frontiers.
 func (c *Core) advanceVP() {
-	c.findOldestLoad()
-	if c.cfg.AggressiveTSO && c.oldestLoadSeq >= 0 {
+	if loads := c.loadSeqs.seqs(); len(loads) > 0 {
 		// The oldest load can never be squashed by an invalidation or
 		// eviction; the property is sticky because loads retire in order.
-		if e := c.at(c.oldestLoadSeq); !e.pinSafe {
+		if e := c.at(loads[0]); !e.pinSafe {
 			e.pinSafe = true
 			c.active = true
 		}

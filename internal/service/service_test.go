@@ -225,13 +225,19 @@ func TestBadSpecAndUnknownJob(t *testing.T) {
 	}
 }
 
-// TestDeletedConfigFieldsRefused: a job whose config names a machine switch
+// TestDeletedConfigFieldsRefused: a job whose config names a machine field
 // the simulator no longer has is a bad request, whatever the value, and is
-// neither run nor enqueued — never silently run without the switch.
+// neither run nor enqueued — never silently run on another machine (the
+// conservative TSO that AggressiveTSO=false asked for is gone).
 func TestDeletedConfigFieldsRefused(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
-	for _, field := range []string{"RealPredictor", "CPTReserve"} {
-		for _, v := range []bool{true, false} {
+	for field, values := range map[string][]any{
+		"RealPredictor": {true, false},
+		"CPTReserve":    {true, false},
+		"AggressiveTSO": {true, false},
+		"ClockGHz":      {2.0, 3.5},
+	} {
+		for _, v := range values {
 			spec := tinySpec()
 			cfg := arch.PaperConfig(1)
 			spec.Config = &cfg

@@ -29,8 +29,10 @@ import (
 // previously derived keys (and therefore all cached results): v3 retired the
 // results whose stall counters counted attempts rather than core-cycles, v4
 // the keys that encoded the deleted RealPredictor and CPTReserve fields, v5
-// those that encoded the switch to the deleted L1-tag pinned-line record.
-const Version = "plspec-v5"
+// those that encoded the switch to the deleted L1-tag pinned-line record, v6
+// those that encoded the deleted AggressiveTSO switch (the machine is always
+// the paper's aggressive TSO) and ClockGHz (which no simulated latency read).
+const Version = "plspec-v6"
 
 // Spec is the canonical description of one simulation run. Scheme and
 // Variant are the paper's names (e.g. "Fence", "EP") rather than enum
@@ -157,7 +159,7 @@ func fieldsOf(t reflect.Type) []structField {
 	for i := range out {
 		f := t.Field(i)
 		switch f.Type.Kind() {
-		case reflect.String, reflect.Int, reflect.Uint64, reflect.Float64, reflect.Bool:
+		case reflect.String, reflect.Int, reflect.Uint64, reflect.Bool:
 		default:
 			panic(fmt.Sprintf("speckey: unsupported %s field kind %s (%s)", t, f.Type.Kind(), f.Name))
 		}
@@ -170,8 +172,7 @@ func fieldsOf(t reflect.Type) []structField {
 }
 
 // appendFields appends v's fields as name=value pairs: integers in
-// decimal, floats in the shortest 'g' form, booleans as t/f and strings as
-// len:value.
+// decimal, booleans as t/f and strings as len:value.
 func appendFields(b []byte, fields []structField, v reflect.Value) []byte {
 	for i, sf := range fields {
 		b = append(b, sf.prefix...)
@@ -185,8 +186,6 @@ func appendFields(b []byte, fields []structField, v reflect.Value) []byte {
 			b = strconv.AppendInt(b, f.Int(), 10)
 		case reflect.Uint64:
 			b = strconv.AppendUint(b, f.Uint(), 10)
-		case reflect.Float64:
-			b = strconv.AppendFloat(b, f.Float(), 'g', -1, 64)
 		case reflect.Bool:
 			if f.Bool() {
 				b = append(b, 't')

@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 
 # NAME  PACKAGES  -run PATTERN
 table='
-oldest-load-wire      ./internal/core                          FuzzDerivedState|TestQuietTicksAreFixedPoints
+oninv-ignores-pinsafe ./internal/experiments                   TestHotPathEquivalenceGoldens
 removeat-keeps-filter ./internal/core                          FuzzDerivedState
 restore-skips-fill    ./internal/core                          FuzzDerivedState
 addrun-skips-occ      ./internal/core                          FuzzDerivedState

@@ -5,12 +5,16 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"pinnedloads/internal/arch"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/experiments"
 )
@@ -26,24 +30,7 @@ import (
 func TestOneRunDescription(t *testing.T) {
 	var specLiterals, builders []string
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		path = filepath.ToSlash(path)
+	parseSource(t, fset, func(path string, file *ast.File) {
 		for _, decl := range file.Decls {
 			gen, isGen := decl.(*ast.GenDecl)
 			fn, isFn := decl.(*ast.FuncDecl)
@@ -69,11 +56,7 @@ func TestOneRunDescription(t *testing.T) {
 				return true
 			})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(specLiterals) != 1 || !strings.HasPrefix(specLiterals[0], "internal/simrun/simrun.go:") {
 		t.Errorf("speckey.Spec literals at %v, want exactly one, in simrun's Run.spec: convert to a simrun.Run and call its Key",
 			specLiterals)
@@ -82,6 +65,76 @@ func TestOneRunDescription(t *testing.T) {
 		if path != "internal/simrun/simrun.go" && path != "internal/sectest/sectest.go" {
 			t.Errorf("%s builds a machine with core.New/NewBlank: run it through simrun's Run.Simulate", path)
 		}
+	}
+}
+
+// TestEveryConfigFieldIsRead holds the run key to what changes a run. Every
+// arch.Config field is part of every run's key, so each must be read by
+// non-test code outside internal/arch, which declares, defaults and
+// validates it, and outside Table 1's renderer (ArchTable), which prints it:
+// a field only they read gives one simulation two keys. A selector counts as
+// a read unless it names a called method.
+func TestEveryConfigFieldIsRead(t *testing.T) {
+	unread := map[string]bool{}
+	cfg := reflect.TypeOf(arch.Config{})
+	for i := range cfg.NumField() {
+		unread[cfg.Field(i).Name] = true
+	}
+	parseSource(t, token.NewFileSet(), func(path string, file *ast.File) {
+		if strings.HasPrefix(path, "internal/arch/") {
+			return
+		}
+		calls := map[*ast.SelectorExpr]bool{}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && path == "internal/experiments/sections.go" && fn.Name.Name == "ArchTable" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						calls[sel] = true
+					}
+				case *ast.SelectorExpr:
+					if !calls[n] {
+						delete(unread, n.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
+	for _, name := range slices.Sorted(maps.Keys(unread)) {
+		t.Errorf("arch.Config.%s is read only by internal/arch and Table 1: delete it, or it keys two runs of one simulation apart", name)
+	}
+}
+
+// parseSource parses every non-test Go file outside bench/ (its own module)
+// and hidden directories, and hands each to fn with its slash path.
+func parseSource(t *testing.T, fset *token.FileSet, fn func(path string, file *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
