@@ -38,7 +38,9 @@ func main() {
 
 	insts := float64(res.Counters.Get("retired"))
 	perM := func(name string) float64 {
-		return float64(res.Counters.Get(name)) / insts * 1e6
+		// The conversion rounds the rate, so that no platform fuses the
+		// product into a sum of rates.
+		return float64(float64(res.Counters.Get(name)) / insts * 1e6)
 	}
 
 	fmt.Printf("CPI:                       %.3f\n", res.CPI)

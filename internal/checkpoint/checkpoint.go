@@ -27,34 +27,42 @@ import (
 	"pinnedloads/internal/core"
 )
 
-// Version is the current checkpoint format version. Version 2 added the
-// reversible-speculation state (RCP scheme): ROB-entry spec tokens, the
-// L1's spec-transaction journal and MSHR spec flags, and the directory's
-// spec-born line marks. Version 3 wrote a directory/LLC slice as its valid
-// ways only; version 4 writes those ways in plane-major order as runs of
-// default-state lines and single lines in the long form
-// (coherence.Dir.State). Version 5 carries each ROB entry's held mark and
-// counters that charge every core-cycle to one cause (the CPI stack, package
-// pipeline). Version 6 drops a core's predictor-presence byte and the CPT's
-// reservation queue, parts no configuration builds any more. Version 7
-// drops every instruction's program counter (a generator's, each queued
-// instruction's and each ROB entry's), the ROB entry's mispredict copy and
-// the core's queue of L1-tag unpins. Version 8 drops a core's indexes over
-// its ROB — the load count, the seq lists, the performed-load list, the
-// token, tag and pinned-line tables and the per-set pin counts — which a
-// restore rebuilds from the ROB, and writes the write buffer right after the
-// ROB. Version 9 writes a memory token as the ROB slot it names plus a
-// multiple of the ROB's size, and an L1's transaction lists (ownership
-// transactions, writebacks, the spec journal with each record's token, the
-// abandoned tokens) in arrival order rather than as tables sorted by key.
-// Version 10 writes a ROB entry's memory tokens as their access counts, the
-// slot being the entry's own, and drops an MSHR entry's write and Pinned
-// flags and an L1's last demand-fill line, which nothing read. Version 11
-// drops a core's cached seq of its oldest load: the oldest load's pinSafe
-// mark, written with its ROB entry, is the only record of it.
+// Version is the current checkpoint format version. This comment is the
+// format's only history; DESIGN.md §10 renders the current layout from the
+// walks. Sizes are the warmup-boundary blobs of TestCheckpointSizeRatchet
+// (gcc_r under DOM-LP; ocean_cp, eight cores, under DOM-EP).
+//
+//   - 2: the reversible-speculation state (RCP): ROB-entry spec tokens, the
+//     L1's spec journal and MSHR spec flags, the directory's spec-born marks.
+//     Every LLC way was written, valid or not: 3.5 MB a machine.
+//   - 3: a directory slice as its valid ways only (0.40 MB for the average
+//     warmed SPEC17 machine, whose loader was 41.5 % of a warm fork).
+//   - 4: those ways in plane-major order, as maximal runs of default-state
+//     lines and single lines in the long form (coherence.Dir.State).
+//   - 5: each ROB entry's held mark, and the CPI stack's counters.
+//   - 6: without a core's predictor-presence byte and the CPT's reservation
+//     queue (gcc_r 39 285 → 39 282 B, ocean_cp 362 036 → 362 451 B).
+//   - 7: without program counters, the ROB entry's mispredict copy and the
+//     core's queue of L1-tag unpins (37 907 B, 349 956 B).
+//   - 8: without a core's indexes over its ROB — load count, seq lists, the
+//     performed-load list, the token, tag and pinned-line tables, the per-set
+//     pin counts — which a restore rebuilds; the write buffer moved up behind
+//     the ROB (23 405 B, 220 747 B).
+//   - 9: a memory token as n·ROBEntries + slot, and an L1's transaction lists
+//     in arrival order, each journal record with its token (23 409 B,
+//     220 858 B).
+//   - 10: a ROB entry's tokens as their access counts n; without an MSHR
+//     entry's write and Pinned flags and an L1's last demand-fill line
+//     (23 373 B, 220 541 B).
+//   - 11: without a core's cached seq of its oldest load; the oldest load's
+//     pinSafe mark is its only record (23 371 B, 220 525 B).
+//   - 12: without an L1's ports used and a directory slice's demand requests
+//     accepted this cycle, which the next Tick resets before anything reads
+//     them (23 362 B, 220 509 B).
+//
 // Exactly one version is readable: anything else, older blobs included, is a
 // *VersionError and the caller runs cold — there is no migration code.
-const Version = 11
+const Version = 12
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

@@ -14,38 +14,15 @@ import (
 // warmup boundary (seed 1, 3k warmup instructions). The blob covers the
 // whole serialized machine, so a pin moves when — and only when — the
 // format, the serialization order, or the simulated state at that cycle
-// changes. Refactors of derived, non-serialized state (the ROB slot
-// arithmetic, the load-queue candidate lists, the probe memo) must leave
-// them alone; a deliberate format change bumps Version and re-records them.
-// The version 4 pins were recorded with nothing but the run-length directory
-// codec applied to the version 3 tree; version 5 added a ROB entry's held
-// mark and the CPI stack's counters (a byte an entry, 167 to 1 527 a blob);
-// version 6 dropped a core's predictor-presence byte and the CPT's
-// reservation queue, and a core's window is now also pruned by a sweep that
-// retires and then stalls (gcc_r 39 285 to 39 282 bytes, ocean_cp 362 036 to
-// 362 451); version 7 dropped every instruction's program counter, a ROB
-// entry's mispredict copy and a core's L1-tag unpin queue (gcc_r 39 282 to
-// 37 907 bytes, ocean_cp 362 451 to 349 956); version 8 dropped a core's
-// indexes over its ROB, which a restore rebuilds: the load count, the seq
-// lists, the performed-load list, the three tables and the per-set pin counts
-// that had grown to the highest set pinned so far, and moved the write buffer
-// up behind the ROB (gcc_r 37 907 to 23 405 bytes, ocean_cp 349 956 to
-// 220 747); version 9 names a memory token by its ROB slot, a larger number
-// than the count it was, and writes an L1's transaction lists in arrival
-// order with each journal record's token (gcc_r 23 405 to 23 409 bytes,
-// mcf_r 30 448 to 30 532, ocean_cp 220 747 to 220 858); version 10 writes a
-// ROB entry's tokens as access counts and drops two MSHR flags and an L1's
-// last-fill line, none of them read (gcc_r 23 409 to 23 373 bytes, mcf_r
-// 30 532 to 30 461, ocean_cp 220 858 to 220 541); version 11 drops a core's
-// cached oldest-load seq, a zigzag varint of one to three bytes (gcc_r
-// 23 373 to 23 371 bytes, mcf_r 30 461 to 30 460, ocean_cp 220 541 to
-// 220 525). ocean_cp is the 8-core row: its lines
-// have sharers and owners, so it pins the long form and the backlog as the
-// SPEC17 rows pin the runs.
+// changes; a refactor of derived state must leave them alone, and a
+// deliberate format change bumps Version (whose comment holds the format's
+// history) and re-records them. ocean_cp is the 8-core row: its lines have
+// sharers and owners, so it pins the long form and the backlog as the SPEC17
+// rows pin the runs.
 const (
-	pinGccDOMLP   uint64 = 0xf690cfea8c902059
-	pinMcfRCPCmp  uint64 = 0x0bb9132b143bfda1
-	pinOceanDOMEP uint64 = 0x00d8376d5b87f0ea
+	pinGccDOMLP   uint64 = 0x8bba464ef20933c6
+	pinMcfRCPCmp  uint64 = 0x8074c1d94e5e5d3d
+	pinOceanDOMEP uint64 = 0xf2063c6fa3d548af
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -91,10 +68,10 @@ func TestCheckpointSizeRatchet(t *testing.T) {
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23371},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30460},
-		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15588},
-		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220525},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23362},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30451},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15579},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220509},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {

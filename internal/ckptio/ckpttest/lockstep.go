@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -256,10 +257,36 @@ type line struct {
 // are no walk lines, but in test files.
 var walkFrames = reflect.TypeOf(ckptio.State{}).PkgPath()
 
-// lineOf walks until the site map stops it at its i-th primitive, and returns
-// the first frame there outside runtime, ckptio and this package: the walk
-// line that writes the primitive (the zero line if the walk ends first).
-func lineOf(walk func(ckptio.State), i int) (l line) {
+// lineOf returns the walk line that writes walk's i-th primitive: the
+// innermost of its stack (the zero line if the walk ends first).
+func lineOf(walk func(ckptio.State), i int) line {
+	st := stackAt(walk, i)
+	if len(st) == 0 {
+		return line{}
+	}
+	f := st[len(st)-1]
+	return line{f.File, f.Line}
+}
+
+// Stacks returns, for each primitive walk saves, the frames that wrote it,
+// outermost first: the calls between walk and the primitive outside runtime,
+// ckptio and this package. It walks once a primitive, so it is for small
+// machines.
+func Stacks(walk func(ckptio.State)) [][]runtime.Frame {
+	var w walked
+	w.save(walk, true)
+	stacks := make([][]runtime.Frame, len(w.sites.Offs))
+	for i := range stacks {
+		stacks[i] = stackAt(walk, i)
+	}
+	return stacks
+}
+
+// stackAt walks until the site map stops it at its i-th primitive and returns
+// the frames there up to stackAt's own, outermost first, but for those in
+// runtime, ckptio and this package (test files excepted); nil if the walk
+// ends first.
+func stackAt(walk func(ckptio.State), i int) (st []runtime.Frame) {
 	m := &ckptio.SiteMap{Stop: i}
 	defer func() {
 		if r := recover(); r != m {
@@ -268,18 +295,21 @@ func lineOf(walk func(ckptio.State), i int) (l line) {
 			}
 			return
 		}
-		pc := make([]uintptr, 64)
+		pc := make([]uintptr, 256)
 		frames := runtime.CallersFrames(pc[:runtime.Callers(1, pc)])
-		for f, more := frames.Next(); more && l.file == ""; f, more = frames.Next() {
+		for f, more := frames.Next(); more && f.Function != stackAtFunc; f, more = frames.Next() {
 			if !strings.HasPrefix(f.Function, "runtime.") &&
 				(!strings.HasPrefix(f.Function, walkFrames) || strings.HasSuffix(f.File, "_test.go")) {
-				l = line{f.File, f.Line}
+				st = append(st, f)
 			}
 		}
+		slices.Reverse(st)
 	}()
 	walk(ckptio.SaveTo(&ckptio.Encoder{Sites: m}))
-	return line{}
+	return nil
 }
+
+var stackAtFunc = reflect.TypeOf(walked{}).PkgPath() + ".stackAt"
 
 var sources sync.Map // file name → its lines
 

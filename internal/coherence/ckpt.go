@@ -127,11 +127,14 @@ func (t *specTxn) walk(s ckptio.State) {
 // carry their own geometry checks; the transaction lists go in arrival
 // order. The controller keeps one entry per line or token and finds the
 // first, so loading rejects a line twice in acq or in evictBuf, and a token
-// twice in spec and specAband together.
+// twice in spec and specAband together. The ports used this cycle are not
+// walked: every capture lies between cycles, and the next Tick resets them
+// before anything reads them.
 func (l *L1) State(s ckptio.State) {
 	if s.Loading() {
 		l.touched = true
 		l.txnFree = l.txnFree[:0]
+		l.portsUsed = 0
 	}
 	ckptio.Ticking(s, &l.now)
 	l.tags.State(s)
@@ -159,7 +162,6 @@ func (l *L1) State(s ckptio.State) {
 	for i := range l.pending {
 		l.pending[i].walk(s)
 	}
-	s.Int(&l.portsUsed)
 
 	ckptio.Slice(s, &l.spec, maxTxns)
 	for i := range l.spec {
@@ -429,12 +431,13 @@ func (b *recorder) way(set, w int, _ *dirRec) {
 }
 
 // State walks a directory/LLC slice of the same geometry: the LRU stamp
-// clock, the records of its valid ways and the demand backlog. Saving feeds
-// the records out of one merge and patches their count in front, installing
-// nothing. Loading clears the target (keeping its slabs, emptying its free
-// lists), records runs, stores long-form lines, then fills every set it
-// stored with its run ways in one more merge. A rejected record takes
-// nothing, so the slice stays consistent.
+// clock, the records of its valid ways and the demand backlog; the demand
+// requests accepted this cycle are not walked, as the next Tick resets the
+// count before anything reads it. Saving feeds the records out of one merge
+// and patches their count in front, installing nothing. Loading clears the
+// target (keeping its slabs, emptying its free lists), records runs, stores
+// long-form lines, then fills every set it stored with its run ways in one
+// more merge. A rejected record takes nothing, so the slice stays consistent.
 func (d *Dir) State(s ckptio.State) {
 	s.U64(&d.stamp)
 	total := len(d.sets) * d.cfg.LLCWays
@@ -451,7 +454,7 @@ func (d *Dir) State(s ckptio.State) {
 				clear(sl.tags)
 			}
 		}
-		d.runs, d.held, d.next, d.resident = d.runs[:0], d.held[:0], 0, 0
+		d.runs, d.held, d.next, d.resident, d.demandUsed = d.runs[:0], d.held[:0], 0, 0, 0
 		for k := range d.free {
 			d.free[k] = d.free[k][:0]
 		}
@@ -468,7 +471,6 @@ func (d *Dir) State(s ckptio.State) {
 		b.start(dirRec{at: -1}) // walks the last record out
 		s.CountAt(mark, b.count)
 	}
-	s.Int(&d.demandUsed)
 	ckptio.Queue(s, &d.backlog, maxBacklog, func(s ckptio.State, m *Msg) { m.walk(s, d.cfg) })
 }
 

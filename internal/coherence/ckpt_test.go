@@ -165,7 +165,6 @@ func dirSection(ways int, count uint64, records func(e *ckptio.Encoder)) []byte 
 	e.Int(ways)
 	e.U64(count)
 	records(e)
-	e.Int(0) // demandUsed
 	e.U64(0) // backlog
 	return e.Bytes()
 }
@@ -352,7 +351,7 @@ var (
 // Fields of L1 that State leaves out. A restored L1 starts touched, with an
 // empty storeTxn free list (it is a recycling pool, not state).
 var (
-	l1Derived = []string{"touched", "txnFree"}
+	l1Derived = []string{"touched", "txnFree", "portsUsed"}
 	l1Config  = []string{"id", "cfg", "fab", "count", "cnt", "hooks", "rec", "tracing"}
 )
 
@@ -361,7 +360,7 @@ var (
 // and the resident count follow from the records a loading State takes. runs
 // and slabs are the lazy and the stored sets' ways: what the section holds.
 var (
-	dirDerived = []string{"sets", "free", "held", "next", "resident"}
+	dirDerived = []string{"sets", "free", "held", "next", "resident", "demandUsed"}
 	dirConfig  = []string{"idx", "cfg", "fab", "count", "cnt", "setBits", "slabBits"}
 )
 
@@ -561,7 +560,6 @@ func TestMsgWalkRejectsForeignEndpoints(t *testing.T) {
 			e.U64(9) // stamp
 			e.Int(len(h.sys.Dir(0).sets) * h.sys.cfg.LLCWays)
 			e.U64(0) // lines
-			e.Int(0) // demandUsed
 			e.U64(1) // backlog
 			m := tc.msg
 			m.walk(ckptio.SaveTo(e), h.sys.cfg)

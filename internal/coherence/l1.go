@@ -14,8 +14,9 @@ import (
 // pinned-line record lives next to the load queue (paper Section 6.1.1),
 // so invalidations and evictions consult the core before acting.
 type CoreHooks interface {
-	// PinnedLine reports whether the core currently has the line pinned
-	// (a pinned load in the LQ, or a pinned in-flight MSHR fill).
+	// PinnedLine reports whether the core currently has the line pinned:
+	// a pinned load in the LQ, Early-Pinned ones with their fill still in
+	// flight included.
 	PinnedLine(line uint64) bool
 	// OnInvalidate tells the core its L1 lost the line (invalidation or
 	// eviction). The core squashes performed, yet-to-retire loads of the
@@ -45,7 +46,8 @@ const (
 	LoadHit LoadResult = iota
 	// LoadMiss means a fill is (now) outstanding; LoadDone fires later.
 	LoadMiss
-	// LoadBlocked means no MSHR or port was available; retry next cycle.
+	// LoadBlocked means every MSHR is busy, or a reversible speculative
+	// fill of the line is in flight; retry next cycle.
 	LoadBlocked
 )
 

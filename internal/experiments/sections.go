@@ -48,9 +48,11 @@ func RunTraffic(r *Runner) (*Traffic, error) {
 					if insts == 0 {
 						continue
 					}
-					w := float64(res.Counters["coh.retried_writes"]) / insts * 1e6
-					e := float64(res.Counters["coh.retried_evictions"]+
-						res.Counters["coh.retried_evictions_l1"]) / insts * 1e6
+					// The conversions round each rate, so that no platform
+					// fuses the product into the sums below.
+					w := float64(float64(res.Counters["coh.retried_writes"]) / insts * 1e6)
+					e := float64(float64(res.Counters["coh.retried_evictions"]+
+						res.Counters["coh.retried_evictions_l1"]) / insts * 1e6)
 					wSum += w
 					eSum += e
 					if w > row.MaxWrites {

@@ -145,6 +145,98 @@ func TestMSHRFullStall(t *testing.T) {
 	}
 }
 
+// TestGatePassCountsOncePerLoad: loads.dom_hit and loads.stt_untainted count
+// loads their gate let through short of the VP, not gate passes. A
+// Delay-On-Miss hit kept from the L1's ports for k cycles, and an untainted
+// STT miss that finds every MSHR busy cycle after cycle, each add 1 when the
+// load issues; an exposure turned away the same way adds 1 to loads.exposed
+// when it goes out.
+func TestGatePassCountsOncePerLoad(t *testing.T) {
+	const a, b, c = 0x40000000, 0x40100000, 0x40200000
+	// slow is a chain of n 60-cycle operations, each waiting for the one
+	// before it (the first for the instruction ahead of the chain).
+	slow := func(n int) []isa.Inst {
+		ops := make([]isa.Inst, n)
+		for i := range ops {
+			ops[i] = isa.Inst{Op: isa.ALU, Lat: 60, Deps: [2]int32{1}}
+		}
+		return ops
+	}
+	for _, tc := range []struct {
+		name    string
+		pol     defense.Policy
+		counter string
+		insts   []isa.Inst
+		starve  bool   // keep the ports from the counted load's first pass for 8 cycles
+		want    uint64 // its count at the end: the loads let through short of the VP
+	}{
+		// The last load waits, denied, for load 0's fill of line a, and is
+		// then a Delay-On-Miss hit while the chain of operations that waits
+		// for that fill keeps the branch ahead of it open.
+		{"DOM-hit-no-port", defense.Policy{Scheme: defense.DOM, Variant: defense.Comp}, "loads.dom_hit", slices.Concat(
+			[]isa.Inst{{Op: isa.Load, Addr: a}}, slow(5),
+			[]isa.Inst{{Op: isa.Branch, Deps: [2]int32{1}}, {Op: isa.Load, Addr: a}},
+		), true, 1},
+		// Behind an open branch, the untainted miss to b takes the only MSHR
+		// and the one to c is turned away until b's fill is back.
+		{"STT-untainted-MSHR-full", defense.Policy{Scheme: defense.STT, Variant: defense.Comp}, "loads.stt_untainted", slices.Concat(
+			slow(10),
+			[]isa.Inst{{Op: isa.Branch, Deps: [2]int32{1}}, {Op: isa.Load, Addr: b}, {Op: isa.Load, Addr: c}},
+		), false, 2},
+		// Both loads perform invisibly behind the open branch; once it
+		// resolves, both reach the Spectre VP, the exposure of b takes the
+		// only MSHR and that of c is turned away until b's fill is back.
+		{"IS-exposure-MSHR-full", defense.Policy{Scheme: defense.IS, Variant: defense.Spectre}, "loads.exposed", slices.Concat(
+			slow(10),
+			[]isa.Inst{{Op: isa.Branch, Deps: [2]int32{1}}, {Op: isa.Load, Addr: b}, {Op: isa.Load, Addr: c}},
+		), false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(&trace.Script{ScriptName: tc.name, Insts: [][]isa.Inst{tc.insts}}, tc.pol,
+				func(cfg *arch.Config) { cfg.L1MSHRs, cfg.Prefetch = 1, false })
+			core := m.cores[0]
+			last := int64(len(tc.insts) - 1)
+			starved, retries := 0, 0
+			for m.cycle < 2_000 && core.haltCycle < 0 {
+				m.cycle++
+				m.mem.Tick(m.cycle)
+				// Past the gate: an untainted load always, under DOM once the
+				// line is in.
+				passing := core.tail > last && core.at(last).state == stAddrDone &&
+					(!tc.starve || core.l1.Probe(arch.LineAddr(a)))
+				exposing := func() bool {
+					e := core.at(last)
+					return tc.pol.Scheme == defense.IS && core.tail > last && e.performed && !e.exposeDone && e.token == 0
+				}
+				if exposing() && core.expectReachedVP(core.at(last)) {
+					passing = true
+				}
+				if tc.starve && passing && starved < 8 {
+					for core.l1.AcquirePort() {
+					}
+					starved++
+				}
+				core.Tick(m.cycle)
+				if passing && (core.at(last).state == stAddrDone || exposing()) {
+					retries++ // let through by the gate and sent back by the L1
+				}
+			}
+			if core.haltCycle < 0 {
+				t.Fatal("the script did not finish")
+			}
+			if tc.starve && starved < 8 {
+				t.Fatalf("the counted load was kept from the ports %d cycles, want 8", starved)
+			}
+			if retries < 8 {
+				t.Fatalf("the counted load passed its gate and was sent back %d times, want at least 8", retries)
+			}
+			if got := m.count.Get(tc.counter); got != tc.want {
+				t.Fatalf("%s = %d after %d retries, want %d", tc.counter, got, retries, tc.want)
+			}
+		})
+	}
+}
+
 func TestHaltDrainsPipeline(t *testing.T) {
 	c, mem, _ := buildCore(t, defense.Policy{Scheme: defense.Unsafe},
 		nil) // empty non-loop script: immediate Halt

@@ -82,6 +82,7 @@ func (c *Core) issueLoad(e *entry) bool {
 	// full MSHR file: the cycle is not a fixed point.
 	c.active = true
 	if c.tryForward(e) {
+		c.countPass(mode)
 		return true
 	}
 	if !c.l1.AcquirePort() {
@@ -109,6 +110,7 @@ func (c *Core) issueLoad(e *entry) bool {
 		return true
 	}
 	e.state = stIssued
+	c.countPass(mode)
 	switch mode {
 	case issueSpec:
 		e.specToken = token
@@ -136,9 +138,23 @@ type issueMode uint8
 const (
 	issueDenied issueMode = iota
 	issueNormal
+	issueDOMHit    // a normal access Delay-On-Miss lets through short of the VP
+	issueUntainted // a normal access STT lets through short of the VP
 	issueInvisible
 	issueSpec
 )
+
+// countPass counts a load its scheme's predicate let through short of its
+// VP, once the load forwards or issues: a load the L1 turns away (no port,
+// or LoadBlocked) passes the gate again on its retry.
+func (c *Core) countPass(mode issueMode) {
+	switch mode {
+	case issueDOMHit:
+		*c.cnt.loadsDOMHit++
+	case issueUntainted:
+		*c.cnt.loadsSTTUntainted++
+	}
+}
 
 // mayIssueLoad applies the defense scheme's issue gate (paper Table 2).
 func (c *Core) mayIssueLoad(e *entry) issueMode {
@@ -170,15 +186,13 @@ func (c *Core) mayIssueLoad(e *entry) issueMode {
 		return issueDenied
 	case defense.DOM:
 		if c.domProbe(e) {
-			*c.cnt.loadsDOMHit++
-			return issueNormal
+			return issueDOMHit
 		}
 		c.hold(e)
 		return issueDenied
 	case defense.STT:
 		if !c.tainted(e) {
-			*c.cnt.loadsSTTUntainted++
-			return issueNormal
+			return issueUntainted
 		}
 		c.hold(e)
 		return issueDenied
@@ -225,8 +239,8 @@ func (c *Core) exposeLoads() {
 				break
 			}
 			token := c.newToken(e)
-			*c.cnt.loadsExposed++
 			if c.l1.Load(token, e.line) != coherence.LoadBlocked {
+				*c.cnt.loadsExposed++
 				continue // in flight: LoadDone marks the load exposed
 			}
 			e.token = 0

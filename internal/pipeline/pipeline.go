@@ -161,10 +161,9 @@ type Core struct {
 	headSlot int
 
 	// Occupancy: the load queue's (loads and locks) and the unretired ops of
-	// each kind in program order. These and the candidate lists, the pinned
-	// lines and the per-set pin counts below are indexes over the ROB,
-	// maintained at the transitions that change them and rebuilt (never
-	// serialized) on restore.
+	// each kind in program order. These, the candidate lists and the pinned
+	// lines below are indexes over the ROB, maintained at the transitions
+	// that change them and rebuilt (never serialized) on restore.
 	loadsInROB int
 	fences     seqList // unretired Fence/Lock/Barrier ops
 	loadSeqs   seqList // unretired Loads

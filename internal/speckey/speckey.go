@@ -31,8 +31,10 @@ import (
 // the keys that encoded the deleted RealPredictor and CPTReserve fields, v5
 // those that encoded the switch to the deleted L1-tag pinned-line record, v6
 // those that encoded the deleted AggressiveTSO switch (the machine is always
-// the paper's aggressive TSO) and ClockGHz (which no simulated latency read).
-const Version = "plspec-v6"
+// the paper's aggressive TSO) and ClockGHz (which no simulated latency read),
+// v7 the results whose loads.dom_hit, loads.stt_untainted and loads.exposed
+// counted a load again on every cycle the L1 turned it away.
+const Version = "plspec-v7"
 
 // Spec is the canonical description of one simulation run. Scheme and
 // Variant are the paper's names (e.g. "Fence", "EP") rather than enum
