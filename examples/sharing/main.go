@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("retried writes / Minst:    %.2f   (paper worst case: 14.8)\n",
 		perM("coh.retried_writes"))
 	fmt.Printf("retried evictions / Minst: %.3f   (paper worst case: 0.05)\n",
-		perM("coh.retried_evictions")+perM("coh.retried_evictions_l1"))
+		perM("coh.retried_evictions"))
 	fmt.Printf("CPT overflows:             %d\n", res.Counters.Get("cpt.overflow"))
 	fmt.Printf("MCV squashes:              %d\n", res.Counters.Get("squash.mcv"))
 	fmt.Printf("stores merged:             %d\n", res.Counters.Get("stores.merged"))

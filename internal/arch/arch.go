@@ -28,13 +28,9 @@ const ClockGHz = 2.0
 // schedule a message this many cycles ahead.
 const MaxFabricSlots = 1024
 
-// NackBackoff and InstallRetryCycles are the coherence protocol's fixed
-// delays: a Nacked request is re-sent NackBackoff cycles later, and a fill
-// that found every way pinned retries after InstallRetryCycles.
-const (
-	NackBackoff        = 10
-	InstallRetryCycles = 4
-)
+// NackBackoff is the coherence protocol's fixed delay: a Nacked request is
+// re-sent NackBackoff cycles later.
+const NackBackoff = 10
 
 // Config describes one simulated machine. Use PaperConfig for the paper's
 // Table 1 parameters and then override individual fields as needed; call
@@ -226,11 +222,11 @@ func (c *Config) Validate() error {
 // LongestDelay returns the most cycles ahead the coherence fabric schedules
 // a message on this machine: a directory reply crossing the mesh's diameter
 // after an LLC access (a message pays HopCycles at every router, one more
-// than its hops), a DRAM fetch, an L1 hit, a store's retry backoff, or one
-// of the protocol's fixed retries.
+// than its hops), a DRAM fetch, an L1 hit, a store's retry backoff, or a
+// Nacked request's backoff.
 func (c *Config) LongestDelay() int {
 	mesh := c.HopCycles*(c.MeshCols+c.MeshRows-1) + c.LLCHitCycles
-	return max(mesh, c.DRAMCycles, c.L1HitCycles, c.WriteRetryBackoff, NackBackoff, InstallRetryCycles)
+	return max(mesh, c.DRAMCycles, c.L1HitCycles, c.WriteRetryBackoff, NackBackoff)
 }
 
 // FabricSlots returns the length of the fabric's calendar ring: the smallest

@@ -102,18 +102,18 @@ func (c *SetAssoc) Touch(e *Line) {
 
 // Victim selects a way in the set to hold a new line. Invalid ways are
 // preferred; otherwise the least recently used way whose line is not
-// excluded by denied (which may be nil) is chosen. It returns nil if every
-// valid way is denied — the caller must retry later, which is exactly the
-// "eviction denied" behaviour Pinned Loads requires (paper Section 5.1.3).
+// excluded by denied (which may be nil) is chosen. It returns nil only if
+// every way holds a denied line: a pinned line's eviction is denied (paper
+// Section 5.1.3), and the caller decides what a fully denied set means.
 //
 // When the LRU victim is denied, its replacement state is refreshed as if
 // the line had been accessed, per the paper, to minimize future attempts to
-// evict it.
+// evict it. A refreshed line becomes the most recent, so a set with one way
+// that is not denied yields it within Ways looks.
 func (c *SetAssoc) Victim(set int, denied func(addr uint64) bool) *Line {
 	ws := c.set(set)
-	var victim *Line
-	for {
-		victim = nil
+	for range ws {
+		var victim *Line
 		for i := range ws {
 			if ws[i].State == Invalid {
 				return &ws[i]
@@ -125,21 +125,9 @@ func (c *SetAssoc) Victim(set int, denied func(addr uint64) bool) *Line {
 		if denied == nil || !denied(victim.Addr) {
 			return victim
 		}
-		// Refresh the denied line and look again among the rest.
 		c.Touch(victim)
-		if c.allDenied(ws, denied) {
-			return nil
-		}
 	}
-}
-
-func (c *SetAssoc) allDenied(ws []Line, denied func(addr uint64) bool) bool {
-	for i := range ws {
-		if ws[i].State == Invalid || !denied(ws[i].Addr) {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // Install writes a new line into the entry returned by Victim.

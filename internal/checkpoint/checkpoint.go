@@ -59,10 +59,13 @@ import (
 //   - 12: without an L1's ports used and a directory slice's demand requests
 //     accepted this cycle, which the next Tick resets before anything reads
 //     them (23 362 B, 220 509 B).
+//   - 13: without an L1's fills waiting for a way and the two counters of
+//     them, which the pin bound (L1Ways−1 pinned lines a set) leaves none
+//     of (23 316 B, 220 456 B).
 //
 // Exactly one version is readable: anything else, older blobs included, is a
 // *VersionError and the caller runs cold — there is no migration code.
-const Version = 12
+const Version = 13
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

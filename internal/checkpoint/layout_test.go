@@ -140,8 +140,6 @@ var primitives = []string{"U8", "Bool", "U64", "U32", "U16", "I64", "I32", "I8",
 // walk it leads into from its own source, so that it does not depend on when
 // the machines stop.
 var rare = []struct{ walk, call, into, why string }{
-	{"coherence.L1.State", "l.pending[i].walk(s)", "coherence.pendingFill.walk",
-		"a fill that finds every way of its set pinned, which the pin room bound (L1Ways−1 pinned lines a set) keeps a core from"},
 	{"coherence.L1.State", "l.spec[i].walk(s)", "coherence.specTxn.walk", "an RCP access done and not yet retired"},
 	{"coherence.L1.State", "s.I64(&l.specAband[i])", "", "an RCP load squashed while its fill is in flight"},
 	{"pin.CPT.State", "s.U64(&t.lines[i])", "", "an Inv* for a line whose starved write has not yet gone through"},

@@ -20,9 +20,9 @@ import (
 // sharers and owners, so it pins the long form and the backlog as the SPEC17
 // rows pin the runs.
 const (
-	pinGccDOMLP   uint64 = 0x8bba464ef20933c6
-	pinMcfRCPCmp  uint64 = 0x8074c1d94e5e5d3d
-	pinOceanDOMEP uint64 = 0xf2063c6fa3d548af
+	pinGccDOMLP   uint64 = 0xf29ec145b7031d95
+	pinMcfRCPCmp  uint64 = 0xf9537f1f7534d134
+	pinOceanDOMEP uint64 = 0x6884ccdb872acc31
 )
 
 // captureAtWarmup runs the proxy to its warmup boundary under the policy
@@ -68,10 +68,10 @@ func TestCheckpointSizeRatchet(t *testing.T) {
 		pol   defense.Policy
 		want  int
 	}{
-		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23362},
-		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30451},
-		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15579},
-		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220509},
+		{"gcc_r", defense.Policy{Scheme: defense.DOM, Variant: defense.LP}, 23316},
+		{"mcf_r", defense.Policy{Scheme: defense.RCP, Variant: defense.Comp}, 30405},
+		{"exchange2_r", defense.Policy{Scheme: defense.Unsafe}, 15533},
+		{"ocean_cp", defense.Policy{Scheme: defense.DOM, Variant: defense.EP}, 220456},
 	} {
 		t.Run(c.bench+"/"+c.pol.String(), func(t *testing.T) {
 			if got := len(captureAtWarmup(t, c.bench, c.pol)); got != c.want {

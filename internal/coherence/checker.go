@@ -17,7 +17,7 @@ func (f *fabric) pendingMessages() int {
 }
 
 // Quiescent reports whether the memory system has no in-flight messages,
-// ownership transactions, writebacks, or pending installs. Invariant
+// ownership transactions, writebacks, or outstanding fills. Invariant
 // checking is only meaningful at quiescent points, because the protocol
 // legitimately passes through transient states in between.
 func (s *System) Quiescent() bool {
@@ -25,7 +25,7 @@ func (s *System) Quiescent() bool {
 		return false
 	}
 	for _, l := range s.l1s {
-		if len(l.acq) > 0 || len(l.evictBuf) > 0 || len(l.pending) > 0 {
+		if len(l.acq) > 0 || len(l.evictBuf) > 0 {
 			return false
 		}
 		if l.mshr.Free() != s.cfg.L1MSHRs {

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"pinnedloads/internal/arch"
-	"pinnedloads/internal/cache"
 	"pinnedloads/internal/ckptio"
 )
 
@@ -109,12 +108,6 @@ func (st *storeTxn) walk(s ckptio.State) {
 	s.Bool(&st.inFlight)
 }
 
-func (p *pendingFill) walk(s ckptio.State) {
-	s.U64(&p.line)
-	ckptio.Enum(s, &p.state, cache.Modified, "pending-fill state")
-	s.Int(&p.mshr)
-}
-
 func (t *specTxn) walk(s ckptio.State) {
 	s.I64(&t.token)
 	s.U64(&t.line)
@@ -156,11 +149,6 @@ func (l *L1) State(s ckptio.State) {
 		if s.Loading() && slices.Index(l.evictBuf, l.evictBuf[i]) != i {
 			s.Failf("L1 %d: line %#x is written back twice", l.id, l.evictBuf[i])
 		}
-	}
-
-	ckptio.Slice(s, &l.pending, maxTxns)
-	for i := range l.pending {
-		l.pending[i].walk(s)
 	}
 
 	ckptio.Slice(s, &l.spec, maxTxns)

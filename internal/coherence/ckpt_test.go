@@ -376,7 +376,6 @@ func TestWalksCoverEveryField(t *testing.T) {
 	ckpttest.Fields(t, Msg{}, func(s ckptio.State, m *Msg) { m.walk(s, &cfg) }, nil)
 	ckpttest.Fields(t, storeTxn{}, func(s ckptio.State, st *storeTxn) { st.walk(s) }, nil)
 	ckpttest.Fields(t, specTxn{}, func(s ckptio.State, txn *specTxn) { txn.walk(s) }, nil)
-	ckpttest.Fields(t, pendingFill{}, func(s ckptio.State, p *pendingFill) { p.walk(s) }, nil)
 	ckpttest.Fields(t, dirLine{owner: -1}, func(s ckptio.State, ln *dirLine) { ln.walk(s, cfg.Cores) }, nil)
 	ckpttest.Container(t, "ckpt.go", fabric{}, fabricDerived, fabricConfig)
 	ckpttest.Container(t, "ckpt.go", L1{}, l1Derived, l1Config)

@@ -3,6 +3,8 @@ package coherence
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -255,35 +257,51 @@ func TestEvictionWritesBack(t *testing.T) {
 	}
 }
 
+// TestEvictionDeniedByPin: a fill never evicts a pinned line. With L1Ways−1
+// lines of a set pinned, the most a core pins there, the fill takes the one
+// way that is not pinned; with every way pinned, which that bound forbids,
+// the fill fails the run and names the set.
 func TestEvictionDeniedByPin(t *testing.T) {
 	h := newHarness(t, 1)
 	cfg := arch.PaperConfig(1)
 	l1 := h.sys.L1(0)
-	setStride := uint64(cfg.L1Sets)
-	// Fill a set and pin every line in it.
+	line := func(i int) uint64 { return 0x1000 + uint64(i*cfg.L1Sets) }
+	// Fill a set and pin every line in it but the most recent one, so the
+	// LRU walk must refresh each pinned line before it reaches a victim.
 	for i := 0; i < cfg.L1Ways; i++ {
-		line := 0x1000 + uint64(i)*setStride
-		l1.Load(int64(100+i), line)
+		l1.Load(int64(100+i), line(i))
 		h.step(300)
-		h.cores[0].pinned[line] = true
+		if i < cfg.L1Ways-1 {
+			h.cores[0].pinned[line(i)] = true
+		}
 	}
-	// One more line in the same set: the install must be denied and the
-	// load must not complete until something unpins.
-	extra := 0x1000 + uint64(cfg.L1Ways)*setStride
+	unpinned := line(cfg.L1Ways - 1)
+	extra := line(cfg.L1Ways)
 	l1.Load(999, extra)
 	h.step(400)
-	if h.cores[0].doneCount(999) != 0 {
-		t.Fatal("fill installed despite every way being pinned")
-	}
-	if h.count.Get("l1.install_denied") == 0 {
-		t.Fatal("denial not recorded")
-	}
-	// Unpin one line: the pending install retries and completes.
-	delete(h.cores[0].pinned, 0x1000)
-	h.step(200)
 	if h.cores[0].doneCount(999) != 1 {
-		t.Fatal("fill never completed after unpin")
+		t.Fatal("fill never completed with a way not pinned")
 	}
+	for i := 0; i < cfg.L1Ways-1; i++ {
+		if !l1.Probe(line(i)) {
+			t.Fatalf("pinned line %#x evicted", line(i))
+		}
+	}
+	if l1.Probe(unpinned) || !slices.Contains(h.cores[0].invalidated, unpinned) {
+		t.Fatalf("the one line not pinned, %#x, was not the victim", unpinned)
+	}
+
+	// Pin the last way too: the next fill of the set has no victim.
+	h.cores[0].pinned[extra] = true
+	l1.Load(1000, line(cfg.L1Ways+1))
+	want := fmt.Sprintf("every way of set %d holds a pinned line", cfg.L1Set(extra))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("fill into a fully pinned set: panic %q, want one naming %q", msg, want)
+		}
+	}()
+	h.step(400)
 }
 
 func TestRecallDeniedByPin(t *testing.T) {

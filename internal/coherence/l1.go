@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"slices"
 
 	"pinnedloads/internal/arch"
@@ -19,8 +20,9 @@ type CoreHooks interface {
 	// flight included.
 	PinnedLine(line uint64) bool
 	// OnInvalidate tells the core its L1 lost the line (invalidation or
-	// eviction). The core squashes performed, yet-to-retire loads of the
-	// line per the TSO conservative MCV rule.
+	// eviction). Under TSO the core squashes from the oldest performed,
+	// yet-to-retire load of the line that is neither pinned nor pinSafe
+	// (the oldest load, which cannot have been reordered).
 	OnInvalidate(line uint64)
 	// OnInvStar tells the core to insert the line into its Cannot-Pin
 	// Table (an Inv* arrived, paper Section 5.1.5).
@@ -55,7 +57,6 @@ const (
 const (
 	retryStore int64 = iota
 	retryRequest
-	retryInstall
 )
 
 // storeTxn tracks one outstanding ownership (RFO) transaction. TSO cores
@@ -68,14 +69,6 @@ type storeTxn struct {
 	got      int
 	deferred bool
 	inFlight bool // request sent, transaction not yet resolved
-}
-
-// pendingFill is a granted fill whose installation was denied because every
-// way in its L1 set holds a pinned line; it retries until a way frees.
-type pendingFill struct {
-	line  uint64
-	state cache.State
-	mshr  int
 }
 
 // specTxn journals the reversible state one speculative load (RCP scheme)
@@ -99,9 +92,7 @@ type l1Counters struct {
 	invisibleHits   *uint64
 	invisibleMisses *uint64
 	prefetches      *uint64
-	installDenied   *uint64
 	evictions       *uint64
-	retriedEvL1     *uint64
 	retriedWrites   *uint64
 	defers          *uint64
 	specHits        *uint64
@@ -119,9 +110,7 @@ func bindL1Counters(ct *stats.Counters) l1Counters {
 		invisibleHits:   ct.Handle("l1.invisible_hits"),
 		invisibleMisses: ct.Handle("l1.invisible_misses"),
 		prefetches:      ct.Handle("l1.prefetches"),
-		installDenied:   ct.Handle("l1.install_denied"),
 		evictions:       ct.Handle("l1.evictions"),
-		retriedEvL1:     ct.Handle("coh.retried_evictions_l1"),
 		retriedWrites:   ct.Handle("coh.retried_writes"),
 		defers:          ct.Handle("coh.defers"),
 		specHits:        ct.Handle("l1.spec_hits"),
@@ -157,7 +146,6 @@ type L1 struct {
 	acq       []*storeTxn // outstanding ownership transactions, one per line
 	txnFree   []*storeTxn // recycled storeTxns (bounded by peak concurrency)
 	evictBuf  []uint64    // lines written back, PutM not yet acknowledged
-	pending   []pendingFill
 	portsUsed int
 
 	// spec journals completed speculative accesses (RCP scheme), one per
@@ -611,36 +599,32 @@ func (l *L1) handleFill(m Msg) {
 		// nothing waits for it anymore.
 		return
 	}
-	l.install(m.Line, st, i)
+	l.install(m.Line, st)
+	l.finishFill(m.Line, i)
 }
 
-// install places a granted line into the cache, retrying later if every
-// candidate victim way is pinned, then wakes the fill's waiters.
-func (l *L1) install(line uint64, st cache.State, mshrIdx int) {
+// install places a granted line into the cache in state st: in place if the
+// line is present (an upgrade, e.g. S->M on a store grant), else into the
+// set's victim way, evicting the line it held. A pinned line is never
+// evicted (paper Section 5.1.3), and a core pins at most L1Ways−1 lines in
+// one L1 set (pipeline's l1SetRoom), so a victim always exists; a set with
+// every way pinned is a broken bound and fails the run here.
+func (l *L1) install(line uint64, st cache.State) {
 	set := l.cfg.L1Set(line)
 	if e := l.tags.Lookup(set, line); e != nil {
-		// Upgrade in place (e.g. S->M on a store grant).
 		e.State = st
 		l.tags.Touch(e)
-		l.finishFill(line, mshrIdx)
 		return
 	}
 	victim := l.tags.Victim(set, l.hooks.PinnedLine)
 	if victim == nil {
-		// Every way holds a pinned line: the eviction is denied and the
-		// install retries until an older pinned load retires.
-		*l.cnt.installDenied++
-		*l.cnt.retriedEvL1++
-		l.pending = append(l.pending, pendingFill{line: line, state: st, mshr: mshrIdx})
-		l.fab.self(Msg{Kind: SelfRetry, Line: line, Src: l.addr(), Dst: l.addr(),
-			Token: retryInstall}, arch.InstallRetryCycles)
-		return
+		panic(fmt.Sprintf("coherence: L1 %d @%d: installing %#x, every way of set %d holds a pinned line",
+			l.id, l.now, line, set))
 	}
 	if victim.State != cache.Invalid {
 		l.evict(victim)
 	}
 	l.tags.Install(victim, line, st)
-	l.finishFill(line, mshrIdx)
 }
 
 // evict removes a victim line from the L1, writing back dirty data and
@@ -726,27 +710,7 @@ func (l *L1) maybeResolveAcquire(st *storeTxn) {
 			Dst: l.home(st.line)}, 0)
 	}
 	// Install the line in Modified state and report completion.
-	set := l.cfg.L1Set(st.line)
-	if e := l.tags.Lookup(set, st.line); e != nil {
-		e.State = cache.Modified
-		l.tags.Touch(e)
-		l.ownComplete(st)
-		return
-	}
-	victim := l.tags.Victim(set, l.hooks.PinnedLine)
-	if victim == nil {
-		// Extremely rare: every way is pinned; retry the install.
-		*l.cnt.installDenied++
-		l.pending = append(l.pending, pendingFill{line: st.line, state: cache.Modified, mshr: -1})
-		l.fab.self(Msg{Kind: SelfRetry, Line: st.line, Src: l.addr(),
-			Dst: l.addr(), Token: retryInstall}, arch.InstallRetryCycles)
-		// Completion is deferred until the install succeeds.
-		return
-	}
-	if victim.State != cache.Invalid {
-		l.evict(victim)
-	}
-	l.tags.Install(victim, st.line, cache.Modified)
+	l.install(st.line, cache.Modified)
 	l.ownComplete(st)
 }
 
@@ -772,21 +736,12 @@ func (l *L1) handleInv(m Msg) {
 		Dst: Addr{Idx: m.Requestor}}, 0)
 }
 
-// dropLine removes any local copy of the line (tags or pending install) and
-// runs the core's MCV squash check.
+// dropLine removes any local copy of the line and runs the core's MCV
+// squash check.
 func (l *L1) dropLine(line uint64) {
 	set := l.cfg.L1Set(line)
 	if e := l.tags.Lookup(set, line); e != nil {
 		l.tags.Invalidate(e)
-	}
-	for i := range l.pending {
-		if l.pending[i].line == line && l.pending[i].mshr >= 0 {
-			// The buffered fill is stale: drop it and re-request.
-			l.pending = append(l.pending[:i], l.pending[i+1:]...)
-			l.fab.send(Msg{Kind: GetS, Line: line, Src: l.addr(),
-				Dst: l.home(line)}, 0)
-			break
-		}
 	}
 	l.hooks.OnInvalidate(line)
 }
@@ -888,39 +843,5 @@ func (l *L1) handleRetry(m Msg) {
 			l.fab.send(Msg{Kind: kind, Line: m.Line, Src: l.addr(),
 				Dst: l.home(m.Line)}, 0)
 		}
-	case retryInstall:
-		for i := range l.pending {
-			if l.pending[i].line == m.Line {
-				p := l.pending[i]
-				l.pending = append(l.pending[:i], l.pending[i+1:]...)
-				if p.mshr >= 0 {
-					l.install(p.line, p.state, p.mshr)
-				} else {
-					// A store install: retry through the same path.
-					l.retryStoreInstall(p)
-				}
-				return
-			}
-		}
 	}
-}
-
-func (l *L1) retryStoreInstall(p pendingFill) {
-	st := l.acqTxn(p.line)
-	if st == nil {
-		return
-	}
-	set := l.cfg.L1Set(p.line)
-	victim := l.tags.Victim(set, l.hooks.PinnedLine)
-	if victim == nil {
-		l.pending = append(l.pending, p)
-		l.fab.self(Msg{Kind: SelfRetry, Line: p.line, Src: l.addr(),
-			Dst: l.addr(), Token: retryInstall}, arch.InstallRetryCycles)
-		return
-	}
-	if victim.State != cache.Invalid {
-		l.evict(victim)
-	}
-	l.tags.Install(victim, p.line, cache.Modified)
-	l.ownComplete(st)
 }

@@ -149,7 +149,7 @@ const (
 	// MemRespInv completes a stateless DRAM fetch for a GetSInv.
 	MemRespInv
 	// SelfRetry re-attempts a previously blocked operation at an L1
-	// (write retry after backoff, install retry, request retry).
+	// (write retry after backoff, request retry after a Nack).
 	SelfRetry
 	// SelfDone completes a local L1 access after its hit latency.
 	SelfDone

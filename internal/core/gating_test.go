@@ -214,83 +214,83 @@ var gateLists = []struct {
 
 // gateWant is every job's workCounts, keyed by its subtest name.
 var gateWant = map[string]workCounts{
-	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_297, 1_517, 1_434, 703, 1_878, 31_529},
-	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_046, 1_087, 1_061, 128, 268, 16_292},
-	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_322, 1_812, 1_680, 515, 1_155, 26_747},
-	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_967, 1_604, 1_474, 935, 3_519, 36_304},
-	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_363, 1_924, 1_828, 643, 1_762, 29_423},
-	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 24_606},
-	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_087, 39_740, 38_054, 2_172, 11_874, 59_468},
-	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_424, 6_688, 0, 4_707, 26_261, 258_906},
-	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_317, 15_259, 18, 6_143, 47_404, 344_182},
-	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_869, 5_459, 0, 4_332, 30_586, 249_226},
-	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_674, 59_406, 22, 5_909, 54_607, 367_914},
-	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 8_997, 6_734, 6_517, 706, 1_886, 34_336},
-	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_421, 3_762, 3_677, 128, 270, 18_506},
-	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_271, 10_691, 10_407, 513, 1_160, 29_004},
-	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_765, 15_464, 14_972, 941, 3_542, 38_308},
-	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_457, 10_958, 10_648, 646, 1_751, 31_684},
-	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_918, 8_380, 8_146, 408, 832, 26_610},
-	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_228, 61_629, 59_276, 2_188, 12_050, 61_058},
-	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_645, 57_315, 488, 5_317, 30_781, 289_931},
-	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_177, 53_879, 723, 6_304, 47_816, 368_947},
-	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_176, 43_448, 298, 4_359, 30_155, 264_186},
-	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_957, 229_075, 2_769, 6_099, 57_137, 388_603},
-	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_271, 5_880, 5_689, 706, 1_884, 33_991},
-	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_294, 3_394, 3_319, 128, 270, 17_560},
-	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_220, 9_335, 9_074, 514, 1_162, 28_729},
-	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_753, 13_628, 13_246, 941, 3_468, 37_928},
-	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_223, 10_037, 9_745, 646, 1_762, 31_064},
-	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 26_183},
-	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_762, 61_437, 59_125, 2_188, 11_868, 61_073},
-	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_826, 51_558, 446, 6_023, 37_687, 300_993},
-	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_581, 46_363, 692, 7_313, 58_994, 397_597},
-	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_126, 35_498, 325, 4_395, 30_565, 266_624},
-	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_214, 218_738, 2_846, 6_163, 56_801, 390_609},
-	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_154, 2_012, 1_881, 699, 1_909, 32_511},
-	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_194, 1_093, 1_070, 128, 268, 16_349},
-	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_467, 2_679, 2_534, 513, 1_152, 27_492},
-	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_467, 9_273, 8_942, 941, 3_594, 37_090},
-	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_646, 4_231, 4_046, 648, 1_762, 29_800},
-	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 24_759},
-	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_226, 9_262, 0, 4_571, 24_950, 257_499},
-	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 72_973, 16_747, 0, 6_024, 45_829, 341_809},
-	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_254, 7_130, 0, 4_314, 30_294, 250_918},
-	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_718, 142_274, 856, 5_981, 55_835, 371_806},
-	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_532, 842, 788, 668, 2_327, 32_474},
-	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_500, 806, 792, 128, 468, 17_663},
-	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_317, 2_452, 2_312, 507, 1_890, 27_814},
-	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_616, 1_856, 1_691, 930, 4_642, 37_435},
-	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_384, 1_372, 1_292, 633, 2_498, 30_630},
-	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_862, 784, 746, 409, 1_738, 25_745},
-	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_692, 1_804, 1_738, 534, 1_892, 29_014},
-	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_467, 1_160, 1_134, 128, 535, 16_298},
-	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_708, 2_175, 2_056, 464, 1_773, 25_843},
-	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 34_880},
-	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_931, 2_120, 2_027, 551, 2_118, 28_009},
-	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 25_232},
-	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_049, 42_962, 41_609, 1_633, 8_037, 50_231},
-	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_147, 22_277, 0, 2_622, 28_825, 220_108},
-	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_040, 41_040, 7, 3_676, 34_340, 282_137},
-	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_993, 11_607, 0, 2_927, 29_830, 237_909},
-	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_952, 74_176, 23, 3_915, 40_392, 253_534},
-	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_827, 4_071, 3_919, 706, 1_892, 32_685},
-	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_092, 3_103, 3_031, 128, 270, 16_260},
-	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_667, 7_511, 7_259, 514, 1_163, 27_297},
-	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_908, 9_250, 8_948, 940, 3_490, 36_426},
-	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_596, 7_319, 7_080, 646, 1_780, 29_534},
-	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 24_622},
-	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_207, 990, 924, 703, 1_914, 31_417},
-	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_027, 972, 946, 128, 270, 16_299},
-	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_317, 1_819, 1_690, 515, 1_155, 26_747},
-	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_940, 1_528, 1_397, 935, 3_504, 36_288},
-	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_266, 1_179, 1_089, 643, 1_756, 29_400},
-	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 24_606},
-	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_475, 85_285, 82_050, 2_188, 12_061, 59_679},
-	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_856, 83_112, 80_092, 2_188, 11_855, 59_683},
-	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_648, 55_059, 53_079, 2_177, 11_870, 59_474},
-	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_115, 73_491, 69_891, 2_138, 16_863, 57_473},
-	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_528, 61_989, 59_582, 2_188, 12_052, 59_764},
+	"Unsafe-COMP/core1_busy/gcc_r":          {4_950, 364, 5_297, 1_517, 1_434, 703, 1_878, 31_483},
+	"Unsafe-COMP/core1_busy/exchange2_r":    {3_229, 125, 5_046, 1_087, 1_061, 128, 268, 16_246},
+	"Unsafe-COMP/core1_busy/leela_r":        {5_091, 89, 6_322, 1_812, 1_680, 515, 1_155, 26_701},
+	"Unsafe-COMP/core1_busy/x264_r":         {4_795, 308, 5_967, 1_604, 1_474, 935, 3_519, 36_258},
+	"Unsafe-COMP/core1_busy/perlbench_r":    {5_628, 265, 5_363, 1_924, 1_828, 643, 1_762, 29_377},
+	"Unsafe-COMP/core1_busy/namd_r":         {7_882, 260, 6_785, 649, 597, 409, 826, 24_560},
+	"Unsafe-COMP/core1_stall/mcf_r":         {4_987, 175, 15_087, 39_740, 38_054, 2_172, 11_874, 59_422},
+	"Unsafe-COMP/core8_sharing/ocean_cp":    {75_078, 5_107, 65_424, 6_688, 0, 4_707, 26_261, 258_853},
+	"Unsafe-COMP/core8_sharing/radix":       {79_283, 7_910, 67_317, 15_259, 18, 6_143, 47_404, 344_129},
+	"Unsafe-COMP/core8_sharing/fft":         {61_147, 4_251, 51_869, 5_459, 0, 4_332, 30_586, 249_173},
+	"Unsafe-COMP/core8_sharing/canneal":     {55_015, 3_059, 76_674, 59_406, 22, 5_909, 54_607, 367_861},
+	"Fence-EP/core1_busy/gcc_r":             {3_893, 33, 8_997, 6_734, 6_517, 706, 1_886, 34_290},
+	"Fence-EP/core1_busy/exchange2_r":       {3_699, 33, 7_421, 3_762, 3_677, 128, 270, 18_460},
+	"Fence-EP/core1_busy/leela_r":           {3_907, 16, 9_271, 10_691, 10_407, 513, 1_160, 28_958},
+	"Fence-EP/core1_busy/x264_r":            {4_166, 12, 12_765, 15_464, 14_972, 941, 3_542, 38_262},
+	"Fence-EP/core1_busy/perlbench_r":       {3_998, 32, 9_457, 10_958, 10_648, 646, 1_751, 31_638},
+	"Fence-EP/core1_busy/namd_r":            {5_473, 27, 11_918, 8_380, 8_146, 408, 832, 26_564},
+	"Fence-EP/core1_stall/mcf_r":            {4_609, 26, 20_228, 61_629, 59_276, 2_188, 12_050, 61_012},
+	"Fence-EP/core8_sharing/ocean_cp":       {73_278, 436, 150_645, 57_315, 488, 5_317, 30_781, 289_878},
+	"Fence-EP/core8_sharing/radix":          {70_591, 836, 125_177, 53_879, 723, 6_304, 47_816, 368_894},
+	"Fence-EP/core8_sharing/fft":            {44_426, 288, 101_176, 43_448, 298, 4_359, 30_155, 264_133},
+	"Fence-EP/core8_sharing/canneal":        {49_718, 321, 131_957, 229_075, 2_769, 6_099, 57_137, 388_550},
+	"DOM-EP/core1_busy/gcc_r":               {28_798, 146, 6_271, 5_880, 5_689, 706, 1_884, 33_945},
+	"DOM-EP/core1_busy/exchange2_r":         {10_366, 91, 5_294, 3_394, 3_319, 128, 270, 17_514},
+	"DOM-EP/core1_busy/leela_r":             {21_184, 66, 7_220, 9_335, 9_074, 514, 1_162, 28_683},
+	"DOM-EP/core1_busy/x264_r":              {60_142, 191, 9_753, 13_628, 13_246, 941, 3_468, 37_882},
+	"DOM-EP/core1_busy/perlbench_r":         {29_177, 193, 6_223, 10_037, 9_745, 646, 1_762, 31_018},
+	"DOM-EP/core1_busy/namd_r":              {59_325, 153, 8_421, 7_435, 7_213, 408, 832, 26_137},
+	"DOM-EP/core1_stall/mcf_r":              {152_106, 88, 18_762, 61_437, 59_125, 2_188, 11_868, 61_027},
+	"DOM-EP/core8_sharing/ocean_cp":         {717_001, 4_749, 125_826, 51_558, 446, 6_023, 37_687, 300_940},
+	"DOM-EP/core8_sharing/radix":            {660_131, 6_424, 114_581, 46_363, 692, 7_313, 58_994, 397_544},
+	"DOM-EP/core8_sharing/fft":              {676_623, 2_585, 78_126, 35_498, 325, 4_395, 30_565, 266_571},
+	"DOM-EP/core8_sharing/canneal":          {1_125_110, 1_588, 122_214, 218_738, 2_846, 6_163, 56_801, 390_556},
+	"STT-LP/core1_busy/gcc_r":               {27_516, 165, 6_154, 2_012, 1_881, 699, 1_909, 32_465},
+	"STT-LP/core1_busy/exchange2_r":         {5_360, 100, 5_194, 1_093, 1_070, 128, 268, 16_303},
+	"STT-LP/core1_busy/leela_r":             {11_109, 104, 6_467, 2_679, 2_534, 513, 1_152, 27_446},
+	"STT-LP/core1_busy/x264_r":              {99_213, 214, 10_467, 9_273, 8_942, 941, 3_594, 37_044},
+	"STT-LP/core1_busy/perlbench_r":         {34_380, 139, 6_646, 4_231, 4_046, 648, 1_762, 29_754},
+	"STT-LP/core1_busy/namd_r":              {30_741, 169, 7_615, 1_304, 1_228, 409, 832, 24_713},
+	"STT-LP/core8_sharing/ocean_cp":         {305_223, 3_670, 73_226, 9_262, 0, 4_571, 24_950, 257_446},
+	"STT-LP/core8_sharing/radix":            {259_913, 6_013, 72_973, 16_747, 0, 6_024, 45_829, 341_756},
+	"STT-LP/core8_sharing/fft":              {255_437, 3_020, 61_254, 7_130, 0, 4_314, 30_294, 250_865},
+	"STT-LP/core8_sharing/canneal":          {803_059, 1_557, 96_718, 142_274, 856, 5_981, 55_835, 371_753},
+	"IS-EP/core1_busy/gcc_r":                {3_265, 201, 6_532, 842, 788, 668, 2_327, 32_428},
+	"IS-EP/core1_busy/exchange2_r":          {2_577, 145, 5_500, 806, 792, 128, 468, 17_617},
+	"IS-EP/core1_busy/leela_r":              {3_032, 155, 8_317, 2_452, 2_312, 507, 1_890, 27_768},
+	"IS-EP/core1_busy/x264_r":               {3_991, 289, 8_616, 1_856, 1_691, 930, 4_642, 37_389},
+	"IS-EP/core1_busy/perlbench_r":          {3_250, 348, 7_384, 1_372, 1_292, 633, 2_498, 30_584},
+	"IS-EP/core1_busy/namd_r":               {3_974, 229, 8_862, 784, 746, 409, 1_738, 25_699},
+	"RCP-COMP/core1_busy/gcc_r":             {6_113, 335, 5_692, 1_804, 1_738, 534, 1_892, 28_968},
+	"RCP-COMP/core1_busy/exchange2_r":       {4_785, 184, 5_467, 1_160, 1_134, 128, 535, 16_252},
+	"RCP-COMP/core1_busy/leela_r":           {5_595, 98, 6_708, 2_175, 2_056, 464, 1_773, 25_797},
+	"RCP-COMP/core1_busy/x264_r":            {6_302, 572, 6_652, 2_642, 2_487, 742, 2_952, 34_834},
+	"RCP-COMP/core1_busy/perlbench_r":       {6_335, 541, 5_931, 2_120, 2_027, 551, 2_118, 27_963},
+	"RCP-COMP/core1_busy/namd_r":            {11_695, 478, 7_721, 673, 616, 408, 1_952, 25_186},
+	"RCP-COMP/core1_stall/mcf_r":            {6_896, 317, 15_049, 42_962, 41_609, 1_633, 8_037, 50_185},
+	"RCP-COMP/core8_sharing/ocean_cp":       {151_530, 10_381, 93_147, 22_277, 0, 2_622, 28_825, 220_055},
+	"RCP-COMP/core8_sharing/radix":          {116_095, 10_986, 84_040, 41_040, 7, 3_676, 34_340, 282_084},
+	"RCP-COMP/core8_sharing/fft":            {101_257, 5_863, 71_993, 11_607, 0, 2_927, 29_830, 237_856},
+	"RCP-COMP/core8_sharing/canneal":        {143_188, 5_546, 103_952, 74_176, 23, 3_915, 40_392, 253_481},
+	"DOM-SPECTRE/core1_busy/gcc_r":          {23_315, 148, 5_827, 4_071, 3_919, 706, 1_892, 32_639},
+	"DOM-SPECTRE/core1_busy/exchange2_r":    {8_615, 87, 5_092, 3_103, 3_031, 128, 270, 16_214},
+	"DOM-SPECTRE/core1_busy/leela_r":        {17_008, 61, 6_667, 7_511, 7_259, 514, 1_163, 27_251},
+	"DOM-SPECTRE/core1_busy/x264_r":         {43_672, 207, 7_908, 9_250, 8_948, 940, 3_490, 36_380},
+	"DOM-SPECTRE/core1_busy/perlbench_r":    {22_884, 203, 5_596, 7_319, 7_080, 646, 1_780, 29_488},
+	"DOM-SPECTRE/core1_busy/namd_r":         {44_113, 160, 7_151, 4_574, 4_425, 409, 848, 24_576},
+	"Unsafe-COMP@RC/core1_busy/gcc_r":       {4_984, 194, 5_207, 990, 924, 703, 1_914, 31_371},
+	"Unsafe-COMP@RC/core1_busy/exchange2_r": {3_234, 72, 5_027, 972, 946, 128, 270, 16_253},
+	"Unsafe-COMP@RC/core1_busy/leela_r":     {5_091, 58, 6_317, 1_819, 1_690, 515, 1_155, 26_701},
+	"Unsafe-COMP@RC/core1_busy/x264_r":      {4_806, 214, 5_940, 1_528, 1_397, 935, 3_504, 36_242},
+	"Unsafe-COMP@RC/core1_busy/perlbench_r": {5_678, 132, 5_266, 1_179, 1_089, 643, 1_756, 29_354},
+	"Unsafe-COMP@RC/core1_busy/namd_r":      {7_883, 136, 6_760, 665, 616, 409, 828, 24_560},
+	"Fence-COMP/core1_stall/mcf_r":          {14_537, 13, 22_475, 85_285, 82_050, 2_188, 12_061, 59_633},
+	"DOM-COMP/core1_stall/mcf_r":            {177_962, 80, 19_856, 83_112, 80_092, 2_188, 11_855, 59_637},
+	"STT-COMP/core1_stall/mcf_r":            {80_764, 75, 16_648, 55_059, 53_079, 2_177, 11_870, 59_428},
+	"IS-COMP/core1_stall/mcf_r":             {5_995, 314, 30_115, 73_491, 69_891, 2_138, 16_863, 57_427},
+	"Fence-COMP@RC/core1_stall/mcf_r":       {3_448, 22, 19_528, 61_989, 59_582, 2_188, 12_052, 59_718},
 }
 
 // TestGateVisits pins the work of every job of gateLists, 3 000 warm-up and

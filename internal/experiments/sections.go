@@ -51,8 +51,7 @@ func RunTraffic(r *Runner) (*Traffic, error) {
 					// The conversions round each rate, so that no platform
 					// fuses the product into the sums below.
 					w := float64(float64(res.Counters["coh.retried_writes"]) / insts * 1e6)
-					e := float64(float64(res.Counters["coh.retried_evictions"]+
-						res.Counters["coh.retried_evictions_l1"]) / insts * 1e6)
+					e := float64(float64(res.Counters["coh.retried_evictions"]) / insts * 1e6)
 					wSum += w
 					eSum += e
 					if w > row.MaxWrites {

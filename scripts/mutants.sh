@@ -32,6 +32,7 @@ jump-skips-charges    ./internal/core                          TestGateVisits/DO
 probe-memo-ignores-line ./internal/pipeline                    TestCandidateListsMatchFullWalk/DOM-COMP
 rebuild-skips-pinned  ./internal/core                          FuzzDerivedState
 setroom-counts-loads  ./internal/pipeline,./internal/core      TestPinRoomCountsLines|TestGateVisits/DOM-EP/core8_sharing/ocean_cp
+setroom-fills-the-set ./internal/pipeline,./internal/core      TestPinRoomCountsLines|TestSmallCachesStillCorrect
 '
 
 tree=$(mktemp -d)
